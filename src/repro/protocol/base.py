@@ -21,7 +21,7 @@ from ..vm.page import FrameStore, GenCounter, Perm
 from ..vm.pagetable import PageTable
 from .directory import DirectoryLockModel, GlobalDirectory
 from .messages import RequestEngine
-from .writenotice import NLEList, NoticeBoard, PerProcNotices
+from .writenotice import NLEList, NoticeBoard, PerProcNotices, WriteNotice
 
 #: Wire overhead of a page-fetch reply beyond the page data itself.
 PAGE_HEADER_BYTES = 32
@@ -162,13 +162,25 @@ class BaseProtocol:
         self._home_lock = SerialResource(name="home-selection-lock")
 
         self._ps: list[ProcProtoState] = []
+        #: Each owner's processor states by local index (page-table column).
+        self._owner_ps: list[list[ProcProtoState]] = [
+            [] for _ in range(self.num_owners)]
         for proc in cluster.processors:
             owner = self.owner_of(proc)
             lidx = self._local_index(proc)
-            self._ps.append(ProcProtoState(
+            st = ProcProtoState(
                 proc, owner, lidx, self.tables[owner].rows,
                 self.frames.frames_of(owner), self.gens[owner],
-                self.wgens[owner]))
+                self.wgens[owner])
+            self._ps.append(st)
+            self._owner_ps[owner].append(st)
+
+        # Per-notice / per-word / per-page costs, bound once (frozen config).
+        self._mc_word_write = self.costs.mc_word_write
+        self._dir_update = self.costs.dir_update
+        self._dir_bytes = self.directory.broadcast_bytes()
+        self._page_copy_cost = self.config.page_copy_cost()
+        self._twin_cost = self.config.twin_cost()
 
     # --- owner-space geometry (subclass hooks) ------------------------------
 
@@ -310,21 +322,70 @@ class BaseProtocol:
         """The current master copy (the home owner's frame)."""
         return self.frames.frame(self.directory.home(page), page)
 
-    def _charge_dir_update(self, proc: Processor, fanout: int = 0) -> None:
-        proc.charge(self.directory.update_cost(proc), "protocol")
-        proc.stats.bump("directory_updates")
-        self.mc.account("directory",
-                        4 * (fanout or self.num_owners))
+    def _charge_dir_update(self, proc: Processor) -> None:
+        """Book one directory-word broadcast: its cost (clock-dependent
+        under the lock-model ablation), the count, a word per replica."""
+        lock_model = self.directory.lock_model
+        us = self._dir_update if lock_model is None \
+            else lock_model.update_cost(proc.clock)
+        if us > 0:  # Processor.charge, in line
+            if proc.trace is not None:
+                proc.trace.span("protocol", proc, proc.clock, us)
+            proc.clock += us
+            proc.stats.buckets["protocol"] += us
+        proc.stats.counters["directory_updates"] += 1
+        traffic = self.mc.traffic
+        traffic["directory"] = traffic.get("directory", 0) + self._dir_bytes
 
     def _set_node_perm_word(self, proc: Processor, page: int,
                             perm: Perm) -> None:
         """Update this owner's global directory word when its loosest
         permission changes (broadcast write, charged)."""
-        st = self._ps[proc.global_id]
+        owner = self._ps[proc.global_id].owner
         entry = self.directory.entry(page)
-        if entry.perm_of(st.owner) != perm:
-            entry.set_perm(st.owner, perm)
+        if entry.perm_of(owner) != perm:
+            entry.set_perm(owner, perm)
             self._charge_dir_update(proc)
+
+    def _post_write_notices(self, proc: Processor, from_owner: int,
+                            page: int, dests: list[int]) -> None:
+        """Release-side fan-out (Section 2.3, Figure 4): one notice for
+        ``page`` into ``from_owner``'s bin on every owner in ``dests``.
+
+        Booked as one burst (DESIGN.md §17): one shared immutable record,
+        count and traffic added once, but one float add per notice
+        (``n * w`` is not the same double). An injector or tracer sees
+        each notice through :meth:`NoticeBoard.post`, in the same loop.
+        """
+        n = len(dests)
+        if not n:
+            return
+        visible = self.mc.visibility(proc.clock)
+        record = WriteNotice(page, from_owner, visible)
+        boards = self.boards
+        observed = self.injector is not None or self.trace is not None
+        w = self._mc_word_write
+        trace = proc.trace
+        buckets = proc.stats.buckets
+        clock = proc.clock
+        spent = buckets["protocol"]
+        for owner in dests:
+            board = boards[owner]
+            if observed:
+                board.post(from_owner, page, visible)
+            else:
+                board.bins[from_owner].append(record)
+                board.posted += 1
+            if w > 0:
+                if trace is not None:
+                    trace.span("protocol", proc, clock, w)
+                clock += w
+                spent += w
+        proc.clock = clock
+        buckets["protocol"] = spent
+        proc.stats.counters["write_notices"] += n
+        traffic = self.mc.traffic
+        traffic["write_notice"] = traffic.get("write_notice", 0) + 4 * n
 
     def _await_not_pending(self, proc: Processor, entry) -> None:
         """Timeout path for transient (Pending) directory state.
@@ -383,16 +444,12 @@ class BaseProtocol:
         A *lost* notice (injected gap) counts for every page — the page
         number never arrived, so the owner must assume the worst.
         """
-        for bin_ in self.boards[owner].bins:
-            for wn in bin_:
-                if wn.lost or wn.page == page:
-                    return True
-        node = self.node_of_owner(owner)
-        for peer in node.processors:
-            pst = self._ps[peer.global_id]
-            if pst.owner == owner and page in pst.notices._bitmap:
-                return True
-        return False
+        board = self.boards[owner]
+        if board.pending() and any(wn.lost or wn.page == page
+                                   for bin_ in board.bins for wn in bin_):
+            return True
+        return any(page in pst.notices._bitmap
+                   for pst in self._owner_ps[owner])
 
     def _superpage_of(self, page: int) -> int:
         return page // self.config.superpage_pages

@@ -172,7 +172,7 @@ class Cashmere2L(BaseProtocol):
         home = self.directory.home(page)
         if home != st.owner and meta.twin is None:
             meta.twin = make_twin(st.frames[page])
-            proc.charge(self.config.twin_cost(), "protocol")
+            proc.charge(self._twin_cost, "protocol")
             proc.stats.bump("twin_creations")
         self._map_write(proc, st, page)
 
@@ -249,7 +249,7 @@ class Cashmere2L(BaseProtocol):
                                    bytes=int(diff.nbytes))
         else:
             self.frames.map_frame(st.owner, page, payload)
-            proc.charge(self.config.page_copy_cost(), "protocol")
+            proc.charge(self._page_copy_cost, "protocol")
         if self.trace is not None:
             self.trace.span("page_fetch", proc, t_fetch,
                             proc.clock - t_fetch, obj=page,
@@ -260,11 +260,11 @@ class Cashmere2L(BaseProtocol):
     def _make_fetch_handler(self, page: int):
         """Request handler run by a polling processor on the home node."""
         page_bytes = self.config.page_bytes
+        cost = self._page_copy_cost  # fill the page read buffer
 
         def handler(server: Processor, at: float):
-            master = self.master(page)
-            cost = self.config.page_copy_cost()  # fill the page read buffer
-            return master.copy(), cost, page_bytes + PAGE_HEADER_BYTES
+            return self.master(page).copy(), cost, \
+                page_bytes + PAGE_HEADER_BYTES
 
         return handler
 
@@ -300,7 +300,7 @@ class Cashmere2L(BaseProtocol):
                 self.master(page)[:] = frame
                 _, visible = self.mc.transfer(at, page_bytes,
                                               category="excl_flush")
-                cost += self.config.page_copy_cost()
+                cost += self._page_copy_cost
                 hns.meta_for(page).flush_end_real = visible
             entry.clear_excl(holder_owner)
             cost += self.directory.update_cost(server)
@@ -320,19 +320,16 @@ class Cashmere2L(BaseProtocol):
                     meta = hns.meta_for(page)
                     if meta.twin is None:
                         meta.twin = make_twin(frame)
-                        cost += self.config.twin_cost()
+                        cost += self._twin_cost
                         server.stats.bump("twin_creations")
                 for lw in others:
-                    peer = self.node_of_owner(holder_owner).processors[lw]
-                    self._ps[peer.global_id].nle.add(page)
+                    self._owner_ps[holder_owner][lw].nle.add(page)
                     cost += self.costs.llsc_lock
-            # The holder downgrades its own permissions to catch new writes.
+            # The holder downgrades its own permissions to catch new
+            # writes (which then go through the dirty list).
             if table.perm(page, hst.lidx) == Perm.WRITE:
                 table.set_perm(page, hst.lidx, Perm.READ)
                 cost += self.costs.mprotect
-                if others:
-                    # Future writes by the holder go through the dirty list.
-                    pass
             return frame.copy(), cost, page_bytes + PAGE_HEADER_BYTES
 
         t0 = proc.clock
@@ -361,24 +358,16 @@ class Cashmere2L(BaseProtocol):
         st = self._ps[proc.global_id]
         ns = self.node_state[st.owner]
         ns.tick()
-        costs = self.costs
-        table = self.tables[st.owner]
 
         board = self.boards[st.owner]
         if self.directory.lock_model is not None and board.pending():
             proc.charge(self.directory.lock_model.update_cost(proc.clock),
                         "protocol")
         notices, gap = self._collect_notices(proc, board)
-        for wn in notices:
-            if wn.lost:
-                continue  # a gap, not a page number; handled below
-            meta = ns.meta_for(wn.page)
-            meta.wn_ts = ns.logical
-            targets = table.mapped(wn.page)
-            for lp in targets:
-                peer = self.node_of_owner(st.owner).processors[lp]
-                if self._ps[peer.global_id].notices.add(wn.page):
-                    proc.charge(costs.llsc_lock, "protocol")
+        if notices:
+            # A lost notice is a gap, not a page number; handled below.
+            self._distribute(proc, st, ns,
+                             [wn.page for wn in notices if not wn.lost])
         if gap:
             self._recover_lost_notices(proc, st, ns)
 
@@ -388,7 +377,30 @@ class Cashmere2L(BaseProtocol):
             meta = ns.meta_for(page)
             if meta.update_ts < meta.wn_ts:
                 self._invalidate_mapping(proc, st, page)
-        proc.charge(costs.llsc_lock, "protocol")  # drain under local lock
+        proc.charge(self.costs.llsc_lock, "protocol")  # drain under local lock
+
+    def _distribute(self, proc: Processor, st: ProcProtoState,
+                    ns: NodeState2L, pages: list[int]) -> None:
+        """Second-level distribution of noticed ``pages`` (Section 2.4.2):
+        stamp each page's write-notice time and queue it at every local
+        processor that maps it, one ll/sc lock per newly set bit."""
+        for page in dict.fromkeys(pages):
+            ns.meta_for(page).wn_ts = ns.logical
+        lists = [peer.notices for peer in self._owner_ps[st.owner]]
+        rows, read, queued = st.rows, int(Perm.READ), 0
+        for page in pages:
+            for pn, perm in zip(lists, rows[page]):
+                if perm < read:
+                    continue
+                if page in pn._bitmap:  # PerProcNotices.add, in line
+                    pn.redundant_drops += 1
+                else:
+                    pn._bitmap.add(page)
+                    pn._queue.append(page)
+                    queued += 1
+        llsc = self.costs.llsc_lock
+        for _ in range(queued):
+            proc.charge(llsc, "protocol")
 
     def _recover_lost_notices(self, proc: Processor, st: ProcProtoState,
                               ns: NodeState2L) -> None:
@@ -406,24 +418,16 @@ class Cashmere2L(BaseProtocol):
         proc.stats.bump("notice_resyncs")
         # One pass over the local replicated directory copy.
         proc.charge(self.directory.update_cost(proc), "protocol")
-        table = self.tables[st.owner]
-        node = self.node_of_owner(st.owner)
-        costs = self.costs
-        for page in range(self.config.num_pages):
+        pages = []
+        for page, row in enumerate(st.rows):
             entry = self.directory.entry(page)
             if entry.home_owner == st.owner:
                 continue  # home works on the master copy, never stale
             if entry.excl_of(st.owner) != NO_HOLDER:
                 continue  # our exclusive copy is the freshest there is
-            targets = table.mapped(page)
-            if not targets:
-                continue
-            meta = ns.meta_for(page)
-            meta.wn_ts = ns.logical
-            for lp in targets:
-                peer = node.processors[lp]
-                if self._ps[peer.global_id].notices.add(page):
-                    proc.charge(costs.llsc_lock, "protocol")
+            if max(row) >= Perm.READ:
+                pages.append(page)
+        self._distribute(proc, st, ns, pages)
 
     def _invalidate_mapping(self, proc: Processor, st: ProcProtoState,
                             page: int) -> None:
@@ -439,7 +443,7 @@ class Cashmere2L(BaseProtocol):
 
     # ------------------------------------------------------------ release side
 
-    def release_sync(self, proc: Processor) -> None:
+    def release_sync(self, proc: Processor, barrier: bool = False) -> None:
         """Flush dirty, non-exclusive pages and send write notices
         (Section 2.4.3)."""
         st = self._ps[proc.global_id]
@@ -448,43 +452,27 @@ class Cashmere2L(BaseProtocol):
         ns.last_release_ts = ns.logical
         if not st.dirty and not st.nle.pages:
             return
+        peers = self._owner_ps[st.owner]
         pages = sorted(st.dirty | set(st.nle.take_all()))
         st.dirty.clear()
         for page in pages:
-            self._consider_flush(proc, st, ns, page)
+            # At a barrier only the "last arriving local writer" flushes:
+            # defer to write-mapped peers NOT yet arrived at this episode
+            # (their diff against the shared twin covers ours) — not to a
+            # stale write mapping (e.g. ex-exclusive) of an arrived peer.
+            if barrier and any(
+                    p >= Perm.WRITE and w != st.lidx
+                    and peers[w].arrival_epoch < st.arrival_epoch
+                    for w, p in enumerate(st.rows[page])):
+                self._downgrade_self(proc, st, page)
+            else:
+                self._consider_flush(proc, st, ns, page)
 
     def barrier_release(self, proc: Processor) -> None:
         """Barrier-arrival flush: only the last arriving local writer of a
         page flushes it (Section 2.3, "Synchronization")."""
-        st = self._ps[proc.global_id]
-        ns = self.node_state[st.owner]
-        ns.tick()
-        ns.last_release_ts = ns.logical
-        st.arrival_epoch += 1
-        if not st.dirty and not st.nle.pages:
-            return
-        table = self.tables[st.owner]
-        node = self.node_of_owner(st.owner)
-        pages = sorted(st.dirty | set(st.nle.take_all()))
-        st.dirty.clear()
-        for page in pages:
-            # "Last arriving local writer": defer only to write-mapped
-            # peers that have NOT yet arrived at this barrier episode (a
-            # stale write mapping from an already-arrived peer — e.g. one
-            # left over from exclusive mode — must not swallow the flush).
-            pending = False
-            for w, p in enumerate(table.rows[page]):
-                if (p >= Perm.WRITE and w != st.lidx
-                        and self._ps[node.processors[w].global_id]
-                        .arrival_epoch < st.arrival_epoch):
-                    pending = True
-                    break
-            if pending:
-                # A later-arriving writer's flush (diff against the shared
-                # twin) covers our changes too.
-                self._downgrade_self(proc, st, page)
-                continue
-            self._consider_flush(proc, st, ns, page)
+        self._ps[proc.global_id].arrival_epoch += 1
+        self.release_sync(proc, barrier=True)
 
     def _consider_flush(self, proc: Processor, st: ProcProtoState,
                         ns: NodeState2L, page: int) -> None:
@@ -504,12 +492,10 @@ class Cashmere2L(BaseProtocol):
 
     def _flush_page(self, proc: Processor, st: ProcProtoState,
                     ns: NodeState2L, page: int, meta: PageMeta) -> None:
-        if self.trace is None:
-            self._flush_page_inner(proc, st, ns, page, meta)
-            return
         t0 = proc.clock
         self._flush_page_inner(proc, st, ns, page, meta)
-        self.trace.span("page_flush", proc, t0, proc.clock - t0, obj=page)
+        if self.trace is not None:
+            self.trace.span("page_flush", proc, t0, proc.clock - t0, obj=page)
 
     def _flush_page_inner(self, proc: Processor, st: ProcProtoState,
                           ns: NodeState2L, page: int, meta: PageMeta) -> None:
@@ -538,34 +524,28 @@ class Cashmere2L(BaseProtocol):
                 # clock, so catch it here: with no twin and no local write
                 # mappings the node holds nothing unflushed.
                 return
-            frame = st.frames[page]
             others = [w for w in table.writers(page) if w != st.lidx]
             if self.shootdown and others:
                 # _shootdown_and_flush sends the write notices itself.
                 self._shootdown_and_flush(proc, st, page, meta)
                 return
+            # Flush-update: write modifications to home *and* twin, so
+            # concurrent local writers' later flushes skip them.
+            self._flush_diff(proc, st, page, meta)
             if others:
-                # Flush-update: write modifications to home *and* twin so
-                # concurrent local writers' later flushes skip them.
-                diff = flush_update(frame, meta.twin, self.master(page))
-                proc.charge(self.config.diff_out_cost(diff.nbytes, True),
-                            "protocol")
                 proc.stats.bump("flush_updates")
-                self._account_diff(proc, meta, diff, page)
             else:
-                diff = flush_update(frame, meta.twin, self.master(page))
-                proc.charge(self.config.diff_out_cost(diff.nbytes, True),
-                            "protocol")
-                self._account_diff(proc, meta, diff, page)
                 meta.twin = None  # last writer: the twin is garbage now
             if self._migrate_policy:
                 self._note_remote_flush(page, st.owner)
 
-        # Write notices to every sharing node except us and the home.
         self._send_write_notices(proc, st, page)
 
-    def _account_diff(self, proc: Processor, meta: PageMeta, diff,
-                      page: int) -> None:
+    def _flush_diff(self, proc: Processor, st: ProcProtoState, page: int,
+                    meta: PageMeta) -> None:
+        """Write the page's outgoing diff to the home (and the twin)."""
+        diff = flush_update(st.frames[page], meta.twin, self.master(page))
+        proc.charge(self.config.diff_out_cost(diff.nbytes, True), "protocol")
         if diff.nbytes:
             if self.trace is not None:
                 self.trace.instant("diff_out", proc, proc.clock, obj=page,
@@ -580,21 +560,17 @@ class Cashmere2L(BaseProtocol):
 
     def _send_write_notices(self, proc: Processor, st: ProcProtoState,
                             page: int) -> None:
+        """Write notices to every sharing node except us and the home."""
         entry = self.directory.entry(page)
-        home = entry.home_owner
+        me, home = st.owner, entry.home_owner
         if self.directory.lock_model is not None:
             # Section 3.3.5 ablation: single write-notice list per node,
             # guarded by a cluster-wide lock.
             proc.charge(self.directory.lock_model.update_cost(proc.clock),
                         "protocol")
-        visible = self.mc.visibility(proc.clock)
-        for owner in entry.sharers():
-            if owner == st.owner or owner == home:
-                continue
-            self.boards[owner].post(st.owner, page, visible)
-            proc.charge(self.costs.mc_word_write, "protocol")
-            proc.stats.bump("write_notices")
-            self.mc.account("write_notice", 4)
+        self._post_write_notices(
+            proc, me, page,
+            [o for o in entry.sharers() if o != me and o != home])
 
     def _downgrade_self(self, proc: Processor, st: ProcProtoState,
                         page: int) -> None:
@@ -620,19 +596,15 @@ class Cashmere2L(BaseProtocol):
         per_target = (costs.shootdown_polled if self.config.polling
                       else costs.shootdown_interrupt)
         for lw in targets:
-            peer = self.node_of_owner(st.owner).processors[lw]
             table.set_perm(page, lw, Perm.READ)
-            peer.charge(per_target, "protocol")
+            self._owner_ps[st.owner][lw].proc.charge(per_target, "protocol")
         proc.charge(per_target * max(1, len(targets)), "protocol")
         proc.stats.bump("shootdowns")
         if self.trace is not None:
             self.trace.instant("shootdown", proc, proc.clock, obj=page,
                                targets=len(targets))
         if meta.twin is not None:
-            diff = flush_update(st.frames[page], meta.twin, self.master(page))
-            proc.charge(self.config.diff_out_cost(diff.nbytes, True),
-                        "protocol")
-            self._account_diff(proc, meta, diff, page)
+            self._flush_diff(proc, st, page, meta)
             meta.twin = None
         self._send_write_notices(proc, st, page)
 

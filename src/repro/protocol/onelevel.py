@@ -181,7 +181,7 @@ class OneLevelProtocol(BaseProtocol):
         if (not self.write_through and not self._uses_master(st, page)
                 and page not in self.meta[st.owner].twins):
             self.meta[st.owner].twins[page] = make_twin(st.frames[page])
-            proc.charge(self.config.twin_cost(), "protocol")
+            proc.charge(self._twin_cost, "protocol")
             proc.stats.bump("twin_creations")
         self._set_perm(proc, st, page, Perm.WRITE)
         proc.charge(costs.mprotect, "protocol")
@@ -206,13 +206,11 @@ class OneLevelProtocol(BaseProtocol):
             self._break_exclusive(proc, page, holder)
 
     def _fetch(self, proc: Processor, st: ProcProtoState, page: int) -> None:
-        if self.trace is None:
-            self._fetch_inner(proc, st, page)
-            return
         t0 = proc.clock
         self._fetch_inner(proc, st, page)
-        self.trace.span("page_fetch", proc, t0, proc.clock - t0, obj=page,
-                        bytes=self.config.page_bytes)
+        if self.trace is not None:
+            self.trace.span("page_fetch", proc, t0, proc.clock - t0,
+                            obj=page, bytes=self.config.page_bytes)
 
     def _fetch_inner(self, proc: Processor, st: ProcProtoState,
                      page: int) -> None:
@@ -245,13 +243,13 @@ class OneLevelProtocol(BaseProtocol):
                                    bytes=int(diff.nbytes))
         else:
             self.frames.map_frame(st.owner, page, payload)
-            proc.charge(self.config.page_copy_cost(), "protocol")
+            proc.charge(self._page_copy_cost, "protocol")
 
     def _make_fetch_handler(self, page: int, local: bool):
         page_bytes = self.config.page_bytes
 
         def handler(server: Processor, at: float):
-            cost = self.config.page_copy_cost()
+            cost = self._page_copy_cost
             reply = 0 if local else page_bytes + PAGE_HEADER_BYTES
             if local:
                 # Same-node transfer: a bus memcpy instead of an MC transfer.
@@ -274,7 +272,7 @@ class OneLevelProtocol(BaseProtocol):
             if entry.excl_of(holder_owner) == NO_HOLDER:
                 return self.masters[page].copy(), 2.0, page_bytes
             frame = self.frames.frame(holder_owner, page)
-            cost = self.config.page_copy_cost()
+            cost = self._page_copy_cost
             # Flush the whole page to the home before the fetch proceeds.
             # Under write-through (1L) the master is already current — and
             # strictly fresher than the holder's frame — so keep it.
@@ -322,10 +320,8 @@ class OneLevelProtocol(BaseProtocol):
             # 1-level write-notice lists are guarded by cluster-wide locks.
             proc.charge(self.costs.mc_lock_overhead + self.costs.mc_latency,
                         "protocol")
-        for wn in notices:
-            if wn.lost:
-                continue  # a gap, not a page number; handled below
-            st.notices.add(wn.page)
+            # A lost notice is a gap, not a page number; handled below.
+            st.notices.add_many([wn.page for wn in notices if not wn.lost])
         if gap:
             self._recover_lost_notices(proc, st)
         for page in st.notices.drain():
@@ -353,16 +349,11 @@ class OneLevelProtocol(BaseProtocol):
         """
         proc.stats.bump("notice_resyncs")
         proc.charge(self.directory.update_cost(proc), "protocol")
-        table = self.tables[st.owner]
-        for page in range(self.config.num_pages):
-            if table.perm(page, 0) == Perm.INVALID:
-                continue
-            if self._uses_master(st, page):
-                continue
-            entry = self.directory.entry(page)
-            if entry.excl_of(st.owner) != NO_HOLDER:
-                continue  # we hold it exclusively; nobody else wrote it
-            st.notices.add(page)
+        st.notices.add_many([
+            page for page, row in enumerate(st.rows)
+            if row[0] != Perm.INVALID and not self._uses_master(st, page)
+            # ... nor held exclusively by us: then nobody else wrote it.
+            and self.directory.entry(page).excl_of(st.owner) == NO_HOLDER])
 
     # ------------------------------------------------------------ release side
 
@@ -374,12 +365,10 @@ class OneLevelProtocol(BaseProtocol):
 
     def _flush_one(self, proc: Processor, st: ProcProtoState,
                    page: int) -> None:
-        if self.trace is None:
-            self._flush_one_inner(proc, st, page)
-            return
         t0 = proc.clock
         self._flush_one_inner(proc, st, page)
-        self.trace.span("page_flush", proc, t0, proc.clock - t0, obj=page)
+        if self.trace is not None:
+            self.trace.span("page_flush", proc, t0, proc.clock - t0, obj=page)
 
     def _flush_one_inner(self, proc: Processor, st: ProcProtoState,
                          page: int) -> None:
@@ -388,59 +377,48 @@ class OneLevelProtocol(BaseProtocol):
         uses_master = self._uses_master(st, page)
         sharers = [o for o in entry.sharers() if o != st.owner]
 
-        # Merge changes into the master copy.
-        if not uses_master:
-            if self.write_through:
-                pass  # 1L: every write already went through to the master
-            else:
-                twin = self.meta[st.owner].twins.get(page)
-                if twin is None:
-                    raise ProtocolError(
-                        f"1LD flush of page {page} without twin")
-                diff = outgoing_diff(st.frames[page], twin)
-                apply_diff(self.masters[page], diff)
-                local = self.node_of_owner(home_owner) is proc.node
-                proc.charge(
-                    self.config.diff_out_cost(diff.nbytes, not local),
-                    "protocol")
-                if self.trace is not None:
-                    self.trace.instant("diff_out", proc, proc.clock,
-                                       obj=page, bytes=int(diff.nbytes))
-                if not local and diff.nbytes:
-                    send_done, _ = self.mc.transfer(proc.clock, diff.nbytes,
-                                                    category="diff")
-                    if send_done > proc.clock:
-                        proc.charge(send_done - proc.clock, "comm_wait")
-                self.meta[st.owner].twins.pop(page, None)
-                if self._migrate_policy and home_owner != st.owner:
-                    self._note_remote_flush(page, st.owner)
+        # Merge changes into the master copy (1L: every write already
+        # went through to it).
+        if not uses_master and not self.write_through:
+            twin = self.meta[st.owner].twins.pop(page, None)
+            if twin is None:
+                raise ProtocolError(f"1LD flush of page {page} without twin")
+            diff = outgoing_diff(st.frames[page], twin)
+            apply_diff(self.masters[page], diff)
+            local = self.node_of_owner(home_owner) is proc.node
+            proc.charge(self.config.diff_out_cost(diff.nbytes, not local),
+                        "protocol")
+            if self.trace is not None:
+                self.trace.instant("diff_out", proc, proc.clock, obj=page,
+                                   bytes=int(diff.nbytes))
+            if not local and diff.nbytes:
+                send_done, _ = self.mc.transfer(proc.clock, diff.nbytes,
+                                                category="diff")
+                if send_done > proc.clock:
+                    proc.charge(send_done - proc.clock, "comm_wait")
+            if self._migrate_policy and home_owner != st.owner:
+                self._note_remote_flush(page, st.owner)
 
         # Write notices to sharers that do not already hold one.
         if sharers:
             proc.charge(self.costs.mc_lock_overhead + self.costs.mc_latency,
                         "protocol")  # cluster-wide write-notice lock
-            visible = self.mc.visibility(proc.clock)
-            for owner in sharers:
-                # Note: the home *processor* gets notices too — its working
-                # copy is distinct from the master region (Section 2.6);
-                # only a processor actually mapping the master (home-node
-                # optimization) skips invalidation, on the receive side.
-                self.boards[owner].post(st.owner, page, visible)
-                proc.charge(self.costs.mc_word_write, "protocol")
-                proc.stats.bump("write_notices")
-                self.mc.account("write_notice", 4)
-        else:
-            # No other sharers: the page enters exclusive mode and leaves
-            # coherence until another processor asks for it. A pending
-            # write notice disqualifies it: our copy would be stale.
-            if (entry.excl_of(st.owner) == NO_HOLDER
-                    and not self._notices_pending(st.owner, page)
-                    and not entry.is_pending(proc.clock)):
-                entry.set_excl(st.owner, proc.global_id)
-                self._charge_dir_update(proc)
-                proc.stats.bump("excl_transitions")
-                st.excl_pages.add(page)
-                return  # keep write permission; no downgrade
+            # Note: the home *processor* gets notices too — its working
+            # copy is distinct from the master region (Section 2.6);
+            # only a processor actually mapping the master (home-node
+            # optimization) skips invalidation, on the receive side.
+            self._post_write_notices(proc, st.owner, page, sharers)
+        # No other sharers: the page enters exclusive mode and leaves
+        # coherence until another processor asks for it. A pending
+        # write notice disqualifies it: our copy would be stale.
+        elif (entry.excl_of(st.owner) == NO_HOLDER
+                and not self._notices_pending(st.owner, page)
+                and not entry.is_pending(proc.clock)):
+            entry.set_excl(st.owner, proc.global_id)
+            self._charge_dir_update(proc)
+            proc.stats.bump("excl_transitions")
+            st.excl_pages.add(page)
+            return  # keep write permission; no downgrade
 
         # Downgrade so future writes fault (and are tracked) again.
         table = self.tables[st.owner]

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 #: Shared empty results for drains/collects with nothing queued (the
 #: common case). Callers only iterate the result, never mutate it.
-_EMPTY: list[int] = []
-_EMPTY_NOTICES: list["WriteNotice"] = []
+_EMPTY: list = []
 
 
 @dataclass(frozen=True)
@@ -67,26 +66,17 @@ class NoticeBoard:
 
     def post(self, from_owner: int, page: int, visible_at: float) -> None:
         """Append a notice to ``from_owner``'s bin (a remote MC write)."""
-        lost = False
-        if self.injector is not None:
-            dropped, extra = self.injector.notice_fate()
-            if dropped:
-                lost = True
-                self.lost += 1
-            elif extra > 0.0:
-                visible_at += extra
+        lost, extra = (False, 0.0) if self.injector is None \
+            else self.injector.notice_fate()
+        visible_at += extra  # a dropped notice carries no delay
+        self.lost += lost
         self.bins[from_owner].append(
             WriteNotice(page, from_owner, visible_at, lost))
         self.posted += 1
         if self.trace is not None:
-            if lost:
-                self.trace.instant("write_notice", None, visible_at,
-                                   obj=page, from_owner=from_owner,
-                                   to_owner=self.owner, lost=True)
-            else:
-                self.trace.instant("write_notice", None, visible_at,
-                                   obj=page, from_owner=from_owner,
-                                   to_owner=self.owner)
+            self.trace.instant("write_notice", None, visible_at, obj=page,
+                               from_owner=from_owner, to_owner=self.owner,
+                               **({"lost": True} if lost else {}))
 
     def collect(self, upto: float) -> list[WriteNotice]:
         """Consume every notice visible by time ``upto`` (bin order).
@@ -101,24 +91,22 @@ class NoticeBoard:
         page (a lost update the race checker later flags).
         """
         if self._consumed == self.posted:
-            return _EMPTY_NOTICES
+            return _EMPTY
         found: list[WriteNotice] = []
         for bin_ in self.bins:
-            # Fast path: the (common) monotone prefix.
-            while bin_ and bin_[0].visible_at <= upto:
-                found.append(bin_.popleft())
-            if len(bin_) > 1:
-                ripe = [wn for wn in bin_ if wn.visible_at <= upto]
-                if ripe:
-                    unripe = [wn for wn in bin_ if wn.visible_at > upto]
-                    bin_.clear()
-                    bin_.extend(unripe)
-                    found.extend(ripe)
+            ripe = [wn for wn in bin_ if wn.visible_at <= upto] if bin_ else ()
+            if ripe:
+                unripe = [wn for wn in bin_ if wn.visible_at > upto] \
+                    if len(ripe) < len(bin_) else ()
+                bin_.clear()
+                bin_.extend(unripe)
+                found += ripe
         self._consumed += len(found)
         return found
 
     def pending(self) -> int:
-        return sum(len(b) for b in self.bins)
+        """Notices posted and not yet collected (visible or in flight)."""
+        return self.posted - self._consumed
 
 
 class PerProcNotices:
@@ -136,12 +124,17 @@ class PerProcNotices:
         self.redundant_drops = 0
 
     def add(self, page: int) -> bool:
-        if page in self._bitmap:
-            self.redundant_drops += 1
-            return False
-        self._bitmap.add(page)
-        self._queue.append(page)
-        return True
+        return self.add_many([page]) == 1
+
+    def add_many(self, pages: list[int]) -> int:
+        """:meth:`add` every page of ``pages``, in order; returns how
+        many were new. One call per acquire instead of one per notice."""
+        bitmap = self._bitmap
+        fresh = [p for p in dict.fromkeys(pages) if p not in bitmap]
+        bitmap.update(fresh)
+        self._queue.extend(fresh)
+        self.redundant_drops += len(pages) - len(fresh)
+        return len(fresh)
 
     def drain(self) -> list[int]:
         if not self._queue:

@@ -371,9 +371,17 @@ class MultiChannelResource:
         self.total_requests += 1
         if duration == 0:
             return start, start
-        # Cheap heuristic: probe each channel's earliest end by peeking at
-        # its timeline without committing, then book the winner (ties go
-        # to the lowest-numbered channel, matching min()'s stability).
+        # Channel 0 idle from ``start`` on (its timeline ends at or
+        # before ``start``): its peek would return ``start + duration``,
+        # the least any channel can offer, and ties go to the
+        # lowest-numbered channel — so it wins without probing anyone.
+        first = self._channels[0]
+        iv = first._intervals
+        if not iv or iv[-1][1] <= start:
+            return first.acquire(start, duration)
+        # Otherwise probe each channel's earliest end by peeking at its
+        # timeline without committing, then book the winner (ties go to
+        # the lowest-numbered channel, matching min()'s stability).
         # With two channels this is exact enough and stays O(log n).
         best = None
         best_end = 0.0

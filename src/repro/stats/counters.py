@@ -67,19 +67,31 @@ def _require_known(counter: str) -> None:
             f"there first)")
 
 
+class StrictCounter(Counter):
+    """A :class:`~collections.Counter` closed over :data:`COUNTER_NAMES`.
+
+    A name is validated once, the first time it is incremented (or read
+    by subscript) while absent; after that it is an ordinary dict hit.
+    An unknown name raises before anything is stored.
+    """
+
+    def __missing__(self, key: str) -> int:
+        _require_known(key)
+        return 0
+
+
 @dataclass
 class ProcStats:
     """Time buckets and event counters for one simulated processor."""
 
     buckets: dict[str, float] = field(
         default_factory=lambda: {b: 0.0 for b in TIME_BUCKETS})
-    counters: Counter = field(default_factory=Counter)
+    counters: StrictCounter = field(default_factory=StrictCounter)
 
     def charge(self, us: float, bucket: str) -> None:
         self.buckets[bucket] += us
 
     def bump(self, counter: str, n: int = 1) -> None:
-        _require_known(counter)
         self.counters[counter] += n
 
     @property

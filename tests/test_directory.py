@@ -219,6 +219,28 @@ class TestNoticeBoard:
         assert [(n.page, n.visible_at) for n in got] == [(1, 20.0)]
         assert board.pending() == 0
 
+    def test_pending_matches_bin_lengths(self):
+        """``pending()`` is kept as ``posted - consumed``; after any mix
+        of posts and (partial) collects it equals what sits in the bins."""
+        board = NoticeBoard(0, 4)
+
+        def queued():
+            return sum(len(b) for b in board.bins)
+
+        assert board.pending() == queued() == 0
+        for i in range(12):
+            board.post(1 + i % 3, page=i, visible_at=float(30 - 2 * i))
+        assert board.pending() == queued() == 12
+        assert len(board.collect(9.0)) == 1      # only the last post
+        assert board.pending() == queued() == 11
+        board.post(2, page=99, visible_at=5.0)
+        assert board.pending() == queued() == 12
+        board.collect(20.0)                       # a non-prefix subset
+        assert 0 < board.pending() == queued() < 12
+        assert board.collect(1.0) == []           # nothing newly visible
+        board.collect(1e9)
+        assert board.pending() == queued() == 0
+
 
 class TestPerProcNotices:
     def test_bitmap_dedup(self):
@@ -227,6 +249,17 @@ class TestPerProcNotices:
         assert n.add(5) is False
         assert n.redundant_drops == 1
         assert len(n) == 1
+
+    def test_add_many_is_add_in_a_loop(self):
+        pages = [4, 9, 4, 2, 9, 9, 7]
+        one, bulk = PerProcNotices(), PerProcNotices()
+        for n in (one, bulk):
+            n.add(9)  # a bit already set before the batch
+        fresh = sum(one.add(p) for p in pages)
+        assert bulk.add_many(pages) == fresh == 3
+        assert bulk.redundant_drops == one.redundant_drops == 4
+        assert bulk.add_many([]) == 0
+        assert bulk.drain() == one.drain() == [9, 4, 2, 7]
 
     def test_drain_clears(self):
         n = PerProcNotices()

@@ -1,5 +1,7 @@
 """Unit tests for statistics collection and aggregation."""
 
+import pickle
+
 import pytest
 
 from repro.errors import UnknownCounterError
@@ -57,6 +59,46 @@ class TestProcStats:
             ps.bump("zzzzzzzz")
         assert "did you mean" not in str(exc.value)
 
+    def test_names_validated_on_first_use(self):
+        """Names are validated when first seen, not on every bump: the
+        unknown name raises at once and leaves no entry behind, and a
+        known name keeps counting after its first use."""
+        ps = ProcStats()
+        with pytest.raises(UnknownCounterError):
+            ps.bump("write_notcies", 7)
+        assert "write_notcies" not in ps.counters
+        assert dict(ps.counters) == {}
+        with pytest.raises(UnknownCounterError):
+            ps.counters["write_notcies"] += 1  # the fan-out's direct add
+        assert dict(ps.counters) == {}
+        ps.bump("write_notices", 7)
+        ps.counters["write_notices"] += 2
+        assert ps.counters["write_notices"] == 9
+
+    def test_merge_target_stays_strict(self):
+        a, b = ProcStats(), ProcStats()
+        a.bump("barriers", 2)
+        a.merged_into(b)
+        assert b.counters["barriers"] == 2
+        with pytest.raises(UnknownCounterError):
+            b.bump("barierz")
+        assert dict(b.counters) == {"barriers": 2}
+
+    def test_pickle_round_trip_keeps_strict_mapping(self):
+        """The sweep cache pickles ProcStats; what comes back must still
+        reject unknown names (and keep its counts)."""
+        ps = ProcStats()
+        ps.bump("page_transfers", 5)
+        ps.charge(3.0, "protocol")
+        back = pickle.loads(pickle.dumps(ps, pickle.HIGHEST_PROTOCOL))
+        assert back == ps
+        assert type(back.counters) is type(ps.counters)
+        back.bump("page_transfers")
+        assert back.counters["page_transfers"] == 6
+        with pytest.raises(UnknownCounterError, match="page_transferz"):
+            back.bump("page_transferz")
+        assert "page_transferz" not in back.counters
+
 
 class TestRunStats:
     def make(self):
@@ -86,6 +128,15 @@ class TestRunStats:
     def test_counter_known_but_untouched_is_zero(self):
         run = self.make()
         assert run.counter("shootdowns") == 0
+
+    def test_aggregate_stays_strict(self):
+        run = self.make()
+        with pytest.raises(UnknownCounterError):
+            run.aggregate.bump("page_transferz")
+        back = pickle.loads(pickle.dumps(run))
+        assert back.counter("page_transfers") == 6
+        with pytest.raises(UnknownCounterError):
+            back.aggregate.counters["page_transferz"] += 1
 
     def test_breakdown_fractions_normalized(self):
         run = self.make()
