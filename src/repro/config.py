@@ -297,9 +297,10 @@ class MachineConfig:
     #: byte-identical statistics to an untraced one.
     tracing: bool = False
     #: Enable the runtime's inline page-access cache (software TLB) in
-    #: :class:`~repro.runtime.env.WorkerEnv`: warm accesses to the
-    #: last-touched read/write page skip protocol dispatch entirely,
-    #: validated by per-owner generation counters. Behavior-preserving —
+    #: :class:`~repro.runtime.env.WorkerEnv`: warm accesses to a page
+    #: the processor has a cached mapping of skip protocol dispatch
+    #: entirely; the page table evicts a mapping the moment it dies
+    #: (DESIGN.md §9, per-page shootdown). Behavior-preserving —
     #: a fast-path run produces byte-identical statistics and results to
     #: a slow-path run. Disable here, or set ``CASHMERE_NO_FASTPATH=1``
     #: in the environment, to force every access through full dispatch

@@ -62,9 +62,9 @@ class LoweredRun:
     """One batched execution of a :class:`~repro.lower.RegionKernel`.
 
     Instances are reusable: ``WorkerEnv.run_region`` caches one per
-    (env, kernel) and calls :meth:`reset` on re-entry, so a lockstep
-    schedule that enters the same region thousands of times pays the
-    constructor (and the bound-method allocation) exactly once.
+    (env, kernel class) and calls :meth:`reset` on re-entry, so a
+    lockstep schedule that enters its regions thousands of times pays
+    the constructor (and the bound-method allocation) exactly once.
     """
 
     __slots__ = ("kernel", "env", "_sp", "_i", "_batches", "_cont_cb",
@@ -88,9 +88,10 @@ class LoweredRun:
         #: validated once stays valid until an event or a fault runs.
         self._valid: dict = {}
 
-    def reset(self) -> None:
-        """Rearm for the next execution of the same region (the cached
+    def reset(self, kernel) -> None:
+        """Rearm for an execution of ``kernel``'s region (the cached
         re-entry path — equivalent to constructing a fresh run)."""
+        self.kernel = kernel
         self._sp = None
         self._i = 0
         self._batches = 0
@@ -141,7 +142,9 @@ class LoweredRun:
         sim = sp.sim
         sim._seq += 1
         if i == kernel.n:
-            kernel.note_execution(i, self._batches)
+            # Adaptive-policy feedback, kept per simulation (not on the
+            # kernel class): steps covered per event this execution.
+            self.env._adapt_ratio[type(kernel)] = i / self._batches
             cb = sp._resume_cb
         else:
             cb = self._cont_cb

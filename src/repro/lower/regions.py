@@ -86,8 +86,13 @@ class RegionKernel:
     cost = None
     touches: list = []
 
-    #: Adaptive-policy state (per subclass): batching only pays when the
-    #: event horizon actually lets steps coalesce. See :meth:`want_lowered`.
+    #: Adaptive policy: batching only pays when the event horizon
+    #: actually lets steps coalesce (see :meth:`want_lowered`). These two
+    #: are the *detached* state the reference form below keeps on the
+    #: class; a simulation never touches them — its executor records the
+    #: measured ratio on the runtime (``ParallelRuntime.region_ratio``),
+    #: so which path a cell takes cannot depend on earlier runs in the
+    #: process.
     _adapt_execs = 0
     _adapt_ratio = float("inf")
     #: Mean steps-per-batch below which interpretation is cheaper than
@@ -122,12 +127,13 @@ class RegionKernel:
         decision uses the class's last measured steps-per-batch ratio,
         with a periodic probe so changed schedules are re-detected.
 
-        This is the *reference* form of the policy. The runtime hot
-        path (``WorkerEnv.run_region``) inlines an equivalent hoisted
-        decision — a bare ratio-vs-threshold compare in the lowered
-        steady state, with the probe countdown kept per (env, kernel
-        class) and only in the interpreting regime — so no per-entry
-        counter increment or modulo runs on lockstep schedules.
+        This is the *reference* form of the policy, with its state on
+        the class. The runtime hot path (``WorkerEnv.run_region``)
+        inlines an equivalent hoisted decision over per-simulation
+        state — a bare ratio-vs-threshold compare in the lowered steady
+        state, with the probe countdown kept per (env, kernel class)
+        and only in the interpreting regime — so no per-entry counter
+        increment or modulo runs on lockstep schedules.
         """
         cls = type(self)
         k = cls._adapt_execs
@@ -137,8 +143,8 @@ class RegionKernel:
         return cls._adapt_ratio >= cls._adapt_threshold
 
     def note_execution(self, steps: int, batches: int) -> None:
-        """Executor feedback: one region execution took ``batches``
-        events to cover ``steps`` super-steps."""
+        """Feedback for the reference form: one region execution took
+        ``batches`` events to cover ``steps`` super-steps."""
         type(self)._adapt_ratio = steps / batches if batches else float("inf")
 
     # --- stage-3 hooks (batched execution) --------------------------------

@@ -76,7 +76,11 @@ class MetricsCollector:
         self.meta: dict = {}
         #: Shared software-TLB counter cell ``[hits, misses]``, bumped by
         #: the worker environments' counting access closures
-        #: (:class:`repro.runtime.env.WorkerEnv`).
+        #: (:class:`repro.runtime.env.WorkerEnv`). A hit is an access
+        #: (scalar or block, single- or multi-page) served inline from
+        #: the processor's maps; a miss is one that went through
+        #: protocol dispatch — a fault or a first touch, never the
+        #: casualty of a neighbour's flush (DESIGN.md §9).
         self.tlb = [0, 0]
         self._next = self.interval_us
         self._last_t = 0.0

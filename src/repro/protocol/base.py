@@ -17,7 +17,7 @@ from ..cluster.machine import Cluster, Node, Processor
 from ..config import MachineConfig
 from ..errors import ProtocolError
 from ..sim.engine import SerialResource
-from ..vm.page import FrameStore, GenCounter, Perm
+from ..vm.page import FrameStore, Perm
 from ..vm.pagetable import PageTable
 from .directory import DirectoryLockModel, GlobalDirectory
 from .messages import RequestEngine
@@ -30,27 +30,22 @@ PAGE_HEADER_BYTES = 32
 class ProcProtoState:
     """Per-processor protocol state, laid out for the access fast path."""
 
-    __slots__ = ("proc", "owner", "lidx", "rows", "frames", "gen", "wgen",
-                 "dirty", "nle", "notices", "acquire_ts", "excl_pages",
-                 "arrival_epoch")
+    __slots__ = ("proc", "owner", "lidx", "rows", "frames", "dirty", "nle",
+                 "notices", "acquire_ts", "excl_pages", "arrival_epoch")
 
     def __init__(self, proc: Processor, owner: int, lidx: int,
-                 rows: list[list[int]], frames: dict[int, np.ndarray],
-                 gen: GenCounter, wgen: GenCounter) -> None:
+                 rows: list[list[int]],
+                 frames: dict[int, np.ndarray]) -> None:
         self.proc = proc
         self.owner = owner
         self.lidx = lidx
         #: The owner's page-table rows (shared list-of-lists).
         self.rows = rows
-        #: The owner's frame dict (page -> numpy array), shared.
+        #: The owner's frame dict (page -> numpy array), shared. Protocol
+        #: code that unmaps or rebinds an entry directly — bypassing
+        #: :class:`~repro.vm.page.FrameStore` — goes through the page
+        #: table's ``evict`` so no software-TLB entry outlives the frame.
         self.frames = frames
-        #: The owner's generation counters (shared with the page table and
-        #: frame store); the runtime's inline page-access cache validates
-        #: read mappings against ``gen`` and write mappings against
-        #: ``wgen``. Protocol code that mutates ``frames`` directly —
-        #: bypassing :class:`~repro.vm.page.FrameStore` — must bump both.
-        self.gen = gen
-        self.wgen = wgen
         #: Pages this processor wrote since its last release (dirty list).
         self.dirty: set[int] = set()
         #: No-longer-exclusive list, written by local peers.
@@ -120,22 +115,15 @@ class BaseProtocol:
         lock_model = None if lock_free else DirectoryLockModel(self.config)
         self.directory = GlobalDirectory(self.config, self.num_owners,
                                          lock_model=lock_model)
-        #: Per-owner generation counters: shared between each owner's page
-        #: table and frame-store slot, bumped on permission tightening
-        #: and frame map/unmap (``gens`` when a mapping dies outright,
-        #: ``wgens`` also on WRITE -> READ downgrades). The runtime's
-        #: inline page-access cache (software TLB) validates cached
-        #: (page -> frame) entries against them, so a cached mapping can
-        #: never outlive a revocation.
-        self.gens = [GenCounter() for _ in range(self.num_owners)]
-        self.wgens = [GenCounter() for _ in range(self.num_owners)]
-        self.frames = FrameStore(self.num_owners, self.config.num_pages,
-                                 self.config.words_per_page, gens=self.gens,
-                                 wgens=self.wgens)
+        #: Per-owner page tables; each also holds its processors'
+        #: software-TLB maps, which the frame store evicts from on unmap
+        #: (a cached mapping can never outlive a revocation).
         self.tables = [PageTable(self.config.num_pages,
-                                 self._procs_per_owner(), gen=self.gens[o],
-                                 wgen=self.wgens[o])
-                       for o in range(self.num_owners)]
+                                 self._procs_per_owner())
+                       for _ in range(self.num_owners)]
+        self.frames = FrameStore(self.num_owners, self.config.num_pages,
+                                 self.config.words_per_page,
+                                 tables=self.tables)
         self.boards = [NoticeBoard(o, self.num_owners)
                        for o in range(self.num_owners)]
         if self.injector is not None:
@@ -168,10 +156,8 @@ class BaseProtocol:
         for proc in cluster.processors:
             owner = self.owner_of(proc)
             lidx = self._local_index(proc)
-            st = ProcProtoState(
-                proc, owner, lidx, self.tables[owner].rows,
-                self.frames.frames_of(owner), self.gens[owner],
-                self.wgens[owner])
+            st = ProcProtoState(proc, owner, lidx, self.tables[owner].rows,
+                                self.frames.frames_of(owner))
             self._ps.append(st)
             self._owner_ps[owner].append(st)
 

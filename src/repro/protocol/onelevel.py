@@ -108,6 +108,12 @@ class OneLevelProtocol(BaseProtocol):
         optimization in effect for this page)."""
         return st.frames.get(page) is self.masters[page]
 
+    def _map_master(self, st: ProcProtoState, page: int) -> None:
+        """Bind this processor's frame for ``page`` to the master copy (a
+        direct rebind, bypassing FrameStore)."""
+        st.frames[page] = self.masters[page]
+        self.tables[st.owner].evict(page, 0)
+
     def _after_relocation(self, page: int, old_home: int,
                           new_home: int) -> None:
         if not self.home_opt:
@@ -125,10 +131,10 @@ class OneLevelProtocol(BaseProtocol):
                 continue
             pst = self._ps[peer.global_id]
             if pst.frames.get(page) is master:
-                del pst.frames[page]
-                pst.gen.value += 1  # direct unmap bypasses FrameStore
-                pst.wgen.value += 1
-                self.tables[pst.owner].set_perm(page, 0, Perm.INVALID)
+                del pst.frames[page]  # direct unmap bypasses FrameStore
+                table = self.tables[pst.owner]
+                table.evict(page, 0)
+                table.set_perm(page, 0, Perm.INVALID)
 
     # ------------------------------------------------------------- page faults
 
@@ -143,9 +149,7 @@ class OneLevelProtocol(BaseProtocol):
                 and page not in self.meta[st.owner].twins
                 and (page not in st.frames or self._uses_master(st, page))):
             self._break_if_exclusive_elsewhere(proc, st, page)
-            st.frames[page] = self.masters[page]
-            st.gen.value += 1  # direct rebind bypasses FrameStore
-            st.wgen.value += 1
+            self._map_master(st, page)
         else:
             # Read faults always fetch from the home node (Section 2.6).
             self._fetch(proc, st, page)
@@ -165,9 +169,7 @@ class OneLevelProtocol(BaseProtocol):
                            or self._uses_master(st, page)))
         if map_master:
             self._break_if_exclusive_elsewhere(proc, st, page)
-            st.frames[page] = self.masters[page]
-            st.gen.value += 1  # direct rebind bypasses FrameStore
-            st.wgen.value += 1
+            self._map_master(st, page)
         elif (page not in st.frames
               or self.tables[st.owner].perm(page, 0) == Perm.INVALID):
             # Write faults fetch the page if necessary.

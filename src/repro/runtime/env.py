@@ -32,6 +32,8 @@ from ..lower.exec import LoweredRun
 from ..sim.process import Compute
 from .api import SharedArray
 
+_INF = float("inf")
+
 
 class WorkerEnv:
     """Per-processor handle used by application code (parallel runs)."""
@@ -50,15 +52,14 @@ class WorkerEnv:
         self._cscale = float(runtime.params.get("_compute_scale", 1.0))
 
         # --- inline page-access cache (software TLB) ---------------------
-        # Cached (page -> frame) entries for recently read and recently
-        # written pages, validated against the owner's generation
-        # counters: every permission *tightening* and frame map/unmap
-        # bumps them (loosening cannot invalidate a mapping and stays
-        # silent), and a stale cache is flushed wholesale before the
-        # access retries through full protocol dispatch. Warm accesses in
-        # the dispatch path charge nothing and mutate no protocol state,
-        # so skipping it is byte-identical — the paper's in-line check,
-        # minus the check.
+        # This processor's (page -> frame) read map and (page ->
+        # memoryview) write map live in the owner's page table, which
+        # evicts exactly the entry a permission tightening, frame unmap
+        # or rebind kills (DESIGN.md §9); an entry that is present is
+        # therefore valid, and a warm access needs no check beyond the
+        # lookup. Warm accesses in the dispatch path charge nothing and
+        # mutate no protocol state, so skipping it is byte-identical —
+        # the paper's in-line check, minus the check.
         proto = runtime.protocol
         st = proto.proc_state(proc)
         #: Protocol-side per-processor state (page table row + frames);
@@ -66,17 +67,19 @@ class WorkerEnv:
         #: replays faults against it (:mod:`repro.lower`).
         self._pstate = st
         self._frames = st.frames
-        #: Read mappings validate against the owner's read generation,
-        #: write mappings against the write generation (which also bumps
-        #: on WRITE -> READ downgrades, e.g. at barrier-arrival flushes).
-        self._gen = st.gen
-        self._wgencnt = st.wgen
+        table = proto.tables[st.owner]
+        self._rmap: dict[int, np.ndarray] = table.rmaps[st.lidx]
+        #: The write map holds *memoryviews* of the frames: a memoryview
+        #: slice/scalar store is several times cheaper than the
+        #: equivalent ndarray ``__setitem__`` (no ufunc dispatch), and
+        #: writes never need ndarray semantics on the destination.
+        self._wmap: dict[int, memoryview] = table.wmaps[st.lidx]
         fast = getattr(runtime, "fastpath", True) and proto.tracer is None
-        #: Read cache: off when the correctness checker is attached (it
-        #: must observe every per-word access).
+        #: Read map filled: off when the correctness checker is attached
+        #: (it must observe every per-word access).
         self._fast_read = fast
-        #: Write cache: additionally off under write-through (1L), whose
-        #: ``store`` must keep doubling every write to the master copy.
+        #: Write map filled: additionally off under write-through (1L),
+        #: whose ``store`` must keep doubling every write to the master.
         self._fast_write = fast and not getattr(proto, "write_through",
                                                 False)
         #: Kernel lowering (:mod:`repro.lower`): the runtime switch
@@ -86,30 +89,21 @@ class WorkerEnv:
         #: so its writes cannot be batched into direct frame stores).
         self._lowering = (getattr(runtime, "lowering", False)
                           and self._fast_read and self._fast_write)
-        #: Hoisted adaptive-policy state (per env, per kernel class):
-        #: region entries remaining before the next interpreted schedule
-        #: re-probes the batched executor. Populated only for kernel
-        #: classes currently in the interpreting (degenerate-schedule)
-        #: regime — the lowered steady state never touches it.
+        #: Adaptive-lowering state of this *simulation*: the last
+        #: measured steps-per-batch ratio per kernel class, shared by
+        #: the run's environments and written by the region executor.
+        self._adapt_ratio: dict[type, float] = \
+            runtime.region_ratio if self._lowering else {}
+        #: Region entries remaining (per kernel class) before the next
+        #: interpreted schedule re-probes the batched executor.
+        #: Populated only for kernel classes currently in the
+        #: interpreting (degenerate-schedule) regime — the lowered
+        #: steady state never touches it.
         self._region_probe: dict[type, int] = {}
-        #: Cached region instructions, one per (env, kernel) pair: the
-        #: single-element tuple ``run_region`` hands back as an
-        #: iterator. Workers construct each kernel once and enter its
-        #: region every iteration, so caching the LoweredRun (and its
-        #: continuation bound method) turns per-entry dispatch into a
-        #: dict hit plus a ``reset()``.
-        self._region_runs: dict = {}
-        #: Generation snapshots, held in one-element lists so the
-        #: closure-compiled warm paths below and the cold-path refill
-        #: helpers share one mutable cell.
-        self._rsnap = [-1]
-        self._rcache: dict[int, np.ndarray] = {}
-        self._wsnap = [-1]
-        #: The write cache holds *memoryviews* of the frames: a
-        #: memoryview slice/scalar store is several times cheaper than
-        #: the equivalent ndarray ``__setitem__`` (no ufunc dispatch),
-        #: and writes never need ndarray semantics on the destination.
-        self._wcache: dict[int, memoryview] = {}
+        #: One reusable region instruction per kernel class: the
+        #: single-element tuple ``run_region`` hands back as an iterator
+        #: (see :meth:`_region_instruction`).
+        self._region_runs: dict[type, tuple] = {}
         #: TLB hit/miss tally shared with the metrics collector — a
         #: two-element ``[hits, misses]`` list bumped by the counting
         #: closure variants below. None (and no counting code exists)
@@ -122,76 +116,108 @@ class WorkerEnv:
         """Compile the warm access paths as closures.
 
         The warm paths run for almost every access of a well-behaved
-        application; binding every invariant (page geometry, caches,
-        generation counters) into closure cells replaces a chain of
-        ``self`` attribute loads per call with fast local loads. Each
-        closure handles exactly the warm case and falls back to the
-        general method on the instance class for everything else, so
-        behaviour is identical to the uncached path.
+        application; binding every invariant (page geometry, the two
+        maps) into closure cells replaces a chain of ``self`` attribute
+        loads per call with fast local loads. Each closure handles
+        exactly the warm case and falls back to the general method on
+        the instance class for everything else, so behaviour is
+        identical to the uncached path.
         """
         shift = self._shift
         mask = self._mask
-        rcache = self._rcache
-        wcache = self._wcache
-        rgen = self._gen
-        wgen = self._wgencnt
-        rsnap = self._rsnap
-        wsnap = self._wsnap
-        cold_get = self._get_cold
-        cold_set = self._set_cold
+        wpp = mask + 1
+        rmap = self._rmap
+        wmap = self._wmap
+        slow_get = self.get
+        slow_set = self.set
         slow_get_block = self.get_block
         slow_set_block = self.set_block
+        mv_store = self._mv_store
+        concatenate = np.concatenate
+
+        def gather(page: int, last: int, off: int, end: int):
+            """Private copy of word ``off`` of ``page`` through word
+            ``end - 1`` of ``last`` (> ``page``); None unless every page
+            of the span is in the read map."""
+            parts = []
+            for p in range(page, last + 1):
+                frame = rmap.get(p)
+                if frame is None:
+                    return None
+                parts.append(frame)
+            parts[0] = parts[0][off:]
+            parts[-1] = parts[-1][:end]
+            return concatenate(parts)
+
+        def scatter(page: int, last: int, off: int, values) -> bool:
+            """Store ``values`` from word ``off`` of ``page`` into pages up
+            to ``last`` (> ``page``). False, with nothing stored, unless
+            every page is in the write map and ``values`` slices to
+            float64 buffers (the first store raises otherwise)."""
+            mvs = []
+            for p in range(page, last + 1):
+                mv = wmap.get(p)
+                if mv is None:
+                    return False
+                mvs.append(mv)
+            pos = wpp - off
+            try:
+                mvs[0][off:] = values[:pos]
+                for mv in mvs[1:-1]:
+                    mv[:] = values[pos:pos + wpp]
+                    pos += wpp
+                mvs[-1][:len(values) - pos] = values[pos:]
+            except (ValueError, TypeError):
+                return False
+            return True
 
         def get(arr: SharedArray, i: int) -> float:
             w = arr.base + i
-            page = w >> shift
-            if rsnap[0] == rgen.value:
-                frame = rcache.get(page)
-                if frame is not None:
-                    return frame[w & mask]
-            return cold_get(page, w & mask)
+            frame = rmap.get(w >> shift)
+            if frame is not None:
+                return frame[w & mask]
+            return slow_get(arr, i)
 
         def set_(arr: SharedArray, i: int, value: float) -> None:
             w = arr.base + i
-            page = w >> shift
-            if wsnap[0] == wgen.value:
-                mv = wcache.get(page)
-                if mv is not None:
-                    mv[w & mask] = value
-                    return
-            cold_set(page, w & mask, value)
+            mv = wmap.get(w >> shift)
+            if mv is not None:
+                mv[w & mask] = value
+                return
+            slow_set(arr, i, value)
 
         def get_block(arr: SharedArray, lo: int, hi: int) -> np.ndarray:
             base = arr.base
             w0 = base + lo
             w1 = base + hi
-            if w0 < w1 and rsnap[0] == rgen.value:
+            if w0 < w1:
                 page = w0 >> shift
-                if (w1 - 1) >> shift == page:
-                    frame = rcache.get(page)
+                last = (w1 - 1) >> shift
+                if last == page:
+                    frame = rmap.get(page)
                     if frame is not None:
                         off = w0 & mask
                         return frame[off:off + (w1 - w0)].copy()
+                else:
+                    out = gather(page, last, w0 & mask, ((w1 - 1) & mask) + 1)
+                    if out is not None:
+                        return out
             return slow_get_block(arr, lo, hi)
 
         def set_block(arr: SharedArray, lo: int,
                       values: np.ndarray) -> None:
             w = arr.base + lo
             end = w + len(values)
-            if w < end and wsnap[0] == wgen.value:
+            if w < end:
                 page = w >> shift
-                if (end - 1) >> shift == page:
-                    mv = wcache.get(page)
+                last = (end - 1) >> shift
+                if last == page:
+                    mv = wmap.get(page)
                     if mv is not None:
-                        off = w & mask
-                        try:
-                            mv[off:off + (end - w)] = values
-                        except (ValueError, TypeError):
-                            # Non-float64 source: cast like ndarray
-                            # assignment would, then retry.
-                            mv[off:off + (end - w)] = np.ascontiguousarray(
-                                values, dtype=np.float64)
+                        mv_store(mv, w & mask, end - w, values)
                         return
+                elif scatter(page, last, w & mask, values):
+                    return
             slow_set_block(arr, lo, values)
 
         if self._tlb is not None:
@@ -204,41 +230,44 @@ class WorkerEnv:
 
             def get(arr: SharedArray, i: int) -> float:  # noqa: F811
                 w = arr.base + i
-                page = w >> shift
-                if rsnap[0] == rgen.value:
-                    frame = rcache.get(page)
-                    if frame is not None:
-                        tlb[0] += 1
-                        return frame[w & mask]
+                frame = rmap.get(w >> shift)
+                if frame is not None:
+                    tlb[0] += 1
+                    return frame[w & mask]
                 tlb[1] += 1
-                return cold_get(page, w & mask)
+                return slow_get(arr, i)
 
             def set_(arr: SharedArray, i: int,  # noqa: F811
                      value: float) -> None:
                 w = arr.base + i
-                page = w >> shift
-                if wsnap[0] == wgen.value:
-                    mv = wcache.get(page)
-                    if mv is not None:
-                        tlb[0] += 1
-                        mv[w & mask] = value
-                        return
+                mv = wmap.get(w >> shift)
+                if mv is not None:
+                    tlb[0] += 1
+                    mv[w & mask] = value
+                    return
                 tlb[1] += 1
-                cold_set(page, w & mask, value)
+                slow_set(arr, i, value)
 
             def get_block(arr: SharedArray, lo: int,  # noqa: F811
                           hi: int) -> np.ndarray:
                 base = arr.base
                 w0 = base + lo
                 w1 = base + hi
-                if w0 < w1 and rsnap[0] == rgen.value:
+                if w0 < w1:
                     page = w0 >> shift
-                    if (w1 - 1) >> shift == page:
-                        frame = rcache.get(page)
+                    last = (w1 - 1) >> shift
+                    if last == page:
+                        frame = rmap.get(page)
                         if frame is not None:
                             tlb[0] += 1
                             off = w0 & mask
                             return frame[off:off + (w1 - w0)].copy()
+                    else:
+                        out = gather(page, last, w0 & mask,
+                                     ((w1 - 1) & mask) + 1)
+                        if out is not None:
+                            tlb[0] += 1
+                            return out
                 tlb[1] += 1
                 return slow_get_block(arr, lo, hi)
 
@@ -246,25 +275,23 @@ class WorkerEnv:
                           values: np.ndarray) -> None:
                 w = arr.base + lo
                 end = w + len(values)
-                if w < end and wsnap[0] == wgen.value:
+                if w < end:
                     page = w >> shift
-                    if (end - 1) >> shift == page:
-                        mv = wcache.get(page)
+                    last = (end - 1) >> shift
+                    if last == page:
+                        mv = wmap.get(page)
                         if mv is not None:
                             tlb[0] += 1
-                            off = w & mask
-                            try:
-                                mv[off:off + (end - w)] = values
-                            except (ValueError, TypeError):
-                                mv[off:off + (end - w)] = \
-                                    np.ascontiguousarray(values,
-                                                         dtype=np.float64)
+                            mv_store(mv, w & mask, end - w, values)
                             return
+                    elif scatter(page, last, w & mask, values):
+                        tlb[0] += 1
+                        return
                 tlb[1] += 1
                 slow_set_block(arr, lo, values)
 
         # Shadow the class methods on the instance; the class methods stay
-        # as the (identical) general fallbacks.
+        # as the general fallbacks (full dispatch, then refill).
         self.get = get
         self.set = set_
         self.get_block = get_block
@@ -287,51 +314,25 @@ class WorkerEnv:
     def arr(self, name: str) -> SharedArray:
         return self._rt.segment.array(name)
 
-    # --- scalar access ---------------------------------------------------------
+    # --- general access paths --------------------------------------------------
+    # Cold: full protocol dispatch, then cache the mapping the dispatch
+    # has just proved good (the page has a frame, this processor the
+    # permission) — unless an observer or write-through keeps that map off.
 
     def get(self, arr: SharedArray, i: int) -> float:
         w = arr.base + i
         page = w >> self._shift
-        if self._rsnap[0] == self._gen.value:
-            frame = self._rcache.get(page)
-            if frame is not None:
-                return frame[w & self._mask]
-        return self._get_cold(page, w & self._mask)
-
-    def _get_cold(self, page: int, off: int) -> float:
-        value = self._protocol.load(self.proc, page, off)
+        value = self._protocol.load(self.proc, page, w & self._mask)
         if self._fast_read:
-            gen = self._gen.value
-            if self._rsnap[0] != gen:
-                self._rcache.clear()
-                self._rsnap[0] = gen
-            frame = self._frames.get(page)
-            if frame is not None:
-                self._rcache[page] = frame
+            self._rmap[page] = self._frames[page]
         return value
 
     def set(self, arr: SharedArray, i: int, value: float) -> None:
         w = arr.base + i
         page = w >> self._shift
-        if self._wsnap[0] == self._wgencnt.value:
-            mv = self._wcache.get(page)
-            if mv is not None:
-                mv[w & self._mask] = value
-                return
-        self._set_cold(page, w & self._mask, value)
-
-    def _set_cold(self, page: int, off: int, value: float) -> None:
-        self._protocol.store(self.proc, page, off, value)
+        self._protocol.store(self.proc, page, w & self._mask, value)
         if self._fast_write:
-            gen = self._wgencnt.value
-            if self._wsnap[0] != gen:
-                self._wcache.clear()
-                self._wsnap[0] = gen
-            frame = self._frames.get(page)
-            if frame is not None:
-                self._wcache[page] = memoryview(frame)
-
-    # --- block access ------------------------------------------------------------
+            self._wmap[page] = memoryview(self._frames[page])
 
     def get_block(self, arr: SharedArray, lo: int, hi: int) -> np.ndarray:
         """Copy of words [lo, hi) of the array (page faults as needed).
@@ -340,79 +341,49 @@ class WorkerEnv:
         yields a live view of the owner's frame, and this method is the
         copying boundary that keeps application code from aliasing it.
         """
-        base = arr.base
-        w0, w1 = base + lo, base + hi
+        w, w1 = arr.base + lo, arr.base + hi
         shift, mask = self._shift, self._mask
-        warm = self._rsnap[0] == self._gen.value
-        cache = self._rcache
-        if w0 < w1 and warm:
-            page = w0 >> shift
-            if (w1 - 1) >> shift == page:
-                frame = cache.get(page)
-                if frame is not None:
-                    off = w0 & mask
-                    return frame[off:off + (w1 - w0)].copy()
         wpp = mask + 1
+        rmap = self._rmap
         out = np.empty(hi - lo, dtype=np.float64)
         pos = 0
-        w = w0
         while w < w1:
             page = w >> shift
             off = w & mask
             take = min(wpp - off, w1 - w)
-            frame = cache.get(page) if warm else None
+            frame = rmap.get(page)
             if frame is not None:
                 out[pos:pos + take] = frame[off:off + take]
             else:
-                out[pos:pos + take] = self._read_through(page, off,
-                                                         off + take)
-                warm = self._rsnap[0] == self._gen.value
+                out[pos:pos + take] = self._protocol.load_range(
+                    self.proc, page, off, off + take)
+                if self._fast_read:
+                    rmap[page] = self._frames[page]
             pos += take
             w += take
         return out
 
-    def _read_through(self, page: int, lo: int, hi: int) -> np.ndarray:
-        """Cold block read: full dispatch, then refill the read cache."""
-        values = self._protocol.load_range(self.proc, page, lo, hi)
-        if self._fast_read:
-            gen = self._gen.value
-            if self._rsnap[0] != gen:
-                self._rcache.clear()
-                self._rsnap[0] = gen
-            frame = self._frames.get(page)
-            if frame is not None:
-                self._rcache[page] = frame
-        return values
-
     def set_block(self, arr: SharedArray, lo: int,
                   values: np.ndarray) -> None:
         """Write ``values`` at word offset ``lo`` (page faults as needed)."""
-        base = arr.base
-        w = base + lo
+        w = arr.base + lo
         end = w + len(values)
         shift, mask = self._shift, self._mask
-        warm = self._wsnap[0] == self._wgencnt.value
-        cache = self._wcache
-        if w < end and warm:
-            page = w >> shift
-            if (end - 1) >> shift == page:
-                mv = cache.get(page)
-                if mv is not None:
-                    off = w & mask
-                    self._mv_store(mv, off, end - w, values)
-                    return
         wpp = mask + 1
+        wmap = self._wmap
         pos = 0
         while w < end:
             page = w >> shift
             off = w & mask
             take = min(wpp - off, end - w)
-            mv = cache.get(page) if warm else None
+            mv = wmap.get(page)
             if mv is not None:
                 self._mv_store(mv, off, take, values[pos:pos + take])
             else:
-                self._write_through(page, off, values[pos:pos + take])
-                warm = self._wsnap[0] == self._wgencnt.value
+                self._protocol.store_range(self.proc, page, off,
+                                           values[pos:pos + take])
+                if self._fast_write:
+                    wmap[page] = memoryview(self._frames[page])
             pos += take
             w += take
 
@@ -424,19 +395,6 @@ class WorkerEnv:
             mv[off:off + n] = values
         except (ValueError, TypeError):
             mv[off:off + n] = np.ascontiguousarray(values, dtype=np.float64)
-
-    def _write_through(self, page: int, lo: int,
-                       values: np.ndarray) -> None:
-        """Cold block write: full dispatch, then refill the write cache."""
-        self._protocol.store_range(self.proc, page, lo, values)
-        if self._fast_write:
-            gen = self._wgencnt.value
-            if self._wsnap[0] != gen:
-                self._wcache.clear()
-                self._wsnap[0] = gen
-            frame = self._frames.get(page)
-            if frame is not None:
-                self._wcache[page] = memoryview(frame)
 
     # --- time ---------------------------------------------------------------------
 
@@ -465,20 +423,22 @@ class WorkerEnv:
 
         The adaptive decision (:meth:`RegionKernel.want_lowered` is the
         reference form) is hoisted out of the hot path: in the lowered
-        steady state the entry check is a single class-attribute
-        comparison — every batched execution refreshes the measured
-        steps-per-batch ratio anyway, so no per-entry counter or probe
-        bookkeeping is needed. Only the interpreting (degenerate
-        lockstep-schedule) regime keeps a per-(env, kernel-class)
-        countdown, re-probing the batched executor once every
-        ``_adapt_probe`` region entries so a changed schedule can
-        re-earn batching.
+        steady state the entry check is one lookup of the class's last
+        measured steps-per-batch ratio — every batched execution
+        refreshes it anyway, so no per-entry counter or probe
+        bookkeeping is needed. The ratio belongs to the simulation
+        (``ParallelRuntime.region_ratio``), never to the kernel class,
+        so a cell takes the same path whatever ran before it in the
+        process. Only the interpreting (degenerate lockstep-schedule)
+        regime keeps a per-(env, kernel-class) countdown, re-probing
+        the batched executor once every ``_adapt_probe`` region entries
+        so a changed schedule can re-earn batching.
         """
         if kernel.n <= 0:
             return iter(())
         if self._lowering:
             cls = type(kernel)
-            if cls._adapt_ratio >= cls._adapt_threshold:
+            if self._adapt_ratio.get(cls, _INF) >= cls._adapt_threshold:
                 return self._region_instruction(kernel)
             left = self._region_probe.get(cls, 0)
             if left <= 0:
@@ -490,19 +450,21 @@ class WorkerEnv:
 
     def _region_instruction(self, kernel):
         """One batched region instruction, as an iterator — the cached
-        equivalent of ``repro.lower.exec.region_instruction``. The
-        LoweredRun per (env, kernel) persists across executions; a
-        tuple iterator over it is cheaper than a generator frame, and
-        ``reset()`` rearms the cursor state the previous execution
-        left behind. Safe because a worker is sequential: the prior
-        execution of this kernel's region finished (its commit pushed
-        the worker's resume) before the worker could re-enter here.
+        equivalent of ``repro.lower.exec.region_instruction``. One
+        LoweredRun per (env, kernel class) persists across executions
+        and is re-aimed at the entering kernel (a tuple iterator over
+        it is cheaper than a generator frame), so it pins at most the
+        last kernel of each class — not every per-pivot kernel a worker
+        ever built. Safe because a worker is sequential: the prior
+        region execution finished (its commit pushed the worker's
+        resume) before the worker could re-enter here.
         """
-        ri = self._region_runs.get(kernel)
+        cls = type(kernel)
+        ri = self._region_runs.get(cls)
         if ri is None:
-            ri = self._region_runs[kernel] = (LoweredRun(kernel, self),)
+            ri = self._region_runs[cls] = (LoweredRun(kernel, self),)
         else:
-            ri[0].reset()
+            ri[0].reset(kernel)
         return iter(ri)
 
     # --- synchronization --------------------------------------------------------------

@@ -90,6 +90,10 @@ class ParallelRuntime:
                          and self.checker is None and self.trace is None
                          and self.metrics is None
                          and self.config.faults is None)
+        #: Adaptive-lowering state: kernel class -> steps per batch of
+        #: its last batched execution in *this* simulation (written by
+        #: the region executor, read by WorkerEnv.run_region()).
+        self.region_ratio: dict[type, float] = {}
         self.segment = SharedSegment(self.config)
         app.declare(self.segment, params)
         self.barrier = Barrier(self.cluster, self.protocol)

@@ -22,38 +22,6 @@ import numpy as np
 from ..errors import ProtocolError
 
 
-class GenCounter:
-    """A shared mutable generation counter for fast-path invalidation.
-
-    Two counters exist per *owner* — a read generation and a write
-    generation — shared between the owner's :class:`PageTable` and its
-    :class:`FrameStore` slot; the runtime's inline page-access cache
-    (:class:`repro.runtime.env.WorkerEnv`) snapshots ``value`` when it
-    caches a ``(page -> frame)`` mapping. The read generation bumps when
-    any mapping is lost entirely (a permission drops to INVALID, or a
-    frame is mapped/unmapped); the write generation bumps on those events
-    *and* on WRITE -> READ downgrades, so it changes at least as often.
-    A cached entry is valid exactly while the matching counter is
-    unchanged: no protocol action can revoke the needed permission or
-    rebind a frame without the cache noticing. Loosening (granting
-    rights) deliberately does not bump — it cannot invalidate anything —
-    and neither do in-place frame *content* updates (incoming diffs,
-    flush-updates): caches hold the frame object itself, so new contents
-    are visible through it, exactly as on the uncached path.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def bump(self) -> None:
-        self.value += 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<GenCounter {self.value}>"
-
-
 class Perm(enum.IntEnum):
     """Page access permissions, loosest-to-strictest ordered."""
 
@@ -77,9 +45,7 @@ class FrameStore:
     """
 
     def __init__(self, num_owners: int, num_pages: int,
-                 words_per_page: int,
-                 gens: list[GenCounter] | None = None,
-                 wgens: list[GenCounter] | None = None) -> None:
+                 words_per_page: int, tables=None) -> None:
         if num_owners < 1 or num_pages < 1 or words_per_page < 1:
             raise ProtocolError("degenerate frame store geometry")
         self.num_owners = num_owners
@@ -87,22 +53,10 @@ class FrameStore:
         self.words_per_page = words_per_page
         self._frames: list[dict[int, np.ndarray]] = [
             {} for _ in range(num_owners)]
-        if gens is None:
-            gens = [GenCounter() for _ in range(num_owners)]
-        elif len(gens) != num_owners:
-            raise ProtocolError(
-                f"got {len(gens)} generation counters for "
-                f"{num_owners} owners")
-        if wgens is None:
-            wgens = [GenCounter() for _ in range(num_owners)]
-        elif len(wgens) != num_owners:
-            raise ProtocolError(
-                f"got {len(wgens)} write-generation counters for "
-                f"{num_owners} owners")
-        #: Per-owner read/write generation counters (shared with the
-        #: owner's page table); a frame map or unmap bumps both.
-        self.gens = gens
-        self.wgens = wgens
+        #: Each owner's :class:`~repro.vm.pagetable.PageTable` (None for
+        #: a bare store): unmapping a frame evicts the page from the
+        #: software TLB of every processor of that owner.
+        self._tables = tables
 
     def has_frame(self, owner: int, page: int) -> bool:
         return page in self._frames[owner]
@@ -128,15 +82,15 @@ class FrameStore:
             frame = np.array(contents, dtype=np.float64, copy=True)
         else:
             frame = np.zeros(self.words_per_page, dtype=np.float64)
+        # Silent towards the software TLB: no cached mapping of a page
+        # can exist while the owner has no frame for it (unmap evicts).
         frames[page] = frame
-        self.gens[owner].value += 1  # new frame object: invalidate caches
-        self.wgens[owner].value += 1
         return frame
 
     def unmap_frame(self, owner: int, page: int) -> None:
-        if self._frames[owner].pop(page, None) is not None:
-            self.gens[owner].value += 1
-            self.wgens[owner].value += 1
+        if self._frames[owner].pop(page, None) is not None \
+                and self._tables is not None:
+            self._tables[owner].evict_all(page)
 
     def frames_of(self, owner: int) -> dict[int, np.ndarray]:
         return self._frames[owner]

@@ -5,34 +5,42 @@ carry a permission per *local processor* (the second-level directory's
 mapping information); under the one-level protocols each processor is its
 own owner with a single-column table. Permission changes model
 ``mprotect`` calls; the protocols charge the measured cost.
+
+The table also owns each local processor's *software TLB* — the mappings
+the runtime's inline access path (:class:`repro.runtime.env.WorkerEnv`)
+has cached — and is the one place that knows how a mapping dies
+(DESIGN.md §9, "Per-page shootdown").
 """
 
 from __future__ import annotations
 
-from .page import GenCounter, Perm
+import numpy as np
+
+from .page import Perm
+
+_READ = int(Perm.READ)
 
 
 class PageTable:
     """Permissions for one owner: ``perm(page, proc)`` for local processors."""
 
-    def __init__(self, num_pages: int, procs: int,
-                 gen: GenCounter | None = None,
-                 wgen: GenCounter | None = None) -> None:
+    def __init__(self, num_pages: int, procs: int) -> None:
         self.num_pages = num_pages
         self.procs = procs
         # One row per page; rows are plain lists for cheap fast-path access.
         self.rows: list[list[int]] = [[Perm.INVALID] * procs
                                       for _ in range(num_pages)]
-        #: Generation counters shared with this owner's frame-store slot,
-        #: bumped on permission *tightening* (and, via the frame store, on
-        #: every frame rebind) so the runtime's inline page-access cache
-        #: can validate cached mappings. ``gen`` guards read mappings and
-        #: bumps only when a mapping dies outright (-> INVALID); ``wgen``
-        #: guards write mappings and additionally bumps on WRITE -> READ
-        #: downgrades. Loosening is deliberately silent on both: granting
-        #: rights cannot invalidate a cached mapping.
-        self.gen = gen if gen is not None else GenCounter()
-        self.wgen = wgen if wgen is not None else GenCounter()
+        #: Software TLB, one pair of maps per local processor, shared by
+        #: reference with that processor's ``WorkerEnv`` closures (which
+        #: fill them after a dispatched access and read them inline).
+        #: Invariant: ``rmaps[p][page]`` is the owner's current frame for
+        #: ``page`` and ``rows[page][p] >= READ``; ``wmaps[p][page]`` is a
+        #: memoryview of that frame and ``rows[page][p] >= WRITE``. Only
+        #: tightening (:meth:`set_perm`) and a frame unmap or rebind
+        #: (:meth:`evict`, :meth:`evict_all`) can break it, and each
+        #: drops exactly the entries it kills.
+        self.rmaps: list[dict[int, np.ndarray]] = [{} for _ in range(procs)]
+        self.wmaps: list[dict[int, memoryview]] = [{} for _ in range(procs)]
 
     def perm(self, page: int, proc: int) -> int:
         """Current permission as a plain int (a :class:`Perm` value).
@@ -50,16 +58,32 @@ class PageTable:
         if value != old:
             row[proc] = value
             if value < old:
-                # Only *tightening* invalidates the inline page-access
-                # cache: a cached (page -> frame) entry embodies rights
-                # already granted, and granting a peer (or this
-                # processor) more rights cannot make it stale. A drop to
-                # INVALID kills read and write mappings alike; a
-                # WRITE -> READ downgrade leaves read mappings intact.
-                # Frame rebinds bump separately (FrameStore).
-                self.wgen.value += 1
-                if value < Perm.READ:
-                    self.gen.value += 1
+                # Tightening shoots down this processor's cached mapping
+                # of this page, nothing else: any drop kills the write
+                # mapping, a drop below READ the read mapping too.
+                # Loosening is silent — a cached entry embodies rights
+                # already granted, and granting more cannot stale it.
+                # (``in``/``del`` rather than ``pop``: call-free on the
+                # invalidation path of every acquire.)
+                wmap = self.wmaps[proc]
+                if page in wmap:
+                    del wmap[page]
+                if value < _READ:
+                    rmap = self.rmaps[proc]
+                    if page in rmap:
+                        del rmap[page]
+
+    def evict(self, page: int, proc: int) -> None:
+        """Drop ``proc``'s cached mappings of ``page`` (its frame is being
+        unmapped or rebound)."""
+        self.rmaps[proc].pop(page, None)
+        self.wmaps[proc].pop(page, None)
+
+    def evict_all(self, page: int) -> None:
+        """Drop every local processor's cached mappings of ``page``."""
+        for maps in (self.rmaps, self.wmaps):
+            for m in maps:
+                m.pop(page, None)
 
     def loosest(self, page: int) -> int:
         """The loosest permission any local processor holds (directory
@@ -74,27 +98,3 @@ class PageTable:
 
     def mapped(self, page: int) -> list[int]:
         return self.procs_with(page, Perm.READ)
-
-    def downgrade_writers(self, page: int, to: Perm = Perm.READ) -> list[int]:
-        """Drop every write mapping to ``to``; returns affected processors."""
-        row = self.rows[page]
-        affected = []
-        for i, p in enumerate(row):
-            if p >= Perm.WRITE:
-                row[i] = int(to)
-                affected.append(i)
-        if affected:
-            self.wgen.value += 1
-            if to < Perm.READ:
-                self.gen.value += 1
-        return affected
-
-    def invalidate_all(self, page: int) -> list[int]:
-        row = self.rows[page]
-        affected = [i for i, p in enumerate(row) if p > Perm.INVALID]
-        for i in affected:
-            row[i] = int(Perm.INVALID)
-        if affected:
-            self.gen.value += 1
-            self.wgen.value += 1
-        return affected

@@ -49,10 +49,15 @@ def _fingerprint(result, app):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("protocol", ["2L", "2LS", "1LD", "1L"])
-@pytest.mark.parametrize("app_name", ["SOR", "Water"])
+@pytest.mark.parametrize("app_name", ["SOR", "Water", "Gauss"])
 @pytest.mark.parametrize("observers", ["off", "on"])
 def test_fastpath_matches_forced_slowpath(app_name, protocol, observers):
     cfg = SMALL if observers == "off" else OBSERVED
+    if app_name == "Gauss":
+        # 8-word pages: the small problem's 25-word rows then span four
+        # pages, like the default geometry's (225 words on 64-word
+        # pages) — the warm multi-page block paths.
+        cfg = replace(cfg, page_bytes=64)
     app = make_app(app_name)
     fast = run_app(app, app.small_params(), cfg, protocol)
     slow_app = make_app(app_name)

@@ -210,3 +210,33 @@ def _emulate(plan):
             for w in words:
                 mem[w] = float(rnd * 1000 + w + 1)
     return mem
+
+
+def test_adaptive_lowering_state_does_not_leak_between_simulations(
+        monkeypatch):
+    """Regression: the measured steps-per-batch ratio lived on the kernel
+    *class*, so which path a cell took depended on what had run before it
+    in the process (``Gauss/2L/4:1`` made 20 batched region executions
+    when run first and 16 after ``Gauss/2L/32:4``). The ratio belongs to
+    the simulation: the same cell makes the same number of batched
+    executions whatever preceded it."""
+    from repro.apps import make_app
+    from repro.experiments.configs import experiment_config
+    from repro.lower.exec import LoweredRun
+    from repro.runtime.program import run_app
+
+    drives = []
+    drive = LoweredRun.drive
+    monkeypatch.setattr(LoweredRun, "drive",
+                        lambda self, sp: (drives.append(1), drive(self, sp)))
+
+    def batched_executions(placement):
+        del drives[:]
+        app = make_app("Gauss")
+        run_app(app, app.default_params(), experiment_config(placement), "2L")
+        return len(drives)
+
+    fresh = batched_executions("4:1")
+    assert fresh > 0
+    assert batched_executions("32:4") > 0
+    assert batched_executions("4:1") == fresh

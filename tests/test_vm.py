@@ -75,19 +75,23 @@ class TestPageTable:
         assert t.mapped(1) == [0, 2]
         assert t.writers(1) == [2]
 
-    def test_downgrade_writers(self):
-        t = PageTable(2, 3)
-        for p in range(3):
-            t.set_perm(0, p, Perm.WRITE)
-        affected = t.downgrade_writers(0)
-        assert affected == [0, 1, 2]
-        assert t.loosest(0) == Perm.READ
-
-    def test_invalidate_all(self):
+    def test_evict_drops_one_processors_mappings(self):
         t = PageTable(2, 2)
-        t.set_perm(0, 0, Perm.READ)
-        assert t.invalidate_all(0) == [0]
-        assert t.loosest(0) == Perm.INVALID
+        frame = np.zeros(4)
+        for p in range(2):
+            t.rmaps[p][0] = frame
+            t.wmaps[p][0] = memoryview(frame)
+        t.evict(0, 1)
+        assert 0 in t.rmaps[0] and 0 in t.wmaps[0]
+        assert 0 not in t.rmaps[1] and 0 not in t.wmaps[1]
+
+    def test_evict_all_drops_every_processors_mappings(self):
+        t = PageTable(2, 2)
+        for p in range(2):
+            t.rmaps[p][0] = t.rmaps[p][1] = np.zeros(4)
+        t.evict_all(0)
+        assert all(list(m) == [1] for m in t.rmaps)
+        t.evict_all(0)  # idempotent
 
 
 class TestDiffs:
