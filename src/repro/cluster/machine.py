@@ -53,7 +53,8 @@ class Node:
         processors will find it at their next yield point.
         """
         self.request_queue.append((target_proc, handler))
-        self.request_cond.fire(at)
+        if self.request_cond._waiters:  # nobody spinning: nobody to wake
+            self.request_cond.fire(at)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.id} procs={len(self.processors)}>"
@@ -79,6 +80,10 @@ class Processor(ExecutionContext):
         config = node.cluster.config
         self._costs = config.costs
         self._polling = config.polling
+        #: What wakes this processor while it waits: incoming requests,
+        #: when it polls for them (bound once; read on every Wait).
+        self._poll_conditions: tuple[Condition, ...] = \
+            (node.request_cond,) if config.polling else ()
         #: Optional event tracer (:class:`repro.trace.Tracer`); when set,
         #: every bucket charge is recorded as a duration span.
         self.trace = None
@@ -129,17 +134,18 @@ class Processor(ExecutionContext):
         if mem_bytes > 0:
             service = mem_bytes / costs.node_bus_bandwidth
             bus = self.node.bus
-            iv = bus._intervals
-            if not iv or iv[-1][1] <= clock:
+            es = bus._e
+            if not es or es[-1] <= clock:
                 bus.total_requests += 1
                 bus.busy_time += service
                 if service > 0:
-                    if iv and iv[-1][1] == clock:
-                        iv[-1][1] = clock + service
+                    if es and es[-1] == clock:
+                        es[-1] = clock + service
                     else:
-                        iv.append([clock, clock + service])
-                        if len(iv) > 4096:
-                            del iv[:2048]
+                        bus._b.append(clock)
+                        es.append(clock + service)
+                        if len(es) > 4096:
+                            del bus._b[:2048], es[:2048]
                     # begin == clock: no queueing delay. The delta is
                     # computed as ``end - clock`` (not ``service``) so the
                     # accumulation is bit-identical to the traced path's
@@ -179,9 +185,7 @@ class Processor(ExecutionContext):
                 index += 1
 
     def poll_conditions(self) -> Sequence[Condition]:
-        if self.cluster.config.polling:
-            return (self.node.request_cond,)
-        return ()
+        return self._poll_conditions
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<P{self.global_id} (node {self.node.id}.{self.local_id})>"

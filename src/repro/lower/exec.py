@@ -201,7 +201,8 @@ class LoweredRun:
             head = queue[0][0] if queue else _INF
             bu = buckets["user"]
             bp = buckets["polling"]
-            iv = bus._intervals
+            bs = bus._b
+            es = bus._e
             bb = bus.busy_time
             br = bus.total_requests
             dirty = False
@@ -221,16 +222,17 @@ class LoweredRun:
                     bu += cpu
                     c += cpu
                 if mem > 0:
-                    if not iv or iv[-1][1] <= c:
+                    if not es or es[-1] <= c:
                         br += 1
                         bb += service
                         if service > 0:
-                            if iv and iv[-1][1] == c:
-                                iv[-1][1] = c + service
+                            if es and es[-1] == c:
+                                es[-1] = c + service
                             else:
-                                iv.append([c, c + service])
-                                if len(iv) > 4096:
-                                    del iv[:2048]
+                                bs.append(c)
+                                es.append(c + service)
+                                if len(es) > 4096:
+                                    del bs[:2048], es[:2048]
                             delta = c + service - c
                             bu += delta
                             c += delta

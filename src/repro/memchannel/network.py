@@ -57,18 +57,22 @@ class MemoryChannel:
     # --- regions -----------------------------------------------------------
 
     def new_region(self, name: str, size: int, initial: Any = 0,
-                   loopback: bool = False, connections: int = 1) -> MCRegion:
+                   loopback: bool = False, connections: int = 1,
+                   waitable: bool = True, readable: bool = True) -> MCRegion:
         """Create a named MC region of ``size`` words.
 
         ``connections`` is the number of mapping-table entries consumed
         (one per transmit/receive mapping pair in the real hardware; the
-        superpage layer passes the per-node mapping count).
+        superpage layer passes the per-node mapping count). ``waitable``
+        and ``readable`` are :class:`MCRegion`'s: whether anything parks
+        on the region's condition, and whether anything reads its words.
         """
         if name in self._regions:
             raise MemoryChannelError(f"duplicate MC region {name!r}")
         self.mapping_table.allocate(name, connections)
         region = MCRegion(self.sim, name, size, initial=initial,
-                          loopback=loopback)
+                          loopback=loopback, waitable=waitable,
+                          readable=readable)
         self._regions[name] = region
         return region
 
@@ -89,7 +93,8 @@ class MemoryChannel:
         if self.injector is not None:
             visible_at += self.injector.word_jitter()
         region.post(index, value, visible_at)
-        self.account(category, MC_WORD_BYTES)
+        traffic = self.traffic  # account(), in line
+        traffic[category] = traffic.get(category, 0) + MC_WORD_BYTES
         if self.trace is not None:
             self.trace.instant("mc_word", None, at, obj=category,
                                bytes=MC_WORD_BYTES, region=region.name)

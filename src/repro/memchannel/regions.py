@@ -13,12 +13,15 @@ observe a write before the network would have delivered it.
 
 :class:`MCRegion` is a fixed-size array of versioned words with an
 attached :class:`~repro.sim.engine.Condition` fired whenever a write
-becomes visible, so parked waiters (barrier arrivals, flag spins) wake at
-the correct simulated time.
+becomes visible, so parked waiters (flag spins) wake at the correct
+simulated time. Regions nothing parks on (lock arrays, the barrier's
+arrival array) say so and schedule nothing.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from heapq import heappush
 from typing import Any, Iterable
 
 from ..errors import MemoryChannelError
@@ -93,27 +96,47 @@ class MCRegion:
     """
 
     def __init__(self, sim: Simulator, name: str, size: int,
-                 initial: Any = 0, loopback: bool = False) -> None:
+                 initial: Any = 0, loopback: bool = False,
+                 waitable: bool = True, readable: bool = True) -> None:
         if size < 1:
             raise MemoryChannelError(f"region {name!r} must have >=1 word")
         self.sim = sim
         self.name = name
         self.loopback = loopback
-        self.words = [VersionedWord(initial) for _ in range(size)]
+        self.size = size
+        #: Whether anything may park on ``visible``. Only then does a
+        #: post schedule a fire: an event that can wake nobody is never
+        #: created (DESIGN.md §18). Lock and barrier regions pass False —
+        #: their waiters park on the lock's grant condition and the
+        #: barrier's per-episode condition.
+        self.waitable = waitable
+        #: Whether anything reads the words back. A lock's array is only
+        #: ever *sized* by the simulator (who holds the lock is decided
+        #: by the lock's own queue), so its region keeps no history.
+        self.words = [VersionedWord(initial) for _ in range(size)] \
+            if readable else []
         self.visible = Condition(sim, name=f"mc:{name}")
         self.write_count = 0
 
     def __len__(self) -> int:
-        return len(self.words)
+        return self.size
 
     def post(self, index: int, value: Any, visible_at: float) -> None:
         """Record a write and arrange for waiters to wake at visibility."""
-        self.words[index].write(visible_at, value)
         self.write_count += 1
-        # Fire unconditionally: a waiter may park between the post and the
-        # visibility time, and a fire with no waiters is a cheap no-op.
-        self.sim.schedule(max(visible_at, self.sim.now),
-                          _fire_at(self.visible, visible_at))
+        words = self.words
+        if words:
+            words[index].write(visible_at, value)
+        if self.waitable:
+            # Scheduled with or without waiters: one may park between the
+            # post and the visibility time. Pushed directly — the time is
+            # clamped to ``now`` here, so schedule()'s past check is dead.
+            sim = self.sim
+            now = sim.now
+            sim._seq += 1
+            heappush(sim._queue, (now if now > visible_at else visible_at,
+                                  sim._seq,
+                                  partial(self.visible.fire, visible_at)))
 
     def read(self, index: int, at: float) -> Any:
         return self.words[index].read(at)
@@ -124,12 +147,6 @@ class MCRegion:
     def snapshot_latest(self) -> list[Any]:
         """Latest values ignoring visibility (tests and debugging only)."""
         return [w.latest() for w in self.words]
-
-
-def _fire_at(cond: Condition, at: float):
-    def run() -> None:
-        cond.fire(at)
-    return run
 
 
 class MappingTable:

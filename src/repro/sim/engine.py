@@ -13,8 +13,10 @@ of the same program produce identical event orders.
 
 from __future__ import annotations
 
-import bisect
 import heapq
+from bisect import bisect_right
+from functools import partial
+from heapq import heappush
 from typing import Callable, Iterable
 
 from ..errors import DeadlockError, SimulationError
@@ -86,31 +88,17 @@ class Simulator:
         try:
             if self.chooser is not None:
                 return self._run_chosen(until)
-            if self.on_advance is not None:
+            if self.on_advance is not None or until is not None:
                 return self._run_observed(until)
-            if until is None:
-                # Unbounded run (the overwhelmingly common case): no
-                # per-event deadline check.
-                while True:
-                    if not queue:
-                        if self.idle_check is not None:
-                            self.idle_check()
-                        if not queue:
-                            break
-                    at, _, fn = heappop(queue)
-                    self.now = at
-                    fn()
-                return self.now
+            # Unbounded, unobserved run (the overwhelmingly common case):
+            # no per-event deadline or hook check.
             while True:
                 if not queue:
                     if self.idle_check is not None:
                         self.idle_check()
                     if not queue:
                         break
-                at, _, fn = queue[0]
-                if at > until:
-                    break
-                heappop(queue)
+                at, _, fn = heappop(queue)
                 self.now = at
                 fn()
             return self.now
@@ -118,9 +106,9 @@ class Simulator:
             self._running = False
 
     def _run_observed(self, until: float | None) -> float:
-        """The :meth:`run` loop with the time-advance hook. Kept out of
-        line (like :meth:`_run_chosen`) so the default path pays nothing
-        for the hook's existence."""
+        """The :meth:`run` loop with a deadline and/or the time-advance
+        hook. Kept out of line (like :meth:`_run_chosen`) so the default
+        path pays nothing for either."""
         queue = self._queue
         heappop = heapq.heappop
         advance = self.on_advance
@@ -134,7 +122,7 @@ class Simulator:
             if until is not None and at > until:
                 break
             heappop(queue)
-            if at > self.now:
+            if advance is not None and at > self.now:
                 advance(at)
             self.now = at
             fn()
@@ -215,10 +203,19 @@ class Condition:
         second fire racing with the wake events would find it empty and
         the re-parking waiters would sleep forever (lost wakeup).
         """
-        for wake, clock in list(self._waiters.items()):
-            when = max(at, clock)
-            self._sim.schedule(max(when, self._sim.now),
-                               _bind_wake(wake, when))
+        waiters = self._waiters
+        if not waiters:
+            return  # an event that can wake nobody is never created
+        sim = self._sim
+        now = sim.now
+        queue = sim._queue
+        for wake, clock in waiters.items():
+            when = clock if clock > at else at
+            # Simulator.schedule inlined: the push time is clamped to
+            # ``now`` right here, so its past check cannot trip.
+            sim._seq += 1
+            heappush(queue, (now if now > when else when, sim._seq,
+                             partial(wake, when)))
 
     @property
     def num_waiters(self) -> int:
@@ -226,12 +223,6 @@ class Condition:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Condition {self.name or hex(id(self))} waiters={len(self._waiters)}>"
-
-
-def _bind_wake(wake: Callable[[float], None], when: float) -> Callable[[], None]:
-    def run() -> None:
-        wake(when)
-    return run
 
 
 class SerialResource:
@@ -246,19 +237,68 @@ class SerialResource:
     processor queue behind a leader's *future* booking, inflating
     contention without physical cause. Adjacent intervals merge, so under
     saturation the timeline stays short.
+
+    The timeline is two parallel float lists, begins ``_b`` and ends
+    ``_e`` of disjoint busy intervals ``[b, e)`` in time order — so the
+    ends are sorted too, and one ``bisect_right(_e, start)`` finds the
+    first interval that can overlap a booking (DESIGN.md §18).
     """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        #: Non-overlapping busy intervals [begin, end), sorted by begin.
-        self._intervals: list[list[float]] = []
+        self._b: list[float] = []
+        self._e: list[float] = []
         self.busy_time = 0.0
         self.total_requests = 0
 
     @property
+    def _intervals(self) -> list[tuple[float, float]]:
+        """Read-only ``(begin, end)`` view of the timeline (tests)."""
+        return list(zip(self._b, self._e))
+
+    @property
     def free_at(self) -> float:
         """End of the last busy interval (0 when idle)."""
-        return self._intervals[-1][1] if self._intervals else 0.0
+        return self._e[-1] if self._e else 0.0
+
+    def _find(self, start: float, duration: float) -> tuple[float, int]:
+        """Earliest gap of ``duration`` at or after ``start``: its begin
+        time, and the index of the first interval after it. Every
+        interval scanned begins before the gap and the next one begins
+        at or after its end, so the index is also where the booking
+        goes — no second search."""
+        bs, es = self._b, self._e
+        n = len(es)
+        i = bisect_right(es, start)  # first interval ending after start
+        t = start
+        while i < n and bs[i] < t + duration:
+            if es[i] > t:
+                t = es[i]
+            i += 1
+        return t, i
+
+    def _book(self, begin: float, j: int,
+              duration: float) -> tuple[float, float]:
+        """Insert ``[begin, begin + duration)`` at index ``j`` (from
+        :meth:`_find`), merging with touching neighbours."""
+        bs, es = self._b, self._e
+        end = begin + duration
+        if j > 0 and es[j - 1] >= begin:
+            j -= 1
+            if end > es[j]:
+                es[j] = end
+        else:
+            bs.insert(j, begin)
+            es.insert(j, end)
+        k = j + 1
+        while k < len(es) and bs[k] <= es[j]:
+            if es[k] > es[j]:
+                es[j] = es[k]
+            k += 1
+        del bs[j + 1:k], es[j + 1:k]
+        if len(es) > 4096:
+            del bs[:2048], es[:2048]  # prune ancient history
+        return begin, end
 
     def acquire(self, start: float, duration: float) -> tuple[float, float]:
         """Book ``duration`` of service at the earliest gap >= ``start``."""
@@ -268,75 +308,38 @@ class SerialResource:
         self.busy_time += duration
         if duration == 0:
             return start, start
-        iv = self._intervals
+        es = self._e
         # Fast path: booking after (or touching) the end of the timeline —
         # the overwhelmingly common case when clocks advance monotonically.
-        if not iv or iv[-1][1] <= start:
-            if iv and iv[-1][1] == start:
-                iv[-1][1] = start + duration
+        if not es or es[-1] <= start:
+            if es and es[-1] == start:
+                es[-1] = start + duration
             else:
-                iv.append([start, start + duration])
-                if len(iv) > 4096:
-                    del iv[:2048]  # prune ancient history
+                self._b.append(start)
+                es.append(start + duration)
+                if len(es) > 4096:
+                    del self._b[:2048], es[:2048]  # prune ancient history
             return start, start + duration
-        last = iv[-1]
-        if last[0] <= start:
+        if self._b[-1] <= start:
             # Start lands inside the final interval: the earliest gap at
             # or after ``start`` begins exactly at its end — extend it in
             # place. This is the common case under saturation (every
-            # processor queues behind the tail) and skips the bisect.
-            begin = last[1]
-            last[1] = begin + duration
+            # processor queues behind the tail) and skips the search.
+            begin = es[-1]
+            es[-1] = begin + duration
             return begin, begin + duration
-        # Find the first interval that could overlap [start, ...).
-        lo = bisect.bisect_right(iv, [start]) - 1
-        if lo >= 0 and iv[lo][1] <= start:
-            lo += 1
-        lo = max(lo, 0)
-        t = start
-        i = lo
-        while i < len(iv) and iv[i][0] < t + duration:
-            if iv[i][1] > t:
-                t = iv[i][1]
-            i += 1
-        begin, end = t, t + duration
-        # Insert, merging with touching neighbours.
-        j = bisect.bisect_right(iv, [begin])
-        if j > 0 and iv[j - 1][1] >= begin:
-            iv[j - 1][1] = max(iv[j - 1][1], end)
-            k = j
-            while k < len(iv) and iv[k][0] <= iv[j - 1][1]:
-                iv[j - 1][1] = max(iv[j - 1][1], iv[k][1])
-                k += 1
-            del iv[j:k]
-        else:
-            iv.insert(j, [begin, end])
-            k = j + 1
-            while k < len(iv) and iv[k][0] <= iv[j][1]:
-                iv[j][1] = max(iv[j][1], iv[k][1])
-                k += 1
-            del iv[j + 1:k]
-        if len(iv) > 4096:
-            del iv[:2048]  # prune ancient history
-        return begin, end
+        begin, j = self._find(start, duration)
+        return self._book(begin, j, duration)
 
     def peek(self, start: float, duration: float) -> float:
         """The end time ``acquire(start, duration)`` would return, without
         booking."""
         if duration <= 0:
             return start
-        iv = self._intervals
-        lo = bisect.bisect_right(iv, [start]) - 1
-        if lo >= 0 and iv[lo][1] <= start:
-            lo += 1
-        lo = max(lo, 0)
-        t = start
-        i = lo
-        while i < len(iv) and iv[i][0] < t + duration:
-            if iv[i][1] > t:
-                t = iv[i][1]
-            i += 1
-        return t + duration
+        es = self._e
+        if not es or es[-1] <= start:
+            return start + duration  # idle from ``start`` on: no search
+        return self._find(start, duration)[0] + duration
 
 
 class MultiChannelResource:
@@ -372,24 +375,25 @@ class MultiChannelResource:
         if duration == 0:
             return start, start
         # Channel 0 idle from ``start`` on (its timeline ends at or
-        # before ``start``): its peek would return ``start + duration``,
+        # before ``start``): it would finish at ``start + duration``,
         # the least any channel can offer, and ties go to the
         # lowest-numbered channel — so it wins without probing anyone.
         first = self._channels[0]
-        iv = first._intervals
-        if not iv or iv[-1][1] <= start:
+        es = first._e
+        if not es or es[-1] <= start:
             return first.acquire(start, duration)
-        # Otherwise probe each channel's earliest end by peeking at its
-        # timeline without committing, then book the winner (ties go to
-        # the lowest-numbered channel, matching min()'s stability).
-        # With two channels this is exact enough and stays O(log n).
-        best = None
-        best_end = 0.0
+        # Otherwise search each channel's timeline once for its earliest
+        # gap and book the channel finishing earliest at the index that
+        # search already found (ties go to the lowest-numbered channel).
+        best = best_end = None
         for c in self._channels:
-            end = c.peek(start, duration)
-            if best is None or end < best_end:
-                best, best_end = c, end
-        return best.acquire(start, duration)
+            t, j = c._find(start, duration)
+            if best is None or t + duration < best_end:
+                best, best_end = (c, t, j), t + duration
+        c, t, j = best
+        c.total_requests += 1
+        c.busy_time += duration
+        return c._book(t, j, duration)
 
 
 def describe_waiters(conditions: Iterable[Condition]) -> str:

@@ -187,12 +187,7 @@ class SimProcess:
             sim = self.sim
             sim._seq += 1
             heappush(sim._queue, (self.ctx.clock, sim._seq, self._resume_cb))
-        elif isinstance(instr, Charge):
-            self.ctx.charge(instr.us, instr.bucket)
-            sim = self.sim
-            sim._seq += 1
-            heappush(sim._queue, (self.ctx.clock, sim._seq, self._resume_cb))
-        elif isinstance(instr, Sleep):
+        elif isinstance(instr, (Charge, Sleep)):
             self.ctx.charge(instr.us, instr.bucket)
             sim = self.sim
             sim._seq += 1

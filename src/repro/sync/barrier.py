@@ -81,9 +81,11 @@ class Barrier:
         slots = cluster.config.nodes if self.two_level \
             else cluster.config.total_procs
         self.slots = slots
+        # Waiters park on a per-episode condition (``_EpisodeState``),
+        # never on the arrival array's own: its posts schedule nothing.
         self.region = cluster.mc.new_region(
             "barrier", slots, initial=0, loopback=True,
-            connections=cluster.config.nodes)
+            connections=cluster.config.nodes, waitable=False)
         self._node_state = [_NodeBarrierState() for _ in cluster.nodes]
         #: Combining-tree inter-node phase (MachineConfig.barrier="tree").
         self.tree = cluster.config.barrier == "tree"

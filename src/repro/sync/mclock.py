@@ -29,6 +29,7 @@ events. ``contended_retries`` still counts the implied retries.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 
 from ..cluster.machine import Cluster, Processor
 from ..errors import SimulationError
@@ -45,9 +46,13 @@ class MCLock:
         self.lock_id = lock_id
         self.two_level = protocol.two_level
         slots = protocol.num_owners
+        # Nothing parks on the lock's array or reads it back (waiters
+        # park on ``_grant``; who holds the lock is ``_holder``), so the
+        # region carries the mapping and the array's size, and a write
+        # to it is traffic, a trace instant and nothing on the heap.
         self.region = cluster.mc.new_region(
             f"lock[{lock_id}]", slots, initial=0, loopback=True,
-            connections=cluster.config.nodes)
+            connections=cluster.config.nodes, waitable=False, readable=False)
         # Per-node ll/sc flag (two-level path): holder proc id or None.
         self._node_flag: dict[int, int | None] = {
             n.id: None for n in cluster.nodes}
@@ -69,60 +74,121 @@ class MCLock:
         #: Sim time the current holder completed its acquire (hold-span
         #: start for the event trace; valid while ``_holder`` is set).
         self._acquired_at = 0.0
+        #: The latest release found nobody parked on ``_grant`` and
+        #: scheduled no fire; the first contender to queue while the lock
+        #: is still free schedules it, at the same ``_free_visible_at``.
+        self._grant_owed = False
+        costs = cluster.config.costs
+        #: Cost of scanning the lock array once.
+        self._scan = 0.1 * slots
+        #: The loop-back wait of the winning attempt (immutable).
+        self._loopback = Sleep(costs.mc_latency, bucket="comm_wait")
 
-    def _slot(self, proc: Processor) -> int:
-        return self.protocol.owner_of(proc)
+    def _push_grant(self, visible: float) -> None:
+        """Schedule the wake-up of ``_grant``'s waiters at ``visible``."""
+        sim = self.cluster.sim
+        sim.schedule(max(visible, sim.now), partial(self._grant.fire, visible))
 
     def _failed_attempt_cost(self) -> float:
         """Time one losing test-and-back-off attempt burns: set the entry,
         wait for loop-back, scan the array, clear the entry."""
         costs = self.cluster.config.costs
-        return (2 * costs.mc_lock_overhead + costs.mc_latency
-                + 0.1 * len(self.region))
+        return 2 * costs.mc_lock_overhead + costs.mc_latency + self._scan
 
     # --- acquire -------------------------------------------------------------
 
     def acquire(self, proc: Processor):
-        """Generator: acquire the lock, then run acquire-side consistency."""
+        """Generator: acquire the lock, then run acquire-side consistency.
+
+        Every cost is one ``Processor.charge`` to "protocol", booked in
+        locals: one float add to ``clock`` and to ``spent`` per charge,
+        in charge order, with the charge's span when a tracer is
+        attached, and written back before anything that reads
+        ``proc.clock`` — a yield, ``acquire_sync`` (DESIGN.md §18).
+        """
         costs = self.cluster.config.costs
-        mc = self.cluster.mc
-        t_request = proc.clock
+        charge_trace = proc.trace
+        buckets = proc.stats.buckets
+        t_request = clock = proc.clock
+        spent = buckets["protocol"]
+        me = proc.global_id
         if self.two_level:
             # Local ll/sc phase: at most one competitor per node.
-            proc.charge(costs.llsc_lock, "protocol")
+            us = costs.llsc_lock
+            if us > 0:
+                if charge_trace is not None:
+                    charge_trace.span("protocol", proc, clock, us)
+                clock += us
+                spent += us
             node_id = proc.node.id
-            while self._node_flag[node_id] is not None:
-                yield Wait(self._node_cond[node_id],
-                           lambda: self._node_flag[node_id] is None,
-                           bucket="comm_wait")
-            self._node_flag[node_id] = proc.global_id
-            proc.charge(costs.two_level_lock_extra, "protocol")
+            if self._node_flag[node_id] is not None:
+                proc.clock = clock
+                buckets["protocol"] = spent
+                while self._node_flag[node_id] is not None:
+                    yield Wait(self._node_cond[node_id],
+                               lambda: self._node_flag[node_id] is None,
+                               bucket="comm_wait")
+                clock = proc.clock
+                spent = buckets["protocol"]
+            self._node_flag[node_id] = me
+            us = costs.two_level_lock_extra
+            if us > 0:
+                if charge_trace is not None:
+                    charge_trace.span("protocol", proc, clock, us)
+                clock += us
+                spent += us
 
-        slot = self._slot(proc)
         if (self._holder is not None or self._queue
-                or proc.clock < self._free_visible_at):
+                or clock < self._free_visible_at):
             # Contended: join the FIFO; one failed attempt is charged now
             # (we set our entry, saw a conflict, cleared it) and one more
             # on each handoff we lose.
             self.contended_retries += 1
-            proc.charge(self._failed_attempt_cost(), "protocol")
-            me = proc.global_id
+            us = self._failed_attempt_cost()
+            if us > 0:
+                if charge_trace is not None:
+                    charge_trace.span("protocol", proc, clock, us)
+                clock += us
+                spent += us
+            proc.clock = clock
+            buckets["protocol"] = spent
             self._queue.append(me)
+            if self._grant_owed and self._holder is None:
+                # We are waiting out a release nobody was watching (our
+                # clock is before its visibility): its fire is ours to
+                # schedule. With a holder, the next release sees us.
+                self._grant_owed = False
+                self._push_grant(self._free_visible_at)
             yield Wait(self._grant,
                        lambda: self._holder is None
                        and self._queue and self._queue[0] == me
                        and proc.clock >= self._free_visible_at,
                        bucket="comm_wait")
             self._queue.popleft()
+            clock = proc.clock
+            spent = buckets["protocol"]
 
         # Winning attempt: claim first (the loop-back wait yields, and
         # another contender must see the lock as taken meanwhile), then
         # set our entry, wait for loop-back, read the array.
-        self._holder = proc.global_id
-        proc.charge(costs.mc_lock_overhead, "protocol")
-        mc.write_word(self.region, slot, 1, proc.clock, category="sync")
-        yield Sleep(costs.mc_latency, bucket="comm_wait")
-        proc.charge(0.1 * len(self.region), "protocol")  # array scan
+        self._holder = me
+        us = costs.mc_lock_overhead
+        if us > 0:
+            if charge_trace is not None:
+                charge_trace.span("protocol", proc, clock, us)
+            clock += us
+            spent += us
+        proc.clock = clock
+        buckets["protocol"] = spent
+        self.cluster.mc.write_word(self.region, self.protocol.owner_of(proc),
+                                   1, clock, category="sync")
+        yield self._loopback
+        us = self._scan  # read the array
+        if us > 0:
+            if charge_trace is not None:
+                charge_trace.span("protocol", proc, proc.clock, us)
+            proc.clock += us
+            buckets["protocol"] += us
         self._acquired_at = proc.clock
         trace = self.protocol.trace
         if trace is not None:
@@ -138,7 +204,8 @@ class MCLock:
     # --- release -------------------------------------------------------------
 
     def release(self, proc: Processor) -> None:
-        """Run release-side consistency, then free the lock (non-blocking)."""
+        """Run release-side consistency, then free the lock (non-blocking).
+        Charges are booked in locals, as in :meth:`acquire`."""
         if self._holder != proc.global_id:
             raise SimulationError(
                 f"processor {proc.global_id} does not hold lock "
@@ -148,25 +215,44 @@ class MCLock:
         if tracer is not None:
             tracer.on_release(proc, ("lock", self.lock_id))
         costs = self.cluster.config.costs
-        slot = self._slot(proc)
-        proc.charge(costs.mc_lock_overhead, "protocol")
-        self.cluster.mc.write_word(self.region, slot, 0, proc.clock,
-                                   category="sync")
+        charge_trace = proc.trace
+        buckets = proc.stats.buckets
+        clock = proc.clock
+        spent = buckets["protocol"]
+        us = costs.mc_lock_overhead
+        if us > 0:
+            if charge_trace is not None:
+                charge_trace.span("protocol", proc, clock, us)
+            clock += us
+            spent += us
+        self.cluster.mc.write_word(self.region, self.protocol.owner_of(proc),
+                                   0, clock, category="sync")
         trace = self.protocol.trace
         if trace is not None:
             trace.span("lock_hold", proc, self._acquired_at,
-                       proc.clock - self._acquired_at,
+                       clock - self._acquired_at,
                        obj=f"lock {self.lock_id}")
         self._holder = None
         # The release becomes globally visible after loop-back; waiters
-        # (including any that park between now and then) wake at that time.
-        visible = proc.clock + costs.mc_latency
+        # wake at that time. With nobody waiting no event is scheduled:
+        # a contender that arrives before ``visible`` finds the fire owed
+        # and schedules it itself (acquire's contended path).
+        visible = clock + costs.mc_latency
         self._free_visible_at = visible
-        sim = self.cluster.sim
-        sim.schedule(max(visible, sim.now),
-                     lambda: self._grant.fire(visible))
+        self._grant_owed = not self._grant._waiters
+        if not self._grant_owed:
+            self._push_grant(visible)
         if self.two_level:
             node_id = proc.node.id
             self._node_flag[node_id] = None
-            proc.charge(costs.llsc_lock, "protocol")
-            self._node_cond[node_id].fire(proc.clock)
+            us = costs.llsc_lock
+            if us > 0:
+                if charge_trace is not None:
+                    charge_trace.span("protocol", proc, clock, us)
+                clock += us
+                spent += us
+            cond = self._node_cond[node_id]
+            if cond._waiters:  # a local peer spinning on the ll/sc flag
+                cond.fire(clock)
+        proc.clock = clock
+        buckets["protocol"] = spent

@@ -220,6 +220,37 @@ class TestTimelineBackfill:
             b, e = bus.acquire(start, dur)
             assert e == expected_end
 
+    def test_tail_peek_and_acquire_do_not_search(self, monkeypatch):
+        # RequestEngine.explicit_request peeks the service timeline and
+        # then books it; when the request lands past the timeline's end
+        # (the common case) neither may pay for the gap search.
+        bus = SerialResource("bus")
+        bus.acquire(0.0, 10.0)
+        bus.acquire(15.0, 10.0)
+
+        def no_search(start, duration):
+            raise AssertionError("tail booking searched the timeline")
+
+        monkeypatch.setattr(bus, "_find", no_search)
+        assert bus.peek(25.0, 1e-6) == 25.0 + 1e-6
+        assert bus.peek(40.0, 3.0) == 43.0
+        assert bus.acquire(25.0, 2.0) == (25.0, 27.0)   # touches: extends
+        assert bus.acquire(26.0, 2.0) == (27.0, 29.0)   # inside the tail
+        assert bus.acquire(40.0, 1.0) == (40.0, 41.0)
+        assert bus._intervals == [(0.0, 10.0), (15.0, 29.0), (40.0, 41.0)]
+
+    def test_condition_fire_without_waiters_schedules_nothing(self):
+        sim = Simulator()
+        cond = Condition(sim, "c")
+        cond.fire(5.0)
+        assert sim.pending_events == 0
+        woken = []
+        cond.park(7.0, woken.append)
+        cond.fire(5.0)      # wakes at max(fire time, waiter clock)
+        cond.fire(9.0)      # still registered: fires again
+        sim.run()
+        assert woken == [7.0, 9.0]
+
     def test_zero_duration_is_free(self):
         bus = SerialResource("bus")
         bus.acquire(0.0, 10.0)

@@ -72,6 +72,33 @@ class TestMCRegion:
         sim.run()
         assert woken == [7.0]
 
+    def test_unwaitable_region_schedules_nothing(self):
+        # Event discipline (DESIGN.md §18): only a region someone can
+        # park on pays a heap event per post. The words still record.
+        sim = Simulator()
+        region = MCRegion(sim, "r", 2, waitable=False)
+        region.post(1, 9, visible_at=5.0)
+        assert sim.pending_events == 0 and sim._seq == 0
+        assert region.read(1, 6.0) == 9 and region.read(1, 4.0) == 0
+        assert region.write_count == 1
+
+    def test_waitable_region_schedules_one_fire_per_post(self):
+        sim = Simulator()
+        region = MCRegion(sim, "r", 2)
+        region.post(0, 1, visible_at=5.0)
+        region.post(1, 1, visible_at=3.0)
+        assert sim.pending_events == 2
+        sim.run()
+        assert sim.now == 5.0
+
+    def test_unreadable_region_keeps_size_and_count_only(self):
+        sim = Simulator()
+        region = MCRegion(sim, "r", 6, waitable=False, readable=False)
+        for i in range(100):
+            region.post(i % 6, 1, visible_at=float(i))
+        assert len(region) == 6 and region.write_count == 100
+        assert region.words == [] and sim.pending_events == 0
+
     def test_empty_region_rejected(self):
         with pytest.raises(MemoryChannelError):
             MCRegion(Simulator(), "r", 0)
