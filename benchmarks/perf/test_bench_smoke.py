@@ -16,9 +16,8 @@ from repro.experiments.bench import (ACCESS_REGRESSION_FACTOR, BenchReport,
 
 _BASELINE = os.path.join(os.path.dirname(__file__), "baseline.json")
 
-EXPECTED = {"access", "fault_storm", "barrier", "sor32", "water32",
-            "sor_band_lowered", "sor_band_interp",
-            "sweep_serial", "sweep_parallel", "sweep_warm"}
+EXPECTED = {"access", "fault_storm", "barrier", "directory", "sor32",
+            "water32", "sweep_serial", "sweep_parallel", "sweep_warm"}
 
 
 def test_quick_bench_report_shape():
@@ -27,13 +26,11 @@ def test_quick_bench_report_shape():
     assert data["schema"] == "cashmere-bench-3"
     assert data["quick"] is True
     assert isinstance(data["fastpath"], bool)
-    assert isinstance(data["lowering"], bool)
     assert "jobs" in data
     assert set(data["benchmarks"]) == EXPECTED
     for name, entry in data["benchmarks"].items():
         assert entry["wall_s"] > 0, name
-    for full in ("sor32", "water32", "fault_storm", "barrier",
-                 "sor_band_lowered", "sor_band_interp"):
+    for full in ("sor32", "water32", "fault_storm", "barrier"):
         assert data["benchmarks"][full]["sim_us"] > 0
         assert data["benchmarks"][full]["sim_us_per_wall_s"] > 0
     # The access microbench is all-warm: warm accesses charge nothing,
@@ -41,12 +38,6 @@ def test_quick_bench_report_shape():
     # faults that warmed the pages up, orders of magnitude under the
     # other benches.
     assert 0 < data["benchmarks"]["access"]["sim_us"] < 1000.0
-    # Lowered and interpreted runs covered the same simulated time and
-    # the parity diffs passed.
-    lowered = data["benchmarks"]["sor_band_lowered"]
-    assert lowered["sim_us"] == data["benchmarks"]["sor_band_interp"]["sim_us"]
-    assert lowered["parity"] == "ok"
-    assert lowered["parity_sor32"] == "ok"
     # Honest sweep provenance: two-worker pool, measured speedup.
     par = data["benchmarks"]["sweep_parallel"]
     assert par["jobs"] == min(2, par["cores"])
@@ -74,28 +65,6 @@ def test_regression_gate_fires_on_synthetic_baseline():
         results=[BenchResult("access", wall_s=0.1, reps=1)],
         baseline={"benchmarks": {
             "access": {"wall_s": 0.1 / ACCESS_REGRESSION_FACTOR * 2.0}}})
-    assert healthy.check_regression() is None
-
-
-def test_lowering_gate_fires_on_parity_or_ratio_failure():
-    mismatch = BenchReport(results=[
-        BenchResult("sor_band_lowered", wall_s=0.1, reps=1,
-                    extra={"parity": "MISMATCH", "parity_sor32": "ok"}),
-        BenchResult("sor_band_interp", wall_s=0.5, reps=1)])
-    message = mismatch.check_regression()
-    assert message is not None and "parity" in message
-
-    slow = BenchReport(results=[
-        BenchResult("sor_band_lowered", wall_s=0.4, reps=1,
-                    extra={"parity": "ok", "parity_sor32": "ok"}),
-        BenchResult("sor_band_interp", wall_s=0.5, reps=1)])
-    message = slow.check_regression()
-    assert message is not None and "not batching" in message
-
-    healthy = BenchReport(results=[
-        BenchResult("sor_band_lowered", wall_s=0.1, reps=1,
-                    extra={"parity": "ok", "parity_sor32": "ok"}),
-        BenchResult("sor_band_interp", wall_s=0.5, reps=1)])
     assert healthy.check_regression() is None
 
 

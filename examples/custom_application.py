@@ -55,13 +55,9 @@ class PowerIteration(Application):
         env.end_init()
         yield from env.barrier()
 
-        # The K003 lint correctly spots that these phases could become
-        # RegionKernels (see src/repro/apps/sor.py for the pattern and
-        # ``cashmere-repro lower-gen`` for a generated scaffold); this
-        # tutorial keeps the plain interpreted form for readability.
         lo, hi = split_range(n, env.nprocs, env.rank)
         for _ in range(iters):
-            if hi > lo:  # cashmere: ignore[K003]
+            if hi > lo:
                 xv = env.get_block(x, 0, n)
                 for i in range(lo, hi):
                     row = env.get_block(A, i * n, (i + 1) * n)
@@ -69,12 +65,12 @@ class PowerIteration(Application):
                 yield env.compute((hi - lo) * n * 25.0,
                                   (hi - lo) * n * 60.0)
             yield from env.barrier()
-            if env.rank == 0:  # cashmere: ignore[K003]
+            if env.rank == 0:
                 yv = env.get_block(y, 0, n)
                 env.set(norm, 0, float(np.abs(yv).max()))
                 yield env.compute(n * 25.0, n * 60.0)
             yield from env.barrier()
-            if hi > lo:  # cashmere: ignore[K003]
+            if hi > lo:
                 scale = env.get(norm, 0)
                 yv = env.get_block(y, lo, hi)
                 env.set_block(x, lo, yv / scale)

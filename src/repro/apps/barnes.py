@@ -196,11 +196,7 @@ class Barnes(Application):
         lo, hi = split_range(n, nprocs, me)
         for _ in range(steps):
             # --- Phase 1: sequential tree build by processor 0 ------------
-            # Lowerable in shape, but the write extent (tree.count cells)
-            # and the compute cost are data-dependent per step, so a
-            # RegionKernel would need per-iteration reconstruction for a
-            # serial phase that batches nothing. Stays interpreted.
-            if me == 0:  # cashmere: ignore[K003]
+            if me == 0:
                 data = env.get_block(bodies, 0, n * _BODY_WORDS) \
                     .reshape(n, _BODY_WORDS)
                 pos = data[:, 0:2]
@@ -243,11 +239,7 @@ class Barnes(Application):
             yield from env.barrier()
 
             # --- Phase 3: parallel position update ------------------------
-            # A genuine lowering candidate (affine share-local update):
-            # next on the ROADMAP backlog, after em3d/ilink. The phase is
-            # one super-step bounded by barriers either side, so batching
-            # buys nothing until phase 2 lowers with it.
-            if hi > lo:  # cashmere: ignore[K003]
+            if hi > lo:
                 blk = env.get_block(bodies, lo * _BODY_WORDS,
                                     hi * _BODY_WORDS) \
                     .reshape(hi - lo, _BODY_WORDS)

@@ -9,19 +9,12 @@ boundary exchange — like SOR, but with a far lower
 computation-to-communication ratio, which is why Em3d gains ~22% from the
 two-level protocols and improves with clustering under them
 (Sections 3.3.2-3.3.3). The paper ran 60106 nodes (49 Mbytes, 161.4 s).
-
-Each field update is one :class:`_Em3dPhase` region kernel (scaffolded
-with ``cashmere-repro lower-gen em3d``, then hand-tuned): a single
-super-step that reads the source-field neighborhood, reads the
-destination share, and writes it back — verified against the interp
-body by lint rules K001/K002.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..lower.regions import READ, WRITE, RegionKernel
 from .base import Application, split_range
 
 #: CPU cost per dependency multiply-add — Em3d does almost no math per
@@ -45,59 +38,14 @@ def _gather(block: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-class _Em3dPhase(RegionKernel):
-    """One field update (E from H, or H from E) for one worker's share:
-    a single super-step reading ``src`` words ``[blo, bhi)`` and the
-    old ``dst`` share ``[lo, hi)``, then writing the new share."""
-
-    def __init__(self, env, src, dst, lo: int, hi: int, blo: int,
-                 bhi: int, count: int) -> None:
-        super().__init__(env)
-        self._src = src
-        self._dst = dst
-        self._lo = lo
-        self._hi = hi
-        self._blo = blo
-        self._bhi = bhi
-        self.n = 1 if count else 0
-        self.cost = env.compute(count * len(_OFFSETS) * _FLOP_US,
-                                count * _MEM_BYTES)
-        if not self.lowerable or self.n == 0:
-            return
-        # The interp body's first-touch order: the source neighborhood
-        # block read, the destination share read, then the share write.
-        step = [(READ, p) for p in self.span_pages(src, blo, bhi)]
-        step += [(READ, p) for p in self.span_pages(dst, lo, hi)]
-        step += [(WRITE, p) for p in self.span_pages(dst, lo, hi)]
-        self.touches = [step]
-        #: Staged neighborhood (zero-padded at the array edges, exactly
-        #: like the interp body's ``block``) and old destination share.
-        self._buf = np.zeros(hi - lo + 4)
-        self._cur = np.empty(hi - lo)
-
-    def ingest(self, i: int) -> None:
-        lo, hi = self._lo, self._hi
-        blo, bhi = self._blo, self._bhi
-        buf = self._buf
-        buf[:] = 0.0
-        off = blo - (lo - 2)
-        self.read_span(self._src, blo, bhi, buf[off:off + (bhi - blo)])
-        self.read_span(self._dst, lo, hi, self._cur)
-
-    def materialize(self, lo: int, hi: int) -> None:
-        new = self._cur - 0.1 * _gather(self._buf, self._hi - self._lo)
-        self.write_span(self._dst, self._lo, new)
-
-    def interp(self, env):
-        lo, hi = self._lo, self._hi
-        blo, bhi = self._blo, self._bhi
-        block = np.zeros(hi - lo + 4)
-        block[blo - (lo - 2):bhi - (lo - 2)] = \
-            env.get_block(self._src, blo, bhi)
-        new = env.get_block(self._dst, lo, hi) \
-            - 0.1 * _gather(block, hi - lo)
-        env.set_block(self._dst, lo, new)
-        yield self.cost
+def _update(env, src, dst, lo: int, hi: int, blo: int, bhi: int) -> None:
+    """One field update (E from H, or H from E) of nodes ``[lo, hi)``:
+    read the ``src`` neighborhood ``[blo, bhi)`` and the old ``dst``
+    share, then write the new share."""
+    block = np.zeros(hi - lo + 4)
+    block[blo - (lo - 2):bhi - (lo - 2)] = env.get_block(src, blo, bhi)
+    new = env.get_block(dst, lo, hi) - 0.1 * _gather(block, hi - lo)
+    env.set_block(dst, lo, new)
 
 
 class Em3d(Application):
@@ -133,12 +81,16 @@ class Em3d(Application):
         count = hi - lo
         # Neighborhood bounds, clamped at the array edges.
         blo, bhi = max(0, lo - 2), min(n, hi + 2)
-        e_phase = _Em3dPhase(env, h, e, lo, hi, blo, bhi, count)
-        h_phase = _Em3dPhase(env, e, h, lo, hi, blo, bhi, count)
+        phase_step = env.compute(count * len(_OFFSETS) * _FLOP_US,
+                                 count * _MEM_BYTES)
         for _ in range(iters):
-            yield from env.run_region(e_phase)
+            if count:
+                _update(env, h, e, lo, hi, blo, bhi)
+                yield phase_step
             yield from env.barrier()
-            yield from env.run_region(h_phase)
+            if count:
+                _update(env, e, h, lo, hi, blo, bhi)
+                yield phase_step
             yield from env.barrier()
 
     def result_arrays(self, params: dict):

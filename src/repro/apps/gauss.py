@@ -20,84 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..lower import READ, WRITE, RegionKernel
 from .base import Application
 
 #: CPU cost per multiply-add of row elimination.
 _FLOP_US = 0.54
 #: Cache-miss bytes per element touched (streaming rows, cache-hostile).
 _MEM_BYTES = 90.0
-
-
-class _GaussElim(RegionKernel):
-    """One pivot's elimination over a processor's remaining rows: each
-    super-step reads row *i*'s columns ``k..n`` (coefficients plus RHS),
-    subtracts its multiple of the pivot row, and writes the span back.
-    The pivot row itself is fetched in the worker *before* the region
-    (its flag wait is synchronization and must stay out of the kernel);
-    the private copy ``get_block`` returns is closed over here.
-    """
-
-    def __init__(self, env, A, stride: int, k: int, n: int,
-                 my_rows, pivot_row: np.ndarray) -> None:
-        super().__init__(env)
-        self._A = A
-        self._stride = stride
-        self._k = k
-        self._n = n
-        self._rows = [i for i in my_rows if i > k]
-        self._pivot_row = pivot_row
-        self.n = len(self._rows)
-        m = n - k
-        self.cost = env.compute(2 * m * _FLOP_US, m * _MEM_BYTES)
-        if not self.lowerable or self.n == 0:
-            return
-        # Touch lists mirror the interpreted body: get_block faults the
-        # row span's pages ascending for READ, then set_block re-faults
-        # the same span for WRITE. Rows are page-padded (no page is
-        # shared between steps), so the spans are disjoint across steps.
-        touches = []
-        for i in self._rows:
-            span = self.span_pages(A, i * stride + k, i * stride + n + 1)
-            touches.append([(READ, p) for p in span]
-                           + [(WRITE, p) for p in span])
-        self.touches = touches
-        #: Staged row spans, one per step (m + 1 words: columns k..n).
-        self._staged = np.empty((self.n, m + 1))
-
-    def ingest(self, i: int) -> None:
-        base = self._rows[i] * self._stride + self._k
-        self.read_span(self._A, base, base + self._n - self._k + 1,
-                       self._staged[i])
-
-    def materialize(self, lo: int, hi: int) -> None:
-        # Elementwise identical to the interp body: factor = row[0] /
-        # pivot_diag, row -= factor * pivot_row, row[0] = 0 — the same
-        # float64 multiply/subtract per element, just batched over rows.
-        staged = self._staged[lo:hi]
-        pivot_row = self._pivot_row
-        factors = staged[:, 0] / pivot_row[0]
-        staged -= factors[:, None] * pivot_row
-        staged[:, 0] = 0.0
-        stride, k = self._stride, self._k
-        for j in range(lo, hi):
-            self.write_span(self._A, self._rows[j] * stride + k,
-                            self._staged[j])
-
-    def interp(self, env):
-        A = self._A
-        stride, k, n = self._stride, self._k, self._n
-        pivot_row = self._pivot_row
-        pivot_diag = pivot_row[0]
-        row_step = self.cost
-        get_block, set_block = env.get_block, env.set_block
-        for i in self._rows:
-            row = get_block(A, i * stride + k, i * stride + n + 1)
-            factor = row[0] / pivot_diag
-            row -= factor * pivot_row  # the RHS transforms identically
-            row[0] = 0.0
-            set_block(A, i * stride + k, row)
-            yield row_step
 
 
 class Gauss(Application):
@@ -148,19 +76,28 @@ class Gauss(Application):
         yield from env.barrier()
 
         my_rows = list(range(me, n, nprocs))
+        get_block, set_block = env.get_block, env.set_block
         # Pipelined elimination: process pivots in order; when the pivot
         # index reaches one of our rows, that row is final — announce it.
-        # Each pivot's row sweep is a lowerable region (DESIGN.md §14):
-        # the flag synchronization and the pivot-row fetch stay out here.
         for k in range(n):
             if k % nprocs == me:
                 env.flag_set("pivot", k)
             else:
                 yield from env.flag_wait("pivot", k)
             # Pivot row columns k..n-1 plus its RHS element.
-            pivot_row = env.get_block(A, k * stride + k, k * stride + n + 1)
-            elim = _GaussElim(env, A, stride, k, n, my_rows, pivot_row)
-            yield from env.run_region(elim)
+            pivot_row = get_block(A, k * stride + k, k * stride + n + 1)
+            pivot_diag = pivot_row[0]
+            m = n - k
+            row_step = env.compute(2 * m * _FLOP_US, m * _MEM_BYTES)
+            for i in my_rows:
+                if i <= k:
+                    continue
+                row = get_block(A, i * stride + k, i * stride + n + 1)
+                factor = row[0] / pivot_diag
+                row -= factor * pivot_row  # the RHS transforms identically
+                row[0] = 0.0
+                set_block(A, i * stride + k, row)
+                yield row_step
 
         yield from env.barrier()
         # Back-substitution on processor 0 (a small serial tail).

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..lower.regions import READ, WRITE, RegionKernel
 from .base import Application
 
 #: CPU cost per nonzero element update.
@@ -29,61 +28,6 @@ _ELEM_US = 780.0
 _ELEM_MEM = 52.0
 #: Serial (master) cost per element per iteration.
 _SERIAL_US = 0.01
-
-
-class _IlinkSlave(RegionKernel):
-    """One slave phase (scaffolded with ``cashmere-repro lower-gen
-    ilink``, then hand-tuned): a single super-step that block-reads the
-    probability pool, then scatters per-word updates through the
-    ``update`` array — the multi-writer pattern the diffs must merge.
-    The master's serial phases stay interpreted (they run on one rank
-    and batch nothing)."""
-
-    def __init__(self, env, probs, update, mine, ib, ic,
-                 mine_int: list, n: int) -> None:
-        super().__init__(env)
-        self._probs = probs
-        self._update = update
-        self._mine = mine
-        self._ib = ib
-        self._ic = ic
-        self._mine_int = mine_int
-        self._n = n
-        self.n = 1 if len(mine_int) else 0
-        self.cost = env.compute(len(mine_int) * _ELEM_US,
-                                len(mine_int) * _ELEM_MEM)
-        if not self.lowerable or self.n == 0:
-            return
-        # First-touch order of the interp body: one pool block read,
-        # then one word write per assigned element, in assignment order
-        # (duplicate pages are faithful — the replay dedups on need).
-        step = [(READ, p) for p in self.span_pages(probs, 0, n)]
-        for i in mine_int:
-            step += [(WRITE, p) for p in self.span_pages(update, i, i + 1)]
-        self.touches = [step]
-        #: Staged probability pool (the one block read).
-        self._pool = np.empty(n)
-
-    def ingest(self, i: int) -> None:
-        self.read_span(self._probs, 0, self._n, self._pool)
-
-    def materialize(self, lo: int, hi: int) -> None:
-        pool = self._pool
-        vals = pool[self._mine] * (0.4 * pool[self._ib]
-                                   + 0.6 * pool[self._ic]) + 1e-6
-        update = self._update
-        for j, i in enumerate(self._mine_int):
-            self.write_span(update, i, vals[j:j + 1])
-
-    def interp(self, env):
-        pool = env.get_block(self._probs, 0, self._n)
-        vals = pool[self._mine] * (0.4 * pool[self._ib]
-                                   + 0.6 * pool[self._ic]) + 1e-6
-        update = self._update
-        set_ = env.set
-        for j, i in enumerate(self._mine_int):
-            set_(update, i, vals[j])
-        yield self.cost
 
 
 class Ilink(Application):
@@ -130,7 +74,9 @@ class Ilink(Application):
         env.end_init()
         yield from env.barrier()
 
-        slave = _IlinkSlave(env, probs, update, mine, ib, ic, mine_int, n)
+        slave_step = env.compute(len(mine_int) * _ELEM_US,
+                                 len(mine_int) * _ELEM_MEM)
+        set_ = env.set
         for _ in range(iters):
             # Master: serial recombination update of the pool (one-to-all).
             if me == 0:
@@ -145,7 +91,12 @@ class Ilink(Application):
             # read of the pool (the element math is the same, elementwise);
             # the scattered writes stay per-word — they are the multi-writer
             # pattern the diffs must merge.
-            yield from env.run_region(slave)
+            if mine_int:
+                pool = env.get_block(probs, 0, n)
+                vals = pool[mine] * (0.4 * pool[ib] + 0.6 * pool[ic]) + 1e-6
+                for j, i in enumerate(mine_int):
+                    set_(update, i, vals[j])
+                yield slave_step
             yield from env.barrier()
 
             # Master: gather and renormalize (all-to-one).

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..lower import READ, WRITE, RegionKernel
 from .base import Application
 
 #: CPU cost per multiply-add in the blocked kernels.
@@ -26,108 +25,6 @@ _FLOP_US = 110.0
 #: Cache-miss bytes per block operation: blocked layout keeps the working
 #: set in cache, so traffic is a small fraction of the data touched.
 _MEM_FRACTION = 0.15
-
-
-class _LUInterior(RegionKernel):
-    """Phase-3 interior updates for one pivot step ``k``: one owned
-    (i, j) block per super-step, with the interpreted loop's lazy
-    row/column caching mirrored in the touch lists (a pivot-row or
-    pivot-column block is first-touched at the first step that needs
-    it, then served from cache)."""
-
-    def __init__(self, env, A, pairs, nb: int, B: int, k: int, cost) -> None:
-        super().__init__(env)
-        self._A = A
-        self._pairs = pairs
-        self._nb = nb
-        self._B = B
-        self._k = k
-        self.n = len(pairs)
-        self.cost = cost
-        if not self.lowerable or self.n == 0:
-            return
-        bb = B * B
-        base_of = LU._block_base
-        touches = []
-        plan = []
-        seen_i: set[int] = set()
-        seen_j: set[int] = set()
-        for i, j in pairs:
-            step = []
-            need_col = i not in seen_i
-            need_row = j not in seen_j
-            if need_col:
-                seen_i.add(i)
-                base = base_of(i, k, nb, B)
-                step += [(READ, p) for p in self.span_pages(A, base,
-                                                            base + bb)]
-            if need_row:
-                seen_j.add(j)
-                base = base_of(k, j, nb, B)
-                step += [(READ, p) for p in self.span_pages(A, base,
-                                                            base + bb)]
-            base = base_of(i, j, nb, B)
-            step += [(READ, p) for p in self.span_pages(A, base, base + bb)]
-            step += [(WRITE, p) for p in self.span_pages(A, base, base + bb)]
-            touches.append(step)
-            plan.append((need_col, need_row))
-        self.touches = touches
-        self._plan = plan
-        self._cols: dict[int, np.ndarray] = {}
-        self._rows_c: dict[int, np.ndarray] = {}
-        self._blks = [np.empty((B, B)) for _ in pairs]
-
-    def _read_block(self, I: int, J: int, out: np.ndarray) -> None:
-        bb = self._B * self._B
-        base = LU._block_base(I, J, self._nb, self._B)
-        self.read_span(self._A, base, base + bb, out.reshape(bb))
-
-    def begin(self) -> None:
-        # One instance serves one pivot step, but reset defensively so a
-        # reused instance matches a fresh interpreted phase.
-        self._cols.clear()
-        self._rows_c.clear()
-
-    def ingest(self, i: int) -> None:
-        pi, pj = self._pairs[i]
-        need_col, need_row = self._plan[i]
-        B, k = self._B, self._k
-        if need_col:
-            buf = np.empty((B, B))
-            self._read_block(pi, k, buf)
-            self._cols[pi] = buf
-        if need_row:
-            buf = np.empty((B, B))
-            self._read_block(k, pj, buf)
-            self._rows_c[pj] = buf
-        self._read_block(pi, pj, self._blks[i])
-
-    def materialize(self, lo: int, hi: int) -> None:
-        bb = self._B * self._B
-        for s in range(lo, hi):
-            i, j = self._pairs[s]
-            blk = self._blks[s]
-            blk -= self._cols[i] @ self._rows_c[j]
-            base = LU._block_base(i, j, self._nb, self._B)
-            self.write_span(self._A, base, blk.reshape(bb))
-
-    def interp(self, env):
-        A, B, k, nb = self._A, self._B, self._k, self._nb
-        bb = B * B
-        row_cache: dict[int, np.ndarray] = {}
-        col_cache: dict[int, np.ndarray] = {}
-        for i, j in self._pairs:
-            if i not in col_cache:
-                base = (i * nb + k) * bb
-                col_cache[i] = env.get_block(A, base, base + bb).reshape(B, B)
-            if j not in row_cache:
-                base = (k * nb + j) * bb
-                row_cache[j] = env.get_block(A, base, base + bb).reshape(B, B)
-            base = (i * nb + j) * bb
-            blk = env.get_block(A, base, base + bb).reshape(B, B)
-            blk -= col_cache[i] @ row_cache[j]
-            env.set_block(A, base, blk.reshape(bb))
-            yield self.cost
 
 
 def _factor_diag(blk: np.ndarray) -> None:
@@ -199,6 +96,7 @@ class LU(Application):
         flops_diag = B * B * B / 3.0
         flops_block = B * B * B
         mem_block = 3 * B * B * 8 * _MEM_FRACTION
+        interior_step = env.compute(2 * flops_block * _FLOP_US, mem_block)
 
         if env.rank == 0:
             # Deterministic diagonally dominant matrix, written block-major.
@@ -247,18 +145,23 @@ class LU(Application):
                     yield env.compute(flops_block * _FLOP_US / 2, mem_block)
             yield from env.barrier()
 
-            # Phase 3: interior updates — a lowerable region per pivot
-            # step (the ownership filter is pure Python, so resolving it
-            # here and iterating the owned pairs is sim-identical to the
-            # old skip-in-loop form).
-            pairs = [(i, j)
-                     for i in range(k + 1, nb)
-                     for j in range(k + 1, nb)
-                     if self._owner(i, j, nprocs) == me]
-            interior = _LUInterior(
-                env, A, pairs, nb, B, k,
-                env.compute(2 * flops_block * _FLOP_US, mem_block))
-            yield from env.run_region(interior)
+            # Phase 3: interior updates; a pivot-row or pivot-column
+            # block is fetched at the first owned block that needs it,
+            # then served from these caches.
+            row_cache: dict[int, np.ndarray] = {}
+            col_cache: dict[int, np.ndarray] = {}
+            for i in range(k + 1, nb):
+                for j in range(k + 1, nb):
+                    if self._owner(i, j, nprocs) != me:
+                        continue
+                    if i not in col_cache:
+                        col_cache[i] = self._get_block(env, A, i, k, nb, B)
+                    if j not in row_cache:
+                        row_cache[j] = self._get_block(env, A, k, j, nb, B)
+                    blk = self._get_block(env, A, i, j, nb, B)
+                    blk -= col_cache[i] @ row_cache[j]
+                    self._set_block(env, A, i, j, nb, B, blk)
+                    yield interior_step
             yield from env.barrier()
 
     def result_arrays(self, params: dict):

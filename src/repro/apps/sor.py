@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..lower import READ, WRITE, RegionKernel
 from .base import Application, split_range
 
 #: CPU cost per grid element update (4 flops on a 233 MHz Alpha plus loop
@@ -28,138 +27,44 @@ _FLOP_US = 30.0
 _MEM_BYTES = 1150.0
 
 
-class _SorSweep(RegionKernel):
+def _half_sweep(env, src, dst, rows, halfc: int, red: bool, acc, row_step):
     """One half-sweep of a processor's band: reads one color, writes the
-    other, one row per super-step. ``red=True`` is the red sweep (left
-    neighbour pattern shifts one way; the black sweep shifts the other).
+    other, yielding ``row_step`` once per row. ``red=True`` is the
+    red sweep (left neighbour pattern shifts one way; the black sweep
+    shifts the other). ``acc`` is the scratch row (set_block copies out
+    of it); the shifted-neighbour accumulation and the add/scale order
+    match the obvious elementwise formula bit for bit: addition is
+    commutative per element, and the grouping (((up+mid)+down)+left) is
+    preserved.
     """
-
-    def __init__(self, env, src, dst, rows, halfc: int, red: bool) -> None:
-        super().__init__(env)
-        self._src = src
-        self._dst = dst
-        self._rows = rows
-        self._halfc = halfc
-        self._red = red
-        self.n = len(rows)
-        self.cost = env.compute(halfc * _FLOP_US, halfc * _MEM_BYTES)
-        # Scratch row for the interpreted path (set_block copies out of
-        # it). The shifted-neighbour accumulation and the add/scale order
-        # match the obvious elementwise formula bit for bit: addition is
-        # commutative per element, and the grouping (((up+mid)+down)+left)
-        # is preserved.
-        self._acc = np.empty(halfc)
-        if not self.lowerable or self.n == 0:
-            return
-        # Touch lists mirror the interpreted window slide: the first row
-        # reads three source rows (up, mid, down); each later row first
-        # touches only its ``down`` row, then writes its destination row.
-        touches = []
-        for k, r in enumerate(rows):
-            base = r * halfc
-            if k == 0:
-                step = [(READ, p) for p in self.span_pages(
-                    src, base - halfc, base + 2 * halfc)]
-            else:
-                step = [(READ, p) for p in self.span_pages(
-                    src, base + halfc, base + 2 * halfc)]
-            step += [(WRITE, p) for p in self.span_pages(
-                dst, base, base + halfc)]
-            touches.append(step)
-        self.touches = touches
-        #: Staged source rows ``rows[0]-1 .. rows[-1]+1`` (n + 2 rows).
-        self._band = np.empty((self.n + 2, halfc))
-
-    def ingest(self, i: int) -> None:
-        src, halfc, band = self._src, self._halfc, self._band
-        base = self._rows[i] * halfc
-        if i == 0:
-            self.read_span(src, base - halfc, base + 2 * halfc,
-                           band[:3].reshape(3 * halfc))
+    get_block, set_block = env.get_block, env.set_block
+    # Within one half-sweep no remote invalidation can arrive (writes
+    # become visible only at the next barrier), so row r+1's up/mid
+    # rows are byte-identical to row r's mid/down reads — slide the
+    # three-row window instead of re-reading. The first touch of each
+    # new row (the ``down`` read) happens at the same point in the
+    # instruction stream as before, so the fault set and all timings
+    # are unchanged.
+    down = None
+    for r in rows:
+        base = r * halfc
+        if down is None:
+            up = get_block(src, base - halfc, base)
+            mid = get_block(src, base, base + halfc)
         else:
-            self.read_span(src, base + halfc, base + 2 * halfc, band[i + 2])
-
-    def ingest_batch(self, lo: int, hi: int) -> None:
-        # Steps [lo, hi) need source rows rows[lo]+1 .. rows[hi-1]+1 —
-        # plus the two rows above when lo == 0 — one contiguous span.
-        src, halfc, band = self._src, self._halfc, self._band
-        r0 = self._rows[0]
-        if lo == 0:
-            self.read_span(src, (r0 - 1) * halfc, (r0 + hi + 1) * halfc,
-                           band[:hi + 2].reshape((hi + 2) * halfc))
-        else:
-            self.read_span(src, (r0 + lo + 1) * halfc,
-                           (r0 + hi + 1) * halfc,
-                           band[lo + 2:hi + 2].reshape((hi - lo) * halfc))
-
-    def materialize(self, lo: int, hi: int) -> None:
-        band = self._band
-        if hi - lo == 1:
-            # Single-row commit (the lockstep-contended common case):
-            # the interp body's in-place 1-D sequence, same values.
-            mid = band[lo + 1]
-            acc = self._acc
-            np.add(band[lo], mid, out=acc)
-            acc += band[lo + 2]
-            if self._red:
-                acc[0] += mid[0]
-                acc[1:] += mid[:-1]
-            else:
-                acc[:-1] += mid[1:]
-                acc[-1] += mid[-1]
-            acc *= 0.25
-            self.write_span(self._dst, self._rows[lo] * self._halfc, acc)
-            return
-        up = band[lo:hi]
-        mid = band[lo + 1:hi + 1]
-        down = band[lo + 2:hi + 2]
-        acc = np.add(up, mid)
+            up, mid = mid, down
+        down = get_block(src, base + halfc, base + 2 * halfc)
+        np.add(up, mid, out=acc)
         acc += down
-        if self._red:
-            acc[:, 0] += mid[:, 0]
-            acc[:, 1:] += mid[:, :-1]
+        if red:
+            acc[0] += mid[0]
+            acc[1:] += mid[:-1]
         else:
-            acc[:, :-1] += mid[:, 1:]
-            acc[:, -1] += mid[:, -1]
+            acc[:-1] += mid[1:]
+            acc[-1] += mid[-1]
         acc *= 0.25
-        # The batch's destination rows are contiguous: one span store.
-        self.write_span(self._dst, self._rows[lo] * self._halfc,
-                        acc.reshape((hi - lo) * self._halfc))
-
-    def interp(self, env):
-        src, dst = self._src, self._dst
-        halfc = self._halfc
-        red = self._red
-        acc = self._acc
-        row_step = self.cost
-        get_block, set_block = env.get_block, env.set_block
-        # Within one half-sweep no remote invalidation can arrive (writes
-        # become visible only at the next barrier), so row r+1's up/mid
-        # rows are byte-identical to row r's mid/down reads — slide the
-        # three-row window instead of re-reading. The first touch of each
-        # new row (the ``down`` read) happens at the same point in the
-        # instruction stream as before, so the fault set and all timings
-        # are unchanged.
-        down = None
-        for r in self._rows:
-            base = r * halfc
-            if down is None:
-                up = get_block(src, base - halfc, base)
-                mid = get_block(src, base, base + halfc)
-            else:
-                up, mid = mid, down
-            down = get_block(src, base + halfc, base + 2 * halfc)
-            np.add(up, mid, out=acc)
-            acc += down
-            if red:
-                acc[0] += mid[0]
-                acc[1:] += mid[:-1]
-            else:
-                acc[:-1] += mid[1:]
-                acc[-1] += mid[-1]
-            acc *= 0.25
-            set_block(dst, base, acc)
-            yield row_step
+        set_block(dst, base, acc)
+        yield row_step
 
 
 class SOR(Application):
@@ -197,14 +102,16 @@ class SOR(Application):
 
         lo, hi = split_range(rows - 2, env.nprocs, env.rank)
         my_rows = range(1 + lo, 1 + hi)
-        # Each half-sweep is a lowerable region (DESIGN.md §14): one row
-        # per super-step, barriers staying out here in the worker.
-        red_sweep = _SorSweep(env, black, red, my_rows, halfc, red=True)
-        black_sweep = _SorSweep(env, red, black, my_rows, halfc, red=False)
+        # One Compute instruction per row, identical every time — the
+        # instruction is frozen, so a single instance can be re-yielded.
+        row_step = env.compute(halfc * _FLOP_US, halfc * _MEM_BYTES)
+        acc = np.empty(halfc)
         for _ in range(iters):
-            yield from env.run_region(red_sweep)
+            yield from _half_sweep(env, black, red, my_rows, halfc, True,
+                                   acc, row_step)
             yield from env.barrier()
-            yield from env.run_region(black_sweep)
+            yield from _half_sweep(env, red, black, my_rows, halfc, False,
+                                   acc, row_step)
             yield from env.barrier()
 
     def result_arrays(self, params: dict):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..lower import READ, WRITE, RegionKernel
 from .base import Application, split_range
 
 #: CPU cost per pairwise interaction (the real Water does substantial
@@ -33,62 +32,19 @@ _PAIR_MEM = 110.0
 _DT = 0.002
 
 
-class _WaterIntegrate(RegionKernel):
-    """The integration phase: one super-step updating the owner's slice
-    of pos/vel and clearing its force slice. The accumulation phase's
-    locked writes to ``force`` are fenced off by the worker's barrier
-    before this region; each owner touches only its own slice. Phase
-    reasoning is beyond the static lockset (the dynamic detector proves
-    these runs race-free)."""
-
-    def __init__(self, env, pos, vel, force, lo: int, hi: int) -> None:
-        super().__init__(env)
-        self._pos, self._vel, self._force = pos, vel, force
-        self._lo, self._hi = lo, hi
-        count = hi - lo
-        self.n = 1 if count > 0 else 0
-        self.cost = env.compute(count * 0.3, count * 24)
-        if not self.lowerable or self.n == 0:
-            return
-        w0, w1 = lo * 3, hi * 3
-        # First-touch order matches interp: read force, vel, pos; then
-        # write vel, pos, force.
-        step = [(READ, p) for p in self.span_pages(force, w0, w1)]
-        step += [(READ, p) for p in self.span_pages(vel, w0, w1)]
-        step += [(READ, p) for p in self.span_pages(pos, w0, w1)]
-        step += [(WRITE, p) for p in self.span_pages(vel, w0, w1)]
-        step += [(WRITE, p) for p in self.span_pages(pos, w0, w1)]
-        step += [(WRITE, p) for p in self.span_pages(force, w0, w1)]
-        self.touches = [step]
-        m = w1 - w0
-        self._f = np.empty(m)
-        self._v = np.empty(m)
-        self._p = np.empty(m)
-        self._zero = np.zeros(m)
-
-    def ingest(self, i: int) -> None:
-        w0, w1 = self._lo * 3, self._hi * 3
-        self.read_span(self._force, w0, w1, self._f)
-        self.read_span(self._vel, w0, w1, self._v)
-        self.read_span(self._pos, w0, w1, self._p)
-
-    def materialize(self, lo: int, hi: int) -> None:
-        w0 = self._lo * 3
-        v = self._v + _DT * self._f
-        p = self._p + _DT * v
-        self.write_span(self._vel, w0, v)
-        self.write_span(self._pos, w0, p)
-        self.write_span(self._force, w0, self._zero)
-
-    def interp(self, env):
-        lo, hi = self._lo, self._hi
-        f = env.get_block(self._force, lo * 3, hi * 3)
-        v = env.get_block(self._vel, lo * 3, hi * 3) + _DT * f
-        p = env.get_block(self._pos, lo * 3, hi * 3) + _DT * v
-        env.set_block(self._vel, lo * 3, v)
-        env.set_block(self._pos, lo * 3, p)
-        env.set_block(self._force, lo * 3, np.zeros((hi - lo) * 3))
-        yield self.cost
+def _integrate(env, pos, vel, force, lo: int, hi: int) -> None:
+    """The integration phase for molecules ``[lo, hi)``: update the
+    owner's slice of pos/vel and clear its force slice. The accumulation
+    phase's locked writes to ``force`` are fenced off by the worker's
+    barrier before this runs; each owner touches only its own slice.
+    Phase reasoning is beyond the static lockset (the dynamic detector
+    proves these runs race-free)."""
+    f = env.get_block(force, lo * 3, hi * 3)
+    v = env.get_block(vel, lo * 3, hi * 3) + _DT * f
+    p = env.get_block(pos, lo * 3, hi * 3) + _DT * v
+    env.set_block(vel, lo * 3, v)
+    env.set_block(pos, lo * 3, p)
+    env.set_block(force, lo * 3, np.zeros((hi - lo) * 3))
 
 
 class Water(Application):
@@ -130,7 +86,7 @@ class Water(Application):
         lo, hi = split_range(n, nprocs, me)
         half = n // 2
         chunk_of = [split_range(n, nprocs, r) for r in range(nprocs)]
-        integrate = _WaterIntegrate(env, pos, vel, force, lo, hi)
+        integrate_step = env.compute((hi - lo) * 0.3, (hi - lo) * 24)
 
         def owner_of(mol: int) -> int:
             for r, (clo, chi) in enumerate(chunk_of):
@@ -171,7 +127,9 @@ class Water(Application):
             yield from env.barrier()
 
             # --- integration phase: owners update their molecules ------------
-            yield from env.run_region(integrate)
+            if hi > lo:
+                _integrate(env, pos, vel, force, lo, hi)
+                yield integrate_step
             yield from env.barrier()
 
     def result_arrays(self, params: dict):

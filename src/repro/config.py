@@ -306,20 +306,6 @@ class MachineConfig:
     #: in the environment, to force every access through full dispatch
     #: (debugging / the determinism regression tests).
     fastpath: bool = True
-    #: Enable the staged kernel-lowering pipeline (:mod:`repro.lower`,
-    #: DESIGN.md §14): worker loop regions that are statically proven
-    #: sync-free are executed as batched super-steps — per-step page
-    #: permissions are still validated (and faults replayed) at the
-    #: exact simulated instant the interpreter would have touched them,
-    #: but warm steps collapse into one numpy call with inlined time
-    #: charges. Behavior-preserving: a lowered run produces
-    #: byte-identical statistics and result arrays to an interpreted
-    #: one (``tests/test_lowering.py``). Automatically disabled when a
-    #: checker/tracer/metrics observer is attached, under fault
-    #: injection, for write-through protocols, or when the fast path is
-    #: off. Disable here, or set ``CASHMERE_NO_LOWERING=1``, to force
-    #: per-step interpretation.
-    lowering: bool = True
     #: Opt-in deterministic fault injection (:mod:`repro.memchannel.faults`,
     #: DESIGN.md §12): seeded message reordering, delayed/dropped write
     #: notices, request NAKs, node slowdown, and crash-stop. ``None``

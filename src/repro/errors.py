@@ -115,20 +115,6 @@ class NodeCrashedError(SimulationError):
     """
 
 
-class LoweringError(CashmereError):
-    """A kernel region failed the stage-1 lowerability proof
-    (:mod:`repro.lower.analyze`).
-
-    Region bodies must be sync-free: any ``yield from`` delegation or
-    call to a blocking/synchronizing env method (``barrier``,
-    ``acquire``, ``release``, flag operations) inside a
-    :class:`~repro.lower.RegionKernel.interp` body makes the region
-    non-lowerable, because the batched executor could not replay the
-    side effects of the sync at the right simulated instant. These
-    indicate a malformed kernel class, never user data.
-    """
-
-
 class InvariantViolation(CashmereError):
     """The model checker found a reachable state violating a coherence
     invariant (:mod:`repro.check.explore`).

@@ -25,17 +25,6 @@ runs:
     Full 32-processor (8 nodes x 4) runs under 2L with default problem
     sizes; also reports simulated-us per wall-second (simulator
     throughput).
-``sor_band_lowered`` / ``sor_band_interp``
-    The kernel-lowering pipeline's home turf (DESIGN.md §14): a
-    single-processor SOR band run with lowering on vs forced per-step
-    interpretation. A solo processor never trips the batched executor's
-    event-horizon check, so whole half-sweeps collapse into single
-    events — this pair carries the host-independent >=2x ratio gate.
-    (The 32-processor runs are lockstep-contended: every step, another
-    processor's event is due, so batches degenerate to one step and
-    lowering adaptively falls back — which is why the gate lives here
-    and not on ``sor32``.) The lowered rep is also diffed against the
-    interpreted rep — stats and result bytes — as a CI parity check.
 ``sweep_serial`` / ``sweep_parallel`` / ``sweep_warm``
     The sweep engine (:mod:`repro.experiments.sweep`) over a
     figure7-style grid of cells: cold serial, cold on a process pool
@@ -69,7 +58,7 @@ import platform
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,7 +68,7 @@ from ..cluster.machine import Cluster
 from ..protocol import make_protocol
 from ..protocol.directory import GlobalDirectory
 from ..vm.page import Perm
-from ..runtime.api import fastpath_enabled, lowering_enabled
+from ..runtime.api import fastpath_enabled
 from ..runtime.env import WorkerEnv
 from ..runtime.program import ParallelRuntime, run_app
 from ..sim.process import Charge, ProcessGroup
@@ -88,10 +77,9 @@ from ..sync.barrier import Barrier
 #: Schema tag written into every BENCH_*.json. Bumped to 2 when the
 #: report gained ``fastpath``/``jobs`` environment provenance and the
 #: cache-warm sweep's hit/miss counts; bumped to 3 when every
-#: microbenchmark gained ``sim_us``/``sim_us_per_wall_s``, the sweep
-#: benches an honest measured ``speedup``, and the report the
-#: ``lowering`` provenance flag plus the ``sor_band_*`` lowering pair.
-#: The metrics store (:mod:`repro.metrics.store`) ingests all three.
+#: microbenchmark gained ``sim_us``/``sim_us_per_wall_s`` and the sweep
+#: benches an honest measured ``speedup``. The metrics store
+#: (:mod:`repro.metrics.store`) ingests all three.
 SCHEMA = "cashmere-bench-3"
 
 #: CI regression gate: fail when the access microbenchmark is more than
@@ -110,14 +98,6 @@ def report_stamp() -> str:
     sanctioned real-time module, see D101) so other report writers —
     e.g. the scale family — never read the clock themselves."""
     return time.strftime("%Y-%m-%dT%H:%M:%S")
-
-#: CI lowering gate: the lowered solo SOR band run must beat the
-#: interpreted one by at least this wall-clock factor. Host-independent
-#: (both runs execute in the same process on the same host, and the
-#: ratio — measured ≈4x — has wide headroom) and byte-identity is
-#: asserted separately, so a trip means the batched executor stopped
-#: batching, not that the runner is slow.
-LOWERING_SPEEDUP_FACTOR = 2.0
 
 
 @dataclass
@@ -176,7 +156,6 @@ class BenchReport:
             # Schema 2/3: the environment knobs that change what the
             # timed code actually executes.
             "fastpath": fastpath_enabled(MachineConfig()),
-            "lowering": lowering_enabled(MachineConfig()),
             "jobs": os.environ.get("CASHMERE_JOBS") or None,
             "benchmarks": benchmarks,
         }
@@ -236,26 +215,6 @@ class BenchReport:
                     f"{warm.wall_s:.4f}s warm vs {serial.wall_s:.4f}s "
                     f"serial (expected < 0.5x) — result cache is not "
                     f"serving hits")
-        # Host-independent lowering gates (see LOWERING_SPEEDUP_FACTOR):
-        # parity is mandatory, and the solo-band lowered run must beat
-        # the interpreted one by the configured ratio.
-        lowered = self.result("sor_band_lowered")
-        interp = self.result("sor_band_interp")
-        if lowered is not None and lowered.extra:
-            for key in ("parity", "parity_sor32"):
-                verdict = lowered.extra.get(key)
-                if verdict is not None and verdict != "ok":
-                    return (f"lowering {key} check failed: lowered and "
-                            f"interpreted runs diverged ({verdict}) — "
-                            f"the batched executor is not byte-identical")
-        if lowered is not None and interp is not None and \
-                lowered.wall_s > 0 and \
-                interp.wall_s < LOWERING_SPEEDUP_FACTOR * lowered.wall_s:
-            return (f"kernel lowering not paying off: lowered solo SOR "
-                    f"band {lowered.wall_s:.4f}s vs interpreted "
-                    f"{interp.wall_s:.4f}s "
-                    f"(expected >= {LOWERING_SPEEDUP_FACTOR}x speedup) — "
-                    f"the batched executor is not batching")
         # Host-independent directory-scaling gate: both owner counts run
         # in the same process, only their ratio gates (measured ≈1x).
         directory = self.result("directory")
@@ -455,72 +414,6 @@ def _full_run(app_name: str, small: bool = False) -> float:
     return result.exec_time_us
 
 
-def _run_fingerprint(result, app, params) -> tuple:
-    """Stats + result bytes, for the lowering parity check."""
-    stats = result.stats
-    return (
-        stats.exec_time_us,
-        dict(stats.aggregate.counters),
-        dict(stats.aggregate.buckets),
-        stats.mc_traffic_bytes,
-        [(dict(ps.counters), dict(ps.buckets)) for ps in stats.per_proc],
-        {name: result.array(name).tobytes()
-         for name in app.result_arrays(params)},
-    )
-
-
-def bench_lowering(reps: int, quick: bool = False) -> list[BenchResult]:
-    """Lowered vs interpreted SOR: the kernel-lowering pipeline's bench.
-
-    Times a single-processor band run both ways (the horizon-friendly
-    placement where batching actually happens; the ratio carries the CI
-    gate — see :data:`LOWERING_SPEEDUP_FACTOR`), and diffs the two runs'
-    statistics and result bytes. A second parity diff runs the 8x4
-    ``sor32`` placement with small parameters: the lockstep-contended
-    schedule where the executor commits after every step and the
-    adaptive policy falls back to the interpreter.
-    """
-    band_cfg = MachineConfig(nodes=1, procs_per_node=1)
-    app = make_app("SOR")
-    # Default problem size even under --quick: the small grid finishes
-    # in ~1 ms, where fixed per-run setup dilutes the ratio the CI gate
-    # depends on, and the default 1x1 run is itself only tens of ms.
-    params = app.default_params()
-    state: dict = {}
-
-    def run_one(cfg, key):
-        result = run_app(make_app("SOR"), params, cfg, "2L")
-        state[key] = (result.exec_time_us,
-                      _run_fingerprint(result, app, params))
-
-    lowered_wall = _best_of(lambda: run_one(band_cfg, "lowered"), reps)
-    interp_wall = _best_of(
-        lambda: run_one(replace(band_cfg, lowering=False), "interp"), reps)
-    parity = "ok" if state["lowered"][1] == state["interp"][1] \
-        else "MISMATCH"
-
-    cfg32 = MachineConfig(nodes=8, procs_per_node=4)
-    p32 = app.small_params()
-    low32 = run_app(make_app("SOR"), p32, cfg32, "2L")
-    int32 = run_app(make_app("SOR"), p32,
-                    replace(cfg32, lowering=False), "2L")
-    parity32 = "ok" if _run_fingerprint(low32, app, p32) == \
-        _run_fingerprint(int32, app, p32) else "MISMATCH"
-
-    extra = {"placement": "1:1"}
-    speedup = interp_wall / lowered_wall if lowered_wall > 0 else None
-    return [
-        BenchResult("sor_band_lowered", lowered_wall, reps,
-                    sim_us=state["lowered"][0],
-                    extra=dict(extra, parity=parity,
-                               parity_sor32=parity32,
-                               speedup=round(speedup, 2)
-                               if speedup else None)),
-        BenchResult("sor_band_interp", interp_wall, reps,
-                    sim_us=state["interp"][0], extra=dict(extra)),
-    ]
-
-
 def _sweep_specs(quick: bool) -> list:
     """A figure7-style grid of independent cells for the sweep benches."""
     from .configs import experiment_config
@@ -673,9 +566,6 @@ def run_bench(quick: bool = False, baseline_path: str | None = None,
     water_run = tracked(lambda: _full_run("Water", small=quick))
     report.results.append(BenchResult(
         "water32", _best_of(water_run, reps), reps, sim_us=sim_us[0]))
-
-    note("lowering")
-    report.results.extend(bench_lowering(reps, quick))
 
     note("sweep")
     report.results.extend(bench_sweep(quick))

@@ -18,7 +18,6 @@ Usage (installed as ``cashmere-repro``)::
                            [--baseline benchmarks/perf/baseline.json]
                            [--profile]
     cashmere-repro lint    [PATHS ...] [--select RULES] [--format json]
-    cashmere-repro lower-gen APP [--apply]
     cashmere-repro modelcheck [PROTO ...] [--budget N] [--mutant NAME]
                               [--out counterexample.json]
     cashmere-repro metrics {bench,run,import,list,report,html} ...
@@ -43,9 +42,7 @@ writes the report to ``PATH`` instead.
 
 ``bench`` measures the simulator's *wall-clock* performance (every other
 experiment reports simulated time); with ``--baseline`` it exits nonzero
-when the access-path microbenchmark has regressed more than 2x, and it
-always gates on kernel lowering (the lowered solo SOR band run must be
-byte-identical to — and at least 2x faster than — the interpreted one).
+when the access-path microbenchmark has regressed more than 2x.
 ``--profile`` adds one cProfile rep of each single-process benchmark and
 prints the top functions by cumulative time to stderr.
 
@@ -53,13 +50,6 @@ prints the top functions by cumulative time to stderr.
 (:mod:`repro.lint`) over PATHS (default: the installed ``repro``
 package). Exit code 0 means clean, 1 means findings, 2 means a usage
 error; see README "Static analysis" for the rule table.
-
-``lower-gen`` verifies an app's committed RegionKernel descriptors
-against their interp bodies (exit 0 when they provably match — the
-same check lint rules K001/K002 gate on), or, for an app with no
-kernels yet, emits RegionKernel scaffolds with inferred touch lists
-for every provably lowerable worker region (``--apply`` inserts them
-into the app module for hand-tuning).
 
 ``trace`` runs one application with event tracing and exports Chrome
 ``trace_event`` JSON viewable at https://ui.perfetto.dev; ``profile``
@@ -185,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
                                  "figure7", "shootdown", "lockfree",
                                  "sensitivity", "polling", "scale", "all",
                                  "trace", "profile", "bench", "lint",
-                                 "lower-gen", "modelcheck"])
+                                 "modelcheck"])
     parser.add_argument("apps", nargs="*",
                         help="restrict to these applications (required "
                              "single APP for trace/profile; PATHS to "
@@ -245,10 +235,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--format", default="text",
                         choices=["text", "json"], dest="lint_format",
                         help="lint only: output format")
-    parser.add_argument("--apply", action="store_true",
-                        help="lower-gen only: insert the generated "
-                             "RegionKernel scaffolds into the app "
-                             "module for hand-tuning")
     # parse_intermixed_args: `lint --select D PATH` has optionals
     # before the nargs='*' positional, which plain parse_args
     # cannot split.
@@ -256,13 +242,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.experiment == "lint":
         return run_lint(args)
-    if args.experiment == "lower-gen":
-        if len(args.apps) != 1:
-            raise SystemExit("lower-gen needs exactly one application, "
-                             "e.g. `cashmere-repro lower-gen sor`")
-        from ..lower.generate import run_lower_gen
-        return run_lower_gen(resolve_app_name(args.apps[0]),
-                             apply=args.apply)
 
     start = wall_clock()
     if args.experiment == "bench":

@@ -6,11 +6,10 @@ Programmatic entry point::
     result = run(["src/repro", "examples"])
     assert result.exit_code == 0, result.format_text()
 
-All four engines run over every file: the app analyzer only triggers
+All three engines run over every file: the app analyzer only triggers
 on functions that take an ``env`` parameter, the determinism checks
-skip the sanctioned modules, the fault-path checks key on names
-reserved for directory state, and the touch verifier keys on
-RegionKernel subclasses, so it is safe (and simpler) not to route
+skip the sanctioned modules, and the fault-path checks key on names
+reserved for directory state, so it is safe (and simpler) not to route
 files to engines by path.
 
 Output is deterministic: files are discovered in sorted order, display
@@ -26,7 +25,6 @@ import os
 from .appcheck import check_app
 from .determinism import check_determinism
 from .faultcheck import check_faultpaths
-from .touch import check_touches
 from .diagnostics import Diagnostic, LintResult
 from .rules import RULES
 from .suppress import is_suppressed, suppressions
@@ -128,7 +126,6 @@ def lint_source(source: str, display: str,
     check_app(tree, report)
     check_determinism(tree, display, report)
     check_faultpaths(tree, report)
-    check_touches(tree, report)
     return active, suppressed
 
 

@@ -59,9 +59,8 @@ _RANK_ATTRS = frozenset({"rank", "local_rank", "node_rank"})
 Reporter = Callable[[str, int, int, str], None]
 
 
-#: Per-node expression walkers live with the CFG builder now
-#: (:func:`repro.lint.cfg.node_exprs` / :func:`~repro.lint.cfg.node_calls`),
-#: shared with the lowering pipeline's stage-1 proof.
+#: Per-node expression walkers live with the CFG builder
+#: (:func:`repro.lint.cfg.node_exprs` / :func:`~repro.lint.cfg.node_calls`).
 _walk_no_defs = walk_no_defs
 
 #: Comprehension forms whose generator targets open a nested scope.

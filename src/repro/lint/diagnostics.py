@@ -21,7 +21,7 @@ from .rules import RULES
 
 #: Version tag of the JSON output document. Bump on any change to the
 #: key layout below; consumers must check it. /2 added the "engine"
-#: key to each diagnostic entry alongside the K-series touch rules.
+#: key to each diagnostic entry.
 SCHEMA = "cashmere-lint/2"
 
 

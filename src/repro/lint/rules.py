@@ -3,7 +3,7 @@
 Rule IDs are stable, documented identifiers (they appear in README's
 rule table, in ``--select`` arguments, and in per-line
 ``# cashmere: ignore[RULE]`` suppressions), so treat them like a wire
-format: never renumber, only append.
+format: never renumber or reuse a retired ID, only append.
 
 Three engines share this registry:
 
@@ -17,10 +17,6 @@ Three engines share this registry:
 * ``fault`` — the fault-path lint (:mod:`repro.lint.faultcheck`):
   protocol handlers acting on transient (Pending) directory state
   outside the bounded timeout path (see DESIGN.md §12).
-* ``touch`` — the symbolic touch verifier (:mod:`repro.lint.touch`):
-  abstract interpretation of RegionKernel bodies over an affine index
-  domain, diffing hand-written descriptors against the access summary
-  of the interp body (see DESIGN.md §16).
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ class Rule:
 
     id: str
     slug: str
-    engine: str       # "app" | "det" | "core"
+    engine: str       # "app" | "det" | "fault" | "core"
     severity: str     # "error" | "warning"
     summary: str
 
@@ -97,23 +93,6 @@ _ALL_RULES = (
          "transient (Pending) directory state read outside the bounded "
          "timeout path: raw pending_until access or an is_pending() "
          "poll loop instead of _await_not_pending()"),
-    # --- engine 4: symbolic touch verifier -------------------------------
-    Rule("K001", "touch-mismatch", "touch", "error",
-         "RegionKernel descriptor diverges from the interp body: wrong "
-         "span, wrong order, wrong mode, or an entry the code never "
-         "touches — the executor would replay the wrong faults"),
-    Rule("K002", "touch-underapprox", "touch", "error",
-         "RegionKernel descriptor omits a span the interp body provably "
-         "touches: the executor would skip a protocol fault the "
-         "interpreter takes (the dangerous direction)"),
-    Rule("K003", "lowerable-unlowered", "touch", "warning",
-         "worker region is provably lowerable (sync-free, step-shaped, "
-         "affine accesses) but the module defines no RegionKernel: a "
-         "candidate for the kernel-lowering backlog"),
-    Rule("K004", "non-affine-touch", "touch", "warning",
-         "RegionKernel body leaves the affine index domain (non-affine "
-         "subscript, unstable loop state, unsupported construct): the "
-         "descriptor cannot be verified symbolically"),
 )
 
 #: Ordered registry: rule ID -> :class:`Rule`.

@@ -214,8 +214,6 @@ class RunStore:
             # bench-2 additions (absent from bench-1 documents):
             "fastpath": report.get("fastpath"),
             "jobs": report.get("jobs"),
-            # bench-3 addition:
-            "lowering": report.get("lowering"),
         }
         counters: dict = {}
         for name, entry in report.get("benchmarks", {}).items():

@@ -140,25 +140,6 @@ def fastpath_enabled(config: MachineConfig) -> bool:
     return bool(config.fastpath)
 
 
-def lowering_enabled(config: MachineConfig) -> bool:
-    """Should worker environments execute lowered kernel regions?
-
-    ``MachineConfig.lowering`` (default True) opts in; the
-    ``CASHMERE_NO_LOWERING`` environment variable force-disables it for a
-    whole process without touching configs — the lowering regression
-    tests diff lowered runs against runs forced through the per-step
-    interpreter this way. Lowering is additionally suppressed
-    per-runtime whenever an observer (checker/tracer/metrics) or fault
-    injection is active, and per-environment for write-through
-    protocols; those decisions happen in
-    :class:`~repro.runtime.ParallelRuntime` and
-    :class:`~repro.runtime.env.WorkerEnv`.
-    """
-    if env_flag("CASHMERE_NO_LOWERING"):
-        return False
-    return bool(config.lowering)
-
-
 @dataclass(frozen=True)
 class SharedArray:
     """A named, contiguous range of shared words."""

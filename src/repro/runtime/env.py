@@ -28,11 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..cluster.machine import Processor
-from ..lower.exec import LoweredRun
 from ..sim.process import Compute
 from .api import SharedArray
-
-_INF = float("inf")
 
 
 class WorkerEnv:
@@ -62,10 +59,6 @@ class WorkerEnv:
         # the paper's in-line check, minus the check.
         proto = runtime.protocol
         st = proto.proc_state(proc)
-        #: Protocol-side per-processor state (page table row + frames);
-        #: the lowered-region executor validates page permissions and
-        #: replays faults against it (:mod:`repro.lower`).
-        self._pstate = st
         self._frames = st.frames
         table = proto.tables[st.owner]
         self._rmap: dict[int, np.ndarray] = table.rmaps[st.lidx]
@@ -82,28 +75,6 @@ class WorkerEnv:
         #: whose ``store`` must keep doubling every write to the master.
         self._fast_write = fast and not getattr(proto, "write_through",
                                                 False)
-        #: Kernel lowering (:mod:`repro.lower`): the runtime switch
-        #: already folds in the observers and fault injection; the
-        #: fast-path requirements fold in the tracer and write-through
-        #: protocols (1L must keep doubling every store to the master,
-        #: so its writes cannot be batched into direct frame stores).
-        self._lowering = (getattr(runtime, "lowering", False)
-                          and self._fast_read and self._fast_write)
-        #: Adaptive-lowering state of this *simulation*: the last
-        #: measured steps-per-batch ratio per kernel class, shared by
-        #: the run's environments and written by the region executor.
-        self._adapt_ratio: dict[type, float] = \
-            runtime.region_ratio if self._lowering else {}
-        #: Region entries remaining (per kernel class) before the next
-        #: interpreted schedule re-probes the batched executor.
-        #: Populated only for kernel classes currently in the
-        #: interpreting (degenerate-schedule) regime — the lowered
-        #: steady state never touches it.
-        self._region_probe: dict[type, int] = {}
-        #: One reusable region instruction per kernel class: the
-        #: single-element tuple ``run_region`` hands back as an iterator
-        #: (see :meth:`_region_instruction`).
-        self._region_runs: dict[type, tuple] = {}
         #: TLB hit/miss tally shared with the metrics collector — a
         #: two-element ``[hits, misses]`` list bumped by the counting
         #: closure variants below. None (and no counting code exists)
@@ -401,71 +372,6 @@ class WorkerEnv:
     def compute(self, cpu_us: float, mem_bytes: float = 0.0) -> Compute:
         """A block of application computation; yield the returned object."""
         return Compute(cpu_us * self._cscale, mem_bytes * self._cscale)
-
-    # --- lowered kernel regions -----------------------------------------------------
-
-    def run_region(self, kernel):
-        """Generator: execute one lowerable kernel region (:mod:`repro.lower`).
-
-        Delegate with ``yield from env.run_region(kernel)``. When
-        lowering is off (or the region is empty) this returns the
-        kernel's per-step interpreter generator — the original loop,
-        inlined byte-identically through generator delegation. When
-        lowering is on it yields a single batched region instruction
-        that the simulation layer drives (validating page permissions
-        per step, replaying faults at the exact instants the
-        interpreter would have faulted, and charging per-step compute
-        costs with the same arithmetic).
-
-        A region with no steps (``kernel.n == 0``) is skipped entirely,
-        in both modes — the region-level equivalent of the ``if my_work:``
-        guard workers used to wrap around their loops.
-
-        The adaptive decision (:meth:`RegionKernel.want_lowered` is the
-        reference form) is hoisted out of the hot path: in the lowered
-        steady state the entry check is one lookup of the class's last
-        measured steps-per-batch ratio — every batched execution
-        refreshes it anyway, so no per-entry counter or probe
-        bookkeeping is needed. The ratio belongs to the simulation
-        (``ParallelRuntime.region_ratio``), never to the kernel class,
-        so a cell takes the same path whatever ran before it in the
-        process. Only the interpreting (degenerate lockstep-schedule)
-        regime keeps a per-(env, kernel-class) countdown, re-probing
-        the batched executor once every ``_adapt_probe`` region entries
-        so a changed schedule can re-earn batching.
-        """
-        if kernel.n <= 0:
-            return iter(())
-        if self._lowering:
-            cls = type(kernel)
-            if self._adapt_ratio.get(cls, _INF) >= cls._adapt_threshold:
-                return self._region_instruction(kernel)
-            left = self._region_probe.get(cls, 0)
-            if left <= 0:
-                # Periodic probe: run batched once to re-measure.
-                self._region_probe[cls] = cls._adapt_probe - 1
-                return self._region_instruction(kernel)
-            self._region_probe[cls] = left - 1
-        return kernel.interp(self)
-
-    def _region_instruction(self, kernel):
-        """One batched region instruction, as an iterator — the cached
-        equivalent of ``repro.lower.exec.region_instruction``. One
-        LoweredRun per (env, kernel class) persists across executions
-        and is re-aimed at the entering kernel (a tuple iterator over
-        it is cheaper than a generator frame), so it pins at most the
-        last kernel of each class — not every per-pivot kernel a worker
-        ever built. Safe because a worker is sequential: the prior
-        region execution finished (its commit pushed the worker's
-        resume) before the worker could re-enter here.
-        """
-        cls = type(kernel)
-        ri = self._region_runs.get(cls)
-        if ri is None:
-            ri = self._region_runs[cls] = (LoweredRun(kernel, self),)
-        else:
-            ri[0].reset(kernel)
-        return iter(ri)
 
     # --- synchronization --------------------------------------------------------------
 

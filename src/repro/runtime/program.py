@@ -27,7 +27,7 @@ from ..sync import Barrier, FlagSet, MCLock
 from ..metrics import MetricsCollector, attach_metrics
 from ..trace import Tracer, attach_tracer
 from .api import (SharedSegment, checking_enabled, fastpath_enabled,
-                  lowering_enabled, metrics_enabled, tracing_enabled)
+                  metrics_enabled, tracing_enabled)
 from .env import WorkerEnv
 from .sequential import run_sequential
 from ..sim.process import ProcessGroup
@@ -80,20 +80,6 @@ class ParallelRuntime:
         #: WorkerEnv sees the final observer configuration when it
         #: decides on the fast path.
         self.fastpath = fastpath_enabled(self.config)
-        #: Kernel-lowering switch, consulted by WorkerEnv.run_region().
-        #: Observers force per-step interpretation (they hook the
-        #: per-access protocol paths a batched region would skip), as
-        #: does fault injection (a lowered batch could not be preempted
-        #: by an injected event at the right instant). Like ``fastpath``
-        #: this is decided after every observer is attached.
-        self.lowering = (lowering_enabled(self.config) and self.fastpath
-                         and self.checker is None and self.trace is None
-                         and self.metrics is None
-                         and self.config.faults is None)
-        #: Adaptive-lowering state: kernel class -> steps per batch of
-        #: its last batched execution in *this* simulation (written by
-        #: the region executor, read by WorkerEnv.run_region()).
-        self.region_ratio: dict[type, float] = {}
         self.segment = SharedSegment(self.config)
         app.declare(self.segment, params)
         self.barrier = Barrier(self.cluster, self.protocol)

@@ -59,14 +59,6 @@ class SequentialEnv:
     def compute(self, cpu_us: float, mem_bytes: float = 0.0) -> Compute:
         return Compute(cpu_us * self._cscale, mem_bytes * self._cscale)
 
-    def run_region(self, kernel):
-        """Generator: regions always run their per-step interpreter here
-        (lowering is a parallel-runtime concern; the interp body is the
-        original loop, so sequential semantics are unchanged)."""
-        if kernel.n <= 0:
-            return iter(())
-        return kernel.interp(self)
-
     # --- synchronization: no-ops for one processor --------------------------------
 
     def barrier(self):

@@ -194,13 +194,6 @@ class SimProcess:
             heappush(sim._queue, (self.ctx.clock, sim._seq, self._resume_cb))
         elif isinstance(instr, Wait):
             self._begin_wait(instr)
-        elif hasattr(instr, "drive"):
-            # Batched instruction (a lowered kernel region,
-            # :mod:`repro.lower`): the instruction drives the processor
-            # itself — charging per-step costs, replaying faults, and
-            # scheduling this process's resume when the region completes
-            # or must yield to an earlier event.
-            instr.drive(self)
         else:
             self.done = True
             err = SimulationError(

@@ -1,8 +1,9 @@
 """CFG builder edge cases (:mod:`repro.lint.cfg`).
 
-The statement CFG is the shared front end of the lint's lockset pass
-and the lowering pipeline's stage-1 proof, so its corner cases matter
-twice. These tests pin the shapes kernels actually exhibit: nested
+The statement CFG is the front end of the lint's app analyzer
+(:mod:`repro.lint.appcheck`: lock balance, barrier divergence, the
+static lockset), so its corner cases decide what every A-rule sees.
+These tests pin the shapes kernels actually exhibit: nested
 loops with ``break``/``continue`` (which loop does each one target?),
 ``try``/``finally`` around sync points (does the finally body stay on
 every path?), and generator kernels that ``return`` mid-loop (is the
@@ -12,16 +13,39 @@ code after the loop still reachable through the normal exit?).
 import ast
 import textwrap
 
-import pytest
-
-from repro.errors import LoweringError
-from repro.lint.cfg import build_cfg, node_calls
-from repro.lower import analyze_region
+from repro.lint.appcheck import KernelAnalyzer
+from repro.lint.cfg import build_cfg, node_calls, node_exprs, walk_no_defs
 
 
 def _cfg(source):
     func = ast.parse(textwrap.dedent(source)).body[0]
     return build_cfg(func)
+
+
+def _kernel(source):
+    """What the app analyzer sees in a kernel: its barrier calls, the
+    arrays it reads and writes (first-seen order), and its ``yield``
+    sites, over the CFG nodes reachable from the entry."""
+    func = ast.parse(textwrap.dedent(source)).body[0]
+    analyzer = KernelAnalyzer(func, lambda *diag: None)
+    analyzer._prepass()
+    cfg = build_cfg(func)
+    seen = cfg.reachable_from({cfg.entry})
+    barriers, reads, writes, yields = 0, [], [], 0
+    for node in cfg.nodes:
+        if node not in seen:
+            continue
+        ops = analyzer._classify(node)
+        barriers += len(ops.barriers)
+        for acc in ops.accesses:
+            (reads if acc.kind == "read" else writes).append(acc.array)
+        # Per-node expressions only: a yield belongs to its own
+        # statement node, never again to an enclosing header.
+        yields += sum(isinstance(expr, ast.Yield)
+                      for root in node_exprs(node)
+                      for expr in walk_no_defs(root))
+    return (barriers, tuple(dict.fromkeys(reads)),
+            tuple(dict.fromkeys(writes)), yields)
 
 
 def _node(cfg, marker):
@@ -146,9 +170,9 @@ def f():
     assert {_node(cfg, "a = 1"), _node(cfg, "b = 2")} <= entries
 
 
-def test_sync_inside_try_finally_blocks_lowering():
-    """Stage 1 must see through try/finally: a barrier in either the
-    body or the finally clause keeps the region interpreter-only."""
+def test_sync_inside_try_finally_is_seen_once():
+    """The analyzer sees through try/finally: a barrier in either the
+    body or the finally clause sits on a reachable node, counted once."""
     for where in ("try", "finally"):
         body = '''
 def interp(self, env):
@@ -164,13 +188,12 @@ def interp(self, env):
             "row = env.get_block(self._src, r, r + 8)",
             "x = env.get_block(self._src, r, r + 8)\n"
             "            yield from env.barrier()")
-        func = ast.parse(textwrap.dedent(poisoned)).body[0]
-        with pytest.raises(LoweringError):
-            analyze_region(func)
+        barriers, _reads, _writes, _yields = _kernel(poisoned)
+        assert barriers == 1, where
 
 
-def test_sync_free_try_finally_is_lowerable():
-    func = ast.parse(textwrap.dedent('''
+def test_try_finally_accesses_are_reachable():
+    barriers, reads, writes, _yields = _kernel('''
 def interp(self, env):
     for r in self._rows:
         try:
@@ -178,10 +201,10 @@ def interp(self, env):
         finally:
             env.set_block(self._dst, r, row)
         yield self.cost
-''')).body[0]
-    report = analyze_region(func)
-    assert report.reads == ("self._src",)
-    assert report.writes == ("self._dst",)
+''')
+    assert barriers == 0
+    assert reads == ("self._src",)
+    assert writes == ("self._dst",)
 
 
 # --- generators that return mid-loop -----------------------------------------
@@ -208,10 +231,9 @@ def gen(self, env):
 
 
 def test_return_mid_loop_region_still_analyzable():
-    """Early return is a legal region shape (the kernel just covers
-    fewer steps); stage 1 accepts it and still sees accesses on the
-    paths around it."""
-    func = ast.parse(textwrap.dedent('''
+    """An early return (the loop just covers fewer steps) leaves the
+    accesses and the yield on the paths around it reachable."""
+    _barriers, reads, writes, yields = _kernel('''
 def interp(self, env):
     for r in self._rows:
         if r > self._limit:
@@ -219,11 +241,10 @@ def interp(self, env):
         row = env.get_block(self._src, r, r + 8)
         env.set_block(self._dst, r, row)
         yield self.cost
-''')).body[0]
-    report = analyze_region(func)
-    assert report.reads == ("self._src",)
-    assert report.writes == ("self._dst",)
-    assert report.yields >= 1
+''')
+    assert reads == ("self._src",)
+    assert writes == ("self._dst",)
+    assert yields == 1
 
 
 def test_code_after_unconditional_return_is_unreachable():
@@ -288,20 +309,19 @@ def f():
 
 
 def test_with_region_yields_counted_exactly_once():
-    """The stage-1 proof attributes each yield to exactly one node —
-    no double count at loop or ``with`` headers."""
-    func = ast.parse(textwrap.dedent('''
+    """Each yield is attributed to exactly one node — no double count
+    at loop or ``with`` headers."""
+    _barriers, reads, writes, yields = _kernel('''
 def interp(self, env):
     for r in self._rows:
         with self._guard():
             row = env.get_block(self._src, r, r + 8)
             env.set_block(self._dst, r, row)
         yield self.cost
-''')).body[0]
-    report = analyze_region(func)
-    assert report.yields == 1
-    assert report.reads == ("self._src",)
-    assert report.writes == ("self._dst",)
+''')
+    assert yields == 1
+    assert reads == ("self._src",)
+    assert writes == ("self._dst",)
 
 
 # --- comprehension scopes in the taint analysis ------------------------------

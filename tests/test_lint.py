@@ -55,23 +55,6 @@ def test_good_fixture_is_clean(rule):
     assert result.exit_code == 0
 
 
-@pytest.mark.parametrize("rule",
-                         [r for r in FIXTURE_RULES if r.startswith("K")])
-def test_k_rule_suppressible(rule):
-    """Every K finding honors the per-line ignore comment at the line
-    it is reported on (fixtures keep those report sites single-line)."""
-    with open(_fixture("bad", rule)) as fh:
-        lines = fh.read().splitlines()
-    result = run([_fixture("bad", rule)])
-    for d in result.diagnostics:
-        if d.rule == rule:
-            lines[d.line - 1] += f"  # cashmere: ignore[{rule}]"
-    active, suppressed = lint_source("\n".join(lines) + "\n", "x.py",
-                                     frozenset({rule}))
-    assert active == []
-    assert rule in {d.rule for d in suppressed}
-
-
 def test_every_rule_has_both_fixtures():
     bad = {n[:-3].upper() for n in os.listdir(os.path.join(FIXTURES, "bad"))
            if n.endswith(".py")}
@@ -211,15 +194,7 @@ def test_repo_tree_is_clean():
     result = run([os.path.join(REPO, "src", "repro"),
                   os.path.join(REPO, "examples")])
     assert result.diagnostics == [], result.format_text()
-    # The audited suppressions: an F101 in check/explore.py (state_key
-    # hashes the transient deadline instead of acting on it), two K003s
-    # in barnes (phases whose extents are data-dependent per step or
-    # that batch nothing until their neighbor phase lowers too), and
-    # three K003s in the tutorial example (kept interpreted for
-    # readability). Water's two former A004 ignores disappeared when
-    # its integration phase moved into a RegionKernel.interp body
-    # (barrier-free, so the lockset check no longer over-approximates
-    # there); test_lint_vs_detector.py keeps the dynamic proof that
-    # Water stays race-free.
-    assert len(result.suppressed) == 6
-    assert {d.rule for d in result.suppressed} == {"F101", "K003"}
+    # The one audited suppression: an F101 in check/explore.py
+    # (state_key hashes the transient deadline instead of acting on it).
+    assert len(result.suppressed) == 1
+    assert {d.rule for d in result.suppressed} == {"F101"}

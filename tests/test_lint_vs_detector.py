@@ -156,8 +156,9 @@ def test_water_lints_clean_and_runs_race_free():
     """Water used to carry two ``ignore[A004]`` comments for a
     feasible-path over-approximation (barrier-fenced owner-slice
     accesses inside the locked phase's lockset). Moving the integration
-    phase into ``_WaterIntegrate.interp`` removed the need: the file now
-    lints clean with no suppressions at all. Keep the dynamic half of
+    phase into the barrier-free ``_integrate`` helper removed the need:
+    the file now lints clean with no suppressions at all. Keep the
+    dynamic half of
     the old proof — Water under the detector reports zero races — so
     the lint silence is still cross-checked against reality."""
     with open(os.path.join(REPO, "src", "repro", "apps",

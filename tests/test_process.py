@@ -74,6 +74,28 @@ class TestInstructions:
         with pytest.raises(SimulationError):
             group.run()
 
+    def test_foreign_instruction_with_drive_method_fails_loudly(self):
+        """An object that merely looks drivable is not an instruction:
+        the process fails with an error naming it, and the object is
+        never handed the process."""
+        driven = []
+
+        class Drivable:
+            def drive(self, sp):
+                driven.append(sp)
+
+        def prog():
+            yield Drivable()
+
+        sim = Simulator()
+        group = ProcessGroup(sim)
+        group.spawn(FakeCtx(), prog(), "foreign")
+        with pytest.raises(SimulationError,
+                           match="process foreign yielded unknown "
+                                 "instruction"):
+            group.run()
+        assert driven == []
+
     def test_return_value_captured(self):
         def prog():
             yield Compute(1.0)

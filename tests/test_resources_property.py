@@ -6,8 +6,8 @@ differential test: ``RefSerialResource`` / ``RefMultiChannel`` below are
 the representation and the booking rule the engine used before its
 timelines became two float lists with one search per booking; every
 booking must return the same ``(begin, end)`` and leave the same
-timeline in both, including through the end-of-timeline fast paths
-inlined in ``Processor.run_compute`` and the lowered executor.
+timeline in both, including through the end-of-timeline fast path
+inlined in ``Processor.run_compute``.
 """
 
 import bisect
@@ -340,13 +340,11 @@ def _bus_state(app_name, cfg):
 
 
 @pytest.mark.parametrize("app_name", ["SOR", "LU"])
-def test_lowered_run_books_what_acquire_books(app_name):
-    """The lowered executor's warm loop has the same fast path inlined a
-    third time. A lowered run, an interpreted run (``run_compute``'s
-    inline copy) and a traced run (every booking through ``acquire``)
-    leave every node's bus timeline identical."""
+def test_interpreted_run_books_what_acquire_books(app_name):
+    """An untraced run books its compute through ``run_compute``'s
+    inline tail copy; a traced run books every compute through
+    ``acquire``. Both leave every node's bus timeline identical."""
     cfg = MachineConfig(nodes=2, procs_per_node=2, page_bytes=512)
-    lowered = _bus_state(app_name, cfg)
-    assert any(tl for tl, _, _ in lowered)
-    assert lowered == _bus_state(app_name, replace(cfg, lowering=False))
-    assert lowered == _bus_state(app_name, replace(cfg, tracing=True))
+    interpreted = _bus_state(app_name, cfg)
+    assert any(tl for tl, _, _ in interpreted)
+    assert interpreted == _bus_state(app_name, replace(cfg, tracing=True))

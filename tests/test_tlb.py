@@ -178,15 +178,14 @@ def test_tlb_sound_at_every_barrier_departure(protocol, plan):
 # ---------------------------------------------------------------------------
 
 def test_nonfaulting_dispatches_stay_a_fraction_of_faults():
-    """2-node Gauss, two-page rows, interpreter forced so every fault is
-    taken inside a dispatch: block dispatches exceed the faults by a few
+    """2-node Gauss, two-page rows, every fault taken inside a
+    dispatch: block dispatches exceed the faults by a few
     percent (first touches of pages another access kind already
     faulted; 92 against 1,670 here). The per-node generation flush
     this design replaced made 9,401 on this very run, because every
     pivot's first fetch mapped new frames and wiped the node's caches."""
     app = make_app("Gauss")
-    cfg = MachineConfig(nodes=2, procs_per_node=4, page_bytes=512,
-                        lowering=False)
+    cfg = MachineConfig(nodes=2, procs_per_node=4, page_bytes=512)
     rt = ParallelRuntime(app, {"n": 96}, cfg, "2L")
     dispatches = _count_dispatches(rt.protocol)
     counters = rt.run().stats.aggregate.counters
