@@ -299,11 +299,7 @@ class _World:
             for lid, lock in self.locks.items())))
         for page in range(cfg.num_pages):
             e = proto.directory.entry(page)
-            # Audited F101 suppression: state_key hashes the transient
-            # deadline instead of acting on it — a digest must see the
-            # raw field (see tests/test_lint.py::test_repo_tree_is_clean).
             parts.append((e.home_owner, e.home_is_default,
-                          round(e.pending_until, 6),  # cashmere: ignore[F101]
                           e.state_tuple()))
             parts.append(proto.master(page).tobytes())
         for owner in range(proto.num_owners):
@@ -314,7 +310,7 @@ class _World:
                 (page, arr.tobytes()) for page, arr in frames.items())))
             board = proto.boards[owner]
             parts.append(tuple(tuple(
-                (wn.page, wn.from_owner, round(wn.visible_at, 6), wn.lost)
+                (wn.page, wn.from_owner, round(wn.visible_at, 6))
                 for wn in bin_) for bin_ in board.bins))
         for st in proto._ps:
             parts.append((tuple(sorted(st.dirty)),
@@ -365,10 +361,6 @@ class ModelChecker:
     def __post_init__(self) -> None:
         if self.config is None:
             self.config = small_config()
-        if self.config.faults is not None:
-            raise ProtocolError(
-                "model checking explores schedules, not injected faults; "
-                "run with faults=None")
         if len(self.scripts) > self.config.total_procs:
             raise ProtocolError(
                 f"{len(self.scripts)} scripts need more than the config's "

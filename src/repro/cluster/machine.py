@@ -18,8 +18,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from ..config import MachineConfig
-from ..errors import NodeCrashedError
-from ..memchannel import FaultInjector, MemoryChannel
+from ..memchannel import MemoryChannel
 from ..sim.engine import Condition, SerialResource, Simulator
 from ..stats.counters import ProcStats
 from ..sim.process import ExecutionContext
@@ -90,11 +89,6 @@ class Processor(ExecutionContext):
         #: Installed by the protocol runtime: called with (proc, handler)
         #: to run one polled request. None before a protocol attaches.
         self.request_runner: Callable[["Processor", Callable], None] | None = None
-        #: Crash-stop time (fault injection): once the local clock passes
-        #: this, the processor stops servicing requests — peers observe
-        #: the crash as unanswered requests and exhaust their retry
-        #: budget. ``inf`` (the default) means "never crashes".
-        self._crash_at = float("inf")
 
     # --- ExecutionContext ---------------------------------------------------
 
@@ -168,10 +162,6 @@ class Processor(ExecutionContext):
 
     def service_requests(self) -> None:
         """Drain the node's request queue (the polling handler of Figure 5)."""
-        if self.clock >= self._crash_at:
-            raise NodeCrashedError(
-                f"processor {self.global_id} (node {self.node.id}) crashed "
-                f"at {self._crash_at:.1f} us")
         if self.request_runner is None or not self._polling:
             return
         queue = self.node.request_queue
@@ -201,17 +191,6 @@ class Cluster:
         #: :func:`repro.trace.attach_tracer`).
         self.trace = None
         self.mc = MemoryChannel(self.sim, config)
-        #: Deterministic fault injector (``config.faults``), or None for
-        #: clean runs. Protocols and the request engine pick it up from
-        #: here; the zero-rate / ``None`` cases are byte-identical.
-        self.fault_injector: FaultInjector | None = None
-        if config.faults is not None:
-            self.fault_injector = FaultInjector(config)
-            self.mc.injector = self.fault_injector
-            if config.faults.reorder_rate > 0:
-                # Same-instant event ties are permuted by the injector's
-                # seeded RNG, modeling nondeterministic delivery order.
-                self.sim.chooser = self.fault_injector.choose_tie
         self.nodes: list[Node] = []
         self.processors: list[Processor] = []
         for node_id in range(config.nodes):
@@ -221,9 +200,6 @@ class Cluster:
                 proc = Processor(node, local_id, len(self.processors))
                 node.processors.append(proc)
                 self.processors.append(proc)
-        if config.faults is not None and config.faults.crash_node >= 0:
-            for proc in self.nodes[config.faults.crash_node].processors:
-                proc._crash_at = config.faults.crash_at_us
 
     @property
     def num_procs(self) -> int:

@@ -12,8 +12,9 @@ DEC AlphaServer 2100 4/233 machines on a first-generation Memory Channel.
 from __future__ import annotations
 
 import enum
+import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 
@@ -163,6 +164,20 @@ class CostModel:
     #: CPU cost of copying one 8 Kbyte page within a node (memcpy).
     page_copy_8k: float = 90.0
 
+    def __post_init__(self) -> None:
+        # A NaN or negative cost would otherwise surface mid-run as a
+        # misleading DeadlockError or, worse, as plausible wrong times;
+        # a zero bandwidth as a ZeroDivisionError. Zero costs are legal.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value) or value < 0:
+                raise ConfigError(
+                    f"cost {f.name} must be finite and non-negative, "
+                    f"got {value}")
+            if f.name.endswith("_bandwidth") and value <= 0:
+                raise ConfigError(
+                    f"bandwidth {f.name} must be positive, got {value}")
+
 
 #: Named placement configurations used throughout the evaluation
 #: (Figure 7): ``(total processors, processors per node)``.
@@ -177,90 +192,6 @@ PLACEMENTS = {
     "24:3": (24, 3),
     "32:4": (32, 4),
 }
-
-
-@dataclass(frozen=True)
-class FaultConfig:
-    """Deterministic fault-injection knobs (DESIGN.md §12).
-
-    All injected faults are drawn from a single ``random.Random(seed)``
-    stream owned by :class:`~repro.memchannel.faults.FaultInjector`, and
-    a decision point consumes randomness *only when its rate is
-    non-zero* — so a zero-rate config is byte-identical to
-    ``faults=None``, and any one fault class can be toggled without
-    perturbing the schedule of the others. Rates are per-opportunity
-    probabilities in ``[0, 1]``.
-    """
-
-    #: Seed of the injector's private RNG stream. Together with the
-    #: simulator's deterministic event order this makes every fault
-    #: schedule exactly reproducible: same seed, same faults.
-    seed: int = 0
-    #: Probability that a remote word write is deferred past its nominal
-    #: visibility time (hub-level reordering between *different*
-    #: regions; per-region write order is still enforced by
-    #: :class:`~repro.memchannel.regions.VersionedWord`). Also the
-    #: probability that simultaneous simulator events fire in a
-    #: permuted order (see ``Simulator.chooser``).
-    reorder_rate: float = 0.0
-    #: Maximum extra visibility delay of a reordered word write, us.
-    reorder_window_us: float = 50.0
-    #: Probability that a posted write notice is delivered late.
-    notice_delay_rate: float = 0.0
-    #: Extra delivery delay of a delayed write notice, us.
-    notice_delay_us: float = 250.0
-    #: Probability that a write notice payload is lost. The bin's tail
-    #: pointer still advances (that word write is ordered), so the
-    #: consumer observes a sequence *gap* and must resynchronize.
-    notice_drop_rate: float = 0.0
-    #: Probability that an explicit request is NAK'd by a transiently
-    #: busy server (FLASH-style negative acknowledgement); the
-    #: requester backs off and retries.
-    nak_rate: float = 0.0
-    #: Requester back-off after a NAK or an unanswered request, us.
-    nak_backoff_us: float = 200.0
-    #: Retry budget for NAK'd / unanswered requests before the
-    #: requester gives up (raises).
-    max_retries: int = 64
-    #: Nodes whose request-handler service runs ``slowdown`` times
-    #: slower (overloaded / de-scheduled server processors).
-    slow_nodes: tuple[int, ...] = ()
-    slowdown: float = 1.0
-    #: Crash-stop: this node halts at ``crash_at_us`` (-1 = no crash).
-    #: Its processors stop executing, and requests directed at it go
-    #: unanswered until the requester's retry budget is exhausted.
-    crash_node: int = -1
-    crash_at_us: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("reorder_rate", "notice_delay_rate",
-                     "notice_drop_rate", "nak_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {rate}")
-        for name in ("reorder_window_us", "notice_delay_us",
-                     "nak_backoff_us", "crash_at_us"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be non-negative")
-        if self.max_retries < 1:
-            raise ConfigError("max_retries must be positive")
-        if self.slowdown < 1.0:
-            raise ConfigError("slowdown must be >= 1")
-
-    @property
-    def active(self) -> bool:
-        """Whether any fault can actually fire under this config."""
-        return (self.reorder_rate > 0.0 or self.notice_delay_rate > 0.0
-                or self.notice_drop_rate > 0.0 or self.nak_rate > 0.0
-                or (self.slowdown > 1.0 and bool(self.slow_nodes))
-                or self.crash_node >= 0)
-
-    @classmethod
-    def demo(cls, seed: int) -> "FaultConfig":
-        """Moderate every-fault-class-on rates for CLI/CI runs."""
-        return cls(seed=seed, reorder_rate=0.05, notice_delay_rate=0.05,
-                   notice_drop_rate=0.02, nak_rate=0.02,
-                   slow_nodes=(0,), slowdown=1.5)
 
 
 @dataclass(frozen=True)
@@ -306,12 +237,6 @@ class MachineConfig:
     #: in the environment, to force every access through full dispatch
     #: (debugging / the determinism regression tests).
     fastpath: bool = True
-    #: Opt-in deterministic fault injection (:mod:`repro.memchannel.faults`,
-    #: DESIGN.md §12): seeded message reordering, delayed/dropped write
-    #: notices, request NAKs, node slowdown, and crash-stop. ``None``
-    #: (the default) executes exactly the fault-free code paths; a
-    #: zero-rate :class:`FaultConfig` is byte-identical to ``None``.
-    faults: FaultConfig | None = None
     #: Opt-in time-series metrics sampling (:mod:`repro.metrics`): a
     #: collector polls directory occupancy, page-state histograms,
     #: Memory Channel bandwidth, request-queue depths, and fast-path
@@ -340,7 +265,7 @@ class MachineConfig:
     #: round-robin striping (no relocation ever); ``"migrate"`` is
     #: first-touch plus migrate-on-repeated-diff — a page whose diffs
     #: keep coming from the same remote owner moves its home there,
-    #: reusing the Pending/relocation machinery.
+    #: reusing the relocation machinery.
     home_policy: str = "first_touch"
     costs: CostModel = field(default_factory=CostModel)
 
@@ -365,16 +290,6 @@ class MachineConfig:
             raise ConfigError("shared_bytes must be a multiple of page_bytes")
         if self.superpage_pages < 1:
             raise ConfigError("superpage_pages must be positive")
-        if self.faults is not None:
-            if self.faults.crash_node >= self.nodes:
-                raise ConfigError(
-                    f"crash_node {self.faults.crash_node} out of range "
-                    f"for {self.nodes} nodes")
-            for node in self.faults.slow_nodes:
-                if not 0 <= node < self.nodes:
-                    raise ConfigError(
-                        f"slow node {node} out of range for "
-                        f"{self.nodes} nodes")
 
     # --- Derived geometry -------------------------------------------------
 

@@ -104,17 +104,6 @@ class CoherenceViolation(CashmereError):
         self.event = event
 
 
-class NodeCrashedError(SimulationError):
-    """A crash-stopped node was detected (fault injection, DESIGN.md §12).
-
-    Raised either by a crashed node's own processors when they reach
-    their crash time, or by a requester whose retry budget was exhausted
-    against an unresponsive node. Crash-stop is a *clean* failure: the
-    raise is deterministic (same seed and config, same failure point),
-    so crash runs make exact regression tests.
-    """
-
-
 class InvariantViolation(CashmereError):
     """The model checker found a reachable state violating a coherence
     invariant (:mod:`repro.check.explore`).

@@ -19,8 +19,7 @@ runs:
     occupancy) at 8, 64, and 512 owners: the sparse O(sharers) entries'
     per-access cost must stay near-flat in cluster size (the
     ``flatness`` ratio gates CI, see
-    :data:`DIRECTORY_FLATNESS_FACTOR`); the dense O(num_owners) form is
-    timed once at 512 owners for reference.
+    :data:`DIRECTORY_FLATNESS_FACTOR`).
 ``sor32`` / ``water32``
     Full 32-processor (8 nodes x 4) runs under 2L with default problem
     sizes; also reports simulated-us per wall-second (simulator
@@ -288,8 +287,7 @@ def bench_access(ops: int = 200_000) -> float:
     return proc.clock
 
 
-def _directory_ops(num_owners: int, pages: int, ops: int,
-                   dense: bool = False) -> None:
+def _directory_ops(num_owners: int, pages: int, ops: int) -> None:
     """Exercise the directory entry operations one coherence
     transition performs: permission reads and writes, sharer scans,
     exclusive-holder queries, and the occupancy sweep.
@@ -300,7 +298,7 @@ def _directory_ops(num_owners: int, pages: int, ops: int,
     cost must not grow with the owner count."""
     cfg = MachineConfig(nodes=2, procs_per_node=2, page_bytes=512,
                         shared_bytes=512 * pages)
-    directory = GlobalDirectory(cfg, num_owners, dense=dense)
+    directory = GlobalDirectory(cfg, num_owners)
     sharers = min(4, num_owners)
     for i in range(ops):
         entry = directory.entry(i % pages)
@@ -323,9 +321,7 @@ def bench_directory(reps: int, quick: bool = False) -> BenchResult:
     8-owner cost) carries the CI gate — sparse entries never touch a
     ``num_owners``-sized structure on the access path, so the ratio
     must stay near 1 on any host (see
-    :data:`DIRECTORY_FLATNESS_FACTOR`). A single dense-form rep at 512
-    owners is timed alongside for the report (the O(num_owners)
-    reference the sparse form replaces)."""
+    :data:`DIRECTORY_FLATNESS_FACTOR`)."""
     pages = 64
     ops = 20_000 if quick else 80_000
     per_op_us = {}
@@ -335,16 +331,13 @@ def bench_directory(reps: int, quick: bool = False) -> BenchResult:
         per_op_us[owners] = wall * 1e6 / ops
         if owners == 512:
             wall_512 = wall
-    dense_wall = _best_of(
-        lambda: _directory_ops(512, pages, ops, dense=True), 1)
     return BenchResult(
         "directory", wall_512, reps,
         extra={"ops": ops,
                "per_op_us_8": round(per_op_us[8], 4),
                "per_op_us_64": round(per_op_us[64], 4),
                "per_op_us_512": round(per_op_us[512], 4),
-               "flatness": round(per_op_us[512] / per_op_us[8], 2),
-               "dense_per_op_us_512": round(dense_wall * 1e6 / ops, 4)})
+               "flatness": round(per_op_us[512] / per_op_us[8], 2)})
 
 
 def bench_fault_storm(rounds: int = 12, nodes: int = 2, ppn: int = 2,

@@ -12,8 +12,7 @@ Usage (installed as ``cashmere-repro``)::
     cashmere-repro scale   [APP ...] [--quick] [--json [BENCH_scale.json]]
     cashmere-repro all     [--quick]
     cashmere-repro trace APP [--out trace.json] [--protocol 2L]
-                             [--faults SEED]
-    cashmere-repro profile APP [--protocol 2L] [--faults SEED]
+    cashmere-repro profile APP [--protocol 2L]
     cashmere-repro bench   [--quick] [--json [BENCH_run.json]]
                            [--baseline benchmarks/perf/baseline.json]
                            [--profile]
@@ -54,10 +53,7 @@ error; see README "Static analysis" for the rule table.
 ``trace`` runs one application with event tracing and exports Chrome
 ``trace_event`` JSON viewable at https://ui.perfetto.dev; ``profile``
 prints the derived contention report (hot pages, lock hold/wait times,
-barrier imbalance, Memory Channel timeline). ``--faults SEED`` runs
-either under deterministic fault injection
-(``FaultConfig.demo(SEED)``; DESIGN.md §12) so the injected stalls,
-retries, and recoveries appear on the timeline.
+barrier imbalance, Memory Channel timeline).
 
 ``metrics`` manages the sqlite-backed run store and its trend/regression
 dashboard (:mod:`repro.metrics`): ``metrics bench`` runs and ingests the
@@ -216,9 +212,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--refresh", action="store_true",
                         help="re-execute every cell and rewrite its "
                              "cache entries (ignore existing ones)")
-    parser.add_argument("--faults", type=int, default=None, metavar="SEED",
-                        help="trace/profile only: run under deterministic "
-                             "fault injection with FaultConfig.demo(SEED)")
     parser.add_argument("--budget", type=int, default=100_000, metavar="N",
                         help="modelcheck only: distinct-state budget per "
                              "protocol (exploration is exhaustive when "
@@ -312,18 +305,12 @@ def main(argv: list[str] | None = None) -> int:
             raise SystemExit(
                 f"{args.experiment} needs exactly one application, e.g. "
                 f"`cashmere-repro {args.experiment} sor`")
-        faults = None
-        if args.faults is not None:
-            from ..config import FaultConfig
-            faults = FaultConfig.demo(args.faults)
         if args.experiment == "trace":
-            n = run_trace_export(args.apps[0], args.out, args.protocol,
-                                 faults=faults)
+            n = run_trace_export(args.apps[0], args.out, args.protocol)
             print(f"wrote {n} trace events to {args.out} "
                   f"(open at https://ui.perfetto.dev)")
         else:
-            profile = run_profile(args.apps[0], args.protocol,
-                                  faults=faults)
+            profile = run_profile(args.apps[0], args.protocol)
             _emit("profile", profile.to_json(), profile.format(),
                   args.as_json)
         print(f"[{wall_clock() - start:.1f}s wall clock]", file=sys.stderr)

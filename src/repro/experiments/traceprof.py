@@ -35,32 +35,24 @@ def resolve_app_name(name: str) -> str:
 
 
 def run_traced(app_name: str, protocol: str = "2L",
-               config=None, faults=None) -> RunResult:
-    """One traced execution of ``app_name`` at experiment scale.
-
-    ``faults`` is an optional :class:`~repro.config.FaultConfig`
-    (``--faults SEED`` on the CLI passes ``FaultConfig.demo(seed)``):
-    the run executes under deterministic fault injection, and the
-    exported trace shows the injected stalls, retries, and recoveries.
-    """
+               config=None) -> RunResult:
+    """One traced execution of ``app_name`` at experiment scale."""
     app = make_app(resolve_app_name(app_name))
     cfg = replace(config or TRACE_PLATFORM, tracing=True)
-    if faults is not None:
-        cfg = replace(cfg, faults=faults)
     return run_app(app, bench_params(app), cfg, protocol)
 
 
 def run_trace_export(app_name: str, out: str, protocol: str = "2L",
-                     config=None, faults=None) -> int:
+                     config=None) -> int:
     """Trace a run and write the Chrome trace JSON; returns event count."""
-    result = run_traced(app_name, protocol, config, faults)
+    result = run_traced(app_name, protocol, config)
     return write_chrome_trace(result.trace, out)
 
 
 def run_profile(app_name: str, protocol: str = "2L",
-                config=None, faults=None) -> ContentionProfile:
+                config=None) -> ContentionProfile:
     """Trace a run and derive its contention profile."""
-    result = run_traced(app_name, protocol, config, faults)
+    result = run_traced(app_name, protocol, config)
     return ContentionProfile(result.trace)
 
 

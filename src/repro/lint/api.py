@@ -6,10 +6,9 @@ Programmatic entry point::
     result = run(["src/repro", "examples"])
     assert result.exit_code == 0, result.format_text()
 
-All three engines run over every file: the app analyzer only triggers
-on functions that take an ``env`` parameter, the determinism checks
-skip the sanctioned modules, and the fault-path checks key on names
-reserved for directory state, so it is safe (and simpler) not to route
+Both engines run over every file: the app analyzer only triggers on
+functions that take an ``env`` parameter and the determinism checks
+skip the sanctioned modules, so it is safe (and simpler) not to route
 files to engines by path.
 
 Output is deterministic: files are discovered in sorted order, display
@@ -24,7 +23,6 @@ import os
 
 from .appcheck import check_app
 from .determinism import check_determinism
-from .faultcheck import check_faultpaths
 from .diagnostics import Diagnostic, LintResult
 from .rules import RULES
 from .suppress import is_suppressed, suppressions
@@ -125,7 +123,6 @@ def lint_source(source: str, display: str,
         return active, suppressed
     check_app(tree, report)
     check_determinism(tree, display, report)
-    check_faultpaths(tree, report)
     return active, suppressed
 
 

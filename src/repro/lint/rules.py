@@ -5,7 +5,7 @@ rule table, in ``--select`` arguments, and in per-line
 ``# cashmere: ignore[RULE]`` suppressions), so treat them like a wire
 format: never renumber or reuse a retired ID, only append.
 
-Three engines share this registry:
+Two engines share this registry:
 
 * ``app`` — the application-kernel analyzer (:mod:`repro.lint.appcheck`):
   CFG + lockset analysis of worker generators written against the
@@ -14,9 +14,9 @@ Three engines share this registry:
   source-level hazards that would break the simulator's run-to-run
   determinism and therefore the soundness of the content-addressed
   result cache (see DESIGN.md §11).
-* ``fault`` — the fault-path lint (:mod:`repro.lint.faultcheck`):
-  protocol handlers acting on transient (Pending) directory state
-  outside the bounded timeout path (see DESIGN.md §12).
+
+Retired, never to be reused: the F-series IDs of the fault-path lint,
+deleted with fault injection (DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class Rule:
 
     id: str
     slug: str
-    engine: str       # "app" | "det" | "fault" | "core"
+    engine: str       # "app" | "det" | "core"
     severity: str     # "error" | "warning"
     summary: str
 
@@ -88,11 +88,6 @@ _ALL_RULES = (
     Rule("D106", "frozen-mutation", "det", "error",
          "mutation of a frozen spec/config object: cache keys assume "
          "RunSpec/MachineConfig values never change after construction"),
-    # --- engine 3: fault-path lint --------------------------------------
-    Rule("F101", "transient-read", "fault", "error",
-         "transient (Pending) directory state read outside the bounded "
-         "timeout path: raw pending_until access or an is_pending() "
-         "poll loop instead of _await_not_pending()"),
 )
 
 #: Ordered registry: rule ID -> :class:`Rule`.

@@ -1,9 +1,7 @@
-"""Simulated DEC Memory Channel: regions, mapping table, network model,
-and deterministic fault injection."""
+"""Simulated DEC Memory Channel: regions, mapping table, network model."""
 
-from .faults import FaultInjector
 from .network import MC_WORD_BYTES, MemoryChannel
 from .regions import MappingTable, MCRegion, VersionedWord
 
 __all__ = ["MemoryChannel", "MCRegion", "VersionedWord", "MappingTable",
-           "MC_WORD_BYTES", "FaultInjector"]
+           "MC_WORD_BYTES"]

@@ -47,12 +47,6 @@ class MemoryChannel:
         #: Optional event tracer (:class:`repro.trace.Tracer`); when set,
         #: word writes and bulk transfers appear on the wire track.
         self.trace = None
-        #: Optional fault injector (:class:`repro.memchannel.faults.
-        #: FaultInjector`); when set, word writes may be deferred past
-        #: their nominal visibility time (hub-level reordering between
-        #: regions — per-region order is still enforced by
-        #: :class:`~repro.memchannel.regions.VersionedWord`).
-        self.injector = None
 
     # --- regions -----------------------------------------------------------
 
@@ -90,8 +84,6 @@ class MemoryChannel:
         no meaningful bandwidth serialization.
         """
         visible_at = at + self.latency
-        if self.injector is not None:
-            visible_at += self.injector.word_jitter()
         region.post(index, value, visible_at)
         traffic = self.traffic  # account(), in line
         traffic[category] = traffic.get(category, 0) + MC_WORD_BYTES
@@ -106,8 +98,6 @@ class MemoryChannel:
         locks, write notices). One wire transaction fans out at the hub;
         traffic is charged once per receiver."""
         visible_at = at + self.latency
-        if self.injector is not None:
-            visible_at += self.injector.word_jitter()
         region.post(index, value, visible_at)
         self.account(category, MC_WORD_BYTES * max(1, fanout))
         if self.trace is not None:

@@ -41,7 +41,7 @@ DEFAULT_INTERVAL_US = 1000.0
 
 #: The protocol counters sampled as per-interval deltas (a stable subset
 #: of :data:`repro.stats.counters.COUNTER_NAMES`: the Table 3 rows plus
-#: the fault-injection NAK/retry activity).
+#: request service, sync, and write-doubling activity).
 TRACKED_COUNTERS = (
     "read_faults",
     "write_faults",
@@ -57,9 +57,6 @@ TRACKED_COUNTERS = (
     "lock_acquires",
     "barriers_crossed",
     "barrier_combine_hops",
-    "request_naks",
-    "request_retries",
-    "notice_resyncs",
 )
 
 

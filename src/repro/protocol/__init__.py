@@ -3,7 +3,7 @@
 from ..config import Protocol
 from .base import BaseProtocol
 from .cashmere2l import Cashmere2L, Cashmere2LS
-from .directory import (NO_HOLDER, DirectoryLockModel, DirEntry, DirWord,
+from .directory import (NO_HOLDER, DirectoryLockModel, DirEntry,
                         GlobalDirectory, PageMeta)
 from .messages import RequestEngine
 from .onelevel import Cashmere1L, Cashmere1LD, OneLevelProtocol
@@ -39,7 +39,7 @@ def make_protocol(name, cluster, *, lock_free=True, home_opt=False):
 __all__ = [
     "BaseProtocol", "Cashmere2L", "Cashmere2LS", "Cashmere1LD", "Cashmere1L",
     "OneLevelProtocol", "GlobalDirectory", "DirectoryLockModel", "DirEntry",
-    "DirWord", "PageMeta", "NoticeBoard", "PerProcNotices", "WriteNotice",
+    "PageMeta", "NoticeBoard", "PerProcNotices", "WriteNotice",
     "NLEList", "RequestEngine", "PROTOCOL_CLASSES", "make_protocol",
     "NO_HOLDER",
 ]

@@ -90,26 +90,6 @@ class BaseProtocol:
         #: protocol never pushes into it — sampling is pull-based, so
         #: the fast paths carry no metrics branches.
         self.metrics = None
-        #: Optional fault injector (:class:`repro.memchannel.faults.
-        #: FaultInjector`), installed by the cluster when
-        #: ``MachineConfig.faults`` is set; ``None`` keeps every protocol
-        #: path exactly as it was.
-        self.injector = getattr(cluster, "fault_injector", None)
-        #: Whether injected faults can perturb write-notice delivery
-        #: (late, lost, or jittered past an acquire); gates the
-        #: wait-out/resync recovery in :meth:`_collect_notices` so
-        #: zero-rate configs stay byte-identical to ``faults=None``.
-        self._notice_faults = self.injector is not None and (
-            self.injector.faults.notice_delay_rate > 0.0
-            or self.injector.faults.notice_drop_rate > 0.0
-            or self.injector.faults.reorder_rate > 0.0)
-        #: Whether multi-step directory transactions mark their entry
-        #: Pending (transient state, Snippet 3 style). Only when faults
-        #: can actually fire: the staleness window Pending models is
-        #: only observable under injection, and fault-free runs must
-        #: stay byte-identical.
-        self._transients = self.injector is not None \
-            and self.injector.faults.active
 
         self.num_owners = self._owner_count()
         lock_model = None if lock_free else DirectoryLockModel(self.config)
@@ -126,9 +106,6 @@ class BaseProtocol:
                                  tables=self.tables)
         self.boards = [NoticeBoard(o, self.num_owners)
                        for o in range(self.num_owners)]
-        if self.injector is not None:
-            for board in self.boards:
-                board.injector = self.injector
         self.requests = RequestEngine(cluster)
         self._init_masters()
 
@@ -140,7 +117,7 @@ class BaseProtocol:
         #: consecutive remote-home diff flushes; once a page's diffs come
         #: from the same owner ``_MIGRATE_STREAK`` times in a row, that
         #: owner's next fault migrates the home to it (through the same
-        #: lock + Pending + relocation path first-touch uses).
+        #: lock + relocation path first-touch uses).
         self._migrate_policy = self.config.home_policy == "migrate"
         self._migrate_streak: dict[int, list] = {}
         #: 1 once a page's home can never change again (its superpage was
@@ -340,8 +317,8 @@ class BaseProtocol:
 
         Booked as one burst (DESIGN.md §17): one shared immutable record,
         count and traffic added once, but one float add per notice
-        (``n * w`` is not the same double). An injector or tracer sees
-        each notice through :meth:`NoticeBoard.post`, in the same loop.
+        (``n * w`` is not the same double). A tracer sees each notice
+        through :meth:`NoticeBoard.post`, in the same loop.
         """
         n = len(dests)
         if not n:
@@ -349,7 +326,7 @@ class BaseProtocol:
         visible = self.mc.visibility(proc.clock)
         record = WriteNotice(page, from_owner, visible)
         boards = self.boards
-        observed = self.injector is not None or self.trace is not None
+        observed = self.trace is not None
         w = self._mc_word_write
         trace = proc.trace
         buckets = proc.stats.buckets
@@ -373,53 +350,6 @@ class BaseProtocol:
         traffic = self.mc.traffic
         traffic["write_notice"] = traffic.get("write_notice", 0) + 4 * n
 
-    def _await_not_pending(self, proc: Processor, entry) -> None:
-        """Timeout path for transient (Pending) directory state.
-
-        Under fault injection a multi-step directory transaction (an
-        exclusive break, a relocation) marks its entry pending until the
-        final write is globally visible. A requester that reads the
-        pending state must not act on the half-updated entry; it waits
-        out the window — bounded by ``pending_until``, so this is a
-        timeout, not an unbounded spin — and then proceeds against the
-        settled entry. Never fires on fault-free runs (``pending_until``
-        stays 0). This is the one sanctioned reader of raw
-        ``pending_until`` (lint rule F101).
-        """
-        if entry.pending_until > proc.clock:
-            proc.charge(entry.pending_until - proc.clock, "comm_wait")
-            proc.stats.bump("pending_waits")
-
-    def _collect_notices(self, proc: Processor, board) -> tuple[list, bool]:
-        """Collect this owner's visible write notices at an acquire.
-
-        The fault-free path is exactly ``board.collect(clock)``. Under
-        notice-affecting fault injection the releaser's per-bin notice
-        counts ride on the (lock-ordered) release word, so the acquirer
-        can tell that notices are still in flight and wait them out
-        (late deliveries), and can see a sequence gap where a payload
-        was lost. Returns ``(notices, gap_seen)``; the caller performs
-        the conservative resynchronization when ``gap_seen``.
-        """
-        notices = board.collect(proc.clock)
-        if not self._notice_faults:
-            return notices, False
-        lost = any(wn.lost for wn in notices)
-        stalled = False
-        while board.pending():
-            deadline = max(b[0].visible_at for b in board.bins if b)
-            if deadline > proc.clock:
-                stalled = True
-                proc.charge(deadline - proc.clock, "comm_wait")
-            extra = board.collect(proc.clock)
-            if not extra:
-                break
-            lost = lost or any(wn.lost for wn in extra)
-            notices = list(notices) + extra
-        if stalled:
-            proc.stats.bump("notice_stalls")
-        return notices, lost
-
     def _notices_pending(self, owner: int, page: int) -> bool:
         """Any write notice for ``page`` queued at this owner (even one
         still in flight)?
@@ -427,11 +357,9 @@ class BaseProtocol:
         Exclusive mode must not be entered with a notice pending: the
         holder's copy would be stale, and the eventual full-page break
         flush would clobber the newer master words the notice announced.
-        A *lost* notice (injected gap) counts for every page — the page
-        number never arrived, so the owner must assume the worst.
         """
         board = self.boards[owner]
-        if board.pending() and any(wn.lost or wn.page == page
+        if board.pending() and any(wn.page == page
                                    for bin_ in board.bins for wn in bin_):
             return True
         return any(page in pst.notices._bitmap
@@ -503,18 +431,15 @@ class BaseProtocol:
         """Migrate-on-repeated-diff (home_policy="migrate"): runs on the
         fault path, like first-touch, so the relocation happens at a
         moment the page is being touched anyway and reuses the same
-        home-selection lock, Pending window, and master transfer."""
+        home-selection lock and master transfer."""
         streak = self._migrate_streak.get(page)
         if streak is None:
             return
         st = self._ps[proc.global_id]
         if streak[0] != st.owner or streak[1] < self._MIGRATE_STREAK:
             return
-        entry = self.directory.entry(page)
-        if entry.is_pending(proc.clock):
-            return
         del self._migrate_streak[page]
-        old_home = entry.home_owner
+        old_home = self.directory.home(page)
         if old_home == st.owner:
             return
         begin, end = self._home_lock.acquire(proc.clock, 11.0)
@@ -547,10 +472,6 @@ class BaseProtocol:
         e.home_owner = new_home
         # The home id lives in every directory word; one broadcast update.
         self._charge_dir_update(proc)
-        if self._transients:
-            # The relocation rewrites every word of the entry; Pending
-            # until the broadcast settles (transient state, DESIGN §12).
-            e.set_pending(self.mc.visibility(proc.clock))
         if self.trace is not None:
             self.trace.instant("relocation", proc, proc.clock, obj=page,
                                old_home=old_home, new_home=new_home)

@@ -141,7 +141,6 @@ class Cashmere2L(BaseProtocol):
         self.maybe_relocate_home(proc, page)
 
         entry = self.directory.entry(page)
-        self._await_not_pending(proc, entry)
         # Already exclusive on this node: map with no protocol overhead.
         if entry.excl_of(st.owner) != NO_HOLDER:
             self._map_write(proc, st, page)
@@ -155,8 +154,7 @@ class Cashmere2L(BaseProtocol):
         can_go_exclusive = (not has_other_sharer and holder is None
                             and meta.twin is None
                             and not self.tables[st.owner].writers(page)
-                            and not self._notices_pending(st.owner, page)
-                            and not entry.is_pending(proc.clock))
+                            and not self._notices_pending(st.owner, page))
         if can_go_exclusive:
             entry.set_excl(st.owner, proc.global_id)
             entry.set_perm(st.owner, Perm.WRITE)
@@ -194,7 +192,6 @@ class Cashmere2L(BaseProtocol):
         """Fetch a fresh copy from the home node when the local copy is
         missing or stale by the timestamp rule of Section 2.4.1."""
         entry = self.directory.entry(page)
-        self._await_not_pending(proc, entry)
         home = entry.home_owner
 
         # An exclusive holding elsewhere always forces a break, even for
@@ -336,13 +333,6 @@ class Cashmere2L(BaseProtocol):
         payload, done = self.requests.explicit_request(
             proc, self.node_of_owner(holder_owner), handler,
             target_proc=holder_proc_id, category="page")
-        if self._transients:
-            # The break rewrites the directory in several ordered word
-            # writes; mark the entry Pending until the last of them is
-            # globally visible so concurrent requesters take the
-            # timeout path instead of acting on a half-updated entry.
-            self.directory.entry(page).set_pending(
-                done + self.costs.mc_latency)
         if done > proc.clock:
             proc.charge(done - proc.clock, "comm_wait")
         if self.trace is not None:
@@ -363,13 +353,9 @@ class Cashmere2L(BaseProtocol):
         if self.directory.lock_model is not None and board.pending():
             proc.charge(self.directory.lock_model.update_cost(proc.clock),
                         "protocol")
-        notices, gap = self._collect_notices(proc, board)
+        notices = board.collect(proc.clock)
         if notices:
-            # A lost notice is a gap, not a page number; handled below.
-            self._distribute(proc, st, ns,
-                             [wn.page for wn in notices if not wn.lost])
-        if gap:
-            self._recover_lost_notices(proc, st, ns)
+            self._distribute(proc, st, ns, [wn.page for wn in notices])
 
         st.acquire_ts = ns.logical
 
@@ -401,33 +387,6 @@ class Cashmere2L(BaseProtocol):
         llsc = self.costs.llsc_lock
         for _ in range(queued):
             proc.charge(llsc, "protocol")
-
-    def _recover_lost_notices(self, proc: Processor, st: ProcProtoState,
-                              ns: NodeState2L) -> None:
-        """Conservative resynchronization after a write-notice gap.
-
-        A lost notice carries no page number, so every page this node
-        shares may be the stale one. Treat them *all* as noticed: mark
-        the write-notice timestamp and queue per-processor notices for
-        every mapped, non-home, non-exclusive page, so the normal
-        timestamp rule refetches each on its next access. Sound (it
-        can only invalidate more than strictly necessary), and dirty
-        pages keep their twins, so local modifications survive the
-        refetch via the usual incoming diff.
-        """
-        proc.stats.bump("notice_resyncs")
-        # One pass over the local replicated directory copy.
-        proc.charge(self.directory.update_cost(proc), "protocol")
-        pages = []
-        for page, row in enumerate(st.rows):
-            entry = self.directory.entry(page)
-            if entry.home_owner == st.owner:
-                continue  # home works on the master copy, never stale
-            if entry.excl_of(st.owner) != NO_HOLDER:
-                continue  # our exclusive copy is the freshest there is
-            if max(row) >= Perm.READ:
-                pages.append(page)
-        self._distribute(proc, st, ns, pages)
 
     def _invalidate_mapping(self, proc: Processor, st: ProcProtoState,
                             page: int) -> None:

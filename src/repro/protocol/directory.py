@@ -25,7 +25,7 @@ tolerance of briefly stale directory views.
 Representation (DESIGN.md §15)
 ------------------------------
 On the wire an entry is always ``num_owners`` words; in simulator memory
-it need not be. The default :class:`DirEntry` is **sparse**: it stores
+it need not be. :class:`DirEntry` is **sparse**: it stores
 only the owners whose permission is READ or better (a dict keyed by
 owner) plus the single cached exclusive holder, so entry size,
 ``sharers()``, the tighten/loosen scans, and
@@ -36,17 +36,16 @@ tractable and every directory touch paying a 64-wide scan. Sparseness is
 purely a storage optimization: the wire accounting
 (:meth:`GlobalDirectory.broadcast_bytes`) still charges one word per
 replica, and every observable — permissions, holders, occupancy,
-statistics, result bytes — is byte-identical to the dense form.
+statistics, result bytes — is byte-identical to the paper's dense
+one-word-per-owner layout. ``tests/dense_directory.py`` keeps that
+dense layout as a differential reference: ``tests/test_directory.py``
+drives both forms through randomized update sequences and asserts
+identical answers.
 
-The dense form survives as :class:`DenseDirEntry` behind the
-``CASHMERE_DENSE_DIR`` debug flag (or ``GlobalDirectory(dense=True)``)
-for differential testing: ``tests/test_directory.py`` drives both forms
-through randomized update sequences and asserts identical answers.
-
-Both forms expose the same accessor protocol — ``perm_of``/``set_perm``,
-``excl_of``/``set_excl``/``clear_excl``, ``sharers``,
-``has_other_sharer``, ``exclusive_holder``, ``state_tuple`` — and the
-protocols only ever go through it; nothing outside this module indexes
+The protocols only ever go through the entry's accessor protocol —
+``perm_of``/``set_perm``, ``excl_of``/``set_excl``/``clear_excl``,
+``sharers``, ``has_other_sharer``, ``exclusive_holder``,
+``state_tuple`` — and nothing outside this module indexes
 directory words directly.
 """
 
@@ -54,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import MachineConfig, env_flag
+from ..config import MachineConfig
 from ..errors import ProtocolError
 from ..sim.engine import SerialResource
 from ..vm.page import Perm
@@ -63,45 +62,8 @@ from ..vm.page import Perm
 NO_HOLDER = -1
 
 
-@dataclass(slots=True)
-class DirWord:
-    """One owner's view of a page (one 32-bit MC word) — dense form."""
-
-    perm: Perm = Perm.INVALID
-    excl_holder: int = NO_HOLDER  # global processor id, or NO_HOLDER
-
-
-class _EntryOps:
-    """Operations shared by the sparse and dense entry forms."""
-
-    __slots__ = ()
-
-    def is_pending(self, at: float) -> bool:
-        """Whether the entry is mid-transaction at simulated time ``at``."""
-        return at < self.pending_until
-
-    def set_pending(self, until: float) -> None:
-        """Open (or extend) the transient window to time ``until``."""
-        if until > self.pending_until:
-            self.pending_until = until
-
-    def excl_of(self, owner: int) -> int:
-        """``owner``'s exclusive-holder word field: the global processor
-        id if ``owner`` holds the page exclusively, else NO_HOLDER."""
-        holder = self.exclusive_holder()
-        return holder[1] if holder is not None and holder[0] == owner \
-            else NO_HOLDER
-
-    def has_other_sharer(self, owner: int) -> bool:
-        """Whether any owner besides ``owner`` maps the page."""
-        for o in self.sharers():
-            if o != owner:
-                return True
-        return False
-
-
-class DirEntry(_EntryOps):
-    """A page's directory entry, sparse form (the default).
+class DirEntry:
+    """A page's directory entry, sparse form.
 
     Stores only the owners whose loosest permission is READ or better
     (``perms``: owner -> Perm, never holding INVALID) plus the cached
@@ -111,13 +73,12 @@ class DirEntry(_EntryOps):
       or WRITE — so ``sharers()`` is just the (sorted) key set;
     * at most one owner holds the page exclusively, and ``excl`` *is*
       that fact — there is no per-word holder field to drift from it
-      (``set_excl`` raises the same corruption error the dense form's
-      word scan would);
+      (``set_excl`` raises the corruption error a dense word scan
+      would);
     * entry size is O(sharers), independent of ``num_owners``.
     """
 
-    __slots__ = ("home_owner", "home_is_default", "perms", "excl",
-                 "pending_until")
+    __slots__ = ("home_owner", "home_is_default", "perms", "excl")
 
     def __init__(self, home_owner: int, home_is_default: bool = True) -> None:
         self.home_owner = home_owner
@@ -129,15 +90,6 @@ class DirEntry(_EntryOps):
         #: single field makes that O(1) and makes a two-holder state
         #: unrepresentable.
         self.excl: tuple[int, int] | None = None
-        #: Transient (Pending) state, FLASH-style (SNIPPETS.md Snippet 3):
-        #: under fault injection, a transaction that rewrites this entry
-        #: in multiple ordered steps (an exclusive-mode break, a home
-        #: relocation) marks the entry pending until its final write is
-        #: globally visible; concurrent requesters that read the pending
-        #: state take the timeout path (``BaseProtocol._await_not_pending``)
-        #: instead of acting on a half-updated entry. Never set on
-        #: fault-free runs.
-        self.pending_until: float = 0.0
 
     # --- accessor protocol -------------------------------------------------
 
@@ -184,8 +136,8 @@ class DirEntry(_EntryOps):
 
     def state_tuple(self) -> tuple:
         """Canonical hashable form for state digests (the model checker's
-        ``state_key``). Identical for sparse and dense entries holding
-        the same logical state."""
+        ``state_key``). Identical for any entry form holding the same
+        logical state."""
         return (tuple(sorted((o, int(p)) for o, p in self.perms.items())),
                 self.excl)
 
@@ -207,102 +159,6 @@ class DirEntry(_EntryOps):
         return 0
 
 
-class DenseDirEntry(_EntryOps):
-    """The dense (one :class:`DirWord` per owner) entry form.
-
-    Kept behind the ``CASHMERE_DENSE_DIR`` debug flag as the
-    differential-testing reference: it is the paper's literal layout,
-    pays O(num_owners) per scan, and must agree with :class:`DirEntry`
-    on every accessor for every update sequence.
-    """
-
-    __slots__ = ("words", "home_owner", "home_is_default", "excl",
-                 "excl_known", "pending_until")
-
-    def __init__(self, home_owner: int, home_is_default: bool = True, *,
-                 num_owners: int = 0,
-                 words: "list[DirWord] | None" = None) -> None:
-        self.home_owner = home_owner
-        self.home_is_default = home_is_default
-        self.words: list[DirWord] = (
-            words if words is not None
-            else [DirWord() for _ in range(num_owners)])
-        # Cached (owner, processor) of the current exclusive holder, kept
-        # in lockstep with the per-word ``excl_holder`` fields by
-        # set_excl/clear_excl; derived lazily from the words on first use
-        # (``excl_known``), so entries built with pre-set words agree.
-        self.excl: tuple[int, int] | None = None
-        self.excl_known = False
-        self.pending_until = 0.0
-
-    # --- accessor protocol -------------------------------------------------
-
-    def perm_of(self, owner: int) -> Perm:
-        return self.words[owner].perm
-
-    def set_perm(self, owner: int, perm: Perm) -> None:
-        self.words[owner].perm = perm
-
-    def sharers(self) -> list[int]:
-        return [i for i, w in enumerate(self.words) if w.perm >= Perm.READ]
-
-    def exclusive_holder(self) -> tuple[int, int] | None:
-        if not self.excl_known:
-            self._derive_excl()
-        return self.excl
-
-    def _derive_excl(self) -> None:
-        holders = [(i, w.excl_holder) for i, w in enumerate(self.words)
-                   if w.excl_holder != NO_HOLDER]
-        if len(holders) > 1:
-            raise ProtocolError(
-                f"directory corrupt: exclusive holders on owners "
-                f"{[h[0] for h in holders]}")
-        self.excl = holders[0] if holders else None
-        self.excl_known = True
-
-    def set_excl(self, owner: int, proc: int) -> None:
-        if not self.excl_known:
-            self._derive_excl()
-        if self.excl is not None and self.excl[0] != owner:
-            raise ProtocolError(
-                f"directory corrupt: exclusive holders on owners "
-                f"{[self.excl[0], owner]}")
-        self.words[owner].excl_holder = proc
-        self.excl = (owner, proc)
-
-    def clear_excl(self, owner: int) -> None:
-        if not self.excl_known:
-            self._derive_excl()
-        self.words[owner].excl_holder = NO_HOLDER
-        if self.excl is not None and self.excl[0] == owner:
-            self.excl = None
-
-    def state_tuple(self) -> tuple:
-        return (tuple(sorted(
-            (o, int(w.perm)) for o, w in enumerate(self.words)
-            if w.perm > Perm.INVALID)),
-            self.exclusive_holder())
-
-    def occupancy_into(self, per_owner: list[int]) -> int:
-        loosest = Perm.INVALID
-        exclusive = False
-        for owner, word in enumerate(self.words):
-            if word.perm >= Perm.READ:
-                per_owner[owner] += 1
-            if word.perm > loosest:
-                loosest = word.perm
-            if word.excl_holder != NO_HOLDER:
-                exclusive = True
-        if exclusive:
-            return 3
-        if loosest >= Perm.WRITE:
-            return 2
-        if loosest >= Perm.READ:
-            return 1
-        return 0
-
-
 class GlobalDirectory:
     """The replicated directory for every shared page.
 
@@ -310,33 +166,18 @@ class GlobalDirectory:
     through :meth:`update`, which charges the measured modification cost
     (optionally under the global-lock ablation model) and accounts the
     broadcast traffic.
-
-    ``dense`` selects the entry representation: ``None`` (default) uses
-    the sparse form unless the ``CASHMERE_DENSE_DIR`` debug flag is set;
-    ``True``/``False`` force it for differential tests. Both forms are
-    byte-identical in every observable.
     """
 
     def __init__(self, config: MachineConfig, num_owners: int,
-                 lock_model: "DirectoryLockModel | None" = None,
-                 dense: "bool | None" = None) -> None:
+                 lock_model: "DirectoryLockModel | None" = None) -> None:
         self.config = config
         self.num_owners = num_owners
         self.lock_model = lock_model
-        if dense is None:
-            dense = env_flag("CASHMERE_DENSE_DIR")
-        self.dense = dense
-        pages = config.num_pages
         per_super = config.superpage_pages
-        self.entries: list = []
-        for page in range(pages):
-            # Round-robin initial home assignment, per superpage (Section 2.3).
-            home = (page // per_super) % num_owners
-            if dense:
-                self.entries.append(DenseDirEntry(
-                    home, num_owners=num_owners))
-            else:
-                self.entries.append(DirEntry(home))
+        # Round-robin initial home assignment, per superpage (Section 2.3).
+        self.entries: list[DirEntry] = [
+            DirEntry((page // per_super) % num_owners)
+            for page in range(config.num_pages)]
 
     def entry(self, page: int):
         return self.entries[page]

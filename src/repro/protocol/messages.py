@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..cluster.machine import Cluster, Node, Processor
-from ..errors import NodeCrashedError, ProtocolError
 
 #: Wire size of a request descriptor (type, page, requester, sequence).
 REQUEST_BYTES = 32
@@ -47,9 +46,6 @@ class RequestEngine:
         self.mc = cluster.mc
         self.config = cluster.config
         self._rr: dict[int, int] = {}  # per-node round-robin poll winner
-        #: Fault injector, when the cluster runs with fault injection
-        #: (``None`` keeps the request path exactly as it was).
-        self.injector = getattr(cluster, "fault_injector", None)
 
     def _pick_server(self, node: Node, target_proc: int | None) -> Processor:
         """The processor that notices the request first.
@@ -74,10 +70,6 @@ class RequestEngine:
         communication/wait time.
         """
         costs = self.config.costs
-        if self.injector is not None:
-            # NAK'd / unanswered attempts back off and reissue before
-            # the request proper runs (the timeout/retry path).
-            self._retry_preamble(requester, target_node)
         now = requester.clock
         # Request descriptor is a remote write into the request buffer.
         arrival = now + costs.mc_latency
@@ -93,10 +85,6 @@ class RequestEngine:
         server = self._pick_server(target_node, target_proc)
         payload, handler_cost, reply_bytes = handler(server, begin)
         service = costs.handler_entry + handler_cost
-        if self.injector is not None:
-            factor = self.injector.node_slowdown(target_node.id)
-            if factor != 1.0:
-                service *= factor
         begin, end = target_node.service.acquire(ready, service)
 
         # The servicing processor loses this time to protocol work.
@@ -114,46 +102,3 @@ class RequestEngine:
             visible = end + costs.mc_latency
         return payload, max(visible, now)
 
-    def _retry_preamble(self, requester: Processor,
-                        target_node: Node) -> None:
-        """Injected-fault retry loop run before the request proper.
-
-        Each failed attempt — a NAK from a transiently busy server, or
-        no answer at all from a crash-stopped node — costs the
-        requester a request round trip plus back-off, after which the
-        descriptor is rewritten and the request reissued. The retry
-        budget (``FaultConfig.max_retries``) bounds the loop: a node
-        that never answers is reported as crashed rather than spinning
-        forever. Deterministic: NAKs come from the injector's seeded
-        stream, crash checks are pure functions of simulated time.
-        """
-        inj = self.injector
-        faults = inj.faults
-        costs = self.config.costs
-        attempt_cost = 2 * costs.mc_latency + faults.nak_backoff_us
-        retries = 0
-        while True:
-            arrival = requester.clock + costs.mc_latency
-            if inj.node_crashed(target_node.id, arrival):
-                retries += 1
-                requester.stats.bump("request_retries")
-                if retries >= faults.max_retries:
-                    raise NodeCrashedError(
-                        f"node {target_node.id} unresponsive after "
-                        f"{retries} attempts (crash-stop at "
-                        f"{faults.crash_at_us} us)")
-                self.mc.account("request", REQUEST_BYTES)
-                requester.charge(attempt_cost, "comm_wait")
-                continue
-            if inj.nak_request():
-                retries += 1
-                requester.stats.bump("request_naks")
-                requester.stats.bump("request_retries")
-                if retries >= faults.max_retries:
-                    raise ProtocolError(
-                        f"request to node {target_node.id} NAK'd "
-                        f"{retries} times (retry budget exhausted)")
-                self.mc.account("request", REQUEST_BYTES)
-                requester.charge(attempt_cost, "comm_wait")
-                continue
-            return

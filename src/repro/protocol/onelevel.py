@@ -201,9 +201,7 @@ class OneLevelProtocol(BaseProtocol):
 
     def _break_if_exclusive_elsewhere(self, proc: Processor,
                                       st: ProcProtoState, page: int) -> None:
-        entry = self.directory.entry(page)
-        self._await_not_pending(proc, entry)
-        holder = entry.exclusive_holder()
+        holder = self.directory.entry(page).exclusive_holder()
         if holder is not None and holder[0] != st.owner:
             self._break_exclusive(proc, page, holder)
 
@@ -218,10 +216,9 @@ class OneLevelProtocol(BaseProtocol):
                      page: int) -> None:
         proc.charge(self.costs.fetch_overhead, "protocol")
         entry = self.directory.entry(page)
-        self._await_not_pending(proc, entry)
         holder = entry.exclusive_holder()
         if holder is not None and holder[0] != st.owner:
-            payload = self._break_exclusive(proc, page, holder)
+            payload =self._break_exclusive(proc, page, holder)
         else:
             home_owner = entry.home_owner
             home_node = self.node_of_owner(home_owner)
@@ -300,11 +297,6 @@ class OneLevelProtocol(BaseProtocol):
         payload, done = self.requests.explicit_request(
             proc, self.node_of_owner(holder_owner), handler,
             target_proc=holder_owner, category="page")
-        if self._transients:
-            # Mark the entry Pending until the break's directory
-            # rewrite is globally visible (see Cashmere2L counterpart).
-            self.directory.entry(page).set_pending(
-                done + self.costs.mc_latency)
         if done > proc.clock:
             proc.charge(done - proc.clock, "comm_wait")
         if self.trace is not None:
@@ -317,15 +309,12 @@ class OneLevelProtocol(BaseProtocol):
     def acquire_sync(self, proc: Processor) -> None:
         st = self._ps[proc.global_id]
         board = self.boards[st.owner]
-        notices, gap = self._collect_notices(proc, board)
+        notices = board.collect(proc.clock)
         if notices:
             # 1-level write-notice lists are guarded by cluster-wide locks.
             proc.charge(self.costs.mc_lock_overhead + self.costs.mc_latency,
                         "protocol")
-            # A lost notice is a gap, not a page number; handled below.
-            st.notices.add_many([wn.page for wn in notices if not wn.lost])
-        if gap:
-            self._recover_lost_notices(proc, st)
+            st.notices.add_many([wn.page for wn in notices])
         for page in st.notices.drain():
             if self._uses_master(st, page):
                 continue  # home-node optimization: master is always fresh
@@ -338,24 +327,6 @@ class OneLevelProtocol(BaseProtocol):
             self._set_node_perm_word(proc, page, Perm.INVALID)
             if page not in self.meta[st.owner].twins:
                 self.frames.unmap_frame(st.owner, page)
-
-    def _recover_lost_notices(self, proc: Processor,
-                              st: ProcProtoState) -> None:
-        """Conservative resync after a write-notice sequence gap.
-
-        A lost notice carries no page number, so every page this processor
-        could be caching stale is treated as noticed: anything currently
-        mapped with read/write permission that is neither the master copy
-        (home-node optimization — always fresh) nor held exclusively by us.
-        The directory re-read is charged like one directory update.
-        """
-        proc.stats.bump("notice_resyncs")
-        proc.charge(self.directory.update_cost(proc), "protocol")
-        st.notices.add_many([
-            page for page, row in enumerate(st.rows)
-            if row[0] != Perm.INVALID and not self._uses_master(st, page)
-            # ... nor held exclusively by us: then nobody else wrote it.
-            and self.directory.entry(page).excl_of(st.owner) == NO_HOLDER])
 
     # ------------------------------------------------------------ release side
 
@@ -414,8 +385,7 @@ class OneLevelProtocol(BaseProtocol):
         # coherence until another processor asks for it. A pending
         # write notice disqualifies it: our copy would be stale.
         elif (entry.excl_of(st.owner) == NO_HOLDER
-                and not self._notices_pending(st.owner, page)
-                and not entry.is_pending(proc.clock)):
+                and not self._notices_pending(st.owner, page)):
             entry.set_excl(st.owner, proc.global_id)
             self._charge_dir_update(proc)
             proc.stats.bump("excl_transitions")

@@ -26,20 +26,11 @@ _EMPTY: list = []
 
 @dataclass(frozen=True)
 class WriteNotice:
-    """Notification that ``page`` was modified by ``from_owner``.
-
-    ``lost`` marks an injected payload loss (DESIGN.md §12): the bin's
-    tail pointer still advanced — that word write is part of the ordered
-    stream, which is how the consumer can even observe the gap — but the
-    page number never arrived. Protocol code must not use ``page`` of a
-    lost notice for anything but bookkeeping; consumers react with a
-    conservative resynchronization instead.
-    """
+    """Notification that ``page`` was modified by ``from_owner``."""
 
     page: int
     from_owner: int
     visible_at: float
-    lost: bool = False
 
 
 class NoticeBoard:
@@ -48,12 +39,6 @@ class NoticeBoard:
     #: Optional event tracer (:class:`repro.trace.Tracer`); set on every
     #: board by :func:`repro.trace.attach_tracer`.
     trace = None
-    #: Optional fault injector (:class:`repro.memchannel.faults.
-    #: FaultInjector`); set on every board by the protocol when the
-    #: cluster runs with fault injection. Notices posted through an
-    #: injector may be delivered late or arrive as a sequence gap
-    #: (``lost=True``).
-    injector = None
 
     def __init__(self, owner: int, num_owners: int) -> None:
         self.owner = owner
@@ -61,22 +46,15 @@ class NoticeBoard:
                                                for _ in range(num_owners)]
         self.posted = 0
         self._consumed = 0
-        #: Notices that arrived as gaps (injected losses), for tests.
-        self.lost = 0
 
     def post(self, from_owner: int, page: int, visible_at: float) -> None:
         """Append a notice to ``from_owner``'s bin (a remote MC write)."""
-        lost, extra = (False, 0.0) if self.injector is None \
-            else self.injector.notice_fate()
-        visible_at += extra  # a dropped notice carries no delay
-        self.lost += lost
         self.bins[from_owner].append(
-            WriteNotice(page, from_owner, visible_at, lost))
+            WriteNotice(page, from_owner, visible_at))
         self.posted += 1
         if self.trace is not None:
             self.trace.instant("write_notice", None, visible_at, obj=page,
-                               from_owner=from_owner, to_owner=self.owner,
-                               **({"lost": True} if lost else {}))
+                               from_owner=from_owner, to_owner=self.owner)
 
     def collect(self, upto: float) -> list[WriteNotice]:
         """Consume every notice visible by time ``upto`` (bin order).

@@ -38,17 +38,6 @@ class Simulator:
         #: Called when the queue drains while processes still wait; used by
         #: the process layer for deadlock diagnostics.
         self.idle_check: Callable[[], None] | None = None
-        #: Scheduler choice-point hook. ``None`` (the default) keeps the
-        #: canonical seq-ordered tie break and the unmodified hot loop.
-        #: When set, every time *more than one* event is ready at the
-        #: minimal timestamp the hook is called with the tie count and
-        #: must return the index (in seq order) of the event to fire
-        #: first; the rest are re-queued. Only same-instant events are
-        #: ever permuted — simulated time still advances monotonically —
-        #: so any choice is a legal Memory Channel schedule. Used by the
-        #: fault injector (seeded reordering) and available to schedule
-        #: explorers.
-        self.chooser: Callable[[int], int] | None = None
         #: Time-advance observation hook. ``None`` (the default) keeps
         #: the unmodified hot loop. When set, the hook is called with the
         #: new simulated time whenever the clock moves forward, *before*
@@ -86,8 +75,6 @@ class Simulator:
         queue = self._queue  # stable list object; hoisted for the hot loop
         heappop = heapq.heappop
         try:
-            if self.chooser is not None:
-                return self._run_chosen(until)
             if self.on_advance is not None or until is not None:
                 return self._run_observed(until)
             # Unbounded, unobserved run (the overwhelmingly common case):
@@ -107,8 +94,8 @@ class Simulator:
 
     def _run_observed(self, until: float | None) -> float:
         """The :meth:`run` loop with a deadline and/or the time-advance
-        hook. Kept out of line (like :meth:`_run_chosen`) so the default
-        path pays nothing for either."""
+        hook. Kept out of line so the default path pays nothing for
+        either."""
         queue = self._queue
         heappop = heapq.heappop
         advance = self.on_advance
@@ -126,42 +113,6 @@ class Simulator:
                 advance(at)
             self.now = at
             fn()
-        return self.now
-
-    def _run_chosen(self, until: float | None) -> float:
-        """The :meth:`run` loop with the choice-point hook consulted on
-        same-instant ties. Kept out of line so the default path pays
-        nothing for the hook's existence. Also consults ``on_advance``
-        when both hooks are installed (fault injection plus metrics)."""
-        queue = self._queue
-        heappop, heappush = heapq.heappop, heapq.heappush
-        advance = self.on_advance
-        while True:
-            if not queue:
-                if self.idle_check is not None:
-                    self.idle_check()
-                if not queue:
-                    break
-            at = queue[0][0]
-            if until is not None and at > until:
-                break
-            ties = [heappop(queue)]
-            while queue and queue[0][0] == at:
-                ties.append(heappop(queue))
-            if len(ties) > 1:
-                idx = self.chooser(len(ties))
-                if not 0 <= idx < len(ties):
-                    raise SimulationError(
-                        f"chooser returned {idx} for {len(ties)} ties")
-                chosen = ties.pop(idx)
-                for ev in ties:
-                    heappush(queue, ev)
-            else:
-                chosen = ties[0]
-            if advance is not None and at > self.now:
-                advance(at)
-            self.now = at
-            chosen[2]()
         return self.now
 
     @property

@@ -46,12 +46,6 @@ COUNTER_NAMES = (
     "check_events",         # shared-memory accesses traced
     "check_vc_merges",      # vector-clock join operations
     "check_races",          # data races detected
-    # --- fault injection & recovery (repro.memchannel.faults, opt-in) -
-    "request_naks",         # explicit requests NAK'd by a busy server
-    "request_retries",      # request reissues (NAK'd or unanswered)
-    "pending_waits",        # waits on a transient (pending) dir entry
-    "notice_stalls",        # acquires that waited out in-flight notices
-    "notice_resyncs",       # conservative resyncs after a notice gap
 )
 
 _KNOWN_COUNTERS = frozenset(COUNTER_NAMES)

@@ -106,6 +106,21 @@ class TestCostScaling:
         slow = MachineConfig(fast_interrupts=False)
         assert slow.interrupt_cost(same_node=True) == 980.0
 
+    @pytest.mark.parametrize("field,value", [
+        ("mc_link_bandwidth", 0.0),
+        ("mc_aggregate_bandwidth", -60.0),
+        ("node_bus_bandwidth", -180.0),
+        ("mc_latency", -5.2),
+        ("page_fault", float("nan")),
+        ("mprotect", float("inf")),
+    ])
+    def test_bad_cost_rejected_naming_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            CostModel(**{field: value})
+
+    def test_zero_cost_is_legal(self):
+        assert CostModel(mc_word_write=0.0).mc_word_write == 0.0
+
     def test_paper_mc_constants(self):
         costs = CostModel()
         assert costs.mc_latency == pytest.approx(5.2)

@@ -1,11 +1,10 @@
 """Unit tests for the global directory and write-notice structures.
 
-The directory now has two entry representations (DESIGN.md §15): the
-sparse :class:`DirEntry` (default, O(sharers)) and the dense
-:class:`DenseDirEntry` (the paper's literal one-word-per-owner layout,
-kept behind ``CASHMERE_DENSE_DIR`` for differential testing). The
-hypothesis differential test at the bottom drives both through
-randomized update sequences and asserts they agree on every observable.
+The simulator's directory entry is the sparse :class:`DirEntry`
+(O(sharers), DESIGN.md §15). ``tests/dense_directory.py`` keeps the
+paper's literal one-word-per-owner layout as a differential reference:
+the hypothesis test at the bottom drives both through randomized update
+sequences and asserts they agree on every observable.
 """
 
 import pytest
@@ -14,11 +13,12 @@ from hypothesis import strategies as st
 
 from repro.config import MachineConfig
 from repro.errors import ProtocolError
-from repro.protocol.directory import (NO_HOLDER, DenseDirEntry,
-                                      DirectoryLockModel, DirEntry, DirWord,
-                                      GlobalDirectory, PageMeta)
+from repro.protocol.directory import (NO_HOLDER, DirectoryLockModel,
+                                      DirEntry, GlobalDirectory, PageMeta)
 from repro.protocol.writenotice import NLEList, NoticeBoard, PerProcNotices
 from repro.vm.page import Perm
+
+from .dense_directory import DenseDirEntry, DirWord
 
 
 def small_config(**kw):
@@ -91,12 +91,6 @@ class TestGlobalDirectory:
         # pages 0,1 -> owner 0; 2,3 -> owner 1; ...
         assert homes[:8] == [0, 0, 1, 1, 2, 2, 3, 3]
 
-    def test_dense_flag_selects_representation(self):
-        cfg = small_config()
-        assert isinstance(GlobalDirectory(cfg, 4).entry(0), DirEntry)
-        assert isinstance(GlobalDirectory(cfg, 4, dense=True).entry(0),
-                          DenseDirEntry)
-
     def test_lock_free_update_cost_constant(self):
         cfg = small_config()
         d = GlobalDirectory(cfg, 4)
@@ -121,7 +115,10 @@ class TestGlobalDirectory:
     @pytest.mark.parametrize("dense", [False, True])
     def test_occupancy(self, dense):
         cfg = small_config()
-        d = GlobalDirectory(cfg, 4, dense=dense)
+        d = GlobalDirectory(cfg, 4)
+        if dense:  # the same sweep over the dense reference entries
+            d.entries = [DenseDirEntry(e.home_owner, num_owners=4)
+                         for e in d.entries]
         d.entry(0).set_perm(1, Perm.READ)
         d.entry(0).set_perm(2, Perm.READ)
         d.entry(1).set_perm(3, Perm.WRITE)

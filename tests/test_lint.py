@@ -194,7 +194,4 @@ def test_repo_tree_is_clean():
     result = run([os.path.join(REPO, "src", "repro"),
                   os.path.join(REPO, "examples")])
     assert result.diagnostics == [], result.format_text()
-    # The one audited suppression: an F101 in check/explore.py
-    # (state_key hashes the transient deadline instead of acting on it).
-    assert len(result.suppressed) == 1
-    assert {d.rule for d in result.suppressed} == {"F101"}
+    assert {d.rule for d in result.suppressed} == set()

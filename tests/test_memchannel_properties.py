@@ -1,17 +1,13 @@
 """Property-based tests for Memory Channel visibility semantics and the
-superpage / mapping-table machinery — including under fault injection
-(DESIGN.md §12): the ordering guarantees the protocols rely on must
-survive injected reordering, delays, and drops."""
+superpage / mapping-table machinery."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import FaultConfig, MachineConfig
+from repro.config import MachineConfig
 from repro.errors import MemoryChannelError
-from repro.memchannel.faults import FaultInjector
 from repro.memchannel.regions import VersionedWord
-from repro.protocol.writenotice import NoticeBoard
 from repro.runtime.program import ParallelRuntime
 from repro.apps import make_app
 
@@ -96,87 +92,3 @@ class TestSuperpages:
         sp_count = (rt.config.num_pages + 1) // 2
         assert res.stats.counter("home_relocations") <= sp_count
 
-
-# --- fault injection: ordering guarantees survive injected chaos --------------
-
-
-def _injector(**kw) -> FaultInjector:
-    cfg = MachineConfig(nodes=2, procs_per_node=1, page_bytes=512,
-                        faults=FaultConfig(**kw))
-    return FaultInjector(cfg)
-
-
-class TestInjectionOrdering:
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 2**31), st.integers(1, 40))
-    def test_versioned_word_absorbs_injected_jitter(self, seed, writes):
-        """Per-region write order survives reordering: VersionedWord
-        clamps a jittered (earlier-looking) visibility into hub order,
-        so a late reader always sees the last-issued write."""
-        inj = _injector(seed=seed, reorder_rate=0.5, reorder_window_us=50.0)
-        w = VersionedWord(-1)
-        t = 0.0
-        for i in range(writes):
-            t += 10.0
-            w.write(t + inj.word_jitter(), i)
-        assert w.read(t + 100.0) == writes - 1
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 2**31), st.integers(1, 60))
-    def test_notice_bins_deliver_by_visibility_with_gaps_counted(
-            self, seed, posts):
-        """Visibility-ordered delivery holds under delay/drop injection:
-        a collect returns exactly the notices visible by its cutoff
-        (a delayed notice arrives late without blocking ones behind it,
-        since bins interleave unordered per-processor streams), never an
-        invisible one, and every injected loss arrives as a counted gap
-        (lost=True), never silently."""
-        inj = _injector(seed=seed, notice_delay_rate=0.4,
-                        notice_delay_us=100.0, notice_drop_rate=0.3)
-        board = NoticeBoard(owner=0, num_owners=2)
-        board.injector = inj
-        for i in range(posts):
-            board.post(1, page=i, visible_at=float(i))
-        cutoff = float(posts) / 2
-        early = board.collect(cutoff)
-        assert all(n.visible_at <= cutoff for n in early)
-        assert board.pending() == posts - len(early)
-        for n in early:                     # nothing visible is left behind
-            assert n.visible_at <= cutoff
-        assert all(wn.visible_at > cutoff
-                   for bin_ in board.bins for wn in bin_)
-        late = board.collect(float(posts) + 200.0)
-        pages = sorted(n.page for n in early + late)
-        assert pages == list(range(posts))     # each post delivered once
-        lost = sum(1 for n in early + late if n.lost)
-        assert lost == board.lost == inj.notices_dropped  # losses are
-        # delivered as explicit gaps, exactly as often as injected.
-
-    def test_zero_rate_injector_draws_no_randomness(self):
-        """The parity guarantee at its root: with every rate at zero,
-        no decision point consumes the RNG stream, so the injector is
-        observationally inert."""
-        inj = _injector(seed=123)
-        before = inj._rng.getstate()
-        for _ in range(50):
-            assert inj.notice_fate() == (False, 0.0)
-            assert inj.word_jitter() == 0.0
-            assert inj.nak_request() is False
-            assert inj.choose_tie(4) == 0
-        assert inj._rng.getstate() == before
-        assert all(v == 0 for v in inj.summary().values())
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 2**31))
-    def test_same_seed_same_decisions(self, seed):
-        """Two injectors with the same seed make identical decisions —
-        the replay contract at the decision-point level."""
-        kw = dict(seed=seed, reorder_rate=0.3, notice_delay_rate=0.3,
-                  notice_drop_rate=0.2, nak_rate=0.2)
-        a, b = _injector(**kw), _injector(**kw)
-        for _ in range(100):
-            assert a.notice_fate() == b.notice_fate()
-            assert a.word_jitter() == b.word_jitter()
-            assert a.nak_request() == b.nak_request()
-            assert a.choose_tie(3) == b.choose_tie(3)
-        assert a.summary() == b.summary()

@@ -7,17 +7,15 @@
   shorter schedule violates);
 * a counterexample replays exactly from its schedule and exports
   through the Chrome trace writer as loadable JSON;
-* the configuration guard rails hold (no fault injection inside the
-  checker, script count bounded by processors).
+* the configuration guard rail holds (script count bounded by
+  processors).
 """
 
 import json
 
 import pytest
 
-from repro.check import (MUTANTS, ModelChecker, default_scripts,
-                         small_config)
-from repro.config import FaultConfig
+from repro.check import MUTANTS, ModelChecker, default_scripts
 from repro.errors import (CoherenceViolation, InvariantViolation,
                           ProtocolError)
 
@@ -112,13 +110,6 @@ def test_counterexample_exports_as_chrome_trace(mutant_result, tmp_path):
 
 
 # --- guard rails --------------------------------------------------------------
-
-
-def test_checker_refuses_fault_injection():
-    cfg = small_config()
-    from dataclasses import replace
-    with pytest.raises(ProtocolError):
-        ModelChecker(config=replace(cfg, faults=FaultConfig()))
 
 
 def test_checker_refuses_more_scripts_than_processors():

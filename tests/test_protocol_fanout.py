@@ -14,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 from repro.cluster.machine import Cluster
-from repro.config import CostModel, FaultConfig, MachineConfig
+from repro.config import CostModel, MachineConfig
 from repro.protocol import make_protocol
 from repro.trace import attach_tracer
 
@@ -42,13 +42,12 @@ def pair_for(n: int) -> tuple[float, float]:
     raise AssertionError(f"no candidate separates add from multiply, n={n}")
 
 
-def world(w: float, *, faults: FaultConfig | None = None, trace=False):
+def world(w: float, *, trace=False):
     """A 256-owner one-level machine whose processor ``SENDER`` is about
     to release ``PAGE``."""
     cfg = MachineConfig(nodes=64, procs_per_node=4, page_bytes=512,
                         shared_bytes=512 * 8, superpage_pages=1,
-                        costs=replace(CostModel(), mc_word_write=w),
-                        faults=faults)
+                        costs=replace(CostModel(), mc_word_write=w))
     cluster = Cluster(cfg)
     proto = make_protocol("1LD", cluster)
     tracer = attach_tracer(cluster, proto) if trace else None
@@ -79,7 +78,6 @@ def observable(proto, proc):
         "bins": [[list(bin_) for bin_ in board.bins]
                  for board in proto.boards],
         "posted": [board.posted for board in proto.boards],
-        "lost": [board.lost for board in proto.boards],
     }
 
 
@@ -109,8 +107,7 @@ def test_burst_equals_per_notice_loop(n):
     assert got["traffic"] == (4 * n or None)
     for owner in dests:
         (notice,) = batched.boards[owner].bins[SENDER]
-        assert (notice.page, notice.from_owner, notice.lost) == \
-            (PAGE, SENDER, False)
+        assert (notice.page, notice.from_owner) == (PAGE, SENDER)
     assert sum(got["posted"]) == n
 
 
@@ -142,31 +139,3 @@ def test_burst_with_tracer_attached():
     # Same events in the same order: each instant before its charge span.
     assert trace_b.events == trace_s.events
 
-
-def test_burst_with_fault_injector():
-    n = 255
-    start, w = pair_for(n)
-    dests = dests_for(n)
-    faults = FaultConfig(seed=11, notice_drop_rate=0.2,
-                         notice_delay_rate=0.3)
-    cl_b, batched, proc_b, _ = world(w, faults=faults)
-    cl_s, single, proc_s, _ = world(w, faults=faults)
-    for proc in (proc_b, proc_s):
-        start_at(proc, start)
-    batched._post_write_notices(proc_b, SENDER, PAGE, dests)
-    post_one_at_a_time(single, proc_s, SENDER, PAGE, dests)
-
-    got = observable(batched, proc_b)
-    assert got == observable(single, proc_s)
-    assert proc_b.clock == sequential(start, w, n)
-    inj_b, inj_s = cl_b.fault_injector, cl_s.fault_injector
-    assert (inj_b.notices_dropped, inj_b.notices_delayed) == \
-        (inj_s.notices_dropped, inj_s.notices_delayed)
-    # The rates are high enough that the pattern is not trivially empty.
-    assert inj_b.notices_dropped > 0 and inj_b.notices_delayed > 0
-    assert sum(got["lost"]) == inj_b.notices_dropped
-    visible = batched.mc.visibility(start)
-    late = sum(1 for owner in dests
-               for wn in batched.boards[owner].bins[SENDER]
-               if not wn.lost and wn.visible_at > visible)
-    assert late == inj_b.notices_delayed
