@@ -118,7 +118,7 @@ class MutantNoNotices(Cashmere2L):
 
     name = "2L-mutant"
 
-    def _send_write_notices(self, proc, st, page) -> None:
+    def _post_write_notices(self, proc, from_owner, page, dests) -> None:
         pass  # the bug: sharers never hear about the update
 
 

@@ -26,6 +26,9 @@ from .writenotice import NLEList, NoticeBoard, PerProcNotices, WriteNotice
 #: Wire overhead of a page-fetch reply beyond the page data itself.
 PAGE_HEADER_BYTES = 32
 
+#: Permissions as the plain ints page-table rows hold.
+_INVALID, _READ, _WRITE = int(Perm.INVALID), int(Perm.READ), int(Perm.WRITE)
+
 
 class ProcProtoState:
     """Per-processor protocol state, laid out for the access fast path."""
@@ -68,6 +71,8 @@ class BaseProtocol:
     name: str = "?"
     #: True when owners are SMP nodes (two-level protocols).
     two_level: bool = True
+    #: True for 1L: every store is doubled to the master in line.
+    write_through: bool = False
 
     def __init__(self, cluster: Cluster, *, lock_free: bool = True,
                  home_opt: bool = False) -> None:
@@ -91,15 +96,18 @@ class BaseProtocol:
         #: the fast paths carry no metrics branches.
         self.metrics = None
 
-        self.num_owners = self._owner_count()
+        config = self.config
+        self.num_owners = config.nodes if self.two_level \
+            else config.total_procs
         lock_model = None if lock_free else DirectoryLockModel(self.config)
         self.directory = GlobalDirectory(self.config, self.num_owners,
                                          lock_model=lock_model)
         #: Per-owner page tables; each also holds its processors'
         #: software-TLB maps, which the frame store evicts from on unmap
         #: (a cached mapping can never outlive a revocation).
-        self.tables = [PageTable(self.config.num_pages,
-                                 self._procs_per_owner())
+        self.tables = [PageTable(config.num_pages,
+                                 config.procs_per_node if self.two_level
+                                 else 1)
                        for _ in range(self.num_owners)]
         self.frames = FrameStore(self.num_owners, self.config.num_pages,
                                  self.config.words_per_page,
@@ -132,7 +140,7 @@ class BaseProtocol:
             [] for _ in range(self.num_owners)]
         for proc in cluster.processors:
             owner = self.owner_of(proc)
-            lidx = self._local_index(proc)
+            lidx = proc.local_id if self.two_level else 0
             st = ProcProtoState(proc, owner, lidx, self.tables[owner].rows,
                                 self.frames.frames_of(owner))
             self._ps.append(st)
@@ -144,20 +152,15 @@ class BaseProtocol:
         self._dir_bytes = self.directory.broadcast_bytes()
         self._page_copy_cost = self.config.page_copy_cost()
         self._twin_cost = self.config.twin_cost()
+        self._reply_bytes = self.config.page_bytes + PAGE_HEADER_BYTES
+        #: A same-node page reply's memcpy on the node bus.
+        self._bus_page_us = \
+            self.config.page_bytes / self.costs.node_bus_bandwidth
 
-    # --- owner-space geometry (subclass hooks) ------------------------------
-
-    def _owner_count(self) -> int:
-        return self.config.nodes if self.two_level else self.config.total_procs
-
-    def _procs_per_owner(self) -> int:
-        return self.config.procs_per_node if self.two_level else 1
+    # --- owner-space geometry -----------------------------------------------
 
     def owner_of(self, proc: Processor) -> int:
         return proc.node.id if self.two_level else proc.global_id
-
-    def _local_index(self, proc: Processor) -> int:
-        return proc.local_id if self.two_level else 0
 
     def node_of_owner(self, owner: int) -> Node:
         if self.two_level:
@@ -169,25 +172,10 @@ class BaseProtocol:
 
     # --- the memory access fast path ----------------------------------------
 
-    def _traced_read_fault(self, proc: Processor, st: ProcProtoState,
-                           page: int) -> None:
-        t0 = proc.clock
-        self.read_fault(proc, st, page)
-        self.trace.span("read_fault", proc, t0, proc.clock - t0, obj=page)
-
-    def _traced_write_fault(self, proc: Processor, st: ProcProtoState,
-                            page: int) -> None:
-        t0 = proc.clock
-        self.write_fault(proc, st, page)
-        self.trace.span("write_fault", proc, t0, proc.clock - t0, obj=page)
-
     def load(self, proc: Processor, page: int, offset: int) -> float:
         st = self._ps[proc.global_id]
-        if st.rows[page][st.lidx] < Perm.READ:
-            if self.trace is None:
-                self.read_fault(proc, st, page)
-            else:
-                self._traced_read_fault(proc, st, page)
+        if st.rows[page][st.lidx] < _READ:
+            self.fault(proc, st, page, False)
         value = st.frames[page][offset]
         if self.tracer is not None:
             self.tracer.on_load(proc, page, offset, value)
@@ -196,12 +184,11 @@ class BaseProtocol:
     def store(self, proc: Processor, page: int, offset: int,
               value: float) -> None:
         st = self._ps[proc.global_id]
-        if st.rows[page][st.lidx] < Perm.WRITE:
-            if self.trace is None:
-                self.write_fault(proc, st, page)
-            else:
-                self._traced_write_fault(proc, st, page)
+        if st.rows[page][st.lidx] < _WRITE:
+            self.fault(proc, st, page, True)
         st.frames[page][offset] = value
+        if self.write_through:
+            self._double_words(proc, st, page, offset, 1, value)
         if self.tracer is not None:
             self.tracer.on_store(proc, page, offset, value)
 
@@ -219,11 +206,8 @@ class BaseProtocol:
            boundary: everything above the runtime receives a private copy.
         """
         st = self._ps[proc.global_id]
-        if st.rows[page][st.lidx] < Perm.READ:
-            if self.trace is None:
-                self.read_fault(proc, st, page)
-            else:
-                self._traced_read_fault(proc, st, page)
+        if st.rows[page][st.lidx] < _READ:
+            self.fault(proc, st, page, False)
         values = st.frames[page][lo:hi]
         if self.tracer is not None:
             self.tracer.on_load_range(proc, page, lo, values)
@@ -232,23 +216,26 @@ class BaseProtocol:
     def store_range(self, proc: Processor, page: int, lo: int,
                     values: np.ndarray) -> None:
         st = self._ps[proc.global_id]
-        if st.rows[page][st.lidx] < Perm.WRITE:
-            if self.trace is None:
-                self.write_fault(proc, st, page)
-            else:
-                self._traced_write_fault(proc, st, page)
+        if st.rows[page][st.lidx] < _WRITE:
+            self.fault(proc, st, page, True)
         st.frames[page][lo:lo + len(values)] = values
+        if self.write_through:
+            self._double_words(proc, st, page, lo, len(values), values)
         if self.tracer is not None:
             self.tracer.on_store_range(proc, page, lo, values)
 
     # --- protocol entry points (subclass responsibilities) -------------------
 
-    def read_fault(self, proc: Processor, st: ProcProtoState,
-                   page: int) -> None:
-        raise NotImplementedError
+    # The slow path is flat (DESIGN.md §19): a fault (fetch included), an
+    # acquire and a release each run as one body. The clock and the
+    # "protocol" bucket are locals; every charge is one float add to each,
+    # in charge order, with its span under a tracer (zero-cost charges
+    # skipped), written back before any call that reads or charges
+    # ``proc`` and reloaded after it.
 
-    def write_fault(self, proc: Processor, st: ProcProtoState,
-                    page: int) -> None:
+    def fault(self, proc: Processor, st: ProcProtoState, page: int,
+              write: bool) -> None:
+        """Service a read (``write=False``) or write fault on ``page``."""
         raise NotImplementedError
 
     def acquire_sync(self, proc: Processor) -> None:
@@ -285,30 +272,16 @@ class BaseProtocol:
         """The current master copy (the home owner's frame)."""
         return self.frames.frame(self.directory.home(page), page)
 
-    def _charge_dir_update(self, proc: Processor) -> None:
-        """Book one directory-word broadcast: its cost (clock-dependent
-        under the lock-model ablation), the count, a word per replica."""
-        lock_model = self.directory.lock_model
-        us = self._dir_update if lock_model is None \
-            else lock_model.update_cost(proc.clock)
-        if us > 0:  # Processor.charge, in line
-            if proc.trace is not None:
-                proc.trace.span("protocol", proc, proc.clock, us)
-            proc.clock += us
-            proc.stats.buckets["protocol"] += us
-        proc.stats.counters["directory_updates"] += 1
+    def _dir_word(self, counters: dict, clock: float) -> float:
+        """Book one directory-word broadcast's count and traffic (a word
+        per replica) and return its cost at ``clock`` (clock-dependent
+        under the lock-model ablation); the caller charges it."""
+        counters["directory_updates"] += 1
         traffic = self.mc.traffic
         traffic["directory"] = traffic.get("directory", 0) + self._dir_bytes
-
-    def _set_node_perm_word(self, proc: Processor, page: int,
-                            perm: Perm) -> None:
-        """Update this owner's global directory word when its loosest
-        permission changes (broadcast write, charged)."""
-        owner = self._ps[proc.global_id].owner
-        entry = self.directory.entry(page)
-        if entry.perm_of(owner) != perm:
-            entry.set_perm(owner, perm)
-            self._charge_dir_update(proc)
+        lock_model = self.directory.lock_model
+        return self._dir_update if lock_model is None \
+            else lock_model.update_cost(clock)
 
     def _post_write_notices(self, proc: Processor, from_owner: int,
                             page: int, dests: list[int]) -> None:
@@ -365,9 +338,6 @@ class BaseProtocol:
         return any(page in pst.notices._bitmap
                    for pst in self._owner_ps[owner])
 
-    def _superpage_of(self, page: int) -> int:
-        return page // self.config.superpage_pages
-
     def _superpage_pages_of(self, sp: int) -> range:
         per = self.config.superpage_pages
         return range(sp * per, min((sp + 1) * per, self.config.num_pages))
@@ -385,7 +355,7 @@ class BaseProtocol:
             return
         if not self.first_touch_enabled:
             return
-        sp = self._superpage_of(page)
+        sp = page // self.config.superpage_pages
         if sp in self._relocated_superpages:
             for p in self._superpage_pages_of(sp):
                 self._home_settled[p] = 1
@@ -459,7 +429,8 @@ class BaseProtocol:
         if holder is not None and holder[0] == new_home:
             # The new home already has the newest copy; keep its frame.
             e.home_owner = new_home
-            self._charge_dir_update(proc)
+            proc.charge(self._dir_word(proc.stats.counters, proc.clock),
+                        "protocol")
             self._after_relocation(page, old_home, new_home)
             return
         if holder is not None:
@@ -471,7 +442,8 @@ class BaseProtocol:
         proc.charge(visible - proc.clock, "comm_wait")
         e.home_owner = new_home
         # The home id lives in every directory word; one broadcast update.
-        self._charge_dir_update(proc)
+        proc.charge(self._dir_word(proc.stats.counters, proc.clock),
+                    "protocol")
         if self.trace is not None:
             self.trace.instant("relocation", proc, proc.clock, obj=page,
                                old_home=old_home, new_home=new_home)
@@ -507,6 +479,21 @@ class BaseProtocol:
     def _break_exclusive(self, proc: Processor, page: int,
                          holder: tuple[int, int]) -> np.ndarray:
         raise NotImplementedError
+
+    def _request_break(self, proc: Processor, page: int, holder_owner: int,
+                       target: int, handler) -> np.ndarray:
+        """Send ``page``'s exclusive-break request to processor ``target``
+        (on ``holder_owner``) and wait for its reply, the latest copy."""
+        t0 = proc.clock
+        payload, done = self.requests.fetch_page(
+            proc, self.node_of_owner(holder_owner), handler=handler,
+            target_proc=target)
+        if done > proc.clock:
+            proc.charge(done - proc.clock, "comm_wait")
+        if self.trace is not None:
+            self.trace.span("excl_break", proc, t0, proc.clock - t0,
+                            obj=page, holder=target)
+        return payload
 
     # --- metrics ---------------------------------------------------------------
 

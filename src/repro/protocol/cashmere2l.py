@@ -25,7 +25,8 @@ from ..cluster.machine import Processor
 from ..errors import ProtocolError
 from ..vm.diffs import flush_update, incoming_diff, make_twin
 from ..vm.page import Perm
-from .base import PAGE_HEADER_BYTES, BaseProtocol, ProcProtoState
+from .base import (_INVALID, _READ, _WRITE, PAGE_HEADER_BYTES,
+                   BaseProtocol, ProcProtoState)
 from .directory import NO_HOLDER, PageMeta
 
 
@@ -39,23 +40,14 @@ class NodeState2L:
         self.last_release_ts = -1
         self.meta: dict[int, PageMeta] = {}
 
-    def tick(self) -> int:
-        self.logical += 1
-        return self.logical
-
     def meta_for(self, page: int) -> PageMeta:
-        meta = self.meta.get(page)
-        if meta is None:
-            meta = PageMeta()
-            self.meta[page] = meta
-        return meta
+        return self.meta.get(page) or self.meta.setdefault(page, PageMeta())
 
 
 class Cashmere2L(BaseProtocol):
     """The two-level protocol with two-way diffing."""
 
     name = "2L"
-    two_level = True
     #: 2LS overrides: use TLB shootdown instead of incoming diffs.
     shootdown = False
 
@@ -98,8 +90,9 @@ class Cashmere2L(BaseProtocol):
         ns = self.node_state[old_home]
         table = self.tables[old_home]
         if table.mapped(page):
+            ns.logical += 1
             meta = ns.meta_for(page)
-            meta.update_ts = ns.tick()
+            meta.update_ts = ns.logical
             # Writers also need a twin now that flushes must diff against
             # the (relocated) master.
             if table.writers(page) and meta.twin is None \
@@ -110,160 +103,155 @@ class Cashmere2L(BaseProtocol):
             ns.meta.pop(page, None)
 
     # ------------------------------------------------------------- page faults
+    # Flat slow path: see BaseProtocol.fault (DESIGN.md §19).
 
-    def read_fault(self, proc: Processor, st: ProcProtoState,
-                   page: int) -> None:
-        costs = self.costs
-        ns = self.node_state[st.owner]
-        ns.tick()
-        proc.charge(costs.page_fault, "protocol")
-        proc.stats.bump("read_faults")
-        self.maybe_relocate_home(proc, page)
+    def fault(self, proc: Processor, st: ProcProtoState, page: int,
+              write: bool) -> None:
+        """Fetch when the node's copy is missing or stale, then map. A
+        write goes exclusive when the node is the page's only sharer, else
+        joins the multi-writer path (dirty list, twin off the home)."""
+        owner = st.owner
+        ns = self.node_state[owner]
+        ns.logical += 1
+        ctrace, buckets = proc.trace, proc.stats.buckets
+        counters, costs = proc.stats.counters, self.costs
+        t0 = clock = proc.clock
+        spent = buckets["protocol"]
+        if (us := costs.page_fault) > 0:
+            if ctrace is not None:
+                ctrace.span("protocol", proc, clock, us)
+            clock, spent = clock + us, spent + us
+        counters["write_faults" if write else "read_faults"] += 1
+        if not self._home_settled[page] or self._migrate_streak:
+            proc.clock, buckets["protocol"] = clock, spent
+            self.maybe_relocate_home(proc, page)
+            clock, spent = proc.clock, buckets["protocol"]
 
-        self._fetch_if_stale(proc, st, page, ns)
-
-        table = self.tables[st.owner]
-        # Granting READ can only change the node's loosest permission when
-        # it was INVALID before (READ < WRITE), so skip the re-scan.
-        old_loosest = table.loosest(page)
-        table.set_perm(page, st.lidx, Perm.READ)
-        if old_loosest < Perm.READ:
-            self._set_node_perm_word(proc, page, Perm.READ)
-        proc.charge(costs.mprotect, "protocol")
-
-    def write_fault(self, proc: Processor, st: ProcProtoState,
-                    page: int) -> None:
-        costs = self.costs
-        ns = self.node_state[st.owner]
-        ns.tick()
-        proc.charge(costs.page_fault, "protocol")
-        proc.stats.bump("write_faults")
-        self.maybe_relocate_home(proc, page)
-
-        entry = self.directory.entry(page)
-        # Already exclusive on this node: map with no protocol overhead.
-        if entry.excl_of(st.owner) != NO_HOLDER:
-            self._map_write(proc, st, page)
-            return
-
-        self._fetch_if_stale(proc, st, page, ns)
-
-        meta = ns.meta_for(page)
-        has_other_sharer = entry.has_other_sharer(st.owner)
-        holder = entry.exclusive_holder()
-        can_go_exclusive = (not has_other_sharer and holder is None
-                            and meta.twin is None
-                            and not self.tables[st.owner].writers(page)
-                            and not self._notices_pending(st.owner, page))
-        if can_go_exclusive:
-            entry.set_excl(st.owner, proc.global_id)
-            entry.set_perm(st.owner, Perm.WRITE)
-            self._charge_dir_update(proc)
-            proc.stats.bump("excl_transitions")
-            st.excl_pages.add(page)
-            st.dirty.discard(page)
-            self._map_write(proc, st, page, charge_dir=False)
-            return
-
-        # Normal multi-writer path: dirty list plus a twin off the home node.
-        st.dirty.add(page)
-        home = self.directory.home(page)
-        if home != st.owner and meta.twin is None:
-            meta.twin = make_twin(st.frames[page])
-            proc.charge(self._twin_cost, "protocol")
-            proc.stats.bump("twin_creations")
-        self._map_write(proc, st, page)
-
-    def _map_write(self, proc: Processor, st: ProcProtoState, page: int,
-                   charge_dir: bool = True) -> None:
-        table = self.tables[st.owner]
-        # WRITE is the loosest permission, so after the grant the node's
-        # loosest is WRITE by construction; only the old value needs a scan.
-        old_loosest = table.loosest(page)
-        table.set_perm(page, st.lidx, Perm.WRITE)
-        if charge_dir and old_loosest != Perm.WRITE:
-            self._set_node_perm_word(proc, page, Perm.WRITE)
-        proc.charge(self.costs.mprotect, "protocol")
-
-    # ------------------------------------------------------------------ fetch
-
-    def _fetch_if_stale(self, proc: Processor, st: ProcProtoState,
-                        page: int, ns: NodeState2L) -> None:
-        """Fetch a fresh copy from the home node when the local copy is
-        missing or stale by the timestamp rule of Section 2.4.1."""
-        entry = self.directory.entry(page)
-        home = entry.home_owner
-
-        # An exclusive holding elsewhere always forces a break, even for
-        # home-node processors (exclusive pages send no write notices, so
-        # the timestamp rule cannot see their modifications).
-        holder = entry.exclusive_holder()
-        if holder is not None and holder[0] == st.owner:
+        entry = self.directory.entries[page]
+        row = st.rows[page]
+        holder = entry.excl
+        if holder is not None and holder[0] == owner:
             holder = None
+        went_exclusive = False
+        if not write or holder is not None or entry.excl is None:
+            # The timestamp rule (Section 2.4.1): fetch when the copy is
+            # missing or stale. An exclusive holding elsewhere always
+            # forces a break, even on the home node (exclusive pages send
+            # no write notices, so the rule cannot see their writes);
+            # home processors otherwise work on the master copy itself.
+            home = entry.home_owner
+            meta = None
+            if write or home != owner:  # ns.meta_for, in line
+                meta = ns.meta.get(page) \
+                    or ns.meta.setdefault(page, PageMeta())
+            if home == owner:
+                if holder is not None:  # it flushes into our master
+                    proc.clock, buckets["protocol"] = clock, spent
+                    self._break_exclusive(proc, page, holder)
+                    clock, spent = proc.clock, buckets["protocol"]
+            elif (holder is not None or page not in st.frames
+                    or meta.update_ts < min(meta.wn_ts, st.acquire_ts)):
+                proc.clock, buckets["protocol"] = clock, spent
+                if self.shootdown and meta.twin is not None:
+                    # 2LS: a fetch with concurrent local writers shoots
+                    # down their mappings and flushes first.
+                    self._shootdown_and_flush(proc, st, page, meta)
+                # Requester-side fixed costs: request composition, read
+                # buffer, second-level directory maintenance.
+                t_fetch = clock = proc.clock
+                spent = buckets["protocol"]
+                if (us := costs.fetch_overhead
+                        + costs.two_level_fetch_extra) > 0:
+                    if ctrace is not None:
+                        ctrace.span("protocol", proc, clock, us)
+                    clock, spent = clock + us, spent + us
+                proc.clock, buckets["protocol"] = clock, spent
+                if holder is not None:
+                    # The holder's reply carries the latest copy.
+                    payload = self._break_exclusive(proc, page, holder)
+                    done = 0.0
+                else:
+                    _, done = self.requests.fetch_page(
+                        proc, self.cluster.nodes[home], self._page_copy_cost,
+                        self._reply_bytes)
+                    payload = self.frames.frame(home, page)  # the master
+                clock, spent = proc.clock, buckets["protocol"]
+                if done > clock:
+                    us = done - clock
+                    if ctrace is not None:
+                        ctrace.span("comm_wait", proc, clock, us)
+                    clock += us
+                    buckets["comm_wait"] += us
+                counters["page_transfers"] += 1
+                if meta.twin is not None:
+                    # Two-way diffing: merge only the *remote* changes,
+                    # into the working page and the twin — no shootdown.
+                    diff = incoming_diff(payload, st.frames[page],
+                                         meta.twin,
+                                         context=f"page {page} fetch")
+                    us = self.config.diff_in_cost(diff.nbytes)
+                    counters["incoming_diffs"] += 1
+                else:
+                    self.frames.map_frame(owner, page, payload)
+                    us = self._page_copy_cost
+                if us > 0:
+                    if ctrace is not None:
+                        ctrace.span("protocol", proc, clock, us)
+                    clock, spent = clock + us, spent + us
+                if self.trace is not None:
+                    if meta.twin is not None:
+                        self.trace.instant("diff_in", proc, clock, obj=page,
+                                           bytes=int(diff.nbytes))
+                    self.trace.span("page_fetch", proc, t_fetch,
+                                    clock - t_fetch, obj=page,
+                                    bytes=self.config.page_bytes, home=home)
+                ns.logical += 1
+                meta.update_ts = ns.logical
 
-        if home == st.owner:
-            # Home processors work directly on the master copy; the break
-            # (if any) flushed the holder's page into it.
-            if holder is not None:
-                self._break_exclusive(proc, page, holder)
-            return
-        meta = ns.meta_for(page)
-        have_frame = page in st.frames
-        threshold = min(meta.wn_ts, st.acquire_ts)
-        if holder is None and have_frame and meta.update_ts >= threshold:
-            return
+            if write and (not entry.has_other_sharer(owner)
+                          and entry.excl is None and meta.twin is None
+                          and _WRITE not in row
+                          and not self._notices_pending(owner, page)):
+                # Sole sharer, no local writer, no notice pending: go
+                # exclusive. The word's holder field changes, so the
+                # directory update below is booked whatever its perm.
+                entry.set_excl(owner, proc.global_id)
+                st.excl_pages.add(page)
+                st.dirty.discard(page)
+                went_exclusive = True
+            elif write:
+                st.dirty.add(page)
+                if home != owner and meta.twin is None:
+                    meta.twin = make_twin(st.frames[page])
+                    if (us := self._twin_cost) > 0:
+                        if ctrace is not None:
+                            ctrace.span("protocol", proc, clock, us)
+                        clock, spent = clock + us, spent + us
+                    counters["twin_creations"] += 1
 
-        if self.shootdown and meta.twin is not None:
-            # 2LS: a fetch with concurrent local writers requires shooting
-            # down their mappings and flushing before the page is updated.
-            self._shootdown_and_flush(proc, st, page, meta)
-
-        # Requester-side fixed fetch costs (request composition, read
-        # buffer, and the two-level second-level directory maintenance).
-        t_fetch = proc.clock
-        proc.charge(self.costs.fetch_overhead
-                    + self.costs.two_level_fetch_extra, "protocol")
-        if holder is not None:
-            # The holder's reply carries the latest copy directly.
-            payload = self._break_exclusive(proc, page, holder)
-        else:
-            payload, done = self.requests.explicit_request(
-                proc, self.node_of_owner(home),
-                self._make_fetch_handler(page), category="page")
-            if done > proc.clock:
-                proc.charge(done - proc.clock, "comm_wait")
-        proc.stats.bump("page_transfers")
-
-        if meta.twin is not None:
-            # Two-way diffing: merge only the *remote* modifications, into
-            # both the working page and the twin — no shootdown needed.
-            diff = incoming_diff(payload, st.frames[page], meta.twin,
-                                 context=f"page {page} fetch")
-            proc.charge(self.config.diff_in_cost(diff.nbytes), "protocol")
-            proc.stats.bump("incoming_diffs")
-            if self.trace is not None:
-                self.trace.instant("diff_in", proc, proc.clock, obj=page,
-                                   bytes=int(diff.nbytes))
-        else:
-            self.frames.map_frame(st.owner, page, payload)
-            proc.charge(self._page_copy_cost, "protocol")
+        # Map (a loosening: no cached mapping to evict). The node's
+        # directory word changes only if its loosest permission was below
+        # the one granted.
+        perm = _WRITE if write else _READ
+        old_loosest = max(row)
+        row[st.lidx] = perm
+        if went_exclusive or (old_loosest < perm
+                              and entry.perm_of(owner) != perm):
+            entry.set_perm(owner, perm)
+            if (us := self._dir_word(counters, clock)) > 0:
+                if ctrace is not None:
+                    ctrace.span("protocol", proc, clock, us)
+                clock, spent = clock + us, spent + us
+            if went_exclusive:
+                counters["excl_transitions"] += 1
+        if (us := costs.mprotect) > 0:
+            if ctrace is not None:
+                ctrace.span("protocol", proc, clock, us)
+            clock, spent = clock + us, spent + us
+        proc.clock, buckets["protocol"] = clock, spent
         if self.trace is not None:
-            self.trace.span("page_fetch", proc, t_fetch,
-                            proc.clock - t_fetch, obj=page,
-                            bytes=self.config.page_bytes, home=home)
-        ns.tick()
-        meta.update_ts = ns.logical
-
-    def _make_fetch_handler(self, page: int):
-        """Request handler run by a polling processor on the home node."""
-        page_bytes = self.config.page_bytes
-        cost = self._page_copy_cost  # fill the page read buffer
-
-        def handler(server: Processor, at: float):
-            return self.master(page).copy(), cost, \
-                page_bytes + PAGE_HEADER_BYTES
-
-        return handler
+            self.trace.span("write_fault" if write else "read_fault", proc,
+                            t0, clock - t0, obj=page)
 
     # -------------------------------------------------------------- exclusive
 
@@ -329,16 +317,8 @@ class Cashmere2L(BaseProtocol):
                 cost += self.costs.mprotect
             return frame.copy(), cost, page_bytes + PAGE_HEADER_BYTES
 
-        t0 = proc.clock
-        payload, done = self.requests.explicit_request(
-            proc, self.node_of_owner(holder_owner), handler,
-            target_proc=holder_proc_id, category="page")
-        if done > proc.clock:
-            proc.charge(done - proc.clock, "comm_wait")
-        if self.trace is not None:
-            self.trace.span("excl_break", proc, t0, proc.clock - t0,
-                            obj=page, holder=holder_proc_id)
-        return payload
+        return self._request_break(proc, page, holder_owner, holder_proc_id,
+                                   handler)
 
     # ------------------------------------------------------------ acquire side
 
@@ -346,59 +326,75 @@ class Cashmere2L(BaseProtocol):
         """Distribute global write notices, then invalidate stale pages
         (Section 2.4.2)."""
         st = self._ps[proc.global_id]
-        ns = self.node_state[st.owner]
-        ns.tick()
-
-        board = self.boards[st.owner]
-        if self.directory.lock_model is not None and board.pending():
-            proc.charge(self.directory.lock_model.update_cost(proc.clock),
-                        "protocol")
-        notices = board.collect(proc.clock)
+        owner = st.owner
+        ns = self.node_state[owner]
+        ns.logical += 1
+        ctrace, buckets = proc.trace, proc.stats.buckets
+        clock = proc.clock
+        spent = buckets["protocol"]
+        llsc, metas = self.costs.llsc_lock, ns.meta
+        board = self.boards[owner]
+        lock_model = self.directory.lock_model
+        if lock_model is not None and board.pending():
+            if (us := lock_model.update_cost(clock)) > 0:
+                if ctrace is not None:
+                    ctrace.span("protocol", proc, clock, us)
+                clock, spent = clock + us, spent + us
+        notices = board.collect(clock)
         if notices:
-            self._distribute(proc, st, ns, [wn.page for wn in notices])
+            # Second-level distribution: stamp each noticed page's
+            # write-notice time and queue it at every local processor
+            # that maps it, one ll/sc lock per newly set bit.
+            lists = [peer.notices for peer in self._owner_ps[owner]]
+            queued = 0
+            for wn in notices:
+                page = wn.page
+                meta = metas.get(page) or metas.setdefault(page, PageMeta())
+                meta.wn_ts = ns.logical
+                for pn, perm in zip(lists, st.rows[page]):
+                    if perm < _READ:
+                        continue
+                    if page in pn._bitmap:  # PerProcNotices.add, in line
+                        pn.redundant_drops += 1
+                    else:
+                        pn._bitmap.add(page)
+                        pn._queue.append(page)
+                        queued += 1
+            if llsc > 0:
+                for _ in range(queued):
+                    if ctrace is not None:
+                        ctrace.span("protocol", proc, clock, llsc)
+                    clock, spent = clock + llsc, spent + llsc
 
         st.acquire_ts = ns.logical
-
+        table, lidx = self.tables[owner], st.lidx
         for page in st.notices.drain():
-            meta = ns.meta_for(page)
-            if meta.update_ts < meta.wn_ts:
-                self._invalidate_mapping(proc, st, page)
-        proc.charge(self.costs.llsc_lock, "protocol")  # drain under local lock
-
-    def _distribute(self, proc: Processor, st: ProcProtoState,
-                    ns: NodeState2L, pages: list[int]) -> None:
-        """Second-level distribution of noticed ``pages`` (Section 2.4.2):
-        stamp each page's write-notice time and queue it at every local
-        processor that maps it, one ll/sc lock per newly set bit."""
-        for page in dict.fromkeys(pages):
-            ns.meta_for(page).wn_ts = ns.logical
-        lists = [peer.notices for peer in self._owner_ps[st.owner]]
-        rows, read, queued = st.rows, int(Perm.READ), 0
-        for page in pages:
-            for pn, perm in zip(lists, rows[page]):
-                if perm < read:
-                    continue
-                if page in pn._bitmap:  # PerProcNotices.add, in line
-                    pn.redundant_drops += 1
-                else:
-                    pn._bitmap.add(page)
-                    pn._queue.append(page)
-                    queued += 1
-        llsc = self.costs.llsc_lock
-        for _ in range(queued):
-            proc.charge(llsc, "protocol")
-
-    def _invalidate_mapping(self, proc: Processor, st: ProcProtoState,
-                            page: int) -> None:
-        table = self.tables[st.owner]
-        if table.perm(page, st.lidx) == Perm.INVALID:
-            return
-        old_loosest = table.loosest(page)
-        table.set_perm(page, st.lidx, Perm.INVALID)
-        proc.charge(self.costs.mprotect, "protocol")
-        new_loosest = table.loosest(page)
-        if new_loosest != old_loosest:
-            self._set_node_perm_word(proc, page, new_loosest)
+            meta = metas.get(page) or metas.setdefault(page, PageMeta())
+            row = table.rows[page]
+            if meta.update_ts >= meta.wn_ts or row[lidx] == _INVALID:
+                continue
+            # Invalidate this mapping; the node's directory word follows
+            # when its loosest permission changes.
+            old_loosest = max(row)
+            table.set_perm(page, lidx, Perm.INVALID)
+            if (us := self.costs.mprotect) > 0:
+                if ctrace is not None:
+                    ctrace.span("protocol", proc, clock, us)
+                clock, spent = clock + us, spent + us
+            new_loosest = max(row)
+            entry = self.directory.entries[page]
+            if new_loosest != old_loosest \
+                    and entry.perm_of(owner) != new_loosest:
+                entry.set_perm(owner, new_loosest)
+                if (us := self._dir_word(proc.stats.counters, clock)) > 0:
+                    if ctrace is not None:
+                        ctrace.span("protocol", proc, clock, us)
+                    clock, spent = clock + us, spent + us
+        if llsc > 0:  # drain under the local lock
+            if ctrace is not None:
+                ctrace.span("protocol", proc, clock, llsc)
+            clock, spent = clock + llsc, spent + llsc
+        proc.clock, buckets["protocol"] = clock, spent
 
     # ------------------------------------------------------------ release side
 
@@ -406,26 +402,125 @@ class Cashmere2L(BaseProtocol):
         """Flush dirty, non-exclusive pages and send write notices
         (Section 2.4.3)."""
         st = self._ps[proc.global_id]
-        ns = self.node_state[st.owner]
-        ns.tick()
+        owner = st.owner
+        ns = self.node_state[owner]
+        ns.logical += 1
         ns.last_release_ts = ns.logical
         if not st.dirty and not st.nle.pages:
             return
-        peers = self._owner_ps[st.owner]
+        peers = self._owner_ps[owner]
         pages = sorted(st.dirty | set(st.nle.take_all()))
         st.dirty.clear()
+        trace, ctrace, buckets = self.trace, proc.trace, proc.stats.buckets
+        clock = proc.clock
+        spent = buckets["protocol"]
+        table, lidx = self.tables[owner], st.lidx
+        lock_model = self.directory.lock_model
         for page in pages:
+            row = table.rows[page]
+            entry = self.directory.entries[page]
             # At a barrier only the "last arriving local writer" flushes:
             # defer to write-mapped peers NOT yet arrived at this episode
             # (their diff against the shared twin covers ours) — not to a
             # stale write mapping (e.g. ex-exclusive) of an arrived peer.
             if barrier and any(
-                    p >= Perm.WRITE and w != st.lidx
+                    p >= _WRITE and w != lidx
                     and peers[w].arrival_epoch < st.arrival_epoch
-                    for w, p in enumerate(st.rows[page])):
-                self._downgrade_self(proc, st, page)
+                    for w, p in enumerate(row)):
+                pass
+            elif entry.excl_of(owner) != NO_HOLDER:
+                continue  # exclusive pages generate no flushes or notices
+            elif (meta := ns.meta_for(page)).flush_ts > ns.last_release_ts:
+                # A concurrent release already flushed this page; wait for
+                # the flush to reach the home node, then skip.
+                if meta.flush_end_real > clock:
+                    us = meta.flush_end_real - clock
+                    if ctrace is not None:
+                        ctrace.span("comm_wait", proc, clock, us)
+                    clock += us
+                    buckets["comm_wait"] += us
             else:
-                self._consider_flush(proc, st, ns, page)
+                # Flush the page: a diff home (off the home node), then
+                # write notices to every other sharing node.
+                t0 = clock
+                home = entry.home_owner
+                ns.logical += 1
+                meta.flush_ts = ns.logical
+                notify = True
+                others = row.count(_WRITE) > (row[lidx] == _WRITE)
+                if home == owner:
+                    pass  # our frame is the master: nothing to flush
+                elif meta.twin is None:
+                    # 2LS: a shootdown flushed these changes and dropped
+                    # the twin; only the notices remain. 2L: a peer's
+                    # last-writer flush carried them home and dropped the
+                    # twin while this dirty record sat behind an acquire's
+                    # invalidation (a flush ``last_release_ts`` cannot see
+                    # once this release has ticked): nothing is unflushed.
+                    if not self.shootdown:
+                        if _WRITE in row:
+                            raise ProtocolError(
+                                f"flush of page {page} on owner {owner} "
+                                f"without twin")
+                        notify = False
+                elif self.shootdown and others:
+                    # _shootdown_and_flush sends the notices itself.
+                    proc.clock, buckets["protocol"] = clock, spent
+                    self._shootdown_and_flush(proc, st, page, meta)
+                    clock, spent = proc.clock, buckets["protocol"]
+                    notify = False
+                else:
+                    # Flush-update: modifications to home *and* twin, so
+                    # concurrent local writers' later flushes skip them.
+                    diff = flush_update(st.frames[page], meta.twin,
+                                        self.frames.frame(home, page))
+                    if (us := self.config.diff_out_cost(diff.nbytes,
+                                                        True)) > 0:
+                        if ctrace is not None:
+                            ctrace.span("protocol", proc, clock, us)
+                        clock, spent = clock + us, spent + us
+                    meta.flush_end_real = clock
+                    if diff.nbytes:
+                        if trace is not None:
+                            trace.instant("diff_out", proc, clock, obj=page,
+                                          bytes=int(diff.nbytes))
+                        send_done, meta.flush_end_real = self.mc.transfer(
+                            clock, diff.nbytes, category="diff")
+                        if send_done > clock:
+                            us = send_done - clock
+                            if ctrace is not None:
+                                ctrace.span("comm_wait", proc, clock, us)
+                            clock += us
+                            buckets["comm_wait"] += us
+                    if others:
+                        proc.stats.counters["flush_updates"] += 1
+                    else:
+                        meta.twin = None  # last writer: twin is garbage
+                    if self._migrate_policy:
+                        self._note_remote_flush(page, owner)
+                if notify:
+                    # Notices to every sharer but us and the home (Section
+                    # 3.3.5 ablation: one list per node, a global lock).
+                    if lock_model is not None and \
+                            (us := lock_model.update_cost(clock)) > 0:
+                        if ctrace is not None:
+                            ctrace.span("protocol", proc, clock, us)
+                        clock, spent = clock + us, spent + us
+                    proc.clock, buckets["protocol"] = clock, spent
+                    self._post_write_notices(
+                        proc, owner, page, [o for o in entry.sharers()
+                                            if o != owner and o != home])
+                    clock, spent = proc.clock, buckets["protocol"]
+                if trace is not None:
+                    trace.span("page_flush", proc, t0, clock - t0, obj=page)
+            # Downgrade so new writes fault into the dirty list again.
+            if row[lidx] == _WRITE:
+                table.set_perm(page, lidx, Perm.READ)
+                if (us := self.costs.mprotect) > 0:
+                    if ctrace is not None:
+                        ctrace.span("protocol", proc, clock, us)
+                    clock, spent = clock + us, spent + us
+        proc.clock, buckets["protocol"] = clock, spent
 
     def barrier_release(self, proc: Processor) -> None:
         """Barrier-arrival flush: only the last arriving local writer of a
@@ -433,116 +528,12 @@ class Cashmere2L(BaseProtocol):
         self._ps[proc.global_id].arrival_epoch += 1
         self.release_sync(proc, barrier=True)
 
-    def _consider_flush(self, proc: Processor, st: ProcProtoState,
-                        ns: NodeState2L, page: int) -> None:
-        entry = self.directory.entry(page)
-        if entry.excl_of(st.owner) != NO_HOLDER:
-            return  # exclusive pages generate no flushes or notices
-        meta = ns.meta_for(page)
-        if meta.flush_ts > ns.last_release_ts:
-            # A concurrent release already flushed this page; wait for the
-            # flush to reach the home node, then skip.
-            if meta.flush_end_real > proc.clock:
-                proc.charge(meta.flush_end_real - proc.clock, "comm_wait")
-            self._downgrade_self(proc, st, page)
-            return
-        self._flush_page(proc, st, ns, page, meta)
-        self._downgrade_self(proc, st, page)
-
-    def _flush_page(self, proc: Processor, st: ProcProtoState,
-                    ns: NodeState2L, page: int, meta: PageMeta) -> None:
-        t0 = proc.clock
-        self._flush_page_inner(proc, st, ns, page, meta)
-        if self.trace is not None:
-            self.trace.span("page_flush", proc, t0, proc.clock - t0, obj=page)
-
-    def _flush_page_inner(self, proc: Processor, st: ProcProtoState,
-                          ns: NodeState2L, page: int, meta: PageMeta) -> None:
-        home = self.directory.home(page)
-        table = self.tables[st.owner]
-        meta.flush_ts = ns.tick()
-
-        if home != st.owner:
-            if meta.twin is None:
-                if self.shootdown:
-                    # 2LS: an earlier shootdown already flushed these
-                    # changes and discarded the twin; only the notices
-                    # remain.
-                    self._send_write_notices(proc, st, page)
-                    return
-                if table.writers(page):
-                    raise ProtocolError(
-                        f"flush of page {page} on owner {st.owner} "
-                        f"without twin")
-                # 2L: a peer's last-writer flush already carried these
-                # modifications home (diff + write notices) and dropped
-                # the node twin while this dirty record sat behind an
-                # acquire-side invalidation. The per-node
-                # ``last_release_ts`` guard in _consider_flush cannot see
-                # that flush once this release's own tick has advanced the
-                # clock, so catch it here: with no twin and no local write
-                # mappings the node holds nothing unflushed.
-                return
-            others = [w for w in table.writers(page) if w != st.lidx]
-            if self.shootdown and others:
-                # _shootdown_and_flush sends the write notices itself.
-                self._shootdown_and_flush(proc, st, page, meta)
-                return
-            # Flush-update: write modifications to home *and* twin, so
-            # concurrent local writers' later flushes skip them.
-            self._flush_diff(proc, st, page, meta)
-            if others:
-                proc.stats.bump("flush_updates")
-            else:
-                meta.twin = None  # last writer: the twin is garbage now
-            if self._migrate_policy:
-                self._note_remote_flush(page, st.owner)
-
-        self._send_write_notices(proc, st, page)
-
-    def _flush_diff(self, proc: Processor, st: ProcProtoState, page: int,
-                    meta: PageMeta) -> None:
-        """Write the page's outgoing diff to the home (and the twin)."""
-        diff = flush_update(st.frames[page], meta.twin, self.master(page))
-        proc.charge(self.config.diff_out_cost(diff.nbytes, True), "protocol")
-        if diff.nbytes:
-            if self.trace is not None:
-                self.trace.instant("diff_out", proc, proc.clock, obj=page,
-                                   bytes=int(diff.nbytes))
-            send_done, visible = self.mc.transfer(proc.clock, diff.nbytes,
-                                                  category="diff")
-            if send_done > proc.clock:
-                proc.charge(send_done - proc.clock, "comm_wait")
-            meta.flush_end_real = visible
-        else:
-            meta.flush_end_real = proc.clock
-
-    def _send_write_notices(self, proc: Processor, st: ProcProtoState,
-                            page: int) -> None:
-        """Write notices to every sharing node except us and the home."""
-        entry = self.directory.entry(page)
-        me, home = st.owner, entry.home_owner
-        if self.directory.lock_model is not None:
-            # Section 3.3.5 ablation: single write-notice list per node,
-            # guarded by a cluster-wide lock.
-            proc.charge(self.directory.lock_model.update_cost(proc.clock),
-                        "protocol")
-        self._post_write_notices(
-            proc, me, page,
-            [o for o in entry.sharers() if o != me and o != home])
-
-    def _downgrade_self(self, proc: Processor, st: ProcProtoState,
-                        page: int) -> None:
-        table = self.tables[st.owner]
-        if table.perm(page, st.lidx) == Perm.WRITE:
-            table.set_perm(page, st.lidx, Perm.READ)
-            proc.charge(self.costs.mprotect, "protocol")
-
     # ------------------------------------------------------------- shootdown
 
     def _shootdown_and_flush(self, proc: Processor, st: ProcProtoState,
                              page: int, meta: PageMeta) -> None:
-        """2LS only: shoot down concurrent local writers, flush, drop twin.
+        """2LS only: shoot down concurrent local writers, flush, drop twin,
+        send the write notices.
 
         The second-level directory limits the shootdown to processors that
         actually hold write mappings (unlike SoftFLASH's conservative
@@ -562,10 +553,28 @@ class Cashmere2L(BaseProtocol):
         if self.trace is not None:
             self.trace.instant("shootdown", proc, proc.clock, obj=page,
                                targets=len(targets))
-        if meta.twin is not None:
-            self._flush_diff(proc, st, page, meta)
-            meta.twin = None
-        self._send_write_notices(proc, st, page)
+        entry = self.directory.entries[page]
+        home = entry.home_owner
+        # The release's flush-update (callers hold a twin), then notices.
+        diff = flush_update(st.frames[page], meta.twin,
+                            self.frames.frame(home, page))
+        proc.charge(self.config.diff_out_cost(diff.nbytes, True), "protocol")
+        meta.flush_end_real = proc.clock
+        if diff.nbytes:
+            if self.trace is not None:
+                self.trace.instant("diff_out", proc, proc.clock, obj=page,
+                                   bytes=int(diff.nbytes))
+            send_done, meta.flush_end_real = self.mc.transfer(
+                proc.clock, diff.nbytes, category="diff")
+            if send_done > proc.clock:
+                proc.charge(send_done - proc.clock, "comm_wait")
+        meta.twin = None
+        if self.directory.lock_model is not None:
+            proc.charge(self.directory.lock_model.update_cost(proc.clock),
+                        "protocol")
+        self._post_write_notices(
+            proc, st.owner, page,
+            [o for o in entry.sharers() if o != st.owner and o != home])
 
 
 class Cashmere2LS(Cashmere2L):

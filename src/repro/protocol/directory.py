@@ -25,15 +25,12 @@ tolerance of briefly stale directory views.
 Representation (DESIGN.md §15)
 ------------------------------
 On the wire an entry is always ``num_owners`` words; in simulator memory
-it need not be. :class:`DirEntry` is **sparse**: it stores
-only the owners whose permission is READ or better (a dict keyed by
-owner) plus the single cached exclusive holder, so entry size,
-``sharers()``, the tighten/loosen scans, and
-:meth:`GlobalDirectory.occupancy` cost O(sharers) instead of
-O(num_owners). On a 64-node cluster where a typical page has one or two
-sharers this is the difference between a 512-processor run being
-tractable and every directory touch paying a 64-wide scan. Sparseness is
-purely a storage optimization: the wire accounting
+it need not be. :class:`DirEntry` is **sparse**: it stores only the
+owners whose permission is READ or better (a dict keyed by owner) plus
+the single cached exclusive holder, so entry size, ``sharers()``, the
+tighten/loosen scans, and :meth:`GlobalDirectory.occupancy` cost
+O(sharers) instead of O(num_owners) (DESIGN.md §15 has the 64-node
+case). Sparseness is purely a storage optimization: the wire accounting
 (:meth:`GlobalDirectory.broadcast_bytes`) still charges one word per
 replica, and every observable — permissions, holders, occupancy,
 statistics, result bytes — is byte-identical to the paper's dense
@@ -42,11 +39,12 @@ dense layout as a differential reference: ``tests/test_directory.py``
 drives both forms through randomized update sequences and asserts
 identical answers.
 
-The protocols only ever go through the entry's accessor protocol —
-``perm_of``/``set_perm``, ``excl_of``/``set_excl``/``clear_excl``,
-``sharers``, ``has_other_sharer``, ``exclusive_holder``,
-``state_tuple`` — and nothing outside this module indexes
-directory words directly.
+The protocols mutate entries only through the accessor protocol —
+``set_perm``, ``set_excl``/``clear_excl`` — and read them through
+``perm_of``, ``excl_of``, ``sharers``, ``has_other_sharer``,
+``exclusive_holder`` and ``state_tuple``, except that the flat slow
+path (DESIGN.md §19) reads the ``excl`` and ``home_owner`` fields
+directly. Nothing outside this module indexes directory words.
 """
 
 from __future__ import annotations
@@ -160,13 +158,9 @@ class DirEntry:
 
 
 class GlobalDirectory:
-    """The replicated directory for every shared page.
-
-    ``num_owners`` is the replication domain size. All mutation goes
-    through :meth:`update`, which charges the measured modification cost
-    (optionally under the global-lock ablation model) and accounts the
-    broadcast traffic.
-    """
+    """The replicated directory for every shared page; ``num_owners`` is
+    the replication domain size. The protocols book each word change's
+    cost (:meth:`update_cost`) and broadcast traffic themselves."""
 
     def __init__(self, config: MachineConfig, num_owners: int,
                  lock_model: "DirectoryLockModel | None" = None) -> None:

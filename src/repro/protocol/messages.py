@@ -47,49 +47,62 @@ class RequestEngine:
         self.config = cluster.config
         self._rr: dict[int, int] = {}  # per-node round-robin poll winner
 
-    def _pick_server(self, node: Node, target_proc: int | None) -> Processor:
-        """The processor that notices the request first.
+    def fetch_page(self, requester: Processor, target_node: Node,
+                   cost: float = 0.0, reply_bytes: int = 0,
+                   bus_us: float | None = None, *,
+                   handler: Handler | None = None,
+                   target_proc: int | None = None,
+                   category: str = "page") -> tuple[Any, float]:
+        """Request a page at the requester's clock; returns (payload,
+        done), ``done`` being when the reply is usable at the requester
+        (the caller charges ``done - clock`` as communication/wait).
 
-        A specific target (exclusive-mode holder) services its own
-        requests; otherwise the node's processors take turns — whichever
-        polls first in the real system, round-robin in the model.
-        """
-        if target_proc is not None:
-            return self.cluster.processor(target_proc)
-        idx = self._rr.get(node.id, 0)
-        self._rr[node.id] = (idx + 1) % len(node.processors)
-        return node.processors[idx]
-
-    def explicit_request(self, requester: Processor, target_node: Node,
-                         handler: Handler, *, target_proc: int | None = None,
-                         category: str = "page") -> tuple[Any, float]:
-        """Issue a request at the requester's clock; returns (payload, done).
-
-        ``done`` is the simulated time at which the reply data is usable
-        at the requester. The caller charges ``done - clock`` as
-        communication/wait time.
-        """
+        From the home, the reply costs ``cost`` (plus, for a same-node
+        reply, a ``bus_us`` memcpy on the node bus) and carries
+        ``reply_bytes``; the requester then reads the master copy itself,
+        so the payload is None. A ``handler`` (an exclusive break: the
+        holder flushes and replies) computes payload, cost and reply size
+        at the service start. The service timeline is peeked only for a
+        handler or the bus booking: nothing else reads the start time."""
         costs = self.config.costs
         now = requester.clock
         # Request descriptor is a remote write into the request buffer.
         arrival = now + costs.mc_latency
-        self.mc.account("request", REQUEST_BYTES)
-
+        traffic = self.mc.traffic
+        traffic["request"] = traffic.get("request", 0) + REQUEST_BYTES
         if self.config.polling:
             ready = arrival + costs.poll_dispatch
         else:
             same = target_node is requester.node
             ready = arrival + self.config.interrupt_cost(same_node=same)
 
-        begin = target_node.service.peek(ready, 1e-6)
-        server = self._pick_server(target_node, target_proc)
-        payload, handler_cost, reply_bytes = handler(server, begin)
-        service = costs.handler_entry + handler_cost
+        # The processor that notices the request first: a specific target
+        # (an exclusive holder) serves its own requests; otherwise the
+        # node's processors take turns (whoever polls first, in reality).
+        if target_proc is not None:
+            server = self.cluster.processors[target_proc]
+        else:
+            idx = self._rr.get(target_node.id, 0)
+            self._rr[target_node.id] = (idx + 1) % len(target_node.processors)
+            server = target_node.processors[idx]
+        payload = None
+        if handler is not None:
+            payload, cost, reply_bytes = handler(
+                server, target_node.service.peek(ready, 1e-6))
+        elif bus_us is not None:
+            at = target_node.service.peek(ready, 1e-6)
+            cost += target_node.bus.acquire(at, bus_us)[1] - at
+        service = costs.handler_entry + cost
         begin, end = target_node.service.acquire(ready, service)
 
-        # The servicing processor loses this time to protocol work.
-        server.charge(service, "protocol")
-        server.stats.bump("requests_served")
+        # The servicing processor loses this time to protocol work
+        # (Processor.charge, in line).
+        if service > 0:
+            if server.trace is not None:
+                server.trace.span("protocol", server, server.clock, service)
+            server.clock += service
+            server.stats.buckets["protocol"] += service
+        server.stats.counters["requests_served"] += 1
         trace = self.cluster.trace
         if trace is not None:
             trace.span("request_service", server, begin, end - begin,
@@ -101,4 +114,3 @@ class RequestEngine:
         else:
             visible = end + costs.mc_latency
         return payload, max(visible, now)
-

@@ -36,25 +36,27 @@ from ..cluster.machine import Processor
 from ..errors import ProtocolError
 from ..vm.diffs import incoming_diff, make_twin, outgoing_diff, apply_diff
 from ..vm.page import Perm
-from .base import PAGE_HEADER_BYTES, BaseProtocol, ProcProtoState
+from .base import (_INVALID, _READ, _WRITE, PAGE_HEADER_BYTES,
+                   BaseProtocol, ProcProtoState)
 from .directory import NO_HOLDER
 
 
 class _OwnerMeta:
     """Per-owner (= per-processor) page bookkeeping for the 1-level protocols."""
 
-    __slots__ = ("twins",)
+    __slots__ = ("twins", "doubling")
 
     def __init__(self) -> None:
         self.twins: dict[int, np.ndarray] = {}
+        #: 1L write doubling's per-page (per-word cost, home is on this
+        #: processor's node), bound at the write fault.
+        self.doubling: dict[int, tuple[float, bool]] = {}
 
 
 class OneLevelProtocol(BaseProtocol):
     """Common one-level machinery (subclasses pick the merge mechanism)."""
 
     two_level = False
-    #: True for 1L: merge via in-line write doubling instead of diffs.
-    write_through = False
 
     def __init__(self, cluster, *, lock_free: bool = True,
                  home_opt: bool = False) -> None:
@@ -83,9 +85,8 @@ class OneLevelProtocol(BaseProtocol):
 
     def _install_master(self, proc: Processor, page: int,
                         new_home: int) -> None:
-        # Relocation re-labels which processor hosts the receive region;
-        # the master's contents move wholesale (one page transfer).
-        pass  # the shared self.masters array simply changes host
+        """Relocation only re-labels the receive region's host: the
+        ``masters`` array moves wholesale (one page transfer)."""
 
     def _twin_of(self, owner: int, page: int) -> np.ndarray | None:
         return self.meta[owner].twins.get(page)
@@ -94,25 +95,6 @@ class OneLevelProtocol(BaseProtocol):
         self.meta[owner].twins.pop(page, None)
 
     # --------------------------------------------------- home-node optimization
-
-    def _on_home_node(self, st: ProcProtoState, page: int) -> bool:
-        """Home-node optimization: is this processor on the SMP node that
-        hosts the page's master copy?"""
-        if not self.home_opt:
-            return False
-        home_proc = self.cluster.processors[self.directory.home(page)]
-        return home_proc.node is st.proc.node
-
-    def _uses_master(self, st: ProcProtoState, page: int) -> bool:
-        """True when this processor's frame *is* the master copy (home-node
-        optimization in effect for this page)."""
-        return st.frames.get(page) is self.masters[page]
-
-    def _map_master(self, st: ProcProtoState, page: int) -> None:
-        """Bind this processor's frame for ``page`` to the master copy (a
-        direct rebind, bypassing FrameStore)."""
-        st.frames[page] = self.masters[page]
-        self.tables[st.owner].evict(page, 0)
 
     def _after_relocation(self, page: int, old_home: int,
                           new_home: int) -> None:
@@ -125,10 +107,9 @@ class OneLevelProtocol(BaseProtocol):
         # mapping stays valid.
         master = self.masters[page]
         old_node = self.cluster.processors[old_home].node
-        new_node = self.cluster.processors[new_home].node
+        if old_node is self.cluster.processors[new_home].node:
+            return
         for peer in old_node.processors:
-            if peer.node is new_node:
-                continue
             pst = self._ps[peer.global_id]
             if pst.frames.get(page) is master:
                 del pst.frames[page]  # direct unmap bypasses FrameStore
@@ -137,127 +118,123 @@ class OneLevelProtocol(BaseProtocol):
                 table.set_perm(page, 0, Perm.INVALID)
 
     # ------------------------------------------------------------- page faults
+    # Flat slow path: see BaseProtocol.fault (DESIGN.md §19).
 
-    def read_fault(self, proc: Processor, st: ProcProtoState,
-                   page: int) -> None:
-        costs = self.costs
-        proc.charge(costs.page_fault, "protocol")
-        proc.stats.bump("read_faults")
-        self.maybe_relocate_home(proc, page)
+    def fault(self, proc: Processor, st: ProcProtoState, page: int,
+              write: bool) -> None:
+        """Map the master itself on the home's node (home-node
+        optimization); else a read always fetches from the home (Section
+        2.6), a write only without a valid copy. An exclusive holding
+        elsewhere is broken first; its reply is the fetched copy."""
+        ctrace, buckets = proc.trace, proc.stats.buckets
+        counters, costs = proc.stats.counters, self.costs
+        t0 = clock = proc.clock
+        spent = buckets["protocol"]
+        if (us := costs.page_fault) > 0:
+            if ctrace is not None:
+                ctrace.span("protocol", proc, clock, us)
+            clock, spent = clock + us, spent + us
+        counters["write_faults" if write else "read_faults"] += 1
+        if not self._home_settled[page] or self._migrate_streak:
+            proc.clock, buckets["protocol"] = clock, spent
+            self.maybe_relocate_home(proc, page)
+            clock, spent = proc.clock, buckets["protocol"]
 
-        if (self._on_home_node(st, page)
-                and page not in self.meta[st.owner].twins
-                and (page not in st.frames or self._uses_master(st, page))):
-            self._break_if_exclusive_elsewhere(proc, st, page)
-            self._map_master(st, page)
-        else:
-            # Read faults always fetch from the home node (Section 2.6).
-            self._fetch(proc, st, page)
-        self._set_perm(proc, st, page, Perm.READ)
-        proc.charge(costs.mprotect, "protocol")
-
-    def write_fault(self, proc: Processor, st: ProcProtoState,
-                    page: int) -> None:
-        costs = self.costs
-        proc.charge(costs.page_fault, "protocol")
-        proc.stats.bump("write_faults")
-        self.maybe_relocate_home(proc, page)
-
-        map_master = (self._on_home_node(st, page)
-                      and page not in self.meta[st.owner].twins
-                      and (page not in st.frames
-                           or self._uses_master(st, page)))
+        owner = st.owner
+        entry = self.directory.entries[page]
+        master = self.masters[page]
+        twins = self.meta[owner].twins
+        frame = st.frames.get(page)
+        row = st.rows[page]
+        map_master = (self.home_opt and (frame is None or frame is master)
+                      and page not in twins
+                      and self.cluster.processors[entry.home_owner].node
+                      is proc.node)
+        fetch = not map_master and (not write or frame is None
+                                    or row[0] == _INVALID)
+        t_fetch = clock
+        if fetch and (us := costs.fetch_overhead) > 0:
+            if ctrace is not None:
+                ctrace.span("protocol", proc, clock, us)
+            clock, spent = clock + us, spent + us
+        proc.clock, buckets["protocol"] = clock, spent
+        holder, done = entry.excl, 0.0
+        if holder is not None and holder[0] != owner:
+            payload = self._break_exclusive(proc, page, holder)
+        elif fetch:
+            home_node = self.cluster.processors[entry.home_owner].node
+            if home_node is proc.node:
+                # Same-node transfer: a bus memcpy instead of an MC reply.
+                _, done = self.requests.fetch_page(
+                    proc, home_node, self._page_copy_cost, 0,
+                    self._bus_page_us)
+            else:
+                _, done = self.requests.fetch_page(
+                    proc, home_node, self._page_copy_cost, self._reply_bytes)
+            payload = master
+        clock, spent = proc.clock, buckets["protocol"]
         if map_master:
-            self._break_if_exclusive_elsewhere(proc, st, page)
-            self._map_master(st, page)
-        elif (page not in st.frames
-              or self.tables[st.owner].perm(page, 0) == Perm.INVALID):
-            # Write faults fetch the page if necessary.
-            self._fetch(proc, st, page)
-        else:
-            # Even with a fresh local copy, a write must not proceed while
-            # another processor holds the page exclusively.
-            self._break_if_exclusive_elsewhere(proc, st, page)
-
-        st.dirty.add(page)
-        if (not self.write_through and not self._uses_master(st, page)
-                and page not in self.meta[st.owner].twins):
-            self.meta[st.owner].twins[page] = make_twin(st.frames[page])
-            proc.charge(self._twin_cost, "protocol")
-            proc.stats.bump("twin_creations")
-        self._set_perm(proc, st, page, Perm.WRITE)
-        proc.charge(costs.mprotect, "protocol")
-
-    def _set_perm(self, proc: Processor, st: ProcProtoState, page: int,
-                  perm: Perm) -> None:
-        table = self.tables[st.owner]
-        old = table.perm(page, 0)
-        table.set_perm(page, 0, perm)
-        if old != perm:
-            # Presence bits / permission in this owner's directory word.
-            self._set_node_perm_word(proc, page, perm)
-
-    # ------------------------------------------------------------------ fetch
-
-    def _break_if_exclusive_elsewhere(self, proc: Processor,
-                                      st: ProcProtoState, page: int) -> None:
-        holder = self.directory.entry(page).exclusive_holder()
-        if holder is not None and holder[0] != st.owner:
-            self._break_exclusive(proc, page, holder)
-
-    def _fetch(self, proc: Processor, st: ProcProtoState, page: int) -> None:
-        t0 = proc.clock
-        self._fetch_inner(proc, st, page)
-        if self.trace is not None:
-            self.trace.span("page_fetch", proc, t0, proc.clock - t0,
-                            obj=page, bytes=self.config.page_bytes)
-
-    def _fetch_inner(self, proc: Processor, st: ProcProtoState,
-                     page: int) -> None:
-        proc.charge(self.costs.fetch_overhead, "protocol")
-        entry = self.directory.entry(page)
-        holder = entry.exclusive_holder()
-        if holder is not None and holder[0] != st.owner:
-            payload =self._break_exclusive(proc, page, holder)
-        else:
-            home_owner = entry.home_owner
-            home_node = self.node_of_owner(home_owner)
-            local = home_node is proc.node
-            payload, done = self.requests.explicit_request(
-                proc, home_node, self._make_fetch_handler(page, local),
-                category="page")
-            if done > proc.clock:
-                proc.charge(done - proc.clock, "comm_wait")
-        proc.stats.bump("page_transfers")
-
-        twin = self.meta[st.owner].twins.get(page)
-        if twin is not None:
-            # Unreleased local writes under false sharing: merge the master's
-            # remote changes through the twin instead of clobbering them.
-            diff = incoming_diff(payload, st.frames[page], twin,
-                                 context=f"1-level fetch of page {page}")
-            proc.charge(self.config.diff_in_cost(diff.nbytes), "protocol")
+            st.frames[page] = master
+            self.tables[owner].evict(page, 0)
+        elif fetch:
+            if done > clock:
+                us = done - clock
+                if ctrace is not None:
+                    ctrace.span("comm_wait", proc, clock, us)
+                clock += us
+                buckets["comm_wait"] += us
+            counters["page_transfers"] += 1
+            twin = twins.get(page)
+            if twin is not None:
+                # Unreleased local writes under false sharing: merge the
+                # master's remote changes through the twin instead of
+                # clobbering them.
+                diff = incoming_diff(payload, st.frames[page], twin,
+                                     context=f"1-level fetch of page {page}")
+                us = self.config.diff_in_cost(diff.nbytes)
+            else:
+                self.frames.map_frame(owner, page, payload)
+                us = self._page_copy_cost
+            if us > 0:
+                if ctrace is not None:
+                    ctrace.span("protocol", proc, clock, us)
+                clock, spent = clock + us, spent + us
             if self.trace is not None:
-                self.trace.instant("diff_in", proc, proc.clock, obj=page,
-                                   bytes=int(diff.nbytes))
-        else:
-            self.frames.map_frame(st.owner, page, payload)
-            proc.charge(self._page_copy_cost, "protocol")
+                if twin is not None:
+                    self.trace.instant("diff_in", proc, clock, obj=page,
+                                       bytes=int(diff.nbytes))
+                self.trace.span("page_fetch", proc, t_fetch, clock - t_fetch,
+                                obj=page, bytes=self.config.page_bytes)
 
-    def _make_fetch_handler(self, page: int, local: bool):
-        page_bytes = self.config.page_bytes
-
-        def handler(server: Processor, at: float):
-            cost = self._page_copy_cost
-            reply = 0 if local else page_bytes + PAGE_HEADER_BYTES
-            if local:
-                # Same-node transfer: a bus memcpy instead of an MC transfer.
-                begin, end = server.node.bus.acquire(
-                    at, page_bytes / self.costs.node_bus_bandwidth)
-                cost += end - at
-            return self.masters[page].copy(), cost, reply
-
-        return handler
+        perm = _WRITE if write else _READ
+        if write:
+            st.dirty.add(page)
+            frame = st.frames[page]
+            if (not self.write_through and frame is not master
+                    and page not in twins):
+                twins[page] = make_twin(frame)
+                if (us := self._twin_cost) > 0:
+                    if ctrace is not None:
+                        ctrace.span("protocol", proc, clock, us)
+                    clock, spent = clock + us, spent + us
+                counters["twin_creations"] += 1
+        row[0] = perm  # a loosening: no cached mapping to evict
+        if entry.perm_of(owner) != perm:  # this owner's directory word
+            entry.set_perm(owner, perm)
+            if (us := self._dir_word(counters, clock)) > 0:
+                if ctrace is not None:
+                    ctrace.span("protocol", proc, clock, us)
+                clock, spent = clock + us, spent + us
+        if write and self.write_through:
+            self._bind_doubling(owner, page)
+        if (us := costs.mprotect) > 0:
+            if ctrace is not None:
+                ctrace.span("protocol", proc, clock, us)
+            clock, spent = clock + us, spent + us
+        proc.clock, buckets["protocol"] = clock, spent
+        if self.trace is not None:
+            self.trace.span("write_fault" if write else "read_fault", proc,
+                            t0, clock - t0, obj=page)
 
     # -------------------------------------------------------------- exclusive
 
@@ -293,117 +270,143 @@ class OneLevelProtocol(BaseProtocol):
                 cost += self.costs.mprotect
             return frame.copy(), cost, page_bytes + PAGE_HEADER_BYTES
 
-        t0 = proc.clock
-        payload, done = self.requests.explicit_request(
-            proc, self.node_of_owner(holder_owner), handler,
-            target_proc=holder_owner, category="page")
-        if done > proc.clock:
-            proc.charge(done - proc.clock, "comm_wait")
-        if self.trace is not None:
-            self.trace.span("excl_break", proc, t0, proc.clock - t0,
-                            obj=page, holder=holder_owner)
-        return payload
+        return self._request_break(proc, page, holder_owner, holder_owner,
+                                   handler)
 
     # ------------------------------------------------------------ acquire side
 
     def acquire_sync(self, proc: Processor) -> None:
+        """Invalidate every noticed page and leave its sharing set."""
         st = self._ps[proc.global_id]
-        board = self.boards[st.owner]
-        notices = board.collect(proc.clock)
+        owner = st.owner
+        ctrace, buckets = proc.trace, proc.stats.buckets
+        clock = proc.clock
+        spent = buckets["protocol"]
+        costs = self.costs
+        notices = self.boards[owner].collect(clock)
         if notices:
             # 1-level write-notice lists are guarded by cluster-wide locks.
-            proc.charge(self.costs.mc_lock_overhead + self.costs.mc_latency,
-                        "protocol")
-            st.notices.add_many([wn.page for wn in notices])
-        for page in st.notices.drain():
-            if self._uses_master(st, page):
-                continue  # home-node optimization: master is always fresh
-            table = self.tables[st.owner]
-            if table.perm(page, 0) == Perm.INVALID:
+            if (us := costs.mc_lock_overhead + costs.mc_latency) > 0:
+                if ctrace is not None:
+                    ctrace.span("protocol", proc, clock, us)
+                clock, spent = clock + us, spent + us
+        table = self.tables[owner]
+        # Each noticed page once, in notice order. (The processor's own
+        # list is the board: no second level to queue into.)
+        for page in dict.fromkeys([wn.page for wn in notices]):
+            if table.rows[page][0] == _INVALID:
                 continue
-            # Invalidate and leave the page's sharing set.
+            if st.frames.get(page) is self.masters[page]:
+                continue  # home-node optimization: master is always fresh
             table.set_perm(page, 0, Perm.INVALID)
-            proc.charge(self.costs.mprotect, "protocol")
-            self._set_node_perm_word(proc, page, Perm.INVALID)
-            if page not in self.meta[st.owner].twins:
-                self.frames.unmap_frame(st.owner, page)
+            if (us := costs.mprotect) > 0:
+                if ctrace is not None:
+                    ctrace.span("protocol", proc, clock, us)
+                clock, spent = clock + us, spent + us
+            entry = self.directory.entries[page]
+            if entry.perm_of(owner) != _INVALID:
+                entry.set_perm(owner, Perm.INVALID)
+                if (us := self._dir_word(proc.stats.counters, clock)) > 0:
+                    if ctrace is not None:
+                        ctrace.span("protocol", proc, clock, us)
+                    clock, spent = clock + us, spent + us
+            if page not in self.meta[owner].twins:
+                self.frames.unmap_frame(owner, page)
+        proc.clock, buckets["protocol"] = clock, spent
 
     # ------------------------------------------------------------ release side
 
     def release_sync(self, proc: Processor) -> None:
+        """Flush every dirty page: merge it into the master (1LD), then
+        post write notices to its sharers, or take it exclusive when it
+        has none."""
         st = self._ps[proc.global_id]
+        if not st.dirty:
+            return
+        owner = st.owner
+        trace = self.trace
+        ctrace, buckets = proc.trace, proc.stats.buckets
+        counters, costs = proc.stats.counters, self.costs
+        clock = proc.clock
+        spent = buckets["protocol"]
+        table = self.tables[owner]
+        twins = self.meta[owner].twins
         for page in sorted(st.dirty):
-            self._flush_one(proc, st, page)
+            t0 = clock
+            entry = self.directory.entries[page]
+            home_owner = entry.home_owner
+            master = self.masters[page]
+            # Merge changes into the master copy (1L: every write already
+            # went through to it).
+            if st.frames.get(page) is not master and not self.write_through:
+                twin = twins.pop(page, None)
+                if twin is None:
+                    raise ProtocolError(
+                        f"1LD flush of page {page} without twin")
+                diff = outgoing_diff(st.frames[page], twin)
+                apply_diff(master, diff)
+                local = self.cluster.processors[home_owner].node is proc.node
+                if (us := self.config.diff_out_cost(diff.nbytes,
+                                                    not local)) > 0:
+                    if ctrace is not None:
+                        ctrace.span("protocol", proc, clock, us)
+                    clock, spent = clock + us, spent + us
+                if trace is not None:
+                    trace.instant("diff_out", proc, clock, obj=page,
+                                  bytes=int(diff.nbytes))
+                if not local and diff.nbytes:
+                    send_done, _ = self.mc.transfer(clock, diff.nbytes,
+                                                    category="diff")
+                    if send_done > clock:
+                        us = send_done - clock
+                        if ctrace is not None:
+                            ctrace.span("comm_wait", proc, clock, us)
+                        clock += us
+                        buckets["comm_wait"] += us
+                if self._migrate_policy and home_owner != owner:
+                    self._note_remote_flush(page, owner)
+
+            sharers = [o for o in entry.sharers() if o != owner]
+            if sharers:
+                # Notices under the cluster-wide write-notice lock. The
+                # home *processor* gets them too: its working copy is not
+                # the master region (Section 2.6).
+                if (us := costs.mc_lock_overhead + costs.mc_latency) > 0:
+                    if ctrace is not None:
+                        ctrace.span("protocol", proc, clock, us)
+                    clock, spent = clock + us, spent + us
+                proc.clock, buckets["protocol"] = clock, spent
+                self._post_write_notices(proc, owner, page, sharers)
+                clock, spent = proc.clock, buckets["protocol"]
+            elif (entry.excl_of(owner) == NO_HOLDER
+                    and not self._notices_pending(owner, page)):
+                # No other sharer, no pending notice (our copy would be
+                # stale): go exclusive, keeping write permission.
+                entry.set_excl(owner, proc.global_id)
+                if (us := self._dir_word(counters, clock)) > 0:
+                    if ctrace is not None:
+                        ctrace.span("protocol", proc, clock, us)
+                    clock, spent = clock + us, spent + us
+                counters["excl_transitions"] += 1
+                st.excl_pages.add(page)
+                sharers = None
+            # Downgrade so future writes fault (and are tracked) again.
+            if sharers is not None and table.rows[page][0] == _WRITE:
+                table.set_perm(page, 0, Perm.READ)
+                if (us := costs.mprotect) > 0:
+                    if ctrace is not None:
+                        ctrace.span("protocol", proc, clock, us)
+                    clock, spent = clock + us, spent + us
+            if trace is not None:
+                trace.span("page_flush", proc, t0, clock - t0, obj=page)
         st.dirty.clear()
-
-    def _flush_one(self, proc: Processor, st: ProcProtoState,
-                   page: int) -> None:
-        t0 = proc.clock
-        self._flush_one_inner(proc, st, page)
-        if self.trace is not None:
-            self.trace.span("page_flush", proc, t0, proc.clock - t0, obj=page)
-
-    def _flush_one_inner(self, proc: Processor, st: ProcProtoState,
-                         page: int) -> None:
-        entry = self.directory.entry(page)
-        home_owner = entry.home_owner
-        uses_master = self._uses_master(st, page)
-        sharers = [o for o in entry.sharers() if o != st.owner]
-
-        # Merge changes into the master copy (1L: every write already
-        # went through to it).
-        if not uses_master and not self.write_through:
-            twin = self.meta[st.owner].twins.pop(page, None)
-            if twin is None:
-                raise ProtocolError(f"1LD flush of page {page} without twin")
-            diff = outgoing_diff(st.frames[page], twin)
-            apply_diff(self.masters[page], diff)
-            local = self.node_of_owner(home_owner) is proc.node
-            proc.charge(self.config.diff_out_cost(diff.nbytes, not local),
-                        "protocol")
-            if self.trace is not None:
-                self.trace.instant("diff_out", proc, proc.clock, obj=page,
-                                   bytes=int(diff.nbytes))
-            if not local and diff.nbytes:
-                send_done, _ = self.mc.transfer(proc.clock, diff.nbytes,
-                                                category="diff")
-                if send_done > proc.clock:
-                    proc.charge(send_done - proc.clock, "comm_wait")
-            if self._migrate_policy and home_owner != st.owner:
-                self._note_remote_flush(page, st.owner)
-
-        # Write notices to sharers that do not already hold one.
-        if sharers:
-            proc.charge(self.costs.mc_lock_overhead + self.costs.mc_latency,
-                        "protocol")  # cluster-wide write-notice lock
-            # Note: the home *processor* gets notices too — its working
-            # copy is distinct from the master region (Section 2.6);
-            # only a processor actually mapping the master (home-node
-            # optimization) skips invalidation, on the receive side.
-            self._post_write_notices(proc, st.owner, page, sharers)
-        # No other sharers: the page enters exclusive mode and leaves
-        # coherence until another processor asks for it. A pending
-        # write notice disqualifies it: our copy would be stale.
-        elif (entry.excl_of(st.owner) == NO_HOLDER
-                and not self._notices_pending(st.owner, page)):
-            entry.set_excl(st.owner, proc.global_id)
-            self._charge_dir_update(proc)
-            proc.stats.bump("excl_transitions")
-            st.excl_pages.add(page)
-            return  # keep write permission; no downgrade
-
-        # Downgrade so future writes fault (and are tracked) again.
-        table = self.tables[st.owner]
-        if table.perm(page, 0) == Perm.WRITE:
-            table.set_perm(page, 0, Perm.READ)
-            proc.charge(self.costs.mprotect, "protocol")
+        proc.clock, buckets["protocol"] = clock, spent
 
 
 class Cashmere1LD(OneLevelProtocol):
     """One-level protocol with twins and outgoing diffs."""
 
     name = "1LD"
-    write_through = False
 
 
 class Cashmere1L(OneLevelProtocol):
@@ -425,58 +428,53 @@ class Cashmere1L(OneLevelProtocol):
     #: scales with the same factor as the application's compute).
     word_double_us: float | None = None
 
-    def store(self, proc: Processor, page: int, offset: int,
-              value: float) -> None:
-        st = self._ps[proc.global_id]
-        if st.rows[page][st.lidx] < Perm.WRITE:
-            if self.trace is None:
-                self.write_fault(proc, st, page)
-            else:
-                self._traced_write_fault(proc, st, page)
-        st.frames[page][offset] = value
-        self._double_words(proc, st, page, offset, 1,
-                           np.float64(value))
-        if self.tracer is not None:
-            self.tracer.on_store(proc, page, offset, value)
+    def _bind_doubling(self, owner: int, page: int) -> None:
+        """Bind write doubling's per-(processor, page) facts, once per
+        write mapping: the per-word cost and whether the page's home is
+        on this processor's node (rebound when the home moves)."""
+        per_word = self.word_double_us
+        if per_word is None:
+            per_word = self.costs.mc_word_write
+        procs = self.cluster.processors
+        self.meta[owner].doubling[page] = (
+            per_word,
+            procs[self.directory.home(page)].node is procs[owner].node)
 
-    def store_range(self, proc: Processor, page: int, lo: int,
-                    values: np.ndarray) -> None:
-        st = self._ps[proc.global_id]
-        if st.rows[page][st.lidx] < Perm.WRITE:
-            if self.trace is None:
-                self.write_fault(proc, st, page)
-            else:
-                self._traced_write_fault(proc, st, page)
-        st.frames[page][lo:lo + len(values)] = values
-        self._double_words(proc, st, page, lo, len(values), values)
-        if self.tracer is not None:
-            self.tracer.on_store_range(proc, page, lo, values)
+    def _after_relocation(self, page: int, old_home: int,
+                          new_home: int) -> None:
+        super()._after_relocation(page, old_home, new_home)
+        for owner, meta in enumerate(self.meta):
+            if page in meta.doubling:
+                self._bind_doubling(owner, page)
 
     def _double_words(self, proc: Processor, st: ProcProtoState, page: int,
                       lo: int, count: int, values) -> None:
         master = self.masters[page]
         if master is st.frames.get(page):
             return  # home-node optimization: the store already hit the master
-        if np.ndim(values) == 0:
-            master[lo] = values
-        else:
-            master[lo:lo + count] = values
-        costs = self.costs
-        per_word = self.word_double_us
-        if per_word is None:
-            per_word = costs.mc_word_write
-        proc.charge(per_word * count, "write_double")
-        proc.stats.bump("doubled_words", count)
-        home_node = self.node_of_owner(self.directory.home(page))
-        if home_node is proc.node:
+        master[lo:lo + count] = values
+        per_word, local = self.meta[st.owner].doubling[page]
+        ctrace, buckets = proc.trace, proc.stats.buckets
+        clock = proc.clock
+        if (us := per_word * count) > 0:
+            if ctrace is not None:
+                ctrace.span("write_double", proc, clock, us)
+            clock += us
+            buckets["write_double"] += us
+        proc.stats.counters["doubled_words"] += count
+        if local:
             # Doubling into local physical memory: cache pollution shows up
             # as extra traffic on the node bus.
-            begin, end = proc.node.bus.acquire(
-                proc.clock, (8.0 * count) / costs.node_bus_bandwidth)
-            proc.charge(end - proc.clock, "write_double")
+            _, end = proc.node.bus.acquire(
+                clock, (8.0 * count) / self.costs.node_bus_bandwidth)
+            if (us := end - clock) > 0:
+                if ctrace is not None:
+                    ctrace.span("write_double", proc, clock, us)
+                clock += us
+                buckets["write_double"] += us
             self.mc.account("write_double_local", 0)
         else:
             # Remote writes ride the MC; coalescing in the write buffer is
             # imperfect (Section 3.3.1), so charge the full word each time.
-            _, _ = self.mc.transfer(proc.clock, 4 * count,
-                                    category="write_double")
+            self.mc.transfer(clock, 4 * count, category="write_double")
+        proc.clock = clock

@@ -71,8 +71,8 @@ class NoticeBoard:
         if self._consumed == self.posted:
             return _EMPTY
         found: list[WriteNotice] = []
-        for bin_ in self.bins:
-            ripe = [wn for wn in bin_ if wn.visible_at <= upto] if bin_ else ()
+        for bin_ in filter(None, self.bins):  # the non-empty bins
+            ripe = [wn for wn in bin_ if wn.visible_at <= upto]
             if ripe:
                 unripe = [wn for wn in bin_ if wn.visible_at > upto] \
                     if len(ripe) < len(bin_) else ()

@@ -15,6 +15,7 @@ from repro.config import MachineConfig
 from repro.protocol import make_protocol
 from repro.sim.process import Compute, ProcessGroup
 from repro.sync import Barrier
+from repro.trace import attach_tracer
 
 
 def make(nodes=2, ppn=2):
@@ -86,40 +87,32 @@ class TestLastLocalWriterFlush:
         p0, p1 = cluster.processors[0], cluster.processors[1]
         p2 = cluster.processors[2]
         page = 2
-        flush_clocks = []
+        # Every page flush emits one ``page_flush`` span on the flushing
+        # processor's track (traced runs go through the same body).
+        tracer = attach_tracer(cluster, proto)
 
-        orig = type(proto)._flush_page
+        def gen0():
+            proto.store(p0, page, 0, 1.0)
+            yield Compute(1.0)       # p0 arrives early
+            yield from barrier.wait(p0)
 
-        def spy(self, proc, st, ns, page_, meta):
-            if page_ == page:
-                flush_clocks.append((proc.global_id, proc.clock))
-            orig(self, proc, st, ns, page_, meta)
+        def gen1():
+            proto.store(p1, page, 1, 2.0)
+            yield Compute(5000.0)    # p1 arrives late
+            yield from barrier.wait(p1)
 
-        type(proto)._flush_page = spy
-        try:
-            def gen0():
-                proto.store(p0, page, 0, 1.0)
-                yield Compute(1.0)       # p0 arrives early
-                yield from barrier.wait(p0)
+        def gen2():
+            proto.load(p2, page, 0)
+            yield Compute(1.0)
+            yield from barrier.wait(p2)
 
-            def gen1():
-                proto.store(p1, page, 1, 2.0)
-                yield Compute(5000.0)    # p1 arrives late
-                yield from barrier.wait(p1)
+        def gen3():
+            yield from barrier.wait(cluster.processors[3])
 
-            def gen2():
-                proto.load(p2, page, 0)
-                yield Compute(1.0)
-                yield from barrier.wait(p2)
+        run_scripts(cluster, [gen0, gen1, gen2, gen3])
 
-            def gen3():
-                yield from barrier.wait(cluster.processors[3])
-
-            run_scripts(cluster, [gen0, gen1, gen2, gen3])
-        finally:
-            type(proto)._flush_page = orig
-
-        page_flushes = [pid for pid, _ in flush_clocks]
+        page_flushes = [ev.proc for ev in tracer.by_kind("page_flush")
+                        if ev.obj == page]
         # Only the last arriving writer (p1) flushed this page.
         assert page_flushes.count(0) == 0
         assert page_flushes.count(1) == 1

@@ -221,7 +221,7 @@ class TestTimelineBackfill:
             assert e == expected_end
 
     def test_tail_peek_and_acquire_do_not_search(self, monkeypatch):
-        # RequestEngine.explicit_request peeks the service timeline and
+        # RequestEngine.fetch_page peeks the service timeline and
         # then books it; when the request lands past the timeline's end
         # (the common case) neither may pay for the gap search.
         bus = SerialResource("bus")

@@ -1,4 +1,5 @@
-"""Unit tests for the explicit request/reply engine."""
+"""Unit tests for the explicit request/reply engine (handler requests;
+the handler-less page fetch is covered by the protocol suites)."""
 
 import pytest
 
@@ -25,8 +26,9 @@ class TestRequestTiming:
         engine = RequestEngine(cluster)
         requester = cluster.processors[0]
         requester.clock = 100.0
-        payload, done = engine.explicit_request(
-            requester, cluster.nodes[1], null_handler(cost=10.0, reply=512))
+        payload, done = engine.fetch_page(
+            requester, cluster.nodes[1],
+            handler=null_handler(cost=10.0, reply=512))
         assert payload == "payload"
         costs = cluster.config.costs
         expected = (100.0 + costs.mc_latency + costs.poll_dispatch
@@ -40,8 +42,8 @@ class TestRequestTiming:
             cluster = make_cluster(polling=polling)
             engine = RequestEngine(cluster)
             requester = cluster.processors[0]
-            _, done = engine.explicit_request(
-                requester, cluster.nodes[1], null_handler())
+            _, done = engine.fetch_page(requester, cluster.nodes[1],
+                                        handler=null_handler())
             done_times[polling] = done
         # Inter-node interrupts (445 us) dwarf the polling dispatch (4 us).
         assert done_times[False] > done_times[True] + 400.0
@@ -50,8 +52,8 @@ class TestRequestTiming:
         cluster = make_cluster()
         engine = RequestEngine(cluster)
         requester = cluster.processors[0]
-        _, done = engine.explicit_request(
-            requester, cluster.nodes[1], null_handler(reply=0))
+        _, done = engine.fetch_page(requester, cluster.nodes[1],
+                                    handler=null_handler(reply=0))
         assert done > cluster.config.costs.mc_latency
 
 
@@ -60,10 +62,10 @@ class TestServiceSerialization:
         cluster = make_cluster()
         engine = RequestEngine(cluster)
         p0, p1 = cluster.processors[0], cluster.processors[1]
-        _, d1 = engine.explicit_request(p0, cluster.nodes[1],
-                                        null_handler(cost=100.0))
-        _, d2 = engine.explicit_request(p1, cluster.nodes[1],
-                                        null_handler(cost=100.0))
+        _, d1 = engine.fetch_page(p0, cluster.nodes[1],
+                                  handler=null_handler(cost=100.0))
+        _, d2 = engine.fetch_page(p1, cluster.nodes[1],
+                                  handler=null_handler(cost=100.0))
         # Second request queues behind the first handler's service time.
         assert d2 >= d1 + 90.0
 
@@ -71,8 +73,8 @@ class TestServiceSerialization:
         cluster = make_cluster()
         engine = RequestEngine(cluster)
         requester = cluster.processors[0]
-        engine.explicit_request(requester, cluster.nodes[1],
-                                null_handler(cost=50.0))
+        engine.fetch_page(requester, cluster.nodes[1],
+                          handler=null_handler(cost=50.0))
         served = [p for p in cluster.nodes[1].processors
                   if p.stats.counters["requests_served"]]
         assert len(served) == 1
@@ -83,8 +85,8 @@ class TestServiceSerialization:
         engine = RequestEngine(cluster)
         requester = cluster.processors[0]
         for _ in range(4):
-            engine.explicit_request(requester, cluster.nodes[1],
-                                    null_handler())
+            engine.fetch_page(requester, cluster.nodes[1],
+                              handler=null_handler())
         counts = [p.stats.counters["requests_served"]
                   for p in cluster.nodes[1].processors]
         assert counts == [2, 2]
@@ -95,9 +97,9 @@ class TestServiceSerialization:
         requester = cluster.processors[0]
         target = cluster.nodes[1].processors[1]
         for _ in range(3):
-            engine.explicit_request(requester, cluster.nodes[1],
-                                    null_handler(),
-                                    target_proc=target.global_id)
+            engine.fetch_page(requester, cluster.nodes[1],
+                              handler=null_handler(),
+                              target_proc=target.global_id)
         assert target.stats.counters["requests_served"] == 3
 
     def test_handler_sees_service_begin_time(self):
@@ -111,7 +113,7 @@ class TestServiceSerialization:
             seen["at"] = at
             return None, 1.0, 0
 
-        engine.explicit_request(requester, cluster.nodes[1], handler)
+        engine.fetch_page(requester, cluster.nodes[1], handler=handler)
         costs = cluster.config.costs
         assert seen["at"] == pytest.approx(
             50.0 + costs.mc_latency + costs.poll_dispatch, abs=1e-3)
@@ -119,7 +121,7 @@ class TestServiceSerialization:
     def test_traffic_accounted(self):
         cluster = make_cluster()
         engine = RequestEngine(cluster)
-        engine.explicit_request(cluster.processors[0], cluster.nodes[1],
-                                null_handler(reply=512), category="page")
+        engine.fetch_page(cluster.processors[0], cluster.nodes[1],
+                          handler=null_handler(reply=512), category="page")
         assert cluster.mc.traffic["request"] > 0
         assert cluster.mc.traffic["page"] == 512

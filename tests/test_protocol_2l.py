@@ -297,6 +297,39 @@ class TestHomeRelocation:
         for page in range(min(sp, proto.config.num_pages)):
             assert proto.directory.home(page) == 1
 
+    def test_old_home_writer_gets_twin_on_relocation(self):
+        # Node 0 (the default home) holds the page exclusive with a second
+        # local writer; a first touch from node 1 breaks the holding and
+        # moves the home, and node 0's remaining writer must now twin its
+        # frame so its next flush diffs against the relocated master.
+        for protocol in ("2L", "2LS"):
+            cluster, proto = make(nodes=2, ppn=2, protocol=protocol)
+            p0, p1, p2 = cluster.processors[:3]
+            page = 0
+
+            def w0():
+                proto.store(p0, page, 0, 1.0)
+                yield Compute(1.0)
+
+            def w1():
+                yield Compute(2.0)
+                proto.store(p1, page, 1, 2.0)
+                yield Compute(1.0)
+
+            def w2():
+                yield Compute(5.0)
+                proto.end_initialization()
+                proto.load(p2, page, 0)
+                yield Compute(1.0)
+
+            run_scripts(cluster, [w0, w1, w2])
+            assert proto.directory.home(page) == 1
+            assert proto.tables[0].writers(page)
+            twin = proto.node_state[0].meta[page].twin
+            assert twin is not None
+            assert list(twin[:2]) == [1.0, 2.0]
+            proto.check_invariants()
+
     def test_no_relocation_before_end_init(self):
         cluster, proto = make(nodes=2, ppn=1)
         p1 = cluster.processors[1]

@@ -117,6 +117,33 @@ class TestDiffingVsWriteThrough:
         run_scripts(cluster, [w0])
         assert list(proto.master(page)[4:7]) == [1.0, 2.0, 3.0]
 
+    def test_1l_doubling_follows_a_relocated_home(self):
+        # Write doubling binds "is the home on my node?" at the write
+        # fault. A processor holding a page exclusively keeps its write
+        # mapping when first-touch relocation makes it the page's home,
+        # so its next store must double over the local bus, not the MC.
+        cluster, proto = make(nodes=2, ppn=1, protocol="1L")
+        p0 = cluster.processors[0]
+        page = 2  # superpage {2, 3}, home processor 1 on the other node
+        traffic = proto.mc.traffic
+
+        def w0():
+            proto.store(p0, page, 0, 1.0)
+            yield Compute(5.0)
+            proto.release_sync(p0)  # no sharers -> exclusive, still WRITE
+            proto.end_initialization()
+            proto.load(p0, page + 1, 0)  # first touch: p0 becomes home
+            assert proto.directory.home(page) == 0
+            assert proto.tables[0].perm(page, 0) == Perm.WRITE
+            remote = traffic["write_double"]
+            proto.store(p0, page, 1, 2.0)
+            assert traffic["write_double"] == remote
+            assert "write_double_local" in traffic
+            yield Compute(1.0)
+
+        run_scripts(cluster, [w0])
+        assert proto.master(page)[1] == 2.0
+
 
 class TestOneLevelAcquireRelease:
     def test_acquire_invalidates_all_noticed_pages(self):
