@@ -34,6 +34,10 @@ from .vclock import VectorClock
 #: access pair and drown the interesting first few.
 MAX_RACE_REPORTS = 64
 
+#: Builds a :class:`MemoryEvent` from its field tuple in C, without a
+#: frame for the generated ``__new__``.
+_new = tuple.__new__
+
 
 class _WordState:
     """Per-word access history: last write epoch + last read per proc."""
@@ -81,12 +85,9 @@ class RaceDetector:
 
     # --- memory accesses ---------------------------------------------------
 
-    def _event(self, proc, kind: str, page: int, offset: int) -> MemoryEvent:
-        pid = proc.global_id
-        return MemoryEvent(kind=kind, proc=pid, node=proc.node.id,
-                           page=page, offset=offset,
-                           word=page * self.wpp + offset,
-                           sim_time=proc.clock, clock=self.vc[pid][pid])
+    # The FastTrack test "epoch (c, p) happens-before my clock vc" is
+    # ``c <= vc[p]`` (VectorClock.dominates_epoch); the access hooks
+    # below test ``c > vc[p]`` on the clock's list directly.
 
     def _report(self, proc, first: MemoryEvent,
                 second: MemoryEvent) -> None:
@@ -102,40 +103,70 @@ class RaceDetector:
 
     def on_read(self, proc, page: int, offset: int) -> MemoryEvent:
         """Trace one word read; flag a write-read race if concurrent."""
-        proc.stats.bump("check_events")
-        ev = self._event(proc, "read", page, offset)
-        ws = self.words.get(ev.word)
-        if ws is None:
-            ws = self.words[ev.word] = _WordState()
-        my_vc = self.vc[ev.proc]
-        w = ws.write
-        if w is not None and w.proc != ev.proc \
-                and not my_vc.dominates_epoch(w.clock, w.proc):
-            self._report(proc, w, ev)
-        ws.reads[ev.proc] = ev
-        return ev
+        self.on_read_range(proc, page, offset, offset + 1)
+        return self.words[page * self.wpp + offset].reads[proc.global_id]
 
     def on_write(self, proc, page: int, offset: int) -> MemoryEvent:
         """Trace one word write; flag any concurrent prior read/write."""
-        proc.stats.bump("check_events")
-        ev = self._event(proc, "write", page, offset)
-        ws = self.words.get(ev.word)
-        if ws is None:
-            ws = self.words[ev.word] = _WordState()
-        my_vc = self.vc[ev.proc]
-        w = ws.write
-        if w is not None and w.proc != ev.proc \
-                and not my_vc.dominates_epoch(w.clock, w.proc):
-            self._report(proc, w, ev)
-        for r in ws.reads.values():
-            if r.proc != ev.proc \
-                    and not my_vc.dominates_epoch(r.clock, r.proc):
-                self._report(proc, r, ev)
-        # This write happens-after (or races with) everything recorded;
-        # it becomes the sole history for the word.
-        ws.write = ev
-        ws.reads.clear()
-        return ev
+        self.on_write_range(proc, page, offset, offset + 1)
+        return self.words[page * self.wpp + offset].write
+
+    def on_read_range(self, proc, page: int, lo: int, hi: int) -> None:
+        """Trace reads of words ``[lo, hi)`` of ``page``, in order; flag a
+        write-read race on each whose last write is concurrent. The
+        accessor's clock, epoch, node and time are bound once."""
+        pid = proc.global_id
+        node, t = proc.node.id, proc.clock
+        my_c = self.vc[pid].c
+        epoch = my_c[pid]
+        counters = proc.stats.counters
+        words = self.words
+        word = page * self.wpp + lo
+        for offset in range(lo, hi):
+            counters["check_events"] += 1
+            ev = _new(MemoryEvent, ("read", pid, node, page, offset, word,
+                                    t, epoch))
+            ws = words.get(word)
+            if ws is None:
+                ws = words[word] = _WordState()
+            w = ws.write
+            if w is not None and w.proc != pid and w.clock > my_c[w.proc]:
+                self._report(proc, w, ev)
+            ws.reads[pid] = ev
+            word += 1
+
+    def on_write_range(self, proc, page: int, lo: int, hi: int) -> None:
+        """Trace writes of words ``[lo, hi)`` of ``page``, in order; flag
+        any concurrent prior read or write of each."""
+        pid = proc.global_id
+        node, t = proc.node.id, proc.clock
+        my_c = self.vc[pid].c
+        epoch = my_c[pid]
+        counters = proc.stats.counters
+        words = self.words
+        word = page * self.wpp + lo
+        for offset in range(lo, hi):
+            counters["check_events"] += 1
+            ev = _new(MemoryEvent, ("write", pid, node, page, offset, word,
+                                    t, epoch))
+            ws = words.get(word)
+            if ws is None:
+                ws = words[word] = _WordState()
+            else:
+                w = ws.write
+                if w is not None and w.proc != pid \
+                        and w.clock > my_c[w.proc]:
+                    self._report(proc, w, ev)
+                reads = ws.reads
+                if reads:
+                    for r in reads.values():
+                        if r.proc != pid and r.clock > my_c[r.proc]:
+                            self._report(proc, r, ev)
+                    reads.clear()
+            # This write happens-after (or races with) everything
+            # recorded; it becomes the sole history for the word.
+            ws.write = ev
+            word += 1
 
     # --- synchronization events -------------------------------------------
 

@@ -5,15 +5,18 @@ carrying enough context to reconstruct *what happened where and when*:
 the processor (and its node), the page and word offset, the simulated
 time, and the access epoch used for the happens-before test. A
 :class:`RaceReport` pairs the two conflicting events.
+
+One event is built per checked word, so :class:`MemoryEvent` is an
+immutable tuple record (DESIGN.md §8), cheap to build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class MemoryEvent:
+class MemoryEvent(NamedTuple):
     """One traced shared-memory access."""
 
     kind: str          # "read" or "write"

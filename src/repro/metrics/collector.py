@@ -32,6 +32,7 @@ behavioral difference.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable
 
 #: Default sampling interval in simulated microseconds. Experiment-scale
@@ -84,6 +85,7 @@ class MetricsCollector:
         self._cluster = None
         self._protocol = None
         self._tracer = None
+        self._counters: list[dict[str, int]] = []
         self._last_counters: dict[str, int] = {}
         self._last_traffic: dict[str, int] = {}
         self._last_busy = 0.0
@@ -97,6 +99,10 @@ class MetricsCollector:
         self._cluster = cluster
         self._protocol = protocol
         self._tracer = tracer
+        #: Every processor's counter dict (each lives as long as its
+        #: processor), bound once for the per-sample sums.
+        self._counters = [proc.stats.counters
+                          for proc in cluster.processors]
         # Baseline the cumulative sources at attach time so the first
         # sample's deltas cover exactly the first interval.
         self._last_counters = self._counter_totals()
@@ -137,11 +143,11 @@ class MetricsCollector:
         entry[1].append(value)
 
     def _counter_totals(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for proc in self._cluster.processors:
-            for name, value in proc.stats.counters.items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
+        """Each tracked counter summed over every processor."""
+        counters = self._counters
+        zeros = repeat(0)
+        return {name: sum(map(dict.get, counters, repeat(name), zeros))
+                for name in TRACKED_COUNTERS}
 
     def _sample(self, t: float) -> None:
         record = self._record
@@ -152,7 +158,7 @@ class MetricsCollector:
         totals = self._counter_totals()
         last = self._last_counters
         for name in TRACKED_COUNTERS:
-            record(f"ctr.{name}", t, totals.get(name, 0) - last.get(name, 0))
+            record(f"ctr.{name}", t, totals[name] - last[name])
         self._last_counters = totals
 
         # Memory Channel: per-category byte deltas and link utilization.

@@ -19,6 +19,9 @@ Interaction").
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import attrgetter, is_not
+
 import numpy as np
 
 from ..cluster.machine import Processor
@@ -28,6 +31,8 @@ from ..vm.page import Perm
 from .base import (_INVALID, _READ, _WRITE, PAGE_HEADER_BYTES,
                    BaseProtocol, ProcProtoState)
 from .directory import NO_HOLDER, PageMeta
+
+_twin = attrgetter("twin")
 
 
 class NodeState2L:
@@ -58,10 +63,9 @@ class Cashmere2L(BaseProtocol):
     def metrics_gauges(self, emit) -> None:
         """Two-level gauges: live twin count and write-notice backlog."""
         twins = 0
-        for ns in self.node_state:
-            for meta in ns.meta.values():
-                if meta.twin is not None:
-                    twins += 1
+        for ns in self.node_state:  # count the metas whose twin is set
+            twins += sum(map(is_not, map(_twin, ns.meta.values()),
+                             repeat(None)))
         emit("twins", twins)
         emit("notice_backlog", sum(b.pending() for b in self.boards))
 

@@ -27,17 +27,20 @@ Representation (DESIGN.md §15)
 On the wire an entry is always ``num_owners`` words; in simulator memory
 it need not be. :class:`DirEntry` is **sparse**: it stores only the
 owners whose permission is READ or better (a dict keyed by owner) plus
-the single cached exclusive holder, so entry size, ``sharers()``, the
-tighten/loosen scans, and :meth:`GlobalDirectory.occupancy` cost
-O(sharers) instead of O(num_owners) (DESIGN.md §15 has the 64-node
-case). Sparseness is purely a storage optimization: the wire accounting
-(:meth:`GlobalDirectory.broadcast_bytes`) still charges one word per
-replica, and every observable — permissions, holders, occupancy,
-statistics, result bytes — is byte-identical to the paper's dense
-one-word-per-owner layout. ``tests/dense_directory.py`` keeps that
-dense layout as a differential reference: ``tests/test_directory.py``
-drives both forms through randomized update sequences and asserts
-identical answers.
+the single cached exclusive holder, so entry size, ``sharers()`` and the
+tighten/loosen scans cost O(sharers) instead of O(num_owners) (DESIGN.md
+§15 has the 64-node case). Sparseness is purely a storage optimization:
+the wire accounting (:meth:`GlobalDirectory.broadcast_bytes`) still
+charges one word per replica, and every observable — permissions,
+holders, occupancy, statistics, result bytes — is byte-identical to the
+paper's dense one-word-per-owner layout. ``tests/dense_directory.py``
+keeps that dense layout as a differential reference:
+``tests/test_directory.py`` drives both forms through randomized update
+sequences and asserts identical answers.
+
+The occupancy gauges (:meth:`GlobalDirectory.occupancy`) are totals the
+entries' mutators keep in line (DESIGN.md §13), so a metrics sample
+costs O(num_owners), not a rescan of every entry.
 
 The protocols mutate entries only through the accessor protocol —
 ``set_perm``, ``set_excl``/``clear_excl`` — and read them through
@@ -59,6 +62,9 @@ from ..vm.page import Perm
 #: Sentinel for "no exclusive holder".
 NO_HOLDER = -1
 
+#: Permissions as plain ints (words may hold either form).
+_INVALID, _WRITE = int(Perm.INVALID), int(Perm.WRITE)
+
 
 class DirEntry:
     """A page's directory entry, sparse form.
@@ -73,12 +79,18 @@ class DirEntry:
       that fact — there is no per-word holder field to drift from it
       (``set_excl`` raises the corruption error a dense word scan
       would);
-    * entry size is O(sharers), independent of ``num_owners``.
+    * entry size is O(sharers), independent of ``num_owners``;
+    * the directory's occupancy totals (``per_owner``, ``histogram``,
+      shared with every entry of one :class:`GlobalDirectory`) count
+      this entry as ``perms`` and ``bucket`` say: each mutator updates
+      them before it returns, and one that raises changes nothing.
     """
 
-    __slots__ = ("home_owner", "home_is_default", "perms", "excl")
+    __slots__ = ("home_owner", "home_is_default", "perms", "excl",
+                 "writers", "bucket", "per_owner", "histogram")
 
-    def __init__(self, home_owner: int, home_is_default: bool = True) -> None:
+    def __init__(self, home_owner: int, per_owner: list[int],
+                 histogram: list[int], home_is_default: bool = True) -> None:
         self.home_owner = home_owner
         self.home_is_default = home_is_default
         #: owner -> loosest Perm; only owners with perm > INVALID appear.
@@ -88,6 +100,16 @@ class DirEntry:
         #: single field makes that O(1) and makes a two-holder state
         #: unrepresentable.
         self.excl: tuple[int, int] | None = None
+        #: How many owners' words say WRITE.
+        self.writers = 0
+        #: The page's histogram bucket: 0 invalid, 1 read, 2 write,
+        #: 3 exclusive (the loosest state over every owner).
+        self.bucket = 0
+        #: The directory's totals: pages each owner maps, and pages per
+        #: bucket. A new entry is one more invalid page.
+        self.per_owner = per_owner
+        self.histogram = histogram
+        histogram[0] += 1
 
     # --- accessor protocol -------------------------------------------------
 
@@ -97,10 +119,28 @@ class DirEntry:
 
     def set_perm(self, owner: int, perm: Perm) -> None:
         """Write ``owner``'s directory word's permission field."""
-        if perm > Perm.INVALID:
-            self.perms[owner] = perm
+        perms = self.perms
+        old = perms[owner] if owner in perms else _INVALID
+        if perm > _INVALID:
+            perms[owner] = perm
+            if old == _INVALID:
+                self.per_owner[owner] += 1
+        elif old != _INVALID:
+            del perms[owner]
+            self.per_owner[owner] -= 1
         else:
-            self.perms.pop(owner, None)
+            return
+        if old == _WRITE:
+            self.writers -= 1
+        if perm == _WRITE:
+            self.writers += 1
+        if self.excl is None:
+            bucket = 2 if self.writers else 1 if perms else 0
+            if bucket != self.bucket:
+                histogram = self.histogram
+                histogram[self.bucket] -= 1
+                histogram[bucket] += 1
+                self.bucket = bucket
 
     def sharers(self) -> list[int]:
         """Owners whose loosest permission is READ or better, ascending."""
@@ -121,16 +161,28 @@ class DirEntry:
 
     def set_excl(self, owner: int, proc: int) -> None:
         """Record ``proc`` (on ``owner``) as the exclusive holder."""
-        if self.excl is not None and self.excl[0] != owner:
+        excl = self.excl
+        if excl is not None and excl[0] != owner:
             raise ProtocolError(
                 f"directory corrupt: exclusive holders on owners "
-                f"{[self.excl[0], owner]}")
+                f"{[excl[0], owner]}")
         self.excl = (owner, proc)
+        if self.bucket != 3:
+            histogram = self.histogram
+            histogram[self.bucket] -= 1
+            histogram[3] += 1
+            self.bucket = 3
 
     def clear_excl(self, owner: int) -> None:
         """Drop ``owner``'s exclusive holding (no-op if not the holder)."""
-        if self.excl is not None and self.excl[0] == owner:
+        excl = self.excl
+        if excl is not None and excl[0] == owner:
             self.excl = None
+            bucket = 2 if self.writers else 1 if self.perms else 0
+            histogram = self.histogram
+            histogram[3] -= 1
+            histogram[bucket] += 1
+            self.bucket = bucket
 
     def state_tuple(self) -> tuple:
         """Canonical hashable form for state digests (the model checker's
@@ -138,23 +190,6 @@ class DirEntry:
         logical state."""
         return (tuple(sorted((o, int(p)) for o, p in self.perms.items())),
                 self.excl)
-
-    def occupancy_into(self, per_owner: list[int]) -> int:
-        """Add this entry's sharers to ``per_owner`` and return the
-        page-state histogram bucket (0 invalid, 1 read, 2 write,
-        3 exclusive). O(sharers)."""
-        loosest = Perm.INVALID
-        for owner, perm in self.perms.items():
-            per_owner[owner] += 1
-            if perm > loosest:
-                loosest = perm
-        if self.excl is not None:
-            return 3
-        if loosest >= Perm.WRITE:
-            return 2
-        if loosest >= Perm.READ:
-            return 1
-        return 0
 
 
 class GlobalDirectory:
@@ -167,10 +202,16 @@ class GlobalDirectory:
         self.config = config
         self.num_owners = num_owners
         self.lock_model = lock_model
+        #: Occupancy totals, kept by the entries' mutators: pages each
+        #: owner maps (its word says READ or better), and pages per
+        #: loosest state ``[invalid, read, write, exclusive]``.
+        self.per_owner = [0] * num_owners
+        self.histogram = [0, 0, 0, 0]
         per_super = config.superpage_pages
         # Round-robin initial home assignment, per superpage (Section 2.3).
         self.entries: list[DirEntry] = [
-            DirEntry((page // per_super) % num_owners)
+            DirEntry((page // per_super) % num_owners, self.per_owner,
+                     self.histogram)
             for page in range(config.num_pages)]
 
     def entry(self, page: int):
@@ -205,14 +246,11 @@ class GlobalDirectory:
         pages owner *i* currently maps (its directory word says READ or
         better), and ``histogram`` buckets every page by its loosest
         cluster-wide state — ``[invalid, read, write, exclusive]``.
-        Read-only, and O(total sharers) with sparse entries: a page with
-        no sharers costs one dict iteration, not a ``num_owners`` scan.
+        Copies of the kept totals: O(num_owners), whatever the number of
+        pages or sharers (``tests/dense_directory.py`` holds the rescan
+        they must equal).
         """
-        per_owner = [0] * self.num_owners
-        histogram = [0, 0, 0, 0]
-        for entry in self.entries:
-            histogram[entry.occupancy_into(per_owner)] += 1
-        return per_owner, histogram
+        return list(self.per_owner), list(self.histogram)
 
 
 class DirectoryLockModel:

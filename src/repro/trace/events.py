@@ -9,12 +9,14 @@ interval of simulated time on one processor's track); events with
 
 Events are plain data — producing one never touches simulation state —
 and every field is JSON-serializable so consumers (the Chrome exporter,
-the contention profiler) need no further translation.
+the contention profiler) need no further translation. A record is an
+immutable tuple (DESIGN.md §8), cheap enough to build one per event.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 #: ``proc``/``node`` value for events not attributable to a processor
 #: (Memory Channel wire activity, write-notice deliveries).
@@ -43,8 +45,12 @@ KIND_FAMILY = {kind: family
                for kind in kinds}
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+#: The default ``payload``: empty and read-only, so records built
+#: without one share nothing mutable.
+_NO_PAYLOAD: Mapping = MappingProxyType({})
+
+
+class TraceEvent(NamedTuple):
     """One protocol event on the simulated timeline.
 
     ``obj`` identifies what the event is about — a page number, a lock
@@ -63,7 +69,7 @@ class TraceEvent:
     dur: float = 0.0
     #: Page / lock / barrier-episode / category identifier.
     obj: int | str | None = None
-    payload: dict = field(default_factory=dict)
+    payload: Mapping = _NO_PAYLOAD
 
     @property
     def t1(self) -> float:

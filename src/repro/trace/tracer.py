@@ -32,6 +32,10 @@ from .events import NO_PROC, TraceEvent
 #: few million events; the cap bounds host memory, not simulated work.
 DEFAULT_CAPACITY = 2_000_000
 
+#: Builds a record from its field tuple in C, without a frame for the
+#: generated ``TraceEvent.__new__``.
+_new = tuple.__new__
+
 
 class Tracer:
     """Collects :class:`TraceEvent` records into a bounded ring buffer."""
@@ -61,12 +65,19 @@ class Tracer:
             pid, nid = NO_PROC, NO_PROC
         else:
             pid, nid = proc.global_id, proc.node.id
-        self._buf.append(TraceEvent(kind, pid, nid, t0, dur, obj, payload))
+        self._buf.append(_new(TraceEvent,
+                              (kind, pid, nid, t0, dur, obj, payload)))
 
     def instant(self, kind: str, proc, t: float,
                 obj: int | str | None = None, **payload) -> None:
         """Record a point event (``dur == 0``)."""
-        self.span(kind, proc, t, 0.0, obj, **payload)
+        self.emitted += 1
+        if proc is None:
+            pid, nid = NO_PROC, NO_PROC
+        else:
+            pid, nid = proc.global_id, proc.node.id
+        self._buf.append(_new(TraceEvent,
+                              (kind, pid, nid, t, 0.0, obj, payload)))
 
     # --- inspection --------------------------------------------------------
 

@@ -4,13 +4,49 @@ A differential reference for :class:`repro.protocol.directory.DirEntry`,
 the sparse O(sharers) form the simulator runs. It pays O(num_owners) per
 scan and must agree with the sparse form on every accessor for every
 update sequence (``tests/test_directory.py``).
+
+Also the rescan reference for the directory's kept occupancy totals:
+:func:`rescan_occupancy` recomputes what
+:meth:`~repro.protocol.directory.GlobalDirectory.occupancy` returns by
+walking every entry, sparse or dense.
 """
 
 from dataclasses import dataclass
 
 from repro.errors import ProtocolError
-from repro.protocol.directory import NO_HOLDER
+from repro.protocol.directory import NO_HOLDER, DirEntry
 from repro.vm.page import Perm
+
+
+def occupancy_into(entry: DirEntry, per_owner: list[int]) -> int:
+    """Add a sparse entry's sharers to ``per_owner`` and return its
+    page-state histogram bucket (0 invalid, 1 read, 2 write,
+    3 exclusive), from ``perms`` and ``excl`` alone."""
+    loosest = Perm.INVALID
+    for owner, perm in entry.perms.items():
+        per_owner[owner] += 1
+        if perm > loosest:
+            loosest = perm
+    if entry.excl is not None:
+        return 3
+    if loosest >= Perm.WRITE:
+        return 2
+    if loosest >= Perm.READ:
+        return 1
+    return 0
+
+
+def rescan_occupancy(entries, num_owners: int) -> tuple[list[int],
+                                                        list[int]]:
+    """``(per_owner, histogram)`` by a full rescan of ``entries``."""
+    per_owner = [0] * num_owners
+    histogram = [0, 0, 0, 0]
+    for entry in entries:
+        if isinstance(entry, DenseDirEntry):
+            histogram[entry.occupancy_into(per_owner)] += 1
+        else:
+            histogram[occupancy_into(entry, per_owner)] += 1
+    return per_owner, histogram
 
 
 @dataclass(slots=True)

@@ -8,7 +8,7 @@ sequences and asserts they agree on every observable.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import MachineConfig
@@ -18,7 +18,8 @@ from repro.protocol.directory import (NO_HOLDER, DirectoryLockModel,
 from repro.protocol.writenotice import NLEList, NoticeBoard, PerProcNotices
 from repro.vm.page import Perm
 
-from .dense_directory import DenseDirEntry, DirWord
+from .dense_directory import (DenseDirEntry, DirWord, occupancy_into,
+                              rescan_occupancy)
 
 
 def small_config(**kw):
@@ -29,28 +30,33 @@ def small_config(**kw):
     return MachineConfig(**kw)
 
 
+def sparse_entry(num_owners=4):
+    """A fresh sparse entry with occupancy totals of its own."""
+    return DirEntry(0, [0] * num_owners, [0, 0, 0, 0])
+
+
 def entry_pair(num_owners=4):
     """A fresh (sparse, dense) entry pair over the same owner space."""
-    return (DirEntry(home_owner=0),
+    return (sparse_entry(num_owners),
             DenseDirEntry(home_owner=0, num_owners=num_owners))
 
 
 class TestDirEntry:
     def test_sharers(self):
-        entry = DirEntry(home_owner=0)
+        entry = sparse_entry()
         entry.set_perm(2, Perm.WRITE)
         entry.set_perm(0, Perm.READ)
         assert entry.sharers() == [0, 2]
 
     def test_set_perm_invalid_unshares(self):
-        entry = DirEntry(home_owner=0)
+        entry = sparse_entry()
         entry.set_perm(1, Perm.READ)
         entry.set_perm(1, Perm.INVALID)
         assert entry.sharers() == []
         assert entry.perm_of(1) is Perm.INVALID
 
     def test_single_exclusive_holder(self):
-        entry = DirEntry(home_owner=0)
+        entry = sparse_entry()
         entry.set_perm(1, Perm.WRITE)
         entry.set_excl(1, 5)
         assert entry.exclusive_holder() == (1, 5)
@@ -58,11 +64,11 @@ class TestDirEntry:
         assert entry.excl_of(0) == NO_HOLDER
 
     def test_no_holder(self):
-        entry = DirEntry(home_owner=0)
+        entry = sparse_entry()
         assert entry.exclusive_holder() is None
 
     def test_two_holders_is_corruption(self):
-        entry = DirEntry(home_owner=0)
+        entry = sparse_entry()
         entry.set_excl(1, 1)
         with pytest.raises(ProtocolError, match="corrupt"):
             entry.set_excl(2, 2)
@@ -112,21 +118,27 @@ class TestGlobalDirectory:
         cfg = small_config()
         assert GlobalDirectory(cfg, 8).broadcast_bytes() == 32
 
-    @pytest.mark.parametrize("dense", [False, True])
-    def test_occupancy(self, dense):
+    @pytest.mark.parametrize("rescan", [False, True])
+    def test_occupancy(self, rescan):
         cfg = small_config()
         d = GlobalDirectory(cfg, 4)
-        if dense:  # the same sweep over the dense reference entries
-            d.entries = [DenseDirEntry(e.home_owner, num_owners=4)
-                         for e in d.entries]
         d.entry(0).set_perm(1, Perm.READ)
         d.entry(0).set_perm(2, Perm.READ)
         d.entry(1).set_perm(3, Perm.WRITE)
         d.entry(2).set_perm(0, Perm.WRITE)
         d.entry(2).set_excl(0, 0)
-        per_owner, histogram = d.occupancy()
+        # The kept totals, or the same answer by walking every entry.
+        per_owner, histogram = (rescan_occupancy(d.entries, 4) if rescan
+                                else d.occupancy())
         assert per_owner == [1, 1, 1, 1]
         assert histogram == [cfg.num_pages - 3, 1, 1, 1]
+
+    def test_occupancy_returns_copies(self):
+        d = GlobalDirectory(small_config(), 4)
+        per_owner, histogram = d.occupancy()
+        per_owner[0] += 5
+        histogram[1] += 5
+        assert d.occupancy() == ([0] * 4, [d.config.num_pages, 0, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +174,7 @@ def test_sparse_and_dense_entries_agree(ops):
     """Any update sequence leaves the two forms indistinguishable: same
     permissions, sharer sets, holders, occupancy, and state digests —
     including raising corruption errors at exactly the same step."""
-    sparse = DirEntry(home_owner=0)
+    sparse = sparse_entry(N_OWNERS)
     dense = DenseDirEntry(home_owner=0, num_owners=N_OWNERS)
     for op, owner, arg in ops:
         results = []
@@ -177,9 +189,41 @@ def test_sparse_and_dense_entries_agree(ops):
         assert _observe(sparse) == _observe(dense)
     per_s, hist_s = [0] * N_OWNERS, [0, 0, 0, 0]
     per_d, hist_d = [0] * N_OWNERS, [0, 0, 0, 0]
-    hist_s[sparse.occupancy_into(per_s)] += 1
+    hist_s[occupancy_into(sparse, per_s)] += 1
     hist_d[dense.occupancy_into(per_d)] += 1
     assert (per_s, hist_s) == (per_d, hist_d)
+
+
+N_PAGES = 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, N_PAGES - 1), _ops), max_size=60))
+@example([(1, ("set_perm", 2, Perm.WRITE)), (1, ("set_excl", 2, 5)),
+          (1, ("set_excl", 3, 7)), (1, ("clear_excl", 2, 0))])
+def test_kept_occupancy_equals_dense_rescan(steps):
+    """The directory's kept totals equal a rescan of the dense reference
+    after every ``set_perm``/``set_excl``/``clear_excl`` on any page,
+    including a ``set_excl`` that raises the corruption error (which
+    must leave the totals untouched)."""
+    cfg = small_config(nodes=N_OWNERS, shared_bytes=512 * N_PAGES,
+                       superpage_pages=1)
+    d = GlobalDirectory(cfg, N_OWNERS)
+    dense = [DenseDirEntry(e.home_owner, num_owners=N_OWNERS)
+             for e in d.entries]
+    assert d.occupancy() == rescan_occupancy(dense, N_OWNERS)
+    for page, (op, owner, arg) in steps:
+        args = (owner, arg) if op != "clear_excl" else (owner,)
+        raised = []
+        for entry in (d.entry(page), dense[page]):
+            try:
+                getattr(entry, op)(*args)
+                raised.append(False)
+            except ProtocolError:
+                raised.append(True)
+        assert raised[0] == raised[1]
+        assert d.occupancy() == rescan_occupancy(dense, N_OWNERS) \
+            == rescan_occupancy(d.entries, N_OWNERS)
 
 
 class TestNoticeBoard:

@@ -10,6 +10,7 @@ series, making any series change between source revisions a real
 behavioral difference.
 """
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -62,6 +63,74 @@ def test_same_run_recorded_twice_yields_identical_series():
     b = run_app(make_app("SOR"), app.small_params(), METERED, "2L")
     assert a.metrics.to_payload()["series"] == \
         b.metrics.to_payload()["series"]
+
+
+# ---------------------------------------------------------------------------
+# Pins: what the collector records, byte for byte. A deliberate change to
+# the cost model, an app or the series vocabulary moves these; re-pin by
+# running this file as a script with ``src`` on ``PYTHONPATH``.
+# ---------------------------------------------------------------------------
+
+SERIES_APPS = ("SOR", "Water", "Gauss")
+PROTOCOLS = ("2L", "2LS", "1LD", "1L")
+
+SERIES_PINS = {
+    ('SOR', '2L'): '14:cec88d59fe779b71',
+    ('SOR', '2LS'): '14:cec88d59fe779b71',
+    ('SOR', '1LD'): '18:9dc0720b79ba7528',
+    ('SOR', '1L'): '28:989edc7cdd269414',
+    ('Water', '2L'): '215:dfea27614bdb869a',
+    ('Water', '2LS'): '215:aa88fd41deabf805',
+    ('Water', '1LD'): '222:9c91915e8ed17071',
+    ('Water', '1L'): '238:3ee514b00c2eea2f',
+    ('Gauss', '2L'): '21:18893d13ac373d75',
+    ('Gauss', '2LS'): '21:18893d13ac373d75',
+    ('Gauss', '1LD'): '28:0c150400f369048e',
+    ('Gauss', '1L'): '34:1df2754eb7b84464',
+}
+
+
+def series_digest(app_name: str, protocol: str) -> str:
+    """Sample count and a digest of every series one metered
+    small-params run records."""
+    app = make_app(app_name)
+    series = run_app(app, app.small_params(), METERED,
+                     protocol).metrics.to_payload()["series"]
+    h = hashlib.sha256(json.dumps(series, sort_keys=True).encode())
+    samples = max(len(s["t"]) for s in series.values())
+    return f"{samples}:{h.hexdigest()[:16]}"
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("app_name", SERIES_APPS)
+def test_series_are_pinned(app_name, protocol):
+    assert series_digest(app_name, protocol) == \
+        SERIES_PINS[app_name, protocol]
+
+
+@pytest.mark.parametrize("app_name", ["Water", "Gauss"])
+def test_every_directory_sample_equals_a_rescan(app_name, monkeypatch):
+    """The collector's directory gauges read kept totals; at every sample
+    of a metered run they equal a rescan of every entry."""
+    from repro.protocol.directory import GlobalDirectory
+
+    from .dense_directory import rescan_occupancy
+
+    kept = GlobalDirectory.occupancy
+    samples = []
+
+    def checked(directory):
+        got = kept(directory)
+        assert got == rescan_occupancy(directory.entries,
+                                       directory.num_owners)
+        samples.append(got)
+        return got
+
+    monkeypatch.setattr(GlobalDirectory, "occupancy", checked)
+    app = make_app(app_name)
+    result = run_app(app, app.small_params(), METERED, "2L")
+    assert len(samples) == result.metrics.num_samples
+    assert any(hist[0] < sum(hist) for _, hist in samples)
 
 
 # ---------------------------------------------------------------------------
@@ -402,3 +471,10 @@ class TestCli:
         assert self._main("metrics", "import", str(bogus),
                           "--db", db) == 2
         assert "error" in capsys.readouterr().err
+
+
+if __name__ == "__main__":
+    for app_name in SERIES_APPS:
+        for protocol in PROTOCOLS:
+            print(f"    {(app_name, protocol)!r}: "
+                  f"{series_digest(app_name, protocol)!r},")

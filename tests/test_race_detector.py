@@ -8,9 +8,12 @@ corruption — injected behind the protocol's back — must raise a
 structured :class:`CoherenceViolation` naming the divergent word.
 """
 
+import numpy as np
 import pytest
 
 from repro.check import CheckContext, attach_checker
+from repro.check.detector import _WordState
+from repro.check.events import MemoryEvent
 from repro.cluster.machine import Cluster
 from repro.config import MachineConfig
 from repro.errors import CoherenceViolation, DataRaceError
@@ -365,3 +368,173 @@ def test_run_app_under_checking_context_manager():
     result = run_app(app, params, config, protocol="2LS")
     assert result.runtime.checker is None
     assert result.stats.counter("check_events") == 0
+
+
+# --------------------------------------------------------------------------
+# The range hooks against a per-word reference.
+# --------------------------------------------------------------------------
+
+class PerWordCheckContext(CheckContext):
+    """The checker as it was before the range hooks: every word of a
+    range is traced on its own, with the FastTrack test written through
+    ``VectorClock.dominates_epoch``, and every read goes through the
+    oracle. The range path must be indistinguishable from it."""
+
+    def _read(self, proc, page, offset):
+        det = self.detector
+        proc.stats.bump("check_events")
+        pid = proc.global_id
+        word = page * det.wpp + offset
+        ev = MemoryEvent("read", pid, proc.node.id, page, offset, word,
+                         proc.clock, det.vc[pid][pid])
+        ws = det.words.get(word)
+        if ws is None:
+            ws = det.words[word] = _WordState()
+        w = ws.write
+        if w is not None and w.proc != pid \
+                and not det.vc[pid].dominates_epoch(w.clock, w.proc):
+            det._report(proc, w, ev)
+        ws.reads[pid] = ev
+        return ev
+
+    def _write(self, proc, page, offset):
+        det = self.detector
+        proc.stats.bump("check_events")
+        pid = proc.global_id
+        word = page * det.wpp + offset
+        ev = MemoryEvent("write", pid, proc.node.id, page, offset, word,
+                         proc.clock, det.vc[pid][pid])
+        ws = det.words.get(word)
+        if ws is None:
+            ws = det.words[word] = _WordState()
+        my_vc = det.vc[pid]
+        w = ws.write
+        if w is not None and w.proc != pid \
+                and not my_vc.dominates_epoch(w.clock, w.proc):
+            det._report(proc, w, ev)
+        for r in ws.reads.values():
+            if r.proc != pid and not my_vc.dominates_epoch(r.clock, r.proc):
+                det._report(proc, r, ev)
+        ws.write = ev
+        ws.reads.clear()
+        return ev
+
+    def on_load(self, proc, page, offset, value):
+        self.oracle.check_read(self._read(proc, page, offset), value)
+
+    def on_store(self, proc, page, offset, value):
+        self.oracle.record_write(self._write(proc, page, offset), value)
+
+    def on_load_range(self, proc, page, lo, values):
+        for i, value in enumerate(values):
+            self.on_load(proc, page, lo + i, value)
+
+    def on_store_range(self, proc, page, lo, values):
+        for i in range(len(values)):
+            self._write(proc, page, lo + i)
+        self.oracle.record_write_range(page, lo, values)
+
+
+CONTEXTS = (CheckContext, PerWordCheckContext)
+
+
+def _range_program(cluster, proto, barrier, *, stale=False):
+    """Overlapping range stores and unsynchronized range loads (racy
+    unless ``stale``), disjoint stores read after a barrier (clean),
+    and with ``stale`` a word of the reader's copy corrupted behind the
+    protocol's back before a range load covers it."""
+    def make_worker(proc):
+        def gen():
+            rank = proc.global_id
+            if not stale:
+                proto.store_range(proc, 0, 4 * rank,
+                                  np.arange(8.0) + 10 * rank)
+                yield Compute(1.0 + rank)
+                proto.load_range(proc, 0, 0, 20)
+                proto.store(proc, 2, rank % 2, float(rank))
+                proto.load(proc, 2, 1 - rank % 2)
+            proto.store_range(proc, 1, 8 * rank, np.full(8, rank + 0.5))
+            yield Compute(1.0)
+            yield from barrier.wait(proc)
+            if stale and rank == 2:
+                proto.load_range(proc, 1, 0, 1)  # map the page
+                # Simulated protocol bug: the reader's copy goes stale.
+                proto.proc_state(proc).frames[1][3] = 99.0
+            proto.load_range(proc, 1, 0, 8 * cluster.num_procs)
+            proto.load_range(proc, 3, 5, 9)
+            yield Compute(1.0)
+            yield from barrier.wait(proc)
+        return gen()
+    return make_worker
+
+
+def _checked_run(cls, protocol, *, fail_fast=False, stale=False):
+    cfg = MachineConfig(nodes=2, procs_per_node=2, page_bytes=512,
+                        shared_bytes=512 * 4, superpage_pages=2)
+    cluster = Cluster(cfg)
+    proto = make_protocol(protocol, cluster)
+    checker = cls(cluster, proto, fail_fast=fail_fast)
+    proto.tracer = checker
+    barrier = Barrier(cluster, proto)
+    error = None
+    try:
+        run(cluster, _range_program(cluster, proto, barrier, stale=stale))
+    except (DataRaceError, CoherenceViolation) as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    det = checker.detector
+    return {
+        "error": error,
+        "races": [r.describe() for r in det.races],
+        "race_count": det.race_count,
+        "poisoned": sorted(det.poisoned),
+        "check_events": [p.stats.counters["check_events"]
+                         for p in cluster.processors],
+    }
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_range_hooks_match_per_word_reference_on_racy_program(protocol):
+    fast, ref = (_checked_run(cls, protocol) for cls in CONTEXTS)
+    assert fast == ref
+    assert fast["race_count"] > 0 and fast["error"] is None
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_range_hooks_fail_fast_at_the_same_word(protocol):
+    fast, ref = (_checked_run(cls, protocol, fail_fast=True)
+                 for cls in CONTEXTS)
+    assert fast == ref
+    assert fast["error"].startswith("DataRaceError: data race on page")
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_range_hooks_report_the_same_stale_read(protocol):
+    fast, ref = (_checked_run(cls, protocol, stale=True)
+                 for cls in CONTEXTS)
+    assert fast == ref
+    assert fast["error"].startswith(
+        "CoherenceViolation: stale read: read of page 1 word 3")
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("app_name", ["SOR", "Water"])
+def test_range_hooks_match_per_word_reference_on_drf_apps(
+        app_name, protocol, monkeypatch):
+    from repro.apps import make_app
+    from repro.check import context
+    from repro.runtime import run_app
+
+    config = MachineConfig(nodes=2, procs_per_node=2, page_bytes=512,
+                           checking=True)
+    seen = []
+    for cls in CONTEXTS:
+        monkeypatch.setattr(context, "CheckContext", cls)
+        app = make_app(app_name)
+        result = run_app(app, app.small_params(), config, protocol)
+        det = result.runtime.checker.detector
+        assert type(result.runtime.checker) is cls
+        seen.append((det.races, det.race_count, det.poisoned,
+                     [ps.counters for ps in result.stats.per_proc],
+                     result.exec_time_us))
+    assert seen[0] == seen[1]
+    assert seen[0][3][0]["check_events"] > 0

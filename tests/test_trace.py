@@ -14,6 +14,7 @@ import pytest
 
 from repro import MachineConfig, run_app, tracing
 from repro.apps import make_app
+from repro.check.events import MemoryEvent
 from repro.runtime.api import tracing_enabled
 from repro.trace import (KIND_FAMILY, NO_PROC, ContentionProfile, TraceEvent,
                          Tracer, to_chrome_trace, write_chrome_trace)
@@ -112,6 +113,29 @@ class TestTracer:
         ev = TraceEvent("diff_out", 1, 0, 3.5, 0.0, 9, {"bytes": 64})
         doc = json.dumps(ev.to_json())
         assert json.loads(doc)["payload"]["bytes"] == 64
+
+    def test_records_are_immutable(self):
+        ev = TraceEvent("page_fetch", 1, 0, 2.0, 3.0, 7, {"bytes": 512})
+        mev = MemoryEvent("read", 1, 0, 2, 3, 67, 1.5, 4)
+        for record, name in ((ev, "t0"), (ev, "payload"), (mev, "clock")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+        assert (ev.t1, ev.family, ev.bytes) == (5.0, "transfer", 512)
+        assert mev.epoch == (4, 1)
+        assert "page 2 word 3 (global word 67) by p1" in mev.describe()
+
+    def test_default_payload_is_not_shared_mutable(self):
+        a, b = TraceEvent("user", 0, 0, 0.0), TraceEvent("user", 1, 0, 1.0)
+        with pytest.raises(TypeError):
+            a.payload["bytes"] = 1
+        assert b.payload == {} and "payload" not in b.to_json()
+        # Tracer-built records each own their payload.
+        tr = Tracer()
+        tr.instant("user", None, 0.0)
+        tr.span("user", None, 1.0, 2.0)
+        first, second = tr.events
+        assert first.payload == second.payload == {}
+        assert first.payload is not second.payload
 
     def test_kind_family_covers_bucket_names(self):
         for bucket in ("user", "protocol", "polling", "comm_wait",
