@@ -26,7 +26,7 @@ def env_flag(name: str) -> bool:
     (``CASHMERE_NO_FASTPATH`` and friends): environment reads are a
     hidden input the result-cache key cannot see, so the determinism
     lint (rule D105, DESIGN.md §11) confines them to this module and
-    the bench/sweep entry points.
+    the sweep entry point.
     """
     return bool(os.environ.get(name))
 

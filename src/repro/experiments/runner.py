@@ -9,17 +9,13 @@ Usage (installed as ``cashmere-repro``)::
     cashmere-repro figure7 [APP ...] [--quick]
     cashmere-repro shootdown
     cashmere-repro lockfree
-    cashmere-repro scale   [APP ...] [--quick] [--json [BENCH_scale.json]]
+    cashmere-repro scale   [APP ...] [--quick]
     cashmere-repro all     [--quick]
     cashmere-repro trace APP [--out trace.json] [--protocol 2L]
     cashmere-repro profile APP [--protocol 2L]
-    cashmere-repro bench   [--quick] [--json [BENCH_run.json]]
-                           [--baseline benchmarks/perf/baseline.json]
-                           [--profile]
     cashmere-repro lint    [PATHS ...] [--select RULES] [--format json]
     cashmere-repro modelcheck [PROTO ...] [--budget N] [--mutant NAME]
                               [--out counterexample.json]
-    cashmere-repro metrics {bench,run,import,list,report,html} ...
 
 Every table/figure/ablation experiment runs through the sweep engine
 (:mod:`repro.experiments.sweep`): ``-j/--jobs N`` (or ``CASHMERE_JOBS``)
@@ -32,18 +28,14 @@ byte-identical to a serial cold run. Per-experiment wall-clock and a
 cache hit/miss summary go to stderr.
 
 ``--quick`` restricts Figure 7 to three placements (4:1, 8:4, 32:4) and
-shrinks the bench suite's reps and problem sizes.
+the scale ladder to its two smallest rungs.
 ``--json`` prints machine-readable results instead of monospace tables
 (not applicable to ``trace``, whose output is already JSON); for
 ``all``, the documents are collected into one JSON *array* so the
-output is a single valid JSON value. For ``bench``, ``--json PATH``
-writes the report to ``PATH`` instead.
+output is a single valid JSON value.
 
-``bench`` measures the simulator's *wall-clock* performance (every other
-experiment reports simulated time); with ``--baseline`` it exits nonzero
-when the access-path microbenchmark has regressed more than 2x.
-``--profile`` adds one cProfile rep of each single-process benchmark and
-prints the top functions by cumulative time to stderr.
+Every experiment reports simulated time. The simulator's own host cost
+is measured by ``benchmarks/e2e/run.py`` (README "Performance").
 
 ``lint`` runs the static DSM-usage analyzer and determinism lint
 (:mod:`repro.lint`) over PATHS (default: the installed ``repro``
@@ -54,14 +46,6 @@ error; see README "Static analysis" for the rule table.
 ``trace_event`` JSON viewable at https://ui.perfetto.dev; ``profile``
 prints the derived contention report (hot pages, lock hold/wait times,
 barrier imbalance, Memory Channel timeline).
-
-``metrics`` manages the sqlite-backed run store and its trend/regression
-dashboard (:mod:`repro.metrics`): ``metrics bench`` runs and ingests the
-wall-clock suite, ``metrics run APP`` records a sampled time-series
-simulation, ``metrics import`` ingests committed ``BENCH_*.json``
-history, ``metrics report`` prints counter trends and exits 1 on a gated
-wall-clock regression, and ``metrics html`` writes a self-contained
-dashboard. See ``cashmere-repro metrics --help``.
 
 ``modelcheck`` explores *every* interleaving of a small fixed workload
 (2 nodes x 2 processors x 2 pages) through the real protocol code and
@@ -88,7 +72,6 @@ from .lockfree import run_lockfree_ablation
 from .polling import run_polling_ablation
 from .sensitivity import run_sensitivity
 from .shootdown import run_shootdown_ablation
-from .bench import run_bench
 from .sweep import ResultCache, Sweep, wall_clock
 from .table1 import run_table1
 from .table2 import format_table2, run_table2
@@ -154,14 +137,6 @@ def run_lint(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "metrics":
-        # The metrics family has its own subparser tree (with option
-        # names that collide with ours, e.g. --out), so dispatch before
-        # the main parser sees it.
-        from ..metrics.cli import main as metrics_main
-        return metrics_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="cashmere-repro",
         description="Regenerate the Cashmere-2L paper's tables and figures "
@@ -170,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
                         choices=["table1", "table2", "table3", "figure6",
                                  "figure7", "shootdown", "lockfree",
                                  "sensitivity", "polling", "scale", "all",
-                                 "trace", "profile", "bench", "lint",
+                                 "trace", "profile", "lint",
                                  "modelcheck"])
     parser.add_argument("apps", nargs="*",
                         help="restrict to these applications (required "
@@ -178,28 +153,15 @@ def main(argv: list[str] | None = None) -> int:
                              "analyze for lint; protocol names for "
                              "modelcheck)")
     parser.add_argument("--quick", action="store_true",
-                        help="reduced placement set for figure7; smaller "
-                             "reps/problem sizes for bench")
-    parser.add_argument("--json", nargs="?", const=True, default=False,
-                        dest="as_json", metavar="PATH",
+                        help="reduced placement set for figure7; "
+                             "two-rung ladder for scale")
+    parser.add_argument("--json", action="store_true", dest="as_json",
                         help="print machine-readable JSON instead of "
-                             "tables; for bench, an optional PATH writes "
-                             "the report to a BENCH_*.json file")
+                             "tables")
     parser.add_argument("--out", default="trace.json",
                         help="output path for the trace subcommand")
     parser.add_argument("--protocol", default="2L", choices=PROTOCOL_ORDER,
                         help="protocol for the trace/profile subcommands")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="bench only: committed baseline JSON to "
-                             "compare against (exits nonzero if the "
-                             "access microbenchmark regressed > 2x)")
-    parser.add_argument("--profile", action="store_true",
-                        dest="bench_profile",
-                        help="bench only: run one extra rep of each "
-                             "single-process benchmark under cProfile "
-                             "and report the top functions by "
-                             "cumulative time (stderr; included in the "
-                             "JSON report)")
     parser.add_argument("-j", "--jobs", type=int, default=None,
                         metavar="N",
                         help="run independent simulation cells on N "
@@ -237,28 +199,6 @@ def main(argv: list[str] | None = None) -> int:
         return run_lint(args)
 
     start = wall_clock()
-    if args.experiment == "bench":
-        report = run_bench(quick=args.quick, baseline_path=args.baseline,
-                           progress=lambda name: print(
-                               f"  bench: {name}...", file=sys.stderr),
-                           profile=args.bench_profile)
-        if report.profile is not None:
-            print(report.format_profile(), file=sys.stderr)
-        if isinstance(args.as_json, str):
-            with open(args.as_json, "w") as fh:
-                json.dump(report.to_json(), fh, indent=2)
-                fh.write("\n")
-            print(f"wrote {args.as_json}")
-        elif args.as_json:
-            print(json.dumps(report.to_json(), indent=2))
-        else:
-            print(report.format())
-        print(f"[{wall_clock() - start:.1f}s wall clock]", file=sys.stderr)
-        failure = report.check_regression()
-        if failure is not None:
-            print(f"BENCH REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        return 0
     if args.experiment == "modelcheck":
         from .modelcheck import DEFAULT_PROTOCOLS, run_modelcheck
         protocols = tuple(args.apps) if args.apps else DEFAULT_PROTOCOLS
@@ -287,15 +227,7 @@ def main(argv: list[str] | None = None) -> int:
                       cache=None if args.no_cache else ResultCache(
                           mode="refresh" if args.refresh else "on"))
         result = run_scale(apps=apps, quick=args.quick, sweep=sweep)
-        if isinstance(args.as_json, str):
-            with open(args.as_json, "w") as fh:
-                json.dump(result.to_bench_json(), fh, indent=2)
-                fh.write("\n")
-            print(f"wrote {args.as_json}")
-        elif args.as_json:
-            print(json.dumps(result.to_bench_json(), indent=2))
-        else:
-            print(result.format())
+        _emit("scale", result, result.format(), args.as_json)
         print(f"[{sweep.stats.summary(sweep.cache is not None)}]",
               file=sys.stderr)
         print(f"[{wall_clock() - start:.1f}s wall clock]", file=sys.stderr)

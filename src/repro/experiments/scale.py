@@ -18,12 +18,10 @@ combining-tree barrier. Per rung it reports:
   quantity the sparse O(sharers) entries keep per-access cost flat in
   (the dense form pays O(num_owners) per scan regardless).
 
-Each cell also records the simulator's *wall clock* (the number the
-sparse directory and tree barrier optimize; cache-served cells report
-their hit cost, so gate wall clocks only on cold runs), and
-:meth:`ScaleResults.to_bench_json` emits the ladder as a
-``BENCH_scale.json`` in the bench-report shape the metrics store
-ingests (``cashmere-repro metrics import BENCH_scale.json``).
+The run's total wall clock goes to stderr, never into the results:
+``scale --json`` is a function of its inputs alone, whether a cell was
+simulated or served from the cache. The simulator's host cost on the
+big rungs is measured by the ``scale`` workload of ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from dataclasses import dataclass, field
 from ..config import MachineConfig
 from ..stats.report import format_table
 from .configs import EXPERIMENT_PAGE_BYTES
-from .sweep import RunSpec, Sweep, wall_clock
+from .sweep import RunSpec, Sweep
 
 #: The placement ladder, (nodes, procs_per_node): 32 to 512 processors.
 LADDER = ((8, 4), (16, 4), (16, 8), (32, 8), (64, 8))
@@ -104,8 +102,6 @@ class ScaleResults:
                  [per[la]["combine_hops"] for la in labels]),
                 ("sharers/page",
                  [per[la]["sharers_per_page"] for la in labels]),
-                ("wall clock (s)",
-                 [per[la]["wall_s"] for la in labels]),
             ]
             sections.append(format_table(
                 f"Scale — {app} under {SCALE_PROTOCOL}, "
@@ -114,73 +110,40 @@ class ScaleResults:
                 labels, table_rows, col_width=10, label_width=20))
         return "\n\n".join(sections)
 
-    def to_bench_json(self) -> dict:
-        """The ladder in the ``BENCH_*.json`` report shape (bench
-        schema), one benchmark per (app, rung) cell, so
-        ``cashmere-repro metrics import`` ingests it unchanged."""
-        from .bench import SCHEMA, report_stamp
-        benchmarks = {}
-        for app in self.apps:
-            for la, row in self.rows[app].items():
-                benchmarks[f"scale_{app.lower()}_{la}"] = {
-                    "wall_s": row["wall_s"],
-                    "reps": 1,
-                    "sim_us": row["exec_s"] * 1e6,
-                    "sim_us_per_wall_s": row["exec_s"] * 1e6 /
-                    row["wall_s"] if row["wall_s"] > 0 else None,
-                    "procs": row["procs"],
-                    "speedup": row["speedup"],
-                    "mc_mbytes": row["mc_mbytes"],
-                    "barrier_us_per_episode":
-                        row["barrier_us_per_episode"],
-                    "sharers_per_page": row["sharers_per_page"],
-                }
-        return {
-            "schema": SCHEMA,
-            "timestamp": report_stamp(),
-            "experiment": "scale",
-            "quick": self.quick,
-            "barrier": self.barrier,
-            "protocol": SCALE_PROTOCOL,
-            "benchmarks": benchmarks,
-        }
-
 
 def run_scale(apps: tuple[str, ...] = SCALE_APPS,
               ladder: tuple | None = None, quick: bool = False,
               barrier: str = "tree", sweep=None) -> ScaleResults:
-    """Run the scaling ladder; one sweep cell per (app, rung).
-
-    Cells run one at a time (not fanned out) so each one's recorded
-    wall clock measures that simulation alone.
-    """
+    """Run the scaling ladder: one sequential cell per app plus one
+    cell per (app, rung), all in one sweep."""
     sweep = sweep if sweep is not None else Sweep()
     if ladder is None:
         ladder = QUICK_LADDER if quick else LADDER
     params_by_app = QUICK_PARAMS if quick else SCALE_PARAMS
     results = ScaleResults(ladder=tuple(ladder), apps=tuple(apps),
                            quick=quick, barrier=barrier)
+    specs = []
     for app_name in apps:
         params = params_by_app[app_name]
-        seq_spec = RunSpec.seq_run(app_name, scale_config(*ladder[0]),
-                                   params=params)
-        seq_us = sweep.run([seq_spec])[0].exec_time_us
+        specs.append(RunSpec.seq_run(app_name, scale_config(*ladder[0]),
+                                     params=params))
+        specs += [RunSpec.app_run(app_name, SCALE_PROTOCOL,
+                                  scale_config(nodes, ppn, barrier),
+                                  params=params)
+                  for nodes, ppn in ladder]
+    cells = iter(sweep.run(specs))
+    for app_name in apps:
+        seq_us = next(cells).exec_time_us
         results.seq_time_s[app_name] = seq_us / 1e6
         per: dict[str, dict] = {}
         for nodes, ppn in ladder:
-            spec = RunSpec.app_run(
-                app_name, SCALE_PROTOCOL,
-                scale_config(nodes, ppn, barrier), params=params)
-            t0 = wall_clock()
-            cell = sweep.run([spec])[0]
-            wall = wall_clock() - t0
+            cell = next(cells)
             s = cell.scale or {}
             episodes = max(1, s.get("barrier_episodes", 0))
             per[_label(nodes, ppn)] = {
                 "procs": nodes * ppn,
                 "exec_s": cell.exec_time_us / 1e6,
                 "speedup": seq_us / cell.exec_time_us,
-                "wall_s": wall,
                 "mc_mbytes": s.get("mc_traffic_bytes", 0) / 1e6,
                 "barrier_us_per_episode":
                     s.get("barrier_depart_us", 0.0) / episodes,

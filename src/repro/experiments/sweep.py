@@ -63,9 +63,9 @@ def wall_clock() -> float:
 
     Simulated results are a pure function of ``(RunSpec, source
     digest)`` and must never depend on real time; progress reporting
-    may. Every wall-clock read outside this module and ``bench.py``
-    goes through here so the determinism lint (rule D101, see
-    DESIGN.md §11) can prove the rest of the tree clean.
+    may. Every wall-clock read outside this module goes through here
+    so the determinism lint (rule D101, see DESIGN.md §11) can prove
+    the rest of the tree clean.
     """
     return time.time()
 

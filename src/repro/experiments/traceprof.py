@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..apps import make_app
-from ..runtime.program import ParallelRuntime, RunResult, run_app
+from ..runtime.program import RunResult, run_app
 from ..trace import ContentionProfile, write_chrome_trace
 from .configs import APP_ORDER, FULL_PLATFORM, bench_params
 
@@ -54,26 +54,3 @@ def run_profile(app_name: str, protocol: str = "2L",
     """Trace a run and derive its contention profile."""
     result = run_traced(app_name, protocol, config)
     return ContentionProfile(result.trace)
-
-
-def run_metered(app_name: str, protocol: str = "2L", config=None,
-                interval_us: float | None = None) -> RunResult:
-    """One metered execution at trace scale (``cashmere-repro metrics run``).
-
-    Same reduced platform as traced runs; the result carries a
-    :class:`~repro.metrics.MetricsCollector` ready for
-    :meth:`~repro.metrics.store.RunStore.ingest_result`.
-    """
-    app = make_app(resolve_app_name(app_name))
-    cfg = replace(config or TRACE_PLATFORM, metrics=True)
-    rt = ParallelRuntime(app, bench_params(app), cfg, protocol)
-    assert rt.metrics is not None
-    if interval_us is not None:
-        if interval_us <= 0:
-            raise SystemExit(f"metrics interval must be positive, "
-                             f"got {interval_us}")
-        # Nothing has run yet, so retuning the freshly attached collector
-        # is equivalent to constructing it with this interval.
-        rt.metrics.interval_us = float(interval_us)
-        rt.metrics._next = float(interval_us)
-    return rt.run()

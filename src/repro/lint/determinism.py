@@ -9,9 +9,7 @@ silently break that contract:
 * **D101** wall-clock reads (``time.time``, ``perf_counter``,
   ``datetime.now``, ...) outside the sanctioned modules
   (:data:`~repro.lint.rules.SANCTIONED_MODULES` — the audited
-  bench/sweep/config entry points that deal in real time by design —
-  and :data:`~repro.lint.rules.SANCTIONED_PACKAGES` — the metrics
-  store, which timestamps ingests but never simulation).
+  sweep/config entry points that deal in real time by design).
 * **D102** the process-global RNG (``random.random``,
   ``numpy.random.rand``, ...) or an unseeded generator construction
   (``random.Random()`` / ``numpy.random.default_rng()`` with no
@@ -36,7 +34,7 @@ from __future__ import annotations
 import ast
 from typing import Callable
 
-from .rules import SANCTIONED_MODULES, SANCTIONED_PACKAGES
+from .rules import SANCTIONED_MODULES
 
 #: report(rule, line, col, message)
 Reporter = Callable[[str, int, int, str], None]
@@ -46,15 +44,11 @@ def is_sanctioned(display: str) -> bool:
     """May this file read wall clock / environment?
 
     ``display`` is the path as the linter shows it (platform
-    separators allowed). A file qualifies by basename
-    (:data:`SANCTIONED_MODULES`) or by living under a sanctioned
-    package directory (:data:`SANCTIONED_PACKAGES`).
+    separators allowed). A file qualifies by its basename
+    (:data:`SANCTIONED_MODULES`).
     """
-    norm = display.replace("\\", "/")
-    base = norm.rsplit("/", 1)[-1]
-    if base in SANCTIONED_MODULES:
-        return True
-    return any(f"/{pkg}/" in f"/{norm}" for pkg in SANCTIONED_PACKAGES)
+    base = display.replace("\\", "/").rsplit("/", 1)[-1]
+    return base in SANCTIONED_MODULES
 
 _WALL_CLOCK = frozenset({
     "time.time", "time.time_ns",
@@ -178,8 +172,8 @@ class DeterminismChecker(ast.NodeVisitor):
                 self.report(
                     "D101", node.lineno, node.col_offset,
                     f"wall-clock read {canon}() outside the sanctioned "
-                    f"bench/sweep/config modules: simulated results "
-                    f"must not depend on real time")
+                    f"sweep/config modules: simulated results must not "
+                    f"depend on real time")
             if canon in _GLOBAL_RANDOM or (
                     canon.startswith("numpy.random.")
                     and canon.rsplit(".", 1)[1] in _NUMPY_GLOBAL_RANDOM):
@@ -197,7 +191,7 @@ class DeterminismChecker(ast.NodeVisitor):
             if canon == "os.getenv" and not self.sanctioned:
                 self.report(
                     "D105", node.lineno, node.col_offset,
-                    "os.getenv() outside config/bench/sweep: hidden "
+                    "os.getenv() outside config/sweep: hidden "
                     "input that the result-cache key cannot see")
         # D104: key=id in sorted()/min()/max()/.sort().
         for kw in node.keywords:
@@ -229,7 +223,7 @@ class DeterminismChecker(ast.NodeVisitor):
                 and self._canonical(node) == "os.environ":
             self.report(
                 "D105", node.lineno, node.col_offset,
-                "os.environ read outside config/bench/sweep: hidden "
+                "os.environ read outside config/sweep: hidden "
                 "input that the result-cache key cannot see")
         self.generic_visit(node)
 
@@ -238,7 +232,7 @@ class DeterminismChecker(ast.NodeVisitor):
                 and self.names.get(node.id) == "os.environ":
             self.report(
                 "D105", node.lineno, node.col_offset,
-                "os.environ read outside config/bench/sweep: hidden "
+                "os.environ read outside config/sweep: hidden "
                 "input that the result-cache key cannot see")
 
     # --- D103: iteration over sets --------------------------------------

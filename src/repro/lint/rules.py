@@ -71,8 +71,8 @@ _ALL_RULES = (
          "get_block copies"),
     # --- engine 2: determinism lint ------------------------------------
     Rule("D101", "wall-clock", "det", "error",
-         "wall-clock read outside the sanctioned bench/sweep/config "
-         "modules: simulated results must not depend on real time"),
+         "wall-clock read outside the sanctioned sweep/config modules: "
+         "simulated results must not depend on real time"),
     Rule("D102", "unseeded-random", "det", "error",
          "global or unseeded random number generator: output would vary "
          "across runs and poison the result cache"),
@@ -83,8 +83,8 @@ _ALL_RULES = (
          "id() used as a dict/collection key or sort key: identity "
          "values differ between runs"),
     Rule("D105", "env-read", "det", "error",
-         "environment variable read outside config/bench/sweep: hidden "
-         "input that the result-cache key cannot see"),
+         "environment variable read outside config/sweep: hidden input "
+         "that the result-cache key cannot see"),
     Rule("D106", "frozen-mutation", "det", "error",
          "mutation of a frozen spec/config object: cache keys assume "
          "RunSpec/MachineConfig values never change after construction"),
@@ -95,12 +95,4 @@ RULES: dict[str, Rule] = {r.id: r for r in _ALL_RULES}
 
 #: Module basenames in which wall-clock and environment reads are
 #: sanctioned (the audited entry points; see DESIGN.md §11).
-SANCTIONED_MODULES = frozenset({"bench.py", "sweep.py", "config.py"})
-
-#: Sanctioned *packages*, matched against the file's displayed path
-#: (forward-slash segments): every module under these directories may
-#: read wall clock and environment. ``repro/metrics`` qualifies because
-#: the run store stamps ingestion timestamps and resolves its database
-#: path from the environment — at ingest time only, never during
-#: simulation (the collector itself reads neither).
-SANCTIONED_PACKAGES = frozenset({"repro/metrics"})
+SANCTIONED_MODULES = frozenset({"sweep.py", "config.py"})

@@ -220,7 +220,7 @@ class MetricsCollector:
         return longest
 
     def to_payload(self) -> dict:
-        """Plain-dict form for the run store / JSON export."""
+        """Plain-dict form for JSON export."""
         return {
             "interval_us": self.interval_us,
             "meta": dict(self.meta),

@@ -141,6 +141,37 @@ class TestGlobalDirectory:
         assert d.occupancy() == ([0] * 4, [d.config.num_pages, 0, 0, 0])
 
 
+@pytest.mark.parametrize("num_owners", [8, 64, 512])
+def test_entry_size_is_flat_in_cluster_size(num_owners):
+    """The directory op mix of one coherence transition, with at most 4
+    sharers per page at any cluster size (Table 3's applications average
+    about 2), spread across the whole owner space: every entry stays
+    sized by its sharers, and the only ``num_owners``-sized structures
+    are the directory's own totals, which every entry shares rather
+    than copies."""
+    pages, sharers = 64, 4
+    cfg = MachineConfig(nodes=2, procs_per_node=2, page_bytes=512,
+                        shared_bytes=512 * pages)
+    d = GlobalDirectory(cfg, num_owners)
+    stride = num_owners // sharers
+    for i in range(4000):
+        entry = d.entry(i % pages)
+        owner = (i * 7 + i // pages) % sharers * stride
+        entry.set_perm(owner, Perm.READ if i & 1 else Perm.WRITE)
+        entry.perm_of(owner)
+        entry.sharers()
+        entry.has_other_sharer(owner)
+        entry.exclusive_holder()
+        if i & 7 == 0:
+            entry.set_perm(owner, Perm.INVALID)
+    assert sum(d.occupancy()[0]) == sum(len(e.perms) for e in d.entries)
+    assert max(len(e.perms) for e in d.entries) == sharers
+    for entry in d.entries:
+        assert len(entry.perms) <= sharers
+        assert entry.per_owner is d.per_owner
+        assert entry.histogram is d.histogram
+
+
 # ---------------------------------------------------------------------------
 # Differential property: sparse vs dense across random update sequences.
 # ---------------------------------------------------------------------------

@@ -112,6 +112,14 @@ class TestRunnerCLI:
         assert doc["experiment"] == "table2"
         assert doc["data"][0]["app"] == "Em3d"
 
+    def test_json_flag_takes_no_argument(self, capsys):
+        # --json before the app must not swallow it as a value.
+        import json
+        from repro.experiments.runner import main
+        assert main(["table2", "--json", "Em3d"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [row["app"] for row in doc["data"]] == ["Em3d"]
+
     def test_trace_cli_requires_single_app(self):
         from repro.experiments.runner import main
         with pytest.raises(SystemExit):
@@ -139,11 +147,11 @@ class TestRunnerCLI:
 class TestScaleFamily:
     """The big-cluster scaling ladder (repro.experiments.scale)."""
 
-    def _tiny(self):
+    def _tiny(self, sweep=None):
         from repro.experiments.scale import run_scale
         from repro.experiments.sweep import Sweep
         return run_scale(apps=("SOR",), ladder=((2, 2), (4, 2)),
-                         quick=True, sweep=Sweep(cache=None))
+                         quick=True, sweep=sweep or Sweep(cache=None))
 
     def test_tiny_ladder_rows(self):
         res = self._tiny()
@@ -159,18 +167,19 @@ class TestScaleFamily:
         assert res.seq_time_s["SOR"] > 0
         assert "Scale — SOR" in res.format()
 
-    def test_to_bench_json_is_store_ingestable(self, tmp_path):
-        from repro.metrics.store import RunStore
-        doc = self._tiny().to_bench_json()
-        assert doc["experiment"] == "scale"
-        entry = doc["benchmarks"]["scale_sor_4x2"]
-        assert entry["procs"] == 8
-        assert entry["wall_s"] > 0
-        with RunStore(str(tmp_path / "m.db")) as store:
-            rid = store.ingest_bench(doc, label="scale-test")
-            counters = store.counters(rid)
-        assert counters["scale_sor_4x2.procs"] == 8
-        assert counters["scale_sor_4x2.speedup"] > 1.0
+    def test_json_is_the_same_cold_and_cache_warm(self, tmp_path):
+        # The document holds no host measurement, so serving every cell
+        # from the cache cannot change it.
+        import json
+        from repro.experiments.runner import _jsonable
+        from repro.experiments.sweep import ResultCache, Sweep
+        cache = ResultCache(root=str(tmp_path))
+        cold, warm = Sweep(cache=cache), Sweep(cache=cache)
+        docs = [json.dumps(_jsonable(self._tiny(sweep)), sort_keys=True)
+                for sweep in (cold, warm)]
+        assert cold.stats.executed == 3 and warm.stats.executed == 0
+        assert docs[0] == docs[1]
+        assert json.loads(docs[0])["rows"]["SOR"]["4x2"]["procs"] == 8
 
     def test_cell_scale_metadata(self):
         from repro.experiments.scale import QUICK_PARAMS, scale_config

@@ -1,5 +1,4 @@
-"""The metrics subsystem: sampled series, parity, the sqlite run store,
-the trend/regression dashboard, and the ``metrics`` CLI.
+"""The metrics collector: sampled series, their pins, and parity.
 
 The central promise mirrors the checker's and the tracer's: metrics
 collection is strictly observational, so a metered run and an unmetered
@@ -20,9 +19,6 @@ import pytest
 from repro import MachineConfig, metering, run_app
 from repro.apps import make_app
 from repro.metrics import DEFAULT_INTERVAL_US, MetricsCollector
-from repro.metrics.dashboard import TrendReport, render_html, sparkline
-from repro.metrics.store import (BENCH_SCHEMAS, STORE_SCHEMA, RunStore,
-                                 StoreError)
 from repro.runtime.api import metrics_enabled
 
 SMALL = MachineConfig(nodes=2, procs_per_node=2, page_bytes=512)
@@ -256,221 +252,6 @@ def test_trace_dropped_surfaces_in_meta_and_profile():
     profile = ContentionProfile(result.trace)
     assert f"trace_dropped={result.trace.dropped}" in profile.format()
     assert profile.to_json()["trace_dropped"] == result.trace.dropped
-
-
-# ---------------------------------------------------------------------------
-# The sqlite run store.
-# ---------------------------------------------------------------------------
-
-def _bench_doc(schema="cashmere-bench-2", wall=0.1, **extras):
-    doc = {
-        "schema": schema,
-        "timestamp": "2026-01-01T00:00:00",
-        "python": "3.11.7", "numpy": "1.0", "platform": "test",
-        "quick": True,
-        "benchmarks": {
-            "access": {"wall_s": wall, "reps": 3},
-            "sor32": {"wall_s": wall * 2, "reps": 3, "sim_us": 1000.0,
-                      "sim_us_per_wall_s": 1000.0 / (wall * 2)},
-        },
-    }
-    doc.update(extras)
-    return doc
-
-
-class TestRunStore:
-    def test_ingest_result_roundtrip(self, metered_sor, tmp_path):
-        with RunStore(str(tmp_path / "m.db")) as store:
-            run_id = store.ingest_result(metered_sor)
-            (run,) = store.runs()
-            assert run["id"] == run_id
-            assert run["kind"] == "run"
-            assert run["app"] == "SOR" and run["protocol"] == "2L"
-            assert run["schema_version"] == STORE_SCHEMA
-            manifest = store.manifest(run_id)
-            assert manifest["source_digest"]
-            assert manifest["config_key"]
-            counters = store.counters(run_id)
-            assert counters["exec_time_us"] == metered_sor.exec_time_us
-            assert counters["ctr.read_faults"] == \
-                metered_sor.stats.aggregate.counters["read_faults"]
-            names = store.series_names(run_id)
-            assert set(names) == set(metered_sor.metrics.series)
-            times, values = store.series(run_id, "reqq.total")
-            src_t, src_v = metered_sor.metrics.series["reqq.total"]
-            assert times == src_t and values == src_v
-
-    def test_ingest_requires_metrics(self, tmp_path):
-        app = make_app("SOR")
-        plain = run_app(app, app.small_params(), SMALL, "2L")
-        with RunStore(str(tmp_path / "m.db")) as store:
-            with pytest.raises(StoreError):
-                store.ingest_result(plain)
-
-    def test_import_both_bench_schemas(self, tmp_path):
-        db = str(tmp_path / "m.db")
-        with RunStore(db) as store:
-            for schema in BENCH_SCHEMAS:
-                path = tmp_path / f"BENCH_{schema}.json"
-                path.write_text(json.dumps(_bench_doc(schema=schema)))
-                store.import_bench_json(str(path))
-            runs = store.runs(kind="bench")
-            assert [r["schema_version"] for r in runs] == \
-                list(BENCH_SCHEMAS)
-            for run in runs:
-                assert store.counters(run["id"])["access.wall_s"] == 0.1
-
-    def test_unknown_bench_schema_rejected(self, tmp_path):
-        with RunStore(str(tmp_path / "m.db")) as store:
-            with pytest.raises(StoreError):
-                store.ingest_bench(_bench_doc(schema="bogus-9"),
-                                   label="x")
-
-    def test_store_schema_mismatch_rejected(self, tmp_path):
-        db = str(tmp_path / "m.db")
-        with RunStore(db) as store:
-            store.db.execute(
-                "UPDATE meta SET value = 'other-schema'"
-                " WHERE key = 'schema'")
-            store.db.commit()
-        with pytest.raises(StoreError):
-            RunStore(db)
-
-    def test_committed_bench_history_imports(self, tmp_path,
-                                             repo_root=None):
-        import os
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        committed = [os.path.join(root, name)
-                     for name in ("BENCH_sweep.json", "BENCH_fastpath.json")]
-        for path in committed:
-            assert os.path.isfile(path), path
-        with RunStore(str(tmp_path / "m.db")) as store:
-            for path in committed:
-                store.import_bench_json(path)
-            runs = store.runs(kind="bench")
-            assert len(runs) == 2
-            report = TrendReport(store)
-            assert len(report.trends) > 0
-
-
-# ---------------------------------------------------------------------------
-# Trend report and regression gate.
-# ---------------------------------------------------------------------------
-
-class TestTrendReport:
-    def test_no_regression_on_flat_history(self, tmp_path):
-        with RunStore(str(tmp_path / "m.db")) as store:
-            store.ingest_bench(_bench_doc(wall=0.1), label="a")
-            store.ingest_bench(_bench_doc(wall=0.11), label="b")
-            report = TrendReport(store)
-            assert report.ok
-            assert "no gated regressions" in report.format()
-
-    def test_synthetic_regression_detected(self, tmp_path):
-        with RunStore(str(tmp_path / "m.db")) as store:
-            store.ingest_bench(_bench_doc(wall=0.1), label="before")
-            store.ingest_bench(_bench_doc(wall=1.0), label="after")
-            report = TrendReport(store)
-            assert not report.ok
-            names = {t.name for t in report.regressions()}
-            assert "access.wall_s" in names
-            assert "REGRESSED" in report.format()
-
-    def test_sim_counters_never_gate(self, tmp_path):
-        # Simulated-time counters may legitimately change with the
-        # source; only wall-clock counters participate in the gate.
-        with RunStore(str(tmp_path / "m.db")) as store:
-            a = _bench_doc(wall=0.1)
-            b = _bench_doc(wall=0.1)
-            b["benchmarks"]["sor32"]["sim_us"] = 99999.0
-            store.ingest_bench(a, label="a")
-            store.ingest_bench(b, label="b")
-            assert TrendReport(store).ok
-
-    def test_gate_factor_respected(self, tmp_path):
-        with RunStore(str(tmp_path / "m.db")) as store:
-            store.ingest_bench(_bench_doc(wall=0.1), label="a")
-            store.ingest_bench(_bench_doc(wall=0.25), label="b")
-            assert not TrendReport(store, gate_factor=2.0).ok
-            assert TrendReport(store, gate_factor=3.0).ok
-
-    def test_single_run_is_ok(self, tmp_path):
-        with RunStore(str(tmp_path / "m.db")) as store:
-            store.ingest_bench(_bench_doc(), label="only")
-            report = TrendReport(store)
-            assert report.ok and "need two runs" in report.format()
-
-    def test_sparkline(self):
-        assert sparkline([]) == ""
-        assert sparkline([1.0, 1.0]) == "▁▁"
-        line = sparkline([0.0, 0.5, 1.0])
-        assert len(line) == 3 and line[0] == "▁" and line[-1] == "█"
-
-
-class TestHtmlDashboard:
-    def test_renders_trends_and_series(self, metered_sor, tmp_path):
-        with RunStore(str(tmp_path / "m.db")) as store:
-            store.ingest_bench(_bench_doc(wall=0.1), label="a")
-            store.ingest_bench(_bench_doc(wall=1.0), label="b")
-            store.ingest_result(metered_sor)
-            doc = render_html(store)
-        assert doc.startswith("<!doctype html>")
-        assert "access.wall_s" in doc
-        assert "regression" in doc
-        assert "<svg" in doc          # series charts
-        assert "dir.occ.total" in doc
-
-
-# ---------------------------------------------------------------------------
-# CLI end-to-end (through the cashmere-repro dispatcher).
-# ---------------------------------------------------------------------------
-
-class TestCli:
-    def _main(self, *argv):
-        from repro.experiments.runner import main
-        return main(list(argv))
-
-    def test_full_flow(self, tmp_path, capsys):
-        import os
-        db = str(tmp_path / "m.db")
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        a = os.path.join(root, "BENCH_sweep.json")
-        b = os.path.join(root, "BENCH_fastpath.json")
-        assert self._main("metrics", "import", a, b, "--db", db) == 0
-        assert self._main("metrics", "list", "--db", db) == 0
-        out = capsys.readouterr().out
-        assert "BENCH_sweep.json" in out
-        rc = self._main("metrics", "report", "--db", db, "--gate", "1e9")
-        assert rc == 0
-
-    def test_injected_regression_exits_nonzero(self, tmp_path, capsys):
-        db = str(tmp_path / "m.db")
-        before = tmp_path / "before.json"
-        after = tmp_path / "after.json"
-        before.write_text(json.dumps(_bench_doc(wall=0.1)))
-        after.write_text(json.dumps(_bench_doc(wall=1.0)))
-        assert self._main("metrics", "import", str(before), str(after),
-                          "--db", db) == 0
-        assert self._main("metrics", "report", "--db", db) == 1
-        assert "REGRESSED" in capsys.readouterr().out
-
-    def test_html_subcommand(self, tmp_path, capsys):
-        db = str(tmp_path / "m.db")
-        doc = tmp_path / "d.json"
-        doc.write_text(json.dumps(_bench_doc()))
-        assert self._main("metrics", "import", str(doc), "--db", db) == 0
-        out = tmp_path / "dash.html"
-        assert self._main("metrics", "html", "--db", db,
-                          "--out", str(out)) == 0
-        assert out.read_text().startswith("<!doctype html>")
-
-    def test_bad_import_reports_error(self, tmp_path, capsys):
-        db = str(tmp_path / "m.db")
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text("{not json")
-        assert self._main("metrics", "import", str(bogus),
-                          "--db", db) == 2
-        assert "error" in capsys.readouterr().err
 
 
 if __name__ == "__main__":

@@ -216,7 +216,6 @@ class TestRunnerCLI:
                                       monkeypatch):
         monkeypatch.setenv("CASHMERE_CACHE_DIR", str(tmp_path))
         # 'all' limited to one cheap app still covers every experiment.
-        # (The app goes before --json: --json greedily takes a PATH.)
         captured = self.run_cli(capsys, ["all", "SOR", "--quick",
                                          "--json"])
         docs = json.loads(captured.out)
