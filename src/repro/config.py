@@ -13,22 +13,9 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
-
-
-def env_flag(name: str) -> bool:
-    """Whether the environment variable ``name`` is set and non-empty.
-
-    The sanctioned accessor for boolean environment switches
-    (``CASHMERE_NO_FASTPATH`` and friends): environment reads are a
-    hidden input the result-cache key cannot see, so the determinism
-    lint (rule D105, DESIGN.md §11) confines them to this module and
-    the sweep entry point.
-    """
-    return bool(os.environ.get(name))
 
 #: Bytes per shared-memory word. The Alpha reads/writes 32 bits atomically,
 #: but application data is 64-bit; we simulate 64-bit words and count bytes.
@@ -233,9 +220,8 @@ class MachineConfig:
     #: entirely; the page table evicts a mapping the moment it dies
     #: (DESIGN.md §9, per-page shootdown). Behavior-preserving —
     #: a fast-path run produces byte-identical statistics and results to
-    #: a slow-path run. Disable here, or set ``CASHMERE_NO_FASTPATH=1``
-    #: in the environment, to force every access through full dispatch
-    #: (debugging / the determinism regression tests).
+    #: a slow-path run. Disable to force every access through full
+    #: dispatch (debugging / the determinism regression tests).
     fastpath: bool = True
     #: Opt-in time-series metrics sampling (:mod:`repro.metrics`): a
     #: collector polls directory occupancy, page-state histograms,
@@ -258,15 +244,6 @@ class MachineConfig:
     #: serializing. Data values are barrier-topology independent; only
     #: timing (and the combine-hop accounting) differs.
     barrier: str = "flat"
-    #: Home-placement policy for shared pages (DESIGN.md §15):
-    #: ``"first_touch"`` (the paper's Section 2.3 policy, the default)
-    #: relocates a superpage's home to the first owner that touches it
-    #: after initialization; ``"round_robin"`` freezes the initial
-    #: round-robin striping (no relocation ever); ``"migrate"`` is
-    #: first-touch plus migrate-on-repeated-diff — a page whose diffs
-    #: keep coming from the same remote owner moves its home there,
-    #: reusing the relocation machinery.
-    home_policy: str = "first_touch"
     costs: CostModel = field(default_factory=CostModel)
 
     def __post_init__(self) -> None:
@@ -274,10 +251,6 @@ class MachineConfig:
             raise ConfigError(
                 f"unknown barrier topology {self.barrier!r}; "
                 f"choose 'flat' or 'tree'")
-        if self.home_policy not in ("first_touch", "round_robin", "migrate"):
-            raise ConfigError(
-                f"unknown home policy {self.home_policy!r}; choose "
-                f"'first_touch', 'round_robin', or 'migrate'")
         if self.nodes < 1:
             raise ConfigError("need at least one node")
         if self.procs_per_node < 1:

@@ -37,10 +37,10 @@ output is a single valid JSON value.
 Every experiment reports simulated time. The simulator's own host cost
 is measured by ``benchmarks/e2e/run.py`` (README "Performance").
 
-``lint`` runs the static DSM-usage analyzer and determinism lint
-(:mod:`repro.lint`) over PATHS (default: the installed ``repro``
-package). Exit code 0 means clean, 1 means findings, 2 means a usage
-error; see README "Static analysis" for the rule table.
+``lint`` runs the determinism lint (:mod:`repro.lint`) over PATHS
+(default: the installed ``repro`` package). Exit code 0 means clean, 1
+means findings, 2 means a usage error; see README "Static analysis"
+for the rule table.
 
 ``trace`` runs one application with event tracing and exports Chrome
 ``trace_event`` JSON viewable at https://ui.perfetto.dev; ``profile``
@@ -186,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--select", default=None, metavar="RULES",
                         help="lint only: restrict to these rule IDs or "
                              "prefixes, comma-separated (e.g. "
-                             "'A001,D' selects A001 and every D-rule)")
+                             "'E001,D10' selects E001 and D101-D106)")
     parser.add_argument("--format", default="text",
                         choices=["text", "json"], dest="lint_format",
                         help="lint only: output format")

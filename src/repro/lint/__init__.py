@@ -1,14 +1,9 @@
-"""Static DSM-usage analyzer and simulator determinism lint.
+"""Simulator determinism lint.
 
-Two AST-based engines behind one rule/diagnostic framework:
-
-* the **app analyzer** (A-rules) checks worker kernels written against
-  the :class:`~repro.runtime.env.WorkerEnv` API — lock balance over a
-  CFG, barrier divergence under rank-dependent control flow, an
-  Eraser-style static lockset discipline, and phase-misuse patterns;
-* the **determinism lint** (D-rules) scans simulator source for
-  hazards that would break run-to-run determinism and the soundness of
-  the content-addressed result cache (DESIGN.md §11).
+An AST-based checker (D-rules) that scans simulator source for hazards
+that would break run-to-run determinism and the soundness of the
+content-addressed result cache (DESIGN.md §11), behind a stable
+rule/diagnostic framework.
 
 CLI: ``cashmere-repro lint [PATHS] [--select RULES] [--format json]``.
 Programmatic: :func:`repro.lint.run`. Exit-code contract: 0 clean,

@@ -1,4 +1,4 @@
-"""The lint driver: file discovery, engine dispatch, suppression.
+"""The lint driver: file discovery, checking, suppression.
 
 Programmatic entry point::
 
@@ -6,10 +6,8 @@ Programmatic entry point::
     result = run(["src/repro", "examples"])
     assert result.exit_code == 0, result.format_text()
 
-Both engines run over every file: the app analyzer only triggers on
-functions that take an ``env`` parameter and the determinism checks
-skip the sanctioned modules, so it is safe (and simpler) not to route
-files to engines by path.
+The determinism checks run over every file; the wall-clock and
+environment rules skip the sanctioned module themselves.
 
 Output is deterministic: files are discovered in sorted order, display
 paths are relative with forward slashes, and :meth:`LintResult.finish`
@@ -21,7 +19,6 @@ from __future__ import annotations
 import ast
 import os
 
-from .appcheck import check_app
 from .determinism import check_determinism
 from .diagnostics import Diagnostic, LintResult
 from .rules import RULES
@@ -36,7 +33,7 @@ def resolve_select(select: str | list[str] | None
                    ) -> frozenset[str] | None:
     """Expand a ``--select`` spec into a set of rule IDs.
 
-    Accepts exact IDs (``A001``), engine prefixes (``A``, ``D``), and
+    Accepts exact IDs (``D101``), ID prefixes (``D``, ``D10``), and
     comma-separated combinations; ``None`` means every rule.
     """
     if select is None:
@@ -121,7 +118,6 @@ def lint_source(source: str, display: str,
         report("E001", exc.lineno or 1, (exc.offset or 1) - 1,
                f"file could not be parsed: {exc.msg}")
         return active, suppressed
-    check_app(tree, report)
     check_determinism(tree, display, report)
     return active, suppressed
 

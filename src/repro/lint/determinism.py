@@ -1,4 +1,4 @@
-"""Engine 2: the determinism lint.
+"""The determinism lint.
 
 The simulator's contract is that a run is a pure function of
 ``(RunSpec, source digest)`` — that is what makes the PR 4
@@ -8,8 +8,8 @@ silently break that contract:
 
 * **D101** wall-clock reads (``time.time``, ``perf_counter``,
   ``datetime.now``, ...) outside the sanctioned modules
-  (:data:`~repro.lint.rules.SANCTIONED_MODULES` — the audited
-  sweep/config entry points that deal in real time by design).
+  (:data:`~repro.lint.rules.SANCTIONED_MODULES` — the audited sweep
+  entry point, which deals in real time by design).
 * **D102** the process-global RNG (``random.random``,
   ``numpy.random.rand``, ...) or an unseeded generator construction
   (``random.Random()`` / ``numpy.random.default_rng()`` with no
@@ -171,9 +171,8 @@ class DeterminismChecker(ast.NodeVisitor):
             if canon in _WALL_CLOCK and not self.sanctioned:
                 self.report(
                     "D101", node.lineno, node.col_offset,
-                    f"wall-clock read {canon}() outside the sanctioned "
-                    f"sweep/config modules: simulated results must not "
-                    f"depend on real time")
+                    f"wall-clock read {canon}() outside sweep: "
+                    f"simulated results must not depend on real time")
             if canon in _GLOBAL_RANDOM or (
                     canon.startswith("numpy.random.")
                     and canon.rsplit(".", 1)[1] in _NUMPY_GLOBAL_RANDOM):
@@ -191,8 +190,8 @@ class DeterminismChecker(ast.NodeVisitor):
             if canon == "os.getenv" and not self.sanctioned:
                 self.report(
                     "D105", node.lineno, node.col_offset,
-                    "os.getenv() outside config/sweep: hidden "
-                    "input that the result-cache key cannot see")
+                    "os.getenv() outside sweep: hidden input that "
+                    "the result-cache key cannot see")
         # D104: key=id in sorted()/min()/max()/.sort().
         for kw in node.keywords:
             if kw.arg == "key" and isinstance(kw.value, ast.Name) \
@@ -223,8 +222,8 @@ class DeterminismChecker(ast.NodeVisitor):
                 and self._canonical(node) == "os.environ":
             self.report(
                 "D105", node.lineno, node.col_offset,
-                "os.environ read outside config/sweep: hidden "
-                "input that the result-cache key cannot see")
+                "os.environ read outside sweep: hidden input that "
+                "the result-cache key cannot see")
         self.generic_visit(node)
 
     def visit_Name(self, node: ast.Name) -> None:
@@ -232,8 +231,8 @@ class DeterminismChecker(ast.NodeVisitor):
                 and self.names.get(node.id) == "os.environ":
             self.report(
                 "D105", node.lineno, node.col_offset,
-                "os.environ read outside config/sweep: hidden "
-                "input that the result-cache key cannot see")
+                "os.environ read outside sweep: hidden input that "
+                "the result-cache key cannot see")
 
     # --- D103: iteration over sets --------------------------------------
 

@@ -5,18 +5,21 @@ rule table, in ``--select`` arguments, and in per-line
 ``# cashmere: ignore[RULE]`` suppressions), so treat them like a wire
 format: never renumber or reuse a retired ID, only append.
 
-Two engines share this registry:
+Rules belong to the ``det`` engine — the determinism lint
+(:mod:`repro.lint.determinism`): source-level hazards that would break
+the simulator's run-to-run determinism and therefore the soundness of
+the content-addressed result cache (see DESIGN.md §11) — or to
+``core`` (the parse error).
 
-* ``app`` — the application-kernel analyzer (:mod:`repro.lint.appcheck`):
-  CFG + lockset analysis of worker generators written against the
-  :class:`~repro.runtime.env.WorkerEnv` API.
-* ``det`` — the determinism lint (:mod:`repro.lint.determinism`):
-  source-level hazards that would break the simulator's run-to-run
-  determinism and therefore the soundness of the content-addressed
-  result cache (see DESIGN.md §11).
+Retired, never to be reused:
 
-Retired, never to be reused: the F-series IDs of the fault-path lint,
-deleted with fault injection (DESIGN.md §12).
+* the F-series IDs of the fault-path lint, deleted with fault
+  injection (DESIGN.md §12);
+* A001–A007, the application-kernel analyzer, deleted because the
+  runtime raises every bug it named (a lock leak, an unheld release
+  or a divergent barrier as a ``SimulationError``/``DeadlockError``,
+  a data race as a ``DataRaceError`` under ``checking=True``;
+  DESIGN.md §2).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ class Rule:
 
     id: str
     slug: str
-    engine: str       # "app" | "det" | "core"
+    engine: str       # "det" | "core"
     severity: str     # "error" | "warning"
     summary: str
 
@@ -44,35 +47,10 @@ _ALL_RULES = (
     # --- core ----------------------------------------------------------
     Rule("E001", "parse-error", "core", "error",
          "file could not be parsed as Python"),
-    # --- engine 1: application-kernel analyzer -------------------------
-    Rule("A001", "lock-leak", "app", "error",
-         "a lock acquired in the kernel may still be held on some path "
-         "when the worker exits"),
-    Rule("A002", "release-unheld", "app", "error",
-         "release() is not dominated by an acquire() of the same lock "
-         "on every path"),
-    Rule("A003", "divergent-barrier", "app", "error",
-         "barrier() under rank-dependent control flow: workers would "
-         "arrive at different barrier episodes"),
-    Rule("A004", "lockset-discipline", "app", "warning",
-         "shared array is written under a lock elsewhere but accessed "
-         "here with an empty lockset after the first barrier"),
-    Rule("A005", "unpartitioned-write", "app", "warning",
-         "unlocked write after the first barrier whose index does not "
-         "depend on the rank and is not rank-guarded: every worker "
-         "writes the same words concurrently"),
-    Rule("A006", "init-unguarded-write", "app", "error",
-         "shared write reachable before the first barrier outside a "
-         "rank guard: the initialization phase is read-only for "
-         "non-elected ranks"),
-    Rule("A007", "inline-self-copy", "app", "warning",
-         "get_block() result passed directly to set_block() on the same "
-         "array: an overlapping self-copy that is only safe while "
-         "get_block copies"),
-    # --- engine 2: determinism lint ------------------------------------
+    # --- determinism lint ----------------------------------------------
     Rule("D101", "wall-clock", "det", "error",
-         "wall-clock read outside the sanctioned sweep/config modules: "
-         "simulated results must not depend on real time"),
+         "wall-clock read outside sweep: simulated results must not "
+         "depend on real time"),
     Rule("D102", "unseeded-random", "det", "error",
          "global or unseeded random number generator: output would vary "
          "across runs and poison the result cache"),
@@ -83,8 +61,8 @@ _ALL_RULES = (
          "id() used as a dict/collection key or sort key: identity "
          "values differ between runs"),
     Rule("D105", "env-read", "det", "error",
-         "environment variable read outside config/sweep: hidden input "
-         "that the result-cache key cannot see"),
+         "environment variable read outside sweep: hidden input that "
+         "the result-cache key cannot see"),
     Rule("D106", "frozen-mutation", "det", "error",
          "mutation of a frozen spec/config object: cache keys assume "
          "RunSpec/MachineConfig values never change after construction"),
@@ -94,5 +72,5 @@ _ALL_RULES = (
 RULES: dict[str, Rule] = {r.id: r for r in _ALL_RULES}
 
 #: Module basenames in which wall-clock and environment reads are
-#: sanctioned (the audited entry points; see DESIGN.md §11).
-SANCTIONED_MODULES = frozenset({"sweep.py", "config.py"})
+#: sanctioned (the audited sweep entry point; see DESIGN.md §11).
+SANCTIONED_MODULES = frozenset({"sweep.py"})

@@ -3,7 +3,7 @@
 A finding is silenced by a trailing comment on the line it is reported
 at::
 
-    env.set_block(force, lo * 3, new)  # cashmere: ignore[A004]
+    started = time.perf_counter()  # cashmere: ignore[D101]
 
 ``ignore[R1,R2]`` silences those rule IDs; a bare ``ignore`` silences
 every rule on the line. Suppressed findings are still collected (they
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 
-#: Matches ``# cashmere: ignore`` and ``# cashmere: ignore[A001, D101]``.
+#: Matches ``# cashmere: ignore`` and ``# cashmere: ignore[D101, D105]``.
 _PATTERN = re.compile(
     r"#\s*cashmere:\s*ignore(?:\[(?P<rules>[A-Za-z0-9_,\s]*)\])?")
 

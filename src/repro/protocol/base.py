@@ -120,14 +120,6 @@ class BaseProtocol:
         #: First-touch relocation enabled after application initialization.
         self.first_touch_enabled = False
         self._relocated_superpages: set[int] = set()
-        #: Home-placement policy (MachineConfig.home_policy, DESIGN §15):
-        #: migrate-on-repeated-diff keeps a per-page [owner, streak] of
-        #: consecutive remote-home diff flushes; once a page's diffs come
-        #: from the same owner ``_MIGRATE_STREAK`` times in a row, that
-        #: owner's next fault migrates the home to it (through the same
-        #: lock + relocation path first-touch uses).
-        self._migrate_policy = self.config.home_policy == "migrate"
-        self._migrate_streak: dict[int, list] = {}
         #: 1 once a page's home can never change again (its superpage was
         #: relocated, or its home was set by hand); lets the fault path
         #: skip the relocation check with a single index.
@@ -254,12 +246,9 @@ class BaseProtocol:
     # --- shared helpers -------------------------------------------------------
 
     def end_initialization(self) -> None:
-        """Arm home relocation (runs once, at the end of the
-        application's initialization phase). Under ``round_robin`` the
-        initial striped assignment is final, so relocation stays
-        disarmed and every page keeps ``home_is_default``."""
-        if self.config.home_policy != "round_robin":
-            self.first_touch_enabled = True
+        """Arm first-touch home relocation (runs once, at the end of the
+        application's initialization phase)."""
+        self.first_touch_enabled = True
 
     def _init_masters(self) -> None:
         """Create the master copies. Two-level protocols share the home
@@ -349,11 +338,7 @@ class BaseProtocol:
         post-initialization toucher becomes the home. Requires the global
         home-selection lock — the only global lock in the protocol.
         """
-        if self._home_settled[page]:
-            if self._migrate_streak:
-                self._maybe_migrate_home(proc, page)
-            return
-        if not self.first_touch_enabled:
+        if self._home_settled[page] or not self.first_touch_enabled:
             return
         sp = page // self.config.superpage_pages
         if sp in self._relocated_superpages:
@@ -382,44 +367,6 @@ class BaseProtocol:
             if old_home == new_home:
                 continue
             self._relocate_page(proc, p, old_home, new_home)
-
-    def _note_remote_flush(self, page: int, owner: int) -> None:
-        """Record one diff flush of ``page`` from ``owner`` to a remote
-        home (migrate policy only — callers gate on ``_migrate_policy``).
-        Consecutive flushes from the same owner grow the streak; a flush
-        from anyone else resets it."""
-        streak = self._migrate_streak.get(page)
-        if streak is not None and streak[0] == owner:
-            streak[1] += 1
-        else:
-            self._migrate_streak[page] = [owner, 1]
-
-    #: Consecutive same-owner remote diffs before a page's home migrates.
-    _MIGRATE_STREAK = 3
-
-    def _maybe_migrate_home(self, proc: Processor, page: int) -> None:
-        """Migrate-on-repeated-diff (home_policy="migrate"): runs on the
-        fault path, like first-touch, so the relocation happens at a
-        moment the page is being touched anyway and reuses the same
-        home-selection lock and master transfer."""
-        streak = self._migrate_streak.get(page)
-        if streak is None:
-            return
-        st = self._ps[proc.global_id]
-        if streak[0] != st.owner or streak[1] < self._MIGRATE_STREAK:
-            return
-        del self._migrate_streak[page]
-        old_home = self.directory.home(page)
-        if old_home == st.owner:
-            return
-        begin, end = self._home_lock.acquire(proc.clock, 11.0)
-        proc.charge(end - proc.clock, "protocol")
-        proc.stats.bump("home_relocations")
-        self._relocate_page(proc, page, old_home, st.owner)
-        if self.trace is not None:
-            self.trace.instant("home_migration", proc, proc.clock,
-                               obj=page, old_home=old_home,
-                               new_home=st.owner)
 
     def _relocate_page(self, proc: Processor, page: int, old_home: int,
                        new_home: int) -> None:

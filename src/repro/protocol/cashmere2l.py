@@ -126,7 +126,7 @@ class Cashmere2L(BaseProtocol):
                 ctrace.span("protocol", proc, clock, us)
             clock, spent = clock + us, spent + us
         counters["write_faults" if write else "read_faults"] += 1
-        if not self._home_settled[page] or self._migrate_streak:
+        if not self._home_settled[page]:
             proc.clock, buckets["protocol"] = clock, spent
             self.maybe_relocate_home(proc, page)
             clock, spent = proc.clock, buckets["protocol"]
@@ -500,8 +500,6 @@ class Cashmere2L(BaseProtocol):
                         proc.stats.counters["flush_updates"] += 1
                     else:
                         meta.twin = None  # last writer: twin is garbage
-                    if self._migrate_policy:
-                        self._note_remote_flush(page, owner)
                 if notify:
                     # Notices to every sharer but us and the home (Section
                     # 3.3.5 ablation: one list per node, a global lock).

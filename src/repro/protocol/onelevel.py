@@ -135,7 +135,7 @@ class OneLevelProtocol(BaseProtocol):
                 ctrace.span("protocol", proc, clock, us)
             clock, spent = clock + us, spent + us
         counters["write_faults" if write else "read_faults"] += 1
-        if not self._home_settled[page] or self._migrate_streak:
+        if not self._home_settled[page]:
             proc.clock, buckets["protocol"] = clock, spent
             self.maybe_relocate_home(proc, page)
             clock, spent = proc.clock, buckets["protocol"]
@@ -363,8 +363,6 @@ class OneLevelProtocol(BaseProtocol):
                             ctrace.span("comm_wait", proc, clock, us)
                         clock += us
                         buckets["comm_wait"] += us
-                if self._migrate_policy and home_owner != owner:
-                    self._note_remote_flush(page, owner)
 
             sharers = [o for o in entry.sharers() if o != owner]
             if sharers:

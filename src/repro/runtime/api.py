@@ -15,7 +15,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 
-from ..config import MachineConfig, env_flag
+from ..config import MachineConfig
 from ..errors import ConfigError
 
 #: Nesting depth of active :func:`checking` context managers. When
@@ -122,22 +122,6 @@ def metering():
 def metrics_enabled(config: MachineConfig) -> bool:
     """Should a runtime built with ``config`` attach a metrics collector?"""
     return bool(config.metrics or _metering_depth)
-
-
-def fastpath_enabled(config: MachineConfig) -> bool:
-    """Should worker environments use the inline page-access cache?
-
-    ``MachineConfig.fastpath`` (default True) opts in; the
-    ``CASHMERE_NO_FASTPATH`` environment variable force-disables it for a
-    whole process without touching configs — the determinism regression
-    tests diff fast-path runs against runs forced down the slow path this
-    way. The fast path is also suppressed per-runtime whenever the
-    correctness checker is attached (it needs per-word access events);
-    that decision happens in :class:`~repro.runtime.env.WorkerEnv`.
-    """
-    if env_flag("CASHMERE_NO_FASTPATH"):
-        return False
-    return bool(config.fastpath)
 
 
 @dataclass(frozen=True)

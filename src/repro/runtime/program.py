@@ -20,14 +20,14 @@ import numpy as np
 from ..check import attach_checker
 from ..cluster.machine import Cluster
 from ..config import MachineConfig
-from ..errors import ConfigError
+from ..errors import ConfigError, SimulationError
 from ..protocol import make_protocol
 from ..stats.counters import RunStats
 from ..sync import Barrier, FlagSet, MCLock
 from ..metrics import MetricsCollector, attach_metrics
 from ..trace import Tracer, attach_tracer
-from .api import (SharedSegment, checking_enabled, fastpath_enabled,
-                  metrics_enabled, tracing_enabled)
+from .api import (SharedSegment, checking_enabled, metrics_enabled,
+                  tracing_enabled)
 from .env import WorkerEnv
 from .sequential import run_sequential
 from ..sim.process import ProcessGroup
@@ -79,7 +79,7 @@ class ParallelRuntime:
         #: *before* run() builds the worker environments, so each
         #: WorkerEnv sees the final observer configuration when it
         #: decides on the fast path.
-        self.fastpath = fastpath_enabled(self.config)
+        self.fastpath = self.config.fastpath
         self.segment = SharedSegment(self.config)
         app.declare(self.segment, params)
         self.barrier = Barrier(self.cluster, self.protocol)
@@ -115,6 +115,12 @@ class ParallelRuntime:
             group.spawn(proc, self.app.worker(env, self.params),
                         name=f"{self.app.name}:p{proc.global_id}")
         group.run()
+        for lock_id in self._locks:
+            holder = self._locks[lock_id]._holder
+            if holder is not None:
+                raise SimulationError(
+                    f"lock {lock_id} still held by processor {holder} "
+                    f"after every worker finished")
         if self.checker is not None:
             # End-of-run oracle sweep; raises DataRaceError if the app
             # raced or CoherenceViolation if the protocol served bad data.

@@ -1,4 +1,4 @@
-"""Good: config.py is a sanctioned module for environment reads."""
+"""Good: sweep.py is the sanctioned module for environment reads."""
 
 import os
 

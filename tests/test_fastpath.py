@@ -22,7 +22,6 @@ import pytest
 
 from repro import MachineConfig, run_app
 from repro.apps import make_app
-from repro.runtime.api import fastpath_enabled
 from repro.runtime.env import WorkerEnv
 from repro.runtime.program import ParallelRuntime
 
@@ -66,11 +65,10 @@ def test_fastpath_matches_forced_slowpath(app_name, protocol, observers):
     assert _fingerprint(fast, app) == _fingerprint(slow, slow_app)
 
 
-def test_env_var_forces_slow_path(monkeypatch):
-    monkeypatch.setenv("CASHMERE_NO_FASTPATH", "1")
-    assert not fastpath_enabled(SMALL)
+def test_config_flag_forces_slow_path():
     app = make_app("SOR")
-    rt = ParallelRuntime(app, app.small_params(), SMALL, "2L")
+    rt = ParallelRuntime(app, app.small_params(),
+                         replace(SMALL, fastpath=False), "2L")
     assert rt.fastpath is False
     env = WorkerEnv(rt, rt.cluster.processors[0])
     assert not env._fast_read and not env._fast_write

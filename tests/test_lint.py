@@ -20,7 +20,7 @@ from repro.lint.api import resolve_select
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(REPO, "tests", "fixtures", "lint")
 
-#: Rule ID -> fixture basename (A001 -> a001.py).
+#: Rule ID -> fixture basename (D101 -> d101.py).
 FIXTURE_RULES = sorted(RULES)
 
 
@@ -34,7 +34,7 @@ def _fixture(kind: str, rule: str) -> str:
 @pytest.mark.parametrize("rule", FIXTURE_RULES)
 def test_bad_fixture_triggers_rule(rule):
     path = _fixture("bad", rule)
-    if not os.path.exists(path):  # D105's good twin is config.py
+    if not os.path.exists(path):  # D105's good twin is sweep.py
         pytest.fail(f"no bad fixture for {rule}")
     result = run([path])
     fired = {d.rule for d in result.diagnostics}
@@ -46,8 +46,8 @@ def test_bad_fixture_triggers_rule(rule):
 @pytest.mark.parametrize("rule", FIXTURE_RULES)
 def test_good_fixture_is_clean(rule):
     if rule == "D105":
-        # Sanctioned-module exemption: the good twin is named config.py.
-        path = os.path.join(FIXTURES, "good", "config.py")
+        # Sanctioned-module exemption: the good twin is named sweep.py.
+        path = os.path.join(FIXTURES, "good", "sweep.py")
     else:
         path = _fixture("good", rule)
     result = run([path])
@@ -63,40 +63,40 @@ def test_every_rule_has_both_fixtures():
 
 # --- suppression semantics ----------------------------------------------------
 
-RACY = """
-def worker(env, params):
-    data = env.arr("data")
-    yield from env.barrier()
-    env.set(data, 0, 1.0){comment}
-    yield from env.barrier()
+CLOCK = """
+import time
+
+
+def stamp():
+    return time.time(){comment}
 """
 
 
 def test_suppression_moves_finding_aside():
     active, suppressed = lint_source(
-        RACY.format(comment="  # cashmere: ignore[A005]"), "x.py")
+        CLOCK.format(comment="  # cashmere: ignore[D101]"), "x.py")
     assert active == []
-    assert [d.rule for d in suppressed] == ["A005"]
+    assert [d.rule for d in suppressed] == ["D101"]
 
 
 def test_bare_ignore_suppresses_everything():
     active, suppressed = lint_source(
-        RACY.format(comment="  # cashmere: ignore"), "x.py")
+        CLOCK.format(comment="  # cashmere: ignore"), "x.py")
     assert active == []
-    assert [d.rule for d in suppressed] == ["A005"]
+    assert [d.rule for d in suppressed] == ["D101"]
 
 
 def test_wrong_rule_in_ignore_does_not_suppress():
     active, suppressed = lint_source(
-        RACY.format(comment="  # cashmere: ignore[D101]"), "x.py")
-    assert [d.rule for d in active] == ["A005"]
+        CLOCK.format(comment="  # cashmere: ignore[D102]"), "x.py")
+    assert [d.rule for d in active] == ["D101"]
     assert suppressed == []
 
 
 def test_suppressed_findings_still_counted():
     result = LintResult()
     _, result.suppressed = lint_source(
-        RACY.format(comment="  # cashmere: ignore"), "x.py")
+        CLOCK.format(comment="  # cashmere: ignore"), "x.py")
     result.files.append("x.py")
     assert result.finish().counts()["suppressed"] == 1
     assert result.exit_code == 0
@@ -106,20 +106,22 @@ def test_suppressed_findings_still_counted():
 
 
 def test_select_exact_and_prefix():
-    assert resolve_select("A001") == frozenset({"A001"})
+    assert resolve_select("D101") == frozenset({"D101"})
     assert resolve_select("D") == frozenset(
         r for r in RULES if r.startswith("D"))
-    combo = resolve_select("A001,D")
-    assert "A001" in combo and "D101" in combo and "A002" not in combo
+    combo = resolve_select("E001,D101")
+    assert "E001" in combo and "D101" in combo and "D102" not in combo
 
 
 def test_select_unknown_rule_is_usage_error():
     with pytest.raises(UsageError):
         resolve_select("Z999")
+    with pytest.raises(UsageError):  # retired with the kernel analyzer
+        resolve_select("A")
 
 
 def test_select_filters_findings():
-    result = run([_fixture("bad", "D102")], select="A")
+    result = run([_fixture("bad", "D102")], select="D101")
     assert result.diagnostics == []
     result = run([_fixture("bad", "D102")], select="D102")
     assert {d.rule for d in result.diagnostics} == {"D102"}
@@ -129,7 +131,7 @@ def test_select_filters_findings():
 
 
 def test_json_document_shape_and_roundtrip():
-    result = run([_fixture("bad", "A001")])
+    result = run([_fixture("bad", "D105")])
     doc = json.loads(result.format_json())
     assert doc["schema"] == SCHEMA
     assert set(doc) == {"schema", "diagnostics", "suppressed", "summary"}
@@ -170,16 +172,16 @@ def test_discovery_order_independent_of_arguments():
 
 
 def test_cli_exit_codes(capsys):
-    assert cli_main(["lint", _fixture("good", "A001")]) == 0
-    assert cli_main(["lint", _fixture("bad", "A005")]) == 1
+    assert cli_main(["lint", _fixture("good", "D101")]) == 0
+    assert cli_main(["lint", _fixture("bad", "D103")]) == 1
     assert cli_main(["lint", "--select", "Z999",
-                     _fixture("bad", "A005")]) == 2
+                     _fixture("bad", "D103")]) == 2
     assert cli_main(["lint", os.path.join(FIXTURES, "no-such-dir")]) == 2
     capsys.readouterr()
 
 
 def test_cli_json_format(capsys):
-    code = cli_main(["lint", "--format", "json", _fixture("bad", "A006")])
+    code = cli_main(["lint", "--format", "json", _fixture("bad", "D101")])
     out = capsys.readouterr().out
     doc = json.loads(out)
     assert code == 1

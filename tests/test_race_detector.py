@@ -3,7 +3,9 @@
 Hand-written racy programs (write-write, write-read across a missing
 release) must be flagged with full provenance; known data-race-free
 programs (barrier rounds, lock-protected counters, flag-synchronized
-producer/consumer chains) must come out clean; and protocol-level data
+producer/consumer chains) must come out clean; kernels written against
+the worker API must race exactly when they are racy (a corpus of four
+racy kernels, a DRF control, and Water); and protocol-level data
 corruption — injected behind the protocol's back — must raise a
 structured :class:`CoherenceViolation` naming the divergent word.
 """
@@ -11,6 +13,8 @@ structured :class:`CoherenceViolation` naming the divergent word.
 import numpy as np
 import pytest
 
+from repro.apps import make_app
+from repro.apps.base import Application
 from repro.check import CheckContext, attach_checker
 from repro.check.detector import _WordState
 from repro.check.events import MemoryEvent
@@ -19,6 +23,7 @@ from repro.config import MachineConfig
 from repro.errors import CoherenceViolation, DataRaceError
 from repro.protocol import make_protocol
 from repro.runtime import checking
+from repro.runtime.program import ParallelRuntime
 from repro.sim.process import Compute, ProcessGroup
 from repro.sync import Barrier, FlagSet, MCLock
 
@@ -538,3 +543,135 @@ def test_range_hooks_match_per_word_reference_on_drf_apps(
                      result.exec_time_us))
     assert seen[0] == seen[1]
     assert seen[0][3][0]["check_events"] > 0
+
+
+# --------------------------------------------------------------------------
+# Kernels written against the worker API: the racy corpus must race.
+# --------------------------------------------------------------------------
+
+#: (name, shared arrays, kernel source). Each is a bug class the
+#: runtime must report under ``checking=True``: an unpartitioned write,
+#: a mixed lockset, a partially protected read, an unguarded init write.
+RACY_CORPUS = [
+    ("ww_unguarded", [("data", 8)], '''
+def worker(env, params):
+    data = env.arr("data")
+    yield from env.barrier()
+    env.set(data, 0, float(env.rank))
+    yield from env.barrier()
+'''),
+    ("mixed_lockset", [("acc", 8)], '''
+def worker(env, params):
+    acc = env.arr("acc")
+    yield from env.barrier()
+    if env.rank == 0:
+        env.set(acc, 0, 1.0)
+    else:
+        yield from env.acquire(0)
+        env.set(acc, 0, env.get(acc, 0) + 1.0)
+        env.release(0)
+    yield from env.barrier()
+'''),
+    ("partial_protect", [("best", 8)], '''
+def worker(env, params):
+    best = env.arr("best")
+    yield from env.barrier()
+    yield from env.acquire(1)
+    env.set(best, 0, env.get(best, 0) + float(env.rank))
+    env.release(1)
+    peek = env.get(best, 0)
+    yield from env.barrier()
+    return peek
+'''),
+    ("init_race", [("data", 8)], '''
+def worker(env, params):
+    data = env.arr("data")
+    env.set(data, 0, 1.0)
+    yield from env.barrier()
+    v = env.get(data, env.rank)
+    yield from env.barrier()
+    return v
+'''),
+]
+
+DRF_CONTROL = '''
+def worker(env, params):
+    data = env.arr("data")
+    if env.rank == 0:
+        for i in range(env.nprocs):
+            env.set(data, i, 0.0)
+    yield from env.barrier()
+    env.set(data, env.rank, float(env.rank) + 1.0)
+    yield from env.barrier()
+    total = 0.0
+    for i in range(env.nprocs):
+        total = total + env.get(data, i)
+    yield from env.barrier()
+    env.set(data, env.rank, total)
+    yield from env.barrier()
+'''
+
+
+class CorpusApp(Application):
+    """Wrap one corpus kernel in the Application interface."""
+
+    name = "Corpus"
+
+    def __init__(self, source, arrays):
+        namespace = {}
+        exec(compile(source, "<corpus>", "exec"), namespace)
+        self._fn = namespace["worker"]
+        self._arrays = arrays
+
+    def default_params(self):
+        return {}
+
+    def declare(self, segment, params):
+        for name, words in self._arrays:
+            segment.alloc(name, words)
+
+    def worker(self, env, params):
+        return self._fn(env, params)
+
+    def result_arrays(self, params):
+        return [name for name, _ in self._arrays]
+
+
+def _corpus_races(source, arrays):
+    """Run a corpus kernel under the detector; return the race reports."""
+    config = MachineConfig(nodes=2, procs_per_node=2, page_bytes=512,
+                           shared_bytes=2048, superpage_pages=2,
+                           checking=True)
+    runtime = ParallelRuntime(CorpusApp(source, arrays), {}, config,
+                              protocol="2L")
+    with pytest.raises(DataRaceError):
+        runtime.run()
+    return runtime.checker.races
+
+
+@pytest.mark.parametrize("name,arrays,source", RACY_CORPUS,
+                         ids=[c[0] for c in RACY_CORPUS])
+def test_racy_corpus_kernel_races(name, arrays, source):
+    assert _corpus_races(source, arrays), \
+        f"{name}: corpus program did not race"
+
+
+def test_drf_control_kernel_runs_race_free():
+    config = MachineConfig(nodes=2, procs_per_node=2, page_bytes=512,
+                           shared_bytes=2048, superpage_pages=2,
+                           checking=True)
+    runtime = ParallelRuntime(CorpusApp(DRF_CONTROL, [("data", 8)]), {},
+                              config, protocol="2L")
+    runtime.run()
+    assert runtime.checker.races == []
+
+
+def test_water_runs_race_free():
+    """Water's barrier-fenced owner-slice accesses inside its locked
+    phase are data-race-free: the detector reports nothing."""
+    app = make_app("Water")
+    config = MachineConfig(nodes=2, procs_per_node=2, checking=True)
+    runtime = ParallelRuntime(app, app.small_params(), config,
+                              protocol="2L")
+    runtime.run()
+    assert runtime.checker.races == []

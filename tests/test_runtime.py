@@ -6,7 +6,7 @@ import pytest
 
 from repro import MachineConfig, run_app, run_sequential
 from repro.apps.base import Application, split_range
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, DeadlockError, SimulationError
 from repro.runtime.api import SharedSegment
 from repro.runtime.program import ParallelRuntime
 
@@ -163,6 +163,61 @@ class TestResultExtraction:
 
         result = run_app(Leaver(), {}, CFG, "2L")
         assert result.array("x")[0] == 42.0
+
+
+class _Kernel(Application):
+    """Wrap a bare worker generator function in the Application API."""
+
+    name = "Kernel"
+
+    def __init__(self, fn):
+        self._fn = fn
+
+    def declare(self, segment, params):
+        segment.alloc("x", 8)
+
+    def worker(self, env, params):
+        return self._fn(env)
+
+    def result_arrays(self, params):
+        return ["x"]
+
+
+class TestSyncMisuse:
+    """Lock and barrier misuse in a kernel fails the run loudly."""
+
+    def test_lock_held_at_exit_raises(self):
+        # Nobody contends, so no deadlock exposes the leak: only the
+        # end-of-run check does.
+        def leak(env):
+            yield from env.barrier()
+            if env.rank == 0:
+                yield from env.acquire(0)
+            yield env.compute(1.0)
+
+        with pytest.raises(SimulationError,
+                           match="lock 0 still held by processor 0"):
+            run_app(_Kernel(leak), {}, CFG, "2L")
+
+    def test_release_of_unheld_lock_raises(self):
+        def stray(env):
+            yield from env.barrier()
+            if env.rank == 1:
+                env.release(0)
+            yield env.compute(1.0)
+
+        with pytest.raises(SimulationError,
+                           match="processor 1 does not hold lock 0"):
+            run_app(_Kernel(stray), {}, CFG, "2L")
+
+    def test_divergent_barrier_deadlocks(self):
+        def diverge(env):
+            if env.rank == 0:
+                yield from env.barrier()
+            yield env.compute(1.0)
+
+        with pytest.raises(DeadlockError):
+            run_app(_Kernel(diverge), {}, CFG, "2L")
 
 
 class TestStatsPlumbing:

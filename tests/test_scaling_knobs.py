@@ -1,13 +1,12 @@
-"""The big-cluster scaling knobs: barrier topology and home placement.
+"""The big-cluster scaling knob: barrier topology.
 
-Both knobs are timing/placement policies layered under the coherence
-protocol, so the contract mirrors the fast path's: the **data** a run
-produces must be byte-identical across every knob setting — only
-simulated time, traffic, and the knob's own counters may move. The
-parity tests here enforce that for SOR and Water under all four
-protocols; the unit tests pin the combining tree's accounting
-(``barrier_combine_hops``, departure-latency bookkeeping) and the
-placement policies' relocation counters.
+The topology is a timing policy layered under the coherence protocol,
+so the contract mirrors the fast path's: the **data** a run produces
+must be byte-identical across both settings — only simulated time,
+traffic, and the knob's own counters may move. The parity tests here
+enforce that for SOR and Water under all four protocols; the unit tests
+pin the combining tree's accounting (``barrier_combine_hops``,
+departure-latency bookkeeping).
 """
 
 from dataclasses import replace
@@ -107,37 +106,3 @@ def test_unknown_barrier_topology_rejected():
     with pytest.raises(ConfigError):
         MachineConfig(nodes=2, procs_per_node=2, barrier="mesh")
 
-
-# ---------------------------------------------------------------------------
-# Home-placement policies.
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("protocol", ["2L", "1LD"])
-@pytest.mark.parametrize("policy", ["first_touch", "round_robin",
-                                    "migrate"])
-def test_home_policies_preserve_results(policy, protocol):
-    """Placement moves pages, never values: every policy produces the
-    first-touch run's bytes."""
-    base, base_arrays = _run("SOR", FLAT, protocol)
-    _, arrays = _run("SOR", replace(FLAT, home_policy=policy), protocol)
-    assert arrays == base_arrays
-
-
-def test_round_robin_never_relocates():
-    result, _ = _run("SOR", replace(FLAT, home_policy="round_robin"),
-                     "2L")
-    assert result.stats.aggregate.counters["home_relocations"] == 0
-
-
-def test_migrate_extends_first_touch():
-    """``migrate`` keeps the first-touch relocation and may add
-    migrations on repeated remote-diff streaks."""
-    ft, _ = _run("SOR", FLAT, "2L")
-    mig, _ = _run("SOR", replace(FLAT, home_policy="migrate"), "2L")
-    assert mig.stats.aggregate.counters["home_relocations"] >= \
-        ft.stats.aggregate.counters["home_relocations"]
-
-
-def test_unknown_home_policy_rejected():
-    with pytest.raises(ConfigError):
-        MachineConfig(nodes=2, procs_per_node=2, home_policy="static")

@@ -190,8 +190,6 @@ class _PerCharge1L:
                                                 category="diff")
                 if send_done > proc.clock:
                     proc.charge(send_done - proc.clock, "comm_wait")
-            if self._migrate_policy and home_owner != st.owner:
-                self._note_remote_flush(page, st.owner)
         if sharers:
             proc.charge(self.costs.mc_lock_overhead + self.costs.mc_latency,
                         "protocol")
@@ -422,8 +420,6 @@ class _PerCharge2L:
                     proc.stats.bump("flush_updates")
                 else:
                     meta.twin = None
-                if self._migrate_policy:
-                    self._note_remote_flush(page, st.owner)
         entry = self.directory.entry(page)
         if self.directory.lock_model is not None:
             proc.charge(self.directory.lock_model.update_cost(proc.clock),
