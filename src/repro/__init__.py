@@ -29,8 +29,8 @@ from .config import (CostModel, MachineConfig, PLACEMENTS, Protocol,
 from .errors import (CashmereError, CoherenceViolation, ConfigError,
                      DataRaceError, DeadlockError, MemoryChannelError,
                      ProtocolError, SimulationError, UnknownCounterError)
-from .runtime import (ComparisonResult, RunResult, checking, metering,
-                      run_and_verify, run_app, run_sequential, tracing)
+from .runtime import (ComparisonResult, RunResult, run_and_verify, run_app,
+                      run_sequential)
 from .stats import RunStats
 
 __version__ = "1.0.0"
@@ -38,8 +38,7 @@ __version__ = "1.0.0"
 __all__ = [
     "MachineConfig", "CostModel", "Protocol", "PLACEMENTS",
     "placement_config",
-    "run_app", "run_and_verify", "run_sequential", "checking", "tracing",
-    "metering",
+    "run_app", "run_and_verify", "run_sequential",
     "RunResult", "ComparisonResult", "RunStats",
     "CashmereError", "ConfigError", "ProtocolError", "SimulationError",
     "DeadlockError", "MemoryChannelError", "DataRaceError",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ConfigError
 from .base import Application
 
 #: CPU cost per multiply-add in the blocked kernels.
@@ -64,9 +65,10 @@ class LU(Application):
         return {"n": 32, "block": 8}
 
     def declare(self, segment, params: dict) -> None:
-        n = params["n"]
-        if n % params["block"]:
-            raise ValueError("matrix size must be a multiple of block size")
+        n, block = params["n"], params["block"]
+        if n % block:
+            raise ConfigError(f"LU matrix size n={n} must be a multiple of "
+                              f"block={block}")
         segment.alloc("A", n * n)
 
     # --- block addressing -----------------------------------------------------

@@ -9,15 +9,14 @@ correctness probe (see DESIGN.md, "Correctness checking"):
   against a golden sequential image, at every read and at every
   barrier, raising :class:`~repro.errors.CoherenceViolation` on the
   first divergent word;
-* :class:`CheckContext` / :func:`attach_checker` — the tracer object
+* :class:`CheckContext` / :func:`attach_checker` — the checker object
   wiring both into the protocol fast path and the sync primitives;
 * :class:`ModelChecker` — exhaustive small-config interleaving
   exploration of the real protocol code, checking the same invariants
   over *every* schedule instead of one (DESIGN.md §12).
 
-Enable for whole application runs with ``MachineConfig(checking=True)``
-or the ``repro.runtime.checking()`` context manager; run the model
-checker with ``cashmere-repro modelcheck``.
+Enable for whole application runs with ``MachineConfig(checking=True)``;
+run the model checker with ``cashmere-repro modelcheck``.
 """
 
 from .context import CheckContext, attach_checker

@@ -1,16 +1,15 @@
 """Wiring: one object that protocols and sync primitives call into.
 
 A :class:`CheckContext` bundles a :class:`~repro.check.RaceDetector`
-and a :class:`~repro.check.CoherenceOracle` and implements the tracer
+and a :class:`~repro.check.CoherenceOracle` and implements the checker
 interface the instrumented code expects (``on_load``/``on_store``/
 ``on_acquire``/``on_release``/``on_barrier_arrive``/…). Attach one with
 :func:`attach_checker`; every subsequent shared-memory access and sync
-event of the execution is traced.
+event of the execution is checked.
 
 The runtime (:class:`~repro.runtime.ParallelRuntime`) attaches a
-context automatically when checking is enabled — via the
-``MachineConfig.checking`` flag or the ``repro.runtime.checking()``
-context manager — and calls :meth:`finalize` after the run.
+context automatically when the ``MachineConfig.checking`` flag is set,
+and calls :meth:`finalize` after the run.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from .oracle import CoherenceOracle
 
 
 class CheckContext:
-    """The tracer: routes instrumentation hooks to detector and oracle."""
+    """The checker: routes instrumentation hooks to detector and oracle."""
 
     def __init__(self, cluster, protocol, *,
                  fail_fast: bool = False) -> None:
@@ -114,8 +113,8 @@ class CheckContext:
 def attach_checker(cluster, protocol, *,
                    fail_fast: bool = False) -> CheckContext:
     """Create a :class:`CheckContext` and install it as the protocol's
-    tracer. Must run before any shared access or sync event; accesses
+    checker. Must run before any shared access or sync event; accesses
     already performed are invisible to the checker."""
     ctx = CheckContext(cluster, protocol, fail_fast=fail_fast)
-    protocol.tracer = ctx
+    protocol.checker = ctx
     return ctx

@@ -57,7 +57,7 @@ from ..errors import (CashmereError, CoherenceViolation, InvariantViolation,
                       ProtocolError)
 from ..protocol import make_protocol
 from ..protocol.cashmere2l import Cashmere2L
-from .context import CheckContext
+from .context import attach_checker
 
 #: An operation is a plain tuple, first element the opcode:
 #:   ("acquire", lock_id)
@@ -205,8 +205,7 @@ class _World:
             self.protocol = protocol(self.cluster)
         else:
             self.protocol = make_protocol(protocol, self.cluster)
-        self.checker = CheckContext(self.cluster, self.protocol)
-        self.protocol.tracer = self.checker
+        self.checker = attach_checker(self.cluster, self.protocol)
         self.scripts = scripts
         self.progress = [0] * len(scripts)
         self.locks: dict[int, _Lock] = {}
@@ -477,16 +476,9 @@ class ModelChecker:
                               path) -> int:
         """Replay a counterexample under the event tracer and write the
         Chrome trace (PR 2 exporter); returns the event count."""
-        from ..trace import Tracer, write_chrome_trace
+        from ..trace import attach_tracer, write_chrome_trace
         world = self._fresh()
-        tracer = Tracer()
-        world.cluster.trace = tracer
-        world.cluster.mc.trace = tracer
-        world.protocol.trace = tracer
-        for board in world.protocol.boards:
-            board.trace = tracer
-        for proc in world.cluster.processors:
-            proc.trace = tracer
+        tracer = attach_tracer(world.cluster, world.protocol)
         for i, idx in enumerate(counterexample.schedule):
             op = self.scripts[idx][world.progress[idx]]
             tracer.instant("modelcheck_step", world.proc(idx),

@@ -2,9 +2,8 @@
 simulated time (DESIGN.md §13).
 
 :mod:`repro.metrics.collector` holds the :class:`MetricsCollector`,
-attached to a configured execution (``MachineConfig(metrics=True)`` or
-the ``repro.runtime.metering()`` context manager). Driven by the
-simulator's ``on_advance`` hook, it samples gauges (directory
+attached to a configured execution by ``MachineConfig(metrics=True)``.
+Driven by the simulator's ``on_advance`` hook, it samples gauges (directory
 occupancy, page-state histogram, Memory Channel utilization,
 request-queue depths, software-TLB hit rate) at fixed simulated-time
 intervals and records deltas of the protocol counters between samples.

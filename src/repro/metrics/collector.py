@@ -1,11 +1,11 @@
 """The metrics collector: periodic simulated-time sampling.
 
 A :class:`MetricsCollector` is attached to a configured execution by
-:func:`attach_metrics` (the parallel runtime does this when metrics are
-enabled via ``MachineConfig(metrics=True)`` or the
-``repro.runtime.metering()`` context manager). It rides the simulator's
-``on_advance`` hook: whenever the simulated clock crosses a sampling
-boundary ``k * interval_us`` the collector records
+:func:`attach_metrics` (the parallel runtime does this when
+``MachineConfig(metrics=True)``). It rides the simulator's
+``on_advance`` hook, whose horizon is the next sampling boundary: when
+the simulated clock reaches a boundary ``k * interval_us`` the
+collector records
 
 * **gauges** — instantaneous state polled from the live structures:
   per-owner directory occupancy and the page-state histogram
@@ -17,7 +17,7 @@ boundary ``k * interval_us`` the collector records
   sources: the Table-3 protocol counters summed over all processors,
   Memory Channel traffic bytes by category, link busy time (reported as
   a utilization fraction of the interval), and the runtime fast-path's
-  software-TLB hit/miss counts.
+  software-TLB hit/miss counts (hits are accesses minus fallbacks).
 
 Like the correctness checker and the tracer, collection is strictly
 observational: sampling never charges time, never schedules events, and
@@ -33,7 +33,6 @@ behavioral difference.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Callable
 
 #: Default sampling interval in simulated microseconds. Experiment-scale
 #: runs last ~10^5..10^6 us, giving a few hundred to a few thousand
@@ -72,13 +71,14 @@ class MetricsCollector:
         self.series: dict[str, tuple[list[float], list[float]]] = {}
         #: Run metadata, filled by :meth:`finalize`.
         self.meta: dict = {}
-        #: Shared software-TLB counter cell ``[hits, misses]``, bumped by
-        #: the worker environments' counting access closures
-        #: (:class:`repro.runtime.env.WorkerEnv`). A hit is an access
-        #: (scalar or block, single- or multi-page) served inline from
-        #: the processor's maps; a miss is one that went through
-        #: protocol dispatch — a fault or a first touch, never the
-        #: casualty of a neighbour's flush (DESIGN.md §9).
+        #: Shared software-TLB counter cell ``[accesses, fallbacks]``,
+        #: bumped by the counters :class:`repro.runtime.env.WorkerEnv`
+        #: wraps around its warm access closures and their slow
+        #: fallbacks. An access is any ``get``/``set``/``get_block``/
+        #: ``set_block`` call; a fallback (a TLB miss) is one that went
+        #: through protocol dispatch — a fault or a first touch, never
+        #: the casualty of a neighbour's flush (DESIGN.md §9). The rest
+        #: were served inline from the processor's maps (hits).
         self.tlb = [0, 0]
         self._next = self.interval_us
         self._last_t = 0.0
@@ -113,16 +113,16 @@ class MetricsCollector:
 
     # --- sampling (driven by Simulator.on_advance) --------------------------
 
-    def on_advance(self, now: float) -> None:
-        """Simulator hook: sample every boundary the clock crossed."""
+    def on_advance(self, now: float) -> float:
+        """Simulator hook: sample every boundary the clock reached, and
+        return the next one (the simulator's new horizon)."""
         nxt = self._next
-        if now < nxt:
-            return
         interval = self.interval_us
         while nxt <= now:
             self._sample(nxt)
             nxt += interval
         self._next = nxt
+        return nxt
 
     def finalize(self, end_time_us: float, **meta) -> None:
         """Take the final (partial-interval) sample and record metadata."""
@@ -197,10 +197,10 @@ class MetricsCollector:
             lambda name, value: record(f"proto.{name}", t, value))
 
         # Software-TLB (runtime fast path) hit/miss deltas and rate.
-        hits, misses = self.tlb
-        dh = hits - self._last_tlb[0]
+        accesses, misses = self.tlb
         dm = misses - self._last_tlb[1]
-        self._last_tlb = [hits, misses]
+        dh = accesses - self._last_tlb[0] - dm
+        self._last_tlb = [accesses, misses]
         record("tlb.hits", t, dh)
         record("tlb.misses", t, dm)
         record("tlb.hit_rate", t, dh / (dh + dm) if dh + dm else 0.0)
@@ -229,18 +229,14 @@ class MetricsCollector:
         }
 
 
-def attach_metrics(cluster, protocol, *,
-                   interval_us: float = DEFAULT_INTERVAL_US,
-                   tracer=None) -> MetricsCollector:
+def attach_metrics(cluster, protocol, *, tracer=None) -> MetricsCollector:
     """Create a collector and install it on a configured execution.
 
     Mirrors :func:`repro.trace.attach_tracer`: must run before the
-    simulation starts (and before worker environments are built, so the
-    fast-path TLB counting closures see the collector).
+    simulation starts (and before worker environments are built, so they
+    wrap their access paths in the TLB counters).
     """
-    collector = MetricsCollector(interval_us=interval_us)
+    collector = MetricsCollector()
     collector.bind(cluster, protocol, tracer=tracer)
-    protocol.metrics = collector
-    cluster.metrics = collector
     cluster.sim.on_advance = collector.on_advance
     return collector

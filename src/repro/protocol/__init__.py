@@ -1,6 +1,7 @@
 """The Cashmere protocol family: 2L, 2LS, 1LD, 1L and their meta-data."""
 
 from ..config import Protocol
+from ..errors import ConfigError
 from .base import BaseProtocol
 from .cashmere2l import Cashmere2L, Cashmere2LS
 from .directory import (NO_HOLDER, DirectoryLockModel, DirEntry,
@@ -26,12 +27,17 @@ def make_protocol(name, cluster, *, lock_free=True, home_opt=False):
     optimization (one-level protocols only).
     """
     if isinstance(name, str):
-        name = Protocol(name)
+        try:
+            name = Protocol(name)
+        except ValueError:
+            raise ConfigError(
+                f"protocol {name!r} is not one of "
+                f"{', '.join(p.value for p in Protocol)}") from None
     cls = PROTOCOL_CLASSES[name]
     if name.two_level:
         if home_opt:
-            raise ValueError("home-node optimization applies only to the "
-                             "one-level protocols")
+            raise ConfigError("home_opt: the home-node optimization applies "
+                              "only to the one-level protocols")
         return cls(cluster, lock_free=lock_free)
     return cls(cluster, lock_free=lock_free, home_opt=home_opt)
 

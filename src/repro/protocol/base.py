@@ -83,18 +83,12 @@ class BaseProtocol:
         self.lock_free = lock_free
         self.home_opt = home_opt
 
-        #: Optional correctness tracer (:class:`repro.check.CheckContext`):
+        #: Optional correctness checker (:class:`repro.check.CheckContext`):
         #: when set, every load/store and sync event is reported to it.
-        self.tracer = None
+        self.checker = None
         #: Optional event tracer (:class:`repro.trace.Tracer`): when set,
         #: fault service and protocol actions are recorded as trace spans.
         self.trace = None
-        #: Optional metrics collector (:class:`repro.metrics.
-        #: MetricsCollector`): when set, the collector periodically polls
-        #: directory occupancy and the :meth:`metrics_gauges` hook. The
-        #: protocol never pushes into it — sampling is pull-based, so
-        #: the fast paths carry no metrics branches.
-        self.metrics = None
 
         config = self.config
         self.num_owners = config.nodes if self.two_level \
@@ -169,8 +163,8 @@ class BaseProtocol:
         if st.rows[page][st.lidx] < _READ:
             self.fault(proc, st, page, False)
         value = st.frames[page][offset]
-        if self.tracer is not None:
-            self.tracer.on_load(proc, page, offset, value)
+        if self.checker is not None:
+            self.checker.on_load(proc, page, offset, value)
         return value
 
     def store(self, proc: Processor, page: int, offset: int,
@@ -181,8 +175,8 @@ class BaseProtocol:
         st.frames[page][offset] = value
         if self.write_through:
             self._double_words(proc, st, page, offset, 1, value)
-        if self.tracer is not None:
-            self.tracer.on_store(proc, page, offset, value)
+        if self.checker is not None:
+            self.checker.on_store(proc, page, offset, value)
 
     def load_range(self, proc: Processor, page: int, lo: int,
                    hi: int) -> np.ndarray:
@@ -201,8 +195,8 @@ class BaseProtocol:
         if st.rows[page][st.lidx] < _READ:
             self.fault(proc, st, page, False)
         values = st.frames[page][lo:hi]
-        if self.tracer is not None:
-            self.tracer.on_load_range(proc, page, lo, values)
+        if self.checker is not None:
+            self.checker.on_load_range(proc, page, lo, values)
         return values
 
     def store_range(self, proc: Processor, page: int, lo: int,
@@ -213,8 +207,8 @@ class BaseProtocol:
         st.frames[page][lo:lo + len(values)] = values
         if self.write_through:
             self._double_words(proc, st, page, lo, len(values), values)
-        if self.tracer is not None:
-            self.tracer.on_store_range(proc, page, lo, values)
+        if self.checker is not None:
+            self.checker.on_store_range(proc, page, lo, values)
 
     # --- protocol entry points (subclass responsibilities) -------------------
 
@@ -279,8 +273,8 @@ class BaseProtocol:
 
         Booked as one burst (DESIGN.md §17): one shared immutable record,
         count and traffic added once, but one float add per notice
-        (``n * w`` is not the same double). A tracer sees each notice
-        through :meth:`NoticeBoard.post`, in the same loop.
+        (``n * w`` is not the same double). A tracer sees each notice as
+        a ``write_notice`` instant followed by its charge's span.
         """
         n = len(dests)
         if not n:
@@ -288,7 +282,6 @@ class BaseProtocol:
         visible = self.mc.visibility(proc.clock)
         record = WriteNotice(page, from_owner, visible)
         boards = self.boards
-        observed = self.trace is not None
         w = self._mc_word_write
         trace = proc.trace
         buckets = proc.stats.buckets
@@ -296,11 +289,11 @@ class BaseProtocol:
         spent = buckets["protocol"]
         for owner in dests:
             board = boards[owner]
-            if observed:
-                board.post(from_owner, page, visible)
-            else:
-                board.bins[from_owner].append(record)
-                board.posted += 1
+            board.bins[from_owner].append(record)
+            board.posted += 1
+            if trace is not None:
+                trace.instant("write_notice", None, visible, obj=page,
+                              from_owner=from_owner, to_owner=owner)
             if w > 0:
                 if trace is not None:
                     trace.span("protocol", proc, clock, w)

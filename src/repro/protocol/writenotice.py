@@ -36,10 +36,6 @@ class WriteNotice:
 class NoticeBoard:
     """One owner's global write-notice list: a bin per remote owner."""
 
-    #: Optional event tracer (:class:`repro.trace.Tracer`); set on every
-    #: board by :func:`repro.trace.attach_tracer`.
-    trace = None
-
     def __init__(self, owner: int, num_owners: int) -> None:
         self.owner = owner
         self.bins: list[deque[WriteNotice]] = [deque()
@@ -48,13 +44,12 @@ class NoticeBoard:
         self._consumed = 0
 
     def post(self, from_owner: int, page: int, visible_at: float) -> None:
-        """Append a notice to ``from_owner``'s bin (a remote MC write)."""
+        """Append a notice to ``from_owner``'s bin (a remote MC write).
+        Releases post whole bursts inline
+        (:meth:`~repro.protocol.base.BaseProtocol._post_write_notices`)."""
         self.bins[from_owner].append(
             WriteNotice(page, from_owner, visible_at))
         self.posted += 1
-        if self.trace is not None:
-            self.trace.instant("write_notice", None, visible_at, obj=page,
-                               from_owner=from_owner, to_owner=self.owner)
 
     def collect(self, upto: float) -> list[WriteNotice]:
         """Consume every notice visible by time ``upto`` (bin order).

@@ -1,7 +1,6 @@
 """DSM runtime: shared segment, worker environment, program runners."""
 
-from .api import (SharedArray, SharedSegment, checking, checking_enabled,
-                  metering, metrics_enabled, tracing, tracing_enabled)
+from .api import SharedArray, SharedSegment
 from .env import WorkerEnv
 from .program import (ComparisonResult, ParallelRuntime, RunResult, run_app,
                       run_and_verify)
@@ -11,6 +10,4 @@ __all__ = [
     "SharedArray", "SharedSegment", "WorkerEnv", "SequentialEnv",
     "ParallelRuntime", "RunResult", "ComparisonResult",
     "run_app", "run_and_verify", "run_sequential",
-    "checking", "checking_enabled", "tracing", "tracing_enabled",
-    "metering", "metrics_enabled",
 ]

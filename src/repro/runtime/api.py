@@ -12,117 +12,10 @@ earns its keep.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 from ..config import MachineConfig
 from ..errors import ConfigError
-
-#: Nesting depth of active :func:`checking` context managers. When
-#: positive, every :class:`~repro.runtime.ParallelRuntime` built runs
-#: under the correctness checker regardless of its config flag.
-_checking_depth = 0
-
-
-@contextlib.contextmanager
-def checking():
-    """Force correctness checking for all runtimes built in this scope.
-
-    The scoped equivalent of ``MachineConfig(checking=True)``: any app,
-    example, or test that builds a :class:`~repro.runtime.ParallelRuntime`
-    inside the ``with`` block runs under the happens-before race detector
-    and the coherence oracle (:mod:`repro.check`) without threading a
-    config flag through::
-
-        with checking():
-            result = run_app(app, params, config, protocol="2L")
-
-    Nesting is allowed; checking stays on until the outermost block exits.
-    """
-    global _checking_depth
-    _checking_depth += 1
-    try:
-        yield
-    finally:
-        _checking_depth -= 1
-
-
-def checking_enabled(config: MachineConfig) -> bool:
-    """Should a runtime built with ``config`` attach the checker?"""
-    return bool(config.checking or _checking_depth)
-
-
-#: Nesting depth of active :func:`tracing` context managers. When
-#: positive, every :class:`~repro.runtime.ParallelRuntime` built attaches
-#: an event tracer regardless of its config flag.
-_tracing_depth = 0
-
-
-@contextlib.contextmanager
-def tracing():
-    """Force event tracing for all runtimes built in this scope.
-
-    The scoped equivalent of ``MachineConfig(tracing=True)``: any app,
-    example, or test that builds a :class:`~repro.runtime.ParallelRuntime`
-    inside the ``with`` block records protocol events into a
-    :class:`~repro.trace.Tracer`, available afterwards as
-    ``result.trace``::
-
-        with tracing():
-            result = run_app(app, params, config, protocol="2L")
-        write_chrome_trace(result.trace, "trace.json")
-
-    Nesting is allowed; tracing stays on until the outermost block exits.
-    """
-    global _tracing_depth
-    _tracing_depth += 1
-    try:
-        yield
-    finally:
-        _tracing_depth -= 1
-
-
-def tracing_enabled(config: MachineConfig) -> bool:
-    """Should a runtime built with ``config`` attach an event tracer?"""
-    return bool(config.tracing or _tracing_depth)
-
-
-#: Nesting depth of active :func:`metering` context managers. When
-#: positive, every :class:`~repro.runtime.ParallelRuntime` built attaches
-#: a metrics collector regardless of its config flag.
-_metering_depth = 0
-
-
-@contextlib.contextmanager
-def metering():
-    """Force metrics collection for all runtimes built in this scope.
-
-    The scoped equivalent of ``MachineConfig(metrics=True)``: any app,
-    example, or test that builds a :class:`~repro.runtime.ParallelRuntime`
-    inside the ``with`` block samples time-series metrics into a
-    :class:`~repro.metrics.MetricsCollector`, available afterwards as
-    ``result.metrics``::
-
-        with metering():
-            result = run_app(app, params, config, protocol="2L")
-        print(result.metrics.series["mc.util"])
-
-    (Named ``metering`` rather than ``metrics`` so the context manager
-    does not shadow the :mod:`repro.metrics` package.) Nesting is
-    allowed; collection stays on until the outermost block exits.
-    """
-    global _metering_depth
-    _metering_depth += 1
-    try:
-        yield
-    finally:
-        _metering_depth -= 1
-
-
-def metrics_enabled(config: MachineConfig) -> bool:
-    """Should a runtime built with ``config`` attach a metrics collector?"""
-    return bool(config.metrics or _metering_depth)
-
 
 @dataclass(frozen=True)
 class SharedArray:

@@ -32,6 +32,14 @@ from ..sim.process import Compute
 from .api import SharedArray
 
 
+def _counted(fn, tally: list[int], slot: int):
+    """``fn``, bumping ``tally[slot]`` on every call."""
+    def counted(*args):
+        tally[slot] += 1
+        return fn(*args)
+    return counted
+
+
 class WorkerEnv:
     """Per-processor handle used by application code (parallel runs)."""
 
@@ -67,23 +75,17 @@ class WorkerEnv:
         #: equivalent ndarray ``__setitem__`` (no ufunc dispatch), and
         #: writes never need ndarray semantics on the destination.
         self._wmap: dict[int, memoryview] = table.wmaps[st.lidx]
-        fast = getattr(runtime, "fastpath", True) and proto.tracer is None
+        fast = runtime.config.fastpath and proto.checker is None
         #: Read map filled: off when the correctness checker is attached
         #: (it must observe every per-word access).
         self._fast_read = fast
         #: Write map filled: additionally off under write-through (1L),
         #: whose ``store`` must keep doubling every write to the master.
-        self._fast_write = fast and not getattr(proto, "write_through",
-                                                False)
-        #: TLB hit/miss tally shared with the metrics collector — a
-        #: two-element ``[hits, misses]`` list bumped by the counting
-        #: closure variants below. None (and no counting code exists)
-        #: unless a collector is attached.
-        mcoll = getattr(runtime, "metrics", None)
-        self._tlb = None if mcoll is None else mcoll.tlb
-        self._build_fastpaths()
+        self._fast_write = fast and not proto.write_through
+        metrics = runtime.metrics
+        self._build_fastpaths(None if metrics is None else metrics.tlb)
 
-    def _build_fastpaths(self) -> None:
+    def _build_fastpaths(self, tlb: list[int] | None) -> None:
         """Compile the warm access paths as closures.
 
         The warm paths run for almost every access of a well-behaved
@@ -93,6 +95,12 @@ class WorkerEnv:
         exactly the warm case and falls back to the general method on
         the instance class for everything else, so behaviour is
         identical to the uncached path.
+
+        ``tlb`` is the metrics collector's ``[accesses, fallbacks]``
+        cell, or None when no collector is attached. When given, each
+        closure and each fallback is wrapped in a counter for its slot,
+        so the hit count is accesses minus fallbacks and the closures
+        themselves carry no counting code.
         """
         shift = self._shift
         mask = self._mask
@@ -103,6 +111,11 @@ class WorkerEnv:
         slow_set = self.set
         slow_get_block = self.get_block
         slow_set_block = self.set_block
+        if tlb is not None:
+            slow_get, slow_set, slow_get_block, slow_set_block = (
+                _counted(fn, tlb, 1)
+                for fn in (slow_get, slow_set, slow_get_block,
+                           slow_set_block))
         mv_store = self._mv_store
         concatenate = np.concatenate
 
@@ -191,75 +204,10 @@ class WorkerEnv:
                     return
             slow_set_block(arr, lo, values)
 
-        if self._tlb is not None:
-            # Metrics attached: recompile the warm paths with inline
-            # hit/miss tallying into the collector's shared cell. A
-            # separate compilation (rather than a branch in the common
-            # closures) keeps the metrics-off path free of any counting
-            # code — same discipline as the observers themselves.
-            tlb = self._tlb
-
-            def get(arr: SharedArray, i: int) -> float:  # noqa: F811
-                w = arr.base + i
-                frame = rmap.get(w >> shift)
-                if frame is not None:
-                    tlb[0] += 1
-                    return frame[w & mask]
-                tlb[1] += 1
-                return slow_get(arr, i)
-
-            def set_(arr: SharedArray, i: int,  # noqa: F811
-                     value: float) -> None:
-                w = arr.base + i
-                mv = wmap.get(w >> shift)
-                if mv is not None:
-                    tlb[0] += 1
-                    mv[w & mask] = value
-                    return
-                tlb[1] += 1
-                slow_set(arr, i, value)
-
-            def get_block(arr: SharedArray, lo: int,  # noqa: F811
-                          hi: int) -> np.ndarray:
-                base = arr.base
-                w0 = base + lo
-                w1 = base + hi
-                if w0 < w1:
-                    page = w0 >> shift
-                    last = (w1 - 1) >> shift
-                    if last == page:
-                        frame = rmap.get(page)
-                        if frame is not None:
-                            tlb[0] += 1
-                            off = w0 & mask
-                            return frame[off:off + (w1 - w0)].copy()
-                    else:
-                        out = gather(page, last, w0 & mask,
-                                     ((w1 - 1) & mask) + 1)
-                        if out is not None:
-                            tlb[0] += 1
-                            return out
-                tlb[1] += 1
-                return slow_get_block(arr, lo, hi)
-
-            def set_block(arr: SharedArray, lo: int,  # noqa: F811
-                          values: np.ndarray) -> None:
-                w = arr.base + lo
-                end = w + len(values)
-                if w < end:
-                    page = w >> shift
-                    last = (end - 1) >> shift
-                    if last == page:
-                        mv = wmap.get(page)
-                        if mv is not None:
-                            tlb[0] += 1
-                            mv_store(mv, w & mask, end - w, values)
-                            return
-                    elif scatter(page, last, w & mask, values):
-                        tlb[0] += 1
-                        return
-                tlb[1] += 1
-                slow_set_block(arr, lo, values)
+        if tlb is not None:
+            get, set_, get_block, set_block = (
+                _counted(fn, tlb, 0)
+                for fn in (get, set_, get_block, set_block))
 
         # Shadow the class methods on the instance; the class methods stay
         # as the general fallbacks (full dispatch, then refill).

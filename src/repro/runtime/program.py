@@ -26,8 +26,7 @@ from ..stats.counters import RunStats
 from ..sync import Barrier, FlagSet, MCLock
 from ..metrics import MetricsCollector, attach_metrics
 from ..trace import Tracer, attach_tracer
-from .api import (SharedSegment, checking_enabled, metrics_enabled,
-                  tracing_enabled)
+from .api import SharedSegment
 from .env import WorkerEnv
 from .sequential import run_sequential
 from ..sim.process import ProcessGroup
@@ -58,28 +57,26 @@ class ParallelRuntime:
         if getattr(app, "write_double_us", None) is not None and \
                 hasattr(self.protocol, "word_double_us"):
             self.protocol.word_double_us = app.write_double_us
+        # Each observer has one switch, its config flag, and attaches
+        # here — before run() builds the worker environments, so each
+        # WorkerEnv sees the final observer configuration when it
+        # decides on the fast path and on TLB counting.
         #: Correctness checker (:class:`repro.check.CheckContext`), when
-        #: enabled via ``config.checking`` or ``runtime.api.checking()``.
+        #: ``config.checking`` is set.
         self.checker = None
-        if checking_enabled(self.config):
+        if self.config.checking:
             self.checker = attach_checker(self.cluster, self.protocol)
-        #: Event tracer (:class:`repro.trace.Tracer`), when enabled via
-        #: ``config.tracing`` or ``runtime.api.tracing()``.
+        #: Event tracer (:class:`repro.trace.Tracer`), when
+        #: ``config.tracing`` is set.
         self.trace: Tracer | None = None
-        if tracing_enabled(self.config):
+        if self.config.tracing:
             self.trace = attach_tracer(self.cluster, self.protocol)
         #: Metrics collector (:class:`repro.metrics.MetricsCollector`),
-        #: when enabled via ``config.metrics`` or ``runtime.api.metering()``.
+        #: when ``config.metrics`` is set.
         self.metrics: MetricsCollector | None = None
-        if metrics_enabled(self.config):
+        if self.config.metrics:
             self.metrics = attach_metrics(self.cluster, self.protocol,
                                           tracer=self.trace)
-        #: Inline page-access cache switch, consulted by WorkerEnv. The
-        #: checker, tracer, and metrics collector are all attached above,
-        #: *before* run() builds the worker environments, so each
-        #: WorkerEnv sees the final observer configuration when it
-        #: decides on the fast path.
-        self.fastpath = self.config.fastpath
         self.segment = SharedSegment(self.config)
         app.declare(self.segment, params)
         self.barrier = Barrier(self.cluster, self.protocol)

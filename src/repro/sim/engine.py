@@ -17,6 +17,7 @@ import heapq
 from bisect import bisect_right
 from functools import partial
 from heapq import heappush
+from math import inf
 from typing import Callable, Iterable
 
 from ..errors import DeadlockError, SimulationError
@@ -38,15 +39,18 @@ class Simulator:
         #: Called when the queue drains while processes still wait; used by
         #: the process layer for deadlock diagnostics.
         self.idle_check: Callable[[], None] | None = None
-        #: Time-advance observation hook. ``None`` (the default) keeps
-        #: the unmodified hot loop. When set, the hook is called with the
-        #: new simulated time whenever the clock moves forward, *before*
-        #: the event at that time fires — so an observer sees the state
-        #: that held over the whole interval up to (and at) each sampled
-        #: instant. Strictly observational: the hook must never schedule
-        #: events or mutate simulation state. Used by the metrics
-        #: collector (:mod:`repro.metrics`) for periodic sampling.
-        self.on_advance: Callable[[float], None] | None = None
+        #: Sampling hook. ``None`` (the default) means no horizon: the
+        #: loop's one float compare per event never succeeds. When set,
+        #: the hook is called as ``on_advance(at)`` before the first
+        #: event at or past the current horizon fires — ``now`` still
+        #: holds the previous event's time, so an observer sees the state
+        #: that held over the whole interval up to the sampled instant —
+        #: and returns the next horizon, which must lie past ``at``. The
+        #: first event of a run reaches the initial horizon (``-inf``).
+        #: Strictly observational: the hook must never schedule events or
+        #: mutate simulation state. Used by the metrics collector
+        #: (:mod:`repro.metrics`) for periodic sampling.
+        self.on_advance: Callable[[float], float] | None = None
 
     def schedule(self, at: float, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` to run at absolute simulated time ``at``."""
@@ -62,8 +66,8 @@ class Simulator:
             raise SimulationError(f"negative delay {delay}")
         self.schedule(self.now + delay, fn)
 
-    def run(self, until: float | None = None) -> float:
-        """Process events (optionally only up to time ``until``).
+    def run(self) -> float:
+        """Process events until the queue drains.
 
         Returns the simulated time of the last processed event. When the
         queue drains, ``idle_check`` is consulted once; it may either raise
@@ -74,11 +78,9 @@ class Simulator:
         self._running = True
         queue = self._queue  # stable list object; hoisted for the hot loop
         heappop = heapq.heappop
+        advance = self.on_advance
+        horizon = inf if advance is None else -inf
         try:
-            if self.on_advance is not None or until is not None:
-                return self._run_observed(until)
-            # Unbounded, unobserved run (the overwhelmingly common case):
-            # no per-event deadline or hook check.
             while True:
                 if not queue:
                     if self.idle_check is not None:
@@ -86,34 +88,13 @@ class Simulator:
                     if not queue:
                         break
                 at, _, fn = heappop(queue)
+                if at >= horizon:
+                    horizon = advance(at)
                 self.now = at
                 fn()
             return self.now
         finally:
             self._running = False
-
-    def _run_observed(self, until: float | None) -> float:
-        """The :meth:`run` loop with a deadline and/or the time-advance
-        hook. Kept out of line so the default path pays nothing for
-        either."""
-        queue = self._queue
-        heappop = heapq.heappop
-        advance = self.on_advance
-        while True:
-            if not queue:
-                if self.idle_check is not None:
-                    self.idle_check()
-                if not queue:
-                    break
-            at, _, fn = queue[0]
-            if until is not None and at > until:
-                break
-            heappop(queue)
-            if advance is not None and at > self.now:
-                advance(at)
-            self.now = at
-            fn()
-        return self.now
 
     @property
     def pending_events(self) -> int:

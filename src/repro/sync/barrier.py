@@ -176,7 +176,7 @@ class Barrier:
         """Generator: arrive, flush, announce, spin for departure, acquire."""
         costs = self.cluster.config.costs
         mc = self.cluster.mc
-        tracer = self.protocol.tracer
+        checker = self.protocol.checker
         trace = self.protocol.trace
         t_enter = proc.clock
 
@@ -218,9 +218,9 @@ class Barrier:
             if slot == 0:
                 self.episodes = target
 
-        if tracer is not None:
+        if checker is not None:
             # Arrival is a release: all flushes for this episode ran above.
-            tracer.on_barrier_arrive(proc, target)
+            checker.on_barrier_arrive(proc, target)
         if trace is not None:
             trace.instant("barrier_arrive", proc, proc.clock, obj=target)
 
@@ -257,8 +257,8 @@ class Barrier:
 
         # Departure-side consistency: process write notices, invalidate.
         self.protocol.acquire_sync(proc)
-        if tracer is not None:
-            tracer.on_barrier_depart(proc, target)
+        if checker is not None:
+            checker.on_barrier_depart(proc, target)
         if trace is not None:
             trace.span("barrier", proc, t_enter, proc.clock - t_enter,
                        obj=target)

@@ -28,9 +28,9 @@ class FlagSet:
     def set(self, proc: Processor, index: int, value: int = 1) -> None:
         """Release: flush, then publish the flag (non-blocking)."""
         self.protocol.release_sync(proc)
-        tracer = self.protocol.tracer
-        if tracer is not None:
-            tracer.on_release(proc, ("flag", self.name, index))
+        checker = self.protocol.checker
+        if checker is not None:
+            checker.on_release(proc, ("flag", self.name, index))
         proc.charge(self.cluster.config.costs.mc_word_write, "protocol")
         self.cluster.mc.write_word(self.region, index, value, proc.clock,
                                    category="sync")
@@ -52,9 +52,9 @@ class FlagSet:
         proc.stats.bump("lock_acquires")  # Table 3 counts lock/flag together
         proc.stats.bump("flag_acquires")
         self.protocol.acquire_sync(proc)
-        tracer = self.protocol.tracer
-        if tracer is not None:
-            tracer.on_acquire(proc, ("flag", self.name, index))
+        checker = self.protocol.checker
+        if checker is not None:
+            checker.on_acquire(proc, ("flag", self.name, index))
         trace = self.protocol.trace
         if trace is not None:
             trace.span("flag_wait", proc, t_enter, proc.clock - t_enter,

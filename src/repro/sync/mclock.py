@@ -197,9 +197,9 @@ class MCLock:
 
         proc.stats.bump("lock_acquires")
         self.protocol.acquire_sync(proc)
-        tracer = self.protocol.tracer
-        if tracer is not None:
-            tracer.on_acquire(proc, ("lock", self.lock_id))
+        checker = self.protocol.checker
+        if checker is not None:
+            checker.on_acquire(proc, ("lock", self.lock_id))
 
     # --- release -------------------------------------------------------------
 
@@ -211,9 +211,9 @@ class MCLock:
                 f"processor {proc.global_id} does not hold lock "
                 f"{self.lock_id} (holder: {self._holder})")
         self.protocol.release_sync(proc)
-        tracer = self.protocol.tracer
-        if tracer is not None:
-            tracer.on_release(proc, ("lock", self.lock_id))
+        checker = self.protocol.checker
+        if checker is not None:
+            checker.on_release(proc, ("lock", self.lock_id))
         costs = self.cluster.config.costs
         charge_trace = proc.trace
         buckets = proc.stats.buckets

@@ -1,9 +1,8 @@
 """The event collector: a bounded ring buffer of :class:`TraceEvent`.
 
 A :class:`Tracer` is attached to a configured execution by
-:func:`attach_tracer` (the parallel runtime does this when tracing is
-enabled via ``MachineConfig(tracing=True)`` or the
-``repro.runtime.tracing()`` context manager). Instrumented code holds a
+:func:`attach_tracer` (the parallel runtime does this when
+``MachineConfig(tracing=True)``). Instrumented code holds a
 ``trace`` attribute that is ``None`` by default; every instrumentation
 site is guarded by ``if trace is not None`` so a run without tracing
 executes exactly the code it executed before tracing existed.
@@ -119,21 +118,18 @@ class Tracer:
         self.meta["trace_dropped"] = self.dropped
 
 
-def attach_tracer(cluster, protocol,
-                  capacity: int = DEFAULT_CAPACITY) -> Tracer:
+def attach_tracer(cluster, protocol) -> Tracer:
     """Create a :class:`Tracer` and install it at every emission site.
 
     Mirrors :func:`repro.check.attach_checker`: must run before the
     simulation starts; events preceding attachment are simply absent.
     """
-    tracer = Tracer(capacity=capacity)
+    tracer = Tracer()
     cluster.trace = tracer
     for proc in cluster.processors:
         proc.trace = tracer
     cluster.mc.trace = tracer
     protocol.trace = tracer
-    for board in protocol.boards:
-        board.trace = tracer
     return tracer
 
 

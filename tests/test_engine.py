@@ -56,14 +56,29 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.schedule_after(-1.0, lambda: None)
 
-    def test_run_until_stops_at_limit(self):
+    def test_sampler_runs_once_per_horizon_before_the_event(self):
+        """``on_advance`` is consulted at the first event (the initial
+        horizon is ``-inf``), then once before the first event at or
+        past each horizon it returns, with ``now`` still at the previous
+        event — and never while the clock stays short of the horizon."""
         sim = Simulator()
-        seen = []
-        sim.schedule(1.0, lambda: seen.append(1))
-        sim.schedule(10.0, lambda: seen.append(10))
-        sim.run(until=5.0)
-        assert seen == [1]
-        assert sim.pending_events == 1
+        log = []
+        horizons = iter([5.0, 10.0, 100.0])
+
+        def advance(at):
+            log.append(("hook", at, sim.now))
+            return next(horizons)
+
+        sim.on_advance = advance
+        for t in (1.0, 2.0, 5.0, 5.0, 7.0, 12.0, 40.0):
+            sim.schedule(t, lambda t=t: log.append(("event", t)))
+        assert sim.run() == 40.0
+        assert log == [
+            ("hook", 1.0, 0.0), ("event", 1.0), ("event", 2.0),
+            ("hook", 5.0, 2.0), ("event", 5.0), ("event", 5.0),
+            ("event", 7.0),
+            ("hook", 12.0, 7.0), ("event", 12.0), ("event", 40.0),
+        ]
 
     def test_empty_run_returns_zero(self):
         assert Simulator().run() == 0.0

@@ -69,9 +69,11 @@ def test_config_flag_forces_slow_path():
     app = make_app("SOR")
     rt = ParallelRuntime(app, app.small_params(),
                          replace(SMALL, fastpath=False), "2L")
-    assert rt.fastpath is False
     env = WorkerEnv(rt, rt.cluster.processors[0])
     assert not env._fast_read and not env._fast_write
+    rt_on = ParallelRuntime(app, app.small_params(), SMALL, "2L")
+    env_on = WorkerEnv(rt_on, rt_on.cluster.processors[0])
+    assert env_on._fast_read and env_on._fast_write
 
 
 def test_checker_sees_every_per_word_access():

@@ -16,10 +16,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro import MachineConfig, metering, run_app
+from repro import MachineConfig, run_app
 from repro.apps import make_app
 from repro.metrics import DEFAULT_INTERVAL_US, MetricsCollector
-from repro.runtime.api import metrics_enabled
+from repro.runtime.program import ParallelRuntime
 
 SMALL = MachineConfig(nodes=2, procs_per_node=2, page_bytes=512)
 METERED = replace(SMALL, metrics=True)
@@ -130,27 +130,20 @@ def test_every_directory_sample_equals_a_rescan(app_name, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Wiring: config flag, context manager, RunResult.metrics.
+# Wiring: the config flag (the one switch), RunResult.metrics.
 # ---------------------------------------------------------------------------
 
 class TestWiring:
-    def test_metering_context_manager(self):
-        plain = MachineConfig()
-        assert not metrics_enabled(plain)
-        with metering():
-            assert metrics_enabled(plain)
-            with metering():          # re-entrant
-                assert metrics_enabled(plain)
-            assert metrics_enabled(plain)
-        assert not metrics_enabled(plain)
-
     def test_config_flag(self):
-        assert metrics_enabled(MachineConfig(metrics=True))
+        app = make_app("SOR")
+        plain = ParallelRuntime(app, app.small_params(), SMALL, "2L")
+        metered = ParallelRuntime(app, app.small_params(), METERED, "2L")
+        assert plain.metrics is None and plain.cluster.sim.on_advance is None
+        assert metered.cluster.sim.on_advance == metered.metrics.on_advance
 
     def test_context_manager_attaches_collector(self):
         app = make_app("SOR")
-        with metering():
-            result = run_app(app, app.small_params(), SMALL, "2L")
+        result = run_app(app, app.small_params(), METERED, "2L")
         assert result.metrics is not None
         assert result.metrics.meta["app"] == "SOR"
         assert result.metrics.meta["protocol"] == "2L"
@@ -215,9 +208,9 @@ class TestCollectorContents:
 
     def test_tlb_rate_consistent_with_cells(self, metered_sor):
         coll = metered_sor.metrics
-        hits, misses = coll.tlb
-        assert hits > 0 and misses > 0
-        assert sum(coll.series["tlb.hits"][1]) == hits
+        accesses, misses = coll.tlb
+        assert accesses > misses > 0
+        assert sum(coll.series["tlb.hits"][1]) == accesses - misses
         assert sum(coll.series["tlb.misses"][1]) == misses
 
     def test_payload_is_json_serializable(self, metered_sor):
@@ -232,6 +225,17 @@ class TestCollectorContents:
         assert coll.interval_us == DEFAULT_INTERVAL_US
         with pytest.raises(ValueError):
             MetricsCollector(interval_us=0)
+
+
+def test_slow_path_run_records_no_tlb_hits():
+    """With the fast path off every access falls back to dispatch."""
+    app = make_app("SOR")
+    result = run_app(app, app.small_params(),
+                     replace(METERED, fastpath=False), "2L")
+    accesses, misses = result.metrics.tlb
+    assert accesses == misses > 0
+    assert sum(result.metrics.series["tlb.hits"][1]) == 0
+    assert sum(result.metrics.series["tlb.misses"][1]) == misses
 
 
 def test_metrics_compose_with_tracing():

@@ -60,10 +60,14 @@ def start_at(proc, start: float) -> None:
 
 
 def post_one_at_a_time(proto, proc, from_owner, page, dests) -> None:
-    """The reference: what a release did before the burst was batched."""
+    """The reference: what a release did before the burst was batched,
+    each notice traced as an instant before its charge."""
     visible = proto.mc.visibility(proc.clock)
     for owner in dests:
         proto.boards[owner].post(from_owner, page, visible)
+        if proc.trace is not None:
+            proc.trace.instant("write_notice", None, visible, obj=page,
+                               from_owner=from_owner, to_owner=owner)
         proc.charge(proto.costs.mc_word_write, "protocol")
         proc.stats.bump("write_notices")
         proto.mc.account("write_notice", 4)

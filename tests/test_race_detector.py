@@ -10,6 +10,8 @@ corruption — injected behind the protocol's back — must raise a
 structured :class:`CoherenceViolation` naming the divergent word.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,6 @@ from repro.cluster.machine import Cluster
 from repro.config import MachineConfig
 from repro.errors import CoherenceViolation, DataRaceError
 from repro.protocol import make_protocol
-from repro.runtime import checking
 from repro.runtime.program import ParallelRuntime
 from repro.sim.process import Compute, ProcessGroup
 from repro.sync import Barrier, FlagSet, MCLock
@@ -336,7 +337,7 @@ def test_oracle_skips_value_checks_on_racy_words():
 
 
 # --------------------------------------------------------------------------
-# End-to-end wiring: config flag, context manager, stats surfacing.
+# End-to-end wiring: the config flag, stats surfacing.
 # --------------------------------------------------------------------------
 
 def _sor_app():
@@ -362,15 +363,18 @@ def test_run_app_under_config_flag():
 
 
 def test_run_app_under_checking_context_manager():
+    """The config flag is the one switch: the same config with it
+    cleared runs unchecked."""
     from repro.runtime import run_app
     app, params = _sor_app()
-    config = MachineConfig(nodes=2, procs_per_node=2, page_bytes=512)
-    with checking():
-        result = run_app(app, params, config, protocol="2LS")
-    assert result.runtime.checker is not None
-    assert result.stats.counter("check_events") > 0
-    # Outside the block, checking reverts to the config flag (off here).
+    config = MachineConfig(nodes=2, procs_per_node=2, page_bytes=512,
+                           checking=True)
     result = run_app(app, params, config, protocol="2LS")
+    assert result.runtime.checker is not None
+    assert result.runtime.protocol.checker is result.runtime.checker
+    assert result.stats.counter("check_events") > 0
+    result = run_app(app, params, replace(config, checking=False),
+                     protocol="2LS")
     assert result.runtime.checker is None
     assert result.stats.counter("check_events") == 0
 
@@ -479,7 +483,7 @@ def _checked_run(cls, protocol, *, fail_fast=False, stale=False):
     cluster = Cluster(cfg)
     proto = make_protocol(protocol, cluster)
     checker = cls(cluster, proto, fail_fast=fail_fast)
-    proto.tracer = checker
+    proto.checker = checker
     barrier = Barrier(cluster, proto)
     error = None
     try:

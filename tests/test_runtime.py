@@ -268,3 +268,15 @@ class TestSplitRange:
         sizes = [split_range(10, 3, w) for w in range(3)]
         lens = [hi - lo for lo, hi in sizes]
         assert max(lens) - min(lens) <= 1
+
+
+@pytest.mark.parametrize("protocol, home_opt, lu, field", [
+    ("3L", False, {"n": 32, "block": 8}, "protocol"),
+    ("2L", True, {"n": 32, "block": 8}, "home_opt"),
+    ("2L", False, {"n": 30, "block": 8}, "block"),
+], ids=["unknown-protocol", "home_opt-on-2L", "lu-n-not-multiple"])
+def test_bad_user_input_raises_config_error(protocol, home_opt, lu, field):
+    """Bad user input surfaces as a typed error naming the field."""
+    from repro.apps import make_app
+    with pytest.raises(ConfigError, match=field):
+        run_app(make_app("LU"), lu, CFG, protocol, home_opt=home_opt)

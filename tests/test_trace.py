@@ -12,10 +12,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro import MachineConfig, run_app, tracing
+from repro import MachineConfig, run_app
 from repro.apps import make_app
 from repro.check.events import MemoryEvent
-from repro.runtime.api import tracing_enabled
+from repro.runtime.program import ParallelRuntime
 from repro.trace import (KIND_FAMILY, NO_PROC, ContentionProfile, TraceEvent,
                          Tracer, to_chrome_trace, write_chrome_trace)
 
@@ -144,27 +144,22 @@ class TestTracer:
 
 
 # ---------------------------------------------------------------------------
-# Wiring: config flag, context manager, RunResult.trace.
+# Wiring: the config flag (the one switch), RunResult.trace.
 # ---------------------------------------------------------------------------
 
 class TestWiring:
-    def test_tracing_context_manager(self):
-        plain = MachineConfig()
-        assert not tracing_enabled(plain)
-        with tracing():
-            assert tracing_enabled(plain)
-            with tracing():           # re-entrant
-                assert tracing_enabled(plain)
-            assert tracing_enabled(plain)
-        assert not tracing_enabled(plain)
-
     def test_config_flag(self):
-        assert tracing_enabled(MachineConfig(tracing=True))
+        app = make_app("SOR")
+        assert ParallelRuntime(app, app.small_params(), SMALL,
+                               "2L").trace is None
+        rt = ParallelRuntime(app, app.small_params(), TRACED, "2L")
+        sites = [rt.cluster, rt.cluster.mc, rt.protocol,
+                 *rt.cluster.processors]
+        assert all(site.trace is rt.trace for site in sites)
 
     def test_context_manager_attaches_tracer(self):
         app = make_app("SOR")
-        with tracing():
-            result = run_app(app, app.small_params(), SMALL, "2L")
+        result = run_app(app, app.small_params(), TRACED, "2L")
         assert result.trace is not None
         assert result.trace.meta["app"] == "SOR"
         assert result.trace.meta["protocol"] == "2L"
