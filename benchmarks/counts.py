@@ -3,8 +3,9 @@
     python benchmarks/counts.py            # compare with counts.json
     python benchmarks/counts.py --write    # re-pin counts.json
 
-Runs ``benchmarks/e2e/run.py --workload W --quick --trace`` for every
-workload and reads the contract JSON on the last line of its stdout.
+Runs ``benchmarks/e2e/run.py --workload W --trace`` for every workload,
+``--quick`` except for ``accesspath`` (see ``FULL``), and reads the
+contract JSON on the last line of its stdout.
 Exits 1 if a ``src/repro`` layer's ``calls`` or ``entries`` rose above
 the baseline, or if a modelled count, ``sim.events`` or
 ``sim.sim_time_us`` differs from it. These are exact functions of the
@@ -29,6 +30,10 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 RUN = os.path.join(HERE, "e2e", "run.py")
 BASELINE = os.path.join(HERE, "counts.json")
 WORKLOADS = ("coherence32", "accesspath", "scale", "observed32")
+#: Workloads measured with every cell: ``--quick`` keeps the first three,
+#: which for ``accesspath`` are sequential baselines that never build a
+#: ``WorkerEnv``, so the gate would not see the parallel access path.
+FULL = ("accesspath",)
 
 #: Counts that may fall freely but must not rise (a drop is re-pinned).
 CEILING = (".calls", ".entries")
@@ -45,9 +50,10 @@ def gated(name: str, unit: str) -> bool:
 
 
 def measure(workload: str) -> dict:
-    done = subprocess.run(
-        [sys.executable, RUN, "--workload", workload, "--quick", "--trace"],
-        stdout=subprocess.PIPE, text=True)
+    cmd = [sys.executable, RUN, "--workload", workload, "--trace"]
+    if workload not in FULL:
+        cmd.append("--quick")
+    done = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
     if not done.stdout.strip():
         raise SystemExit(f"{workload}: run.py printed nothing "
                          f"(exit {done.returncode})")

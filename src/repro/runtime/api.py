@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..config import MachineConfig
-from ..errors import ConfigError
+from ..errors import ConfigError, SimulationError
 
 @dataclass(frozen=True)
 class SharedArray:
@@ -31,6 +31,14 @@ class SharedArray:
     def idx2(self, row: int, col: int, cols: int) -> int:
         """Word index of a row-major 2-D element."""
         return self.base + row * cols + col
+
+    def block_error(self, lo: int, hi: int) -> SimulationError:
+        """The error a block access of words ``[lo, hi)`` raises when
+        not ``0 <= lo <= hi <= length``. Block accesses check their
+        bounds inline; scalar ``get``/``set`` do not (DESIGN.md §9)."""
+        return SimulationError(
+            f"block [{lo}, {hi}) outside array {self.name!r} of "
+            f"length {self.length}")
 
 
 class SharedSegment:

@@ -75,6 +75,9 @@ class WorkerEnv:
         #: equivalent ndarray ``__setitem__`` (no ufunc dispatch), and
         #: writes never need ndarray semantics on the destination.
         self._wmap: dict[int, memoryview] = table.wmaps[st.lidx]
+        #: The owner's memory: a block whose pages are all mapped to
+        #: their own slots in it is one slice.
+        self._backing: np.ndarray = proto.frames.backings[st.owner]
         fast = runtime.config.fastpath and proto.checker is None
         #: Read map filled: off when the correctness checker is attached
         #: (it must observe every per-word access).
@@ -90,11 +93,16 @@ class WorkerEnv:
 
         The warm paths run for almost every access of a well-behaved
         application; binding every invariant (page geometry, the two
-        maps) into closure cells replaces a chain of ``self`` attribute
-        loads per call with fast local loads. Each closure handles
-        exactly the warm case and falls back to the general method on
-        the instance class for everything else, so behaviour is
-        identical to the uncached path.
+        maps, the owner's memory) into closure cells replaces a chain of
+        ``self`` attribute loads per call with fast local loads. Each
+        closure handles exactly the warm case and falls back to the
+        general method on the instance class for everything else, so
+        behaviour is identical to the uncached path.
+
+        A block spanning several pages is one slice of the owner's
+        memory when every page of it is mapped to that memory's own
+        slot (``.base is backing``); a page mapped elsewhere — the
+        one-level master under the home-node optimization — falls back.
 
         ``tlb`` is the metrics collector's ``[accesses, fallbacks]``
         cell, or None when no collector is attached. When given, each
@@ -104,9 +112,9 @@ class WorkerEnv:
         """
         shift = self._shift
         mask = self._mask
-        wpp = mask + 1
         rmap = self._rmap
         wmap = self._wmap
+        backing = self._backing
         slow_get = self.get
         slow_set = self.set
         slow_get_block = self.get_block
@@ -117,43 +125,6 @@ class WorkerEnv:
                 for fn in (slow_get, slow_set, slow_get_block,
                            slow_set_block))
         mv_store = self._mv_store
-        concatenate = np.concatenate
-
-        def gather(page: int, last: int, off: int, end: int):
-            """Private copy of word ``off`` of ``page`` through word
-            ``end - 1`` of ``last`` (> ``page``); None unless every page
-            of the span is in the read map."""
-            parts = []
-            for p in range(page, last + 1):
-                frame = rmap.get(p)
-                if frame is None:
-                    return None
-                parts.append(frame)
-            parts[0] = parts[0][off:]
-            parts[-1] = parts[-1][:end]
-            return concatenate(parts)
-
-        def scatter(page: int, last: int, off: int, values) -> bool:
-            """Store ``values`` from word ``off`` of ``page`` into pages up
-            to ``last`` (> ``page``). False, with nothing stored, unless
-            every page is in the write map and ``values`` slices to
-            float64 buffers (the first store raises otherwise)."""
-            mvs = []
-            for p in range(page, last + 1):
-                mv = wmap.get(p)
-                if mv is None:
-                    return False
-                mvs.append(mv)
-            pos = wpp - off
-            try:
-                mvs[0][off:] = values[:pos]
-                for mv in mvs[1:-1]:
-                    mv[:] = values[pos:pos + wpp]
-                    pos += wpp
-                mvs[-1][:len(values) - pos] = values[pos:]
-            except (ValueError, TypeError):
-                return False
-            return True
 
         def get(arr: SharedArray, i: int) -> float:
             w = arr.base + i
@@ -171,37 +142,46 @@ class WorkerEnv:
             slow_set(arr, i, value)
 
         def get_block(arr: SharedArray, lo: int, hi: int) -> np.ndarray:
-            base = arr.base
-            w0 = base + lo
-            w1 = base + hi
-            if w0 < w1:
+            if 0 <= lo < hi <= arr.length:
+                w0 = arr.base + lo
+                w1 = arr.base + hi
                 page = w0 >> shift
                 last = (w1 - 1) >> shift
-                if last == page:
-                    frame = rmap.get(page)
-                    if frame is not None:
+                frame = rmap.get(page)
+                if frame is not None:
+                    if last == page:
                         off = w0 & mask
                         return frame[off:off + (w1 - w0)].copy()
-                else:
-                    out = gather(page, last, w0 & mask, ((w1 - 1) & mask) + 1)
-                    if out is not None:
-                        return out
+                    if frame.base is backing:
+                        for p in range(page + 1, last + 1):
+                            frame = rmap.get(p)
+                            if frame is None or frame.base is not backing:
+                                break
+                        else:
+                            return backing[w0:w1].copy()
             return slow_get_block(arr, lo, hi)
 
         def set_block(arr: SharedArray, lo: int,
                       values: np.ndarray) -> None:
-            w = arr.base + lo
-            end = w + len(values)
-            if w < end:
+            n = len(values)
+            if 0 <= lo and 0 < n <= arr.length - lo:
+                w = arr.base + lo
+                end = w + n
                 page = w >> shift
                 last = (end - 1) >> shift
-                if last == page:
-                    mv = wmap.get(page)
-                    if mv is not None:
-                        mv_store(mv, w & mask, end - w, values)
+                mv = wmap.get(page)
+                if mv is not None:
+                    if last == page:
+                        mv_store(mv, w & mask, n, values)
                         return
-                elif scatter(page, last, w & mask, values):
-                    return
+                    if mv.obj.base is backing:
+                        for p in range(page + 1, last + 1):
+                            mv = wmap.get(p)
+                            if mv is None or mv.obj.base is not backing:
+                                break
+                        else:
+                            backing[w:end] = values
+                            return
             slow_set_block(arr, lo, values)
 
         if tlb is not None:
@@ -260,6 +240,8 @@ class WorkerEnv:
         yields a live view of the owner's frame, and this method is the
         copying boundary that keeps application code from aliasing it.
         """
+        if not 0 <= lo <= hi <= arr.length:
+            raise arr.block_error(lo, hi)
         w, w1 = arr.base + lo, arr.base + hi
         shift, mask = self._shift, self._mask
         wpp = mask + 1
@@ -285,8 +267,10 @@ class WorkerEnv:
     def set_block(self, arr: SharedArray, lo: int,
                   values: np.ndarray) -> None:
         """Write ``values`` at word offset ``lo`` (page faults as needed)."""
-        w = arr.base + lo
-        end = w + len(values)
+        hi = lo + len(values)
+        if not 0 <= lo <= hi <= arr.length:
+            raise arr.block_error(lo, hi)
+        w, end = arr.base + lo, arr.base + hi
         shift, mask = self._shift, self._mask
         wpp = mask + 1
         wmap = self._wmap

@@ -48,11 +48,16 @@ class SequentialEnv:
         self.mem[arr.base + i] = value
 
     def get_block(self, arr: SharedArray, lo: int, hi: int) -> np.ndarray:
+        if not 0 <= lo <= hi <= arr.length:
+            raise arr.block_error(lo, hi)
         return self.mem[arr.base + lo:arr.base + hi].copy()
 
     def set_block(self, arr: SharedArray, lo: int,
                   values: np.ndarray) -> None:
-        self.mem[arr.base + lo:arr.base + lo + len(values)] = values
+        hi = lo + len(values)
+        if not 0 <= lo <= hi <= arr.length:
+            raise arr.block_error(lo, hi)
+        self.mem[arr.base + lo:arr.base + hi] = values
 
     # --- time ------------------------------------------------------------------
 

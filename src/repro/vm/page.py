@@ -8,14 +8,17 @@ frame, which is exactly the paper's "all processors on a node share the
 same physical frame for a shared data page" and is what lets hardware
 coherence coalesce protocol transactions.
 
-Frames are real numpy arrays: the protocols genuinely move application
-data through twins, diffs, and home-node master copies, so a coherence
-bug shows up as a wrong numerical answer.
+Frames are views into the owner's memory, one float64 array per owner
+holding every page at ``page * words_per_page``: the protocols genuinely
+move application data through twins, diffs, and home-node master
+copies, so a coherence bug shows up as a wrong numerical answer, and a
+block access whose pages the owner holds is one slice of that memory.
 """
 
 from __future__ import annotations
 
 import enum
+import mmap
 
 import numpy as np
 
@@ -39,9 +42,11 @@ class FrameStore:
     """Physical page frames for every owner.
 
     ``owner`` ids index whatever replication domain the protocol uses
-    (node ids for two-level, processor ids for one-level). Frames are
-    created lazily on first map and dropped on unmap; the *home* owner's
-    frame is the master copy and is created eagerly.
+    (node ids for two-level, processor ids for one-level). Each owner has
+    one backing array of ``num_pages * words_per_page`` words, its
+    physical memory; a frame is the view of one page's slot in it.
+    Frames are mapped lazily on first map and dropped on unmap; the
+    *home* owner's frame is the master copy and is mapped eagerly.
     """
 
     def __init__(self, num_owners: int, num_pages: int,
@@ -51,8 +56,16 @@ class FrameStore:
         self.num_owners = num_owners
         self.num_pages = num_pages
         self.words_per_page = words_per_page
-        self._frames: list[dict[int, np.ndarray]] = [
-            {} for _ in range(num_owners)]
+        self._frames: list[dict[int, np.ndarray]] = []
+        #: Each owner's memory. Anonymous mmap, not ``np.zeros``: pages
+        #: no frame ever touches stay unbacked (the heap would commit
+        #: them).
+        self.backings: list[np.ndarray] = []
+        nbytes = num_pages * words_per_page * 8
+        for _ in range(num_owners):
+            self._frames.append({})
+            self.backings.append(np.frombuffer(mmap.mmap(-1, nbytes),
+                                               dtype=np.float64))
         #: Each owner's :class:`~repro.vm.pagetable.PageTable` (None for
         #: a bare store): unmapping a frame evicts the page from the
         #: software TLB of every processor of that owner.
@@ -71,20 +84,22 @@ class FrameStore:
 
     def map_frame(self, owner: int, page: int,
                   contents: np.ndarray | None = None) -> np.ndarray:
-        """Create (or return) the owner's frame, optionally initializing it."""
+        """Map (or return) the owner's frame, optionally initializing it.
+
+        A fresh mapping is zeroed without ``contents``: the slot may
+        still hold the words of an earlier mapping of the page."""
         frames = self._frames[owner]
-        if page in frames:
-            frame = frames[page]
-            if contents is not None:
-                frame[:] = contents
-            return frame
+        frame = frames.get(page)
+        if frame is None:
+            wpp = self.words_per_page
+            frame = self.backings[owner][page * wpp:(page + 1) * wpp]
+            # Silent towards the software TLB: no cached mapping of a page
+            # can exist while the owner has no frame for it (unmap evicts).
+            frames[page] = frame
+            if contents is None:
+                frame.fill(0.0)
         if contents is not None:
-            frame = np.array(contents, dtype=np.float64, copy=True)
-        else:
-            frame = np.zeros(self.words_per_page, dtype=np.float64)
-        # Silent towards the software TLB: no cached mapping of a page
-        # can exist while the owner has no frame for it (unmap evicts).
-        frames[page] = frame
+            frame[:] = contents
         return frame
 
     def unmap_frame(self, owner: int, page: int) -> None:

@@ -22,8 +22,12 @@ import pytest
 
 from repro import MachineConfig, run_app
 from repro.apps import make_app
+from repro.apps.base import Application
+from repro.errors import SimulationError
+from repro.runtime.api import SharedSegment
 from repro.runtime.env import WorkerEnv
 from repro.runtime.program import ParallelRuntime
+from repro.runtime.sequential import SequentialEnv
 
 SMALL = MachineConfig(nodes=2, procs_per_node=2, page_bytes=512)
 OBSERVED = replace(SMALL, checking=True, tracing=True)
@@ -62,6 +66,51 @@ def test_fastpath_matches_forced_slowpath(app_name, protocol, observers):
     slow_app = make_app(app_name)
     slow = run_app(slow_app, slow_app.small_params(),
                    replace(cfg, fastpath=False), protocol)
+    assert _fingerprint(fast, app) == _fingerprint(slow, slow_app)
+
+
+def _count_master_straddles(monkeypatch) -> list[int]:
+    """Count general block calls whose span is all in the map and
+    includes a page mapped to the one-level master (home-node
+    optimization): spans the warm path declines to slice."""
+    count = [0]
+    for name, cache in (("get_block", "_rmap"), ("set_block", "_wmap")):
+        fn = getattr(WorkerEnv, name)
+
+        def counted(env, arr, lo, hi_or_values, _fn=fn, _name=name,
+                    _cache=cache):
+            hi = hi_or_values if _name == "get_block" \
+                else lo + len(hi_or_values)
+            pages = range((arr.base + lo) >> env._shift,
+                          ((arr.base + hi - 1) >> env._shift) + 1)
+            cached = getattr(env, _cache)
+            master = env._protocol.master
+            if len(pages) > 1 and all(p in cached for p in pages) and any(
+                    (cached[p] if _name == "get_block" else cached[p].obj)
+                    is master(p) for p in pages):
+                count[0] += 1
+            return _fn(env, arr, lo, hi_or_values)
+        monkeypatch.setattr(WorkerEnv, name, counted)
+    return count
+
+
+@pytest.mark.parametrize("protocol", ["1LD", "1L"])
+@pytest.mark.parametrize("app_name", ["Gauss", "LU"])
+def test_home_node_straddles_match_forced_slowpath(app_name, protocol,
+                                                   monkeypatch):
+    """Under the home-node optimization a processor maps the one-level
+    master beside slots of its own memory, so a block can straddle
+    both: the warm path hands it to the general method, which must be
+    byte-identical to the forced slow path (8-word pages: multi-page
+    rows and blocks)."""
+    straddles = _count_master_straddles(monkeypatch)
+    cfg = replace(SMALL, page_bytes=64)
+    app = make_app(app_name)
+    fast = run_app(app, app.small_params(), cfg, protocol, home_opt=True)
+    assert straddles[0] > 0
+    slow_app = make_app(app_name)
+    slow = run_app(slow_app, slow_app.small_params(),
+                   replace(cfg, fastpath=False), protocol, home_opt=True)
     assert _fingerprint(fast, app) == _fingerprint(slow, slow_app)
 
 
@@ -181,6 +230,64 @@ def test_get_block_returns_private_copy():
                                   np.arange(16.0))
     np.testing.assert_array_equal(rt.read_array("red")[:16],
                                   np.arange(16.0))
+
+
+class _TwoArrays(Application):
+    """A 100-word array (padded to two 64-word pages) and its page-
+    aligned neighbour."""
+
+    name = "TwoArrays"
+
+    def declare(self, segment, params):
+        segment.alloc("a", 100)
+        segment.alloc("b", 128)
+
+
+def _bounds_env(kind):
+    """``(env, a, read_b)`` for a sequential, a warm parallel or a
+    forced-slow parallel env, with every page of both arrays mapped."""
+    cfg = MachineConfig(nodes=1, procs_per_node=1, page_bytes=512,
+                        fastpath=kind != "general")
+    if kind == "sequential":
+        segment = SharedSegment(cfg)
+        _TwoArrays().declare(segment, {})
+        env = SequentialEnv(cfg, segment)
+        b = segment.array("b")
+        return env, segment.array("a"), \
+            lambda: env.mem[b.base:b.base + b.length].copy()
+    rt = ParallelRuntime(_TwoArrays(), {}, cfg, "2L")
+    rt.protocol.end_initialization()
+    env = WorkerEnv(rt, rt.cluster.processors[0])
+    for name in ("a", "b"):
+        arr = rt.segment.array(name)
+        env.set_block(arr, 0, np.zeros(arr.length))
+        env.get_block(arr, 0, arr.length)
+    return env, rt.segment.array("a"), lambda: rt.read_array("b")
+
+
+@pytest.mark.parametrize("kind", ["sequential", "warm", "general"])
+@pytest.mark.parametrize("op,lo,hi", [
+    ("get", -1, 10),
+    ("get", 10, 5),
+    ("get", 90, 101),         # past the end, inside the array's page
+    ("get", 60, 200),         # into the neighbouring array
+    ("get", 0, 10 ** 7),      # past the shared segment
+    ("set", -1, 4),
+    ("set", 95, 105),
+    ("set", 60, 200),
+])
+def test_block_outside_its_array_raises(kind, op, lo, hi):
+    """Every env rejects a block access outside its array the same
+    way, and stores nothing; a neighbouring array is never read or
+    written through it."""
+    env, a, read_b = _bounds_env(kind)
+    message = rf"block \[{lo}, {hi}\) outside array 'a' of length 100"
+    with pytest.raises(SimulationError, match=message):
+        if op == "get":
+            env.get_block(a, lo, hi)
+        else:
+            env.set_block(a, lo, np.ones(hi - lo))
+    np.testing.assert_array_equal(read_b(), np.zeros(128))
 
 
 def test_set_block_casts_and_handles_strides():

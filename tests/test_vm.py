@@ -60,6 +60,34 @@ class TestFrameStore:
         with pytest.raises(ProtocolError):
             FrameStore(0, 1, 1)
 
+    def test_frame_is_its_owners_slot(self):
+        fs = FrameStore(2, 4, 8)
+        assert [b.shape for b in fs.backings] == [(32,), (32,)]
+        frame = fs.map_frame(1, 2)
+        assert frame.base is fs.backings[1]
+        frame[:] = np.arange(8.0)
+        np.testing.assert_array_equal(fs.backings[1][16:24], np.arange(8.0))
+        assert not fs.backings[1][:16].any() and not fs.backings[1][24:].any()
+
+    def test_remap_reads_zeros_or_exactly_the_contents(self):
+        fs = FrameStore(1, 2, 4)
+        fs.map_frame(0, 1, np.full(4, 7.0))
+        fs.unmap_frame(0, 1)
+        np.testing.assert_array_equal(fs.map_frame(0, 1), np.zeros(4))
+        fs.frame(0, 1)[:] = 3.0
+        fs.unmap_frame(0, 1)
+        np.testing.assert_array_equal(fs.map_frame(0, 1, np.arange(4.0)),
+                                      np.arange(4.0))
+
+    def test_owners_slots_are_independent(self):
+        fs = FrameStore(2, 2, 4)
+        a = fs.map_frame(0, 1, np.ones(4))
+        b = fs.map_frame(1, 1)
+        assert not np.shares_memory(a, b)
+        b[:] = 5.0
+        np.testing.assert_array_equal(fs.frame(0, 1), np.ones(4))
+        assert not fs.backings[0][:4].any()
+
 
 class TestPageTable:
     def test_default_invalid(self):
