@@ -39,8 +39,3 @@ def experiment_config(placement: str = "32:4") -> MachineConfig:
     """Machine configuration for a named placement at experiment scale."""
     total, per_node = PLACEMENTS[placement]
     return FULL_PLATFORM.with_placement(total, per_node)
-
-
-def bench_params(app) -> dict:
-    """Default experiment-scale parameters for an application instance."""
-    return app.default_params()

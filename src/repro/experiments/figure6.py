@@ -67,9 +67,3 @@ def run_figure6(apps: tuple[str, ...] = APP_ORDER,
             results.exec_time_s[app_name][protocol] = \
                 cell.exec_time_us / 1e6
     return results
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-    apps = tuple(sys.argv[1:]) or APP_ORDER
-    print(run_figure6(apps=apps).format())

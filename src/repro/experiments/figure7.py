@@ -76,12 +76,3 @@ def run_figure7(apps: tuple[str, ...] = APP_ORDER,
                 for placement in placements}
         results.speedup[app_name] = per_proto
     return results
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-    args = sys.argv[1:]
-    apps = tuple(a for a in args if a in APP_ORDER) or APP_ORDER
-    quick = "--quick" in args
-    placements = ("4:1", "8:4", "32:4") if quick else PLACEMENT_ORDER
-    print(run_figure7(apps=apps, placements=placements).format())

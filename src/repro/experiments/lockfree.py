@@ -69,7 +69,3 @@ def run_lockfree_ablation(
         results.write_notices[app_name] = int(
             free.table3["write_notices"])
     return results
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_lockfree_ablation().format())

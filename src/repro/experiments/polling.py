@@ -62,9 +62,3 @@ def run_polling_ablation(
             variant: next(cells).table3["exec_time_s"]
             for variant in configs}
     return results
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-    apps = tuple(sys.argv[1:]) or ("Em3d", "Barnes", "Gauss")
-    print(run_polling_ablation(apps=apps).format())

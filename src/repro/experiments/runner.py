@@ -10,50 +10,34 @@ Usage (installed as ``cashmere-repro``)::
     cashmere-repro shootdown
     cashmere-repro lockfree
     cashmere-repro scale   [APP ...] [--quick]
-    cashmere-repro all     [--quick]
+    cashmere-repro all     [APP ...] [--quick]
     cashmere-repro trace APP [--out trace.json] [--protocol 2L]
     cashmere-repro profile APP [--protocol 2L]
-    cashmere-repro lint    [PATHS ...] [--select RULES] [--format json]
     cashmere-repro modelcheck [PROTO ...] [--budget N] [--mutant NAME]
                               [--out counterexample.json]
 
-Every table/figure/ablation experiment runs through the sweep engine
-(:mod:`repro.experiments.sweep`): ``-j/--jobs N`` (or ``CASHMERE_JOBS``)
-fans independent simulation cells out over a process pool, and results
-are memoized in a content-addressed on-disk cache (``.cashmere-cache/``
-or ``$CASHMERE_CACHE_DIR``; any source change invalidates it).
-``--no-cache`` disables the cache entirely; ``--refresh`` re-executes
-every cell and rewrites its entries. Parallel and cache-served output is
-byte-identical to a serial cold run. Per-experiment wall-clock and a
-cache hit/miss summary go to stderr.
+Every sweep experiment is one entry of :data:`EXPERIMENTS`; ``all`` runs
+the paper's nine in table order (not ``scale``). They share one
+:class:`~repro.experiments.sweep.Sweep`, so each distinct simulation
+cell executes once per invocation; ``-j N`` fans cells out over N
+worker processes, and results are memoized in a content-addressed
+on-disk cache (``.cashmere-cache/`` or ``$CASHMERE_CACHE_DIR``; any
+source change invalidates it) that ``--no-cache`` bypasses. Parallel
+and cache-served output is byte-identical to a serial cold run.
+Per-experiment wall-clock and a hit/miss summary go to stderr; the
+simulator's own host cost is measured by ``benchmarks/e2e/run.py``.
 
 ``--quick`` restricts Figure 7 to three placements (4:1, 8:4, 32:4) and
-the scale ladder to its two smallest rungs.
-``--json`` prints machine-readable results instead of monospace tables
-(not applicable to ``trace``, whose output is already JSON); for
-``all``, the documents are collected into one JSON *array* so the
-output is a single valid JSON value.
+the scale ladder to its two smallest rungs. ``--json`` prints
+machine-readable results instead of monospace tables (for ``all``, one
+JSON array). ``trace`` exports one traced run as Chrome
+``trace_event`` JSON (https://ui.perfetto.dev); ``profile`` prints its
+contention report.
 
-Every experiment reports simulated time. The simulator's own host cost
-is measured by ``benchmarks/e2e/run.py`` (README "Performance").
-
-``lint`` runs the determinism lint (:mod:`repro.lint`) over PATHS
-(default: the installed ``repro`` package). Exit code 0 means clean, 1
-means findings, 2 means a usage error; see README "Static analysis"
-for the rule table.
-
-``trace`` runs one application with event tracing and exports Chrome
-``trace_event`` JSON viewable at https://ui.perfetto.dev; ``profile``
-prints the derived contention report (hot pages, lock hold/wait times,
-barrier imbalance, Memory Channel timeline).
-
-``modelcheck`` explores *every* interleaving of a small fixed workload
-(2 nodes x 2 processors x 2 pages) through the real protocol code and
-checks coherence invariants at each step (DESIGN.md §12). Default
-protocols: 2L and 1LD. Exit 1 on violation, with the minimal
-counterexample printed and exported to ``--out`` as a Chrome trace.
-``--mutant no-notices`` checks a deliberately broken protocol instead
-and exits 0 only if the planted bug is caught.
+``modelcheck`` explores every interleaving of a 2x2x2 workload through
+the real protocol code (DESIGN.md §12), exits 1 on a violation and
+exports the minimal counterexample to ``--out``; ``--mutant
+no-notices`` exits 0 only if the planted bug is caught.
 """
 
 from __future__ import annotations
@@ -61,15 +45,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
+from typing import Callable
 
-from .configs import (APP_ORDER, PLACEMENT_ORDER, PROTOCOL_ORDER,
-                      QUICK_PLACEMENTS)
+from .configs import PLACEMENT_ORDER, PROTOCOL_ORDER, QUICK_PLACEMENTS
 from .figure6 import run_figure6
 from .figure7 import run_figure7
 from .lockfree import run_lockfree_ablation
 from .polling import run_polling_ablation
+from .scale import SCALE_APPS, run_scale
 from .sensitivity import run_sensitivity
 from .shootdown import run_shootdown_ablation
 from .sweep import ResultCache, Sweep, wall_clock
@@ -79,10 +63,46 @@ from .table3 import run_table3
 from .traceprof import resolve_app_name, run_profile, run_trace_export
 
 
-def _apps_arg(values: list[str]) -> tuple[str, ...]:
-    if not values:
-        return APP_ORDER
-    return tuple(resolve_app_name(v) for v in values)
+def _apps(apps: tuple[str, ...]) -> dict:
+    """The ``apps`` keyword, passed only when the command line names
+    some, so each experiment otherwise keeps its own default set."""
+    return {"apps": apps} if apps else {}
+
+
+def _scale(apps: tuple[str, ...], quick: bool, sweep: Sweep):
+    for a in apps:
+        if a not in SCALE_APPS:
+            raise SystemExit(f"scale supports {list(SCALE_APPS)}; "
+                             f"{a!r} cannot feed 512 processors")
+    return run_scale(quick=quick, sweep=sweep, **_apps(apps))
+
+
+#: Every sweep experiment: name -> run(apps, quick, sweep). ``all`` runs
+#: every entry but ``scale``, in this order.
+EXPERIMENTS: dict[str, Callable[[tuple[str, ...], bool, Sweep], object]] = {
+    "table1": lambda apps, quick, sweep: run_table1(sweep=sweep),
+    "table2": lambda apps, quick, sweep: run_table2(
+        sweep=sweep, **_apps(apps)),
+    "table3": lambda apps, quick, sweep: run_table3(
+        sweep=sweep, **_apps(apps)),
+    "figure6": lambda apps, quick, sweep: run_figure6(
+        sweep=sweep, **_apps(apps)),
+    "figure7": lambda apps, quick, sweep: run_figure7(
+        placements=QUICK_PLACEMENTS if quick else PLACEMENT_ORDER,
+        sweep=sweep, **_apps(apps)),
+    "shootdown": lambda apps, quick, sweep: run_shootdown_ablation(
+        sweep=sweep),
+    "lockfree": lambda apps, quick, sweep: run_lockfree_ablation(
+        sweep=sweep),
+    "sensitivity": lambda apps, quick, sweep: run_sensitivity(
+        sweep=sweep, **_apps(apps)),
+    "polling": lambda apps, quick, sweep: run_polling_ablation(
+        sweep=sweep, **_apps(apps)),
+    "scale": _scale,
+}
+
+#: What ``all`` runs: the paper's tables, figures and ablations.
+PAPER_EXPERIMENTS = tuple(name for name in EXPERIMENTS if name != "scale")
 
 
 def _jsonable(result):
@@ -108,32 +128,67 @@ def _emit(experiment: str, result, formatted: str, as_json: bool,
         print(formatted)
 
 
-def run_lint(args: argparse.Namespace) -> int:
-    """The ``lint`` subcommand: static analysis, exit 0/1/2.
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
 
-    stdout carries nothing but the (deterministic) report — no timing
-    lines, so two runs over the same tree are byte-identical.
-    """
-    from .. import lint
 
-    paths = args.apps
-    if not paths:
-        # Default target: the installed simulator package itself.
-        paths = [os.path.dirname(os.path.dirname(
-            os.path.abspath(lint.__file__)))]
-    try:
-        result = lint.run(paths, select=args.select)
-    except lint.UsageError as exc:
-        print(f"cashmere-repro lint: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"cashmere-repro lint: error: {exc}", file=sys.stderr)
-        return 2
-    if args.lint_format == "json":
-        print(result.format_json())
+def _run_sweep(args: argparse.Namespace) -> int:
+    apps = tuple(resolve_app_name(a) for a in args.apps)
+    todo = PAPER_EXPERIMENTS if args.experiment == "all" \
+        else (args.experiment,)
+    sweep = Sweep(jobs=args.jobs,
+                  cache=None if args.no_cache else ResultCache())
+    json_docs: list | None = [] if args.as_json and len(todo) > 1 else None
+    for name in todo:
+        exp_start = wall_clock()
+        result = EXPERIMENTS[name](apps, args.quick, sweep)
+        formatted = format_table2(result) if name == "table2" \
+            else result.format()
+        _emit(name, result, formatted, args.as_json, json_docs)
+        if not args.as_json:
+            print()
+        print(f"[{name}: {wall_clock() - exp_start:.1f}s]", file=sys.stderr)
+    if json_docs is not None:
+        print(json.dumps(json_docs, indent=2))
+    print(f"[{sweep.stats.summary(sweep.cache is not None)}]",
+          file=sys.stderr)
+    return 0
+
+
+def _run_modelcheck(args: argparse.Namespace) -> int:
+    from .modelcheck import DEFAULT_PROTOCOLS, run_modelcheck
+    protocols = tuple(args.apps) if args.apps else DEFAULT_PROTOCOLS
+    for name in protocols:
+        if name not in PROTOCOL_ORDER:
+            raise SystemExit(f"unknown protocol {name!r}; choose from "
+                             f"{list(PROTOCOL_ORDER)}")
+    report = run_modelcheck(protocols, budget=args.budget,
+                            mutant=args.mutant,
+                            out=args.out or "counterexample.json")
+    if args.as_json:
+        print(json.dumps(report.to_json(), indent=2))
     else:
-        print(result.format_text())
-    return result.exit_code
+        print(report.format())
+    return 0 if report.ok else 1
+
+
+def _run_observed(args: argparse.Namespace) -> int:
+    if len(args.apps) != 1:
+        raise SystemExit(
+            f"{args.experiment} needs exactly one application, e.g. "
+            f"`cashmere-repro {args.experiment} sor`")
+    if args.experiment == "trace":
+        out = args.out or "trace.json"
+        n = run_trace_export(args.apps[0], out, args.protocol)
+        print(f"wrote {n} trace events to {out} "
+              f"(open at https://ui.perfetto.dev)")
+    else:
+        profile = run_profile(args.apps[0], args.protocol)
+        _emit("profile", profile.to_json(), profile.format(), args.as_json)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -142,38 +197,31 @@ def main(argv: list[str] | None = None) -> int:
         description="Regenerate the Cashmere-2L paper's tables and figures "
                     "on the simulated cluster.")
     parser.add_argument("experiment",
-                        choices=["table1", "table2", "table3", "figure6",
-                                 "figure7", "shootdown", "lockfree",
-                                 "sensitivity", "polling", "scale", "all",
-                                 "trace", "profile", "lint",
+                        choices=[*EXPERIMENTS, "all", "trace", "profile",
                                  "modelcheck"])
     parser.add_argument("apps", nargs="*",
                         help="restrict to these applications (required "
-                             "single APP for trace/profile; PATHS to "
-                             "analyze for lint; protocol names for "
-                             "modelcheck)")
+                             "single APP for trace/profile; protocol "
+                             "names for modelcheck)")
     parser.add_argument("--quick", action="store_true",
                         help="reduced placement set for figure7; "
                              "two-rung ladder for scale")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="print machine-readable JSON instead of "
                              "tables")
-    parser.add_argument("--out", default="trace.json",
-                        help="output path for the trace subcommand")
+    parser.add_argument("--out", default=None,
+                        help="output path for trace (default trace.json) "
+                             "and modelcheck (default "
+                             "counterexample.json)")
     parser.add_argument("--protocol", default="2L", choices=PROTOCOL_ORDER,
                         help="protocol for the trace/profile subcommands")
-    parser.add_argument("-j", "--jobs", type=int, default=None,
-                        metavar="N",
+    parser.add_argument("-j", "--jobs", type=_jobs, default=1, metavar="N",
                         help="run independent simulation cells on N "
-                             "worker processes (default: serial, or "
-                             "$CASHMERE_JOBS); output is byte-identical "
-                             "to a serial run")
+                             "worker processes (default: 1, serial); "
+                             "output is byte-identical to a serial run")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk result cache (neither "
                              "read nor written)")
-    parser.add_argument("--refresh", action="store_true",
-                        help="re-execute every cell and rewrite its "
-                             "cache entries (ignore existing ones)")
     parser.add_argument("--budget", type=int, default=100_000, metavar="N",
                         help="modelcheck only: distinct-state budget per "
                              "protocol (exploration is exhaustive when "
@@ -183,135 +231,19 @@ def main(argv: list[str] | None = None) -> int:
                         help="modelcheck only: check this deliberately "
                              "broken protocol instead and expect the "
                              "checker to catch it")
-    parser.add_argument("--select", default=None, metavar="RULES",
-                        help="lint only: restrict to these rule IDs or "
-                             "prefixes, comma-separated (e.g. "
-                             "'E001,D10' selects E001 and D101-D106)")
-    parser.add_argument("--format", default="text",
-                        choices=["text", "json"], dest="lint_format",
-                        help="lint only: output format")
-    # parse_intermixed_args: `lint --select D PATH` has optionals
-    # before the nargs='*' positional, which plain parse_args
-    # cannot split.
+    # parse_intermixed_args: `table2 --json Em3d` has an optional
+    # between the positionals, which plain parse_args cannot split.
     args = parser.parse_intermixed_args(argv)
-
-    if args.experiment == "lint":
-        return run_lint(args)
 
     start = wall_clock()
     if args.experiment == "modelcheck":
-        from .modelcheck import DEFAULT_PROTOCOLS, run_modelcheck
-        protocols = tuple(args.apps) if args.apps else DEFAULT_PROTOCOLS
-        for name in protocols:
-            if name not in PROTOCOL_ORDER:
-                raise SystemExit(f"unknown protocol {name!r}; choose from "
-                                 f"{list(PROTOCOL_ORDER)}")
-        out = args.out if args.out != parser.get_default("out") \
-            else "counterexample.json"
-        report = run_modelcheck(protocols, budget=args.budget,
-                                mutant=args.mutant, out=out)
-        if args.as_json:
-            print(json.dumps(report.to_json(), indent=2))
-        else:
-            print(report.format())
-        print(f"[{wall_clock() - start:.1f}s wall clock]", file=sys.stderr)
-        return 0 if report.ok else 1
-    if args.experiment == "scale":
-        from .scale import SCALE_APPS, run_scale
-        apps = tuple(resolve_app_name(a) for a in args.apps) or SCALE_APPS
-        for a in apps:
-            if a not in SCALE_APPS:
-                raise SystemExit(f"scale supports {list(SCALE_APPS)}; "
-                                 f"{a!r} cannot feed 512 processors")
-        sweep = Sweep(jobs=args.jobs,
-                      cache=None if args.no_cache else ResultCache(
-                          mode="refresh" if args.refresh else "on"))
-        result = run_scale(apps=apps, quick=args.quick, sweep=sweep)
-        _emit("scale", result, result.format(), args.as_json)
-        print(f"[{sweep.stats.summary(sweep.cache is not None)}]",
-              file=sys.stderr)
-        print(f"[{wall_clock() - start:.1f}s wall clock]", file=sys.stderr)
-        return 0
-    if args.experiment in ("trace", "profile"):
-        if len(args.apps) != 1:
-            raise SystemExit(
-                f"{args.experiment} needs exactly one application, e.g. "
-                f"`cashmere-repro {args.experiment} sor`")
-        if args.experiment == "trace":
-            n = run_trace_export(args.apps[0], args.out, args.protocol)
-            print(f"wrote {n} trace events to {args.out} "
-                  f"(open at https://ui.perfetto.dev)")
-        else:
-            profile = run_profile(args.apps[0], args.protocol)
-            _emit("profile", profile.to_json(), profile.format(),
-                  args.as_json)
-        print(f"[{wall_clock() - start:.1f}s wall clock]", file=sys.stderr)
-        return 0
-
-    apps = _apps_arg(args.apps)
-    placements = QUICK_PLACEMENTS if args.quick else PLACEMENT_ORDER
-    todo = [args.experiment] if args.experiment != "all" else [
-        "table1", "table2", "table3", "figure6", "figure7", "shootdown",
-        "lockfree", "sensitivity", "polling"]
-    # One sweep for the whole invocation: `all` shares the cache and the
-    # hit/miss counters across experiments (the Table 2 and Figure 7
-    # sequential baselines are literally the same cells, for instance).
-    sweep = Sweep(jobs=args.jobs,
-                  cache=None if args.no_cache else ResultCache(
-                      mode="refresh" if args.refresh else "on"))
-    json_docs: list | None = [] if args.as_json and len(todo) > 1 else None
-    for experiment in todo:
-        exp_start = wall_clock()
-        if experiment == "table1":
-            result = run_table1(sweep=sweep)
-            _emit(experiment, result, result.format(), args.as_json,
-                  json_docs)
-        elif experiment == "table2":
-            rows = run_table2(apps, sweep=sweep)
-            _emit(experiment, rows, format_table2(rows), args.as_json,
-                  json_docs)
-        elif experiment == "table3":
-            result = run_table3(apps=apps, sweep=sweep)
-            _emit(experiment, result, result.format(), args.as_json,
-                  json_docs)
-        elif experiment == "figure6":
-            result = run_figure6(apps=apps, sweep=sweep)
-            _emit(experiment, result, result.format(), args.as_json,
-                  json_docs)
-        elif experiment == "figure7":
-            result = run_figure7(apps=apps, placements=placements,
-                                 sweep=sweep)
-            _emit(experiment, result, result.format(), args.as_json,
-                  json_docs)
-        elif experiment == "shootdown":
-            result = run_shootdown_ablation(sweep=sweep)
-            _emit(experiment, result, result.format(), args.as_json,
-                  json_docs)
-        elif experiment == "lockfree":
-            result = run_lockfree_ablation(sweep=sweep)
-            _emit(experiment, result, result.format(), args.as_json,
-                  json_docs)
-        elif experiment == "polling":
-            result = run_polling_ablation(
-                apps=("Em3d", "Barnes", "Gauss") if not args.apps else apps,
-                sweep=sweep)
-            _emit(experiment, result, result.format(), args.as_json,
-                  json_docs)
-        elif experiment == "sensitivity":
-            result = run_sensitivity(apps=("Em3d",) if not args.apps
-                                     else apps, sweep=sweep)
-            _emit(experiment, result, result.format(), args.as_json,
-                  json_docs)
-        if not args.as_json:
-            print()
-        print(f"[{experiment}: {wall_clock() - exp_start:.1f}s]",
-              file=sys.stderr)
-    if json_docs is not None:
-        print(json.dumps(json_docs, indent=2))
-    print(f"[{sweep.stats.summary(sweep.cache is not None)}]",
-          file=sys.stderr)
+        code = _run_modelcheck(args)
+    elif args.experiment in ("trace", "profile"):
+        code = _run_observed(args)
+    else:
+        code = _run_sweep(args)
     print(f"[{wall_clock() - start:.1f}s wall clock]", file=sys.stderr)
-    return 0
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from ..config import MachineConfig
 from ..stats.report import format_table
 from .configs import EXPERIMENT_PAGE_BYTES
-from .sweep import RunSpec, Sweep
+from .sweep import RunSpec, run_cells
 
 #: The placement ladder, (nodes, procs_per_node): 32 to 512 processors.
 LADDER = ((8, 4), (16, 4), (16, 8), (32, 8), (64, 8))
@@ -116,7 +116,6 @@ def run_scale(apps: tuple[str, ...] = SCALE_APPS,
               barrier: str = "tree", sweep=None) -> ScaleResults:
     """Run the scaling ladder: one sequential cell per app plus one
     cell per (app, rung), all in one sweep."""
-    sweep = sweep if sweep is not None else Sweep()
     if ladder is None:
         ladder = QUICK_LADDER if quick else LADDER
     params_by_app = QUICK_PARAMS if quick else SCALE_PARAMS
@@ -131,7 +130,7 @@ def run_scale(apps: tuple[str, ...] = SCALE_APPS,
                                   scale_config(nodes, ppn, barrier),
                                   params=params)
                   for nodes, ppn in ladder]
-    cells = iter(sweep.run(specs))
+    cells = iter(run_cells(specs, sweep))
     for app_name in apps:
         seq_us = next(cells).exec_time_us
         results.seq_time_s[app_name] = seq_us / 1e6
@@ -154,10 +153,3 @@ def run_scale(apps: tuple[str, ...] = SCALE_APPS,
             }
         results.rows[app_name] = per
     return results
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-    args = sys.argv[1:]
-    apps = tuple(a for a in args if a in SCALE_APPS) or SCALE_APPS
-    print(run_scale(apps=apps, quick="--quick" in args).format())

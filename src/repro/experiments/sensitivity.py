@@ -65,9 +65,3 @@ def run_sensitivity(apps: tuple[str, ...] = ("Em3d",),
             results.ratio[app_name][scale] = {
                 p: times[p] / times["2L"] for p in times}
     return results
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-    apps = tuple(sys.argv[1:]) or ("Em3d",)
-    print(run_sensitivity(apps=apps).format())

@@ -66,7 +66,3 @@ def run_shootdown_ablation(
         results.shootdowns[app_name] = {
             k: int(c.table3["shootdowns"]) for k, c in runs.items()}
     return results
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_shootdown_ablation().format())

@@ -13,9 +13,11 @@ turns that structure into a first-class object:
   ``RunSpec -> CellResult``.
 * :func:`run_cells` — executes a list of specs, serially by default or
   on a :class:`concurrent.futures.ProcessPoolExecutor` when ``jobs > 1``
-  (``--jobs N`` on the CLI, or the ``CASHMERE_JOBS`` environment
-  variable). Results are merged back **in spec order**, so parallel
-  output is byte-identical to serial output by construction.
+  (``--jobs N`` on the CLI). Results are merged back **in spec order**,
+  so parallel output is byte-identical to serial output by
+  construction. A :class:`Sweep` remembers every result it has seen,
+  so a spec repeated within one call or across experiments sharing the
+  sweep executes once.
 * :class:`ResultCache` — an on-disk content-addressed memo table
   (default ``.cashmere-cache/``, overridable via ``CASHMERE_CACHE_DIR``).
   The key hashes the RunSpec together with the package version and a
@@ -44,6 +46,7 @@ from dataclasses import dataclass, field
 from .. import __version__
 from ..apps import make_app
 from ..config import CostModel, MachineConfig
+from ..errors import ConfigError
 from ..runtime.api import SharedSegment
 from ..runtime.program import run_app
 from ..runtime.sequential import run_sequential
@@ -242,26 +245,19 @@ class ResultCache:
     """Pickled :class:`CellResult` objects keyed by :func:`cache_key`.
 
     Layout: ``<root>/<key[:2]>/<key>.pkl`` (two-level fan-out keeps
-    directories small). ``mode`` is ``"on"`` (read and write, the
-    default), or ``"refresh"`` (never read, always write — the
-    ``--refresh`` escape hatch; ``--no-cache`` simply passes no cache at
-    all). Writes are atomic (temp file + rename), so concurrent sweeps
-    sharing a cache directory can only ever observe complete entries.
+    directories small). Writes are atomic (temp file + rename), so
+    concurrent sweeps sharing a cache directory can only ever observe
+    complete entries.
     """
 
-    def __init__(self, root: str | None = None, mode: str = "on") -> None:
-        if mode not in ("on", "refresh"):
-            raise ValueError(f"unknown cache mode {mode!r}")
+    def __init__(self, root: str | None = None) -> None:
         self.root = root or os.environ.get("CASHMERE_CACHE_DIR") \
             or DEFAULT_CACHE_DIR
-        self.mode = mode
 
     def path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], key + ".pkl")
 
     def get(self, spec: RunSpec) -> CellResult | None:
-        if self.mode == "refresh":
-            return None
         try:
             with open(self.path(cache_key(spec)), "rb") as fh:
                 entry = pickle.load(fh)
@@ -294,21 +290,6 @@ class ResultCache:
 # --- the sweep driver ---------------------------------------------------------
 
 
-def resolve_jobs(jobs: int | None) -> int:
-    """Effective worker count: explicit ``jobs`` wins, then the
-    ``CASHMERE_JOBS`` environment variable, then 1 (serial — tests and
-    CI are deterministic by construction, parallelism is opt-in)."""
-    if jobs is None:
-        env = os.environ.get("CASHMERE_JOBS", "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"CASHMERE_JOBS={env!r} is not an integer") from None
-    return max(1, jobs or 1)
-
-
 @dataclass
 class SweepStats:
     """Hit/miss/execution counters, accumulated across experiments."""
@@ -331,60 +312,64 @@ class SweepStats:
 
 @dataclass
 class Sweep:
-    """How to execute cells: parallelism plus an optional result cache.
+    """How to execute cells: parallelism, an optional result cache, and
+    an in-process memo.
 
-    The library default (``Sweep()``) is serial with no cache, so direct
-    calls to ``run_table3()`` and friends behave exactly as before —
-    except that ``CASHMERE_JOBS`` can still fan them out. The CLI
-    constructs one Sweep per invocation with the cache enabled, shared
-    across every experiment of an ``all`` run so common cells (e.g. the
-    sequential baselines used by both Table 2 and Figure 7) execute
-    once.
+    The library default (``Sweep()``) is serial with no disk cache. The
+    CLI constructs one Sweep per invocation, shared across every
+    experiment of an ``all`` run. ``memo`` maps every spec the sweep has
+    executed or read from disk to its result, so a cell that several
+    experiments read (Table 3 and Figure 6 are the same 32 runs)
+    executes once even under ``--no-cache``. The results are shared,
+    not copied: an experiment must never mutate a cell it is handed.
     """
 
-    jobs: int | None = None
+    jobs: int = 1
     cache: ResultCache | None = None
     stats: SweepStats = field(default_factory=SweepStats)
+    memo: dict[RunSpec, CellResult] = field(default_factory=dict,
+                                            init=False, repr=False)
 
-    def run(self, specs: list[RunSpec]) -> list[CellResult]:
-        return run_cells(specs, self)
+    def __post_init__(self) -> None:
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
 
 
 def run_cells(specs: list[RunSpec], sweep: Sweep | None = None) \
         -> list[CellResult]:
     """Execute every spec; returns results in spec order.
 
-    Cache hits are filled in first; the misses run serially or on a
-    process pool. The merge is positional, so for a fixed spec list the
-    output — and everything assembled from it — is identical no matter
-    how many workers ran or which cells were cached.
+    Memo and cache hits are filled in first, and a spec repeated in
+    ``specs`` counts as a hit after its first occurrence; the misses run
+    serially or on a process pool. The merge is positional, so for a
+    fixed spec list the output — and everything assembled from it — is
+    identical no matter how many workers ran or which cells were cached.
     """
     sweep = sweep if sweep is not None else Sweep()
-    results: list[CellResult | None] = [None] * len(specs)
-    pending: list[int] = []
-    for i, spec in enumerate(specs):
+    memo = sweep.memo
+    pending: dict[RunSpec, None] = {}  # a set that keeps spec order
+    for spec in specs:
+        if spec in memo or spec in pending:
+            sweep.stats.hits += 1
+            continue
         cached = sweep.cache.get(spec) if sweep.cache else None
         if cached is not None:
-            results[i] = cached
+            memo[spec] = cached
             sweep.stats.hits += 1
         else:
-            pending.append(i)
+            pending[spec] = None
             if sweep.cache:
                 sweep.stats.misses += 1
-    jobs = resolve_jobs(sweep.jobs)
     if pending:
-        if jobs > 1 and len(pending) > 1:
+        if sweep.jobs > 1 and len(pending) > 1:
             with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(pending))) as pool:
-                futures = [(i, pool.submit(execute_cell, specs[i]))
-                           for i in pending]
-                for i, future in futures:
-                    results[i] = future.result()
+                    max_workers=min(sweep.jobs, len(pending))) as pool:
+                executed = list(pool.map(execute_cell, pending))
         else:
-            for i in pending:
-                results[i] = execute_cell(specs[i])
+            executed = [execute_cell(spec) for spec in pending]
         sweep.stats.executed += len(pending)
-        if sweep.cache:
-            for i in pending:
-                sweep.cache.put(specs[i], results[i])
-    return results  # type: ignore[return-value]
+        for spec, result in zip(pending, executed):
+            memo[spec] = result
+            if sweep.cache:
+                sweep.cache.put(spec, result)
+    return [memo[spec] for spec in specs]

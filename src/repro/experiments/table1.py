@@ -209,7 +209,3 @@ PAPER_TABLE1 = {
     "page_transfer_local": {"2L": None, "1LD": 467.0},
     "page_transfer_remote": {"2L": 824.0, "1LD": 777.0},
 }
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_table1().format())

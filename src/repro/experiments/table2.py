@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from ..apps import make_app
 from ..stats.report import format_table
-from .configs import APP_ORDER, FULL_PLATFORM, bench_params
+from .configs import APP_ORDER, FULL_PLATFORM
 from .sweep import RunSpec, run_cells
 
 
@@ -33,7 +33,7 @@ def run_table2(apps: tuple[str, ...] = APP_ORDER,
     rows = []
     for name, cell in zip(apps, cells):
         app = make_app(name)
-        params = bench_params(app)
+        params = app.default_params()
         problem = ", ".join(f"{k}={v}" for k, v in params.items())
         rows.append(Table2Row(
             app=name,
@@ -58,7 +58,3 @@ def format_table2(rows: list[Table2Row]) -> str:
         details.append(f"  {r.app:7s} {r.problem}   "
                        f"(paper: {r.paper_problem})")
     return out + "\n" + "\n".join(details)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_table2(run_table2()))

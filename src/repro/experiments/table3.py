@@ -79,9 +79,3 @@ def run_table3(apps: tuple[str, ...] = APP_ORDER,
         for protocol in protocols:
             results.stats[app_name][protocol] = next(cells).table3
     return results
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-    apps = tuple(sys.argv[1:]) or APP_ORDER
-    print(run_table3(apps=apps).format())

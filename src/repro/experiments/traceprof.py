@@ -16,7 +16,7 @@ from dataclasses import replace
 from ..apps import make_app
 from ..runtime.program import RunResult, run_app
 from ..trace import ContentionProfile, write_chrome_trace
-from .configs import APP_ORDER, FULL_PLATFORM, bench_params
+from .configs import APP_ORDER, FULL_PLATFORM
 
 #: Default platform for traced runs: a reduced 4x2 placement so the
 #: exported trace stays readable (and small) in the viewer. Pass
@@ -39,7 +39,7 @@ def run_traced(app_name: str, protocol: str = "2L",
     """One traced execution of ``app_name`` at experiment scale."""
     app = make_app(resolve_app_name(app_name))
     cfg = replace(config or TRACE_PLATFORM, tracing=True)
-    return run_app(app, bench_params(app), cfg, protocol)
+    return run_app(app, app.default_params(), cfg, protocol)
 
 
 def run_trace_export(app_name: str, out: str, protocol: str = "2L",

@@ -1,32 +1,15 @@
-"""The determinism lint.
+"""The determinism checks (the D-rules of :mod:`repro.lint.rules`).
 
 The simulator's contract is that a run is a pure function of
-``(RunSpec, source digest)`` — that is what makes the PR 4
-content-addressed result cache sound and the differential-testing
-harness reproducible. This engine scans source for constructs that
-silently break that contract:
-
-* **D101** wall-clock reads (``time.time``, ``perf_counter``,
-  ``datetime.now``, ...) outside the sanctioned modules
-  (:data:`~repro.lint.rules.SANCTIONED_MODULES` — the audited sweep
-  entry point, which deals in real time by design).
-* **D102** the process-global RNG (``random.random``,
-  ``numpy.random.rand``, ...) or an unseeded generator construction
-  (``random.Random()`` / ``numpy.random.default_rng()`` with no
-  arguments).
-* **D103** iteration over a set literal or ``set()``/``frozenset()``
-  call: element order is not canonical across processes (string hashing
-  is salted), so anything derived from the order varies run to run.
-* **D104** ``id()`` used as a dict/collection key or as a sort key:
-  CPython identity values differ between runs.
-* **D105** environment-variable reads outside the sanctioned modules:
-  a hidden input the result-cache key cannot see.
-* **D106** mutation of a frozen spec object (``object.__setattr__``
-  outside ``__init__``-family methods, or attribute assignment to a
-  local known to hold a ``RunSpec``/``MachineConfig``/``CostModel``).
-
-Resolution is import-aware: ``import numpy as np; np.random.rand()``
-and ``from time import perf_counter; perf_counter()`` are both caught.
+``(RunSpec, source digest)`` — that is what makes the content-addressed
+result cache sound and the differential-testing harness reproducible.
+:class:`DeterminismChecker` flags the constructs that silently break
+it: wall-clock reads (D101) and environment reads (D105) outside the
+sanctioned sweep module, the global or an unseeded RNG (D102), set
+iteration (D103), ``id()`` keys (D104) and mutation of a frozen spec
+(D106). Resolution is import-aware: ``import numpy as np;
+np.random.rand()`` and ``from time import perf_counter;
+perf_counter()`` are both caught.
 """
 
 from __future__ import annotations
@@ -41,12 +24,8 @@ Reporter = Callable[[str, int, int, str], None]
 
 
 def is_sanctioned(display: str) -> bool:
-    """May this file read wall clock / environment?
-
-    ``display`` is the path as the linter shows it (platform
-    separators allowed). A file qualifies by its basename
-    (:data:`SANCTIONED_MODULES`).
-    """
+    """May this file read wall clock / environment? (By basename, with
+    either path separator; :data:`SANCTIONED_MODULES`.)"""
     base = display.replace("\\", "/").rsplit("/", 1)[-1]
     return base in SANCTIONED_MODULES
 
@@ -153,15 +132,14 @@ class DeterminismChecker(ast.NodeVisitor):
 
     # --- scope tracking -------------------------------------------------
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+    def _visit_function(
+            self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         self.func_stack.append(node.name)
         self.generic_visit(node)
         self.func_stack.pop()
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self.func_stack.append(node.name)
-        self.generic_visit(node)
-        self.func_stack.pop()
+    visit_FunctionDef = _visit_function
+    visit_AsyncFunctionDef = _visit_function
 
     # --- calls: D101/D102/D104/D105/D106 --------------------------------
 
@@ -325,9 +303,6 @@ class DeterminismChecker(ast.NodeVisitor):
 
 def check_determinism(tree: ast.AST, display: str,
                       report: Reporter) -> None:
-    """Run the determinism checks over one parsed file.
-
-    ``display`` is the file's displayed path (not just the basename),
-    so package-level sanctioning can match directory membership.
-    """
+    """Run the determinism checks over one parsed file, reporting
+    against its displayed path ``display``."""
     DeterminismChecker(display, report).check(tree)

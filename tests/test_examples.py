@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from repro.lint import run as lint_run
+from repro.lint import findings
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLES = os.path.join(REPO, "examples")
@@ -42,5 +42,5 @@ def test_example_runs_quick(script, monkeypatch, capsys):
 
 
 def test_examples_lint_clean():
-    result = lint_run([EXAMPLES])
-    assert result.diagnostics == [], result.format_text()
+    found = list(findings(EXAMPLES))
+    assert found == [], "\n".join(found)

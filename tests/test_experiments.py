@@ -137,6 +137,20 @@ class TestRunnerCLI:
         assert doc["traceEvents"]
         assert doc["otherData"]["app"] == "SOR"
 
+    def test_modelcheck_out_is_honoured(self, tmp_path, monkeypatch,
+                                        capsys):
+        # `--out trace.json` is the trace subcommand's default name; an
+        # explicit --out must still be where the counterexample goes.
+        import json
+        from repro.experiments.runner import main
+        monkeypatch.chdir(tmp_path)
+        assert main(["modelcheck", "--mutant", "no-notices",
+                     "--out", "trace.json"]) == 0
+        capsys.readouterr()
+        assert not (tmp_path / "counterexample.json").exists()
+        doc = json.loads((tmp_path / "trace.json").read_text())
+        assert doc["traceEvents"]
+
     def test_profile_cli(self, capsys):
         from repro.experiments.runner import main
         assert main(["profile", "sor", "--protocol", "1LD"]) == 0

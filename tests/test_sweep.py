@@ -8,8 +8,9 @@ The load-bearing properties:
    are merged back in spec order, and cells are independent.
 2. The cache round-trips bit-exact results, and is invalidated by any
    RunSpec field change or any source-tree change (via the digest).
-3. ``--no-cache`` never touches the disk; ``--refresh`` re-executes and
-   rewrites.
+3. ``--no-cache`` never touches the disk.
+4. One sweep executes each distinct spec once: across experiments that
+   share it and within one ``run_cells`` call.
 """
 
 import dataclasses
@@ -19,12 +20,14 @@ import pickle
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.experiments import sweep as sweep_mod
 from repro.experiments.configs import FULL_PLATFORM
 from repro.experiments.sweep import (CACHE_SCHEMA, CellResult, ResultCache,
                                      RunSpec, Sweep, cache_key,
                                      config_from_key, config_key,
-                                     execute_cell, resolve_jobs, run_cells)
+                                     execute_cell, run_cells)
+from repro.experiments.figure6 import run_figure6
 from repro.experiments.figure7 import run_figure7
 from repro.experiments.table3 import run_table3
 
@@ -155,26 +158,6 @@ class TestCache:
         cache = ResultCache()
         assert cache.root == str(tmp_path / "alt")
 
-    def test_refresh_mode_reexecutes_and_rewrites(self, tmp_path):
-        cache = ResultCache(root=str(tmp_path))
-        spec = small_spec()
-        real = run_cells([spec], Sweep(cache=cache))[0]
-        # Poison the entry; a plain warm run would serve the poison.
-        poisoned = CellResult(exec_time_us=-1.0, table3=real.table3)
-        cache.put(spec, poisoned)
-        assert cache.get(spec).exec_time_us == -1.0
-        refresh = Sweep(cache=ResultCache(root=str(tmp_path),
-                                          mode="refresh"))
-        result = run_cells([spec], refresh)[0]
-        assert refresh.stats.hits == 0 and refresh.stats.executed == 1
-        assert result == real
-        # ...and the poisoned entry was rewritten with the real result.
-        assert cache.get(spec) == real
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ResultCache(mode="maybe")
-
 
 class TestNoCache:
     def test_no_cache_never_touches_disk(self, tmp_path, monkeypatch):
@@ -187,23 +170,39 @@ class TestNoCache:
 
 
 class TestJobsResolution:
-    def test_default_serial(self, monkeypatch):
-        monkeypatch.delenv("CASHMERE_JOBS", raising=False)
-        assert resolve_jobs(None) == 1
+    def test_default_serial(self):
+        assert Sweep().jobs == 1
 
-    def test_env_knob(self, monkeypatch):
-        monkeypatch.setenv("CASHMERE_JOBS", "3")
-        assert resolve_jobs(None) == 3
-        assert resolve_jobs(2) == 2  # explicit wins
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ConfigError):
+            Sweep(jobs=jobs)
 
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("CASHMERE_JOBS", "many")
-        with pytest.raises(ValueError):
-            resolve_jobs(None)
 
-    def test_floor_of_one(self):
-        assert resolve_jobs(0) == 1
-        assert resolve_jobs(-4) == 1
+class TestMemo:
+    """One sweep executes each distinct spec once."""
+
+    APPS = ("SOR", "Em3d")
+
+    def test_figure6_reuses_table3_cells(self):
+        shared = Sweep()
+        run_table3(apps=self.APPS, sweep=shared)
+        assert shared.stats.executed == 8
+        fig6 = run_figure6(apps=self.APPS, sweep=shared)
+        assert shared.stats.executed == 8 and shared.stats.hits == 8
+        fresh = run_figure6(apps=self.APPS, sweep=Sweep())
+        assert fig6.format() == fresh.format()
+        assert json.dumps(dataclasses.asdict(fig6)) == \
+            json.dumps(dataclasses.asdict(fresh))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_repeated_spec_in_one_call_executes_once(self, jobs):
+        a, b = small_spec("2L"), small_spec("1LD")
+        sweep = Sweep(jobs=jobs)
+        results = run_cells([a, b, a, a], sweep)
+        assert sweep.stats.executed == 2 and sweep.stats.hits == 2
+        assert results[0] is results[2] is results[3]
+        assert results[0] == run_cells([a], Sweep())[0]
 
 
 class TestRunnerCLI:
@@ -243,9 +242,24 @@ class TestRunnerCLI:
         assert "cache disabled" in captured.err
         assert not (tmp_path / "c").exists()
 
-    def test_refresh_flag(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("CASHMERE_CACHE_DIR", str(tmp_path))
-        self.run_cli(capsys, ["table2", "SOR"])
-        captured = self.run_cli(capsys, ["table2", "SOR", "--refresh"])
-        assert "0 hits" in captured.err
-        assert "1 simulations executed" in captured.err
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        from repro.experiments.runner import main
+        with pytest.raises(SystemExit) as exc:
+            main(["table2", "SOR", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
+
+    def test_dispatch_table_covers_every_sweep_experiment(self, capsys):
+        import re
+        from repro.experiments.runner import (EXPERIMENTS,
+                                              PAPER_EXPERIMENTS, main)
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        usage = capsys.readouterr().out
+        choices = set(re.search(r"\{([a-z0-9,]+)\}", usage)[1].split(","))
+        assert choices - {"all", "trace", "profile", "modelcheck"} == \
+            set(EXPERIMENTS)
+        assert PAPER_EXPERIMENTS == (
+            "table1", "table2", "table3", "figure6", "figure7",
+            "shootdown", "lockfree", "sensitivity", "polling")
