@@ -4,8 +4,8 @@
     python benchmarks/counts.py --write    # re-pin counts.json
 
 Runs ``benchmarks/e2e/run.py --workload W --trace`` for every workload,
-``--quick`` except for ``accesspath`` (see ``FULL``), and reads the
-contract JSON on the last line of its stdout.
+``--quick`` except for ``accesspath`` and ``observed32`` (see
+``FULL``), and reads the contract JSON on the last line of its stdout.
 Exits 1 if a ``src/repro`` layer's ``calls`` or ``entries`` rose above
 the baseline, or if a modelled count, ``sim.events`` or
 ``sim.sim_time_us`` differs from it. These are exact functions of the
@@ -32,8 +32,10 @@ BASELINE = os.path.join(HERE, "counts.json")
 WORKLOADS = ("coherence32", "accesspath", "scale", "observed32")
 #: Workloads measured with every cell: ``--quick`` keeps the first three,
 #: which for ``accesspath`` are sequential baselines that never build a
-#: ``WorkerEnv``, so the gate would not see the parallel access path.
-FULL = ("accesspath",)
+#: ``WorkerEnv``, so the gate would not see the parallel access path,
+#: and for ``observed32`` are the tracing cells, so it would not see
+#: the checker.
+FULL = ("accesspath", "observed32")
 
 #: Counts that may fall freely but must not rise (a drop is re-pinned).
 CEILING = (".calls", ".entries")
