@@ -11,9 +11,10 @@ offset, simulated time, and the racing access pair).
 The algorithm is FastTrack-flavoured: each processor carries a vector
 clock; each lock, flag word, and barrier episode carries a clock that
 release-type events join into and acquire-type events join from; each
-*touched* shared word lazily tracks its last write epoch and the last
-read epoch per processor. Same-epoch accesses collapse, so the per-word
-state stays small.
+*touched* shared page lazily gets numpy arrays holding every word's last
+write epoch and each processor's last read epoch of it, plus the latest
+epochs anywhere on the page, so a range access whose clock dominates
+them is checked with one comparison instead of one per word.
 
 Synchronization model (matching :mod:`repro.sync`):
 
@@ -24,6 +25,10 @@ Synchronization model (matching :mod:`repro.sync`):
 """
 
 from __future__ import annotations
+
+import hashlib
+
+import numpy as np
 
 from ..errors import DataRaceError
 from .events import MemoryEvent, RaceReport
@@ -38,26 +43,46 @@ MAX_RACE_REPORTS = 64
 #: frame for the generated ``__new__``.
 _new = tuple.__new__
 
+#: Read calls are numbered downwards from here, so the first read of a
+#: word since its last write holds the largest number and ``np.maximum``
+#: keeps it.
+FIRST_READ = 1 << 62
 
-class _WordState:
-    """Per-word access history: last write epoch + last read per proc."""
+_nonzero = np.count_nonzero
 
-    __slots__ = ("write", "reads")
 
-    def __init__(self) -> None:
-        self.write: MemoryEvent | None = None
-        self.reads: dict[int, MemoryEvent] = {}
+class _Page:
+    """Access history of one touched page.
+
+    Per word: the last write's processor, epoch and time (epoch 0: never
+    written). Per (processor, word): the epoch and time of the last read
+    since the word's last write and the number of the first (0: none);
+    a write clears both planes of ``reads`` at once. Per processor: its
+    latest write and latest access epoch anywhere on the page, which
+    bound every epoch above: a clock dominating them cannot race here.
+    """
+
+    __slots__ = ("wproc", "wepoch", "wtime", "reads", "repoch", "rfirst",
+                 "rtime", "wlatest", "alatest")
+
+    def __init__(self, nprocs: int, wpp: int) -> None:
+        self.wproc, self.wepoch = np.zeros((2, wpp), dtype=np.int64)
+        self.wtime = np.zeros(wpp)
+        self.reads = np.zeros((2, nprocs, wpp), dtype=np.int64)
+        self.repoch, self.rfirst = self.reads
+        self.rtime = np.zeros((nprocs, wpp))
+        self.wlatest, self.alatest = np.zeros((2, nprocs), dtype=np.int64)
 
 
 class RaceDetector:
     """Happens-before race detection over one simulated execution."""
 
     def __init__(self, cluster, *, fail_fast: bool = False) -> None:
-        self.cluster = cluster
         self.fail_fast = fail_fast
         n = cluster.num_procs
         self.nprocs = n
         self.wpp = cluster.config.words_per_page
+        self.nodes = [p.node.id for p in cluster.processors]
         #: One vector clock per processor. Each processor's own component
         #: starts at 1: with all-zero clocks, an access in a processor's
         #: first epoch would carry clock 0 and ``0 <= vc[other] == 0``
@@ -73,8 +98,10 @@ class RaceDetector:
         self._barrier_clocks: dict[int, VectorClock] = {}
         self._barrier_arrived: dict[int, int] = {}
         self._barrier_departed: dict[int, int] = {}
-        #: Lazily created per-word access state.
-        self.words: dict[int, _WordState] = {}
+        #: Per-page access state, created at the page's first access.
+        self.pages: dict[int, _Page] = {}
+        #: Number of the next read call (see ``FIRST_READ``).
+        self._seq = FIRST_READ
         #: Every race found, in detection order (capped; see counter).
         self.races: list[RaceReport] = []
         #: Total races detected (not capped).
@@ -83,11 +110,55 @@ class RaceDetector:
         #: them (a racy word has no well-defined golden value).
         self.poisoned: set[int] = set()
 
+    # --- access history ----------------------------------------------------
+
+    def _event(self, kind: str, proc, page: int, offset: int, sim_time,
+               clock) -> MemoryEvent:
+        proc = int(proc)
+        return _new(MemoryEvent, (kind, proc, self.nodes[proc], page, offset,
+                                  page * self.wpp + offset, float(sim_time),
+                                  int(clock)))
+
+    def _access(self, kind: str, proc, page: int,
+                offset: int) -> MemoryEvent:
+        """The event of ``proc`` accessing the word now."""
+        pid = proc.global_id
+        return self._event(kind, pid, page, offset, proc.clock,
+                           self.vc[pid].c[pid])
+
+    def last_write(self, word: int) -> MemoryEvent | None:
+        """The last traced write of global ``word``; None if unwritten."""
+        page, offset = divmod(word, self.wpp)
+        st = self.pages.get(page)
+        if st is None or not st.wepoch[offset]:
+            return None
+        return self._event("write", st.wproc[offset], page, offset,
+                           st.wtime[offset], st.wepoch[offset])
+
+    def digest(self) -> bytes:
+        """The detector's state in canonical form, for state hashing:
+        every clock, and per touched page each word's writer and write
+        epoch and every read epoch since. Times and first-read order
+        only shape reports; they are left out."""
+        keys = sorted(self.sync_clocks)
+        touched = sorted(self.pages)
+        h = hashlib.sha256(repr((keys, touched)).encode())
+        for clock in self.vc + [self.sync_clocks[key] for key in keys]:
+            h.update(clock.c)
+        for page in touched:
+            st = self.pages[page]
+            h.update(st.wproc)
+            h.update(st.wepoch)
+            h.update(st.repoch)
+        return h.digest()
+
     # --- memory accesses ---------------------------------------------------
 
-    # The FastTrack test "epoch (c, p) happens-before my clock vc" is
-    # ``c <= vc[p]`` (VectorClock.dominates_epoch); the access hooks
-    # below test ``c > vc[p]`` on the clock's list directly.
+    # FastTrack's "epoch (c, p) happens-before clock vc" is ``c <= vc[p]``,
+    # run on a page's latest epochs first and per word only if that
+    # fails; epoch 0 (nothing recorded) never fails it. Under
+    # ``fail_fast`` an access stops at its first racing word, as a
+    # word-by-word loop would: earlier words recorded, that one counted.
 
     def _report(self, proc, first: MemoryEvent,
                 second: MemoryEvent) -> None:
@@ -99,74 +170,84 @@ class RaceDetector:
                 word=second.word, page=second.page, offset=second.offset,
                 first=first, second=second))
         if self.fail_fast:
+            proc.stats.counters["check_events"] += 1
             raise DataRaceError(self.races[-1].describe())
 
     def on_read(self, proc, page: int, offset: int) -> MemoryEvent:
         """Trace one word read; flag a write-read race if concurrent."""
         self.on_read_range(proc, page, offset, offset + 1)
-        return self.words[page * self.wpp + offset].reads[proc.global_id]
+        return self._access("read", proc, page, offset)
 
     def on_write(self, proc, page: int, offset: int) -> MemoryEvent:
         """Trace one word write; flag any concurrent prior read/write."""
         self.on_write_range(proc, page, offset, offset + 1)
-        return self.words[page * self.wpp + offset].write
+        return self._access("write", proc, page, offset)
 
     def on_read_range(self, proc, page: int, lo: int, hi: int) -> None:
-        """Trace reads of words ``[lo, hi)`` of ``page``, in order; flag a
-        write-read race on each whose last write is concurrent. The
-        accessor's clock, epoch, node and time are bound once."""
+        """Trace reads of words ``[lo, hi)`` of ``page``; flag a
+        write-read race on each whose last write is concurrent, in word
+        order."""
         pid = proc.global_id
-        node, t = proc.node.id, proc.clock
-        my_c = self.vc[pid].c
-        epoch = my_c[pid]
-        counters = proc.stats.counters
-        words = self.words
-        word = page * self.wpp + lo
-        for offset in range(lo, hi):
-            counters["check_events"] += 1
-            ev = _new(MemoryEvent, ("read", pid, node, page, offset, word,
-                                    t, epoch))
-            ws = words.get(word)
-            if ws is None:
-                ws = words[word] = _WordState()
-            w = ws.write
-            if w is not None and w.proc != pid and w.clock > my_c[w.proc]:
-                self._report(proc, w, ev)
-            ws.reads[pid] = ev
-            word += 1
+        myc = self.vc[pid].c
+        epoch = myc[pid]
+        st = self.pages.get(page)
+        if st is None:
+            st = self.pages[page] = _Page(self.nprocs, self.wpp)
+        racy, stop = (), hi
+        if _nonzero(st.wlatest > myc):
+            ww = st.wepoch[lo:hi] > myc[st.wproc[lo:hi]]
+            if _nonzero(ww):
+                racy = np.flatnonzero(ww).tolist()
+                if self.fail_fast:
+                    stop = lo + racy[0]
+        ranks = st.rfirst[pid, lo:stop]
+        np.maximum(ranks, self._seq, out=ranks)
+        self._seq -= 1
+        st.repoch[pid, lo:stop] = epoch
+        st.rtime[pid, lo:stop] = proc.clock
+        st.alatest[pid] = epoch
+        proc.stats.counters["check_events"] += stop - lo
+        for k in racy:
+            self._report(proc, self.last_write(page * self.wpp + lo + k),
+                         self._access("read", proc, page, lo + k))
 
     def on_write_range(self, proc, page: int, lo: int, hi: int) -> None:
-        """Trace writes of words ``[lo, hi)`` of ``page``, in order; flag
-        any concurrent prior read or write of each."""
+        """Trace writes of words ``[lo, hi)`` of ``page``; flag each
+        concurrent prior access, in word order: the write first, then
+        the readers in the order they first read the word."""
         pid = proc.global_id
-        node, t = proc.node.id, proc.clock
-        my_c = self.vc[pid].c
-        epoch = my_c[pid]
-        counters = proc.stats.counters
-        words = self.words
-        word = page * self.wpp + lo
-        for offset in range(lo, hi):
-            counters["check_events"] += 1
-            ev = _new(MemoryEvent, ("write", pid, node, page, offset, word,
-                                    t, epoch))
-            ws = words.get(word)
-            if ws is None:
-                ws = words[word] = _WordState()
-            else:
-                w = ws.write
-                if w is not None and w.proc != pid \
-                        and w.clock > my_c[w.proc]:
-                    self._report(proc, w, ev)
-                reads = ws.reads
-                if reads:
-                    for r in reads.values():
-                        if r.proc != pid and r.clock > my_c[r.proc]:
-                            self._report(proc, r, ev)
-                    reads.clear()
-            # This write happens-after (or races with) everything
-            # recorded; it becomes the sole history for the word.
-            ws.write = ev
-            word += 1
+        myc = self.vc[pid].c
+        epoch = myc[pid]
+        st = self.pages.get(page)
+        if st is None:
+            st = self.pages[page] = _Page(self.nprocs, self.wpp)
+        firsts, stop = [], hi
+        if _nonzero(st.alatest > myc):
+            ww = st.wepoch[lo:hi] > myc[st.wproc[lo:hi]]
+            rr = st.repoch[:, lo:hi] > myc[:, None]
+            if _nonzero(ww) or _nonzero(rr):
+                for k in np.flatnonzero(ww | rr.any(axis=0)).tolist():
+                    o = lo + k
+                    if ww[k]:
+                        firsts.append(self.last_write(page * self.wpp + o))
+                    readers = np.flatnonzero(rr[:, k])
+                    for q in readers[np.argsort(-st.rfirst[readers, o])]:
+                        firsts.append(self._event("read", q, page, o,
+                                                  st.rtime[q, o],
+                                                  st.repoch[q, o]))
+                if self.fail_fast:
+                    stop = firsts[0].offset
+        # This write happens-after (or races with) everything recorded;
+        # it becomes the sole history for its words.
+        st.wproc[lo:stop] = pid
+        st.wepoch[lo:stop] = epoch
+        st.wtime[lo:stop] = proc.clock
+        st.reads[:, :, lo:stop] = 0
+        st.wlatest[pid] = st.alatest[pid] = epoch
+        proc.stats.counters["check_events"] += stop - lo
+        for first in firsts:
+            self._report(proc, first,
+                         self._access("write", proc, page, first.offset))
 
     # --- synchronization events -------------------------------------------
 

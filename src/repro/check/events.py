@@ -1,13 +1,14 @@
 """Event records and race reports: the provenance the checker surfaces.
 
-Every traced shared-memory access becomes a :class:`MemoryEvent`
-carrying enough context to reconstruct *what happened where and when*:
-the processor (and its node), the page and word offset, the simulated
-time, and the access epoch used for the happens-before test. A
+A :class:`MemoryEvent` carries enough context to reconstruct *what
+happened where and when* for one traced shared-memory access: the
+processor (and its node), the page and word offset, the simulated time,
+and the access epoch used for the happens-before test. A
 :class:`RaceReport` pairs the two conflicting events.
 
-One event is built per checked word, so :class:`MemoryEvent` is an
-immutable tuple record (DESIGN.md §8), cheap to build.
+The detector keeps its access history in per-page arrays (DESIGN.md
+§7) and builds events only for reports, the word hooks and the
+oracle's errors; :class:`MemoryEvent` is an immutable tuple record.
 """
 
 from __future__ import annotations

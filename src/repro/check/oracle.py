@@ -64,24 +64,24 @@ class CoherenceOracle:
 
     def check_read(self, ev: MemoryEvent, value: float) -> None:
         """A read must observe the happens-before-latest write's value."""
+        expected = self.golden[ev.word]
+        if value == expected:
+            return
         det = self.detector
         if ev.word in det.poisoned:
             return
-        ws = det.words.get(ev.word)
-        w = ws.write if ws is not None else None
+        w = det.last_write(ev.word)
         if w is not None and w.proc != ev.proc and not \
                 det.vc[ev.proc].dominates_epoch(w.clock, w.proc):
             return  # racing write: the race report covers it
-        expected = self.golden[ev.word]
-        if value != expected:
-            raise CoherenceViolation(
-                f"stale read: {ev.describe()} returned {value!r}, but the "
-                f"happens-before latest write"
-                f"{' (' + w.describe() + ')' if w is not None else ''} "
-                f"left {expected!r}",
-                check="read-value", page=ev.page, offset=ev.offset,
-                word=ev.word, expected=float(expected), actual=float(value),
-                event=ev)
+        raise CoherenceViolation(
+            f"stale read: {ev.describe()} returned {value!r}, but the "
+            f"happens-before latest write"
+            f"{' (' + w.describe() + ')' if w is not None else ''} "
+            f"left {expected!r}",
+            check="read-value", page=ev.page, offset=ev.offset,
+            word=ev.word, expected=float(expected), actual=float(value),
+            event=ev)
 
     # --- global checks -----------------------------------------------------
 
@@ -118,8 +118,7 @@ class CoherenceOracle:
                 word = page * wpp + int(off)
                 if word in poisoned:
                     continue
-                ws = self.detector.words.get(word)
-                last = ws.write if ws is not None else None
+                last = self.detector.last_write(word)
                 raise CoherenceViolation(
                     f"authoritative copy of page {page} diverges from the "
                     f"golden image at {label}: word {int(off)} (global "

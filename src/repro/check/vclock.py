@@ -5,10 +5,13 @@ of its own clock doubles as its *epoch* counter (FastTrack-style): it is
 incremented at every release-type synchronization event, so all accesses
 inside one sync-free region share one epoch and a single ``(clock,
 proc)`` pair represents them when checking happens-before against
-another processor's vector clock.
+another processor's vector clock. The components are a numpy array, so
+the detector compares a page's epochs with a clock in one operation.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class VectorClock:
@@ -17,38 +20,17 @@ class VectorClock:
     __slots__ = ("c",)
 
     def __init__(self, nprocs: int) -> None:
-        self.c = [0] * nprocs
+        self.c = np.zeros(nprocs, dtype=np.int64)
 
-    def copy(self) -> "VectorClock":
-        vc = VectorClock.__new__(VectorClock)
-        vc.c = list(self.c)
-        return vc
-
-    def __getitem__(self, proc: int) -> int:
-        return self.c[proc]
-
-    def __len__(self) -> int:
-        return len(self.c)
-
-    def tick(self, proc: int) -> int:
+    def tick(self, proc: int) -> None:
         """Advance ``proc``'s own component (start a new epoch)."""
         self.c[proc] += 1
-        return self.c[proc]
 
-    def join(self, other: "VectorClock") -> bool:
-        """Elementwise maximum, in place; True when anything advanced."""
-        changed = False
-        mine, theirs = self.c, other.c
-        for i in range(len(mine)):
-            if theirs[i] > mine[i]:
-                mine[i] = theirs[i]
-                changed = True
-        return changed
+    def join(self, other: "VectorClock") -> None:
+        """Elementwise maximum, in place."""
+        np.maximum(self.c, other.c, out=self.c)
 
     def dominates_epoch(self, clock: int, proc: int) -> bool:
         """Does an event at epoch ``(clock, proc)`` happen-before this
         clock's owner? (The FastTrack ``epoch <= VC`` test.)"""
         return clock <= self.c[proc]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VC{self.c}"

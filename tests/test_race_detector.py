@@ -14,12 +14,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.apps import make_app
 from repro.apps.base import Application
 from repro.check import CheckContext, attach_checker
-from repro.check.detector import _WordState
-from repro.check.events import MemoryEvent
 from repro.cluster.machine import Cluster
 from repro.config import MachineConfig
 from repro.errors import CoherenceViolation, DataRaceError
@@ -27,6 +27,8 @@ from repro.protocol import make_protocol
 from repro.runtime.program import ParallelRuntime
 from repro.sim.process import Compute, ProcessGroup
 from repro.sync import Barrier, FlagSet, MCLock
+
+from .per_word_detector import PerWordCheckContext
 
 PROTOCOLS = ["2L", "2LS", "1LD", "1L"]
 
@@ -383,101 +385,44 @@ def test_run_app_under_checking_context_manager():
 # The range hooks against a per-word reference.
 # --------------------------------------------------------------------------
 
-class PerWordCheckContext(CheckContext):
-    """The checker as it was before the range hooks: every word of a
-    range is traced on its own, with the FastTrack test written through
-    ``VectorClock.dominates_epoch``, and every read goes through the
-    oracle. The range path must be indistinguishable from it."""
-
-    def _read(self, proc, page, offset):
-        det = self.detector
-        proc.stats.bump("check_events")
-        pid = proc.global_id
-        word = page * det.wpp + offset
-        ev = MemoryEvent("read", pid, proc.node.id, page, offset, word,
-                         proc.clock, det.vc[pid][pid])
-        ws = det.words.get(word)
-        if ws is None:
-            ws = det.words[word] = _WordState()
-        w = ws.write
-        if w is not None and w.proc != pid \
-                and not det.vc[pid].dominates_epoch(w.clock, w.proc):
-            det._report(proc, w, ev)
-        ws.reads[pid] = ev
-        return ev
-
-    def _write(self, proc, page, offset):
-        det = self.detector
-        proc.stats.bump("check_events")
-        pid = proc.global_id
-        word = page * det.wpp + offset
-        ev = MemoryEvent("write", pid, proc.node.id, page, offset, word,
-                         proc.clock, det.vc[pid][pid])
-        ws = det.words.get(word)
-        if ws is None:
-            ws = det.words[word] = _WordState()
-        my_vc = det.vc[pid]
-        w = ws.write
-        if w is not None and w.proc != pid \
-                and not my_vc.dominates_epoch(w.clock, w.proc):
-            det._report(proc, w, ev)
-        for r in ws.reads.values():
-            if r.proc != pid and not my_vc.dominates_epoch(r.clock, r.proc):
-                det._report(proc, r, ev)
-        ws.write = ev
-        ws.reads.clear()
-        return ev
-
-    def on_load(self, proc, page, offset, value):
-        self.oracle.check_read(self._read(proc, page, offset), value)
-
-    def on_store(self, proc, page, offset, value):
-        self.oracle.record_write(self._write(proc, page, offset), value)
-
-    def on_load_range(self, proc, page, lo, values):
-        for i, value in enumerate(values):
-            self.on_load(proc, page, lo + i, value)
-
-    def on_store_range(self, proc, page, lo, values):
-        for i in range(len(values)):
-            self._write(proc, page, lo + i)
-        self.oracle.record_write_range(page, lo, values)
-
-
 CONTEXTS = (CheckContext, PerWordCheckContext)
 
 
-def _range_program(cluster, proto, barrier, *, stale=False):
+def _range_program(*, stale=False):
     """Overlapping range stores and unsynchronized range loads (racy
     unless ``stale``), disjoint stores read after a barrier (clean),
     and with ``stale`` a word of the reader's copy corrupted behind the
     protocol's back before a range load covers it."""
-    def make_worker(proc):
-        def gen():
-            rank = proc.global_id
-            if not stale:
-                proto.store_range(proc, 0, 4 * rank,
-                                  np.arange(8.0) + 10 * rank)
-                yield Compute(1.0 + rank)
-                proto.load_range(proc, 0, 0, 20)
-                proto.store(proc, 2, rank % 2, float(rank))
-                proto.load(proc, 2, 1 - rank % 2)
-            proto.store_range(proc, 1, 8 * rank, np.full(8, rank + 0.5))
-            yield Compute(1.0)
-            yield from barrier.wait(proc)
-            if stale and rank == 2:
-                proto.load_range(proc, 1, 0, 1)  # map the page
-                # Simulated protocol bug: the reader's copy goes stale.
-                proto.proc_state(proc).frames[1][3] = 99.0
-            proto.load_range(proc, 1, 0, 8 * cluster.num_procs)
-            proto.load_range(proc, 3, 5, 9)
-            yield Compute(1.0)
-            yield from barrier.wait(proc)
-        return gen()
-    return make_worker
+    def program(cluster, proto, barrier, locks):
+        def make_worker(proc):
+            def gen():
+                rank = proc.global_id
+                if not stale:
+                    proto.store_range(proc, 0, 4 * rank,
+                                      np.arange(8.0) + 10 * rank)
+                    yield Compute(1.0 + rank)
+                    proto.load_range(proc, 0, 0, 20)
+                    proto.store(proc, 2, rank % 2, float(rank))
+                    proto.load(proc, 2, 1 - rank % 2)
+                proto.store_range(proc, 1, 8 * rank, np.full(8, rank + 0.5))
+                yield Compute(1.0)
+                yield from barrier.wait(proc)
+                if stale and rank == 2:
+                    proto.load_range(proc, 1, 0, 1)  # map the page
+                    # Simulated protocol bug: the reader's copy goes stale.
+                    proto.proc_state(proc).frames[1][3] = 99.0
+                proto.load_range(proc, 1, 0, 8 * cluster.num_procs)
+                proto.load_range(proc, 3, 5, 9)
+                yield Compute(1.0)
+                yield from barrier.wait(proc)
+            return gen()
+        return make_worker
+    return program
 
 
-def _checked_run(cls, protocol, *, fail_fast=False, stale=False):
+def _checked_run(cls, protocol, program, *, fail_fast=False):
+    """Run ``program`` on a 2x2 cluster (4 pages of 64 words, 2 locks)
+    under checker class ``cls``; return everything the detector reports."""
     cfg = MachineConfig(nodes=2, procs_per_node=2, page_bytes=512,
                         shared_bytes=512 * 4, superpage_pages=2)
     cluster = Cluster(cfg)
@@ -485,9 +430,10 @@ def _checked_run(cls, protocol, *, fail_fast=False, stale=False):
     checker = cls(cluster, proto, fail_fast=fail_fast)
     proto.checker = checker
     barrier = Barrier(cluster, proto)
+    locks = [MCLock(cluster, proto, i) for i in range(2)]
     error = None
     try:
-        run(cluster, _range_program(cluster, proto, barrier, stale=stale))
+        run(cluster, program(cluster, proto, barrier, locks))
     except (DataRaceError, CoherenceViolation) as exc:
         error = f"{type(exc).__name__}: {exc}"
     det = checker.detector
@@ -498,19 +444,23 @@ def _checked_run(cls, protocol, *, fail_fast=False, stale=False):
         "poisoned": sorted(det.poisoned),
         "check_events": [p.stats.counters["check_events"]
                          for p in cluster.processors],
+        "last_writes": None if error else [
+            det.last_write(w) for w in range(4 * cfg.words_per_page)],
     }
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_range_hooks_match_per_word_reference_on_racy_program(protocol):
-    fast, ref = (_checked_run(cls, protocol) for cls in CONTEXTS)
+    fast, ref = (_checked_run(cls, protocol, _range_program())
+                 for cls in CONTEXTS)
     assert fast == ref
     assert fast["race_count"] > 0 and fast["error"] is None
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_range_hooks_fail_fast_at_the_same_word(protocol):
-    fast, ref = (_checked_run(cls, protocol, fail_fast=True)
+    fast, ref = (_checked_run(cls, protocol, _range_program(),
+                              fail_fast=True)
                  for cls in CONTEXTS)
     assert fast == ref
     assert fast["error"].startswith("DataRaceError: data race on page")
@@ -518,11 +468,151 @@ def test_range_hooks_fail_fast_at_the_same_word(protocol):
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_range_hooks_report_the_same_stale_read(protocol):
-    fast, ref = (_checked_run(cls, protocol, stale=True)
+    fast, ref = (_checked_run(cls, protocol, _range_program(stale=True))
                  for cls in CONTEXTS)
     assert fast == ref
     assert fast["error"].startswith(
         "CoherenceViolation: stale read: read of page 1 word 3")
+
+
+def _scripted(phases):
+    """A program from per-phase, per-processor op lists, with a barrier
+    after each phase. Ops: ``("load"|"store", page, lo, n)`` (one word
+    through the scalar hook, more through the range hook),
+    ``("compute", us)`` and ``("locked", lock, [accesses])``."""
+    def program(cluster, proto, barrier, locks):
+        def access(proc, op, tag):
+            kind, page, lo, n = op
+            hi = min(lo + n, cluster.config.words_per_page)
+            if kind == "load" and hi - lo == 1:
+                proto.load(proc, page, lo)
+            elif kind == "load":
+                proto.load_range(proc, page, lo, hi)
+            elif hi - lo == 1:
+                proto.store(proc, page, lo, tag)
+            else:
+                proto.store_range(proc, page, lo, np.arange(lo, hi) + tag)
+
+        def make_worker(proc):
+            def gen():
+                rank = proc.global_id
+                for p, phase in enumerate(phases):
+                    for i, op in enumerate(phase[rank]):
+                        tag = 1000.0 * rank + 100.0 * p + i
+                        if op[0] == "compute":
+                            yield Compute(op[1])
+                        elif op[0] == "locked":
+                            yield from locks[op[1]].acquire(proc)
+                            for inner in op[2]:
+                                access(proc, inner, tag)
+                                yield Compute(0.5)
+                            locks[op[1]].release(proc)
+                        else:
+                            access(proc, op, tag)
+                        yield Compute(0.5)
+                    yield from barrier.wait(proc)
+            return gen()
+        return make_worker
+    return program
+
+
+#: p3, p1 and p2 read words 0-7 of page 0 in that order (p3 twice) with
+#: nothing ordering them before p0's write of words 0-7.
+THREE_READERS = [[
+    [("compute", 900.0), ("compute", 900.0), ("store", 0, 0, 8)],
+    [("compute", 300.0), ("load", 0, 0, 8)],
+    [("compute", 600.0), ("load", 0, 2, 6)],
+    [("load", 0, 0, 8), ("compute", 700.0), ("load", 0, 0, 4)],
+]]
+
+#: p1's write of words 0-29 meets p0's earlier write of words 10-19:
+#: the first race is in the middle of p1's range.
+MID_RANGE = [[
+    [("store", 1, 10, 10)],
+    [("compute", 400.0), ("store", 1, 0, 30)],
+    [("load", 1, 40, 3)],
+    [("compute", 400.0), ("load", 1, 12, 1)],
+]]
+
+#: p0's write of words 0-7 races with p2's read of them, and p1's with
+#: p0's write only: a write leaves no reads behind.
+READ_THEN_TWO_WRITES = [[
+    [("compute", 300.0), ("store", 0, 0, 8)],
+    [("compute", 900.0), ("store", 0, 4, 8)],
+    [("load", 0, 0, 8)],
+    [],
+]]
+
+_access = st.tuples(st.sampled_from(["load", "store"]), st.integers(0, 2),
+                    st.integers(0, 56), st.sampled_from([1, 2, 8, 24]))
+_op = st.one_of(
+    _access, _access,
+    st.tuples(st.just("compute"), st.sampled_from([0.5, 5.0, 60.0, 500.0])),
+    st.tuples(st.just("locked"), st.integers(0, 1),
+              st.lists(_access, min_size=1, max_size=2)))
+_programs = st.lists(st.lists(st.lists(_op, max_size=4),
+                              min_size=4, max_size=4),
+                     min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(phases=_programs, protocol=st.sampled_from(PROTOCOLS),
+       fail_fast=st.booleans())
+@example(phases=THREE_READERS, protocol="2L", fail_fast=False)
+@example(phases=MID_RANGE, protocol="1LD", fail_fast=True)
+@example(phases=MID_RANGE, protocol="2L", fail_fast=False)
+@example(phases=READ_THEN_TWO_WRITES, protocol="2LS", fail_fast=False)
+def test_detector_matches_per_word_reference_on_random_programs(
+        phases, protocol, fail_fast):
+    """Overlapping range and word accesses, locked and unlocked, racy or
+    not: the page-array detector reports exactly what the per-word one
+    does, in the same order, and stops at the same word."""
+    fast, ref = (_checked_run(cls, protocol, _scripted(phases),
+                              fail_fast=fail_fast)
+                 for cls in CONTEXTS)
+    assert fast == ref
+
+
+def test_racing_readers_reported_in_first_read_order():
+    fast, ref = (_checked_run(cls, "2L", _scripted(THREE_READERS))
+                 for cls in CONTEXTS)
+    assert fast == ref
+    # First-read order, not processor order nor the order of the last
+    # reads' times (p3 re-read after p1 and p2 first read).
+    word2 = [line.split(" by ")[1][:2] for line in fast["races"]
+             if line.startswith("data race on page 0 word 2 ")]
+    assert word2 == ["p3", "p1", "p2"]
+    assert all("is concurrent with write" in line
+               for line in fast["races"])
+
+
+def test_fail_fast_stops_mid_range():
+    fast, ref = (_checked_run(cls, "2L", _scripted(MID_RANGE),
+                              fail_fast=True)
+                 for cls in CONTEXTS)
+    assert fast == ref
+    assert "page 1 word 10 " in fast["error"]
+    assert fast["check_events"][1] == 11
+
+
+def test_digest_ignores_times_and_read_order():
+    """Two histories with the same epochs digest alike whatever the
+    readers' order and times; a different writer does not."""
+    def digest(readers, writer=None):
+        cluster, proto, checker, *_ = build()
+        det = checker.detector
+        for rank in readers:
+            proc = cluster.processors[rank]
+            proc.clock = 10.0 * len(readers) - rank
+            det.on_read_range(proc, 1, 0, 8)
+        if writer is not None:
+            det.on_write(cluster.processors[writer], 1, 3)
+        return det.digest()
+
+    assert digest([0, 1, 2]) == digest([2, 0, 1])
+    assert digest([0, 1], writer=2) == digest([1, 0], writer=2)
+    assert digest([0, 1], writer=2) != digest([0, 1], writer=3)
+    assert digest([0, 1]) != digest([0, 2])
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -679,3 +769,22 @@ def test_water_runs_race_free():
                               protocol="2L")
     runtime.run()
     assert runtime.checker.races == []
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_barnes_force_phase_is_not_word_level_drf(protocol):
+    """Barnes's force phase reads the whole ``bodies`` array for the
+    positions while other processors write their bodies' force words
+    (4 and 5 of each 6-word body): a word-level race the checker must
+    keep reporting until the app reads positions only."""
+    app = make_app("Barnes")
+    config = MachineConfig(nodes=2, procs_per_node=2, checking=True)
+    runtime = ParallelRuntime(app, app.small_params(), config,
+                              protocol=protocol)
+    with pytest.raises(DataRaceError, match="576 data race"):
+        runtime.run()
+    det = runtime.checker.detector
+    first = det.races[0]
+    assert (first.word, first.kind) == (76, "write-read")
+    assert len(det.poisoned) == 96
+    assert {word % 6 for word in det.poisoned} == {4, 5}
