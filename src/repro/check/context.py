@@ -62,7 +62,7 @@ class CheckContext:
         det, oracle = self.detector, self.oracle
         hi = lo + len(values)
         base = page * oracle.wpp
-        differ = np.flatnonzero(values != oracle.golden[base + lo:base + hi])
+        differ = (values != oracle.golden[base + lo:base + hi]).nonzero()[0]
         start = lo
         for i in differ.tolist():
             offset = lo + i

@@ -197,7 +197,7 @@ class RaceDetector:
         if _nonzero(st.wlatest > myc):
             ww = st.wepoch[lo:hi] > myc[st.wproc[lo:hi]]
             if _nonzero(ww):
-                racy = np.flatnonzero(ww).tolist()
+                racy = ww.nonzero()[0].tolist()
                 if self.fail_fast:
                     stop = lo + racy[0]
         ranks = st.rfirst[pid, lo:stop]
@@ -226,11 +226,11 @@ class RaceDetector:
             ww = st.wepoch[lo:hi] > myc[st.wproc[lo:hi]]
             rr = st.repoch[:, lo:hi] > myc[:, None]
             if _nonzero(ww) or _nonzero(rr):
-                for k in np.flatnonzero(ww | rr.any(axis=0)).tolist():
+                for k in (ww | rr.any(axis=0)).nonzero()[0].tolist():
                     o = lo + k
                     if ww[k]:
                         firsts.append(self.last_write(page * self.wpp + o))
-                    readers = np.flatnonzero(rr[:, k])
+                    readers = rr[:, k].nonzero()[0]
                     for q in readers[np.argsort(-st.rfirst[readers, o])]:
                         firsts.append(self._event("read", q, page, o,
                                                   st.rtime[q, o],
