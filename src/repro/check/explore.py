@@ -222,7 +222,7 @@ class _World:
         return self.cluster.processors[idx]
 
     def done(self, idx: int) -> bool:
-        return self.progress[idx] >= len(self.scripts[idx])
+        return self.progress[idx] >= self.lengths[idx]
 
     def all_done(self) -> bool:
         return self.progress == self.lengths
