@@ -26,12 +26,11 @@ from .explore import (MUTANTS, Counterexample, ExplorationResult,
                       ModelChecker, MutantNoNotices, default_scripts,
                       small_config)
 from .oracle import CoherenceOracle
-from .vclock import VectorClock
 
 __all__ = [
     "CheckContext", "attach_checker",
     "RaceDetector", "CoherenceOracle",
-    "MemoryEvent", "RaceReport", "VectorClock",
+    "MemoryEvent", "RaceReport",
     "MAX_RACE_REPORTS",
     "ModelChecker", "ExplorationResult", "Counterexample",
     "MutantNoNotices", "MUTANTS", "default_scripts", "small_config",

@@ -9,8 +9,13 @@ ordered by happens-before, with full provenance (processor, page, word
 offset, simulated time, and the racing access pair).
 
 The algorithm is FastTrack-flavoured: each processor carries a vector
-clock; each lock, flag word, and barrier episode carries a clock that
-release-type events join into and acquire-type events join from; each
+clock, a numpy array with one integer component per processor; each
+lock, flag word, and barrier episode carries a clock that release-type
+events join into (elementwise maximum) and acquire-type events join
+from. A processor's own component doubles as its *epoch* counter: it
+ticks at every release-type event, so all accesses inside one sync-free
+region share one epoch, and the pair ``(clock, proc)`` happens-before
+a vector clock ``vc`` exactly when ``clock <= vc[proc]``. Each
 *touched* shared page lazily gets numpy arrays holding every word's last
 write epoch and each processor's last read epoch of it, plus the latest
 epochs anywhere on the page, so a range access whose clock dominates
@@ -32,7 +37,6 @@ import numpy as np
 
 from ..errors import DataRaceError
 from .events import MemoryEvent, RaceReport
-from .vclock import VectorClock
 
 #: Stop accumulating full reports past this many races (the counter
 #: keeps counting); racy programs can otherwise produce one report per
@@ -87,15 +91,13 @@ class RaceDetector:
         #: starts at 1: with all-zero clocks, an access in a processor's
         #: first epoch would carry clock 0 and ``0 <= vc[other] == 0``
         #: would make it look ordered before everyone else's.
-        self.vc = [VectorClock(n) for _ in range(n)]
-        for i in range(n):
-            self.vc[i].c[i] = 1
+        self.vc = list(np.eye(n, dtype=np.int64))
         #: Clocks of lock/flag sync objects, keyed by object identity
         #: tuples such as ``("lock", 3)`` or ``("flag", "rows", 7)``.
-        self.sync_clocks: dict[tuple, VectorClock] = {}
+        self.sync_clocks: dict[tuple, np.ndarray] = {}
         #: Accumulating clock + arrival/departure counts per barrier
         #: episode (pruned once everyone has departed).
-        self._barrier_clocks: dict[int, VectorClock] = {}
+        self._barrier_clocks: dict[int, np.ndarray] = {}
         self._barrier_arrived: dict[int, int] = {}
         self._barrier_departed: dict[int, int] = {}
         #: Per-page access state, created at the page's first access.
@@ -124,7 +126,7 @@ class RaceDetector:
         """The event of ``proc`` accessing the word now."""
         pid = proc.global_id
         return self._event(kind, pid, page, offset, proc.clock,
-                           self.vc[pid].c[pid])
+                           self.vc[pid][pid])
 
     def last_write(self, word: int) -> MemoryEvent | None:
         """The last traced write of global ``word``; None if unwritten."""
@@ -144,7 +146,7 @@ class RaceDetector:
         touched = sorted(self.pages)
         h = hashlib.sha256(repr((keys, touched)).encode())
         for clock in self.vc + [self.sync_clocks[key] for key in keys]:
-            h.update(clock.c)
+            h.update(clock)
         for page in touched:
             st = self.pages[page]
             h.update(st.wproc)
@@ -154,11 +156,12 @@ class RaceDetector:
 
     # --- memory accesses ---------------------------------------------------
 
-    # FastTrack's "epoch (c, p) happens-before clock vc" is ``c <= vc[p]``,
-    # run on a page's latest epochs first and per word only if that
-    # fails; epoch 0 (nothing recorded) never fails it. Under
-    # ``fail_fast`` an access stops at its first racing word, as a
-    # word-by-word loop would: earlier words recorded, that one counted.
+    # The range hooks run the happens-before test on a page's latest
+    # epochs first and per word only if that fails; epoch 0 (nothing
+    # recorded) never fails it. Under ``fail_fast`` an access stops at
+    # its first racing word, as a word-by-word loop would: earlier words
+    # recorded, that one counted. The word hooks take the same steps on
+    # numpy scalars, paying for no slices.
 
     def _report(self, proc, first: MemoryEvent,
                 second: MemoryEvent) -> None:
@@ -175,20 +178,55 @@ class RaceDetector:
 
     def on_read(self, proc, page: int, offset: int) -> MemoryEvent:
         """Trace one word read; flag a write-read race if concurrent."""
-        self.on_read_range(proc, page, offset, offset + 1)
-        return self._access("read", proc, page, offset)
+        ev = self._access("read", proc, page, offset)
+        pid, st = ev.proc, self.pages.get(page)
+        if st is None:
+            st = self.pages[page] = _Page(self.nprocs, self.wpp)
+        if st.wepoch[offset] > self.vc[pid][st.wproc[offset]]:
+            self._report(proc, self.last_write(ev.word), ev)
+        if not st.rfirst[pid, offset]:
+            st.rfirst[pid, offset] = self._seq
+        self._seq -= 1
+        st.repoch[pid, offset] = st.alatest[pid] = ev.clock
+        st.rtime[pid, offset] = ev.sim_time
+        proc.stats.counters["check_events"] += 1
+        return ev
 
     def on_write(self, proc, page: int, offset: int) -> MemoryEvent:
         """Trace one word write; flag any concurrent prior read/write."""
-        self.on_write_range(proc, page, offset, offset + 1)
-        return self._access("write", proc, page, offset)
+        ev = self._access("write", proc, page, offset)
+        pid, st = ev.proc, self.pages.get(page)
+        if st is None:
+            st = self.pages[page] = _Page(self.nprocs, self.wpp)
+        myc = self.vc[pid]
+        if st.wepoch[offset] > myc[st.wproc[offset]]:
+            self._report(proc, self.last_write(ev.word), ev)
+        racy = st.repoch[:, offset] > myc
+        if _nonzero(racy):
+            for first in self._reads(st, page, offset, racy):
+                self._report(proc, first, ev)
+        st.wproc[offset], st.wepoch[offset] = pid, ev.clock
+        st.wtime[offset] = ev.sim_time
+        st.reads[:, :, offset] = 0
+        st.wlatest[pid] = st.alatest[pid] = ev.clock
+        proc.stats.counters["check_events"] += 1
+        return ev
+
+    def _reads(self, st: _Page, page: int, offset: int,
+               racy: np.ndarray) -> list[MemoryEvent]:
+        """The last reads of the word by the processors ``racy`` flags,
+        in the order they first read it since its last write."""
+        readers = racy.nonzero()[0]
+        return [self._event("read", q, page, offset, st.rtime[q, offset],
+                            st.repoch[q, offset])
+                for q in readers[np.argsort(-st.rfirst[readers, offset])]]
 
     def on_read_range(self, proc, page: int, lo: int, hi: int) -> None:
         """Trace reads of words ``[lo, hi)`` of ``page``; flag a
         write-read race on each whose last write is concurrent, in word
         order."""
         pid = proc.global_id
-        myc = self.vc[pid].c
+        myc = self.vc[pid]
         epoch = myc[pid]
         st = self.pages.get(page)
         if st is None:
@@ -216,7 +254,7 @@ class RaceDetector:
         concurrent prior access, in word order: the write first, then
         the readers in the order they first read the word."""
         pid = proc.global_id
-        myc = self.vc[pid].c
+        myc = self.vc[pid]
         epoch = myc[pid]
         st = self.pages.get(page)
         if st is None:
@@ -230,11 +268,7 @@ class RaceDetector:
                     o = lo + k
                     if ww[k]:
                         firsts.append(self.last_write(page * self.wpp + o))
-                    readers = rr[:, k].nonzero()[0]
-                    for q in readers[np.argsort(-st.rfirst[readers, o])]:
-                        firsts.append(self._event("read", q, page, o,
-                                                  st.rtime[q, o],
-                                                  st.repoch[q, o]))
+                    firsts += self._reads(st, page, o, rr[:, k])
                 if self.fail_fast:
                     stop = firsts[0].offset
         # This write happens-after (or races with) everything recorded;
@@ -256,16 +290,17 @@ class RaceDetector:
         pid = proc.global_id
         clock = self.sync_clocks.get(key)
         if clock is None:
-            clock = self.sync_clocks[key] = VectorClock(self.nprocs)
-        clock.join(self.vc[pid])
-        self.vc[pid].tick(pid)
+            clock = self.sync_clocks[key] = np.zeros_like(self.vc[pid])
+        np.maximum(clock, self.vc[pid], out=clock)
+        self.vc[pid][pid] += 1
         proc.stats.bump("check_vc_merges")
 
     def on_acquire(self, proc, key: tuple) -> None:
         """An acquire-type event: adopt the sync object's clock."""
         clock = self.sync_clocks.get(key)
         if clock is not None:
-            self.vc[proc.global_id].join(clock)
+            mine = self.vc[proc.global_id]
+            np.maximum(mine, clock, out=mine)
             proc.stats.bump("check_vc_merges")
 
     def on_barrier_arrive(self, proc, episode: int) -> bool:
@@ -273,11 +308,12 @@ class RaceDetector:
         pid = proc.global_id
         clock = self._barrier_clocks.get(episode)
         if clock is None:
-            clock = self._barrier_clocks[episode] = VectorClock(self.nprocs)
+            clock = self._barrier_clocks[episode] = np.zeros_like(
+                self.vc[pid])
             self._barrier_arrived[episode] = 0
             self._barrier_departed[episode] = 0
-        clock.join(self.vc[pid])
-        self.vc[pid].tick(pid)
+        np.maximum(clock, self.vc[pid], out=clock)
+        self.vc[pid][pid] += 1
         proc.stats.bump("check_vc_merges")
         self._barrier_arrived[episode] += 1
         return self._barrier_arrived[episode] == self.nprocs
@@ -286,7 +322,8 @@ class RaceDetector:
         """Adopt the merged episode clock on departure."""
         clock = self._barrier_clocks.get(episode)
         if clock is not None:
-            self.vc[proc.global_id].join(clock)
+            mine = self.vc[proc.global_id]
+            np.maximum(mine, clock, out=mine)
             proc.stats.bump("check_vc_merges")
         # Prune the episode once everyone has left.
         self._barrier_departed[episode] += 1

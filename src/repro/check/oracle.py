@@ -71,8 +71,8 @@ class CoherenceOracle:
         if ev.word in det.poisoned:
             return
         w = det.last_write(ev.word)
-        if w is not None and w.proc != ev.proc and not \
-                det.vc[ev.proc].dominates_epoch(w.clock, w.proc):
+        if w is not None and w.proc != ev.proc and \
+                w.clock > det.vc[ev.proc][w.proc]:
             return  # racing write: the race report covers it
         raise CoherenceViolation(
             f"stale read: {ev.describe()} returned {value!r}, but the "

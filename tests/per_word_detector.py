@@ -42,7 +42,7 @@ class PerWordDetector(RaceDetector):
         pid = proc.global_id
         ev = MemoryEvent(kind, pid, proc.node.id, page, offset,
                          page * self.wpp + offset, proc.clock,
-                         int(self.vc[pid].c[pid]))
+                         int(self.vc[pid][pid]))
         ws = self.words.get(ev.word)
         if ws is None:
             ws = self.words[ev.word] = _WordState()
@@ -61,7 +61,7 @@ class PerWordDetector(RaceDetector):
 
     def _concurrent(self, prior, ev):
         return prior.proc != ev.proc and \
-            not self.vc[ev.proc].dominates_epoch(prior.clock, prior.proc)
+            prior.clock > self.vc[ev.proc][prior.proc]
 
     def on_read(self, proc, page, offset):
         ev, ws = self._traced("read", proc, page, offset)

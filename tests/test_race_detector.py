@@ -543,6 +543,20 @@ READ_THEN_TWO_WRITES = [[
     [],
 ]]
 
+#: THREE_READERS and READ_THEN_TWO_WRITES through the word hooks, and
+#: a word read and a word write that later range accesses of their
+#: pages must see.
+WORD_HOOKS = [[
+    [("store", 2, 7, 1), ("compute", 300.0), ("store", 0, 3, 1),
+     ("compute", 900.0), ("store", 1, 0, 8), ("compute", 900.0),
+     ("store", 0, 2, 1)],
+    [("compute", 900.0), ("store", 0, 3, 1), ("load", 0, 2, 1)],
+    [("load", 0, 3, 1), ("load", 1, 5, 1), ("compute", 900.0),
+     ("load", 0, 2, 1)],
+    [("load", 0, 2, 1), ("compute", 1500.0), ("load", 0, 2, 1),
+     ("load", 2, 0, 16)],
+]]
+
 _access = st.tuples(st.sampled_from(["load", "store"]), st.integers(0, 2),
                     st.integers(0, 56), st.sampled_from([1, 2, 8, 24]))
 _op = st.one_of(
@@ -562,6 +576,7 @@ _programs = st.lists(st.lists(st.lists(_op, max_size=4),
 @example(phases=MID_RANGE, protocol="1LD", fail_fast=True)
 @example(phases=MID_RANGE, protocol="2L", fail_fast=False)
 @example(phases=READ_THEN_TWO_WRITES, protocol="2LS", fail_fast=False)
+@example(phases=WORD_HOOKS, protocol="2L", fail_fast=False)
 def test_detector_matches_per_word_reference_on_random_programs(
         phases, protocol, fail_fast):
     """Overlapping range and word accesses, locked and unlocked, racy or
