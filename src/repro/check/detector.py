@@ -125,8 +125,9 @@ class RaceDetector:
                 offset: int) -> MemoryEvent:
         """The event of ``proc`` accessing the word now."""
         pid = proc.global_id
-        return self._event(kind, pid, page, offset, proc.clock,
-                           self.vc[pid][pid])
+        return _new(MemoryEvent, (kind, pid, proc.node.id, page, offset,
+                                  page * self.wpp + offset, proc.clock,
+                                  int(self.vc[pid][pid])))
 
     def last_write(self, word: int) -> MemoryEvent | None:
         """The last traced write of global ``word``; None if unwritten."""
@@ -138,10 +139,9 @@ class RaceDetector:
                            st.wtime[offset], st.wepoch[offset])
 
     def digest(self) -> bytes:
-        """The detector's state in canonical form, for state hashing:
-        every clock, and per touched page each word's writer and write
-        epoch and every read epoch since. Times and first-read order
-        only shape reports; they are left out."""
+        """Canonical state for hashing: every clock, and per touched page
+        each word's writer, write epoch and read epochs. Times and
+        first-read order only shape reports and are left out."""
         keys = sorted(self.sync_clocks)
         touched = sorted(self.pages)
         h = hashlib.sha256(repr((keys, touched)).encode())
@@ -214,8 +214,7 @@ class RaceDetector:
 
     def _reads(self, st: _Page, page: int, offset: int,
                racy: np.ndarray) -> list[MemoryEvent]:
-        """The last reads of the word by the processors ``racy`` flags,
-        in the order they first read it since its last write."""
+        """The ``racy`` processors' last reads, in first-read order."""
         readers = racy.nonzero()[0]
         return [self._event("read", q, page, offset, st.rtime[q, offset],
                             st.repoch[q, offset])
@@ -290,7 +289,7 @@ class RaceDetector:
         pid = proc.global_id
         clock = self.sync_clocks.get(key)
         if clock is None:
-            clock = self.sync_clocks[key] = np.zeros_like(self.vc[pid])
+            clock = self.sync_clocks[key] = np.zeros(self.nprocs, np.int64)
         np.maximum(clock, self.vc[pid], out=clock)
         self.vc[pid][pid] += 1
         proc.stats.bump("check_vc_merges")
@@ -308,8 +307,8 @@ class RaceDetector:
         pid = proc.global_id
         clock = self._barrier_clocks.get(episode)
         if clock is None:
-            clock = self._barrier_clocks[episode] = np.zeros_like(
-                self.vc[pid])
+            clock = self._barrier_clocks[episode] = np.zeros(
+                self.nprocs, np.int64)
             self._barrier_arrived[episode] = 0
             self._barrier_departed[episode] = 0
         np.maximum(clock, self.vc[pid], out=clock)
