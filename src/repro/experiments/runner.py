@@ -17,22 +17,24 @@ Usage (installed as ``cashmere-repro``)::
                               [--out counterexample.json]
 
 Every sweep experiment is one entry of :data:`EXPERIMENTS`; ``all`` runs
-the paper's nine in table order (not ``scale``). They share one
-:class:`~repro.experiments.sweep.Sweep`, so each distinct simulation
-cell executes once per invocation; ``-j N`` fans cells out over N
-worker processes, and results are memoized in a content-addressed
-on-disk cache (``.cashmere-cache/`` or ``$CASHMERE_CACHE_DIR``; any
-source change invalidates it) that ``--no-cache`` bypasses. Parallel
-and cache-served output is byte-identical to a serial cold run.
-Per-experiment wall-clock and a hit/miss summary go to stderr; the
-simulator's own host cost is measured by ``benchmarks/e2e/run.py``.
+the paper's nine in table order (not ``scale``), then prints the claims
+table of :mod:`.claims` over their results and exits 1 if a claim
+fails. They share one :class:`~repro.experiments.sweep.Sweep`, so each
+distinct simulation cell executes once per invocation; ``-j N`` fans
+cells out over N worker processes, and results are memoized in a
+content-addressed on-disk cache (``.cashmere-cache/`` or
+``$CASHMERE_CACHE_DIR``; any source change invalidates it) that
+``--no-cache`` bypasses. Parallel and cache-served output is
+byte-identical to a serial cold run. Per-experiment wall-clock and a
+hit/miss summary go to stderr; the simulator's own host cost is
+measured by ``benchmarks/e2e/run.py``.
 
 ``--quick`` restricts Figure 7 to three placements (4:1, 8:4, 32:4) and
 the scale ladder to its two smallest rungs. ``--json`` prints
 machine-readable results instead of monospace tables (for ``all``, one
-JSON array). ``trace`` exports one traced run as Chrome
-``trace_event`` JSON (https://ui.perfetto.dev); ``profile`` prints its
-contention report.
+JSON array, the claims last). ``trace`` exports one traced run as
+Chrome ``trace_event`` JSON (https://ui.perfetto.dev); ``profile``
+prints its contention report.
 
 ``modelcheck`` explores every interleaving of a 2x2x2 workload through
 the real protocol code (DESIGN.md §12), exits 1 on a violation and
@@ -142,20 +144,28 @@ def _run_sweep(args: argparse.Namespace) -> int:
     sweep = Sweep(jobs=args.jobs,
                   cache=None if args.no_cache else ResultCache())
     json_docs: list | None = [] if args.as_json and len(todo) > 1 else None
+    results = {}
     for name in todo:
         exp_start = wall_clock()
-        result = EXPERIMENTS[name](apps, args.quick, sweep)
+        result = results[name] = EXPERIMENTS[name](apps, args.quick, sweep)
         formatted = format_table2(result) if name == "table2" \
             else result.format()
         _emit(name, result, formatted, args.as_json, json_docs)
         if not args.as_json:
             print()
         print(f"[{name}: {wall_clock() - exp_start:.1f}s]", file=sys.stderr)
+    failed = False
+    if args.experiment == "all":
+        from .claims import check, format_claims
+        outcomes = check(results, filtered=bool(apps))
+        _emit("claims", [o.to_json() for o in outcomes],
+              format_claims(outcomes), args.as_json, json_docs)
+        failed = any(o.status == "FAIL" for o in outcomes)
     if json_docs is not None:
         print(json.dumps(json_docs, indent=2))
     print(f"[{sweep.stats.summary(sweep.cache is not None)}]",
           file=sys.stderr)
-    return 0
+    return 1 if failed else 0
 
 
 def _run_modelcheck(args: argparse.Namespace) -> int:

@@ -52,6 +52,8 @@ class TestTable1:
         assert "Lock Acquire" in out
         assert results.lock_acquire["2L"] > results.lock_acquire["1LD"]
         assert results.page_transfer_remote["1LD"] > 0
+        # Two-level nodes share the frame in hardware: no local transfer.
+        assert results.page_transfer_local["2L"] is None
 
 
 class TestTable2:
@@ -59,7 +61,7 @@ class TestTable2:
         rows = run_table2(apps=("SOR", "Em3d"))
         out = format_table2(rows)
         assert "SOR" in out and "Em3d" in out
-        assert all(r.seq_time_s > 0 for r in rows)
+        assert all(r.seq_time_s > 0 and r.shared_kbytes > 0 for r in rows)
 
 
 class TestSmallScaleHarnesses:

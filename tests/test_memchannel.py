@@ -34,6 +34,8 @@ class TestVersionedWord:
         w.write(7.0, 2)  # accepted second: ordered after the first
         assert w.read(9.0) == 0
         assert w.read(11.0) == 2
+        times = [t for t, _ in w._history]
+        assert times == sorted(times)
 
     def test_history_pruning_keeps_latest(self):
         w = VersionedWord(0)

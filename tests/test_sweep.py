@@ -218,10 +218,10 @@ class TestRunnerCLI:
         captured = self.run_cli(capsys, ["all", "SOR", "--quick",
                                          "--json"])
         docs = json.loads(captured.out)
-        assert isinstance(docs, list) and len(docs) == 9
+        assert isinstance(docs, list) and len(docs) == 10
         assert [d["experiment"] for d in docs] == [
             "table1", "table2", "table3", "figure6", "figure7",
-            "shootdown", "lockfree", "sensitivity", "polling"]
+            "shootdown", "lockfree", "sensitivity", "polling", "claims"]
         assert "misses" in captured.err and "hits" in captured.err
 
     def test_warm_rerun_executes_nothing_and_matches(self, capsys,
