@@ -19,16 +19,15 @@ the simulator can produce for the given scripts.
 
 Checked at every step, via the same machinery application runs use:
 
-* **structural invariants** — :meth:`BaseProtocol.check_invariants`
-  (single exclusive writer per page, directory words agree with page
-  tables, masters present);
+* **structural invariants** — the ``always`` rows of
+  :mod:`repro.protocol.invariants`;
 * **no stale reads** — every ``load`` flows through an attached
   :class:`~repro.check.CheckContext`, whose coherence oracle compares
   the value read against the golden image (release consistency's
   contract for data-race-free programs);
-* **quiescent content** — when every script has finished, the oracle's
-  global check compares every page's authoritative copy against the
-  golden image, word for word.
+* **quiescent state** — when every script has finished, the oracle's
+  global check: every row of the table, and every page's authoritative
+  copy against the golden image, word for word.
 
 States are deduplicated: two schedules that reach the same protocol
 state (same per-processor progress, same directory / page tables /
@@ -55,7 +54,7 @@ from ..cluster.machine import Cluster, Processor
 from ..config import MachineConfig
 from ..errors import (CashmereError, CoherenceViolation, InvariantViolation,
                       ProtocolError)
-from ..protocol import make_protocol
+from ..protocol import invariants, make_protocol
 from ..protocol.cashmere2l import Cashmere2L
 from .context import attach_checker
 
@@ -275,7 +274,7 @@ class _World:
             raise ProtocolError(f"unknown model-check op {op!r}")
         self.progress[idx] += 1
         if check:
-            proto.check_invariants()
+            invariants.check(proto)
         if self.all_done():
             self.checker.oracle.check_global("end of schedule")
 
@@ -307,9 +306,9 @@ class _World:
         for owner in range(proto.num_owners):
             parts.append(tuple(tuple(row)
                                for row in proto.tables[owner].rows))
-            frames = proto.frames.frames_of(owner)
-            parts.append(tuple(sorted(
-                (page, arr.tobytes()) for page, arr in frames.items())))
+            for pages in (proto.frames.frames_of(owner), proto.twins[owner]):
+                parts.append(tuple(sorted(
+                    (page, arr.tobytes()) for page, arr in pages.items())))
             board = proto.boards[owner]
             parts.append(tuple(tuple(
                 (wn.page, wn.from_owner, round(wn.visible_at, 6))
@@ -321,20 +320,12 @@ class _World:
                           st.acquire_ts,
                           tuple(sorted(st.excl_pages)),
                           st.arrival_epoch))
-        node_state = getattr(proto, "node_state", None)
-        if node_state is not None:  # two-level protocols
-            for ns in node_state:
-                parts.append((ns.logical, ns.last_release_ts))
-                parts.append(tuple(sorted(
-                    (page, m.flush_ts, m.update_ts, m.wn_ts,
-                     round(m.flush_end_real, 6),
-                     None if m.twin is None else m.twin.tobytes())
-                    for page, m in ns.meta.items())))
-        else:  # one-level protocols keep twins per owner
-            for meta in proto.meta:
-                parts.append(tuple(sorted(
-                    (page, twin.tobytes())
-                    for page, twin in meta.twins.items())))
+        for ns in getattr(proto, "node_state", ()):  # two-level protocols
+            parts.append((ns.logical, ns.last_release_ts))
+            parts.append(tuple(sorted(
+                (page, m.flush_ts, m.update_ts, m.wn_ts,
+                 round(m.flush_end_real, 6))
+                for page, m in ns.meta.items())))
         parts.append(self.checker.oracle.golden.tobytes())
         parts.append(self.checker.detector.digest())
         return hashlib.sha256(repr(parts).encode()).hexdigest()

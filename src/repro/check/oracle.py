@@ -13,18 +13,16 @@ against this image at three points:
   their golden value is not well defined.
 
 * **every barrier episode** (when the last processor arrives, i.e. after
-  all arrival-side flushes) and at **end of run** — the authoritative
-  copy of every page (the exclusive holder's frame if one exists,
-  otherwise the home's master copy) must equal the golden image word for
-  word, every surviving twin must equal its owner's frame (all local
-  modifications are flushed at a barrier, and remote ones enter frame
-  and twin together), and the replicated directory must satisfy its
-  structural invariants.
+  all arrival-side flushes) and at **end of run** — every row of the
+  invariant table (:mod:`repro.protocol.invariants`, quiescent rows
+  included) must hold, and the authoritative copy of every page (the
+  exclusive holder's frame if one exists, otherwise the home's master
+  copy) must equal the golden image word for word.
 
 Any divergence raises :class:`~repro.errors.CoherenceViolation` naming
-the first divergent word with page/offset/event provenance. Unlike a
-wrong benchmark answer, that points at the exact access where the
-protocol went wrong.
+the failed row, or the first divergent word with page/offset/event
+provenance. Unlike a wrong benchmark answer, that points at the exact
+fact or access where the protocol went wrong.
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CoherenceViolation, ProtocolError
+from ..protocol.invariants import authoritative, check
 from .detector import RaceDetector
 from .events import MemoryEvent
 
@@ -85,36 +84,22 @@ class CoherenceOracle:
 
     # --- global checks -----------------------------------------------------
 
-    def _authoritative(self, page: int) -> np.ndarray:
-        proto = self.protocol
-        holder = proto.directory.entry(page).exclusive_holder()
-        if holder is not None:
-            return proto.frames.frame(holder[0], page)
-        return proto.master(page)
-
     def check_global(self, label: str) -> None:
-        """Full cross-check at a sync quiescence point (barrier / end)."""
+        """Full cross-check at a sync quiescence point (barrier / end):
+        the invariant table, then every authoritative copy against the
+        golden image."""
         self.global_checks += 1
-        self._check_structure(label)
-        self._check_content(label)
-        self._check_twins(label)
-
-    def _check_structure(self, label: str) -> None:
+        proto = self.protocol
         try:
-            self.protocol.check_invariants()
+            check(proto, quiescent=True)
         except ProtocolError as exc:
-            raise CoherenceViolation(
-                f"structural invariant violated at {label}: {exc}",
-                check="structure") from exc
-
-    def _check_content(self, label: str) -> None:
-        wpp = self.wpp
-        poisoned = self.detector.poisoned
+            raise CoherenceViolation(f"at {label}: {exc}",
+                                     check=exc.invariant) from exc
+        wpp, poisoned = self.wpp, self.detector.poisoned
         for page in range(self.num_pages):
-            actual = self._authoritative(page)
+            actual = authoritative(proto, page)
             want = self.golden[page * wpp:(page + 1) * wpp]
-            diverging = np.nonzero(actual != want)[0]
-            for off in diverging:
+            for off in np.nonzero(actual != want)[0]:
                 word = page * wpp + int(off)
                 if word in poisoned:
                     continue
@@ -128,27 +113,3 @@ class CoherenceOracle:
                     check="page-content", page=page, offset=int(off),
                     word=word, expected=float(want[off]),
                     actual=float(actual[off]), event=last)
-
-    def _check_twins(self, label: str) -> None:
-        """At barrier quiescence every local modification has been
-        flushed (writing frame and twin alike) and every remote one
-        entered frame and twin together — so a surviving twin must equal
-        its owner's frame exactly."""
-        proto = self.protocol
-        for owner in range(proto.num_owners):
-            for page in range(self.num_pages):
-                twin = proto._twin_of(owner, page)
-                if twin is None or not proto.frames.has_frame(owner, page):
-                    continue
-                frame = proto.frames.frame(owner, page)
-                diverging = np.nonzero(twin != frame)[0]
-                if len(diverging):
-                    off = int(diverging[0])
-                    raise CoherenceViolation(
-                        f"owner {owner}'s twin of page {page} diverges "
-                        f"from its frame at {label}: word {off} is "
-                        f"{twin[off]!r} in the twin, {frame[off]!r} in "
-                        f"the frame (unflushed or mis-merged write)",
-                        check="twin", page=page, offset=off,
-                        word=page * self.wpp + off,
-                        expected=float(frame[off]), actual=float(twin[off]))

@@ -249,20 +249,25 @@ class MachineConfig:
     def __post_init__(self) -> None:
         if self.barrier not in ("flat", "tree"):
             raise ConfigError(
-                f"unknown barrier topology {self.barrier!r}; "
-                f"choose 'flat' or 'tree'")
+                f"barrier must be 'flat' or 'tree', got {self.barrier!r}")
         if self.nodes < 1:
-            raise ConfigError("need at least one node")
+            raise ConfigError(f"nodes must be at least 1, got {self.nodes}")
         if self.procs_per_node < 1:
-            raise ConfigError("need at least one processor per node")
+            raise ConfigError(f"procs_per_node must be at least 1, "
+                              f"got {self.procs_per_node}")
         if self.page_bytes < WORD_BYTES or self.page_bytes % WORD_BYTES:
-            raise ConfigError("page_bytes must be a positive multiple of 8")
+            raise ConfigError(f"page_bytes must be a positive multiple of "
+                              f"8, got {self.page_bytes}")
         if self.page_bytes & (self.page_bytes - 1):
-            raise ConfigError("page_bytes must be a power of two")
+            raise ConfigError(f"page_bytes must be a power of two, "
+                              f"got {self.page_bytes}")
         if self.shared_bytes % self.page_bytes:
-            raise ConfigError("shared_bytes must be a multiple of page_bytes")
+            raise ConfigError(f"shared_bytes must be a multiple of "
+                              f"page_bytes ({self.page_bytes}), "
+                              f"got {self.shared_bytes}")
         if self.superpage_pages < 1:
-            raise ConfigError("superpage_pages must be positive")
+            raise ConfigError(f"superpage_pages must be at least 1, "
+                              f"got {self.superpage_pages}")
 
     # --- Derived geometry -------------------------------------------------
 

@@ -35,7 +35,12 @@ class ProtocolError(CashmereError):
     user error: e.g. a flush of a page without a twin, a directory entry
     claiming an exclusive holder on two nodes, or an incoming diff that
     overlaps local modifications in a data-race-free program.
+    ``invariant`` names the failed :mod:`~repro.protocol.invariants` row.
     """
+
+    def __init__(self, message: str, *, invariant: str = "") -> None:
+        super().__init__(message)
+        self.invariant = invariant
 
 
 class MemoryChannelError(CashmereError):

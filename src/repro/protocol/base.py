@@ -15,7 +15,6 @@ import numpy as np
 
 from ..cluster.machine import Cluster, Node, Processor
 from ..config import MachineConfig
-from ..errors import ProtocolError
 from ..sim.engine import SerialResource
 from ..vm.page import FrameStore, Perm
 from ..vm.pagetable import PageTable
@@ -44,10 +43,9 @@ class ProcProtoState:
         self.lidx = lidx
         #: The owner's page-table rows (shared list-of-lists).
         self.rows = rows
-        #: The owner's frame dict (page -> numpy array), shared. Protocol
-        #: code that unmaps or rebinds an entry directly — bypassing
-        #: :class:`~repro.vm.page.FrameStore` — goes through the page
-        #: table's ``evict`` so no software-TLB entry outlives the frame.
+        #: The owner's frame dict (page -> numpy array), shared. Code that
+        #: unmaps or rebinds an entry directly evicts it from the page
+        #: table too (the ``map-permitted`` invariant).
         self.frames = frames
         #: Pages this processor wrote since its last release (dirty list).
         self.dirty: set[int] = set()
@@ -97,8 +95,7 @@ class BaseProtocol:
         self.directory = GlobalDirectory(self.config, self.num_owners,
                                          lock_model=lock_model)
         #: Per-owner page tables; each also holds its processors'
-        #: software-TLB maps, which the frame store evicts from on unmap
-        #: (a cached mapping can never outlive a revocation).
+        #: software-TLB maps, which the frame store evicts from on unmap.
         self.tables = [PageTable(config.num_pages,
                                  config.procs_per_node if self.two_level
                                  else 1)
@@ -108,6 +105,10 @@ class BaseProtocol:
                                  tables=self.tables)
         self.boards = [NoticeBoard(o, self.num_owners)
                        for o in range(self.num_owners)]
+        #: Each owner's twins (page -> copy of its frame as last flushed
+        #: or merged, Section 2.2): every protocol's one twin store.
+        self.twins: list[dict[int, np.ndarray]] = [
+            {} for _ in range(self.num_owners)]
         self.requests = RequestEngine(cluster)
         self._init_masters()
 
@@ -393,7 +394,7 @@ class BaseProtocol:
                         new_home: int) -> None:
         """Install the master copy at the relocated home owner."""
         old_master = self.master(page)
-        twin = self._twin_of(new_home, page)
+        twin = self.twins[new_home].pop(page, None)
         if twin is not None:
             # The new home holds unflushed local writes; merge the old
             # master's remote changes instead of clobbering them.
@@ -401,20 +402,12 @@ class BaseProtocol:
             frame = self.frames.frame(new_home, page)
             incoming_diff(old_master, frame, twin,
                           context=f"relocation of page {page}")
-            self._drop_twin(new_home, page)
         else:
             self.frames.map_frame(new_home, page, old_master)
 
     def _after_relocation(self, page: int, old_home: int,
                           new_home: int) -> None:
         """Subclass hook (home-node optimization remapping)."""
-
-    def _twin_of(self, owner: int, page: int) -> np.ndarray | None:
-        """Subclass hook: the owner's twin for ``page``, if any."""
-        return None
-
-    def _drop_twin(self, owner: int, page: int) -> None:
-        """Subclass hook: discard the owner's twin for ``page``."""
 
     def _break_exclusive(self, proc: Processor, page: int,
                          holder: tuple[int, int]) -> np.ndarray:
@@ -438,31 +431,7 @@ class BaseProtocol:
     # --- metrics ---------------------------------------------------------------
 
     def metrics_gauges(self, emit) -> None:
-        """Report protocol-specific gauges to the metrics collector.
-
-        ``emit(name, value)`` records one sample point; subclasses
-        override to expose their private state (twin counts, notice
-        backlogs). Called only when a collector is attached, so the
-        default no-op costs nothing on ordinary runs.
-        """
-
-    # --- debugging / tests -----------------------------------------------------
-
-    def check_invariants(self) -> None:
-        """Structural invariants; used by tests and property checks."""
-        for page in range(self.config.num_pages):
-            entry = self.directory.entry(page)
-            entry.exclusive_holder()  # raises on multiple holders
-            self.master(page)  # raises if the master copy is missing
-            for owner in range(self.num_owners):
-                perm = entry.perm_of(owner)
-                loosest = self.tables[owner].loosest(page)
-                if perm > Perm.INVALID and not (
-                        self.frames.has_frame(owner, page)):
-                    raise ProtocolError(
-                        f"owner {owner} claims perm {perm} on page "
-                        f"{page} without a frame")
-                if loosest > perm:
-                    raise ProtocolError(
-                        f"owner {owner} page {page}: table loosest {loosest} "
-                        f"exceeds directory word {perm}")
+        """Emit the live twin count (zero under 1L, which never twins) and
+        the write-notice backlog; ``emit(name, value)`` records a sample."""
+        emit("twins", sum(map(len, self.twins)))
+        emit("notice_backlog", sum(b.pending() for b in self.boards))

@@ -19,9 +19,6 @@ Interaction").
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import attrgetter, is_not
-
 import numpy as np
 
 from ..cluster.machine import Processor
@@ -31,8 +28,6 @@ from ..vm.page import Perm
 from .base import (_INVALID, _READ, _WRITE, PAGE_HEADER_BYTES,
                    BaseProtocol, ProcProtoState)
 from .directory import NO_HOLDER, PageMeta
-
-_twin = attrgetter("twin")
 
 
 class NodeState2L:
@@ -60,25 +55,7 @@ class Cashmere2L(BaseProtocol):
         super().__init__(cluster, lock_free=lock_free)
         self.node_state = [NodeState2L() for _ in range(self.num_owners)]
 
-    def metrics_gauges(self, emit) -> None:
-        """Two-level gauges: live twin count and write-notice backlog."""
-        twins = 0
-        for ns in self.node_state:  # count the metas whose twin is set
-            twins += sum(map(is_not, map(_twin, ns.meta.values()),
-                             repeat(None)))
-        emit("twins", twins)
-        emit("notice_backlog", sum(b.pending() for b in self.boards))
-
     # ------------------------------------------------------------------ hooks
-
-    def _twin_of(self, owner: int, page: int) -> np.ndarray | None:
-        meta = self.node_state[owner].meta.get(page)
-        return None if meta is None else meta.twin
-
-    def _drop_twin(self, owner: int, page: int) -> None:
-        meta = self.node_state[owner].meta.get(page)
-        if meta is not None:
-            meta.twin = None
 
     def _after_relocation(self, page: int, old_home: int,
                           new_home: int) -> None:
@@ -92,19 +69,18 @@ class Cashmere2L(BaseProtocol):
         if old_home == new_home:
             return
         ns = self.node_state[old_home]
-        table = self.tables[old_home]
+        table, twins = self.tables[old_home], self.twins[old_home]
         if table.mapped(page):
             ns.logical += 1
-            meta = ns.meta_for(page)
-            meta.update_ts = ns.logical
+            ns.meta_for(page).update_ts = ns.logical
             # Writers also need a twin now that flushes must diff against
-            # the (relocated) master.
-            if table.writers(page) and meta.twin is None \
-                    and self.frames.has_frame(old_home, page):
-                meta.twin = make_twin(self.frames.frame(old_home, page))
+            # the (relocated) master; a mapped page has a frame.
+            if table.writers(page) and page not in twins:
+                twins[page] = make_twin(self.frames.frame(old_home, page))
         else:
             self.frames.unmap_frame(old_home, page)
             ns.meta.pop(page, None)
+            twins.pop(page, None)
 
     # ------------------------------------------------------------- page faults
     # Flat slow path: see BaseProtocol.fault (DESIGN.md §19).
@@ -116,6 +92,7 @@ class Cashmere2L(BaseProtocol):
         joins the multi-writer path (dirty list, twin off the home)."""
         owner = st.owner
         ns = self.node_state[owner]
+        twins = self.twins[owner]
         ns.logical += 1
         ctrace, buckets = proc.trace, proc.stats.buckets
         counters, costs = proc.stats.counters, self.costs
@@ -144,8 +121,7 @@ class Cashmere2L(BaseProtocol):
             # no write notices, so the rule cannot see their writes);
             # home processors otherwise work on the master copy itself.
             home = entry.home_owner
-            meta = None
-            if write or home != owner:  # ns.meta_for, in line
+            if home != owner:  # ns.meta_for, in line
                 meta = ns.meta.get(page) \
                     or ns.meta.setdefault(page, PageMeta())
             if home == owner:
@@ -156,7 +132,7 @@ class Cashmere2L(BaseProtocol):
             elif (holder is not None or page not in st.frames
                     or meta.update_ts < min(meta.wn_ts, st.acquire_ts)):
                 proc.clock, buckets["protocol"] = clock, spent
-                if self.shootdown and meta.twin is not None:
+                if self.shootdown and page in twins:
                     # 2LS: a fetch with concurrent local writers shoots
                     # down their mappings and flushes first.
                     self._shootdown_and_flush(proc, st, page, meta)
@@ -187,11 +163,11 @@ class Cashmere2L(BaseProtocol):
                     clock += us
                     buckets["comm_wait"] += us
                 counters["page_transfers"] += 1
-                if meta.twin is not None:
+                twin = twins.get(page)
+                if twin is not None:
                     # Two-way diffing: merge only the *remote* changes,
                     # into the working page and the twin — no shootdown.
-                    diff = incoming_diff(payload, st.frames[page],
-                                         meta.twin,
+                    diff = incoming_diff(payload, st.frames[page], twin,
                                          context=f"page {page} fetch")
                     us = self.config.diff_in_cost(diff.nbytes)
                     counters["incoming_diffs"] += 1
@@ -203,7 +179,7 @@ class Cashmere2L(BaseProtocol):
                         ctrace.span("protocol", proc, clock, us)
                     clock, spent = clock + us, spent + us
                 if self.trace is not None:
-                    if meta.twin is not None:
+                    if twin is not None:
                         self.trace.instant("diff_in", proc, clock, obj=page,
                                            bytes=int(diff.nbytes))
                     self.trace.span("page_fetch", proc, t_fetch,
@@ -213,7 +189,7 @@ class Cashmere2L(BaseProtocol):
                 meta.update_ts = ns.logical
 
             if write and (not entry.has_other_sharer(owner)
-                          and entry.excl is None and meta.twin is None
+                          and entry.excl is None and page not in twins
                           and _WRITE not in row
                           and not self._notices_pending(owner, page)):
                 # Sole sharer, no local writer, no notice pending: go
@@ -225,8 +201,8 @@ class Cashmere2L(BaseProtocol):
                 went_exclusive = True
             elif write:
                 st.dirty.add(page)
-                if home != owner and meta.twin is None:
-                    meta.twin = make_twin(st.frames[page])
+                if home != owner and page not in twins:
+                    twins[page] = make_twin(st.frames[page])
                     if (us := self._twin_cost) > 0:
                         if ctrace is not None:
                             ctrace.span("protocol", proc, clock, us)
@@ -305,12 +281,11 @@ class Cashmere2L(BaseProtocol):
             writers = table.writers(page)
             others = [w for w in writers if w != hst.lidx]
             if others:
-                if home != holder_owner:
-                    meta = hns.meta_for(page)
-                    if meta.twin is None:
-                        meta.twin = make_twin(frame)
-                        cost += self._twin_cost
-                        server.stats.bump("twin_creations")
+                twins = self.twins[holder_owner]
+                if home != holder_owner and page not in twins:
+                    twins[page] = make_twin(frame)
+                    cost += self._twin_cost
+                    server.stats.bump("twin_creations")
                 for lw in others:
                     self._owner_ps[holder_owner][lw].nle.add(page)
                     cost += self.costs.llsc_lock
@@ -419,6 +394,7 @@ class Cashmere2L(BaseProtocol):
         clock = proc.clock
         spent = buckets["protocol"]
         table, lidx = self.tables[owner], st.lidx
+        twins = self.twins[owner]
         lock_model = self.directory.lock_model
         for page in pages:
             row = table.rows[page]
@@ -454,7 +430,7 @@ class Cashmere2L(BaseProtocol):
                 others = row.count(_WRITE) > (row[lidx] == _WRITE)
                 if home == owner:
                     pass  # our frame is the master: nothing to flush
-                elif meta.twin is None:
+                elif page not in twins:
                     # 2LS: a shootdown flushed these changes and dropped
                     # the twin; only the notices remain. 2L: a peer's
                     # last-writer flush carried them home and dropped the
@@ -476,7 +452,7 @@ class Cashmere2L(BaseProtocol):
                 else:
                     # Flush-update: modifications to home *and* twin, so
                     # concurrent local writers' later flushes skip them.
-                    diff = flush_update(st.frames[page], meta.twin,
+                    diff = flush_update(st.frames[page], twins[page],
                                         self.frames.frame(home, page))
                     if (us := self.config.diff_out_cost(diff.nbytes,
                                                         True)) > 0:
@@ -499,7 +475,7 @@ class Cashmere2L(BaseProtocol):
                     if others:
                         proc.stats.counters["flush_updates"] += 1
                     else:
-                        meta.twin = None  # last writer: twin is garbage
+                        del twins[page]  # last writer: twin is garbage
                 if notify:
                     # Notices to every sharer but us and the home (Section
                     # 3.3.5 ablation: one list per node, a global lock).
@@ -558,7 +534,7 @@ class Cashmere2L(BaseProtocol):
         entry = self.directory.entries[page]
         home = entry.home_owner
         # The release's flush-update (callers hold a twin), then notices.
-        diff = flush_update(st.frames[page], meta.twin,
+        diff = flush_update(st.frames[page], self.twins[st.owner].pop(page),
                             self.frames.frame(home, page))
         proc.charge(self.config.diff_out_cost(diff.nbytes, True), "protocol")
         meta.flush_end_real = proc.clock
@@ -570,7 +546,6 @@ class Cashmere2L(BaseProtocol):
                 proc.clock, diff.nbytes, category="diff")
             if send_done > proc.clock:
                 proc.charge(send_done - proc.clock, "comm_wait")
-        meta.twin = None
         if self.directory.lock_model is not None:
             proc.charge(self.directory.lock_model.update_cost(proc.clock),
                         "protocol")

@@ -291,4 +291,3 @@ class PageMeta:
     update_ts: int = -1
     wn_ts: int = -1
     flush_end_real: float = 0.0
-    twin: object | None = None  # numpy array when a twin exists

@@ -41,36 +41,10 @@ from .base import (_INVALID, _READ, _WRITE, PAGE_HEADER_BYTES,
 from .directory import NO_HOLDER
 
 
-class _OwnerMeta:
-    """Per-owner (= per-processor) page bookkeeping for the 1-level protocols."""
-
-    __slots__ = ("twins", "doubling")
-
-    def __init__(self) -> None:
-        self.twins: dict[int, np.ndarray] = {}
-        #: 1L write doubling's per-page (per-word cost, home is on this
-        #: processor's node), bound at the write fault.
-        self.doubling: dict[int, tuple[float, bool]] = {}
-
-
 class OneLevelProtocol(BaseProtocol):
     """Common one-level machinery (subclasses pick the merge mechanism)."""
 
     two_level = False
-
-    def __init__(self, cluster, *, lock_free: bool = True,
-                 home_opt: bool = False) -> None:
-        super().__init__(cluster, lock_free=lock_free, home_opt=home_opt)
-        self.meta = [_OwnerMeta() for _ in range(self.num_owners)]
-
-    def metrics_gauges(self, emit) -> None:
-        """One-level gauges: live twin count and write-notice backlog.
-
-        Always zero twins under 1L (write-through never twins); 1LD
-        reports the twins awaiting their outgoing diffs.
-        """
-        emit("twins", sum(len(m.twins) for m in self.meta))
-        emit("notice_backlog", sum(b.pending() for b in self.boards))
 
     # ------------------------------------------------------------- masters
 
@@ -87,12 +61,6 @@ class OneLevelProtocol(BaseProtocol):
                         new_home: int) -> None:
         """Relocation only re-labels the receive region's host: the
         ``masters`` array moves wholesale (one page transfer)."""
-
-    def _twin_of(self, owner: int, page: int) -> np.ndarray | None:
-        return self.meta[owner].twins.get(page)
-
-    def _drop_twin(self, owner: int, page: int) -> None:
-        self.meta[owner].twins.pop(page, None)
 
     # --------------------------------------------------- home-node optimization
 
@@ -143,7 +111,7 @@ class OneLevelProtocol(BaseProtocol):
         owner = st.owner
         entry = self.directory.entries[page]
         master = self.masters[page]
-        twins = self.meta[owner].twins
+        twins = self.twins[owner]
         frame = st.frames.get(page)
         row = st.rows[page]
         map_master = (self.home_opt and (frame is None or frame is master)
@@ -310,7 +278,7 @@ class OneLevelProtocol(BaseProtocol):
                     if ctrace is not None:
                         ctrace.span("protocol", proc, clock, us)
                     clock, spent = clock + us, spent + us
-            if page not in self.meta[owner].twins:
+            if page not in self.twins[owner]:
                 self.frames.unmap_frame(owner, page)
         proc.clock, buckets["protocol"] = clock, spent
 
@@ -330,7 +298,7 @@ class OneLevelProtocol(BaseProtocol):
         clock = proc.clock
         spent = buckets["protocol"]
         table = self.tables[owner]
-        twins = self.meta[owner].twins
+        twins = self.twins[owner]
         for page in sorted(st.dirty):
             t0 = clock
             entry = self.directory.entries[page]
@@ -426,6 +394,14 @@ class Cashmere1L(OneLevelProtocol):
     #: scales with the same factor as the application's compute).
     word_double_us: float | None = None
 
+    def __init__(self, cluster, *, lock_free: bool = True,
+                 home_opt: bool = False) -> None:
+        super().__init__(cluster, lock_free=lock_free, home_opt=home_opt)
+        #: Each owner's write doubling facts per page (per-word cost,
+        #: home is on this processor's node), bound at the write fault.
+        self.doubling: list[dict[int, tuple[float, bool]]] = [
+            {} for _ in range(self.num_owners)]
+
     def _bind_doubling(self, owner: int, page: int) -> None:
         """Bind write doubling's per-(processor, page) facts, once per
         write mapping: the per-word cost and whether the page's home is
@@ -434,15 +410,15 @@ class Cashmere1L(OneLevelProtocol):
         if per_word is None:
             per_word = self.costs.mc_word_write
         procs = self.cluster.processors
-        self.meta[owner].doubling[page] = (
+        self.doubling[owner][page] = (
             per_word,
             procs[self.directory.home(page)].node is procs[owner].node)
 
     def _after_relocation(self, page: int, old_home: int,
                           new_home: int) -> None:
         super()._after_relocation(page, old_home, new_home)
-        for owner, meta in enumerate(self.meta):
-            if page in meta.doubling:
+        for owner, doubling in enumerate(self.doubling):
+            if page in doubling:
                 self._bind_doubling(owner, page)
 
     def _double_words(self, proc: Processor, st: ProcProtoState, page: int,
@@ -451,7 +427,7 @@ class Cashmere1L(OneLevelProtocol):
         if master is st.frames.get(page):
             return  # home-node optimization: the store already hit the master
         master[lo:lo + count] = values
-        per_word, local = self.meta[st.owner].doubling[page]
+        per_word, local = self.doubling[st.owner][page]
         ctrace, buckets = proc.trace, proc.stats.buckets
         clock = proc.clock
         if (us := per_word * count) > 0:

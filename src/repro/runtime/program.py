@@ -22,6 +22,7 @@ from ..cluster.machine import Cluster
 from ..config import MachineConfig
 from ..errors import ConfigError, SimulationError
 from ..protocol import make_protocol
+from ..protocol.invariants import authoritative
 from ..stats.counters import RunStats
 from ..sync import Barrier, FlagSet, MCLock
 from ..metrics import MetricsCollector, attach_metrics
@@ -141,11 +142,6 @@ class ParallelRuntime:
 
     # --- result extraction ------------------------------------------------------------
 
-    def read_word(self, word: int) -> float:
-        page = word >> self.config.page_shift - 3
-        offset = word & self.config.words_per_page - 1
-        return self._authoritative_frame(page)[offset]
-
     def read_array(self, name: str) -> np.ndarray:
         """Gather the authoritative final contents of a shared array."""
         arr = self.segment.array(name)
@@ -158,20 +154,11 @@ class ParallelRuntime:
             page = w // wpp
             off = w % wpp
             take = min(wpp - off, end - w)
-            out[pos:pos + take] = self._authoritative_frame(page)[
+            out[pos:pos + take] = authoritative(self.protocol, page)[
                 off:off + take]
             pos += take
             w += take
         return out
-
-    def _authoritative_frame(self, page: int) -> np.ndarray:
-        """The freshest copy of a page: the exclusive holder's frame if one
-        exists, otherwise the home master."""
-        entry = self.protocol.directory.entry(page)
-        holder = entry.exclusive_holder()
-        if holder is not None:
-            return self.protocol.frames.frame(holder[0], page)
-        return self.protocol.master(page)
 
 
 @dataclass

@@ -109,6 +109,3 @@ class FrameStore:
 
     def frames_of(self, owner: int) -> dict[int, np.ndarray]:
         return self._frames[owner]
-
-    def resident_pages(self, owner: int) -> list[int]:
-        return sorted(self._frames[owner])

@@ -18,7 +18,7 @@ import numpy as np
 
 from .page import Perm
 
-_READ = int(Perm.READ)
+_READ, _WRITE = int(Perm.READ), int(Perm.WRITE)
 
 
 class PageTable:
@@ -32,13 +32,10 @@ class PageTable:
                                       for _ in range(num_pages)]
         #: Software TLB, one pair of maps per local processor, shared by
         #: reference with that processor's ``WorkerEnv`` closures (which
-        #: fill them after a dispatched access and read them inline).
-        #: Invariant: ``rmaps[p][page]`` is the owner's current frame for
-        #: ``page`` and ``rows[page][p] >= READ``; ``wmaps[p][page]`` is a
-        #: memoryview of that frame and ``rows[page][p] >= WRITE``. Only
-        #: tightening (:meth:`set_perm`) and a frame unmap or rebind
-        #: (:meth:`evict`, :meth:`evict_all`) can break it, and each
-        #: drops exactly the entries it kills.
+        #: fill them after a dispatched access and read them inline),
+        #: sound by the ``map-permitted`` invariant. Only tightening
+        #: (:meth:`set_perm`) and a frame unmap or rebind (:meth:`evict`,
+        #: :meth:`evict_all`) can break it; each drops what it kills.
         self.rmaps: list[dict[int, np.ndarray]] = [{} for _ in range(procs)]
         self.wmaps: list[dict[int, memoryview]] = [{} for _ in range(procs)]
 
@@ -90,11 +87,8 @@ class PageTable:
         rule), as a plain int (see :meth:`perm`)."""
         return max(self.rows[page])
 
-    def procs_with(self, page: int, at_least: Perm) -> list[int]:
-        return [i for i, p in enumerate(self.rows[page]) if p >= at_least]
-
     def writers(self, page: int) -> list[int]:
-        return self.procs_with(page, Perm.WRITE)
+        return [i for i, p in enumerate(self.rows[page]) if p >= _WRITE]
 
     def mapped(self, page: int) -> list[int]:
-        return self.procs_with(page, Perm.READ)
+        return [i for i, p in enumerate(self.rows[page]) if p >= _READ]

@@ -37,17 +37,19 @@ class TestMachineConfig:
         assert cfg.page_shift == 9
         assert cfg.words_per_page == 64
 
-    def test_invalid_configs_rejected(self):
-        with pytest.raises(ConfigError):
-            MachineConfig(nodes=0)
-        with pytest.raises(ConfigError):
-            MachineConfig(procs_per_node=0)
-        with pytest.raises(ConfigError):
-            MachineConfig(page_bytes=500)  # not a power of two
-        with pytest.raises(ConfigError):
-            MachineConfig(page_bytes=512, shared_bytes=1000)
-        with pytest.raises(ConfigError):
-            MachineConfig(superpage_pages=0)
+    @pytest.mark.parametrize("field,value", [
+        ("nodes", 0),
+        ("procs_per_node", 0),
+        ("page_bytes", 4),     # below one word
+        ("page_bytes", 500),   # not a multiple of 8
+        ("page_bytes", 520),   # not a power of two
+        ("shared_bytes", 1000),
+        ("superpage_pages", 0),
+        ("barrier", "ring"),
+    ])
+    def test_invalid_configs_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            MachineConfig(**{field: value})
 
     def test_with_placement(self):
         cfg = MachineConfig().with_placement(24, 3)

@@ -358,4 +358,3 @@ class TestPageMeta:
         assert meta.flush_ts == -1
         assert meta.update_ts == -1
         assert meta.wn_ts == -1
-        assert meta.twin is None

@@ -35,10 +35,16 @@ def mutant_result():
 # --- the real protocols pass --------------------------------------------------
 
 
+# The exact partition of the default workload's schedules into states.
+# ``state_key`` digests the protocol's whole state; a change to how that
+# state is stored must neither merge nor split states.
+
+
 def test_1ld_passes_exhaustively():
     res = ModelChecker(protocol="1LD").run()
     assert res.ok and res.exhaustive, res.summary()
-    assert res.complete_schedules > 0
+    assert (res.states, res.replays, res.complete_schedules) == \
+        (1_051, 1_782, 120)
     assert res.max_depth_seen == sum(len(s) for s in default_scripts())
 
 
@@ -46,7 +52,8 @@ def test_1ld_passes_exhaustively():
 def test_2l_passes_exhaustively():
     res = ModelChecker(protocol="2L").run()
     assert res.ok and res.exhaustive, res.summary()
-    assert res.complete_schedules > 0
+    assert (res.states, res.replays, res.complete_schedules) == \
+        (9_266, 13_730, 2_153)
 
 
 def test_budget_exhaustion_is_reported_not_hidden():

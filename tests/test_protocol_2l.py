@@ -9,6 +9,7 @@ maintenance, timestamps, and first-touch home relocation.
 from repro.cluster.machine import Cluster
 from repro.config import MachineConfig
 from repro.protocol import make_protocol
+from repro.protocol.invariants import check
 from repro.sim.process import Compute, ProcessGroup
 from repro.sync import Barrier
 
@@ -49,8 +50,7 @@ class TestExclusiveMode:
         assert entry.exclusive_holder() == (0, 0)
         assert p0.stats.counters["excl_transitions"] == 1
         # Exclusive pages have no twin and are not dirty.
-        assert proto.node_state[0].meta.get(4) is None or \
-            proto.node_state[0].meta[4].twin is None
+        assert 4 not in proto.twins[0]
         assert 4 not in proto.proc_state(p0).dirty
 
     def test_remote_read_breaks_exclusive(self):
@@ -98,7 +98,7 @@ class TestExclusiveMode:
         # p1 (still holding a write mapping) got a no-longer-exclusive entry
         # and the node now has a twin.
         assert page in st1.nle.pages or page in st1.dirty
-        assert proto.node_state[0].meta[page].twin is not None
+        assert page in proto.twins[0]
 
     def test_exclusive_page_needs_no_flush(self):
         cluster, proto = make()
@@ -325,10 +325,8 @@ class TestHomeRelocation:
             run_scripts(cluster, [w0, w1, w2])
             assert proto.directory.home(page) == 1
             assert proto.tables[0].writers(page)
-            twin = proto.node_state[0].meta[page].twin
-            assert twin is not None
-            assert list(twin[:2]) == [1.0, 2.0]
-            proto.check_invariants()
+            assert list(proto.twins[0][page][:2]) == [1.0, 2.0]
+            check(proto)
 
     def test_no_relocation_before_end_init(self):
         cluster, proto = make(nodes=2, ppn=1)
@@ -365,4 +363,4 @@ class TestInvariants:
         for i, proc in enumerate(cluster.processors):
             group.spawn(proc, worker(proc, i)(), f"p{i}")
         group.run()
-        proto.check_invariants()
+        check(proto, quiescent=True)

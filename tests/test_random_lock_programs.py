@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.cluster.machine import Cluster
 from repro.config import MachineConfig
 from repro.protocol import make_protocol
+from repro.protocol.invariants import authoritative, check
 from repro.sim.process import Compute, ProcessGroup
 from repro.sync import Barrier, MCLock
 
@@ -76,17 +77,9 @@ def run_lock_program(protection, words, ops, protocol):
     for i, proc in enumerate(cluster.processors):
         group.spawn(proc, worker(proc, ops[i]), f"p{i}")
     group.run()
-    proto.check_invariants()
-
-    final = {}
-    for counter, word in enumerate(words):
-        page, off = word // 64, word % 64
-        entry = proto.directory.entry(page)
-        holder = entry.exclusive_holder()
-        frame = proto.frames.frame(holder[0], page) if holder \
-            else proto.master(page)
-        final[counter] = frame[off]
-    return final
+    check(proto, quiescent=True)
+    return {counter: authoritative(proto, word // 64)[word % 64]
+            for counter, word in enumerate(words)}
 
 
 def expected_counts(ops):

@@ -27,6 +27,7 @@ from repro.check import attach_checker
 from repro.cluster.machine import Cluster
 from repro.config import MachineConfig
 from repro.protocol import make_protocol
+from repro.protocol.invariants import authoritative, check
 from repro.sim.process import Compute, ProcessGroup
 from repro.sync import Barrier
 
@@ -97,17 +98,8 @@ def run_plan(plan, protocol, nodes=2, ppn=2, first_touch=True):
     for proc in cluster.processors:
         group.spawn(proc, worker(proc), f"p{proc.global_id}")
     group.run()
-    proto.check_invariants()
-
-    # Authoritative final memory.
-    final = np.zeros(N_WORDS)
-    for page in range(4):
-        entry = proto.directory.entry(page)
-        holder = entry.exclusive_holder()
-        frame = proto.frames.frame(holder[0], page) if holder \
-            else proto.master(page)
-        final[page * 64:(page + 1) * 64] = frame
-    return final
+    check(proto, quiescent=True)
+    return np.concatenate([authoritative(proto, page) for page in range(4)])
 
 
 def emulate(plan):
@@ -186,15 +178,8 @@ def run_checked_plan(plan, protocol, nodes, ppn, *, lock_free=True):
         group.spawn(proc, worker(proc), f"p{proc.global_id}")
     group.run()
     checker.finalize()
-
-    final = np.zeros(N_WORDS)
-    for page in range(4):
-        entry = proto.directory.entry(page)
-        holder = entry.exclusive_holder()
-        frame = proto.frames.frame(holder[0], page) if holder \
-            else proto.master(page)
-        final[page * 64:(page + 1) * 64] = frame
-    return final, checker
+    return (np.concatenate([authoritative(proto, page)
+                            for page in range(4)]), checker)
 
 
 def emulate_drf(plan):

@@ -9,6 +9,7 @@ from repro.check import attach_checker
 from repro.cluster.machine import Cluster
 from repro.config import MachineConfig
 from repro.protocol import make_protocol
+from repro.protocol.invariants import authoritative, check
 from repro.sim.process import Compute, ProcessGroup
 from repro.sync import Barrier, MCLock
 
@@ -69,10 +70,8 @@ def test_lock_release_not_visible_to_temporally_earlier_contender():
         group.spawn(proc, worker(proc, i in (1, 3)), f"p{i}")
     group.run()
 
-    entry = proto.directory.entry(0)
-    holder = entry.exclusive_holder()
-    frame = proto.frames.frame(holder[0], 0) if holder else proto.master(0)
-    assert frame[0] == 6.0  # 2 procs x 3 increments, none lost
+    # 2 procs x 3 increments, none lost
+    assert authoritative(proto, 0)[0] == 6.0
 
 
 def test_first_epoch_conflicting_writes_are_flagged():
@@ -191,16 +190,8 @@ def _run_rounds(plan, protocol):
     for proc in cluster.processors:
         group.spawn(proc, worker(proc), f"p{proc.global_id}")
     group.run()
-    proto.check_invariants()
-
-    final = np.zeros(4 * 64)
-    for page in range(4):
-        entry = proto.directory.entry(page)
-        holder = entry.exclusive_holder()
-        frame = proto.frames.frame(holder[0], page) if holder \
-            else proto.master(page)
-        final[page * 64:(page + 1) * 64] = frame
-    return final
+    check(proto, quiescent=True)
+    return np.concatenate([authoritative(proto, page) for page in range(4)])
 
 
 def _emulate(plan):

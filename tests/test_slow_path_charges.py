@@ -62,7 +62,7 @@ class _PerCharge1L:
         proc.charge(self.costs.page_fault, "protocol")
         proc.stats.bump("write_faults" if write else "read_faults")
         self.maybe_relocate_home(proc, page)
-        twins = self.meta[st.owner].twins
+        twins = self.twins[st.owner]
         master = self.masters[page]
         on_home = self.home_opt and self.cluster.processors[
             self.directory.home(page)].node is proc.node
@@ -128,7 +128,7 @@ class _PerCharge1L:
             if done > proc.clock:
                 proc.charge(done - proc.clock, "comm_wait")
         proc.stats.bump("page_transfers")
-        twin = self.meta[st.owner].twins.get(page)
+        twin = self.twins[st.owner].get(page)
         if twin is not None:
             diff = incoming_diff(payload, st.frames[page], twin)
             proc.charge(self.config.diff_in_cost(diff.nbytes), "protocol")
@@ -157,7 +157,7 @@ class _PerCharge1L:
             table.set_perm(page, 0, Perm.INVALID)
             proc.charge(self.costs.mprotect, "protocol")
             _set_word(self, proc, st.owner, page, Perm.INVALID)
-            if page not in self.meta[st.owner].twins:
+            if page not in self.twins[st.owner]:
                 self.frames.unmap_frame(st.owner, page)
 
     def release_sync(self, proc):
@@ -176,7 +176,7 @@ class _PerCharge1L:
         sharers = [o for o in entry.sharers() if o != st.owner]
         if st.frames.get(page) is not self.masters[page] \
                 and not self.write_through:
-            twin = self.meta[st.owner].twins.pop(page)
+            twin = self.twins[st.owner].pop(page)
             diff = outgoing_diff(st.frames[page], twin)
             apply_diff(self.masters[page], diff)
             local = self.node_of_owner(home_owner) is proc.node
@@ -217,7 +217,7 @@ class Ref1L(_PerCharge1L, Cashmere1L):
         if master is st.frames.get(page):
             return
         master[lo:lo + count] = values
-        per_word, local = self.meta[st.owner].doubling[page]
+        per_word, local = self.doubling[st.owner][page]
         proc.charge(per_word * count, "write_double")
         proc.stats.bump("doubled_words", count)
         if local:
@@ -247,11 +247,11 @@ class _PerCharge2L:
             self._ref_map(proc, st, page, Perm.READ)
         else:
             self._ref_fetch_if_stale(proc, st, page, ns)
-            meta = ns.meta_for(page)
+            twins = self.twins[st.owner]
             table = self.tables[st.owner]
             if (not entry.has_other_sharer(st.owner)
                     and entry.exclusive_holder() is None
-                    and meta.twin is None and not table.writers(page)
+                    and page not in twins and not table.writers(page)
                     and not self._notices_pending(st.owner, page)):
                 entry.set_excl(st.owner, proc.global_id)
                 entry.set_perm(st.owner, Perm.WRITE)
@@ -262,8 +262,8 @@ class _PerCharge2L:
             else:
                 st.dirty.add(page)
                 if self.directory.home(page) != st.owner \
-                        and meta.twin is None:
-                    meta.twin = make_twin(st.frames[page])
+                        and page not in twins:
+                    twins[page] = make_twin(st.frames[page])
                     proc.charge(self._twin_cost, "protocol")
                     proc.stats.bump("twin_creations")
             self._ref_map(proc, st, page, Perm.WRITE)
@@ -293,7 +293,7 @@ class _PerCharge2L:
         if holder is None and page in st.frames \
                 and meta.update_ts >= min(meta.wn_ts, st.acquire_ts):
             return
-        if self.shootdown and meta.twin is not None:
+        if self.shootdown and page in self.twins[st.owner]:
             self._shootdown_and_flush(proc, st, page, meta)
         t0 = proc.clock
         proc.charge(self.costs.fetch_overhead
@@ -310,8 +310,9 @@ class _PerCharge2L:
             if done > proc.clock:
                 proc.charge(done - proc.clock, "comm_wait")
         proc.stats.bump("page_transfers")
-        if meta.twin is not None:
-            diff = incoming_diff(payload, st.frames[page], meta.twin)
+        twin = self.twins[st.owner].get(page)
+        if twin is not None:
+            diff = incoming_diff(payload, st.frames[page], twin)
             proc.charge(self.config.diff_in_cost(diff.nbytes), "protocol")
             proc.stats.bump("incoming_diffs")
             if self.trace is not None:
@@ -391,8 +392,9 @@ class _PerCharge2L:
         table = self.tables[st.owner]
         ns.logical += 1
         meta.flush_ts = ns.logical
+        twins = self.twins[st.owner]
         if home != st.owner:
-            if meta.twin is None:
+            if page not in twins:
                 if not self.shootdown:
                     if table.writers(page):
                         raise ProtocolError("flush without twin")
@@ -402,7 +404,7 @@ class _PerCharge2L:
                 if self.shootdown and others:
                     self._shootdown_and_flush(proc, st, page, meta)
                     return
-                diff = flush_update(st.frames[page], meta.twin,
+                diff = flush_update(st.frames[page], twins[page],
                                     self.master(page))
                 proc.charge(self.config.diff_out_cost(diff.nbytes, True),
                             "protocol")
@@ -419,7 +421,7 @@ class _PerCharge2L:
                 if others:
                     proc.stats.bump("flush_updates")
                 else:
-                    meta.twin = None
+                    del twins[page]
         entry = self.directory.entry(page)
         if self.directory.lock_model is not None:
             proc.charge(self.directory.lock_model.update_cost(proc.clock),

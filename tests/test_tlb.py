@@ -2,13 +2,14 @@
 stated invariant, precision as a deterministic count, and the warm
 multi-page block paths.
 
-**The invariant.** Every read-map entry ``(page, frame)`` of local
-processor ``p`` has ``rows[page][p] >= READ`` and ``frames[page] is
-frame``; every write-map entry has ``rows[page][p] >= WRITE`` and wraps
-that same frame. The page table evicts exactly the entries a permission
-tightening, frame unmap or rebind kills, so an entry that is *present*
-is valid — the warm access path checks nothing else. The frame itself
-is the owner's memory slot for that page or, under the home-node
+**The invariant** is the ``map-permitted`` row of
+:mod:`repro.protocol.invariants`: every read-map entry ``(page, frame)``
+of local processor ``p`` has ``rows[page][p] >= READ`` and ``frames[page]
+is frame``; every write-map entry has ``rows[page][p] >= WRITE`` and
+wraps that same frame. The page table evicts exactly the entries a
+permission tightening, frame unmap or rebind kills, so an entry that is
+*present* is valid — the warm access path checks nothing else. The frame
+itself is the owner's memory slot for that page or, under the home-node
 optimization only, the page's master: a warm multi-page block is one
 slice of the owner's memory exactly when every page is the former.
 
@@ -28,6 +29,7 @@ from repro import MachineConfig
 from repro.apps import make_app
 from repro.apps.base import Application
 from repro.experiments.configs import experiment_config
+from repro.protocol.invariants import check
 from repro.runtime.env import WorkerEnv
 from repro.runtime.program import ParallelRuntime
 from repro.vm.page import FrameStore, Perm
@@ -40,32 +42,12 @@ PROTOCOLS = ["2L", "2LS", "1LD", "1L"]
 WPP = 64  # words per 512-byte page
 
 
-def is_slot(frame, backing, page: int) -> bool:
-    """Whether ``frame`` is ``page``'s slot in the owner memory
-    ``backing``."""
-    return frame.base is backing and \
-        frame.ctypes.data == backing.ctypes.data + page * frame.nbytes
-
-
-def assert_tlb_sound(proto) -> int:
-    """Walk every cached mapping of every processor, asserting the
-    invariant; returns how many entries were checked."""
-    checked = 0
-    for owner, table in enumerate(proto.tables):
-        frames = proto.frames.frames_of(owner)
-        backing = proto.frames.backings[owner]
-        for p in range(table.procs):
-            for page, frame in table.rmaps[p].items():
-                assert table.rows[page][p] >= Perm.READ, (owner, p, page)
-                assert frames.get(page) is frame, (owner, p, page)
-                assert is_slot(frame, backing, page) or (
-                    proto.home_opt and frame is proto.master(page)), (
-                    owner, p, page)
-            for page, mv in table.wmaps[p].items():
-                assert table.rows[page][p] >= Perm.WRITE, (owner, p, page)
-                assert mv.obj is frames.get(page), (owner, p, page)
-            checked += len(table.rmaps[p]) + len(table.wmaps[p])
-    return checked
+def checked_mappings(proto) -> int:
+    """Check the invariant table; return how many cached mappings its
+    ``map-permitted`` row walked."""
+    check(proto)
+    return sum(len(m) for table in proto.tables
+               for m in table.rmaps + table.wmaps)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +115,7 @@ def test_tlb_sound_after_application(app_name, protocol):
     app = make_app(app_name)
     rt = ParallelRuntime(app, app.small_params(), SMALL, protocol)
     rt.run()
-    assert assert_tlb_sound(rt.protocol) > 0  # the walk was not vacuous
+    assert checked_mappings(rt.protocol) > 0  # the walk was not vacuous
 
 
 @pytest.mark.parametrize("protocol", ["1LD", "1L"])
@@ -146,7 +128,7 @@ def test_tlb_sound_under_home_node_optimization(app_name, protocol):
                          home_opt=True)
     rt.run()
     proto = rt.protocol
-    assert assert_tlb_sound(proto) > 0
+    assert checked_mappings(proto) > 0
     assert any(frame is proto.master(page) for table in proto.tables
                for rmap in table.rmaps for page, frame in rmap.items())
 
@@ -182,9 +164,9 @@ class _PlanApp(Application):
                 if who == env.rank:
                     env.get(mem, w)
                     yield env.compute(0.5)
-            self.walked += assert_tlb_sound(env._protocol)  # mid-round state
+            self.walked += checked_mappings(env._protocol)  # mid-round state
             yield from env.barrier()
-            self.walked += assert_tlb_sound(env._protocol)
+            self.walked += checked_mappings(env._protocol)
 
     def result_arrays(self, params):
         return ["mem"]
@@ -398,4 +380,4 @@ def test_partly_cold_span_falls_back_to_dispatch(warm):
     assert counts == {"load_range": 1, "store_range": 1}
     expected[WPP:4 * WPP] = 0.0
     np.testing.assert_array_equal(rt.read_array("a"), expected)
-    assert assert_tlb_sound(rt.protocol) == 12
+    assert checked_mappings(rt.protocol) == 12
