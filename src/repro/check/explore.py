@@ -298,10 +298,10 @@ class _World:
         parts.append(tuple(sorted(
             (lid, lock.holder, round(lock.free_visible_at, 6))
             for lid, lock in self.locks.items())))
+        parts.append(bytes(proto._home_settled))
         for page in range(cfg.num_pages):
             e = proto.directory.entry(page)
-            parts.append((e.home_owner, e.home_is_default,
-                          e.state_tuple()))
+            parts.append((e.home_owner, e.state_tuple()))
             parts.append(proto.master(page).tobytes())
         for owner in range(proto.num_owners):
             parts.append(tuple(tuple(row)
@@ -315,17 +315,15 @@ class _World:
                 for wn in bin_) for bin_ in board.bins))
         for st in proto._ps:
             parts.append((tuple(sorted(st.dirty)),
-                          tuple(sorted(st.nle.pages)),
-                          tuple(st.notices._queue),
+                          tuple(sorted(st.nle)),
+                          tuple(st.notices),
                           st.acquire_ts,
-                          tuple(sorted(st.excl_pages)),
                           st.arrival_epoch))
         for ns in getattr(proto, "node_state", ()):  # two-level protocols
             parts.append((ns.logical, ns.last_release_ts))
-            parts.append(tuple(sorted(
-                (page, m.flush_ts, m.update_ts, m.wn_ts,
-                 round(m.flush_end_real, 6))
-                for page, m in ns.meta.items())))
+            parts.append(tuple(
+                (m.flush_ts, m.update_ts, m.wn_ts, round(m.flush_end_real, 6))
+                for m in ns.meta))
         parts.append(self.checker.oracle.golden.tobytes())
         parts.append(self.checker.detector.digest())
         return hashlib.sha256(repr(parts).encode()).hexdigest()

@@ -9,51 +9,33 @@ all connected by one :class:`~repro.memchannel.MemoryChannel`.
 
 :class:`Processor` is the execution context simulated processes run on:
 it owns the local clock, the Figure-6 time buckets, the Table-3 event
-counters, and the polling hook through which explicit requests are
-serviced (Section 2.3, Figure 5).
+counters, and the polling check paid at loop back-edges (Section 2.3,
+Figure 5). Explicit requests themselves are priced where they are sent:
+:meth:`~repro.protocol.messages.RequestEngine.fetch_page` books the
+polling (or interrupt) delivery and the node's service timeline.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 from ..config import MachineConfig
 from ..memchannel import MemoryChannel
-from ..sim.engine import Condition, SerialResource, Simulator
+from ..sim.engine import SerialResource, Simulator
 from ..stats.counters import ProcStats
 from ..sim.process import ExecutionContext
 
 
 class Node:
-    """One SMP node: processors, a shared bus, and a request queue.
-
-    The request queue models the per-node multi-bin request buffers of
-    Figure 2; delivery is by polling (processors drain the queue at yield
-    points) or by interrupt, per the machine configuration.
-    """
+    """One SMP node: processors, a shared bus, and a request-service
+    timeline."""
 
     def __init__(self, cluster: "Cluster", node_id: int) -> None:
         self.cluster = cluster
         self.id = node_id
         self.processors: list[Processor] = []
         self.bus = SerialResource(name=f"bus[{node_id}]")
-        #: FIFO of (target_proc_id_or_None, callable(handler_proc) -> None).
-        self.request_queue: list[tuple[int | None, Callable]] = []
-        self.request_cond = Condition(cluster.sim, name=f"requests[{node_id}]")
         #: Request-service timeline: handlers run one at a time per node
         #: (this serialization is the one-level protocols' LU bottleneck).
         self.service = SerialResource(name=f"service[{node_id}]")
-
-    def post_request(self, at: float, handler: Callable,
-                     target_proc: int | None = None) -> None:
-        """Enqueue an explicit request arriving at time ``at``.
-
-        Waiting processors are woken so they can poll it; running
-        processors will find it at their next yield point.
-        """
-        self.request_queue.append((target_proc, handler))
-        if self.request_cond._waiters:  # nobody spinning: nobody to wake
-            self.request_cond.fire(at)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.id} procs={len(self.processors)}>"
@@ -79,16 +61,9 @@ class Processor(ExecutionContext):
         config = node.cluster.config
         self._costs = config.costs
         self._polling = config.polling
-        #: What wakes this processor while it waits: incoming requests,
-        #: when it polls for them (bound once; read on every Wait).
-        self._poll_conditions: tuple[Condition, ...] = \
-            (node.request_cond,) if config.polling else ()
         #: Optional event tracer (:class:`repro.trace.Tracer`); when set,
         #: every bucket charge is recorded as a duration span.
         self.trace = None
-        #: Installed by the protocol runtime: called with (proc, handler)
-        #: to run one polled request. None before a protocol attaches.
-        self.request_runner: Callable[["Processor", Callable], None] | None = None
 
     # --- ExecutionContext ---------------------------------------------------
 
@@ -160,23 +135,6 @@ class Processor(ExecutionContext):
                 buckets["polling"] += poll
                 self.clock = clock + poll
 
-    def service_requests(self) -> None:
-        """Drain the node's request queue (the polling handler of Figure 5)."""
-        if self.request_runner is None or not self._polling:
-            return
-        queue = self.node.request_queue
-        index = 0
-        while index < len(queue):
-            target, handler = queue[index]
-            if target is None or target == self.global_id:
-                queue.pop(index)
-                self.request_runner(self, handler)
-            else:
-                index += 1
-
-    def poll_conditions(self) -> Sequence[Condition]:
-        return self._poll_conditions
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<P{self.global_id} (node {self.node.id}.{self.local_id})>"
 
@@ -204,12 +162,6 @@ class Cluster:
     @property
     def num_procs(self) -> int:
         return len(self.processors)
-
-    def processor(self, global_id: int) -> Processor:
-        return self.processors[global_id]
-
-    def node_of_proc(self, global_id: int) -> Node:
-        return self.processors[global_id].node
 
     def max_clock(self) -> float:
         return max(p.clock for p in self.processors)

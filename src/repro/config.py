@@ -225,8 +225,8 @@ class MachineConfig:
     fastpath: bool = True
     #: Opt-in time-series metrics sampling (:mod:`repro.metrics`): a
     #: collector polls directory occupancy, page-state histograms,
-    #: Memory Channel bandwidth, request-queue depths, and fast-path
-    #: (software TLB) hit rates at fixed simulated-time intervals, and
+    #: Memory Channel bandwidth and fast-path (software TLB) hit rates
+    #: at fixed simulated-time intervals, and
     #: records deltas of the protocol counters between samples. Like
     #: ``checking``/``tracing``, strictly observational: a metered run
     #: produces byte-identical statistics and results to an unmetered

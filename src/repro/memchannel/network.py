@@ -145,6 +145,3 @@ class MemoryChannel:
     @property
     def total_bytes(self) -> int:
         return sum(self.traffic.values())
-
-    def traffic_mbytes(self) -> float:
-        return self.total_bytes / 1e6

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import partial
 from heapq import heappush
-from typing import Any, Iterable
+from typing import Any
 
 from ..errors import MemoryChannelError
 from ..sim.engine import Condition, Simulator
@@ -144,10 +144,6 @@ class MCRegion:
     def read_all(self, at: float) -> list[Any]:
         return [w.read(at) for w in self.words]
 
-    def snapshot_latest(self) -> list[Any]:
-        """Latest values ignoring visibility (tests and debugging only)."""
-        return [w.latest() for w in self.words]
-
 
 class MappingTable:
     """Accounting for Memory Channel connections (Section 2.3).
@@ -161,7 +157,6 @@ class MappingTable:
     def __init__(self, max_connections: int = 65536) -> None:
         self.max_connections = max_connections
         self._used = 0
-        self._names: list[str] = []
 
     @property
     def used(self) -> int:
@@ -176,7 +171,3 @@ class MappingTable:
                 f"{connections} connection(s) for {name!r} "
                 f"({self._used}/{self.max_connections} in use)")
         self._used += connections
-        self._names.append(name)
-
-    def allocated_names(self) -> Iterable[str]:
-        return tuple(self._names)

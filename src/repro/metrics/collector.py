@@ -10,14 +10,18 @@ collector records
 * **gauges** — instantaneous state polled from the live structures:
   per-owner directory occupancy and the page-state histogram
   (:meth:`~repro.protocol.directory.GlobalDirectory.occupancy`),
-  per-node request-queue depths, twin/notice backlogs via the
-  protocol's ``metrics_gauges`` hook, and the tracer's ring-buffer drop
-  count when tracing is also enabled;
+  twin/notice backlogs via the protocol's ``metrics_gauges`` hook, and
+  the tracer's ring-buffer drop count when tracing is also enabled;
 * **deltas** — the change since the previous sample of cumulative
   sources: the Table-3 protocol counters summed over all processors,
   Memory Channel traffic bytes by category, link busy time (reported as
   a utilization fraction of the interval), and the runtime fast-path's
   software-TLB hit/miss counts (hits are accesses minus fallbacks).
+
+Explicit requests have no backlog to sample: a request is priced when it
+is sent (:meth:`~repro.protocol.messages.RequestEngine.fetch_page` books
+the poll delay and the node's service timeline), and the requests each
+processor served are the ``requests_served`` counter's deltas.
 
 Like the correctness checker and the tracer, collection is strictly
 observational: sampling never charges time, never schedules events, and
@@ -172,14 +176,6 @@ class MetricsCollector:
         record("mc.util", t,
                (busy - self._last_busy) / capacity if capacity > 0 else 0.0)
         self._last_busy = busy
-
-        # Request-queue depths (explicit request backlog per node).
-        total_depth = 0
-        for node in self._cluster.nodes:
-            depth = len(node.request_queue)
-            total_depth += depth
-            record(f"reqq.n{node.id}", t, depth)
-        record("reqq.total", t, total_depth)
 
         # Directory occupancy and the page-state histogram.
         per_owner, histogram = self._protocol.directory.occupancy()

@@ -8,7 +8,7 @@ from .directory import (NO_HOLDER, DirectoryLockModel, DirEntry,
                         GlobalDirectory, PageMeta)
 from .messages import RequestEngine
 from .onelevel import Cashmere1L, Cashmere1LD, OneLevelProtocol
-from .writenotice import NLEList, NoticeBoard, PerProcNotices, WriteNotice
+from .writenotice import NoticeBoard, WriteNotice
 
 #: Map from protocol enum / short name to implementation class.
 PROTOCOL_CLASSES = {
@@ -45,7 +45,6 @@ def make_protocol(name, cluster, *, lock_free=True, home_opt=False):
 __all__ = [
     "BaseProtocol", "Cashmere2L", "Cashmere2LS", "Cashmere1LD", "Cashmere1L",
     "OneLevelProtocol", "GlobalDirectory", "DirectoryLockModel", "DirEntry",
-    "PageMeta", "NoticeBoard", "PerProcNotices", "WriteNotice",
-    "NLEList", "RequestEngine", "PROTOCOL_CLASSES", "make_protocol",
-    "NO_HOLDER",
+    "PageMeta", "NoticeBoard", "WriteNotice", "RequestEngine",
+    "PROTOCOL_CLASSES", "make_protocol", "NO_HOLDER",
 ]

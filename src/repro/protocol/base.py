@@ -20,7 +20,7 @@ from ..vm.page import FrameStore, Perm
 from ..vm.pagetable import PageTable
 from .directory import DirectoryLockModel, GlobalDirectory
 from .messages import RequestEngine
-from .writenotice import NLEList, NoticeBoard, PerProcNotices, WriteNotice
+from .writenotice import NoticeBoard, WriteNotice
 
 #: Wire overhead of a page-fetch reply beyond the page data itself.
 PAGE_HEADER_BYTES = 32
@@ -33,7 +33,7 @@ class ProcProtoState:
     """Per-processor protocol state, laid out for the access fast path."""
 
     __slots__ = ("proc", "owner", "lidx", "rows", "frames", "dirty", "nle",
-                 "notices", "acquire_ts", "excl_pages", "arrival_epoch")
+                 "notices", "acquire_ts", "arrival_epoch")
 
     def __init__(self, proc: Processor, owner: int, lidx: int,
                  rows: list[list[int]],
@@ -49,14 +49,16 @@ class ProcProtoState:
         self.frames = frames
         #: Pages this processor wrote since its last release (dirty list).
         self.dirty: set[int] = set()
-        #: No-longer-exclusive list, written by local peers.
-        self.nle = NLEList()
-        #: Second-level write-notice list (bitmap + queue).
-        self.notices = PerProcNotices()
+        #: No-longer-exclusive list, written by local peers: pages that
+        #: left exclusive mode while this processor held a write mapping,
+        #: flushed at its next release as if dirty.
+        self.nle: set[int] = set()
+        #: Second-level write-notice list: the paper's bitmap + queue as
+        #: one insertion-ordered dict (page -> None), so a redundant
+        #: notice finds its page already queued.
+        self.notices: dict[int, None] = {}
         #: Logical time of this processor's most recent acquire.
         self.acquire_ts: int = -1
-        #: Pages this processor currently holds in exclusive mode.
-        self.excl_pages: set[int] = set()
         #: Barrier episodes this processor has arrived at (the "last
         #: arriving local writer" check consults peers' arrival state).
         self.arrival_epoch: int = 0
@@ -103,8 +105,8 @@ class BaseProtocol:
         self.frames = FrameStore(self.num_owners, self.config.num_pages,
                                  self.config.words_per_page,
                                  tables=self.tables)
-        self.boards = [NoticeBoard(o, self.num_owners)
-                       for o in range(self.num_owners)]
+        self.boards = [NoticeBoard(self.num_owners)
+                       for _ in range(self.num_owners)]
         #: Each owner's twins (page -> copy of its frame as last flushed
         #: or merged, Section 2.2): every protocol's one twin store.
         self.twins: list[dict[int, np.ndarray]] = [
@@ -114,10 +116,9 @@ class BaseProtocol:
 
         #: First-touch relocation enabled after application initialization.
         self.first_touch_enabled = False
-        self._relocated_superpages: set[int] = set()
         #: 1 once a page's home can never change again (its superpage was
-        #: relocated, or its home was set by hand); lets the fault path
-        #: skip the relocation check with a single index.
+        #: relocated): the one record of relocation, which lets the fault
+        #: path skip the relocation check with a single index.
         self._home_settled = bytearray(self.config.num_pages)
         self._home_lock = SerialResource(name="home-selection-lock")
 
@@ -318,8 +319,7 @@ class BaseProtocol:
         if board.pending() and any(wn.page == page
                                    for bin_ in board.bins for wn in bin_):
             return True
-        return any(page in pst.notices._bitmap
-                   for pst in self._owner_ps[owner])
+        return any(page in pst.notices for pst in self._owner_ps[owner])
 
     def _superpage_pages_of(self, sp: int) -> range:
         per = self.config.superpage_pages
@@ -335,15 +335,6 @@ class BaseProtocol:
         if self._home_settled[page] or not self.first_touch_enabled:
             return
         sp = page // self.config.superpage_pages
-        if sp in self._relocated_superpages:
-            for p in self._superpage_pages_of(sp):
-                self._home_settled[p] = 1
-            return
-        entry = self.directory.entry(page)
-        if not entry.home_is_default:
-            self._home_settled[page] = 1
-            return
-        self._relocated_superpages.add(sp)
         for p in self._superpage_pages_of(sp):
             self._home_settled[p] = 1
         st = self._ps[proc.global_id]
@@ -355,9 +346,7 @@ class BaseProtocol:
 
         new_home = st.owner
         for p in self._superpage_pages_of(sp):
-            e = self.directory.entry(p)
-            e.home_is_default = False
-            old_home = e.home_owner
+            old_home = self.directory.home(p)
             if old_home == new_home:
                 continue
             self._relocate_page(proc, p, old_home, new_home)

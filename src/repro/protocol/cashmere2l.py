@@ -31,17 +31,15 @@ from .directory import NO_HOLDER, PageMeta
 
 
 class NodeState2L:
-    """Per-node protocol state: logical clock, release time, page meta."""
+    """Per-node protocol state: logical clock, release time, and one
+    :class:`PageMeta` per page (the second-level directory)."""
 
     __slots__ = ("logical", "last_release_ts", "meta")
 
-    def __init__(self) -> None:
+    def __init__(self, num_pages: int) -> None:
         self.logical = 0
         self.last_release_ts = -1
-        self.meta: dict[int, PageMeta] = {}
-
-    def meta_for(self, page: int) -> PageMeta:
-        return self.meta.get(page) or self.meta.setdefault(page, PageMeta())
+        self.meta = [PageMeta() for _ in range(num_pages)]
 
 
 class Cashmere2L(BaseProtocol):
@@ -53,7 +51,8 @@ class Cashmere2L(BaseProtocol):
 
     def __init__(self, cluster, *, lock_free: bool = True) -> None:
         super().__init__(cluster, lock_free=lock_free)
-        self.node_state = [NodeState2L() for _ in range(self.num_owners)]
+        self.node_state = [NodeState2L(self.frames.num_pages)
+                           for _ in range(self.num_owners)]
 
     # ------------------------------------------------------------------ hooks
 
@@ -72,14 +71,14 @@ class Cashmere2L(BaseProtocol):
         table, twins = self.tables[old_home], self.twins[old_home]
         if table.mapped(page):
             ns.logical += 1
-            ns.meta_for(page).update_ts = ns.logical
+            ns.meta[page].update_ts = ns.logical
             # Writers also need a twin now that flushes must diff against
             # the (relocated) master; a mapped page has a frame.
             if table.writers(page) and page not in twins:
                 twins[page] = make_twin(self.frames.frame(old_home, page))
         else:
             self.frames.unmap_frame(old_home, page)
-            ns.meta.pop(page, None)
+            ns.meta[page] = PageMeta()
             twins.pop(page, None)
 
     # ------------------------------------------------------------- page faults
@@ -121,9 +120,7 @@ class Cashmere2L(BaseProtocol):
             # no write notices, so the rule cannot see their writes);
             # home processors otherwise work on the master copy itself.
             home = entry.home_owner
-            if home != owner:  # ns.meta_for, in line
-                meta = ns.meta.get(page) \
-                    or ns.meta.setdefault(page, PageMeta())
+            meta = ns.meta[page]
             if home == owner:
                 if holder is not None:  # it flushes into our master
                     proc.clock, buckets["protocol"] = clock, spent
@@ -196,7 +193,6 @@ class Cashmere2L(BaseProtocol):
                 # exclusive. The word's holder field changes, so the
                 # directory update below is booked whatever its perm.
                 entry.set_excl(owner, proc.global_id)
-                st.excl_pages.add(page)
                 st.dirty.discard(page)
                 went_exclusive = True
             elif write:
@@ -266,12 +262,11 @@ class Cashmere2L(BaseProtocol):
                 _, visible = self.mc.transfer(at, page_bytes,
                                               category="excl_flush")
                 cost += self._page_copy_cost
-                hns.meta_for(page).flush_end_real = visible
+                hns.meta[page].flush_end_real = visible
             entry.clear_excl(holder_owner)
             cost += self.directory.update_cost(server)
             server.stats.bump("directory_updates")
             server.stats.bump("excl_transitions")
-            hst.excl_pages.discard(page)
 
             # Other local writers keep their mappings: twin + NLE entries.
             # (On the home node no twin is needed — writes go straight to
@@ -323,21 +318,16 @@ class Cashmere2L(BaseProtocol):
         if notices:
             # Second-level distribution: stamp each noticed page's
             # write-notice time and queue it at every local processor
-            # that maps it, one ll/sc lock per newly set bit.
+            # that maps it, one ll/sc lock per newly queued page (a page
+            # already queued is the bitmap's set bit: no lock).
             lists = [peer.notices for peer in self._owner_ps[owner]]
             queued = 0
             for wn in notices:
                 page = wn.page
-                meta = metas.get(page) or metas.setdefault(page, PageMeta())
-                meta.wn_ts = ns.logical
+                metas[page].wn_ts = ns.logical
                 for pn, perm in zip(lists, st.rows[page]):
-                    if perm < _READ:
-                        continue
-                    if page in pn._bitmap:  # PerProcNotices.add, in line
-                        pn.redundant_drops += 1
-                    else:
-                        pn._bitmap.add(page)
-                        pn._queue.append(page)
+                    if perm >= _READ and page not in pn:
+                        pn[page] = None
                         queued += 1
             if llsc > 0:
                 for _ in range(queued):
@@ -347,8 +337,9 @@ class Cashmere2L(BaseProtocol):
 
         st.acquire_ts = ns.logical
         table, lidx = self.tables[owner], st.lidx
-        for page in st.notices.drain():
-            meta = metas.get(page) or metas.setdefault(page, PageMeta())
+        queue, st.notices = st.notices, {}  # drained under the local lock
+        for page in queue:
+            meta = metas[page]
             row = table.rows[page]
             if meta.update_ts >= meta.wn_ts or row[lidx] == _INVALID:
                 continue
@@ -385,11 +376,12 @@ class Cashmere2L(BaseProtocol):
         ns = self.node_state[owner]
         ns.logical += 1
         ns.last_release_ts = ns.logical
-        if not st.dirty and not st.nle.pages:
+        if not st.dirty and not st.nle:
             return
         peers = self._owner_ps[owner]
-        pages = sorted(st.dirty | set(st.nle.take_all()))
+        pages = sorted(st.dirty | st.nle)
         st.dirty.clear()
+        st.nle.clear()
         trace, ctrace, buckets = self.trace, proc.trace, proc.stats.buckets
         clock = proc.clock
         spent = buckets["protocol"]
@@ -410,7 +402,7 @@ class Cashmere2L(BaseProtocol):
                 pass
             elif entry.excl_of(owner) != NO_HOLDER:
                 continue  # exclusive pages generate no flushes or notices
-            elif (meta := ns.meta_for(page)).flush_ts > ns.last_release_ts:
+            elif (meta := ns.meta[page]).flush_ts > ns.last_release_ts:
                 # A concurrent release already flushed this page; wait for
                 # the flush to reach the home node, then skip.
                 if meta.flush_end_real > clock:

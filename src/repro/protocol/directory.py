@@ -86,13 +86,12 @@ class DirEntry:
       them before it returns, and one that raises changes nothing.
     """
 
-    __slots__ = ("home_owner", "home_is_default", "perms", "excl",
-                 "writers", "bucket", "per_owner", "histogram")
+    __slots__ = ("home_owner", "perms", "excl", "writers", "bucket",
+                 "per_owner", "histogram")
 
     def __init__(self, home_owner: int, per_owner: list[int],
-                 histogram: list[int], home_is_default: bool = True) -> None:
+                 histogram: list[int]) -> None:
         self.home_owner = home_owner
-        self.home_is_default = home_is_default
         #: owner -> loosest Perm; only owners with perm > INVALID appear.
         self.perms: dict[int, Perm] = {}
         #: Cached (owner, processor) of the current exclusive holder. The

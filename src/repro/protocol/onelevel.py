@@ -229,8 +229,6 @@ class OneLevelProtocol(BaseProtocol):
             cost += self.directory.update_cost(server)
             server.stats.bump("directory_updates")
             server.stats.bump("excl_transitions")
-            hst = self._ps[holder_owner]
-            hst.excl_pages.discard(page)
             # Downgrade so future writes are tracked again.
             table = self.tables[holder_owner]
             if table.perm(page, 0) == Perm.WRITE:
@@ -354,7 +352,6 @@ class OneLevelProtocol(BaseProtocol):
                         ctrace.span("protocol", proc, clock, us)
                     clock, spent = clock + us, spent + us
                 counters["excl_transitions"] += 1
-                st.excl_pages.add(page)
                 sharers = None
             # Downgrade so future writes fault (and are tracked) again.
             if sharers is not None and table.rows[page][0] == _WRITE:

@@ -3,9 +3,10 @@
 Each owner has a globally accessible write-notice board with one *bin*
 (circular queue) per remote owner, so every bin has a single writer and
 no global lock is needed. On an acquire, a processor traverses all bins
-and distributes the notices to per-processor second-level lists; each of
-those is a bitmap + queue protected by a local ll/sc lock, so redundant
-notices for the same page collapse.
+and distributes the notices to per-processor second-level lists
+(``ProcProtoState.notices``): each is the paper's bitmap + queue in one
+insertion-ordered dict, protected by a local ll/sc lock, so a redundant
+notice finds its page already queued.
 
 Notices carry the Memory Channel visibility time of the write that posted
 them: an acquiring processor only consumes the prefix of each bin that
@@ -16,11 +17,11 @@ in-order delivery.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
-#: Shared empty results for drains/collects with nothing queued (the
-#: common case). Callers only iterate the result, never mutate it.
+#: Shared empty result for collects with nothing pending (the common
+#: case). Callers only iterate the result, never mutate it.
 _EMPTY: list = []
 
 
@@ -36,8 +37,7 @@ class WriteNotice:
 class NoticeBoard:
     """One owner's global write-notice list: a bin per remote owner."""
 
-    def __init__(self, owner: int, num_owners: int) -> None:
-        self.owner = owner
+    def __init__(self, num_owners: int) -> None:
         self.bins: list[deque[WriteNotice]] = [deque()
                                                for _ in range(num_owners)]
         self.posted = 0
@@ -80,67 +80,3 @@ class NoticeBoard:
     def pending(self) -> int:
         """Notices posted and not yet collected (visible or in flight)."""
         return self.posted - self._consumed
-
-
-class PerProcNotices:
-    """A processor's second-level write-notice list: bitmap + queue.
-
-    ``add`` returns True when the notice was new (bit previously clear);
-    redundant notices are dropped without touching the queue, which is the
-    multi-bin structure's point. ``drain`` flushes the queue and clears
-    the bitmap, as the protocol does while holding the local lock.
-    """
-
-    def __init__(self) -> None:
-        self._bitmap: set[int] = set()
-        self._queue: deque[int] = deque()
-        self.redundant_drops = 0
-
-    def add(self, page: int) -> bool:
-        return self.add_many([page]) == 1
-
-    def add_many(self, pages: list[int]) -> int:
-        """:meth:`add` every page of ``pages``, in order; returns how
-        many were new. One call per acquire instead of one per notice."""
-        bitmap = self._bitmap
-        fresh = [p for p in dict.fromkeys(pages) if p not in bitmap]
-        bitmap.update(fresh)
-        self._queue.extend(fresh)
-        self.redundant_drops += len(pages) - len(fresh)
-        return len(fresh)
-
-    def drain(self) -> list[int]:
-        if not self._queue:
-            return _EMPTY
-        pages = list(self._queue)
-        self._queue.clear()
-        self._bitmap.clear()
-        return pages
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-
-@dataclass
-class NLEList:
-    """A processor's no-longer-exclusive list (written by local peers).
-
-    When a page leaves exclusive mode while other local processors hold
-    write mappings, the responder places the page here; the owner flushes
-    it at its next release as if it were dirty.
-    """
-
-    pages: set[int] = field(default_factory=set)
-
-    def add(self, page: int) -> None:
-        self.pages.add(page)
-
-    def take_all(self) -> list[int]:
-        if not self.pages:
-            return _EMPTY
-        pages = sorted(self.pages)
-        self.pages.clear()
-        return pages
-
-    def __len__(self) -> int:
-        return len(self.pages)

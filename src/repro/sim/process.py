@@ -8,8 +8,10 @@ must block:
 ``Compute(cpu_us, mem_bytes)``
     A block of application computation: charges CPU time plus memory-bus
     service (with contention from other processors on the node), plus one
-    polling check. Yield points double as the polling instrumentation's
-    loop back-edges: pending explicit requests are serviced here.
+    polling check — the instrumentation's loop back-edge. The requests
+    that polling finds are priced where they are sent
+    (:meth:`~repro.protocol.messages.RequestEngine.fetch_page` books the
+    poll delay and the target node's service timeline), not here.
 
 ``Charge(us, bucket)``
     Non-blocking time charge (protocol work, waits already computed).
@@ -19,9 +21,7 @@ must block:
 
 ``Wait(condition, predicate, bucket)``
     Park until ``condition`` fires and ``predicate()`` is truthy; the
-    predicate's value is sent back into the generator. While parked the
-    processor still services incoming requests (processors in the paper
-    poll while spinning).
+    predicate's value is sent back into the generator.
 
 Protocol handlers themselves are plain functions that run atomically at a
 point in simulated time, charging measured costs; only synchronization
@@ -110,13 +110,6 @@ class ExecutionContext:
         """Charge a compute block, including memory-bus contention."""
         raise NotImplementedError
 
-    def service_requests(self) -> None:
-        """Poll: handle any explicit requests pending for this processor."""
-
-    def poll_conditions(self) -> Sequence[Condition]:
-        """Conditions that should wake this processor while it waits."""
-        return ()
-
 
 class SimProcess:
     """Drives one generator on one execution context."""
@@ -161,7 +154,6 @@ class SimProcess:
         """Resume the generator, then dispatch its next instruction."""
         if self.done:
             return
-        self.ctx.service_requests()
         try:
             instr = self.gen.send(send_value)
         except StopIteration as stop:
@@ -212,9 +204,8 @@ class SimProcess:
         if self._wait is not wait:
             self._wait_since = self.ctx.clock
         self._wait = wait
-        conds = tuple(wait.conditions) + tuple(self.ctx.poll_conditions())
-        self._parked_on = conds
-        for cond in conds:
+        self._parked_on = wait.conditions
+        for cond in wait.conditions:
             cond.park(self.ctx.clock, self._wake_cb)
 
     def _wake(self, at: float) -> None:
@@ -227,7 +218,6 @@ class SimProcess:
             # land a hair *below* ``at`` in floating point, which would
             # make a visibility predicate miss the very write that woke us.
             self.ctx.clock = max(self.ctx.clock, at)
-        self.ctx.service_requests()
         value = wait.predicate()
         if not value:
             # Spurious wakeup: stay parked. Conditions keep waiters

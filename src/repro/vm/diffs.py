@@ -48,9 +48,6 @@ class Diff:
         """
         return len(self.indices) * 2 * WORD_BYTES
 
-    def is_empty(self) -> bool:
-        return len(self.indices) == 0
-
 
 def make_twin(page: np.ndarray) -> np.ndarray:
     """Create a pristine copy of ``page``."""

@@ -32,11 +32,6 @@ class Perm(enum.IntEnum):
     READ = 1
     WRITE = 2  # read-write
 
-    @classmethod
-    def loosest(cls, perms) -> "Perm":
-        """The loosest permission among ``perms`` (directory word rule)."""
-        return cls(max(perms, default=cls.INVALID))
-
 
 class FrameStore:
     """Physical page frames for every owner.

@@ -25,8 +25,6 @@ class PageTable:
     """Permissions for one owner: ``perm(page, proc)`` for local processors."""
 
     def __init__(self, num_pages: int, procs: int) -> None:
-        self.num_pages = num_pages
-        self.procs = procs
         # One row per page; rows are plain lists for cheap fast-path access.
         self.rows: list[list[int]] = [[Perm.INVALID] * procs
                                       for _ in range(num_pages)]
@@ -81,11 +79,6 @@ class PageTable:
         for maps in (self.rmaps, self.wmaps):
             for m in maps:
                 m.pop(page, None)
-
-    def loosest(self, page: int) -> int:
-        """The loosest permission any local processor holds (directory
-        rule), as a plain int (see :meth:`perm`)."""
-        return max(self.rows[page])
 
     def writers(self, page: int) -> list[int]:
         return [i for i, p in enumerate(self.rows[page]) if p >= _WRITE]

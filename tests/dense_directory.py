@@ -60,14 +60,11 @@ class DirWord:
 class DenseDirEntry:
     """A directory entry stored as one :class:`DirWord` per owner."""
 
-    __slots__ = ("words", "home_owner", "home_is_default", "excl",
-                 "excl_known")
+    __slots__ = ("words", "home_owner", "excl", "excl_known")
 
-    def __init__(self, home_owner: int, home_is_default: bool = True, *,
-                 num_owners: int = 0,
+    def __init__(self, home_owner: int, *, num_owners: int = 0,
                  words: "list[DirWord] | None" = None) -> None:
         self.home_owner = home_owner
-        self.home_is_default = home_is_default
         self.words: list[DirWord] = (
             words if words is not None
             else [DirWord() for _ in range(num_owners)])

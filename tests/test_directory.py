@@ -15,7 +15,7 @@ from repro.config import MachineConfig
 from repro.errors import ProtocolError
 from repro.protocol.directory import (NO_HOLDER, DirectoryLockModel,
                                       DirEntry, GlobalDirectory, PageMeta)
-from repro.protocol.writenotice import NLEList, NoticeBoard, PerProcNotices
+from repro.protocol.writenotice import NoticeBoard
 from repro.vm.page import Perm
 
 from .dense_directory import (DenseDirEntry, DirWord, occupancy_into,
@@ -259,7 +259,7 @@ def test_kept_occupancy_equals_dense_rescan(steps):
 
 class TestNoticeBoard:
     def test_post_and_collect_respects_visibility(self):
-        board = NoticeBoard(0, 4)
+        board = NoticeBoard(4)
         board.post(1, page=7, visible_at=10.0)
         board.post(1, page=8, visible_at=20.0)
         got = board.collect(upto=15.0)
@@ -269,7 +269,7 @@ class TestNoticeBoard:
         assert [n.page for n in got] == [8]
 
     def test_bins_consumed_in_order(self):
-        board = NoticeBoard(0, 3)
+        board = NoticeBoard(3)
         board.post(1, 1, 5.0)
         board.post(2, 2, 3.0)
         got = board.collect(10.0)
@@ -281,7 +281,7 @@ class TestNoticeBoard:
         # processor, not per node, so a visible notice parked behind a
         # not-yet-visible head must still come out (missing it lets the
         # poster's lock successor read a stale page).
-        board = NoticeBoard(0, 2)
+        board = NoticeBoard(2)
         board.post(1, 1, 20.0)
         board.post(1, 2, 10.0)
         got = board.collect(15.0)
@@ -294,7 +294,7 @@ class TestNoticeBoard:
     def test_pending_matches_bin_lengths(self):
         """``pending()`` is kept as ``posted - consumed``; after any mix
         of posts and (partial) collects it equals what sits in the bins."""
-        board = NoticeBoard(0, 4)
+        board = NoticeBoard(4)
 
         def queued():
             return sum(len(b) for b in board.bins)
@@ -312,44 +312,6 @@ class TestNoticeBoard:
         assert board.collect(1.0) == []           # nothing newly visible
         board.collect(1e9)
         assert board.pending() == queued() == 0
-
-
-class TestPerProcNotices:
-    def test_bitmap_dedup(self):
-        n = PerProcNotices()
-        assert n.add(5) is True
-        assert n.add(5) is False
-        assert n.redundant_drops == 1
-        assert len(n) == 1
-
-    def test_add_many_is_add_in_a_loop(self):
-        pages = [4, 9, 4, 2, 9, 9, 7]
-        one, bulk = PerProcNotices(), PerProcNotices()
-        for n in (one, bulk):
-            n.add(9)  # a bit already set before the batch
-        fresh = sum(one.add(p) for p in pages)
-        assert bulk.add_many(pages) == fresh == 3
-        assert bulk.redundant_drops == one.redundant_drops == 4
-        assert bulk.add_many([]) == 0
-        assert bulk.drain() == one.drain() == [9, 4, 2, 7]
-
-    def test_drain_clears(self):
-        n = PerProcNotices()
-        n.add(1)
-        n.add(2)
-        assert n.drain() == [1, 2]
-        assert len(n) == 0
-        assert n.add(1) is True  # bitmap cleared too
-
-
-class TestNLEList:
-    def test_take_all_sorted_and_clears(self):
-        nle = NLEList()
-        nle.add(5)
-        nle.add(2)
-        nle.add(5)
-        assert nle.take_all() == [2, 5]
-        assert len(nle) == 0
 
 
 class TestPageMeta:

@@ -71,18 +71,18 @@ SERIES_APPS = ("SOR", "Water", "Gauss")
 PROTOCOLS = ("2L", "2LS", "1LD", "1L")
 
 SERIES_PINS = {
-    ('SOR', '2L'): '14:cec88d59fe779b71',
-    ('SOR', '2LS'): '14:cec88d59fe779b71',
-    ('SOR', '1LD'): '18:9dc0720b79ba7528',
-    ('SOR', '1L'): '28:989edc7cdd269414',
-    ('Water', '2L'): '215:dfea27614bdb869a',
-    ('Water', '2LS'): '215:aa88fd41deabf805',
-    ('Water', '1LD'): '222:9c91915e8ed17071',
-    ('Water', '1L'): '238:3ee514b00c2eea2f',
-    ('Gauss', '2L'): '21:18893d13ac373d75',
-    ('Gauss', '2LS'): '21:18893d13ac373d75',
-    ('Gauss', '1LD'): '28:0c150400f369048e',
-    ('Gauss', '1L'): '34:1df2754eb7b84464',
+    ('SOR', '2L'): '14:20507b7b43f8dc0e',
+    ('SOR', '2LS'): '14:20507b7b43f8dc0e',
+    ('SOR', '1LD'): '18:649a6417b9548108',
+    ('SOR', '1L'): '28:a13166d975935513',
+    ('Water', '2L'): '215:f7e6c0b4f9729e0e',
+    ('Water', '2LS'): '215:3fb3c65a8218a966',
+    ('Water', '1LD'): '222:4614a7314bc32264',
+    ('Water', '1L'): '238:f38c34c36142bedf',
+    ('Gauss', '2L'): '21:04dfbd551518ee0e',
+    ('Gauss', '2LS'): '21:04dfbd551518ee0e',
+    ('Gauss', '1LD'): '28:c38d606b334b14cb',
+    ('Gauss', '1L'): '34:0cb54d50f1c7e59d',
 }
 
 
@@ -163,14 +163,14 @@ class TestCollectorContents:
     def test_expected_series_present(self, metered_sor):
         series = metered_sor.metrics.series
         for name in ("ctr.read_faults", "ctr.page_transfers", "mc.util",
-                     "reqq.total", "dir.occ.total", "pages.invalid",
+                     "dir.occ.total", "pages.invalid",
                      "pages.read", "pages.write", "pages.excl",
                      "proto.twins", "tlb.hits", "tlb.misses",
                      "tlb.hit_rate"):
             assert name in series, name
 
     def test_sample_times_are_interval_aligned(self, metered_sor):
-        times, values = metered_sor.metrics.series["reqq.total"]
+        times, values = metered_sor.metrics.series["dir.occ.total"]
         assert len(times) == len(values)
         # Every boundary except the final partial-interval sample lands
         # on a multiple of the sampling interval.

@@ -14,7 +14,6 @@ class FakeCtx(ExecutionContext):
     def __init__(self):
         self.clock = 0.0
         self.charges = []
-        self.polls = 0
 
     def charge(self, us, bucket):
         self.clock += us
@@ -22,9 +21,6 @@ class FakeCtx(ExecutionContext):
 
     def run_compute(self, cpu_us, mem_bytes):
         self.charge(cpu_us, "user")
-
-    def service_requests(self):
-        self.polls += 1
 
 
 def run_one(gen, ctx=None):
@@ -180,14 +176,6 @@ class TestWait:
         group.spawn(ctx2, setter(), "setter")
         group.run()
         assert ctx1.clock == 10.0
-
-    def test_polling_happens_at_yield_points(self):
-        def prog():
-            yield Compute(1.0)
-            yield Compute(1.0)
-
-        _, ctx = run_one(prog())
-        assert ctx.polls >= 2
 
 
 class TestDeadlockDetection:

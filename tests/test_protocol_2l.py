@@ -97,7 +97,7 @@ class TestExclusiveMode:
         st1 = proto.proc_state(p1)
         # p1 (still holding a write mapping) got a no-longer-exclusive entry
         # and the node now has a twin.
-        assert page in st1.nle.pages or page in st1.dirty
+        assert page in st1.nle or page in st1.dirty
         assert page in proto.twins[0]
 
     def test_exclusive_page_needs_no_flush(self):
@@ -263,6 +263,55 @@ class TestTimestampCoalescing:
         assert faults == 2
 
 
+class TestSecondLevelNotices:
+    def test_redundant_notices_queue_a_page_once(self):
+        # Two remote nodes' notices for one page reach node 0 at one
+        # acquire: each local processor that maps the page queues it
+        # once, and the acquire pays one ll/sc lock per newly queued
+        # page plus one for draining its own (empty) list.
+        cluster, proto = make(nodes=3, ppn=3)
+        p0, p1, p2 = cluster.processors[:3]
+        page = proto.config.superpage_pages  # home = node 1
+
+        def reader(proc):
+            def script():
+                proto.load(proc, page, 0)
+                yield Compute(1.0)
+            return script
+
+        run_scripts(cluster, [None, reader(p1), reader(p2)])
+        assert proto.tables[0].rows[page] == [0, 1, 1]
+        llsc = proto.costs.llsc_lock
+        assert llsc > 0
+
+        def protocol_time_after(locks):
+            """Run one acquire on p0; return its protocol bucket, and the
+            old bucket plus ``locks`` ll/sc charges, added one by one."""
+            expected = p0.stats.buckets["protocol"]
+            proto.acquire_sync(p0)
+            for _ in range(locks):
+                expected += llsc
+            return p0.stats.buckets["protocol"], expected
+
+        proto.boards[0].post(1, page, 0.0)
+        proto.boards[0].post(2, page, 0.0)
+        # p1 and p2 each queue the page once; p0 drains its empty list.
+        got, expected = protocol_time_after(3)
+        assert got == expected
+        assert list(proto.proc_state(p1).notices) == [page]
+        assert list(proto.proc_state(p2).notices) == [page]
+        assert not proto.proc_state(p0).notices
+        assert proto.node_state[0].meta[page].wn_ts \
+            == proto.proc_state(p0).acquire_ts
+
+        # A later notice finds the page still queued: only the drain.
+        proto.boards[0].post(1, page, 0.0)
+        got, expected = protocol_time_after(1)
+        assert got == expected
+        assert list(proto.proc_state(p1).notices) == [page]
+        assert list(proto.proc_state(p2).notices) == [page]
+
+
 class TestHomeRelocation:
     def test_first_touch_moves_home(self):
         cluster, proto = make(nodes=2, ppn=1)
@@ -278,7 +327,7 @@ class TestHomeRelocation:
         proto.end_initialization()
         run_scripts(cluster, [None, w1])
         assert proto.directory.home(page) == 1
-        assert not proto.directory.entry(page).home_is_default
+        assert proto._home_settled[page]
         assert proto.master(page)[0] == 9.0
         assert p1.stats.counters["home_relocations"] == 1
 

@@ -199,7 +199,6 @@ class _PerCharge1L:
             entry.set_excl(st.owner, proc.global_id)
             _dir_update(self, proc)
             proc.stats.bump("excl_transitions")
-            st.excl_pages.add(page)
             return
         table = self.tables[st.owner]
         if table.perm(page, 0) == Perm.WRITE:
@@ -257,7 +256,6 @@ class _PerCharge2L:
                 entry.set_perm(st.owner, Perm.WRITE)
                 _dir_update(self, proc)
                 proc.stats.bump("excl_transitions")
-                st.excl_pages.add(page)
                 st.dirty.discard(page)
             else:
                 st.dirty.add(page)
@@ -273,7 +271,7 @@ class _PerCharge2L:
 
     def _ref_map(self, proc, st, page, perm):
         table = self.tables[st.owner]
-        old_loosest = table.loosest(page)
+        old_loosest = max(table.rows[page])
         table.set_perm(page, st.lidx, perm)
         if old_loosest < perm:
             _set_word(self, proc, st.owner, page, perm)
@@ -289,7 +287,7 @@ class _PerCharge2L:
             if holder is not None:
                 self._break_exclusive(proc, page, holder)
             return
-        meta = ns.meta_for(page)
+        meta = ns.meta[page]
         if holder is None and page in st.frames \
                 and meta.update_ts >= min(meta.wn_ts, st.acquire_ts):
             return
@@ -337,22 +335,24 @@ class _PerCharge2L:
         if lock_model is not None and board.pending():
             proc.charge(lock_model.update_cost(proc.clock), "protocol")
         for wn in board.collect(proc.clock):
-            ns.meta_for(wn.page).wn_ts = ns.logical
+            ns.meta[wn.page].wn_ts = ns.logical
             for peer, perm in zip(self._owner_ps[st.owner],
                                   st.rows[wn.page]):
-                if perm >= Perm.READ and peer.notices.add(wn.page):
+                if perm >= Perm.READ and wn.page not in peer.notices:
+                    peer.notices[wn.page] = None
                     proc.charge(self.costs.llsc_lock, "protocol")
         st.acquire_ts = ns.logical
         table = self.tables[st.owner]
-        for page in st.notices.drain():
-            meta = ns.meta_for(page)
+        pages, st.notices = st.notices, {}
+        for page in pages:
+            meta = ns.meta[page]
             if meta.update_ts >= meta.wn_ts \
                     or table.perm(page, st.lidx) == Perm.INVALID:
                 continue
-            old_loosest = table.loosest(page)
+            old_loosest = max(table.rows[page])
             table.set_perm(page, st.lidx, Perm.INVALID)
             proc.charge(self.costs.mprotect, "protocol")
-            new_loosest = table.loosest(page)
+            new_loosest = max(table.rows[page])
             if new_loosest != old_loosest:
                 _set_word(self, proc, st.owner, page, new_loosest)
         proc.charge(self.costs.llsc_lock, "protocol")
@@ -363,8 +363,9 @@ class _PerCharge2L:
         ns.logical += 1
         ns.last_release_ts = ns.logical
         peers = self._owner_ps[st.owner]
-        pages = sorted(st.dirty | set(st.nle.take_all()))
+        pages = sorted(st.dirty | st.nle)
         st.dirty.clear()
+        st.nle.clear()
         for page in pages:
             if barrier and any(
                     p >= Perm.WRITE and w != st.lidx
@@ -374,7 +375,7 @@ class _PerCharge2L:
                 continue
             if self.directory.entry(page).excl_of(st.owner) != NO_HOLDER:
                 continue
-            meta = ns.meta_for(page)
+            meta = ns.meta[page]
             if meta.flush_ts > ns.last_release_ts:
                 if meta.flush_end_real > proc.clock:
                     proc.charge(meta.flush_end_real - proc.clock,
