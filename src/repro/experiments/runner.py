@@ -48,6 +48,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 from typing import Callable
 
 from .configs import PLACEMENT_ORDER, PROTOCOL_ORDER, QUICK_PLACEMENTS
@@ -58,7 +59,7 @@ from .polling import run_polling_ablation
 from .scale import SCALE_APPS, run_scale
 from .sensitivity import run_sensitivity
 from .shootdown import run_shootdown_ablation
-from .sweep import ResultCache, Sweep, wall_clock
+from .sweep import ResultCache, Sweep
 from .table1 import run_table1
 from .table2 import format_table2, run_table2
 from .table3 import run_table3
@@ -146,14 +147,15 @@ def _run_sweep(args: argparse.Namespace) -> int:
     json_docs: list | None = [] if args.as_json and len(todo) > 1 else None
     results = {}
     for name in todo:
-        exp_start = wall_clock()
+        exp_start = time.perf_counter()
         result = results[name] = EXPERIMENTS[name](apps, args.quick, sweep)
         formatted = format_table2(result) if name == "table2" \
             else result.format()
         _emit(name, result, formatted, args.as_json, json_docs)
         if not args.as_json:
             print()
-        print(f"[{name}: {wall_clock() - exp_start:.1f}s]", file=sys.stderr)
+        print(f"[{name}: {time.perf_counter() - exp_start:.1f}s]",
+              file=sys.stderr)
     failed = False
     if args.experiment == "all":
         from .claims import check, format_claims
@@ -245,14 +247,15 @@ def main(argv: list[str] | None = None) -> int:
     # between the positionals, which plain parse_args cannot split.
     args = parser.parse_intermixed_args(argv)
 
-    start = wall_clock()
+    start = time.perf_counter()
     if args.experiment == "modelcheck":
         code = _run_modelcheck(args)
     elif args.experiment in ("trace", "profile"):
         code = _run_observed(args)
     else:
         code = _run_sweep(args)
-    print(f"[{wall_clock() - start:.1f}s wall clock]", file=sys.stderr)
+    print(f"[{time.perf_counter() - start:.1f}s wall clock]",
+          file=sys.stderr)
     return code
 
 

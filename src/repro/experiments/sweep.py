@@ -39,7 +39,6 @@ import hashlib
 import os
 import pickle
 import tempfile
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -59,18 +58,6 @@ CACHE_SCHEMA = "cashmere-sweep-2"
 #: Default on-disk cache location (relative to the working directory),
 #: unless ``CASHMERE_CACHE_DIR`` says otherwise.
 DEFAULT_CACHE_DIR = ".cashmere-cache"
-
-
-def wall_clock() -> float:
-    """The sanctioned wall-clock read.
-
-    Simulated results are a pure function of ``(RunSpec, source
-    digest)`` and must never depend on real time; progress reporting
-    may. Every wall-clock read outside this module goes through here
-    so the determinism lint (rule D101, see DESIGN.md §11) can prove
-    the rest of the tree clean.
-    """
-    return time.time()
 
 
 # --- RunSpec ------------------------------------------------------------------
@@ -110,7 +97,9 @@ class RunSpec:
     uninstrumented sequential baseline, and ``"table1"`` runs the basic
     operation micro-measurements (no application). ``params`` holds only
     *overrides* on the application's ``default_params()`` — defaults live
-    in source, which the cache key digests.
+    in source, which the cache key digests. :func:`execute_cell` rejects
+    a key the application does not have (``_compute_scale``, read by
+    every worker environment, is the one generic key).
     """
 
     kind: str = "app"
@@ -173,7 +162,12 @@ def execute_cell(spec: RunSpec) -> CellResult:
     config = config_from_key(spec.config)
     app = make_app(spec.app)
     params = app.default_params()
-    params.update(dict(spec.params))
+    unknown = [k for k, _ in spec.params
+               if k not in params and k != "_compute_scale"]
+    if unknown:
+        raise ConfigError(f"{spec.app} has no parameter(s) "
+                          f"{', '.join(unknown)}")
+    params.update(spec.params)
     if spec.kind == "seq":
         _, seq_us = run_sequential(app, params, config)
         seg = SharedSegment(config)

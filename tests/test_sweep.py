@@ -53,6 +53,15 @@ class TestRunSpec:
         with pytest.raises(ValueError):
             execute_cell(dataclasses.replace(small_spec(), kind="nope"))
 
+    @pytest.mark.parametrize("kind", ["app", "seq"])
+    def test_unknown_param_rejected(self, kind):
+        # A typo'd key used to run the default problem under a new key.
+        spec = small_spec(app="SOR",
+                          params={"rowz": 3, "_compute_scale": 2.0})
+        with pytest.raises(ConfigError, match=r"SOR has no parameter\(s\) "
+                                              r"rowz$"):
+            execute_cell(dataclasses.replace(spec, kind=kind))
+
 
 class TestParallelDeterminism:
     """Parallel output must be byte-identical to serial output."""
