@@ -6,6 +6,7 @@ parallel under any protocol and placement, and the final shared data is
 verified against the sequential result.
 """
 
+from ..errors import ConfigError
 from .barnes import Barnes
 from .base import Application, split_range
 from .em3d import Em3d
@@ -31,7 +32,11 @@ ALL_APPS = {
 
 def make_app(name: str) -> Application:
     """Instantiate a benchmark application by its Table 2 name."""
-    return ALL_APPS[name]()
+    cls = ALL_APPS.get(name)
+    if cls is None:
+        raise ConfigError(f"application {name!r} is not one of "
+                          f"{', '.join(ALL_APPS)}")
+    return cls()
 
 
 __all__ = ["Application", "split_range", "ALL_APPS", "make_app",

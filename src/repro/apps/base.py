@@ -38,6 +38,9 @@ class Application:
     #: sizes, so this is the paper's per-store doubling cost times the
     #: application's scaling factor (None = the raw cost model value).
     write_double_us: float | None = None
+    #: Upper bounds on parameters beyond the rule every value obeys (a
+    #: positive value of its default's type).
+    param_max: dict[str, float] = {}
 
     # --- configuration ---------------------------------------------------------
 

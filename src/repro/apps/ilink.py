@@ -36,6 +36,7 @@ class Ilink(Application):
     paper_seq_time_s = 899.0
     write_double_us = 11.0
     sync_style = "barriers"
+    param_max = {"density": 1.0}
 
     def default_params(self) -> dict:
         return {"elements": 1536, "iters": 6, "density": 0.6}

@@ -303,27 +303,25 @@ class _World:
             e = proto.directory.entry(page)
             parts.append((e.home_owner, e.state_tuple()))
             parts.append(proto.master(page).tobytes())
-        for owner in range(proto.num_owners):
-            parts.append(tuple(tuple(row)
-                               for row in proto.tables[owner].rows))
-            for pages in (proto.frames.frames_of(owner), proto.twins[owner]):
+        for rec in proto.owners:
+            parts.append(tuple(tuple(row) for row in rec.rows))
+            for pages in (rec.frames, rec.twins):
                 parts.append(tuple(sorted(
                     (page, arr.tobytes()) for page, arr in pages.items())))
-            board = proto.boards[owner]
             parts.append(tuple(tuple(
                 (wn.page, wn.from_owner, round(wn.visible_at, 6))
-                for wn in bin_) for bin_ in board.bins))
-        for st in proto._ps:
-            parts.append((tuple(sorted(st.dirty)),
-                          tuple(sorted(st.nle)),
-                          tuple(st.notices),
-                          st.acquire_ts,
-                          st.arrival_epoch))
-        for ns in getattr(proto, "node_state", ()):  # two-level protocols
-            parts.append((ns.logical, ns.last_release_ts))
-            parts.append(tuple(
-                (m.flush_ts, m.update_ts, m.wn_ts, round(m.flush_end_real, 6))
-                for m in ns.meta))
+                for wn in bin_) for bin_ in rec.board.bins))
+            for st in rec.ps:
+                parts.append((tuple(sorted(st.dirty)),
+                              tuple(sorted(st.nle)),
+                              tuple(st.notices),
+                              st.acquire_ts,
+                              st.arrival_epoch))
+            if rec.meta is not None:  # two-level protocols
+                parts.append((rec.logical, rec.last_release_ts))
+                parts.append(tuple(
+                    (m.flush_ts, m.update_ts, m.wn_ts,
+                     round(m.flush_end_real, 6)) for m in rec.meta))
         parts.append(self.checker.oracle.golden.tobytes())
         parts.append(self.checker.detector.digest())
         return hashlib.sha256(repr(parts).encode()).hexdigest()

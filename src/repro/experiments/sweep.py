@@ -97,9 +97,10 @@ class RunSpec:
     uninstrumented sequential baseline, and ``"table1"`` runs the basic
     operation micro-measurements (no application). ``params`` holds only
     *overrides* on the application's ``default_params()`` — defaults live
-    in source, which the cache key digests. :func:`execute_cell` rejects
+    in source, which the cache key digests. :func:`cell_params` rejects
     a key the application does not have (``_compute_scale``, read by
-    every worker environment, is the one generic key).
+    every worker environment, is the one generic key) and a value that
+    is not a positive value of its default's type.
     """
 
     kind: str = "app"
@@ -154,6 +155,31 @@ class CellResult:
     scale: dict | None = None
 
 
+def cell_params(app, overrides) -> dict:
+    """``app``'s default parameters with ``overrides`` (key, value) pairs
+    applied. Raises :class:`ConfigError` for a key the application does
+    not have, or a value that is not a positive value of its default's
+    type or exceeds the application's ``param_max``."""
+    params = app.default_params()
+    unknown = [k for k, _ in overrides
+               if k not in params and k != "_compute_scale"]
+    if unknown:
+        raise ConfigError(f"{app.name} has no parameter(s) "
+                          f"{', '.join(unknown)}")
+    for key, value in overrides:
+        default = params.get(key)  # None for ``_compute_scale``
+        bound = app.param_max.get(key)
+        if default is not None and (
+                type(value) is not type(default) or not value > 0
+                or bound is not None and value > bound):
+            raise ConfigError(
+                f"{app.name} parameter {key}={value!r}: must be a positive "
+                f"{type(default).__name__}"
+                + ("" if bound is None else f" at most {bound}"))
+    params.update(overrides)
+    return params
+
+
 def execute_cell(spec: RunSpec) -> CellResult:
     """Pure worker: run one cell. Safe to call in any process."""
     if spec.kind == "table1":
@@ -161,13 +187,7 @@ def execute_cell(spec: RunSpec) -> CellResult:
         return CellResult(payload=_measure_table1())
     config = config_from_key(spec.config)
     app = make_app(spec.app)
-    params = app.default_params()
-    unknown = [k for k, _ in spec.params
-               if k not in params and k != "_compute_scale"]
-    if unknown:
-        raise ConfigError(f"{spec.app} has no parameter(s) "
-                          f"{', '.join(unknown)}")
-    params.update(spec.params)
+    params = cell_params(app, spec.params)
     if spec.kind == "seq":
         _, seq_us = run_sequential(app, params, config)
         seg = SharedSegment(config)

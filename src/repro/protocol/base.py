@@ -2,8 +2,8 @@
 
 The four protocols (2L, 2LS, 1LD, 1L) share most of their machinery: an
 owner space (SMP nodes for the two-level protocols, individual processors
-for the one-level ones), per-owner frames and page tables, a replicated
-global directory, per-owner write-notice boards, an explicit
+for the one-level ones) with one record per owner (frames, page table,
+twins, write-notice board), a replicated global directory, an explicit
 request/reply engine, and first-touch home relocation. This module holds
 that shared core plus the load/store fast path; the protocol-specific
 fault, acquire, and release logic lives in the subclasses.
@@ -16,8 +16,7 @@ import numpy as np
 from ..cluster.machine import Cluster, Node, Processor
 from ..config import MachineConfig
 from ..sim.engine import SerialResource
-from ..vm.page import FrameStore, Perm
-from ..vm.pagetable import PageTable
+from ..vm.page import Owner, Perm
 from .directory import DirectoryLockModel, GlobalDirectory
 from .messages import RequestEngine
 from .writenotice import NoticeBoard, WriteNotice
@@ -36,17 +35,14 @@ class ProcProtoState:
                  "notices", "acquire_ts", "arrival_epoch")
 
     def __init__(self, proc: Processor, owner: int, lidx: int,
-                 rows: list[list[int]],
-                 frames: dict[int, np.ndarray]) -> None:
+                 record: Owner) -> None:
         self.proc = proc
         self.owner = owner
         self.lidx = lidx
-        #: The owner's page-table rows (shared list-of-lists).
-        self.rows = rows
-        #: The owner's frame dict (page -> numpy array), shared. Code that
-        #: unmaps or rebinds an entry directly evicts it from the page
-        #: table too (the ``map-permitted`` invariant).
-        self.frames = frames
+        #: The owner record's page-table rows and frames, bound for the
+        #: access fast path (read here, changed through the record).
+        self.rows = record.rows
+        self.frames = record.frames
         #: Pages this processor wrote since its last release (dirty list).
         self.dirty: set[int] = set()
         #: No-longer-exclusive list, written by local peers: pages that
@@ -96,21 +92,12 @@ class BaseProtocol:
         lock_model = None if lock_free else DirectoryLockModel(self.config)
         self.directory = GlobalDirectory(self.config, self.num_owners,
                                          lock_model=lock_model)
-        #: Per-owner page tables; each also holds its processors'
-        #: software-TLB maps, which the frame store evicts from on unmap.
-        self.tables = [PageTable(config.num_pages,
-                                 config.procs_per_node if self.two_level
-                                 else 1)
+        #: One record per owner: its page table and software TLBs,
+        #: frames, twins, notice board and processor states.
+        pages, wpp = config.num_pages, config.words_per_page
+        procs = config.procs_per_node if self.two_level else 1
+        self.owners = [Owner(pages, wpp, procs, NoticeBoard(self.num_owners))
                        for _ in range(self.num_owners)]
-        self.frames = FrameStore(self.num_owners, self.config.num_pages,
-                                 self.config.words_per_page,
-                                 tables=self.tables)
-        self.boards = [NoticeBoard(self.num_owners)
-                       for _ in range(self.num_owners)]
-        #: Each owner's twins (page -> copy of its frame as last flushed
-        #: or merged, Section 2.2): every protocol's one twin store.
-        self.twins: list[dict[int, np.ndarray]] = [
-            {} for _ in range(self.num_owners)]
         self.requests = RequestEngine(cluster)
         self._init_masters()
 
@@ -123,16 +110,14 @@ class BaseProtocol:
         self._home_lock = SerialResource(name="home-selection-lock")
 
         self._ps: list[ProcProtoState] = []
-        #: Each owner's processor states by local index (page-table column).
-        self._owner_ps: list[list[ProcProtoState]] = [
-            [] for _ in range(self.num_owners)]
         for proc in cluster.processors:
             owner = self.owner_of(proc)
-            lidx = proc.local_id if self.two_level else 0
-            st = ProcProtoState(proc, owner, lidx, self.tables[owner].rows,
-                                self.frames.frames_of(owner))
+            record = self.owners[owner]
+            st = ProcProtoState(proc, owner,
+                                proc.local_id if self.two_level else 0,
+                                record)
             self._ps.append(st)
-            self._owner_ps[owner].append(st)
+            record.ps.append(st)
 
         # Per-notice / per-word / per-page costs, bound once (frozen config).
         self._mc_word_write = self.costs.mc_word_write
@@ -251,11 +236,11 @@ class BaseProtocol:
         node's frame; one-level protocols override (the master is a
         separate MC receive region even on the home processor)."""
         for page in range(self.config.num_pages):
-            self.frames.map_frame(self.directory.home(page), page)
+            self.owners[self.directory.home(page)].map(page)
 
     def master(self, page: int) -> np.ndarray:
         """The current master copy (the home owner's frame)."""
-        return self.frames.frame(self.directory.home(page), page)
+        return self.owners[self.directory.home(page)].frames[page]
 
     def _dir_word(self, counters: dict, clock: float) -> float:
         """Book one directory-word broadcast's count and traffic (a word
@@ -283,14 +268,14 @@ class BaseProtocol:
             return
         visible = self.mc.visibility(proc.clock)
         record = WriteNotice(page, from_owner, visible)
-        boards = self.boards
+        owners = self.owners
         w = self._mc_word_write
         trace = proc.trace
         buckets = proc.stats.buckets
         clock = proc.clock
         spent = buckets["protocol"]
         for owner in dests:
-            board = boards[owner]
+            board = owners[owner].board
             board.bins[from_owner].append(record)
             board.posted += 1
             if trace is not None:
@@ -315,11 +300,12 @@ class BaseProtocol:
         holder's copy would be stale, and the eventual full-page break
         flush would clobber the newer master words the notice announced.
         """
-        board = self.boards[owner]
+        record = self.owners[owner]
+        board = record.board
         if board.pending() and any(wn.page == page
                                    for bin_ in board.bins for wn in bin_):
             return True
-        return any(page in pst.notices for pst in self._owner_ps[owner])
+        return any(page in pst.notices for pst in record.ps)
 
     def _superpage_pages_of(self, sp: int) -> range:
         per = self.config.superpage_pages
@@ -383,16 +369,16 @@ class BaseProtocol:
                         new_home: int) -> None:
         """Install the master copy at the relocated home owner."""
         old_master = self.master(page)
-        twin = self.twins[new_home].pop(page, None)
+        record = self.owners[new_home]
+        twin = record.twins.pop(page, None)
         if twin is not None:
             # The new home holds unflushed local writes; merge the old
             # master's remote changes instead of clobbering them.
             from ..vm.diffs import incoming_diff
-            frame = self.frames.frame(new_home, page)
-            incoming_diff(old_master, frame, twin,
+            incoming_diff(old_master, record.frames[page], twin,
                           context=f"relocation of page {page}")
         else:
-            self.frames.map_frame(new_home, page, old_master)
+            record.map(page, old_master)
 
     def _after_relocation(self, page: int, old_home: int,
                           new_home: int) -> None:
@@ -422,5 +408,9 @@ class BaseProtocol:
     def metrics_gauges(self, emit) -> None:
         """Emit the live twin count (zero under 1L, which never twins) and
         the write-notice backlog; ``emit(name, value)`` records a sample."""
-        emit("twins", sum(map(len, self.twins)))
-        emit("notice_backlog", sum(b.pending() for b in self.boards))
+        twins = backlog = 0
+        for record in self.owners:
+            twins += len(record.twins)
+            backlog += record.board.pending()
+        emit("twins", twins)
+        emit("notice_backlog", backlog)

@@ -30,18 +30,6 @@ from .base import (_INVALID, _READ, _WRITE, PAGE_HEADER_BYTES,
 from .directory import NO_HOLDER, PageMeta
 
 
-class NodeState2L:
-    """Per-node protocol state: logical clock, release time, and one
-    :class:`PageMeta` per page (the second-level directory)."""
-
-    __slots__ = ("logical", "last_release_ts", "meta")
-
-    def __init__(self, num_pages: int) -> None:
-        self.logical = 0
-        self.last_release_ts = -1
-        self.meta = [PageMeta() for _ in range(num_pages)]
-
-
 class Cashmere2L(BaseProtocol):
     """The two-level protocol with two-way diffing."""
 
@@ -51,8 +39,13 @@ class Cashmere2L(BaseProtocol):
 
     def __init__(self, cluster, *, lock_free: bool = True) -> None:
         super().__init__(cluster, lock_free=lock_free)
-        self.node_state = [NodeState2L(self.frames.num_pages)
-                           for _ in range(self.num_owners)]
+        # Each node's logical clock, release time, and one PageMeta per
+        # page (the rest of the second-level directory).
+        pages = self.config.num_pages
+        for record in self.owners:
+            record.logical = 0
+            record.last_release_ts = -1
+            record.meta = [PageMeta() for _ in range(pages)]
 
     # ------------------------------------------------------------------ hooks
 
@@ -67,19 +60,17 @@ class Cashmere2L(BaseProtocol):
         # fetches from the new home.
         if old_home == new_home:
             return
-        ns = self.node_state[old_home]
-        table, twins = self.tables[old_home], self.twins[old_home]
-        if table.mapped(page):
-            ns.logical += 1
-            ns.meta[page].update_ts = ns.logical
+        rec = self.owners[old_home]
+        if rec.mapped(page):
+            rec.logical += 1
+            rec.meta[page].update_ts = rec.logical
             # Writers also need a twin now that flushes must diff against
             # the (relocated) master; a mapped page has a frame.
-            if table.writers(page) and page not in twins:
-                twins[page] = make_twin(self.frames.frame(old_home, page))
+            if rec.writers(page) and page not in rec.twins:
+                rec.twins[page] = make_twin(rec.frames[page])
         else:
-            self.frames.unmap_frame(old_home, page)
-            ns.meta[page] = PageMeta()
-            twins.pop(page, None)
+            rec.unmap(page)  # and its twin
+            rec.meta[page] = PageMeta()
 
     # ------------------------------------------------------------- page faults
     # Flat slow path: see BaseProtocol.fault (DESIGN.md §19).
@@ -90,9 +81,9 @@ class Cashmere2L(BaseProtocol):
         write goes exclusive when the node is the page's only sharer, else
         joins the multi-writer path (dirty list, twin off the home)."""
         owner = st.owner
-        ns = self.node_state[owner]
-        twins = self.twins[owner]
-        ns.logical += 1
+        rec = self.owners[owner]
+        twins = rec.twins
+        rec.logical += 1
         ctrace, buckets = proc.trace, proc.stats.buckets
         counters, costs = proc.stats.counters, self.costs
         t0 = clock = proc.clock
@@ -120,7 +111,7 @@ class Cashmere2L(BaseProtocol):
             # no write notices, so the rule cannot see their writes);
             # home processors otherwise work on the master copy itself.
             home = entry.home_owner
-            meta = ns.meta[page]
+            meta = rec.meta[page]
             if home == owner:
                 if holder is not None:  # it flushes into our master
                     proc.clock, buckets["protocol"] = clock, spent
@@ -151,7 +142,7 @@ class Cashmere2L(BaseProtocol):
                     _, done = self.requests.fetch_page(
                         proc, self.cluster.nodes[home], self._page_copy_cost,
                         self._reply_bytes)
-                    payload = self.frames.frame(home, page)  # the master
+                    payload = self.owners[home].frames[page]  # the master
                 clock, spent = proc.clock, buckets["protocol"]
                 if done > clock:
                     us = done - clock
@@ -169,7 +160,7 @@ class Cashmere2L(BaseProtocol):
                     us = self.config.diff_in_cost(diff.nbytes)
                     counters["incoming_diffs"] += 1
                 else:
-                    self.frames.map_frame(owner, page, payload)
+                    rec.map(page, payload)
                     us = self._page_copy_cost
                 if us > 0:
                     if ctrace is not None:
@@ -182,8 +173,8 @@ class Cashmere2L(BaseProtocol):
                     self.trace.span("page_fetch", proc, t_fetch,
                                     clock - t_fetch, obj=page,
                                     bytes=self.config.page_bytes, home=home)
-                ns.logical += 1
-                meta.update_ts = ns.logical
+                rec.logical += 1
+                meta.update_ts = rec.logical
 
             if write and (not entry.has_other_sharer(owner)
                           and entry.excl is None and page not in twins
@@ -250,9 +241,9 @@ class Cashmere2L(BaseProtocol):
             if holder_pid == NO_HOLDER:
                 # Raced with another break request; nothing left to do.
                 return self.master(page).copy(), 2.0, page_bytes
-            hns = self.node_state[holder_owner]
+            rec = self.owners[holder_owner]
             hst = self._ps[holder_pid]
-            frame = self.frames.frame(holder_owner, page)
+            frame = rec.frames[page]
             cost = 0.0
 
             # Flush the entire page to the home node's master copy.
@@ -262,7 +253,7 @@ class Cashmere2L(BaseProtocol):
                 _, visible = self.mc.transfer(at, page_bytes,
                                               category="excl_flush")
                 cost += self._page_copy_cost
-                hns.meta[page].flush_end_real = visible
+                rec.meta[page].flush_end_real = visible
             entry.clear_excl(holder_owner)
             cost += self.directory.update_cost(server)
             server.stats.bump("directory_updates")
@@ -272,22 +263,19 @@ class Cashmere2L(BaseProtocol):
             # (On the home node no twin is needed — writes go straight to
             # the master — but the NLE entries still are: those writers
             # must send write notices and downgrade at their next release.)
-            table = self.tables[holder_owner]
-            writers = table.writers(page)
-            others = [w for w in writers if w != hst.lidx]
+            others = [w for w in rec.writers(page) if w != hst.lidx]
             if others:
-                twins = self.twins[holder_owner]
-                if home != holder_owner and page not in twins:
-                    twins[page] = make_twin(frame)
+                if home != holder_owner and page not in rec.twins:
+                    rec.twins[page] = make_twin(frame)
                     cost += self._twin_cost
                     server.stats.bump("twin_creations")
                 for lw in others:
-                    self._owner_ps[holder_owner][lw].nle.add(page)
+                    rec.ps[lw].nle.add(page)
                     cost += self.costs.llsc_lock
             # The holder downgrades its own permissions to catch new
             # writes (which then go through the dirty list).
-            if table.perm(page, hst.lidx) == Perm.WRITE:
-                table.set_perm(page, hst.lidx, Perm.READ)
+            if rec.rows[page][hst.lidx] == _WRITE:
+                rec.set_perm(page, hst.lidx, Perm.READ)
                 cost += self.costs.mprotect
             return frame.copy(), cost, page_bytes + PAGE_HEADER_BYTES
 
@@ -301,13 +289,13 @@ class Cashmere2L(BaseProtocol):
         (Section 2.4.2)."""
         st = self._ps[proc.global_id]
         owner = st.owner
-        ns = self.node_state[owner]
-        ns.logical += 1
+        rec = self.owners[owner]
+        rec.logical += 1
         ctrace, buckets = proc.trace, proc.stats.buckets
         clock = proc.clock
         spent = buckets["protocol"]
-        llsc, metas = self.costs.llsc_lock, ns.meta
-        board = self.boards[owner]
+        llsc, metas = self.costs.llsc_lock, rec.meta
+        board = rec.board
         lock_model = self.directory.lock_model
         if lock_model is not None and board.pending():
             if (us := lock_model.update_cost(clock)) > 0:
@@ -320,11 +308,11 @@ class Cashmere2L(BaseProtocol):
             # write-notice time and queue it at every local processor
             # that maps it, one ll/sc lock per newly queued page (a page
             # already queued is the bitmap's set bit: no lock).
-            lists = [peer.notices for peer in self._owner_ps[owner]]
+            lists = [peer.notices for peer in rec.ps]
             queued = 0
             for wn in notices:
                 page = wn.page
-                metas[page].wn_ts = ns.logical
+                metas[page].wn_ts = rec.logical
                 for pn, perm in zip(lists, st.rows[page]):
                     if perm >= _READ and page not in pn:
                         pn[page] = None
@@ -335,18 +323,18 @@ class Cashmere2L(BaseProtocol):
                         ctrace.span("protocol", proc, clock, llsc)
                     clock, spent = clock + llsc, spent + llsc
 
-        st.acquire_ts = ns.logical
-        table, lidx = self.tables[owner], st.lidx
+        st.acquire_ts = rec.logical
+        rows, lidx = rec.rows, st.lidx
         queue, st.notices = st.notices, {}  # drained under the local lock
         for page in queue:
             meta = metas[page]
-            row = table.rows[page]
+            row = rows[page]
             if meta.update_ts >= meta.wn_ts or row[lidx] == _INVALID:
                 continue
             # Invalidate this mapping; the node's directory word follows
             # when its loosest permission changes.
             old_loosest = max(row)
-            table.set_perm(page, lidx, Perm.INVALID)
+            rec.set_perm(page, lidx, Perm.INVALID)
             if (us := self.costs.mprotect) > 0:
                 if ctrace is not None:
                     ctrace.span("protocol", proc, clock, us)
@@ -373,23 +361,23 @@ class Cashmere2L(BaseProtocol):
         (Section 2.4.3)."""
         st = self._ps[proc.global_id]
         owner = st.owner
-        ns = self.node_state[owner]
-        ns.logical += 1
-        ns.last_release_ts = ns.logical
+        rec = self.owners[owner]
+        rec.logical += 1
+        rec.last_release_ts = rec.logical
         if not st.dirty and not st.nle:
             return
-        peers = self._owner_ps[owner]
+        peers = rec.ps
         pages = sorted(st.dirty | st.nle)
         st.dirty.clear()
         st.nle.clear()
         trace, ctrace, buckets = self.trace, proc.trace, proc.stats.buckets
         clock = proc.clock
         spent = buckets["protocol"]
-        table, lidx = self.tables[owner], st.lidx
-        twins = self.twins[owner]
+        rows, lidx = rec.rows, st.lidx
+        twins = rec.twins
         lock_model = self.directory.lock_model
         for page in pages:
-            row = table.rows[page]
+            row = rows[page]
             entry = self.directory.entries[page]
             # At a barrier only the "last arriving local writer" flushes:
             # defer to write-mapped peers NOT yet arrived at this episode
@@ -402,7 +390,7 @@ class Cashmere2L(BaseProtocol):
                 pass
             elif entry.excl_of(owner) != NO_HOLDER:
                 continue  # exclusive pages generate no flushes or notices
-            elif (meta := ns.meta[page]).flush_ts > ns.last_release_ts:
+            elif (meta := rec.meta[page]).flush_ts > rec.last_release_ts:
                 # A concurrent release already flushed this page; wait for
                 # the flush to reach the home node, then skip.
                 if meta.flush_end_real > clock:
@@ -416,8 +404,8 @@ class Cashmere2L(BaseProtocol):
                 # write notices to every other sharing node.
                 t0 = clock
                 home = entry.home_owner
-                ns.logical += 1
-                meta.flush_ts = ns.logical
+                rec.logical += 1
+                meta.flush_ts = rec.logical
                 notify = True
                 others = row.count(_WRITE) > (row[lidx] == _WRITE)
                 if home == owner:
@@ -445,7 +433,7 @@ class Cashmere2L(BaseProtocol):
                     # Flush-update: modifications to home *and* twin, so
                     # concurrent local writers' later flushes skip them.
                     diff = flush_update(st.frames[page], twins[page],
-                                        self.frames.frame(home, page))
+                                        self.owners[home].frames[page])
                     if (us := self.config.diff_out_cost(diff.nbytes,
                                                         True)) > 0:
                         if ctrace is not None:
@@ -485,7 +473,7 @@ class Cashmere2L(BaseProtocol):
                     trace.span("page_flush", proc, t0, clock - t0, obj=page)
             # Downgrade so new writes fault into the dirty list again.
             if row[lidx] == _WRITE:
-                table.set_perm(page, lidx, Perm.READ)
+                rec.set_perm(page, lidx, Perm.READ)
                 if (us := self.costs.mprotect) > 0:
                     if ctrace is not None:
                         ctrace.span("protocol", proc, clock, us)
@@ -511,13 +499,13 @@ class Cashmere2L(BaseProtocol):
         each shootdown cheap (Section 3.3.4).
         """
         costs = self.costs
-        table = self.tables[st.owner]
-        targets = [w for w in table.writers(page) if w != st.lidx]
+        rec = self.owners[st.owner]
+        targets = [w for w in rec.writers(page) if w != st.lidx]
         per_target = (costs.shootdown_polled if self.config.polling
                       else costs.shootdown_interrupt)
         for lw in targets:
-            table.set_perm(page, lw, Perm.READ)
-            self._owner_ps[st.owner][lw].proc.charge(per_target, "protocol")
+            rec.set_perm(page, lw, Perm.READ)
+            rec.ps[lw].proc.charge(per_target, "protocol")
         proc.charge(per_target * max(1, len(targets)), "protocol")
         proc.stats.bump("shootdowns")
         if self.trace is not None:
@@ -526,8 +514,8 @@ class Cashmere2L(BaseProtocol):
         entry = self.directory.entries[page]
         home = entry.home_owner
         # The release's flush-update (callers hold a twin), then notices.
-        diff = flush_update(st.frames[page], self.twins[st.owner].pop(page),
-                            self.frames.frame(home, page))
+        diff = flush_update(st.frames[page], rec.twins.pop(page),
+                            self.owners[home].frames[page])
         proc.charge(self.config.diff_out_cost(diff.nbytes, True), "protocol")
         meta.flush_end_real = proc.clock
         if diff.nbytes:

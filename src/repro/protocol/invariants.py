@@ -20,16 +20,12 @@ ALWAYS, QUIESCENT = "always", "quiescent"
 _READ, _WRITE = int(Perm.READ), int(Perm.WRITE)
 
 
-def _frames(proto) -> list[dict[int, np.ndarray]]:
-    return [proto.frames.frames_of(o) for o in range(proto.num_owners)]
-
-
 def _master_present(proto) -> str | None:
     """Every page has a master: the home owner's frame (two-level) or a
     Memory Channel receive region (one-level)."""
-    frames = _frames(proto)
+    owners = proto.owners
     for page, entry in enumerate(proto.directory.entries):
-        if page not in (frames[entry.home_owner] if proto.two_level
+        if page not in (owners[entry.home_owner].frames if proto.two_level
                         else proto.masters):
             return f"page {page} (home {entry.home_owner}) has no master"
     return None
@@ -37,10 +33,10 @@ def _master_present(proto) -> str | None:
 
 def _perm_has_frame(proto) -> str | None:
     """An owner whose directory word permits a page has a frame for it."""
-    frames = _frames(proto)
+    owners = proto.owners
     for page, entry in enumerate(proto.directory.entries):
         for owner in entry.perms:
-            if page not in frames[owner]:
+            if page not in owners[owner].frames:
                 return f"owner {owner} permits page {page} without a frame"
     return None
 
@@ -49,8 +45,8 @@ def _table_within_directory(proto) -> str | None:
     """No page-table row grants more than its owner's directory word (the
     loosest local right, §2.3; a 1-level release downgrades only rows)."""
     entries = proto.directory.entries
-    for owner, table in enumerate(proto.tables):
-        for page, row in enumerate(table.rows):
+    for owner, rec in enumerate(proto.owners):
+        for page, row in enumerate(rec.rows):
             if max(row) > entries[page].perms.get(owner, 0):
                 return f"owner {owner} page {page}: row {row} above its word"
     return None
@@ -61,10 +57,9 @@ def _map_permitted(proto) -> str | None:
     the owner's frame: its slot of the owner's memory, or the master
     under the home-node optimization. A write-map entry means the row is
     at least WRITE and the entry views that frame."""
-    for owner, table in enumerate(proto.tables):
-        frames, rows = proto.frames.frames_of(owner), table.rows
-        backing = proto.frames.backings[owner]
-        for p, (rmap, wmap) in enumerate(zip(table.rmaps, table.wmaps)):
+    for owner, rec in enumerate(proto.owners):
+        frames, rows, backing = rec.frames, rec.rows, rec.backing
+        for p, (rmap, wmap) in enumerate(zip(rec.rmaps, rec.wmaps)):
             for page, frame in rmap.items():
                 if rows[page][p] < _READ or frames.get(page) is not frame \
                         or not (frame.base is backing and frame.ctypes.data
@@ -88,8 +83,8 @@ def _writers_counted(proto) -> str | None:
 
 def _twin_has_frame(proto) -> str | None:
     """A twin is a copy of a frame its owner still has."""
-    for owner, frames in enumerate(_frames(proto)):
-        for page in proto.twins[owner].keys() - frames.keys():
+    for owner, rec in enumerate(proto.owners):
+        for page in rec.twins.keys() - rec.frames.keys():
             return f"owner {owner} twins page {page} without a frame"
     return None
 
@@ -97,9 +92,9 @@ def _twin_has_frame(proto) -> str | None:
 def _twin_matches_frame(proto) -> str | None:
     """At quiescence every local modification is flushed into frame and
     twin alike, and every remote one entered both together (§2.2)."""
-    for owner, frames in enumerate(_frames(proto)):
-        for page, twin in proto.twins[owner].items():
-            off = np.flatnonzero(twin != frames[page])
+    for owner, rec in enumerate(proto.owners):
+        for page, twin in rec.twins.items():
+            off = np.flatnonzero(twin != rec.frames[page])
             if len(off):
                 return (f"owner {owner}'s twin of page {page} differs from "
                         f"its frame at word {off[0]}: a lost write")
@@ -133,4 +128,4 @@ def authoritative(proto, page: int) -> np.ndarray:
     one exists, otherwise the master."""
     holder = proto.directory.entries[page].excl
     return proto.master(page) if holder is None \
-        else proto.frames.frame(holder[0], page)
+        else proto.owners[holder[0]].frames[page]

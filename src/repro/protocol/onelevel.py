@@ -78,12 +78,10 @@ class OneLevelProtocol(BaseProtocol):
         if old_node is self.cluster.processors[new_home].node:
             return
         for peer in old_node.processors:
-            pst = self._ps[peer.global_id]
-            if pst.frames.get(page) is master:
-                del pst.frames[page]  # direct unmap bypasses FrameStore
-                table = self.tables[pst.owner]
-                table.evict(page, 0)
-                table.set_perm(page, 0, Perm.INVALID)
+            rec = self.owners[peer.global_id]
+            if rec.frames.get(page) is master:
+                rec.unmap(page)
+                rec.set_perm(page, 0, Perm.INVALID)
 
     # ------------------------------------------------------------- page faults
     # Flat slow path: see BaseProtocol.fault (DESIGN.md §19).
@@ -111,7 +109,8 @@ class OneLevelProtocol(BaseProtocol):
         owner = st.owner
         entry = self.directory.entries[page]
         master = self.masters[page]
-        twins = self.twins[owner]
+        rec = self.owners[owner]
+        twins = rec.twins
         frame = st.frames.get(page)
         row = st.rows[page]
         map_master = (self.home_opt and (frame is None or frame is master)
@@ -142,8 +141,7 @@ class OneLevelProtocol(BaseProtocol):
             payload = master
         clock, spent = proc.clock, buckets["protocol"]
         if map_master:
-            st.frames[page] = master
-            self.tables[owner].evict(page, 0)
+            rec.alias(page, master)
         elif fetch:
             if done > clock:
                 us = done - clock
@@ -161,7 +159,7 @@ class OneLevelProtocol(BaseProtocol):
                                      context=f"1-level fetch of page {page}")
                 us = self.config.diff_in_cost(diff.nbytes)
             else:
-                self.frames.map_frame(owner, page, payload)
+                rec.map(page, payload)
                 us = self._page_copy_cost
             if us > 0:
                 if ctrace is not None:
@@ -215,7 +213,8 @@ class OneLevelProtocol(BaseProtocol):
             entry = self.directory.entry(page)
             if entry.excl_of(holder_owner) == NO_HOLDER:
                 return self.masters[page].copy(), 2.0, page_bytes
-            frame = self.frames.frame(holder_owner, page)
+            rec = self.owners[holder_owner]
+            frame = rec.frames[page]
             cost = self._page_copy_cost
             # Flush the whole page to the home before the fetch proceeds.
             # Under write-through (1L) the master is already current — and
@@ -230,9 +229,8 @@ class OneLevelProtocol(BaseProtocol):
             server.stats.bump("directory_updates")
             server.stats.bump("excl_transitions")
             # Downgrade so future writes are tracked again.
-            table = self.tables[holder_owner]
-            if table.perm(page, 0) == Perm.WRITE:
-                table.set_perm(page, 0, Perm.READ)
+            if rec.rows[page][0] == _WRITE:
+                rec.set_perm(page, 0, Perm.READ)
                 cost += self.costs.mprotect
             return frame.copy(), cost, page_bytes + PAGE_HEADER_BYTES
 
@@ -249,22 +247,22 @@ class OneLevelProtocol(BaseProtocol):
         clock = proc.clock
         spent = buckets["protocol"]
         costs = self.costs
-        notices = self.boards[owner].collect(clock)
+        rec = self.owners[owner]
+        notices = rec.board.collect(clock)
         if notices:
             # 1-level write-notice lists are guarded by cluster-wide locks.
             if (us := costs.mc_lock_overhead + costs.mc_latency) > 0:
                 if ctrace is not None:
                     ctrace.span("protocol", proc, clock, us)
                 clock, spent = clock + us, spent + us
-        table = self.tables[owner]
         # Each noticed page once, in notice order. (The processor's own
         # list is the board: no second level to queue into.)
         for page in dict.fromkeys([wn.page for wn in notices]):
-            if table.rows[page][0] == _INVALID:
+            if rec.rows[page][0] == _INVALID:
                 continue
             if st.frames.get(page) is self.masters[page]:
                 continue  # home-node optimization: master is always fresh
-            table.set_perm(page, 0, Perm.INVALID)
+            rec.set_perm(page, 0, Perm.INVALID)
             if (us := costs.mprotect) > 0:
                 if ctrace is not None:
                     ctrace.span("protocol", proc, clock, us)
@@ -276,8 +274,8 @@ class OneLevelProtocol(BaseProtocol):
                     if ctrace is not None:
                         ctrace.span("protocol", proc, clock, us)
                     clock, spent = clock + us, spent + us
-            if page not in self.twins[owner]:
-                self.frames.unmap_frame(owner, page)
+            if page not in rec.twins:
+                rec.unmap(page)
         proc.clock, buckets["protocol"] = clock, spent
 
     # ------------------------------------------------------------ release side
@@ -295,8 +293,8 @@ class OneLevelProtocol(BaseProtocol):
         counters, costs = proc.stats.counters, self.costs
         clock = proc.clock
         spent = buckets["protocol"]
-        table = self.tables[owner]
-        twins = self.twins[owner]
+        rec = self.owners[owner]
+        twins = rec.twins
         for page in sorted(st.dirty):
             t0 = clock
             entry = self.directory.entries[page]
@@ -354,8 +352,8 @@ class OneLevelProtocol(BaseProtocol):
                 counters["excl_transitions"] += 1
                 sharers = None
             # Downgrade so future writes fault (and are tracked) again.
-            if sharers is not None and table.rows[page][0] == _WRITE:
-                table.set_perm(page, 0, Perm.READ)
+            if sharers is not None and rec.rows[page][0] == _WRITE:
+                rec.set_perm(page, 0, Perm.READ)
                 if (us := costs.mprotect) > 0:
                     if ctrace is not None:
                         ctrace.span("protocol", proc, clock, us)
@@ -394,10 +392,10 @@ class Cashmere1L(OneLevelProtocol):
     def __init__(self, cluster, *, lock_free: bool = True,
                  home_opt: bool = False) -> None:
         super().__init__(cluster, lock_free=lock_free, home_opt=home_opt)
-        #: Each owner's write doubling facts per page (per-word cost,
-        #: home is on this processor's node), bound at the write fault.
-        self.doubling: list[dict[int, tuple[float, bool]]] = [
-            {} for _ in range(self.num_owners)]
+        # Each owner's write doubling facts per page (per-word cost, home
+        # is on this processor's node), bound at the write fault.
+        for record in self.owners:
+            record.doubling = {}
 
     def _bind_doubling(self, owner: int, page: int) -> None:
         """Bind write doubling's per-(processor, page) facts, once per
@@ -407,15 +405,15 @@ class Cashmere1L(OneLevelProtocol):
         if per_word is None:
             per_word = self.costs.mc_word_write
         procs = self.cluster.processors
-        self.doubling[owner][page] = (
+        self.owners[owner].doubling[page] = (
             per_word,
             procs[self.directory.home(page)].node is procs[owner].node)
 
     def _after_relocation(self, page: int, old_home: int,
                           new_home: int) -> None:
         super()._after_relocation(page, old_home, new_home)
-        for owner, doubling in enumerate(self.doubling):
-            if page in doubling:
+        for owner, record in enumerate(self.owners):
+            if page in record.doubling:
                 self._bind_doubling(owner, page)
 
     def _double_words(self, proc: Processor, st: ProcProtoState, page: int,
@@ -424,7 +422,7 @@ class Cashmere1L(OneLevelProtocol):
         if master is st.frames.get(page):
             return  # home-node optimization: the store already hit the master
         master[lo:lo + count] = values
-        per_word, local = self.doubling[st.owner][page]
+        per_word, local = self.owners[st.owner].doubling[page]
         ctrace, buckets = proc.trace, proc.stats.buckets
         clock = proc.clock
         if (us := per_word * count) > 0:

@@ -58,9 +58,9 @@ class WorkerEnv:
 
         # --- inline page-access cache (software TLB) ---------------------
         # This processor's (page -> frame) read map and (page ->
-        # memoryview) write map live in the owner's page table, which
-        # evicts exactly the entry a permission tightening, frame unmap
-        # or rebind kills (DESIGN.md §9); an entry that is present is
+        # memoryview) write map live in the owner's record, whose
+        # mutators evict exactly the entry a permission tightening, frame
+        # unmap or rebind kills (DESIGN.md §9); an entry that is present is
         # therefore valid, and a warm access needs no check beyond the
         # lookup. Warm accesses in the dispatch path charge nothing and
         # mutate no protocol state, so skipping it is byte-identical —
@@ -68,16 +68,16 @@ class WorkerEnv:
         proto = runtime.protocol
         st = proto.proc_state(proc)
         self._frames = st.frames
-        table = proto.tables[st.owner]
-        self._rmap: dict[int, np.ndarray] = table.rmaps[st.lidx]
+        record = proto.owners[st.owner]
+        self._rmap: dict[int, np.ndarray] = record.rmaps[st.lidx]
         #: The write map holds *memoryviews* of the frames: a memoryview
         #: slice/scalar store is several times cheaper than the
         #: equivalent ndarray ``__setitem__`` (no ufunc dispatch), and
         #: writes never need ndarray semantics on the destination.
-        self._wmap: dict[int, memoryview] = table.wmaps[st.lidx]
+        self._wmap: dict[int, memoryview] = record.wmaps[st.lidx]
         #: The owner's memory: a block whose pages are all mapped to
         #: their own slots in it is one slice.
-        self._backing: np.ndarray = proto.frames.backings[st.owner]
+        self._backing: np.ndarray = record.backing
         fast = runtime.config.fastpath and proto.checker is None
         #: Read map filled: off when the correctness checker is attached
         #: (it must observe every per-word access).

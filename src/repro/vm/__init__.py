@@ -1,9 +1,8 @@
-"""Virtual-memory substrate: frames, permissions, page tables, twins, diffs."""
+"""Virtual-memory substrate: permissions, the per-owner record, diffs."""
 
 from .diffs import (Diff, apply_diff, flush_update, incoming_diff, make_twin,
                     outgoing_diff)
-from .page import FrameStore, Perm
-from .pagetable import PageTable
+from .page import Owner, Perm
 
-__all__ = ["Perm", "FrameStore", "PageTable", "Diff", "make_twin",
-           "outgoing_diff", "apply_diff", "flush_update", "incoming_diff"]
+__all__ = ["Perm", "Owner", "Diff", "make_twin", "outgoing_diff",
+           "apply_diff", "flush_update", "incoming_diff"]

@@ -1,4 +1,4 @@
-"""Page frames and access permissions.
+"""Access permissions and the per-owner record.
 
 Shared memory is an array of 64-bit words split into pages. Each *owner*
 (an SMP node under the two-level protocols, an individual processor under
@@ -33,74 +33,123 @@ class Perm(enum.IntEnum):
     WRITE = 2  # read-write
 
 
-class FrameStore:
-    """Physical page frames for every owner.
+_READ, _WRITE = int(Perm.READ), int(Perm.WRITE)
 
-    ``owner`` ids index whatever replication domain the protocol uses
-    (node ids for two-level, processor ids for one-level). Each owner has
-    one backing array of ``num_pages * words_per_page`` words, its
-    physical memory; a frame is the view of one page's slot in it.
-    Frames are mapped lazily on first map and dropped on unmap; the
-    *home* owner's frame is the master copy and is mapped eagerly.
+
+class Owner:
+    """Everything one owner keeps, in one record (DESIGN.md §2).
+
+    State and storage sit together, like StarPU's per-node
+    ``local_data_state``: the page table (a row per page, a permission per
+    local processor, i.e. the second-level directory's mapping words)
+    and its processors' software TLBs, the frames and the memory behind
+    them, the twins, the notice board, and the processors' protocol
+    states. A protocol with per-owner facts of its own fills the fields
+    that stay ``None`` otherwise: 2L's logical clock, release time and
+    :class:`~repro.protocol.directory.PageMeta` list, 1L's doubling facts.
+
+    Rows, frames and cached mappings change only through the record's
+    mutators (DESIGN.md §9): :meth:`set_perm`, :meth:`map`, :meth:`alias`
+    and :meth:`unmap`. Each drops exactly the cached entries it kills;
+    code outside the record may loosen a row in place, nothing more.
     """
 
-    def __init__(self, num_owners: int, num_pages: int,
-                 words_per_page: int, tables=None) -> None:
-        if num_owners < 1 or num_pages < 1 or words_per_page < 1:
-            raise ProtocolError("degenerate frame store geometry")
-        self.num_owners = num_owners
-        self.num_pages = num_pages
-        self.words_per_page = words_per_page
-        self._frames: list[dict[int, np.ndarray]] = []
-        #: Each owner's memory. Anonymous mmap, not ``np.zeros``: pages
-        #: no frame ever touches stay unbacked (the heap would commit
-        #: them).
-        self.backings: list[np.ndarray] = []
-        nbytes = num_pages * words_per_page * 8
-        for _ in range(num_owners):
-            self._frames.append({})
-            self.backings.append(np.frombuffer(mmap.mmap(-1, nbytes),
-                                               dtype=np.float64))
-        #: Each owner's :class:`~repro.vm.pagetable.PageTable` (None for
-        #: a bare store): unmapping a frame evicts the page from the
-        #: software TLB of every processor of that owner.
-        self._tables = tables
+    __slots__ = ("rows", "rmaps", "wmaps", "frames", "backing", "wpp",
+                 "twins", "board", "ps", "logical", "last_release_ts",
+                 "meta", "doubling")
 
-    def has_frame(self, owner: int, page: int) -> bool:
-        return page in self._frames[owner]
+    def __init__(self, num_pages: int, words_per_page: int, procs: int,
+                 board=None) -> None:
+        if num_pages < 1 or words_per_page < 1 or procs < 1:
+            raise ProtocolError("degenerate owner geometry")
+        # Rows are plain lists for cheap fast-path access.
+        self.rows: list[list[int]] = [[Perm.INVALID] * procs
+                                      for _ in range(num_pages)]
+        #: Software TLB, one pair of maps per local processor, shared by
+        #: reference with that processor's ``WorkerEnv`` closures (which
+        #: fill them after a dispatched access and read them inline),
+        #: sound by the ``map-permitted`` invariant.
+        self.rmaps: list[dict[int, np.ndarray]] = [{} for _ in range(procs)]
+        self.wmaps: list[dict[int, memoryview]] = [{} for _ in range(procs)]
+        #: Mapped frames (page -> view), shared with every processor state.
+        self.frames: dict[int, np.ndarray] = {}
+        #: The owner's memory. Anonymous mmap, not ``np.zeros``: pages no
+        #: frame ever touches stay unbacked (the heap would commit them).
+        self.backing: np.ndarray = np.frombuffer(
+            mmap.mmap(-1, num_pages * words_per_page * 8), dtype=np.float64)
+        self.wpp = words_per_page
+        #: Twins (page -> copy of the frame as last flushed or merged,
+        #: Section 2.2).
+        self.twins: dict[int, np.ndarray] = {}
+        #: The owner's global write-notice list.
+        self.board = board
+        #: The local processors' protocol states, by page-table column.
+        self.ps: list = []
+        self.logical: int | None = None
+        self.last_release_ts: int | None = None
+        self.meta: list | None = None
+        self.doubling: dict[int, tuple[float, bool]] | None = None
 
-    def frame(self, owner: int, page: int) -> np.ndarray:
-        """The owner's frame for ``page``; raises if not mapped."""
-        try:
-            return self._frames[owner][page]
-        except KeyError:
-            raise ProtocolError(
-                f"owner {owner} has no frame for page {page}") from None
+    def set_perm(self, page: int, proc: int, perm: Perm) -> None:
+        row = self.rows[page]
+        value = int(perm)
+        old = row[proc]
+        if value != old:
+            row[proc] = value
+            if value < old:
+                # Tightening shoots down this processor's cached mapping
+                # of this page, nothing else: any drop kills the write
+                # mapping, a drop below READ the read mapping too.
+                # Loosening is silent — a cached entry embodies rights
+                # already granted, and granting more cannot stale it.
+                # (``in``/``del`` rather than ``pop``: call-free on the
+                # invalidation path of every acquire.)
+                wmap = self.wmaps[proc]
+                if page in wmap:
+                    del wmap[page]
+                if value < _READ:
+                    rmap = self.rmaps[proc]
+                    if page in rmap:
+                        del rmap[page]
 
-    def map_frame(self, owner: int, page: int,
-                  contents: np.ndarray | None = None) -> np.ndarray:
-        """Map (or return) the owner's frame, optionally initializing it.
+    def writers(self, page: int) -> list[int]:
+        return [i for i, p in enumerate(self.rows[page]) if p >= _WRITE]
 
-        A fresh mapping is zeroed without ``contents``: the slot may
-        still hold the words of an earlier mapping of the page."""
-        frames = self._frames[owner]
+    def mapped(self, page: int) -> list[int]:
+        return [i for i, p in enumerate(self.rows[page]) if p >= _READ]
+
+    def map(self, page: int, contents: np.ndarray | None = None) -> np.ndarray:
+        """Map (or return) the page's frame, optionally initializing it.
+
+        A fresh mapping is the page's slot of this owner's memory, zeroed
+        without ``contents``: the slot may still hold the words of an
+        earlier mapping. It evicts nothing, since no cached mapping can
+        exist while the page is unmapped."""
+        frames = self.frames
         frame = frames.get(page)
         if frame is None:
-            wpp = self.words_per_page
-            frame = self.backings[owner][page * wpp:(page + 1) * wpp]
-            # Silent towards the software TLB: no cached mapping of a page
-            # can exist while the owner has no frame for it (unmap evicts).
-            frames[page] = frame
+            wpp = self.wpp
+            frame = frames[page] = self.backing[page * wpp:(page + 1) * wpp]
             if contents is None:
                 frame.fill(0.0)
         if contents is not None:
             frame[:] = contents
         return frame
 
-    def unmap_frame(self, owner: int, page: int) -> None:
-        if self._frames[owner].pop(page, None) is not None \
-                and self._tables is not None:
-            self._tables[owner].evict_all(page)
+    def alias(self, page: int, frame: np.ndarray) -> None:
+        """Map ``frame`` — the one-level master, under the home-node
+        optimization — in place of this owner's own slot, dropping every
+        local processor's cached mappings of the frame it replaces."""
+        for maps in (self.rmaps, self.wmaps):
+            for m in maps:
+                m.pop(page, None)
+        self.frames[page] = frame
 
-    def frames_of(self, owner: int) -> dict[int, np.ndarray]:
-        return self._frames[owner]
+    def unmap(self, page: int) -> None:
+        """Drop the page's frame and twin and every local processor's
+        cached mappings of it."""
+        self.twins.pop(page, None)
+        if self.frames.pop(page, None) is not None:
+            for maps in (self.rmaps, self.wmaps):
+                for m in maps:
+                    m.pop(page, None)

@@ -77,7 +77,7 @@ class TestLastLocalWriterFlush:
         assert master[1] == 6.0
         # Early arriver deferred: no flush-update was needed (the single
         # last-writer flush covered everything, so the twin was dropped).
-        assert page not in proto.twins[0]
+        assert page not in proto.owners[0].twins
 
     def test_early_arriver_defers_to_later_writer(self):
         # The first arriving writer must NOT flush while a local co-writer

@@ -24,14 +24,14 @@ RUNS = {"2L": ("2L", {}), "1LD": ("1LD", {}),
 
 def _framed(proto):
     """(owner, page, frame) for every frame, owners and pages ascending."""
-    return [(owner, page, proto.frames.frame(owner, page))
-            for owner in range(proto.num_owners)
-            for page in sorted(proto.frames.frames_of(owner))]
+    return [(owner, page, rec.frames[page])
+            for owner, rec in enumerate(proto.owners)
+            for page in sorted(rec.frames)]
 
 
 def _unmap_master(proto):
     if proto.two_level:
-        proto.frames.unmap_frame(proto.directory.home(0), 0)
+        proto.owners[proto.directory.home(0)].unmap(0)
     else:
         del proto.masters[0]
 
@@ -41,7 +41,7 @@ def _drop_permitted_frame(proto):
     for page, entry in enumerate(proto.directory.entries):
         for owner in entry.perms:
             if not proto.two_level or owner != entry.home_owner:
-                proto.frames.unmap_frame(owner, page)
+                proto.owners[owner].unmap(page)
                 return
     raise AssertionError("no permitted page off its home")
 
@@ -49,9 +49,9 @@ def _drop_permitted_frame(proto):
 def _raise_row(proto):
     """Raise a page-table row above its owner's directory word."""
     for page, entry in enumerate(proto.directory.entries):
-        for owner, table in enumerate(proto.tables):
+        for owner, rec in enumerate(proto.owners):
             if entry.perm_of(owner) < Perm.WRITE:
-                table.rows[page][0] = int(Perm.WRITE)
+                rec.rows[page][0] = int(Perm.WRITE)
                 return
     raise AssertionError("every word says WRITE")
 
@@ -59,9 +59,9 @@ def _raise_row(proto):
 def _plant_write_map(proto):
     """A write-map entry whose row does not permit writing."""
     for owner, page, frame in _framed(proto):
-        table = proto.tables[owner]
-        if table.rows[page][0] < Perm.WRITE:
-            table.wmaps[0][page] = memoryview(frame)
+        rec = proto.owners[owner]
+        if rec.rows[page][0] < Perm.WRITE:
+            rec.wmaps[0][page] = memoryview(frame)
             return
     raise AssertionError("no framed page below WRITE")
 
@@ -71,11 +71,10 @@ def _miscount_writers(proto):
 
 
 def _twin_without_frame(proto):
-    for owner in range(proto.num_owners):
-        frames = proto.frames.frames_of(owner)
+    for rec in proto.owners:
         for page in range(proto.config.num_pages):
-            if page not in frames:
-                proto.twins[owner][page] = np.zeros(
+            if page not in rec.frames:
+                rec.twins[page] = np.zeros(
                     proto.config.words_per_page)
                 return
     raise AssertionError("every owner frames every page")
@@ -83,7 +82,7 @@ def _twin_without_frame(proto):
 
 def _flip_twin_word(proto):
     owner, page, frame = _framed(proto)[0]
-    twin = proto.twins[owner].setdefault(page, frame.copy())
+    twin = proto.owners[owner].twins.setdefault(page, frame.copy())
     twin[0] += 1.0
 
 

@@ -56,6 +56,21 @@ def test_2l_passes_exhaustively():
         (9_266, 13_730, 2_153)
 
 
+def test_1l_passes_exhaustively():
+    res = ModelChecker(protocol="1L").run()
+    assert res.ok and res.exhaustive, res.summary()
+    assert (res.states, res.replays, res.complete_schedules) == \
+        (1_054, 1_786, 122)
+
+
+@pytest.mark.heavy
+def test_2ls_passes_exhaustively():
+    res = ModelChecker(protocol="2LS").run()
+    assert res.ok and res.exhaustive, res.summary()
+    assert (res.states, res.replays, res.complete_schedules) == \
+        (9_266, 13_730, 2_153)
+
+
 def test_budget_exhaustion_is_reported_not_hidden():
     res = ModelChecker(protocol="1LD", max_states=10).run()
     assert res.ok              # no violation found...

@@ -50,7 +50,7 @@ class TestExclusiveMode:
         assert entry.exclusive_holder() == (0, 0)
         assert p0.stats.counters["excl_transitions"] == 1
         # Exclusive pages have no twin and are not dirty.
-        assert 4 not in proto.twins[0]
+        assert 4 not in proto.owners[0].twins
         assert 4 not in proto.proc_state(p0).dirty
 
     def test_remote_read_breaks_exclusive(self):
@@ -98,7 +98,7 @@ class TestExclusiveMode:
         # p1 (still holding a write mapping) got a no-longer-exclusive entry
         # and the node now has a twin.
         assert page in st1.nle or page in st1.dirty
-        assert page in proto.twins[0]
+        assert page in proto.owners[0].twins
 
     def test_exclusive_page_needs_no_flush(self):
         cluster, proto = make()
@@ -280,7 +280,7 @@ class TestSecondLevelNotices:
             return script
 
         run_scripts(cluster, [None, reader(p1), reader(p2)])
-        assert proto.tables[0].rows[page] == [0, 1, 1]
+        assert proto.owners[0].rows[page] == [0, 1, 1]
         llsc = proto.costs.llsc_lock
         assert llsc > 0
 
@@ -293,19 +293,19 @@ class TestSecondLevelNotices:
                 expected += llsc
             return p0.stats.buckets["protocol"], expected
 
-        proto.boards[0].post(1, page, 0.0)
-        proto.boards[0].post(2, page, 0.0)
+        proto.owners[0].board.post(1, page, 0.0)
+        proto.owners[0].board.post(2, page, 0.0)
         # p1 and p2 each queue the page once; p0 drains its empty list.
         got, expected = protocol_time_after(3)
         assert got == expected
         assert list(proto.proc_state(p1).notices) == [page]
         assert list(proto.proc_state(p2).notices) == [page]
         assert not proto.proc_state(p0).notices
-        assert proto.node_state[0].meta[page].wn_ts \
+        assert proto.owners[0].meta[page].wn_ts \
             == proto.proc_state(p0).acquire_ts
 
         # A later notice finds the page still queued: only the drain.
-        proto.boards[0].post(1, page, 0.0)
+        proto.owners[0].board.post(1, page, 0.0)
         got, expected = protocol_time_after(1)
         assert got == expected
         assert list(proto.proc_state(p1).notices) == [page]
@@ -373,8 +373,8 @@ class TestHomeRelocation:
 
             run_scripts(cluster, [w0, w1, w2])
             assert proto.directory.home(page) == 1
-            assert proto.tables[0].writers(page)
-            assert list(proto.twins[0][page][:2]) == [1.0, 2.0]
+            assert proto.owners[0].writers(page)
+            assert list(proto.owners[0].twins[page][:2]) == [1.0, 2.0]
             check(proto)
 
     def test_no_relocation_before_end_init(self):

@@ -64,7 +64,7 @@ def post_one_at_a_time(proto, proc, from_owner, page, dests) -> None:
     each notice traced as an instant before its charge."""
     visible = proto.mc.visibility(proc.clock)
     for owner in dests:
-        proto.boards[owner].post(from_owner, page, visible)
+        proto.owners[owner].board.post(from_owner, page, visible)
         if proc.trace is not None:
             proc.trace.instant("write_notice", None, visible, obj=page,
                                from_owner=from_owner, to_owner=owner)
@@ -79,9 +79,9 @@ def observable(proto, proc):
         "protocol_us": proc.stats.buckets["protocol"],
         "write_notices": proc.stats.counters.get("write_notices"),
         "traffic": proto.mc.traffic.get("write_notice"),
-        "bins": [[list(bin_) for bin_ in board.bins]
-                 for board in proto.boards],
-        "posted": [board.posted for board in proto.boards],
+        "bins": [[list(bin_) for bin_ in rec.board.bins]
+                 for rec in proto.owners],
+        "posted": [rec.board.posted for rec in proto.owners],
     }
 
 
@@ -110,7 +110,7 @@ def test_burst_equals_per_notice_loop(n):
     assert got["write_notices"] == (n or None)
     assert got["traffic"] == (4 * n or None)
     for owner in dests:
-        (notice,) = batched.boards[owner].bins[SENDER]
+        (notice,) = batched.owners[owner].board.bins[SENDER]
         assert (notice.page, notice.from_owner) == (PAGE, SENDER)
     assert sum(got["posted"]) == n
 

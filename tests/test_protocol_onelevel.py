@@ -53,8 +53,8 @@ class TestOwnersAreProcessors:
             yield Compute(1.0)
 
         run_scripts(cluster, [w0, w1])
-        f0 = proto.frames.frame(0, 2)
-        f1 = proto.frames.frame(1, 2)
+        f0 = proto.owners[0].frames[2]
+        f1 = proto.owners[1].frames[2]
         assert f0 is not f1
 
     def test_master_is_separate_from_home_frame(self):
@@ -70,7 +70,7 @@ class TestOwnersAreProcessors:
             yield Compute(1.0)
 
         run_scripts(cluster, [w0])
-        assert proto.frames.frame(0, page) is not proto.master(page)
+        assert proto.owners[0].frames[page] is not proto.master(page)
 
 
 class TestDiffingVsWriteThrough:
@@ -134,7 +134,7 @@ class TestDiffingVsWriteThrough:
             proto.end_initialization()
             proto.load(p0, page + 1, 0)  # first touch: p0 becomes home
             assert proto.directory.home(page) == 0
-            assert proto.tables[0].perm(page, 0) == Perm.WRITE
+            assert proto.owners[0].rows[page][0] == Perm.WRITE
             remote = traffic["write_double"]
             proto.store(p0, page, 1, 2.0)
             assert traffic["write_double"] == remote
@@ -183,7 +183,7 @@ class TestOneLevelAcquireRelease:
         run_scripts(cluster, [w0])
         assert proto.directory.entry(page).exclusive_holder() == (0, 0)
         # Write permission retained: no fault on the next write.
-        assert proto.tables[0].perm(page, 0) == Perm.WRITE
+        assert proto.owners[0].rows[page][0] == Perm.WRITE
 
     def test_break_exclusive_fetches_latest(self):
         cluster, proto = make(nodes=2, ppn=1, protocol="1LD")
@@ -224,8 +224,8 @@ class TestHomeNodeOptimization:
             yield Compute(1.0)
 
         run_scripts(cluster, [w0, w1])
-        assert proto.frames.frame(0, page) is proto.master(page)
-        assert proto.frames.frame(1, page) is proto.master(page)
+        assert proto.owners[0].frames[page] is proto.master(page)
+        assert proto.owners[1].frames[page] is proto.master(page)
         transfers = sum(p.stats.counters["page_transfers"]
                         for p in cluster.processors)
         assert transfers == 0

@@ -62,19 +62,18 @@ class _PerCharge1L:
         proc.charge(self.costs.page_fault, "protocol")
         proc.stats.bump("write_faults" if write else "read_faults")
         self.maybe_relocate_home(proc, page)
-        twins = self.twins[st.owner]
+        rec = self.owners[st.owner]
+        twins = rec.twins
         master = self.masters[page]
         on_home = self.home_opt and self.cluster.processors[
             self.directory.home(page)].node is proc.node
         map_master = on_home and page not in twins and (
             page not in st.frames or st.frames[page] is master)
-        table = self.tables[st.owner]
         if map_master:
             self._ref_break_elsewhere(proc, st, page)
-            st.frames[page] = master
-            table.evict(page, 0)
+            rec.alias(page, master)
         elif not write or page not in st.frames \
-                or table.perm(page, 0) == Perm.INVALID:
+                or rec.rows[page][0] == Perm.INVALID:
             self._ref_fetch(proc, st, page)
         else:
             self._ref_break_elsewhere(proc, st, page)
@@ -86,8 +85,8 @@ class _PerCharge1L:
                 proc.charge(self._twin_cost, "protocol")
                 proc.stats.bump("twin_creations")
         perm = Perm.WRITE if write else Perm.READ
-        old = table.perm(page, 0)
-        table.set_perm(page, 0, perm)
+        old = rec.rows[page][0]
+        rec.set_perm(page, 0, perm)
         if old != perm:
             _set_word(self, proc, st.owner, page, perm)
         if write and self.write_through:
@@ -128,7 +127,8 @@ class _PerCharge1L:
             if done > proc.clock:
                 proc.charge(done - proc.clock, "comm_wait")
         proc.stats.bump("page_transfers")
-        twin = self.twins[st.owner].get(page)
+        rec = self.owners[st.owner]
+        twin = rec.twins.get(page)
         if twin is not None:
             diff = incoming_diff(payload, st.frames[page], twin)
             proc.charge(self.config.diff_in_cost(diff.nbytes), "protocol")
@@ -136,7 +136,7 @@ class _PerCharge1L:
                 self.trace.instant("diff_in", proc, proc.clock, obj=page,
                                    bytes=int(diff.nbytes))
         else:
-            self.frames.map_frame(st.owner, page, payload)
+            rec.map(page, payload)
             proc.charge(self._page_copy_cost, "protocol")
         if self.trace is not None:
             self.trace.span("page_fetch", proc, t0, proc.clock - t0,
@@ -144,21 +144,21 @@ class _PerCharge1L:
 
     def acquire_sync(self, proc):
         st = self._ps[proc.global_id]
-        notices = self.boards[st.owner].collect(proc.clock)
+        rec = self.owners[st.owner]
+        notices = rec.board.collect(proc.clock)
         if notices:
             proc.charge(self.costs.mc_lock_overhead + self.costs.mc_latency,
                         "protocol")
-        table = self.tables[st.owner]
         for page in dict.fromkeys(wn.page for wn in notices):
             if st.frames.get(page) is self.masters[page]:
                 continue
-            if table.perm(page, 0) == Perm.INVALID:
+            if rec.rows[page][0] == Perm.INVALID:
                 continue
-            table.set_perm(page, 0, Perm.INVALID)
+            rec.set_perm(page, 0, Perm.INVALID)
             proc.charge(self.costs.mprotect, "protocol")
             _set_word(self, proc, st.owner, page, Perm.INVALID)
-            if page not in self.twins[st.owner]:
-                self.frames.unmap_frame(st.owner, page)
+            if page not in rec.twins:
+                rec.unmap(page)
 
     def release_sync(self, proc):
         st = self._ps[proc.global_id]
@@ -176,7 +176,7 @@ class _PerCharge1L:
         sharers = [o for o in entry.sharers() if o != st.owner]
         if st.frames.get(page) is not self.masters[page] \
                 and not self.write_through:
-            twin = self.twins[st.owner].pop(page)
+            twin = self.owners[st.owner].twins.pop(page)
             diff = outgoing_diff(st.frames[page], twin)
             apply_diff(self.masters[page], diff)
             local = self.node_of_owner(home_owner) is proc.node
@@ -200,9 +200,9 @@ class _PerCharge1L:
             _dir_update(self, proc)
             proc.stats.bump("excl_transitions")
             return
-        table = self.tables[st.owner]
-        if table.perm(page, 0) == Perm.WRITE:
-            table.set_perm(page, 0, Perm.READ)
+        rec = self.owners[st.owner]
+        if rec.rows[page][0] == Perm.WRITE:
+            rec.set_perm(page, 0, Perm.READ)
             proc.charge(self.costs.mprotect, "protocol")
 
 
@@ -216,7 +216,7 @@ class Ref1L(_PerCharge1L, Cashmere1L):
         if master is st.frames.get(page):
             return
         master[lo:lo + count] = values
-        per_word, local = self.doubling[st.owner][page]
+        per_word, local = self.owners[st.owner].doubling[page]
         proc.charge(per_word * count, "write_double")
         proc.stats.bump("doubled_words", count)
         if local:
@@ -233,8 +233,8 @@ class _PerCharge2L:
 
     def fault(self, proc, st, page, write):
         t0 = proc.clock
-        ns = self.node_state[st.owner]
-        ns.logical += 1
+        rec = self.owners[st.owner]
+        rec.logical += 1
         proc.charge(self.costs.page_fault, "protocol")
         proc.stats.bump("write_faults" if write else "read_faults")
         self.maybe_relocate_home(proc, page)
@@ -242,15 +242,14 @@ class _PerCharge2L:
         if write and entry.excl_of(st.owner) != NO_HOLDER:
             self._ref_map(proc, st, page, Perm.WRITE)
         elif not write:
-            self._ref_fetch_if_stale(proc, st, page, ns)
+            self._ref_fetch_if_stale(proc, st, page, rec)
             self._ref_map(proc, st, page, Perm.READ)
         else:
-            self._ref_fetch_if_stale(proc, st, page, ns)
-            twins = self.twins[st.owner]
-            table = self.tables[st.owner]
+            self._ref_fetch_if_stale(proc, st, page, rec)
+            twins = rec.twins
             if (not entry.has_other_sharer(st.owner)
                     and entry.exclusive_holder() is None
-                    and page not in twins and not table.writers(page)
+                    and page not in twins and not rec.writers(page)
                     and not self._notices_pending(st.owner, page)):
                 entry.set_excl(st.owner, proc.global_id)
                 entry.set_perm(st.owner, Perm.WRITE)
@@ -270,14 +269,14 @@ class _PerCharge2L:
                             t0, proc.clock - t0, obj=page)
 
     def _ref_map(self, proc, st, page, perm):
-        table = self.tables[st.owner]
-        old_loosest = max(table.rows[page])
-        table.set_perm(page, st.lidx, perm)
+        rec = self.owners[st.owner]
+        old_loosest = max(rec.rows[page])
+        rec.set_perm(page, st.lidx, perm)
         if old_loosest < perm:
             _set_word(self, proc, st.owner, page, perm)
         proc.charge(self.costs.mprotect, "protocol")
 
-    def _ref_fetch_if_stale(self, proc, st, page, ns):
+    def _ref_fetch_if_stale(self, proc, st, page, rec):
         entry = self.directory.entry(page)
         home = entry.home_owner
         holder = entry.exclusive_holder()
@@ -287,11 +286,11 @@ class _PerCharge2L:
             if holder is not None:
                 self._break_exclusive(proc, page, holder)
             return
-        meta = ns.meta[page]
+        meta = rec.meta[page]
         if holder is None and page in st.frames \
                 and meta.update_ts >= min(meta.wn_ts, st.acquire_ts):
             return
-        if self.shootdown and page in self.twins[st.owner]:
+        if self.shootdown and page in rec.twins:
             self._shootdown_and_flush(proc, st, page, meta)
         t0 = proc.clock
         proc.charge(self.costs.fetch_overhead
@@ -308,7 +307,7 @@ class _PerCharge2L:
             if done > proc.clock:
                 proc.charge(done - proc.clock, "comm_wait")
         proc.stats.bump("page_transfers")
-        twin = self.twins[st.owner].get(page)
+        twin = rec.twins.get(page)
         if twin is not None:
             diff = incoming_diff(payload, st.frames[page], twin)
             proc.charge(self.config.diff_in_cost(diff.nbytes), "protocol")
@@ -317,52 +316,50 @@ class _PerCharge2L:
                 self.trace.instant("diff_in", proc, proc.clock, obj=page,
                                    bytes=int(diff.nbytes))
         else:
-            self.frames.map_frame(st.owner, page, payload)
+            rec.map(page, payload)
             proc.charge(self._page_copy_cost, "protocol")
         if self.trace is not None:
             self.trace.span("page_fetch", proc, t0, proc.clock - t0,
                             obj=page, bytes=self.config.page_bytes,
                             home=home)
-        ns.logical += 1
-        meta.update_ts = ns.logical
+        rec.logical += 1
+        meta.update_ts = rec.logical
 
     def acquire_sync(self, proc):
         st = self._ps[proc.global_id]
-        ns = self.node_state[st.owner]
-        ns.logical += 1
-        board = self.boards[st.owner]
+        rec = self.owners[st.owner]
+        rec.logical += 1
+        board = rec.board
         lock_model = self.directory.lock_model
         if lock_model is not None and board.pending():
             proc.charge(lock_model.update_cost(proc.clock), "protocol")
         for wn in board.collect(proc.clock):
-            ns.meta[wn.page].wn_ts = ns.logical
-            for peer, perm in zip(self._owner_ps[st.owner],
-                                  st.rows[wn.page]):
+            rec.meta[wn.page].wn_ts = rec.logical
+            for peer, perm in zip(rec.ps, st.rows[wn.page]):
                 if perm >= Perm.READ and wn.page not in peer.notices:
                     peer.notices[wn.page] = None
                     proc.charge(self.costs.llsc_lock, "protocol")
-        st.acquire_ts = ns.logical
-        table = self.tables[st.owner]
+        st.acquire_ts = rec.logical
         pages, st.notices = st.notices, {}
         for page in pages:
-            meta = ns.meta[page]
+            meta = rec.meta[page]
             if meta.update_ts >= meta.wn_ts \
-                    or table.perm(page, st.lidx) == Perm.INVALID:
+                    or rec.rows[page][st.lidx] == Perm.INVALID:
                 continue
-            old_loosest = max(table.rows[page])
-            table.set_perm(page, st.lidx, Perm.INVALID)
+            old_loosest = max(rec.rows[page])
+            rec.set_perm(page, st.lidx, Perm.INVALID)
             proc.charge(self.costs.mprotect, "protocol")
-            new_loosest = max(table.rows[page])
+            new_loosest = max(rec.rows[page])
             if new_loosest != old_loosest:
                 _set_word(self, proc, st.owner, page, new_loosest)
         proc.charge(self.costs.llsc_lock, "protocol")
 
     def release_sync(self, proc, barrier=False):
         st = self._ps[proc.global_id]
-        ns = self.node_state[st.owner]
-        ns.logical += 1
-        ns.last_release_ts = ns.logical
-        peers = self._owner_ps[st.owner]
+        rec = self.owners[st.owner]
+        rec.logical += 1
+        rec.last_release_ts = rec.logical
+        peers = rec.ps
         pages = sorted(st.dirty | st.nle)
         st.dirty.clear()
         st.nle.clear()
@@ -375,33 +372,32 @@ class _PerCharge2L:
                 continue
             if self.directory.entry(page).excl_of(st.owner) != NO_HOLDER:
                 continue
-            meta = ns.meta[page]
-            if meta.flush_ts > ns.last_release_ts:
+            meta = rec.meta[page]
+            if meta.flush_ts > rec.last_release_ts:
                 if meta.flush_end_real > proc.clock:
                     proc.charge(meta.flush_end_real - proc.clock,
                                 "comm_wait")
             else:
                 t0 = proc.clock
-                self._ref_flush_page(proc, st, ns, page, meta)
+                self._ref_flush_page(proc, st, rec, page, meta)
                 if self.trace is not None:
                     self.trace.span("page_flush", proc, t0,
                                     proc.clock - t0, obj=page)
             self._ref_downgrade(proc, st, page)
 
-    def _ref_flush_page(self, proc, st, ns, page, meta):
+    def _ref_flush_page(self, proc, st, rec, page, meta):
         home = self.directory.home(page)
-        table = self.tables[st.owner]
-        ns.logical += 1
-        meta.flush_ts = ns.logical
-        twins = self.twins[st.owner]
+        rec.logical += 1
+        meta.flush_ts = rec.logical
+        twins = rec.twins
         if home != st.owner:
             if page not in twins:
                 if not self.shootdown:
-                    if table.writers(page):
+                    if rec.writers(page):
                         raise ProtocolError("flush without twin")
                     return
             else:
-                others = [w for w in table.writers(page) if w != st.lidx]
+                others = [w for w in rec.writers(page) if w != st.lidx]
                 if self.shootdown and others:
                     self._shootdown_and_flush(proc, st, page, meta)
                     return
@@ -432,9 +428,9 @@ class _PerCharge2L:
             [o for o in entry.sharers() if o not in (st.owner, home)])
 
     def _ref_downgrade(self, proc, st, page):
-        table = self.tables[st.owner]
-        if table.perm(page, st.lidx) == Perm.WRITE:
-            table.set_perm(page, st.lidx, Perm.READ)
+        rec = self.owners[st.owner]
+        if rec.rows[page][st.lidx] == Perm.WRITE:
+            rec.set_perm(page, st.lidx, Perm.READ)
             proc.charge(self.costs.mprotect, "protocol")
 
 

@@ -17,16 +17,20 @@ import dataclasses
 import json
 import os
 import pickle
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.apps import ALL_APPS, make_app
 from repro.errors import ConfigError
 from repro.experiments import sweep as sweep_mod
 from repro.experiments.configs import FULL_PLATFORM
 from repro.experiments.sweep import (CACHE_SCHEMA, CellResult, ResultCache,
                                      RunSpec, Sweep, cache_key,
-                                     config_from_key, config_key,
-                                     execute_cell, run_cells)
+                                     cell_params, config_from_key,
+                                     config_key, execute_cell, run_cells)
 from repro.experiments.figure6 import run_figure6
 from repro.experiments.figure7 import run_figure7
 from repro.experiments.table3 import run_table3
@@ -61,6 +65,39 @@ class TestRunSpec:
         with pytest.raises(ConfigError, match=r"SOR has no parameter\(s\) "
                                               r"rowz$"):
             execute_cell(dataclasses.replace(spec, kind=kind))
+
+    @pytest.mark.parametrize("kind", ["app", "seq"])
+    def test_unknown_app_rejected(self, kind):
+        spec = dataclasses.replace(small_spec(app="Foo"), kind=kind)
+        with pytest.raises(ConfigError, match=r"'Foo' is not one of SOR, "
+                                              r"LU, .*, Barnes$"):
+            execute_cell(spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bad_param_value_rejected(self, data):
+        """Every value is a positive value of its default's type (Ilink's
+        density is also at most 1); anything else is named before a
+        cell runs."""
+        name = data.draw(st.sampled_from(sorted(ALL_APPS)))
+        app = make_app(name)
+        key, default = data.draw(st.sampled_from(
+            sorted(app.default_params().items())))
+        numbers = st.integers(-5, 0) if type(default) is int \
+            else st.floats(-5.0, 0.0)
+        wrong = st.floats(0.5, 9.5) if type(default) is int \
+            else st.integers(1, 1)
+        bad = data.draw(st.one_of(
+            numbers, wrong, st.just(True), st.just(str(default)),
+            *([st.floats(1.0, 9.0, exclude_min=True)]
+              if key in app.param_max else [])))
+        spec = small_spec(app=name, params={key: bad})
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{name} parameter {key}={bad!r}: must be a positive")):
+            execute_cell(spec)
+        good = data.draw(st.integers(1, 50) if type(default) is int
+                         else st.floats(0.01, 1.0))
+        assert cell_params(app, ((key, good),))[key] == good
 
 
 class TestParallelDeterminism:

@@ -6,9 +6,9 @@ multi-page block paths.
 :mod:`repro.protocol.invariants`: every read-map entry ``(page, frame)``
 of local processor ``p`` has ``rows[page][p] >= READ`` and ``frames[page]
 is frame``; every write-map entry has ``rows[page][p] >= WRITE`` and
-wraps that same frame. The page table evicts exactly the entries a
-permission tightening, frame unmap or rebind kills, so an entry that is
-*present* is valid — the warm access path checks nothing else. The frame
+wraps that same frame. The owner record's mutators evict exactly the
+entries a permission tightening, frame unmap or alias kills, so an
+entry that is *present* is valid — the warm access path checks nothing else. The frame
 itself is the owner's memory slot for that page or, under the home-node
 optimization only, the page's master: a warm multi-page block is one
 slice of the owner's memory exactly when every page is the former.
@@ -32,8 +32,7 @@ from repro.experiments.configs import experiment_config
 from repro.protocol.invariants import check
 from repro.runtime.env import WorkerEnv
 from repro.runtime.program import ParallelRuntime
-from repro.vm.page import FrameStore, Perm
-from repro.vm.pagetable import PageTable
+from repro.vm.page import Owner, Perm
 
 from .test_random_programs import N_WORDS, emulate, programs
 
@@ -46,8 +45,8 @@ def checked_mappings(proto) -> int:
     """Check the invariant table; return how many cached mappings its
     ``map-permitted`` row walked."""
     check(proto)
-    return sum(len(m) for table in proto.tables
-               for m in table.rmaps + table.wmaps)
+    return sum(len(m) for rec in proto.owners
+               for m in rec.rmaps + rec.wmaps)
 
 
 # ---------------------------------------------------------------------------
@@ -57,51 +56,64 @@ def checked_mappings(proto) -> int:
 A, B = 0, 1
 
 
-def _cached_table():
+def _cached_owner():
     """Pages A and B writable and cached for local processors 0 and 1."""
-    table = PageTable(4, 2)
-    store = FrameStore(1, 4, WPP, tables=[table])
+    rec = Owner(4, WPP, 2)
     for page in (A, B):
-        frame = store.map_frame(0, page)
+        frame = rec.map(page)
         for p in (0, 1):
-            table.set_perm(page, p, Perm.WRITE)
-            table.rmaps[p][page] = frame
-            table.wmaps[p][page] = memoryview(frame)
-    return table, store
+            rec.set_perm(page, p, Perm.WRITE)
+            rec.rmaps[p][page] = frame
+            rec.wmaps[p][page] = memoryview(frame)
+    return rec
 
 
 def test_tightening_evicts_one_page_of_one_processor():
-    table, _ = _cached_table()
-    table.set_perm(A, 0, Perm.READ)
-    assert A not in table.wmaps[0] and A in table.rmaps[0]
-    table.set_perm(A, 0, Perm.INVALID)
-    assert A not in table.wmaps[0] and A not in table.rmaps[0]
+    rec = _cached_owner()
+    rec.set_perm(A, 0, Perm.READ)
+    assert A not in rec.wmaps[0] and A in rec.rmaps[0]
+    rec.set_perm(A, 0, Perm.INVALID)
+    assert A not in rec.wmaps[0] and A not in rec.rmaps[0]
     # Page B and processor 1 are untouched throughout.
-    assert B in table.rmaps[0] and B in table.wmaps[0]
-    assert sorted(table.rmaps[1]) == sorted(table.wmaps[1]) == [A, B]
+    assert B in rec.rmaps[0] and B in rec.wmaps[0]
+    assert sorted(rec.rmaps[1]) == sorted(rec.wmaps[1]) == [A, B]
 
 
 def test_loosening_is_silent():
-    table, _ = _cached_table()
-    table.set_perm(A, 0, Perm.READ)
-    table.set_perm(A, 0, Perm.WRITE)
-    assert A in table.rmaps[0] and sorted(table.rmaps[1]) == [A, B]
+    rec = _cached_owner()
+    rec.set_perm(A, 0, Perm.READ)
+    rec.set_perm(A, 0, Perm.WRITE)
+    assert A in rec.rmaps[0] and sorted(rec.rmaps[1]) == [A, B]
 
 
 def test_mapping_a_fresh_frame_evicts_nothing():
-    table, store = _cached_table()
-    store.map_frame(0, 2)
-    store.map_frame(0, A, np.ones(WPP))  # existing frame: in-place update
+    rec = _cached_owner()
+    rec.map(2)
+    rec.map(A, np.ones(WPP))  # existing frame: in-place update
     for p in (0, 1):
-        assert sorted(table.rmaps[p]) == sorted(table.wmaps[p]) == [A, B]
-    assert table.rmaps[0][A][0] == 1.0
+        assert sorted(rec.rmaps[p]) == sorted(rec.wmaps[p]) == [A, B]
+    assert rec.rmaps[0][A][0] == 1.0
 
 
 def test_unmap_evicts_the_page_for_every_processor():
-    table, store = _cached_table()
-    store.unmap_frame(0, A)
+    rec = _cached_owner()
+    rec.unmap(A)
     for p in (0, 1):
-        assert sorted(table.rmaps[p]) == sorted(table.wmaps[p]) == [B]
+        assert sorted(rec.rmaps[p]) == sorted(rec.wmaps[p]) == [B]
+
+
+def test_alias_evicts_the_page_for_every_processor():
+    """Aliasing the one-level master drops every cached mapping of the
+    frame it replaces; unmapping the alias drops those of the master."""
+    rec = _cached_owner()
+    master = np.zeros(WPP)
+    rec.alias(A, master)
+    for p in (0, 1):
+        assert sorted(rec.rmaps[p]) == sorted(rec.wmaps[p]) == [B]
+        rec.rmaps[p][A] = master
+    rec.unmap(A)
+    for p in (0, 1):
+        assert sorted(rec.rmaps[p]) == [B]
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +141,8 @@ def test_tlb_sound_under_home_node_optimization(app_name, protocol):
     rt.run()
     proto = rt.protocol
     assert checked_mappings(proto) > 0
-    assert any(frame is proto.master(page) for table in proto.tables
-               for rmap in table.rmaps for page, frame in rmap.items())
+    assert any(frame is proto.master(page) for rec in proto.owners
+               for rmap in rec.rmaps for page, frame in rmap.items())
 
 
 class _PlanApp(Application):
@@ -357,7 +369,7 @@ def test_multipage_get_block_returns_a_private_copy(warm, pages):
     lo, hi = 30, 30 + (pages - 1) * WPP + 10
     block = env.get_block(arr, lo, hi)
     assert not any(np.shares_memory(block, frame)
-                   for frame in rt.protocol.frames.frames_of(0).values())
+                   for frame in rt.protocol.owners[0].frames.values())
     block[:] = -5.0
     np.testing.assert_array_equal(env.get_block(arr, lo, hi),
                                   np.arange(float(lo), float(hi)))
@@ -370,9 +382,9 @@ def test_partly_cold_span_falls_back_to_dispatch(warm):
     """One missing page anywhere in the span: the general method runs,
     faults exactly that page, and serves the rest from the maps."""
     rt, env, arr, counts = warm
-    table = rt.protocol.tables[0]
-    table.set_perm(2, 0, Perm.INVALID)
-    assert 2 not in table.rmaps[0] and 2 not in table.wmaps[0]
+    rec = rt.protocol.owners[0]
+    rec.set_perm(2, 0, Perm.INVALID)
+    assert 2 not in rec.rmaps[0] and 2 not in rec.wmaps[0]
     expected = rt.read_array("a")
     np.testing.assert_array_equal(env.get_block(arr, 0, 6 * WPP), expected)
     assert counts == {"load_range": 1, "store_range": 0}

@@ -1,4 +1,5 @@
-"""Unit and property tests for frames, page tables, twins, and diffs."""
+"""Unit and property tests for the owner record (frames, page table),
+twins, and diffs."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,7 @@ from hypothesis import strategies as st
 from repro.errors import DataRaceError, ProtocolError
 from repro.vm.diffs import (Diff, apply_diff, flush_update, incoming_diff,
                             make_twin, outgoing_diff)
-from repro.vm.page import FrameStore, Perm
-from repro.vm.pagetable import PageTable
+from repro.vm.page import Owner, Perm
 
 
 class TestPerm:
@@ -24,104 +24,126 @@ class TestPerm:
 
 
 class TestFrameStore:
+    """An owner record's frames and memory (the class keeps the name of
+    the store the record replaced, so its test ids stay stable)."""
+
     def test_lazy_map_and_read(self):
-        fs = FrameStore(2, 4, 8)
-        assert not fs.has_frame(0, 1)
-        frame = fs.map_frame(0, 1)
-        assert fs.has_frame(0, 1)
+        o = Owner(4, 8, 1)
+        assert 1 not in o.frames
+        frame = o.map(1)
+        assert o.frames[1] is frame
         assert frame.shape == (8,)
         assert (frame == 0).all()
 
     def test_map_with_contents_copies(self):
-        fs = FrameStore(2, 4, 4)
+        o = Owner(4, 4, 1)
         src = np.arange(4.0)
-        frame = fs.map_frame(0, 0, src)
+        frame = o.map(0, src)
         src[0] = 99.0
         assert frame[0] == 0.0  # independent copy
 
     def test_remap_overwrites_in_place(self):
-        fs = FrameStore(1, 1, 4)
-        f1 = fs.map_frame(0, 0)
-        f2 = fs.map_frame(0, 0, np.ones(4))
+        o = Owner(1, 4, 1)
+        f1 = o.map(0)
+        f2 = o.map(0, np.ones(4))
         assert f1 is f2  # same physical frame
         assert (f1 == 1).all()
 
     def test_missing_frame_raises(self):
-        fs = FrameStore(1, 1, 4)
-        with pytest.raises(ProtocolError):
-            fs.frame(0, 0)
+        o = Owner(1, 4, 1)
+        with pytest.raises(KeyError):
+            o.frames[0]
 
     def test_unmap(self):
-        fs = FrameStore(1, 2, 4)
-        fs.map_frame(0, 1)
-        fs.unmap_frame(0, 1)
-        assert not fs.has_frame(0, 1)
-        fs.unmap_frame(0, 1)  # idempotent
+        o = Owner(2, 4, 1)
+        o.map(1)
+        o.twins[1] = np.zeros(4)
+        o.unmap(1)
+        assert 1 not in o.frames and 1 not in o.twins
+        o.unmap(1)  # idempotent
 
     def test_degenerate_geometry_rejected(self):
-        with pytest.raises(ProtocolError):
-            FrameStore(0, 1, 1)
+        for geometry in [(0, 1, 1), (1, 0, 1), (1, 1, 0)]:
+            with pytest.raises(ProtocolError):
+                Owner(*geometry)
 
     def test_frame_is_its_owners_slot(self):
-        fs = FrameStore(2, 4, 8)
-        assert [b.shape for b in fs.backings] == [(32,), (32,)]
-        frame = fs.map_frame(1, 2)
-        assert frame.base is fs.backings[1]
+        o = Owner(4, 8, 1)
+        assert o.backing.shape == (32,)
+        frame = o.map(2)
+        assert frame.base is o.backing
         frame[:] = np.arange(8.0)
-        np.testing.assert_array_equal(fs.backings[1][16:24], np.arange(8.0))
-        assert not fs.backings[1][:16].any() and not fs.backings[1][24:].any()
+        np.testing.assert_array_equal(o.backing[16:24], np.arange(8.0))
+        assert not o.backing[:16].any() and not o.backing[24:].any()
 
     def test_remap_reads_zeros_or_exactly_the_contents(self):
-        fs = FrameStore(1, 2, 4)
-        fs.map_frame(0, 1, np.full(4, 7.0))
-        fs.unmap_frame(0, 1)
-        np.testing.assert_array_equal(fs.map_frame(0, 1), np.zeros(4))
-        fs.frame(0, 1)[:] = 3.0
-        fs.unmap_frame(0, 1)
-        np.testing.assert_array_equal(fs.map_frame(0, 1, np.arange(4.0)),
+        o = Owner(2, 4, 1)
+        o.map(1, np.full(4, 7.0))
+        o.unmap(1)
+        np.testing.assert_array_equal(o.map(1), np.zeros(4))
+        o.frames[1][:] = 3.0
+        o.unmap(1)
+        np.testing.assert_array_equal(o.map(1, np.arange(4.0)),
                                       np.arange(4.0))
 
     def test_owners_slots_are_independent(self):
-        fs = FrameStore(2, 2, 4)
-        a = fs.map_frame(0, 1, np.ones(4))
-        b = fs.map_frame(1, 1)
+        a_owner, b_owner = Owner(2, 4, 1), Owner(2, 4, 1)
+        a = a_owner.map(1, np.ones(4))
+        b = b_owner.map(1)
         assert not np.shares_memory(a, b)
         b[:] = 5.0
-        np.testing.assert_array_equal(fs.frame(0, 1), np.ones(4))
-        assert not fs.backings[0][:4].any()
+        np.testing.assert_array_equal(a_owner.frames[1], np.ones(4))
+        assert not a_owner.backing[:4].any()
+
+    def test_alias_maps_the_given_frame_until_unmapped(self):
+        o = Owner(2, 4, 1)
+        master = np.full(4, 2.0)
+        o.alias(1, master)
+        assert o.frames[1] is master
+        o.unmap(1)
+        frame = o.map(1, np.ones(4))
+        assert frame.base is o.backing and o.frames[1] is frame
+        np.testing.assert_array_equal(master, np.full(4, 2.0))
 
 
 class TestPageTable:
+    """An owner record's page-table rows and software-TLB eviction (named
+    after the table the record replaced, for stable test ids)."""
+
     def test_default_invalid(self):
-        t = PageTable(4, 2)
-        assert t.perm(0, 0) == Perm.INVALID
-        assert max(t.rows[0]) == Perm.INVALID
+        o = Owner(4, 1, 2)
+        assert o.rows[0][0] == Perm.INVALID
+        assert max(o.rows[0]) == Perm.INVALID
 
     def test_set_and_query(self):
-        t = PageTable(4, 3)
-        t.set_perm(1, 0, Perm.READ)
-        t.set_perm(1, 2, Perm.WRITE)
-        assert max(t.rows[1]) == Perm.WRITE
-        assert t.mapped(1) == [0, 2]
-        assert t.writers(1) == [2]
+        o = Owner(4, 1, 3)
+        o.set_perm(1, 0, Perm.READ)
+        o.set_perm(1, 2, Perm.WRITE)
+        assert max(o.rows[1]) == Perm.WRITE
+        assert o.mapped(1) == [0, 2]
+        assert o.writers(1) == [2]
 
     def test_evict_drops_one_processors_mappings(self):
-        t = PageTable(2, 2)
-        frame = np.zeros(4)
+        o = Owner(2, 4, 2)
+        frame = o.map(0)
         for p in range(2):
-            t.rmaps[p][0] = frame
-            t.wmaps[p][0] = memoryview(frame)
-        t.evict(0, 1)
-        assert 0 in t.rmaps[0] and 0 in t.wmaps[0]
-        assert 0 not in t.rmaps[1] and 0 not in t.wmaps[1]
+            o.set_perm(0, p, Perm.WRITE)
+            o.rmaps[p][0] = frame
+            o.wmaps[p][0] = memoryview(frame)
+        o.set_perm(0, 1, Perm.INVALID)
+        assert 0 in o.rmaps[0] and 0 in o.wmaps[0]
+        assert 0 not in o.rmaps[1] and 0 not in o.wmaps[1]
 
     def test_evict_all_drops_every_processors_mappings(self):
-        t = PageTable(2, 2)
-        for p in range(2):
-            t.rmaps[p][0] = t.rmaps[p][1] = np.zeros(4)
-        t.evict_all(0)
-        assert all(list(m) == [1] for m in t.rmaps)
-        t.evict_all(0)  # idempotent
+        o = Owner(2, 4, 2)
+        for evict in (o.unmap, lambda page: o.alias(page, np.zeros(4))):
+            for p in range(2):
+                o.rmaps[p][0] = o.map(0)
+                o.rmaps[p][1] = o.map(1)
+            evict(0)
+            assert all(list(m) == [1] for m in o.rmaps)
+        o.unmap(0)
+        o.unmap(0)  # idempotent
 
 
 class TestDiffs:
