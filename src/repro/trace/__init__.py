@@ -6,7 +6,7 @@ See :mod:`repro.trace.tracer` for the collection model,
 """
 
 from .events import KIND_FAMILIES, KIND_FAMILY, NO_PROC, TraceEvent
-from .tracer import DEFAULT_CAPACITY, Tracer, attach_tracer, merge_events
+from .tracer import DEFAULT_CAPACITY, Tracer, attach_tracer
 from .chrome import to_chrome_trace, write_chrome_trace
 from .profile import ContentionProfile
 
@@ -18,7 +18,6 @@ __all__ = [
     "DEFAULT_CAPACITY",
     "Tracer",
     "attach_tracer",
-    "merge_events",
     "to_chrome_trace",
     "write_chrome_trace",
     "ContentionProfile",

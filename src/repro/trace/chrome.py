@@ -16,9 +16,9 @@ through unchanged.
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable
+from typing import IO
 
-from .events import NO_PROC, TraceEvent
+from .events import KIND_FAMILY, NO_PROC
 from .tracer import Tracer
 
 #: pid offset for the synthetic Memory Channel process (placed after
@@ -26,40 +26,39 @@ from .tracer import Tracer
 _MC_TID = 0
 
 
-def _mc_pid(events: Iterable[TraceEvent], meta: dict) -> int:
-    nodes = meta.get("nodes")
-    if nodes is None:
-        nodes = max((ev.node for ev in events), default=-1) + 1
-    return int(nodes)
-
-
 def to_chrome_trace(tracer: Tracer) -> dict:
     """The full Chrome ``trace_event`` JSON document, as a dict."""
-    events = tracer.events
-    mc_pid = _mc_pid(events, tracer.meta)
+    kind, proc, node, t0, dur, obj, payloads = tracer.columns()
+    nodes = tracer.meta.get("nodes")
+    mc_pid = int(max(node, default=-1) + 1 if nodes is None else nodes)
 
     out: list[dict] = []
     seen_tracks: set[tuple[int, int]] = set()
-    for ev in sorted(events, key=lambda e: (e.t0, e.proc, e.kind)):
-        pid = mc_pid if ev.node == NO_PROC else ev.node
-        tid = _MC_TID if ev.proc == NO_PROC else ev.proc
+    # The row index breaks ties, so this is the stable sort by
+    # (t0, proc, kind), and no TraceEvent is built.
+    for ts, ev_proc, ev_kind, row in sorted(zip(t0, proc, kind,
+                                                range(len(kind)))):
+        ev_node = node[row]
+        pid = mc_pid if ev_node == NO_PROC else ev_node
+        tid = _MC_TID if ev_proc == NO_PROC else ev_proc
         seen_tracks.add((pid, tid))
         args: dict = {}
-        if ev.obj is not None:
-            args["obj"] = ev.obj
-        args.update(ev.payload)
+        if obj[row] is not None:
+            args["obj"] = obj[row]
+        if row in payloads:
+            args.update(payloads[row])
         rec = {
-            "name": str(ev.kind),
-            "cat": ev.family,
-            "ts": ev.t0,
+            "name": str(ev_kind),
+            "cat": KIND_FAMILY.get(ev_kind, "other"),
+            "ts": ts,
             "pid": pid,
             "tid": tid,
         }
         if args:
             rec["args"] = args
-        if ev.dur > 0:
+        if dur[row] > 0:
             rec["ph"] = "X"
-            rec["dur"] = ev.dur
+            rec["dur"] = dur[row]
         else:
             rec["ph"] = "i"
             rec["s"] = "t"  # thread-scoped instant

@@ -10,7 +10,8 @@ interval of simulated time on one processor's track); events with
 Events are plain data — producing one never touches simulation state —
 and every field is JSON-serializable so consumers (the Chrome exporter,
 the contention profiler) need no further translation. A record is an
-immutable tuple (DESIGN.md §8), cheap enough to build one per event.
+immutable tuple (DESIGN.md §8). The tracer stores events as columns and
+builds records only when they are read.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The event collector: a bounded ring buffer of :class:`TraceEvent`.
+"""The event collector: a bounded, column-wise store of trace events.
 
 A :class:`Tracer` is attached to a configured execution by
 :func:`attach_tracer` (the parallel runtime does this when
@@ -13,7 +13,12 @@ protocol or simulator state, and never perturbs ``RunStats`` — a traced
 run and an untraced run of the same program produce identical statistics
 (``tests/test_trace.py`` asserts this under all four protocols).
 
-The buffer is bounded (default ~2M events): when full, the *oldest*
+Emission builds no record: each field goes to its own column (a list
+for ``kind`` and ``obj``, a typed ``array`` for the processor, node and
+times), and a payload is kept, keyed by row, only when the event has
+one. Reading rebuilds :class:`TraceEvent` records from the columns.
+
+The store is bounded (default ~2M events): when full, the *oldest*
 events are dropped, keeping the tail of the execution — the usual region
 of interest when diagnosing why a run is slow. ``dropped`` reports how
 many events fell out.
@@ -21,14 +26,16 @@ many events fell out.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, Iterator
+from array import array
+from collections import Counter
+from itertools import repeat
+from typing import Iterator
 
-from .events import NO_PROC, TraceEvent
+from .events import _NO_PAYLOAD, NO_PROC, TraceEvent
 
-#: Default ring-buffer capacity (events). At the experiment scale a
-#: full 32-processor application run emits a few hundred thousand to a
-#: few million events; the cap bounds host memory, not simulated work.
+#: Default capacity (events). At the experiment scale a full
+#: 32-processor application run emits a few hundred thousand to a few
+#: million events; the cap bounds host memory, not simulated work.
 DEFAULT_CAPACITY = 2_000_000
 
 #: Builds a record from its field tuple in C, without a frame for the
@@ -37,17 +44,32 @@ _new = tuple.__new__
 
 
 class Tracer:
-    """Collects :class:`TraceEvent` records into a bounded ring buffer."""
+    """Keeps the newest ``capacity`` trace events, one column per field.
+
+    The columns may run past ``capacity`` by an eighth of it before the
+    oldest rows are cut in one chunk, so trimming costs a constant per
+    event; every reader sees exactly the newest ``capacity`` events.
+    """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("tracer capacity must be positive")
         self.capacity = capacity
-        self._buf: deque[TraceEvent] = deque(maxlen=capacity)
-        #: Total events emitted (including any that fell off the buffer).
+        #: Total events emitted (including any that were dropped).
         self.emitted = 0
         #: Run metadata, filled by :meth:`finalize`.
         self.meta: dict = {}
+        self._kind: list[str] = []
+        self._proc = array("i")
+        self._node = array("i")
+        self._t0 = array("d")
+        self._dur = array("d")
+        self._obj: list = []
+        #: Row index -> payload, for the rows whose event carries one.
+        self._payloads: dict[int, dict] = {}
+        self._slack = max(capacity // 8, 1)
+        #: Value of ``emitted`` at which the columns are next trimmed.
+        self._trim_at = capacity + self._slack
 
     # --- emission (called from instrumented code) --------------------------
 
@@ -59,60 +81,100 @@ class Tracer:
         object with ``global_id`` and ``node.id``), or ``None`` for
         events that belong to no processor.
         """
-        self.emitted += 1
         if proc is None:
-            pid, nid = NO_PROC, NO_PROC
+            self._proc.append(NO_PROC)
+            self._node.append(NO_PROC)
         else:
-            pid, nid = proc.global_id, proc.node.id
-        self._buf.append(_new(TraceEvent,
-                              (kind, pid, nid, t0, dur, obj, payload)))
+            self._proc.append(proc.global_id)
+            self._node.append(proc.node.id)
+        self._kind.append(kind)
+        self._t0.append(t0)
+        self._dur.append(dur)
+        self._obj.append(obj)
+        if payload:
+            self._payloads[len(self._kind) - 1] = payload
+        n = self.emitted = self.emitted + 1
+        if n == self._trim_at:
+            self._trim()
 
     def instant(self, kind: str, proc, t: float,
                 obj: int | str | None = None, **payload) -> None:
         """Record a point event (``dur == 0``)."""
-        self.emitted += 1
         if proc is None:
-            pid, nid = NO_PROC, NO_PROC
+            self._proc.append(NO_PROC)
+            self._node.append(NO_PROC)
         else:
-            pid, nid = proc.global_id, proc.node.id
-        self._buf.append(_new(TraceEvent,
-                              (kind, pid, nid, t, 0.0, obj, payload)))
+            self._proc.append(proc.global_id)
+            self._node.append(proc.node.id)
+        self._kind.append(kind)
+        self._t0.append(t)
+        self._dur.append(0.0)
+        self._obj.append(obj)
+        if payload:
+            self._payloads[len(self._kind) - 1] = payload
+        n = self.emitted = self.emitted + 1
+        if n == self._trim_at:
+            self._trim()
+
+    def _trim(self) -> None:
+        """Cut the rows older than the newest ``capacity``."""
+        cut = len(self._kind) - self.capacity
+        for column in (self._kind, self._proc, self._node, self._t0,
+                       self._dur, self._obj):
+            del column[:cut]
+        self._payloads = {row - cut: payload
+                          for row, payload in self._payloads.items()
+                          if row >= cut}
+        self._trim_at = self.emitted + self._slack
 
     # --- inspection --------------------------------------------------------
 
+    def columns(self) -> tuple:
+        """The buffered events as columns, oldest first.
+
+        Returns ``(kind, proc, node, t0, dur, obj, payloads)``: six
+        equal-length sequences and a dict from row index to payload
+        holding only the rows that carry one. The sequences are the
+        tracer's own storage; read them, do not modify them.
+        """
+        if len(self._kind) > self.capacity:
+            self._trim()
+        return (self._kind, self._proc, self._node, self._t0, self._dur,
+                self._obj, self._payloads)
+
     def __len__(self) -> int:
-        return len(self._buf)
+        return min(self.emitted, self.capacity)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._buf)
+        kind, proc, node, t0, dur, obj, payloads = self.columns()
+        payload = map(payloads.get, range(len(kind)), repeat(_NO_PAYLOAD))
+        return map(_new, repeat(TraceEvent),
+                   zip(kind, proc, node, t0, dur, obj, payload))
 
     @property
     def events(self) -> tuple[TraceEvent, ...]:
-        return tuple(self._buf)
+        return tuple(self)
 
     @property
     def dropped(self) -> int:
-        """Events that fell off the ring buffer (oldest-first)."""
-        return self.emitted - len(self._buf)
+        """Events that fell out of the store (oldest-first)."""
+        return max(self.emitted - self.capacity, 0)
 
     def by_kind(self, *kinds: str) -> list[TraceEvent]:
         want = frozenset(kinds)
-        return [ev for ev in self._buf if ev.kind in want]
+        return [ev for ev in self if ev.kind in want]
 
     def kind_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for ev in self._buf:
-            counts[ev.kind] = counts.get(ev.kind, 0) + 1
-        return dict(sorted(counts.items()))
+        return dict(sorted(Counter(self.columns()[0]).items()))
 
     # --- lifecycle ---------------------------------------------------------
 
     def finalize(self, **meta) -> None:
         """Record end-of-run metadata (app, protocol, exec time, shape).
 
-        Also stamps the ring buffer's final drop count into the
-        metadata, so exports and the metrics store see how much of the
-        run the surviving events actually cover.
+        Also stamps the final drop count into the metadata, so exports
+        and the metrics store see how much of the run the surviving
+        events actually cover.
         """
         self.meta.update(meta)
         self.meta["trace_dropped"] = self.dropped
@@ -131,12 +193,3 @@ def attach_tracer(cluster, protocol) -> Tracer:
     cluster.mc.trace = tracer
     protocol.trace = tracer
     return tracer
-
-
-def merge_events(tracers: Iterable[Tracer]) -> list[TraceEvent]:
-    """All events of several tracers, ordered by start time."""
-    out: list[TraceEvent] = []
-    for tracer in tracers:
-        out.extend(tracer)
-    out.sort(key=lambda ev: (ev.t0, ev.proc, ev.kind))
-    return out

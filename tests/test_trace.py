@@ -8,6 +8,7 @@ every time bucket, every traffic category — under every protocol.
 """
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -88,6 +89,67 @@ class TestTracer:
         assert tr.dropped == 6
         assert [ev.t0 for ev in tr] == [6.0, 7.0, 8.0, 9.0]
 
+    def test_ring_buffer_across_trims(self):
+        # Capacity 32 lets the columns run 4 rows past it, then cuts 4.
+        # ``read`` is checked after every emission (each read trims to
+        # exactly 32), ``unread`` only at the end, after many chunked
+        # trims; payload events sit on both sides of every cut.
+        cap = 32
+        read, unread = Tracer(capacity=cap), Tracer(capacity=cap)
+        made = []
+        for i in range(150):
+            proc = _FakeProc(i % 4, i % 2) if i % 5 else None
+            pid = NO_PROC if proc is None else i % 4
+            nid = NO_PROC if proc is None else i % 2
+            for tr in (read, unread):
+                if i % 3 == 0:
+                    tr.instant("diff_out", proc, float(i), obj=i, bytes=i)
+                else:
+                    tr.span("user", proc, float(i), 0.5)
+            if i % 3 == 0:
+                made.append(TraceEvent("diff_out", pid, nid, float(i), 0.0,
+                                       i, {"bytes": i}))
+            else:
+                made.append(TraceEvent("user", pid, nid, float(i), 0.5))
+            assert list(read) == made[-cap:]
+            assert len(unread._kind) <= cap + cap // 8
+        want = made[-cap:]
+        for tr in (read, unread):
+            assert list(tr) == want
+            assert [ev.payload for ev in tr] == [ev.payload for ev in want]
+            assert (len(tr), tr.emitted, tr.dropped) == (cap, 150, 118)
+            kinds = [ev.kind for ev in want]
+            assert tr.kind_counts() == {"diff_out": kinds.count("diff_out"),
+                                        "user": kinds.count("user")}
+            assert tr.by_kind("diff_out") == [ev for ev in want
+                                              if ev.kind == "diff_out"]
+            doc = to_chrome_trace(tr)
+            assert doc["otherData"]["dropped_events"] == 118
+            assert [ev["ts"] for ev in doc["traceEvents"]
+                    if ev["ph"] != "M"] == [ev.t0 for ev in want]
+
+    def test_bytes_per_event(self):
+        # The store keeps a payload only for the events that carry one:
+        # 200k spans, 1 in 8 with a payload, fit in 96 bytes per event
+        # (a tuple record per event in a deque takes about 215).
+        n = 200_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tr = Tracer(capacity=n)
+            p = _FakeProc(3, 1)
+            for i in range(n):
+                if i % 8:
+                    tr.span("protocol", p, i * 0.5, 0.25)
+                else:
+                    tr.span("page_fetch", p, i * 0.5, 0.25, obj=i % 64,
+                            bytes=512)
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tr) == n
+        assert used / n <= 96, f"{used / n:.1f} B per event"
+
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             Tracer(capacity=0)
@@ -129,13 +191,19 @@ class TestTracer:
         with pytest.raises(TypeError):
             a.payload["bytes"] = 1
         assert b.payload == {} and "payload" not in b.to_json()
-        # Tracer-built records each own their payload.
+        # A tracer-built record without a payload gets the read-only
+        # empty mapping; records built with payloads never share a dict.
         tr = Tracer()
         tr.instant("user", None, 0.0)
         tr.span("user", None, 1.0, 2.0)
-        first, second = tr.events
-        assert first.payload == second.payload == {}
-        assert first.payload is not second.payload
+        tr.instant("diff_out", None, 2.0, bytes=8)
+        tr.span("page_fetch", None, 3.0, 1.0, bytes=8)
+        bare, _, third, fourth = tr.events
+        assert bare.payload == {}
+        with pytest.raises(TypeError):
+            bare.payload["bytes"] = 1
+        assert third.payload == fourth.payload == {"bytes": 8}
+        assert third.payload is not fourth.payload
 
     def test_kind_family_covers_bucket_names(self):
         for bucket in ("user", "protocol", "polling", "comm_wait",
