@@ -11,6 +11,21 @@ word must be separated by the env's locks, barriers, or flags. The
 simulator enforces the consequence the protocol relies on (incoming
 diffs never overlap local modifications) and raises
 :class:`~repro.errors.DataRaceError` otherwise.
+
+A run hosts every simulated processor's worker in one interpreter, so
+on a 512-processor rung any per-rank host cost is paid 512 times.
+Kernels therefore keep three rules (none of them changes a simulated
+access, charge or their order):
+
+* a processor's host work and host state are proportional to its own
+  share: it visits its own blocks or chunks, not every block to ask
+  whose it is (LU lists its blocks once, Water tests every chunk in one
+  vectorised pass);
+* a table that is the same for every rank (a chunk layout, an owner
+  map) is built once per run and is immutable, not rebuilt per rank;
+* scratch arrays die before the next yield: compute them in a helper
+  that returns only what the processor keeps (Water's ``_forces``), so
+  that hundreds of suspended workers do not each hold a dead copy.
 """
 
 from __future__ import annotations

@@ -16,6 +16,9 @@ The paper ran 2046×2046 (33 Mbytes, 254.8 s sequential).
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from math import gcd
+
 import numpy as np
 
 from ..errors import ConfigError
@@ -49,6 +52,24 @@ def _bmodd(blk: np.ndarray, diag: np.ndarray) -> None:
     n = blk.shape[0]
     for i in range(n):
         blk[i, :] -= diag[i, :i] @ blk[:i, :]
+
+
+def _own_blocks(me: int, nb: int, nprocs: int) -> list[tuple[int, int]]:
+    """Blocks ``(I, J)`` of an ``nb`` x ``nb`` grid that processor ``me``
+    owns under :meth:`LU._owner`, row-major: the full scan's order, at
+    O(nb + own blocks) cost. In row ``I`` they are the ``J`` with
+    ``3J = me - I (mod nprocs)``: none unless ``g = gcd(3, nprocs)``
+    divides ``me - I``, else every ``nprocs / g``-th column from the
+    solution mod ``nprocs / g``."""
+    g = gcd(3, nprocs)
+    step = nprocs // g
+    inverse = pow(3 // g, -1, step)
+    own = []
+    for I in range(nb):
+        d = (me - I) % nprocs
+        if d % g == 0:
+            own += [(I, J) for J in range(d // g * inverse % step, nb, step)]
+    return own
 
 
 class LU(Application):
@@ -118,6 +139,7 @@ class LU(Application):
         yield from env.barrier()
 
         me, nprocs = env.rank, env.nprocs
+        own = _own_blocks(me, nb, nprocs)
         for k in range(nb):
             # Phase 1: factor the diagonal block.
             if self._owner(k, k, nprocs) == me:
@@ -127,24 +149,31 @@ class LU(Application):
                 yield env.compute(flops_diag * _FLOP_US, mem_block)
             yield from env.barrier()
 
+            # Own blocks in row k, then below it (row-major, so each
+            # loop below visits them in the full scan's order).
+            row_k = bisect_left(own, (k,))
+            below = bisect_left(own, (k + 1,))
+
             # Phase 2: perimeter blocks.
             diag = None
-            for j in range(k + 1, nb):
-                if self._owner(k, j, nprocs) == me:
-                    if diag is None:
-                        diag = self._get_block(env, A, k, k, nb, B)
-                    blk = self._get_block(env, A, k, j, nb, B)
-                    _bmodd(blk, diag)
-                    self._set_block(env, A, k, j, nb, B, blk)
-                    yield env.compute(flops_block * _FLOP_US / 2, mem_block)
-            for i in range(k + 1, nb):
-                if self._owner(i, k, nprocs) == me:
-                    if diag is None:
-                        diag = self._get_block(env, A, k, k, nb, B)
-                    blk = self._get_block(env, A, i, k, nb, B)
-                    _bdiv(blk, diag)
-                    self._set_block(env, A, i, k, nb, B, blk)
-                    yield env.compute(flops_block * _FLOP_US / 2, mem_block)
+            for _, j in own[row_k:below]:
+                if j <= k:
+                    continue
+                if diag is None:
+                    diag = self._get_block(env, A, k, k, nb, B)
+                blk = self._get_block(env, A, k, j, nb, B)
+                _bmodd(blk, diag)
+                self._set_block(env, A, k, j, nb, B, blk)
+                yield env.compute(flops_block * _FLOP_US / 2, mem_block)
+            for i, j in own[below:]:
+                if j != k:
+                    continue
+                if diag is None:
+                    diag = self._get_block(env, A, k, k, nb, B)
+                blk = self._get_block(env, A, i, k, nb, B)
+                _bdiv(blk, diag)
+                self._set_block(env, A, i, k, nb, B, blk)
+                yield env.compute(flops_block * _FLOP_US / 2, mem_block)
             yield from env.barrier()
 
             # Phase 3: interior updates; a pivot-row or pivot-column
@@ -152,18 +181,17 @@ class LU(Application):
             # then served from these caches.
             row_cache: dict[int, np.ndarray] = {}
             col_cache: dict[int, np.ndarray] = {}
-            for i in range(k + 1, nb):
-                for j in range(k + 1, nb):
-                    if self._owner(i, j, nprocs) != me:
-                        continue
-                    if i not in col_cache:
-                        col_cache[i] = self._get_block(env, A, i, k, nb, B)
-                    if j not in row_cache:
-                        row_cache[j] = self._get_block(env, A, k, j, nb, B)
-                    blk = self._get_block(env, A, i, j, nb, B)
-                    blk -= col_cache[i] @ row_cache[j]
-                    self._set_block(env, A, i, j, nb, B, blk)
-                    yield interior_step
+            for i, j in own[below:]:
+                if j <= k:
+                    continue
+                if i not in col_cache:
+                    col_cache[i] = self._get_block(env, A, i, k, nb, B)
+                if j not in row_cache:
+                    row_cache[j] = self._get_block(env, A, k, j, nb, B)
+                blk = self._get_block(env, A, i, j, nb, B)
+                blk -= col_cache[i] @ row_cache[j]
+                self._set_block(env, A, i, j, nb, B, blk)
+                yield interior_step
             yield from env.barrier()
 
     def result_arrays(self, params: dict):

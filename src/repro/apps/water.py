@@ -19,6 +19,10 @@ evaluation depends on.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import lru_cache
+from typing import NamedTuple
+
 import numpy as np
 
 from .base import Application, split_range
@@ -30,6 +34,56 @@ _PAIR_US = 352.0
 #: set fits caches far better than SOR/Gauss).
 _PAIR_MEM = 110.0
 _DT = 0.002
+
+
+class _Chunks(NamedTuple):
+    """The chunk layout of one ``(mols, nprocs)`` run: processor ``r``
+    owns molecules ``bounds[r]``; ``starts``/``ends`` hold the same
+    bounds as read-only arrays for the vectorised hot-chunk test."""
+    bounds: tuple[tuple[int, int], ...]
+    starts: np.ndarray
+    ends: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _chunk_layout(mols: int, nprocs: int) -> _Chunks:
+    """The rank-invariant chunk table, built once and shared by every
+    rank (immutable: a tuple and two read-only arrays)."""
+    bounds = tuple(split_range(mols, nprocs, r) for r in range(nprocs))
+    # Arrays over immutable bytes: read-only, and they cannot be made
+    # writeable again.
+    starts, ends = (np.frombuffer(np.array(column, dtype=np.intp).tobytes(),
+                                  dtype=np.intp)
+                    for column in zip(*bounds))
+    return _Chunks(bounds, starts, ends)
+
+
+def _hot_chunks(acc: np.ndarray, chunks: _Chunks) -> np.ndarray:
+    """Per chunk, whether any of its rows of ``acc`` is nonzero (NaN
+    counts; -0.0 does not): one ``np.any`` per chunk, vectorised. An
+    empty chunk is never hot."""
+    nonzero = np.zeros(len(acc) + 1, dtype=np.intp)
+    np.cumsum(acc.any(axis=1), out=nonzero[1:])
+    return nonzero[chunks.ends] > nonzero[chunks.starts]
+
+
+def _forces(all_pos: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, int]:
+    """Pairwise forces of molecules ``[lo, hi)`` on the following half of
+    the array (wrapping): the processor's contribution to every
+    molecule and the number of pairs. Every scratch array dies here."""
+    n = len(all_pos)
+    half = n // 2
+    acc = np.zeros((n, 3))
+    pairs = 0
+    for i in range(lo, hi):
+        js = np.arange(i + 1, i + half + 1) % n
+        d = all_pos[js] - all_pos[i]
+        r2 = (d * d).sum(axis=1) + 0.1
+        f = d / (r2 * np.sqrt(r2))[:, None]
+        acc[i] += f.sum(axis=0)
+        acc[js] -= f
+        pairs += len(js)
+    return acc, pairs
 
 
 def _integrate(env, pos, vel, force, lo: int, hi: int) -> None:
@@ -83,45 +137,27 @@ class Water(Application):
         env.end_init()
         yield from env.barrier()
 
-        lo, hi = split_range(n, nprocs, me)
-        half = n // 2
-        chunk_of = [split_range(n, nprocs, r) for r in range(nprocs)]
+        chunks = _chunk_layout(n, nprocs)
+        lo, hi = chunks.bounds[me]
         integrate_step = env.compute((hi - lo) * 0.3, (hi - lo) * 24)
-
-        def owner_of(mol: int) -> int:
-            for r, (clo, chi) in enumerate(chunk_of):
-                if clo <= mol < chi:
-                    return r
-            return nprocs - 1
 
         for _ in range(steps):
             # --- force computation phase -------------------------------------
-            all_pos = env.get_block(pos, 0, n * 3).reshape(n, 3)
-            acc = np.zeros((n, 3))
-            pairs = 0
-            for i in range(lo, hi):
-                js = np.arange(i + 1, i + half + 1) % n
-                d = all_pos[js] - all_pos[i]
-                r2 = (d * d).sum(axis=1) + 0.1
-                f = d / (r2 * np.sqrt(r2))[:, None]
-                acc[i] += f.sum(axis=0)
-                acc[js] -= f
-                pairs += len(js)
+            acc, pairs = _forces(
+                env.get_block(pos, 0, n * 3).reshape(n, 3), lo, hi)
             yield env.compute(pairs * _PAIR_US, pairs * _PAIR_MEM)
 
             # Accumulate into the shared force array, chunk by chunk under
-            # that chunk's lock (migratory sharing).
-            for r in range(nprocs):
-                clo, chi = chunk_of[(me + r) % nprocs]
-                if clo == chi:
-                    continue
-                contrib = acc[clo:chi].reshape(-1)
-                if not np.any(contrib):
-                    continue
-                target = (me + r) % nprocs
+            # that chunk's lock (migratory sharing), from this
+            # processor's own chunk onwards, skipping chunks it left
+            # untouched.
+            hot = np.flatnonzero(_hot_chunks(acc, chunks)).tolist()
+            split = bisect_left(hot, me)
+            for target in hot[split:] + hot[:split]:
+                clo, chi = chunks.bounds[target]
                 yield from env.acquire(target)
                 cur = env.get_block(force, clo * 3, chi * 3)
-                env.set_block(force, clo * 3, cur + contrib)
+                env.set_block(force, clo * 3, cur + acc[clo:chi].reshape(-1))
                 yield env.compute((chi - clo) * 0.05, (chi - clo) * 24)
                 env.release(target)
             yield from env.barrier()

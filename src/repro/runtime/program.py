@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 import numpy as np
 
-from ..check import attach_checker
 from ..cluster.machine import Cluster
 from ..config import MachineConfig
 from ..errors import ConfigError, SimulationError
@@ -66,6 +65,8 @@ class ParallelRuntime:
         #: ``config.checking`` is set.
         self.checker = None
         if self.config.checking:
+            # Imported here, so that only a checked run loads the checker.
+            from ..check import attach_checker
             self.checker = attach_checker(self.cluster, self.protocol)
         #: Event tracer (:class:`repro.trace.Tracer`), when
         #: ``config.tracing`` is set.

@@ -53,12 +53,12 @@ class MCLock:
         self.region = cluster.mc.new_region(
             f"lock[{lock_id}]", slots, initial=0, loopback=True,
             connections=cluster.config.nodes, waitable=False, readable=False)
-        # Per-node ll/sc flag (two-level path): holder proc id or None.
-        self._node_flag: dict[int, int | None] = {
-            n.id: None for n in cluster.nodes}
-        self._node_cond = {
-            n.id: Condition(cluster.sim, name=f"lockflag[{lock_id}][{n.id}]")
-            for n in cluster.nodes}
+        # Per-node ll/sc flag (two-level path): node id -> holder proc
+        # id, absent while free; and the Condition a node's waiters
+        # park on, made by the first one to wait. Both are kept only
+        # for nodes that use the lock, not for every node per lock.
+        self._node_flag: dict[int, int] = {}
+        self._node_cond: dict[int, Condition] = {}
         #: Current holder (global processor id) and FIFO of waiters.
         self._holder: int | None = None
         self._queue: deque[int] = deque()
@@ -121,16 +121,21 @@ class MCLock:
                 clock += us
                 spent += us
             node_id = proc.node.id
-            if self._node_flag[node_id] is not None:
+            node_flag = self._node_flag
+            if node_id in node_flag:
                 proc.clock = clock
                 buckets["protocol"] = spent
-                while self._node_flag[node_id] is not None:
-                    yield Wait(self._node_cond[node_id],
-                               lambda: self._node_flag[node_id] is None,
+                cond = self._node_cond.get(node_id)
+                if cond is None:
+                    cond = self._node_cond[node_id] = Condition(
+                        self.cluster.sim,
+                        name=f"lockflag[{self.lock_id}][{node_id}]")
+                while node_id in node_flag:
+                    yield Wait(cond, lambda: node_id not in node_flag,
                                bucket="comm_wait")
                 clock = proc.clock
                 spent = buckets["protocol"]
-            self._node_flag[node_id] = me
+            node_flag[node_id] = me
             us = costs.two_level_lock_extra
             if us > 0:
                 if charge_trace is not None:
@@ -244,15 +249,15 @@ class MCLock:
             self._push_grant(visible)
         if self.two_level:
             node_id = proc.node.id
-            self._node_flag[node_id] = None
+            del self._node_flag[node_id]
             us = costs.llsc_lock
             if us > 0:
                 if charge_trace is not None:
                     charge_trace.span("protocol", proc, clock, us)
                 clock += us
                 spent += us
-            cond = self._node_cond[node_id]
-            if cond._waiters:  # a local peer spinning on the ll/sc flag
+            cond = self._node_cond.get(node_id)
+            if cond is not None and cond._waiters:  # a local peer spinning
                 cond.fire(clock)
         proc.clock = clock
         buckets["protocol"] = spent

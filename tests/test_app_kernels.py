@@ -2,17 +2,21 @@
 
 These test the algorithm implementations directly (pure numpy level),
 independent of the DSM machinery: LU's blocked kernels against a
-reference factorization, Barnes-Hut tree structure and force accuracy,
-TSP's distances/bounds/heap, Em3d's stencil, and the partitioning
-helpers. App-level end-to-end correctness lives in test_apps.py.
+reference factorization and its own-block lists against the full scan,
+Barnes-Hut tree structure and force accuracy, TSP's distances/bounds/heap,
+Em3d's stencil, Water's forces, chunk layout and hot-chunk test, and the
+partitioning helpers. App-level end-to-end correctness lives in
+test_apps.py.
 """
 
 import numpy as np
 import pytest
 
 from repro.apps.barnes import _CELL_WORDS, _Tree, _force_on
-from repro.apps.lu import _bdiv, _bmodd, _factor_diag
+from repro.apps.base import split_range
+from repro.apps.lu import LU, _bdiv, _bmodd, _factor_diag, _own_blocks
 from repro.apps.tsp import TSP, _distances
+from repro.apps.water import _chunk_layout, _forces, _hot_chunks
 
 
 class TestLUKernels:
@@ -72,6 +76,69 @@ class TestLUKernels:
         lower = np.tril(lu, -1) + np.eye(n)
         upper = np.triu(lu)
         assert np.allclose(lower @ upper, a, atol=1e-8)
+
+
+class TestLUOwnBlocks:
+    NB = 12
+
+    @pytest.mark.parametrize("nprocs", [1, 4, 24, 32, 128, NB * NB + 7])
+    def test_equals_filtered_full_scan(self, nprocs):
+        # 24: 3 divides P, so 3J = me - I (mod P) has no solution in
+        # two rows of three and three in the third. NB*NB + 7: more
+        # processors than blocks, most own none.
+        nb = self.NB
+        seen = []
+        for me in range(nprocs):
+            scan = [(i, j) for i in range(nb) for j in range(nb)
+                    if LU._owner(i, j, nprocs) == me]
+            assert _own_blocks(me, nb, nprocs) == scan
+            seen += scan
+        assert sorted(seen) == [(i, j) for i in range(nb) for j in range(nb)]
+
+
+class TestWaterChunks:
+    def _per_chunk_any(self, acc, layout):
+        return np.array([np.any(acc[lo:hi].reshape(-1))
+                         for lo, hi in layout.bounds])
+
+    def test_hot_chunks_equal_per_chunk_any(self):
+        mols, nprocs = 20, 6
+        layout = _chunk_layout(mols, nprocs)
+        acc = np.zeros((mols, 3))
+        acc[1, 2] = np.nan        # chunk 0: NaN counts as nonzero
+        acc[4, 0] = -0.0          # chunk 1: negative zero does not
+        acc[9, 1] = 1e-300        # chunk 2: a tiny value does
+        acc[19] = [0.0, -2.0, 0]  # chunk 5, its last row
+        hot = _hot_chunks(acc, layout)
+        assert hot.tolist() == [True, False, True, False, False, True]
+        assert (hot == self._per_chunk_any(acc, layout)).all()
+        assert not _hot_chunks(np.zeros((mols, 3)), layout).any()
+
+    @pytest.mark.parametrize("mols,nprocs", [(3, 8), (5, 5), (1, 1)])
+    def test_empty_chunks_are_never_hot(self, mols, nprocs):
+        layout = _chunk_layout(mols, nprocs)
+        assert layout.bounds == tuple(split_range(mols, nprocs, r)
+                                      for r in range(nprocs))
+        rng = np.random.RandomState(mols * 31 + nprocs)
+        for acc in (np.full((mols, 3), np.nan), np.ones((mols, 3)),
+                    rng.choice([0.0, -0.0, 1.0], size=(mols, 3))):
+            hot = _hot_chunks(acc, layout)
+            assert (hot == self._per_chunk_any(acc, layout)).all()
+            assert not any(hot[r] for r, (lo, hi) in
+                           enumerate(layout.bounds) if lo == hi)
+
+    def test_layout_is_shared_and_immutable(self):
+        layout = _chunk_layout(48, 4)
+        assert _chunk_layout(48, 4) is layout
+        with pytest.raises(TypeError):
+            layout.bounds[0] = (0, 1)
+        with pytest.raises(AttributeError):
+            layout.bounds = ()
+        for column in (layout.starts, layout.ends):
+            with pytest.raises(ValueError):
+                column[0] = 7
+            with pytest.raises(ValueError):
+                column.flags.writeable = True
 
 
 class TestBarnesTree:
@@ -200,17 +267,11 @@ class TestWaterSymmetry:
     def test_pairwise_forces_sum_to_zero(self):
         # Newton's third law holds for the vectorized accumulation the
         # worker performs (even mol count: each pair counted once).
-        n, half = 8, 4
+        n = 8
         rng = np.random.RandomState(1)
         all_pos = rng.rand(n, 3) * 3
-        acc = np.zeros((n, 3))
-        for i in range(n):
-            js = np.arange(i + 1, i + half + 1) % n
-            d = all_pos[js] - all_pos[i]
-            r2 = (d * d).sum(axis=1) + 0.1
-            f = d / (r2 * np.sqrt(r2))[:, None]
-            acc[i] += f.sum(axis=0)
-            acc[js] -= f
+        acc, pairs = _forces(all_pos, 0, n)
+        assert pairs == n * (n // 2)
         # Every ordered pair is visited from exactly one side except the
         # antipodal pair at even n, which is visited from both; the total
         # momentum change is still zero by symmetry.

@@ -13,6 +13,7 @@ from repro.cluster.machine import Cluster
 from repro.config import CostModel, MachineConfig
 from repro.errors import SimulationError
 from repro.protocol import make_protocol
+from repro.sim.engine import Condition
 from repro.sim.process import Compute, ProcessGroup, Sleep, Wait
 from repro.sync import Barrier, FlagSet, MCLock
 from repro.trace import attach_tracer
@@ -332,9 +333,13 @@ class _PerChargeLock(MCLock):
         if self.two_level:
             proc.charge(costs.llsc_lock, "protocol")
             node_id = proc.node.id
-            while self._node_flag[node_id] is not None:
+            if node_id in self._node_flag and node_id not in self._node_cond:
+                self._node_cond[node_id] = Condition(
+                    self.cluster.sim,
+                    name=f"lockflag[{self.lock_id}][{node_id}]")
+            while node_id in self._node_flag:
                 yield Wait(self._node_cond[node_id],
-                           lambda: self._node_flag[node_id] is None,
+                           lambda: node_id not in self._node_flag,
                            bucket="comm_wait")
             self._node_flag[node_id] = me
             proc.charge(costs.two_level_lock_extra, "protocol")
@@ -385,9 +390,10 @@ class _PerChargeLock(MCLock):
             self._push_grant(visible)
         if self.two_level:
             node_id = proc.node.id
-            self._node_flag[node_id] = None
+            del self._node_flag[node_id]
             proc.charge(costs.llsc_lock, "protocol")
-            self._node_cond[node_id].fire(proc.clock)
+            if node_id in self._node_cond:
+                self._node_cond[node_id].fire(proc.clock)
 
 
 #: Costs and starting values chosen (and checked below) so that the three

@@ -8,6 +8,8 @@ every time bucket, every traffic category — under every protocol.
 """
 
 import json
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -232,6 +234,29 @@ class TestWiring:
         assert result.trace.meta["app"] == "SOR"
         assert result.trace.meta["protocol"] == "2L"
         assert result.trace.meta["exec_time_us"] == result.exec_time_us
+
+    def test_observers_load_only_when_used(self):
+        # An unobserved run loads neither the checker nor the trace
+        # export and profile; the package names still resolve after.
+        code = (
+            "import sys\n"
+            "from repro import MachineConfig, run_app\n"
+            "from repro.apps import make_app\n"
+            "import repro.experiments.sweep\n"
+            "app = make_app('Water')\n"
+            "run_app(app, app.small_params(),"
+            " MachineConfig(nodes=2, procs_per_node=2, page_bytes=512))\n"
+            "lazy = ('repro.check', 'repro.trace.chrome',"
+            " 'repro.trace.profile')\n"
+            "print(sorted(m for m in sys.modules if m.startswith(lazy)))\n"
+            "from repro.trace import ContentionProfile, write_chrome_trace\n"
+            "import repro.trace\n"
+            "assert repro.trace.to_chrome_trace.__module__"
+            " == 'repro.trace.chrome'\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
