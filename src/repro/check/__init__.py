@@ -10,21 +10,18 @@ correctness probe (see DESIGN.md, "Correctness checking"):
   barrier, raising :class:`~repro.errors.CoherenceViolation` on the
   first divergent word;
 * :class:`CheckContext` / :func:`attach_checker` — the checker object
-  wiring both into the protocol fast path and the sync primitives;
-* :class:`ModelChecker` — exhaustive small-config interleaving
-  exploration of the real protocol code, checking the same invariants
-  over *every* schedule instead of one (DESIGN.md §12).
+  wiring both into the protocol fast path and the sync primitives.
 
-Enable for whole application runs with ``MachineConfig(checking=True)``;
-run the model checker with ``cashmere-repro modelcheck``.
+Enable for whole application runs with ``MachineConfig(checking=True)``.
+The model checker (:mod:`repro.check.explore`: exhaustive small-config
+interleaving exploration of the real protocol code, DESIGN.md §12) is
+not re-exported here, so a checked run does not load it; import it
+from its module, or run ``cashmere-repro modelcheck``.
 """
 
 from .context import CheckContext, attach_checker
 from .detector import MAX_RACE_REPORTS, RaceDetector
 from .events import MemoryEvent, RaceReport
-from .explore import (MUTANTS, Counterexample, ExplorationResult,
-                      ModelChecker, MutantNoNotices, default_scripts,
-                      small_config)
 from .oracle import CoherenceOracle
 
 __all__ = [
@@ -32,6 +29,4 @@ __all__ = [
     "RaceDetector", "CoherenceOracle",
     "MemoryEvent", "RaceReport",
     "MAX_RACE_REPORTS",
-    "ModelChecker", "ExplorationResult", "Counterexample",
-    "MutantNoNotices", "MUTANTS", "default_scripts", "small_config",
 ]

@@ -13,6 +13,10 @@ counters, and the polling check paid at loop back-edges (Section 2.3,
 Figure 5). Explicit requests themselves are priced where they are sent:
 :meth:`~repro.protocol.messages.RequestEngine.fetch_page` books the
 polling (or interrupt) delivery and the node's service timeline.
+
+A charge is one float add to the clock and one to its bucket, never a
+trace event: the buckets are the Figure-6 totals the paper reports,
+and the tracer records protocol actions (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ class Processor(ExecutionContext):
         self._costs = config.costs
         self._polling = config.polling
         #: Optional event tracer (:class:`repro.trace.Tracer`); when set,
-        #: every bucket charge is recorded as a duration span.
+        #: each blocking wait is recorded as a ``wait`` span. Charges are
+        #: not traced: ``stats.buckets`` keeps their per-bucket totals.
         self.trace = None
 
     # --- ExecutionContext ---------------------------------------------------
@@ -70,8 +75,6 @@ class Processor(ExecutionContext):
     def charge(self, us: float, bucket: str) -> None:
         if us <= 0:
             return
-        if self.trace is not None:
-            self.trace.span(bucket, self, self.clock, us)
         self.clock += us
         # Inlined ProcStats.charge: this is the hottest call in the whole
         # simulation (every simulated microsecond passes through here).
@@ -79,28 +82,15 @@ class Processor(ExecutionContext):
 
     def run_compute(self, cpu_us: float, mem_bytes: float) -> None:
         costs = self._costs
-        if self.trace is not None:
-            self.charge(cpu_us, "user")
-            if mem_bytes > 0:
-                service = mem_bytes / costs.node_bus_bandwidth
-                begin, end = self.node.bus.acquire(self.clock, service)
-                # Queueing delay and the transfer itself both stall the
-                # CPU; the paper counts cache-miss time as User time.
-                self.charge(end - self.clock, "user")
-            if self._polling:
-                self.charge(costs.poll_check, "polling")
-            return
-        # Untraced fast path: identical arithmetic to the charges above,
-        # with the per-call bucket bookkeeping inlined — and the bus
-        # booking inlined too when it lands past the end of the timeline
-        # (SerialResource.acquire's own fast path), the overwhelmingly
-        # common case for a processor whose clock advances monotonically.
         buckets = self.stats.buckets
-        clock = self.clock
-        if cpu_us > 0:
-            buckets["user"] += cpu_us
-            clock += cpu_us
+        buckets["user"] += cpu_us
+        clock = self.clock + cpu_us
         if mem_bytes > 0:
+            # Queueing delay and the transfer itself both stall the CPU;
+            # the paper counts cache-miss time as User time. The booking
+            # is inlined when it lands past the end of the bus timeline
+            # (SerialResource.acquire's own fast path), the common case
+            # for a processor whose clock advances monotonically.
             service = mem_bytes / costs.node_bus_bandwidth
             bus = self.node.bus
             es = bus._e
@@ -116,24 +106,20 @@ class Processor(ExecutionContext):
                         if len(es) > 4096:
                             del bus._b[:2048], es[:2048]
                     # begin == clock: no queueing delay. The delta is
-                    # computed as ``end - clock`` (not ``service``) so the
-                    # accumulation is bit-identical to the traced path's
-                    # ``charge(end - self.clock)``.
+                    # ``end - clock`` (not ``service``), the same double
+                    # ``acquire``'s booking charges below.
                     delta = clock + service - clock
                     buckets["user"] += delta
                     clock += delta
             else:
-                begin, end = bus.acquire(clock, service)
-                delta = end - clock
-                if delta > 0:
-                    buckets["user"] += delta
-                    clock += delta
-        self.clock = clock
+                delta = bus.acquire(clock, service)[1] - clock
+                buckets["user"] += delta
+                clock += delta
         if self._polling:
             poll = costs.poll_check
-            if poll > 0:
-                buckets["polling"] += poll
-                self.clock = clock + poll
+            buckets["polling"] += poll
+            clock += poll
+        self.clock = clock
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<P{self.global_id} (node {self.node.id}.{self.local_id})>"

@@ -41,10 +41,6 @@ class Protocol(enum.Enum):
     def two_level(self) -> bool:
         return self in (Protocol.CSM_2L, Protocol.CSM_2LS)
 
-    @property
-    def uses_diffs(self) -> bool:
-        return self is not Protocol.CSM_1L
-
 
 @dataclass(frozen=True)
 class CostModel:

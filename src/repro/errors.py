@@ -51,22 +51,6 @@ class MemoryChannelError(CashmereError):
     """
 
 
-class ProtectionFault(CashmereError):
-    """An access violated page permissions and no handler accepted it.
-
-    The DSM protocols install fault handlers that normally consume these;
-    seeing one escape means shared memory was accessed outside a running
-    protocol (for example, from non-simulated code).
-    """
-
-    def __init__(self, processor: object, page: int, write: bool) -> None:
-        kind = "write" if write else "read"
-        super().__init__(f"unhandled {kind} fault on page {page} by {processor}")
-        self.processor = processor
-        self.page = page
-        self.write = write
-
-
 class DataRaceError(CashmereError):
     """The runtime detected an application data race.
 

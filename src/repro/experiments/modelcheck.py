@@ -1,6 +1,6 @@
 """The ``modelcheck`` subcommand: exhaustive small-config exploration.
 
-Runs :class:`~repro.check.ModelChecker` — every interleaving of the
+Runs :class:`~repro.check.explore.ModelChecker` — every interleaving of the
 default 2-node x 2-processor x 2-page script set, through the real
 protocol code — for the requested protocols, and reports per-protocol
 state counts and the verdict. With ``--mutant`` it instead checks a
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..check import MUTANTS, ExplorationResult, ModelChecker
+from ..check.explore import MUTANTS, ExplorationResult, ModelChecker
 
 #: Protocols covered by default: the paper's contribution and the
 #: one-level comparison point (2LS shares 2L's acquire/release machinery

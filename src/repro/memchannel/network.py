@@ -92,20 +92,6 @@ class MemoryChannel:
                                bytes=MC_WORD_BYTES, region=region.name)
         return visible_at
 
-    def broadcast_write(self, region: MCRegion, index: int, value: Any,
-                        at: float, fanout: int, category: str = "meta") -> float:
-        """A write replicated to ``fanout`` receive regions (directory,
-        locks, write notices). One wire transaction fans out at the hub;
-        traffic is charged once per receiver."""
-        visible_at = at + self.latency
-        region.post(index, value, visible_at)
-        self.account(category, MC_WORD_BYTES * max(1, fanout))
-        if self.trace is not None:
-            self.trace.instant("mc_word", None, at, obj=category,
-                               bytes=MC_WORD_BYTES * max(1, fanout),
-                               region=region.name, fanout=fanout)
-        return visible_at
-
     def transfer(self, at: float, nbytes: int,
                  category: str = "data") -> tuple[float, float]:
         """Book a bulk transfer (page or diff) issued at time ``at``.
@@ -141,7 +127,3 @@ class MemoryChannel:
 
     def account(self, category: str, nbytes: int) -> None:
         self.traffic[category] = self.traffic.get(category, 0) + nbytes
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.traffic.values())

@@ -141,9 +141,6 @@ class MCRegion:
     def read(self, index: int, at: float) -> Any:
         return self.words[index].read(at)
 
-    def read_all(self, at: float) -> list[Any]:
-        return [w.read(at) for w in self.words]
-
 
 class MappingTable:
     """Accounting for Memory Channel connections (Section 2.3).

@@ -202,8 +202,7 @@ class BaseProtocol:
     # The slow path is flat (DESIGN.md §19): a fault (fetch included), an
     # acquire and a release each run as one body. The clock and the
     # "protocol" bucket are locals; every charge is one float add to each,
-    # in charge order, with its span under a tracer (zero-cost charges
-    # skipped), written back before any call that reads or charges
+    # in charge order, written back before any call that reads or charges
     # ``proc`` and reloaded after it.
 
     def fault(self, proc: Processor, st: ProcProtoState, page: int,
@@ -261,7 +260,7 @@ class BaseProtocol:
         Booked as one burst (DESIGN.md §17): one shared immutable record,
         count and traffic added once, but one float add per notice
         (``n * w`` is not the same double). A tracer sees each notice as
-        a ``write_notice`` instant followed by its charge's span.
+        a ``write_notice`` instant.
         """
         n = len(dests)
         if not n:
@@ -270,7 +269,7 @@ class BaseProtocol:
         record = WriteNotice(page, from_owner, visible)
         owners = self.owners
         w = self._mc_word_write
-        trace = proc.trace
+        trace = self.trace
         buckets = proc.stats.buckets
         clock = proc.clock
         spent = buckets["protocol"]
@@ -281,11 +280,7 @@ class BaseProtocol:
             if trace is not None:
                 trace.instant("write_notice", None, visible, obj=page,
                               from_owner=from_owner, to_owner=owner)
-            if w > 0:
-                if trace is not None:
-                    trace.span("protocol", proc, clock, w)
-                clock += w
-                spent += w
+            clock, spent = clock + w, spent + w
         proc.clock = clock
         buckets["protocol"] = spent
         proc.stats.counters["write_notices"] += n

@@ -84,14 +84,12 @@ class Cashmere2L(BaseProtocol):
         rec = self.owners[owner]
         twins = rec.twins
         rec.logical += 1
-        ctrace, buckets = proc.trace, proc.stats.buckets
+        buckets = proc.stats.buckets
         counters, costs = proc.stats.counters, self.costs
         t0 = clock = proc.clock
         spent = buckets["protocol"]
-        if (us := costs.page_fault) > 0:
-            if ctrace is not None:
-                ctrace.span("protocol", proc, clock, us)
-            clock, spent = clock + us, spent + us
+        us = costs.page_fault
+        clock, spent = clock + us, spent + us
         counters["write_faults" if write else "read_faults"] += 1
         if not self._home_settled[page]:
             proc.clock, buckets["protocol"] = clock, spent
@@ -128,11 +126,8 @@ class Cashmere2L(BaseProtocol):
                 # buffer, second-level directory maintenance.
                 t_fetch = clock = proc.clock
                 spent = buckets["protocol"]
-                if (us := costs.fetch_overhead
-                        + costs.two_level_fetch_extra) > 0:
-                    if ctrace is not None:
-                        ctrace.span("protocol", proc, clock, us)
-                    clock, spent = clock + us, spent + us
+                us = costs.fetch_overhead + costs.two_level_fetch_extra
+                clock, spent = clock + us, spent + us
                 proc.clock, buckets["protocol"] = clock, spent
                 if holder is not None:
                     # The holder's reply carries the latest copy.
@@ -146,8 +141,6 @@ class Cashmere2L(BaseProtocol):
                 clock, spent = proc.clock, buckets["protocol"]
                 if done > clock:
                     us = done - clock
-                    if ctrace is not None:
-                        ctrace.span("comm_wait", proc, clock, us)
                     clock += us
                     buckets["comm_wait"] += us
                 counters["page_transfers"] += 1
@@ -162,10 +155,7 @@ class Cashmere2L(BaseProtocol):
                 else:
                     rec.map(page, payload)
                     us = self._page_copy_cost
-                if us > 0:
-                    if ctrace is not None:
-                        ctrace.span("protocol", proc, clock, us)
-                    clock, spent = clock + us, spent + us
+                clock, spent = clock + us, spent + us
                 if self.trace is not None:
                     if twin is not None:
                         self.trace.instant("diff_in", proc, clock, obj=page,
@@ -190,10 +180,8 @@ class Cashmere2L(BaseProtocol):
                 st.dirty.add(page)
                 if home != owner and page not in twins:
                     twins[page] = make_twin(st.frames[page])
-                    if (us := self._twin_cost) > 0:
-                        if ctrace is not None:
-                            ctrace.span("protocol", proc, clock, us)
-                        clock, spent = clock + us, spent + us
+                    us = self._twin_cost
+                    clock, spent = clock + us, spent + us
                     counters["twin_creations"] += 1
 
         # Map (a loosening: no cached mapping to evict). The node's
@@ -205,16 +193,12 @@ class Cashmere2L(BaseProtocol):
         if went_exclusive or (old_loosest < perm
                               and entry.perm_of(owner) != perm):
             entry.set_perm(owner, perm)
-            if (us := self._dir_word(counters, clock)) > 0:
-                if ctrace is not None:
-                    ctrace.span("protocol", proc, clock, us)
-                clock, spent = clock + us, spent + us
+            us = self._dir_word(counters, clock)
+            clock, spent = clock + us, spent + us
             if went_exclusive:
                 counters["excl_transitions"] += 1
-        if (us := costs.mprotect) > 0:
-            if ctrace is not None:
-                ctrace.span("protocol", proc, clock, us)
-            clock, spent = clock + us, spent + us
+        us = costs.mprotect
+        clock, spent = clock + us, spent + us
         proc.clock, buckets["protocol"] = clock, spent
         if self.trace is not None:
             self.trace.span("write_fault" if write else "read_fault", proc,
@@ -291,17 +275,15 @@ class Cashmere2L(BaseProtocol):
         owner = st.owner
         rec = self.owners[owner]
         rec.logical += 1
-        ctrace, buckets = proc.trace, proc.stats.buckets
+        buckets = proc.stats.buckets
         clock = proc.clock
         spent = buckets["protocol"]
         llsc, metas = self.costs.llsc_lock, rec.meta
         board = rec.board
         lock_model = self.directory.lock_model
         if lock_model is not None and board.pending():
-            if (us := lock_model.update_cost(clock)) > 0:
-                if ctrace is not None:
-                    ctrace.span("protocol", proc, clock, us)
-                clock, spent = clock + us, spent + us
+            us = lock_model.update_cost(clock)
+            clock, spent = clock + us, spent + us
         notices = board.collect(clock)
         if notices:
             # Second-level distribution: stamp each noticed page's
@@ -317,11 +299,8 @@ class Cashmere2L(BaseProtocol):
                     if perm >= _READ and page not in pn:
                         pn[page] = None
                         queued += 1
-            if llsc > 0:
-                for _ in range(queued):
-                    if ctrace is not None:
-                        ctrace.span("protocol", proc, clock, llsc)
-                    clock, spent = clock + llsc, spent + llsc
+            for _ in range(queued):
+                clock, spent = clock + llsc, spent + llsc
 
         st.acquire_ts = rec.logical
         rows, lidx = rec.rows, st.lidx
@@ -335,23 +314,16 @@ class Cashmere2L(BaseProtocol):
             # when its loosest permission changes.
             old_loosest = max(row)
             rec.set_perm(page, lidx, Perm.INVALID)
-            if (us := self.costs.mprotect) > 0:
-                if ctrace is not None:
-                    ctrace.span("protocol", proc, clock, us)
-                clock, spent = clock + us, spent + us
+            us = self.costs.mprotect
+            clock, spent = clock + us, spent + us
             new_loosest = max(row)
             entry = self.directory.entries[page]
             if new_loosest != old_loosest \
                     and entry.perm_of(owner) != new_loosest:
                 entry.set_perm(owner, new_loosest)
-                if (us := self._dir_word(proc.stats.counters, clock)) > 0:
-                    if ctrace is not None:
-                        ctrace.span("protocol", proc, clock, us)
-                    clock, spent = clock + us, spent + us
-        if llsc > 0:  # drain under the local lock
-            if ctrace is not None:
-                ctrace.span("protocol", proc, clock, llsc)
-            clock, spent = clock + llsc, spent + llsc
+                us = self._dir_word(proc.stats.counters, clock)
+                clock, spent = clock + us, spent + us
+        clock, spent = clock + llsc, spent + llsc  # drain under the lock
         proc.clock, buckets["protocol"] = clock, spent
 
     # ------------------------------------------------------------ release side
@@ -370,7 +342,7 @@ class Cashmere2L(BaseProtocol):
         pages = sorted(st.dirty | st.nle)
         st.dirty.clear()
         st.nle.clear()
-        trace, ctrace, buckets = self.trace, proc.trace, proc.stats.buckets
+        trace, buckets = self.trace, proc.stats.buckets
         clock = proc.clock
         spent = buckets["protocol"]
         rows, lidx = rec.rows, st.lidx
@@ -395,8 +367,6 @@ class Cashmere2L(BaseProtocol):
                 # the flush to reach the home node, then skip.
                 if meta.flush_end_real > clock:
                     us = meta.flush_end_real - clock
-                    if ctrace is not None:
-                        ctrace.span("comm_wait", proc, clock, us)
                     clock += us
                     buckets["comm_wait"] += us
             else:
@@ -434,11 +404,8 @@ class Cashmere2L(BaseProtocol):
                     # concurrent local writers' later flushes skip them.
                     diff = flush_update(st.frames[page], twins[page],
                                         self.owners[home].frames[page])
-                    if (us := self.config.diff_out_cost(diff.nbytes,
-                                                        True)) > 0:
-                        if ctrace is not None:
-                            ctrace.span("protocol", proc, clock, us)
-                        clock, spent = clock + us, spent + us
+                    us = self.config.diff_out_cost(diff.nbytes, True)
+                    clock, spent = clock + us, spent + us
                     meta.flush_end_real = clock
                     if diff.nbytes:
                         if trace is not None:
@@ -448,8 +415,6 @@ class Cashmere2L(BaseProtocol):
                             clock, diff.nbytes, category="diff")
                         if send_done > clock:
                             us = send_done - clock
-                            if ctrace is not None:
-                                ctrace.span("comm_wait", proc, clock, us)
                             clock += us
                             buckets["comm_wait"] += us
                     if others:
@@ -459,10 +424,8 @@ class Cashmere2L(BaseProtocol):
                 if notify:
                     # Notices to every sharer but us and the home (Section
                     # 3.3.5 ablation: one list per node, a global lock).
-                    if lock_model is not None and \
-                            (us := lock_model.update_cost(clock)) > 0:
-                        if ctrace is not None:
-                            ctrace.span("protocol", proc, clock, us)
+                    if lock_model is not None:
+                        us = lock_model.update_cost(clock)
                         clock, spent = clock + us, spent + us
                     proc.clock, buckets["protocol"] = clock, spent
                     self._post_write_notices(
@@ -474,10 +437,8 @@ class Cashmere2L(BaseProtocol):
             # Downgrade so new writes fault into the dirty list again.
             if row[lidx] == _WRITE:
                 rec.set_perm(page, lidx, Perm.READ)
-                if (us := self.costs.mprotect) > 0:
-                    if ctrace is not None:
-                        ctrace.span("protocol", proc, clock, us)
-                    clock, spent = clock + us, spent + us
+                us = self.costs.mprotect
+                clock, spent = clock + us, spent + us
         proc.clock, buckets["protocol"] = clock, spent
 
     def barrier_release(self, proc: Processor) -> None:

@@ -97,11 +97,8 @@ class RequestEngine:
 
         # The servicing processor loses this time to protocol work
         # (Processor.charge, in line).
-        if service > 0:
-            if server.trace is not None:
-                server.trace.span("protocol", server, server.clock, service)
-            server.clock += service
-            server.stats.buckets["protocol"] += service
+        server.clock += service
+        server.stats.buckets["protocol"] += service
         server.stats.counters["requests_served"] += 1
         trace = self.cluster.trace
         if trace is not None:

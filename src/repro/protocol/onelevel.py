@@ -92,14 +92,12 @@ class OneLevelProtocol(BaseProtocol):
         optimization); else a read always fetches from the home (Section
         2.6), a write only without a valid copy. An exclusive holding
         elsewhere is broken first; its reply is the fetched copy."""
-        ctrace, buckets = proc.trace, proc.stats.buckets
+        buckets = proc.stats.buckets
         counters, costs = proc.stats.counters, self.costs
         t0 = clock = proc.clock
         spent = buckets["protocol"]
-        if (us := costs.page_fault) > 0:
-            if ctrace is not None:
-                ctrace.span("protocol", proc, clock, us)
-            clock, spent = clock + us, spent + us
+        us = costs.page_fault
+        clock, spent = clock + us, spent + us
         counters["write_faults" if write else "read_faults"] += 1
         if not self._home_settled[page]:
             proc.clock, buckets["protocol"] = clock, spent
@@ -120,9 +118,8 @@ class OneLevelProtocol(BaseProtocol):
         fetch = not map_master and (not write or frame is None
                                     or row[0] == _INVALID)
         t_fetch = clock
-        if fetch and (us := costs.fetch_overhead) > 0:
-            if ctrace is not None:
-                ctrace.span("protocol", proc, clock, us)
+        if fetch:
+            us = costs.fetch_overhead
             clock, spent = clock + us, spent + us
         proc.clock, buckets["protocol"] = clock, spent
         holder, done = entry.excl, 0.0
@@ -145,8 +142,6 @@ class OneLevelProtocol(BaseProtocol):
         elif fetch:
             if done > clock:
                 us = done - clock
-                if ctrace is not None:
-                    ctrace.span("comm_wait", proc, clock, us)
                 clock += us
                 buckets["comm_wait"] += us
             counters["page_transfers"] += 1
@@ -161,10 +156,7 @@ class OneLevelProtocol(BaseProtocol):
             else:
                 rec.map(page, payload)
                 us = self._page_copy_cost
-            if us > 0:
-                if ctrace is not None:
-                    ctrace.span("protocol", proc, clock, us)
-                clock, spent = clock + us, spent + us
+            clock, spent = clock + us, spent + us
             if self.trace is not None:
                 if twin is not None:
                     self.trace.instant("diff_in", proc, clock, obj=page,
@@ -179,24 +171,18 @@ class OneLevelProtocol(BaseProtocol):
             if (not self.write_through and frame is not master
                     and page not in twins):
                 twins[page] = make_twin(frame)
-                if (us := self._twin_cost) > 0:
-                    if ctrace is not None:
-                        ctrace.span("protocol", proc, clock, us)
-                    clock, spent = clock + us, spent + us
+                us = self._twin_cost
+                clock, spent = clock + us, spent + us
                 counters["twin_creations"] += 1
         row[0] = perm  # a loosening: no cached mapping to evict
         if entry.perm_of(owner) != perm:  # this owner's directory word
             entry.set_perm(owner, perm)
-            if (us := self._dir_word(counters, clock)) > 0:
-                if ctrace is not None:
-                    ctrace.span("protocol", proc, clock, us)
-                clock, spent = clock + us, spent + us
+            us = self._dir_word(counters, clock)
+            clock, spent = clock + us, spent + us
         if write and self.write_through:
             self._bind_doubling(owner, page)
-        if (us := costs.mprotect) > 0:
-            if ctrace is not None:
-                ctrace.span("protocol", proc, clock, us)
-            clock, spent = clock + us, spent + us
+        us = costs.mprotect
+        clock, spent = clock + us, spent + us
         proc.clock, buckets["protocol"] = clock, spent
         if self.trace is not None:
             self.trace.span("write_fault" if write else "read_fault", proc,
@@ -243,7 +229,7 @@ class OneLevelProtocol(BaseProtocol):
         """Invalidate every noticed page and leave its sharing set."""
         st = self._ps[proc.global_id]
         owner = st.owner
-        ctrace, buckets = proc.trace, proc.stats.buckets
+        buckets = proc.stats.buckets
         clock = proc.clock
         spent = buckets["protocol"]
         costs = self.costs
@@ -251,10 +237,8 @@ class OneLevelProtocol(BaseProtocol):
         notices = rec.board.collect(clock)
         if notices:
             # 1-level write-notice lists are guarded by cluster-wide locks.
-            if (us := costs.mc_lock_overhead + costs.mc_latency) > 0:
-                if ctrace is not None:
-                    ctrace.span("protocol", proc, clock, us)
-                clock, spent = clock + us, spent + us
+            us = costs.mc_lock_overhead + costs.mc_latency
+            clock, spent = clock + us, spent + us
         # Each noticed page once, in notice order. (The processor's own
         # list is the board: no second level to queue into.)
         for page in dict.fromkeys([wn.page for wn in notices]):
@@ -263,17 +247,13 @@ class OneLevelProtocol(BaseProtocol):
             if st.frames.get(page) is self.masters[page]:
                 continue  # home-node optimization: master is always fresh
             rec.set_perm(page, 0, Perm.INVALID)
-            if (us := costs.mprotect) > 0:
-                if ctrace is not None:
-                    ctrace.span("protocol", proc, clock, us)
-                clock, spent = clock + us, spent + us
+            us = costs.mprotect
+            clock, spent = clock + us, spent + us
             entry = self.directory.entries[page]
             if entry.perm_of(owner) != _INVALID:
                 entry.set_perm(owner, Perm.INVALID)
-                if (us := self._dir_word(proc.stats.counters, clock)) > 0:
-                    if ctrace is not None:
-                        ctrace.span("protocol", proc, clock, us)
-                    clock, spent = clock + us, spent + us
+                us = self._dir_word(proc.stats.counters, clock)
+                clock, spent = clock + us, spent + us
             if page not in rec.twins:
                 rec.unmap(page)
         proc.clock, buckets["protocol"] = clock, spent
@@ -289,7 +269,7 @@ class OneLevelProtocol(BaseProtocol):
             return
         owner = st.owner
         trace = self.trace
-        ctrace, buckets = proc.trace, proc.stats.buckets
+        buckets = proc.stats.buckets
         counters, costs = proc.stats.counters, self.costs
         clock = proc.clock
         spent = buckets["protocol"]
@@ -310,11 +290,8 @@ class OneLevelProtocol(BaseProtocol):
                 diff = outgoing_diff(st.frames[page], twin)
                 apply_diff(master, diff)
                 local = self.cluster.processors[home_owner].node is proc.node
-                if (us := self.config.diff_out_cost(diff.nbytes,
-                                                    not local)) > 0:
-                    if ctrace is not None:
-                        ctrace.span("protocol", proc, clock, us)
-                    clock, spent = clock + us, spent + us
+                us = self.config.diff_out_cost(diff.nbytes, not local)
+                clock, spent = clock + us, spent + us
                 if trace is not None:
                     trace.instant("diff_out", proc, clock, obj=page,
                                   bytes=int(diff.nbytes))
@@ -323,8 +300,6 @@ class OneLevelProtocol(BaseProtocol):
                                                     category="diff")
                     if send_done > clock:
                         us = send_done - clock
-                        if ctrace is not None:
-                            ctrace.span("comm_wait", proc, clock, us)
                         clock += us
                         buckets["comm_wait"] += us
 
@@ -333,10 +308,8 @@ class OneLevelProtocol(BaseProtocol):
                 # Notices under the cluster-wide write-notice lock. The
                 # home *processor* gets them too: its working copy is not
                 # the master region (Section 2.6).
-                if (us := costs.mc_lock_overhead + costs.mc_latency) > 0:
-                    if ctrace is not None:
-                        ctrace.span("protocol", proc, clock, us)
-                    clock, spent = clock + us, spent + us
+                us = costs.mc_lock_overhead + costs.mc_latency
+                clock, spent = clock + us, spent + us
                 proc.clock, buckets["protocol"] = clock, spent
                 self._post_write_notices(proc, owner, page, sharers)
                 clock, spent = proc.clock, buckets["protocol"]
@@ -345,19 +318,15 @@ class OneLevelProtocol(BaseProtocol):
                 # No other sharer, no pending notice (our copy would be
                 # stale): go exclusive, keeping write permission.
                 entry.set_excl(owner, proc.global_id)
-                if (us := self._dir_word(counters, clock)) > 0:
-                    if ctrace is not None:
-                        ctrace.span("protocol", proc, clock, us)
-                    clock, spent = clock + us, spent + us
+                us = self._dir_word(counters, clock)
+                clock, spent = clock + us, spent + us
                 counters["excl_transitions"] += 1
                 sharers = None
             # Downgrade so future writes fault (and are tracked) again.
             if sharers is not None and rec.rows[page][0] == _WRITE:
                 rec.set_perm(page, 0, Perm.READ)
-                if (us := costs.mprotect) > 0:
-                    if ctrace is not None:
-                        ctrace.span("protocol", proc, clock, us)
-                    clock, spent = clock + us, spent + us
+                us = costs.mprotect
+                clock, spent = clock + us, spent + us
             if trace is not None:
                 trace.span("page_flush", proc, t0, clock - t0, obj=page)
         st.dirty.clear()
@@ -423,24 +392,20 @@ class Cashmere1L(OneLevelProtocol):
             return  # home-node optimization: the store already hit the master
         master[lo:lo + count] = values
         per_word, local = self.owners[st.owner].doubling[page]
-        ctrace, buckets = proc.trace, proc.stats.buckets
+        buckets = proc.stats.buckets
         clock = proc.clock
-        if (us := per_word * count) > 0:
-            if ctrace is not None:
-                ctrace.span("write_double", proc, clock, us)
-            clock += us
-            buckets["write_double"] += us
+        us = per_word * count
+        clock += us
+        buckets["write_double"] += us
         proc.stats.counters["doubled_words"] += count
         if local:
             # Doubling into local physical memory: cache pollution shows up
             # as extra traffic on the node bus.
             _, end = proc.node.bus.acquire(
                 clock, (8.0 * count) / self.costs.node_bus_bandwidth)
-            if (us := end - clock) > 0:
-                if ctrace is not None:
-                    ctrace.span("write_double", proc, clock, us)
-                clock += us
-                buckets["write_double"] += us
+            us = end - clock
+            clock += us
+            buckets["write_double"] += us
             self.mc.account("write_double_local", 0)
         else:
             # Remote writes ride the MC; coalescing in the write buffer is

@@ -28,10 +28,6 @@ class SharedArray:
     def index(self, i: int) -> int:
         return self.base + i
 
-    def idx2(self, row: int, col: int, cols: int) -> int:
-        """Word index of a row-major 2-D element."""
-        return self.base + row * cols + col
-
     def block_error(self, lo: int, hi: int) -> SimulationError:
         """The error a block access of words ``[lo, hi)`` raises when
         not ``0 <= lo <= hi <= length``. Block accesses check their

@@ -60,12 +60,6 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._queue, (max(at, self.now), self._seq, fn))
 
-    def schedule_after(self, delay: float, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` to run ``delay`` microseconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        self.schedule(self.now + delay, fn)
-
     def run(self) -> float:
         """Process events until the queue drains.
 

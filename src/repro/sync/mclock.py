@@ -102,12 +102,10 @@ class MCLock:
 
         Every cost is one ``Processor.charge`` to "protocol", booked in
         locals: one float add to ``clock`` and to ``spent`` per charge,
-        in charge order, with the charge's span when a tracer is
-        attached, and written back before anything that reads
+        in charge order, written back before anything that reads
         ``proc.clock`` — a yield, ``acquire_sync`` (DESIGN.md §18).
         """
         costs = self.cluster.config.costs
-        charge_trace = proc.trace
         buckets = proc.stats.buckets
         t_request = clock = proc.clock
         spent = buckets["protocol"]
@@ -115,11 +113,7 @@ class MCLock:
         if self.two_level:
             # Local ll/sc phase: at most one competitor per node.
             us = costs.llsc_lock
-            if us > 0:
-                if charge_trace is not None:
-                    charge_trace.span("protocol", proc, clock, us)
-                clock += us
-                spent += us
+            clock, spent = clock + us, spent + us
             node_id = proc.node.id
             node_flag = self._node_flag
             if node_id in node_flag:
@@ -137,11 +131,7 @@ class MCLock:
                 spent = buckets["protocol"]
             node_flag[node_id] = me
             us = costs.two_level_lock_extra
-            if us > 0:
-                if charge_trace is not None:
-                    charge_trace.span("protocol", proc, clock, us)
-                clock += us
-                spent += us
+            clock, spent = clock + us, spent + us
 
         if (self._holder is not None or self._queue
                 or clock < self._free_visible_at):
@@ -150,11 +140,7 @@ class MCLock:
             # on each handoff we lose.
             self.contended_retries += 1
             us = self._failed_attempt_cost()
-            if us > 0:
-                if charge_trace is not None:
-                    charge_trace.span("protocol", proc, clock, us)
-                clock += us
-                spent += us
+            clock, spent = clock + us, spent + us
             proc.clock = clock
             buckets["protocol"] = spent
             self._queue.append(me)
@@ -178,22 +164,15 @@ class MCLock:
         # set our entry, wait for loop-back, read the array.
         self._holder = me
         us = costs.mc_lock_overhead
-        if us > 0:
-            if charge_trace is not None:
-                charge_trace.span("protocol", proc, clock, us)
-            clock += us
-            spent += us
+        clock, spent = clock + us, spent + us
         proc.clock = clock
         buckets["protocol"] = spent
         self.cluster.mc.write_word(self.region, self.protocol.owner_of(proc),
                                    1, clock, category="sync")
         yield self._loopback
         us = self._scan  # read the array
-        if us > 0:
-            if charge_trace is not None:
-                charge_trace.span("protocol", proc, proc.clock, us)
-            proc.clock += us
-            buckets["protocol"] += us
+        proc.clock += us
+        buckets["protocol"] += us
         self._acquired_at = proc.clock
         trace = self.protocol.trace
         if trace is not None:
@@ -220,16 +199,11 @@ class MCLock:
         if checker is not None:
             checker.on_release(proc, ("lock", self.lock_id))
         costs = self.cluster.config.costs
-        charge_trace = proc.trace
         buckets = proc.stats.buckets
         clock = proc.clock
         spent = buckets["protocol"]
         us = costs.mc_lock_overhead
-        if us > 0:
-            if charge_trace is not None:
-                charge_trace.span("protocol", proc, clock, us)
-            clock += us
-            spent += us
+        clock, spent = clock + us, spent + us
         self.cluster.mc.write_word(self.region, self.protocol.owner_of(proc),
                                    0, clock, category="sync")
         trace = self.protocol.trace
@@ -251,11 +225,7 @@ class MCLock:
             node_id = proc.node.id
             del self._node_flag[node_id]
             us = costs.llsc_lock
-            if us > 0:
-                if charge_trace is not None:
-                    charge_trace.span("protocol", proc, clock, us)
-                clock += us
-                spent += us
+            clock, spent = clock + us, spent + us
             cond = self._node_cond.get(node_id)
             if cond is not None and cond._waiters:  # a local peer spinning
                 cond.fire(clock)

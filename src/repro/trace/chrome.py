@@ -4,10 +4,10 @@ Converts a :class:`~repro.trace.Tracer`'s events into the Trace Event
 Format consumed by Perfetto (https://ui.perfetto.dev) and Chrome's
 ``about:tracing``: one process per simulated node, one thread (track)
 per simulated processor, duration events (``ph: "X"``) for spans such
-as fault service, lock holds, and time-bucket charges, and instant
-events (``ph: "i"``) for faults-of-a-moment such as diffs, shootdowns,
-and write notices. Memory Channel wire activity gets its own process so
-network occupancy reads as a separate swim-lane.
+as fault service, page fetches and flushes, lock holds and waits, and
+instant events (``ph: "i"``) for faults-of-a-moment such as diffs,
+shootdowns, and write notices. Memory Channel wire activity gets its
+own process so network occupancy reads as a separate swim-lane.
 
 Timestamps are microseconds in both systems, so simulated times pass
 through unchanged.

@@ -1,11 +1,12 @@
 """Typed protocol-event records for the tracing layer.
 
-A :class:`TraceEvent` is one thing that happened on the simulated
+A :class:`TraceEvent` is one protocol action on the simulated
 timeline: a page fault being serviced, a page or diff moving over the
-Memory Channel, a lock being held or waited for, a barrier episode, a
-time-bucket charge. Events with ``dur > 0`` are *spans* (they occupy an
-interval of simulated time on one processor's track); events with
-``dur == 0`` are *instants*.
+Memory Channel, a lock being held or waited for, a barrier episode.
+Time charges are not events: the Figure-6 buckets keep their totals
+per processor (``RunStats``). Events with ``dur > 0`` are *spans* (they
+occupy an interval of simulated time on one processor's track); events
+with ``dur == 0`` are *instants*.
 
 Events are plain data — producing one never touches simulation state —
 and every field is JSON-serializable so consumers (the Chrome exporter,
@@ -36,7 +37,6 @@ KIND_FAMILIES = {
              "barrier", "barrier_arrive"),
     "request": ("request_service",),
     "mc": ("mc_word", "mc_transfer"),
-    "bucket": ("user", "protocol", "polling", "comm_wait", "write_double"),
     "sim": ("wait",),
 }
 

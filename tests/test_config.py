@@ -14,10 +14,6 @@ class TestProtocolEnum:
         assert not Protocol.CSM_1LD.two_level
         assert not Protocol.CSM_1L.two_level
 
-    def test_uses_diffs(self):
-        assert Protocol.CSM_1LD.uses_diffs
-        assert not Protocol.CSM_1L.uses_diffs
-
     def test_from_string(self):
         assert Protocol("2L") is Protocol.CSM_2L
         assert Protocol("1LD") is Protocol.CSM_1LD

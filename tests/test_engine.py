@@ -38,7 +38,7 @@ class TestSimulator:
 
         def first():
             seen.append("first")
-            sim.schedule_after(2.0, lambda: seen.append("second"))
+            sim.schedule(sim.now + 2.0, lambda: seen.append("second"))
 
         sim.schedule(1.0, first)
         end = sim.run()
@@ -50,11 +50,6 @@ class TestSimulator:
         sim.schedule(10.0, lambda: sim.schedule(5.0, lambda: None))
         with pytest.raises(SimulationError):
             sim.run()
-
-    def test_negative_delay_raises(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.schedule_after(-1.0, lambda: None)
 
     def test_sampler_runs_once_per_horizon_before_the_event(self):
         """``on_advance`` is consulted at the first event (the initial

@@ -105,12 +105,6 @@ class TestMCRegion:
         with pytest.raises(MemoryChannelError):
             MCRegion(Simulator(), "r", 0)
 
-    def test_read_all(self):
-        sim = Simulator()
-        region = MCRegion(sim, "r", 3, initial=1)
-        region.post(1, 5, visible_at=2.0)
-        assert region.read_all(3.0) == [1, 5, 1]
-
 
 class TestMappingTable:
     def test_allocation_within_budget(self):
@@ -172,15 +166,8 @@ class TestMemoryChannel:
         mc.transfer(0.0, 100, category="page")
         assert mc.traffic["sync"] == MC_WORD_BYTES
         assert mc.traffic["page"] == 100
-        assert mc.total_bytes == 100 + MC_WORD_BYTES
 
     def test_negative_transfer_rejected(self):
         _, mc = self.make()
         with pytest.raises(MemoryChannelError):
             mc.transfer(0.0, -5)
-
-    def test_broadcast_accounts_fanout(self):
-        _, mc = self.make()
-        region = mc.new_region("r", 1)
-        mc.broadcast_write(region, 0, 3, 0.0, fanout=8, category="directory")
-        assert mc.traffic["directory"] == MC_WORD_BYTES * 8

@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro.check import MUTANTS, ModelChecker, default_scripts
+from repro.check.explore import MUTANTS, ModelChecker, default_scripts
 from repro.errors import (CoherenceViolation, InvariantViolation,
                           ProtocolError)
 

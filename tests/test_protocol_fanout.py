@@ -61,7 +61,7 @@ def start_at(proc, start: float) -> None:
 
 def post_one_at_a_time(proto, proc, from_owner, page, dests) -> None:
     """The reference: what a release did before the burst was batched,
-    each notice traced as an instant before its charge."""
+    each notice traced as an instant."""
     visible = proto.mc.visibility(proc.clock)
     for owner in dests:
         proto.owners[owner].board.post(from_owner, page, visible)
@@ -139,7 +139,6 @@ def test_burst_with_tracer_attached():
     assert observable(batched, proc_b) == observable(single, proc_s)
     assert proc_b.clock == sequential(start, w, n)
     assert len(trace_b.by_kind("write_notice")) == n
-    assert len(trace_b.by_kind("protocol")) == n
-    # Same events in the same order: each instant before its charge span.
+    # Same events in the same order.
     assert trace_b.events == trace_s.events
 

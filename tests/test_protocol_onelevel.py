@@ -2,10 +2,12 @@
 home-node optimization."""
 
 import numpy as np
+import pytest
 
 from repro.cluster.machine import Cluster
 from repro.config import MachineConfig
-from repro.protocol import make_protocol
+from repro.errors import ProtocolError
+from repro.protocol import invariants, make_protocol
 from repro.sim.process import Compute, ProcessGroup
 from repro.vm.page import Perm
 
@@ -261,3 +263,28 @@ class TestHomeNodeOptimization:
 
         run_scripts(cluster, [w0, None, w2])
         assert p2.stats.counters["page_transfers"] == 1
+
+    @pytest.mark.xfail(strict=True, raises=ProtocolError, reason=(
+        "OneLevelProtocol._after_relocation drops a master-mapping "
+        "processor's frame and row when the home leaves its node, but "
+        "not its directory word (perm-has-frame fails)"))
+    def test_relocation_off_the_home_node_clears_directory_words(self):
+        cluster, proto = make(nodes=2, ppn=2, protocol="1LD", home_opt=True,
+                              superpage_pages=1)
+        p1, p2 = cluster.processors[1], cluster.processors[2]
+        page = 0  # home = proc 0, node 0
+        assert proto.directory.home(page) == 0
+
+        def w1():
+            proto.load(p1, page, 0)  # maps the master: same node as home
+            yield Compute(1.0)
+            proto.end_initialization()
+
+        def w2():
+            yield Compute(1000.0)  # after w1's end of initialization
+            proto.load(p2, page, 0)  # first touch moves the home to node 1
+            yield Compute(1.0)
+
+        run_scripts(cluster, [None, w1, w2])
+        assert proto.directory.home(page) == 2
+        invariants.check(proto, quiescent=True)

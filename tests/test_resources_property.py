@@ -12,7 +12,6 @@ inlined in ``Processor.run_compute``.
 
 import bisect
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -20,9 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import MachineConfig
-from repro.apps import make_app
 from repro.cluster.machine import Cluster
-from repro.runtime.program import ParallelRuntime
 from repro.sim.engine import MultiChannelResource, SerialResource
 
 pytestmark = pytest.mark.heavy  # long hypothesis suite
@@ -306,8 +303,8 @@ def test_run_compute_books_what_acquire_books(steps):
     """``Processor.run_compute`` appends to (or extends) the bus timeline
     in line when its booking lands at the tail. Four processors whose
     clocks drift apart drive one bus through it; a reference bus takes
-    the same requests through ``acquire`` with the traced path's
-    charge arithmetic."""
+    the same requests through ``acquire``, each delay charged as
+    ``end - clock``."""
     cluster = Cluster(MachineConfig(nodes=1, procs_per_node=4,
                                     page_bytes=512))
     costs = cluster.config.costs
@@ -330,21 +327,3 @@ def test_run_compute_books_what_acquire_books(steps):
         assert timeline(bus) == timeline(ref)
     assert_same_state(bus, ref)
 
-
-def _bus_state(app_name, cfg):
-    app = make_app(app_name)
-    runtime = ParallelRuntime(app, app.small_params(), cfg, "2L")
-    runtime.run()
-    return [(timeline(node.bus), node.bus.busy_time, node.bus.total_requests)
-            for node in runtime.cluster.nodes]
-
-
-@pytest.mark.parametrize("app_name", ["SOR", "LU"])
-def test_interpreted_run_books_what_acquire_books(app_name):
-    """An untraced run books its compute through ``run_compute``'s
-    inline tail copy; a traced run books every compute through
-    ``acquire``. Both leave every node's bus timeline identical."""
-    cfg = MachineConfig(nodes=2, procs_per_node=2, page_bytes=512)
-    interpreted = _bus_state(app_name, cfg)
-    assert any(tl for tl, _, _ in interpreted)
-    assert interpreted == _bus_state(app_name, replace(cfg, tracing=True))

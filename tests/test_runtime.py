@@ -38,11 +38,6 @@ class TestSharedSegment:
         with pytest.raises(ConfigError, match="shared_bytes"):
             seg.alloc("big", CFG.shared_bytes)
 
-    def test_idx2(self):
-        seg = SharedSegment(CFG)
-        a = seg.alloc("a", 64)
-        assert a.idx2(2, 3, cols=8) == a.base + 19
-
 
 class _BlockEcho(Application):
     """Toy app: rank 0 writes a pattern spanning pages; all ranks verify."""

@@ -19,8 +19,8 @@ from repro import MachineConfig, run_app
 from repro.apps import make_app
 from repro.check.events import MemoryEvent
 from repro.runtime.program import ParallelRuntime
-from repro.trace import (KIND_FAMILY, NO_PROC, ContentionProfile, TraceEvent,
-                         Tracer, to_chrome_trace, write_chrome_trace)
+from repro.trace import (NO_PROC, ContentionProfile, TraceEvent, Tracer,
+                         to_chrome_trace, write_chrome_trace)
 
 SMALL = MachineConfig(nodes=2, procs_per_node=2, page_bytes=512)
 TRACED = replace(SMALL, tracing=True)
@@ -207,11 +207,6 @@ class TestTracer:
         assert third.payload == fourth.payload == {"bytes": 8}
         assert third.payload is not fourth.payload
 
-    def test_kind_family_covers_bucket_names(self):
-        for bucket in ("user", "protocol", "polling", "comm_wait",
-                       "write_double"):
-            assert KIND_FAMILY[bucket] == "bucket"
-
 
 # ---------------------------------------------------------------------------
 # Wiring: the config flag (the one switch), RunResult.trace.
@@ -237,15 +232,16 @@ class TestWiring:
 
     def test_observers_load_only_when_used(self):
         # An unobserved run loads neither the checker nor the trace
-        # export and profile; the package names still resolve after.
+        # export and profile; the package names still resolve after. A
+        # checked run then loads the checker but not the model checker.
         code = (
             "import sys\n"
             "from repro import MachineConfig, run_app\n"
             "from repro.apps import make_app\n"
             "import repro.experiments.sweep\n"
             "app = make_app('Water')\n"
-            "run_app(app, app.small_params(),"
-            " MachineConfig(nodes=2, procs_per_node=2, page_bytes=512))\n"
+            "cfg = MachineConfig(nodes=2, procs_per_node=2, page_bytes=512)\n"
+            "run_app(app, app.small_params(), cfg)\n"
             "lazy = ('repro.check', 'repro.trace.chrome',"
             " 'repro.trace.profile')\n"
             "print(sorted(m for m in sys.modules if m.startswith(lazy)))\n"
@@ -253,10 +249,14 @@ class TestWiring:
             "import repro.trace\n"
             "assert repro.trace.to_chrome_trace.__module__"
             " == 'repro.trace.chrome'\n"
+            "from dataclasses import replace\n"
+            "run_app(app, app.small_params(), replace(cfg, checking=True))\n"
+            "assert 'repro.check.context' in sys.modules\n"
+            "print('repro.check.explore' in sys.modules)\n"
         )
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        assert out.split() == ["[]", "False"]
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +277,6 @@ class TestTraceContents:
         assert counts.get("page_flush", 0) > 0
         assert counts.get("barrier", 0) > 0
         assert counts.get("mc_transfer", 0) > 0
-        assert counts.get("user", 0) > 0
 
     def test_fetch_events_carry_bytes(self, traced_sor):
         fetches = traced_sor.trace.by_kind("page_fetch")

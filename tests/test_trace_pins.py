@@ -25,18 +25,18 @@ APPS = ("SOR", "Water", "TSP")
 PROTOCOLS = ("2L", "2LS", "1LD", "1L")
 
 PINS = {
-    ('SOR', '2L'): '866:5395709e82062503',
-    ('SOR', '2LS'): '866:5395709e82062503',
-    ('SOR', '1LD'): '1478:292222f08c4ec761',
-    ('SOR', '1L'): '1542:3264889365b10374',
-    ('Water', '2L'): '1472:f511628133c2f80c',
-    ('Water', '2LS'): '1479:da773e1100be2e37',
-    ('Water', '1LD'): '2662:52581b59b9fcdce3',
-    ('Water', '1L'): '2526:d9045a6d9348ba47',
-    ('TSP', '2L'): '118674:b09b0806fc5bd56d',
-    ('TSP', '2LS'): '118702:7e2682eff734270b',
-    ('TSP', '1LD'): '207098:983f2ec311a7dea2',
-    ('TSP', '1L'): '253142:6755301a7609654c',
+    ('SOR', '2L'): '218:b9f8baec7ca8df64',
+    ('SOR', '2LS'): '218:b9f8baec7ca8df64',
+    ('SOR', '1LD'): '438:b411844f47e9de51',
+    ('SOR', '1L'): '437:d8196cc5efe8374e',
+    ('Water', '2L'): '477:ecbe4b7586a430c9',
+    ('Water', '2LS'): '481:007a1193b30b78a2',
+    ('Water', '1LD'): '906:6bfbd8e369ae2add',
+    ('Water', '1L'): '825:276b7b8210448244',
+    ('TSP', '2L'): '41441:59e85a33dcebf58d',
+    ('TSP', '2LS'): '41445:cec97ee07c2b10e3',
+    ('TSP', '1LD'): '71540:26c9a7d788f0295c',
+    ('TSP', '1L'): '79476:a0c4abf532c18f90',
 }
 
 
