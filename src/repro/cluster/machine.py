@@ -66,8 +66,9 @@ class Processor(ExecutionContext):
         self._costs = config.costs
         self._polling = config.polling
         #: Optional event tracer (:class:`repro.trace.Tracer`); when set,
-        #: each blocking wait is recorded as a ``wait`` span. Charges are
-        #: not traced: ``stats.buckets`` keeps their per-bucket totals.
+        #: each blocking wait is recorded as a ``wait`` span and each
+        #: request this processor serves as a ``request_service`` span.
+        #: Charges are not traced: ``stats.buckets`` keeps their totals.
         self.trace = None
 
     # --- ExecutionContext ---------------------------------------------------
@@ -76,8 +77,8 @@ class Processor(ExecutionContext):
         if us <= 0:
             return
         self.clock += us
-        # Inlined ProcStats.charge: this is the hottest call in the whole
-        # simulation (every simulated microsecond passes through here).
+        # The hottest call in the whole simulation (every simulated
+        # microsecond passes through here): two adds, no other call.
         self.stats.buckets[bucket] += us
 
     def run_compute(self, cpu_us: float, mem_bytes: float) -> None:
@@ -131,9 +132,6 @@ class Cluster:
     def __init__(self, config: MachineConfig, sim: Simulator | None = None) -> None:
         self.config = config
         self.sim = sim or Simulator()
-        #: Optional event tracer shared by the whole machine (set by
-        #: :func:`repro.trace.attach_tracer`).
-        self.trace = None
         self.mc = MemoryChannel(self.sim, config)
         self.nodes: list[Node] = []
         self.processors: list[Processor] = []

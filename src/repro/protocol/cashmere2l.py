@@ -239,8 +239,7 @@ class Cashmere2L(BaseProtocol):
                 cost += self._page_copy_cost
                 rec.meta[page].flush_end_real = visible
             entry.clear_excl(holder_owner)
-            cost += self.directory.update_cost(server)
-            server.stats.bump("directory_updates")
+            cost += self._dir_word(server.stats.counters, at)
             server.stats.bump("excl_transitions")
 
             # Other local writers keep their mappings: twin + NLE entries.

@@ -193,8 +193,8 @@ class DirEntry:
 
 class GlobalDirectory:
     """The replicated directory for every shared page; ``num_owners`` is
-    the replication domain size. The protocols book each word change's
-    cost (:meth:`update_cost`) and broadcast traffic themselves."""
+    the replication domain size. Every word change is booked (count,
+    broadcast traffic, cost) by ``BaseProtocol._dir_word``."""
 
     def __init__(self, config: MachineConfig, num_owners: int,
                  lock_model: "DirectoryLockModel | None" = None) -> None:
@@ -218,17 +218,6 @@ class GlobalDirectory:
 
     def home(self, page: int) -> int:
         return self.entries[page].home_owner
-
-    def update_cost(self, proc) -> float:
-        """Cost in us of one directory modification for ``proc``.
-
-        Under the lock-free layout this is a constant 5 us. Under the
-        global-lock ablation the update serializes on the cluster-wide
-        lock and costs 16 us plus any queueing delay.
-        """
-        if self.lock_model is None:
-            return self.config.costs.dir_update
-        return self.lock_model.update_cost(proc.clock)
 
     def broadcast_bytes(self) -> int:
         """Wire bytes for one entry modification (word × replicas).

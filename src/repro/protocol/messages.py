@@ -51,8 +51,7 @@ class RequestEngine:
                    cost: float = 0.0, reply_bytes: int = 0,
                    bus_us: float | None = None, *,
                    handler: Handler | None = None,
-                   target_proc: int | None = None,
-                   category: str = "page") -> tuple[Any, float]:
+                   target_proc: int | None = None) -> tuple[Any, float]:
         """Request a page at the requester's clock; returns (payload,
         done), ``done`` being when the reply is usable at the requester
         (the caller charges ``done - clock`` as communication/wait).
@@ -100,14 +99,14 @@ class RequestEngine:
         server.clock += service
         server.stats.buckets["protocol"] += service
         server.stats.counters["requests_served"] += 1
-        trace = self.cluster.trace
+        trace = server.trace
         if trace is not None:
             trace.span("request_service", server, begin, end - begin,
-                       obj=category, requester=requester.global_id,
+                       obj="page", requester=requester.global_id,
                        bytes=reply_bytes)
 
         if reply_bytes > 0:
-            _, visible = self.mc.transfer(end, reply_bytes, category=category)
+            _, visible = self.mc.transfer(end, reply_bytes, category="page")
         else:
             visible = end + costs.mc_latency
         return payload, max(visible, now)

@@ -211,8 +211,7 @@ class OneLevelProtocol(BaseProtocol):
             _, _visible = self.mc.transfer(at, page_bytes,
                                            category="excl_flush")
             entry.clear_excl(holder_owner)
-            cost += self.directory.update_cost(server)
-            server.stats.bump("directory_updates")
+            cost += self._dir_word(server.stats.counters, at)
             server.stats.bump("excl_transitions")
             # Downgrade so future writes are tracked again.
             if rec.rows[page][0] == _WRITE:

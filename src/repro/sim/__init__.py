@@ -2,12 +2,12 @@
 
 from .engine import (Condition, MultiChannelResource, SerialResource,
                      Simulator)
-from .process import (TIME_BUCKETS, Charge, Compute, ExecutionContext,
-                      ProcessGroup, SimProcess, Sleep, Wait, run_all)
+from .process import (TIME_BUCKETS, Compute, ExecutionContext,
+                      ProcessGroup, SimProcess, Sleep, Wait)
 
 __all__ = [
     "Simulator", "Condition", "SerialResource", "MultiChannelResource",
-    "Compute", "Charge", "Sleep", "Wait",
-    "ExecutionContext", "SimProcess", "ProcessGroup", "run_all",
+    "Compute", "Sleep", "Wait",
+    "ExecutionContext", "SimProcess", "ProcessGroup",
     "TIME_BUCKETS",
 ]

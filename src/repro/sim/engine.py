@@ -18,7 +18,7 @@ from bisect import bisect_right
 from functools import partial
 from heapq import heappush
 from math import inf
-from typing import Callable, Iterable
+from typing import Callable
 
 from ..errors import DeadlockError, SimulationError
 
@@ -322,18 +322,10 @@ class MultiChannelResource:
         return c._book(t, j, duration)
 
 
-def describe_waiters(conditions: Iterable[Condition]) -> str:
-    """Human-readable summary of parked waiters, for deadlock reports."""
-    parts = [f"{c.name or hex(id(c))}:{c.num_waiters}"
-             for c in conditions if c.num_waiters]
-    return ", ".join(parts) if parts else "(none)"
-
-
 __all__ = [
     "Simulator",
     "Condition",
     "SerialResource",
     "MultiChannelResource",
-    "describe_waiters",
     "DeadlockError",
 ]

@@ -13,9 +13,6 @@ must block:
     (:meth:`~repro.protocol.messages.RequestEngine.fetch_page` books the
     poll delay and the target node's service timeline), not here.
 
-``Charge(us, bucket)``
-    Non-blocking time charge (protocol work, waits already computed).
-
 ``Sleep(us, bucket)``
     Delay without bus usage (e.g. lock backoff).
 
@@ -32,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappush
-from typing import Any, Callable, Generator, Iterable, Sequence
+from typing import Any, Callable, Generator, Sequence
 
 from ..errors import DeadlockError, SimulationError
 from .engine import Condition, Simulator
@@ -53,14 +50,6 @@ class Compute:
     def __post_init__(self) -> None:
         if self.cpu_us < 0 or self.mem_bytes < 0:
             raise SimulationError("negative compute cost")
-
-
-@dataclass(frozen=True)
-class Charge:
-    """Advance time without blocking or bus usage."""
-
-    us: float
-    bucket: str = "protocol"
 
 
 @dataclass(frozen=True)
@@ -132,8 +121,8 @@ class SimProcess:
         # One stable bound-method object: park/unpark match by identity,
         # and ``self._wake`` would create a fresh object on every access.
         self._wake_cb = self._wake
-        # Prebound plain-resume callback: scheduled after every Compute/
-        # Charge/Sleep, so avoid allocating a fresh closure each time.
+        # Prebound plain-resume callback: scheduled after every Compute
+        # and Sleep, so avoid allocating a fresh closure each time.
         self._resume_cb = self._resume
 
     # -- lifecycle ---------------------------------------------------------
@@ -179,7 +168,7 @@ class SimProcess:
             sim = self.sim
             sim._seq += 1
             heappush(sim._queue, (self.ctx.clock, sim._seq, self._resume_cb))
-        elif isinstance(instr, (Charge, Sleep)):
+        elif isinstance(instr, Sleep):
             self.ctx.charge(instr.us, instr.bucket)
             sim = self.sim
             sim._seq += 1
@@ -321,17 +310,8 @@ class ProcessGroup:
                 f"with no pending events:\n" + _describe_blocked(parked))
 
 
-def run_all(sim: Simulator,
-            programs: Iterable[tuple[ExecutionContext, SimGen, str]]) -> float:
-    """Convenience: spawn every (ctx, generator, name) and run to completion."""
-    group = ProcessGroup(sim)
-    for ctx, gen, name in programs:
-        group.spawn(ctx, gen, name)
-    return group.run()
-
-
 __all__ = [
-    "Compute", "Charge", "Sleep", "Wait",
-    "ExecutionContext", "SimProcess", "ProcessGroup", "run_all",
+    "Compute", "Sleep", "Wait",
+    "ExecutionContext", "SimProcess", "ProcessGroup",
     "TIME_BUCKETS",
 ]

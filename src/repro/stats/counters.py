@@ -82,9 +82,6 @@ class ProcStats:
         default_factory=lambda: {b: 0.0 for b in TIME_BUCKETS})
     counters: StrictCounter = field(default_factory=StrictCounter)
 
-    def charge(self, us: float, bucket: str) -> None:
-        self.buckets[bucket] += us
-
     def bump(self, counter: str, n: int = 1) -> None:
         self.counters[counter] += n
 

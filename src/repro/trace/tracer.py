@@ -187,7 +187,6 @@ def attach_tracer(cluster, protocol) -> Tracer:
     simulation starts; events preceding attachment are simply absent.
     """
     tracer = Tracer()
-    cluster.trace = tracer
     for proc in cluster.processors:
         proc.trace = tracer
     cluster.mc.trace = tracer

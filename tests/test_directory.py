@@ -11,8 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.machine import Cluster
 from repro.config import MachineConfig
 from repro.errors import ProtocolError
+from repro.protocol import make_protocol
 from repro.protocol.directory import (NO_HOLDER, DirectoryLockModel,
                                       DirEntry, GlobalDirectory, PageMeta)
 from repro.protocol.writenotice import NoticeBoard
@@ -98,13 +100,15 @@ class TestGlobalDirectory:
         assert homes[:8] == [0, 0, 1, 1, 2, 2, 3, 3]
 
     def test_lock_free_update_cost_constant(self):
-        cfg = small_config()
-        d = GlobalDirectory(cfg, 4)
-
-        class P:
-            clock = 0.0
-
-        assert d.update_cost(P()) == cfg.costs.dir_update
+        # BaseProtocol._dir_word is the one place a word change is priced.
+        cluster = Cluster(small_config())
+        proto = make_protocol("2L", cluster)
+        counters = cluster.processors[0].stats.counters
+        costs = cluster.config.costs
+        assert proto._dir_word(counters, 0.0) == costs.dir_update
+        assert proto._dir_word(counters, 0.0) == costs.dir_update
+        assert counters["directory_updates"] == 2
+        assert cluster.mc.traffic["directory"] == 2 * 4 * proto.num_owners
 
     def test_global_lock_model_serializes(self):
         cfg = small_config()

@@ -56,30 +56,30 @@ PINS = {
     ('solo', 'Ilink', '2LS'): '9e3986e9fff99f7d',
     ('solo', 'Ilink', '1LD'): '576a2dd6259a00b4',
     ('solo', 'Ilink', '1L'): '9fb1bcec7ff69988',
-    ('clustered', 'SOR', '2L'): '5facff4cff5f8161',
-    ('clustered', 'SOR', '2LS'): '5facff4cff5f8161',
-    ('clustered', 'SOR', '1LD'): 'f055cb9eedb1b778',
-    ('clustered', 'SOR', '1L'): '99cb8f822fec40fd',
-    ('clustered', 'Water', '2L'): '3ac65156ad44d1f2',
-    ('clustered', 'Water', '2LS'): 'd46d98bcabc734c7',
-    ('clustered', 'Water', '1LD'): 'b51cff7542b56c40',
-    ('clustered', 'Water', '1L'): '7a3346a9a05a84e8',
-    ('clustered', 'LU', '2L'): '9fff78c6dd3c5112',
-    ('clustered', 'LU', '2LS'): '9fff78c6dd3c5112',
-    ('clustered', 'LU', '1LD'): '8395b355899da4e0',
-    ('clustered', 'LU', '1L'): '75d905076a6e35f8',
-    ('clustered', 'Gauss', '2L'): '938fcbc5b84c6929',
-    ('clustered', 'Gauss', '2LS'): '938fcbc5b84c6929',
-    ('clustered', 'Gauss', '1LD'): '019e18bdb906819b',
-    ('clustered', 'Gauss', '1L'): '951d698bbc13937e',
-    ('clustered', 'Em3d', '2L'): '53043f9c654dfbeb',
-    ('clustered', 'Em3d', '2LS'): '53043f9c654dfbeb',
-    ('clustered', 'Em3d', '1LD'): '80019ac20e496eaa',
-    ('clustered', 'Em3d', '1L'): '428babaa431201e9',
-    ('clustered', 'Ilink', '2L'): '81e96cbae2ea6e18',
-    ('clustered', 'Ilink', '2LS'): '81e96cbae2ea6e18',
-    ('clustered', 'Ilink', '1LD'): 'ff73e47f1249ea2a',
-    ('clustered', 'Ilink', '1L'): 'cd24cbf6e93beed3',
+    ('clustered', 'SOR', '2L'): '7b3cd63640fd8b23',
+    ('clustered', 'SOR', '2LS'): '7b3cd63640fd8b23',
+    ('clustered', 'SOR', '1LD'): 'a3772c832be4f798',
+    ('clustered', 'SOR', '1L'): '61fbba738a61a8fc',
+    ('clustered', 'Water', '2L'): '82e113a01613e9d4',
+    ('clustered', 'Water', '2LS'): 'e7f877be187e6604',
+    ('clustered', 'Water', '1LD'): 'f7579e1f2277db22',
+    ('clustered', 'Water', '1L'): '5ff539827d335479',
+    ('clustered', 'LU', '2L'): 'dd5be75df1623caa',
+    ('clustered', 'LU', '2LS'): 'dd5be75df1623caa',
+    ('clustered', 'LU', '1LD'): 'fb332c2e10774005',
+    ('clustered', 'LU', '1L'): 'e63eb07d03db936b',
+    ('clustered', 'Gauss', '2L'): 'd6fd2ecebbad3d8d',
+    ('clustered', 'Gauss', '2LS'): 'd6fd2ecebbad3d8d',
+    ('clustered', 'Gauss', '1LD'): 'be13fdf5ed329ab1',
+    ('clustered', 'Gauss', '1L'): '07f01448ee8161cf',
+    ('clustered', 'Em3d', '2L'): '377b8bea6029c5d3',
+    ('clustered', 'Em3d', '2LS'): '377b8bea6029c5d3',
+    ('clustered', 'Em3d', '1LD'): 'def9fdb85191250d',
+    ('clustered', 'Em3d', '1L'): '16da4a278e18b0a4',
+    ('clustered', 'Ilink', '2L'): '077366f9dae4f050',
+    ('clustered', 'Ilink', '2LS'): '077366f9dae4f050',
+    ('clustered', 'Ilink', '1LD'): 'ecc99e87949f3b48',
+    ('clustered', 'Ilink', '1L'): 'c0311e214050036d',
 }
 
 

@@ -122,6 +122,6 @@ class TestServiceSerialization:
         cluster = make_cluster()
         engine = RequestEngine(cluster)
         engine.fetch_page(cluster.processors[0], cluster.nodes[1],
-                          handler=null_handler(reply=512), category="page")
+                          handler=null_handler(reply=512))
         assert cluster.mc.traffic["request"] > 0
         assert cluster.mc.traffic["page"] == 512

@@ -71,18 +71,18 @@ SERIES_APPS = ("SOR", "Water", "Gauss")
 PROTOCOLS = ("2L", "2LS", "1LD", "1L")
 
 SERIES_PINS = {
-    ('SOR', '2L'): '14:20507b7b43f8dc0e',
-    ('SOR', '2LS'): '14:20507b7b43f8dc0e',
-    ('SOR', '1LD'): '18:649a6417b9548108',
-    ('SOR', '1L'): '28:a13166d975935513',
-    ('Water', '2L'): '215:f7e6c0b4f9729e0e',
-    ('Water', '2LS'): '215:3fb3c65a8218a966',
-    ('Water', '1LD'): '222:4614a7314bc32264',
-    ('Water', '1L'): '238:f38c34c36142bedf',
-    ('Gauss', '2L'): '21:04dfbd551518ee0e',
-    ('Gauss', '2LS'): '21:04dfbd551518ee0e',
-    ('Gauss', '1LD'): '28:c38d606b334b14cb',
-    ('Gauss', '1L'): '34:0cb54d50f1c7e59d',
+    ('SOR', '2L'): '14:8cf18326d4b91e3e',
+    ('SOR', '2LS'): '14:8cf18326d4b91e3e',
+    ('SOR', '1LD'): '18:03321789be42963f',
+    ('SOR', '1L'): '28:dc0996fd52f9e80b',
+    ('Water', '2L'): '215:3e8d9e9dfebdd4ae',
+    ('Water', '2LS'): '215:2c144595c43d8878',
+    ('Water', '1LD'): '222:bd4658e0bd7f430e',
+    ('Water', '1L'): '238:a8f5c60046cd5258',
+    ('Gauss', '2L'): '21:713203a96d42e616',
+    ('Gauss', '2LS'): '21:713203a96d42e616',
+    ('Gauss', '1LD'): '28:eddc2c2dd7f1a3a6',
+    ('Gauss', '1L'): '34:c58be5ae702447e9',
 }
 
 

@@ -4,8 +4,8 @@ import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.engine import Condition, Simulator
-from repro.sim.process import (Charge, Compute, ExecutionContext,
-                               ProcessGroup, Sleep, Wait)
+from repro.sim.process import (Compute, ExecutionContext, ProcessGroup,
+                               Sleep, Wait)
 
 
 class FakeCtx(ExecutionContext):
@@ -44,7 +44,7 @@ class TestInstructions:
 
     def test_charge_uses_named_bucket(self):
         def prog():
-            yield Charge(4.0, "protocol")
+            yield Sleep(4.0, "protocol")
 
         _, ctx = run_one(prog())
         assert ctx.charges == [(4.0, "protocol")]

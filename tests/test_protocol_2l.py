@@ -6,6 +6,8 @@ outgoing diffs, exclusive mode, no-longer-exclusive lists, directory
 maintenance, timestamps, and first-touch home relocation.
 """
 
+import pytest
+
 from repro.cluster.machine import Cluster
 from repro.config import MachineConfig
 from repro.protocol import make_protocol
@@ -14,13 +16,61 @@ from repro.sim.process import Compute, ProcessGroup
 from repro.sync import Barrier
 
 
-def make(nodes=2, ppn=2, protocol="2L", pages=8, **kw):
+def make(nodes=2, ppn=2, protocol="2L", pages=8, lock_free=True, **kw):
     kw.setdefault("superpage_pages", 2)
     cfg = MachineConfig(nodes=nodes, procs_per_node=ppn, page_bytes=512,
                         shared_bytes=512 * pages, **kw)
     cluster = Cluster(cfg)
-    proto = make_protocol(protocol, cluster)
+    proto = make_protocol(protocol, cluster, lock_free=lock_free)
     return cluster, proto
+
+
+def watch_breaks(proto):
+    """Record every exclusive-break handler the request engine serves:
+    the server, the service start ``at``, the handler's cost, each
+    ``_dir_word`` call made inside it as ``(counters, clock, us)``, and
+    the ``directory_updates`` count and ``directory`` traffic bytes the
+    handler added to the server and the Memory Channel."""
+    breaks, words = [], []
+    fetch_page, dir_word = proto.requests.fetch_page, proto._dir_word
+
+    def watched_dir_word(counters, clock):
+        us = dir_word(counters, clock)
+        words.append((counters, clock, us))
+        return us
+
+    def watched_fetch_page(requester, node, *args, handler=None, **kw):
+        if handler is not None:
+            inner = handler
+
+            def handler(server, at):
+                counters, traffic = server.stats.counters, proto.mc.traffic
+                count, nbytes = (counters["directory_updates"],
+                                 traffic.get("directory", 0))
+                first = len(words)
+                payload, cost, reply = inner(server, at)
+                breaks.append(dict(
+                    server=server, at=at, cost=cost, words=words[first:],
+                    count=counters["directory_updates"] - count,
+                    bytes=traffic.get("directory", 0) - nbytes))
+                return payload, cost, reply
+        return fetch_page(requester, node, *args, handler=handler, **kw)
+
+    proto._dir_word = watched_dir_word
+    proto.requests.fetch_page = watched_fetch_page
+    return breaks
+
+
+def the_break_word(proto, brk):
+    """The one directory word an exclusive break booked, checked to be
+    booked on the server at the service start; returns its cost."""
+    [(counters, clock, us)] = brk["words"]
+    assert counters is brk["server"].stats.counters
+    assert clock == brk["at"]
+    assert brk["count"] == 1
+    assert brk["bytes"] == proto.directory.broadcast_bytes() \
+        == 4 * proto.num_owners
+    return us
 
 
 def run_scripts(cluster, scripts):
@@ -111,6 +161,59 @@ class TestExclusiveMode:
 
         run_scripts(cluster, [w0])
         assert p0.stats.counters["write_notices"] == 0
+
+
+class TestBreakBooksOneDirectoryWord:
+    """The break clears the holder's word through
+    ``BaseProtocol._dir_word`` on the serving processor, at the service
+    start: one count, one broadcast of a word per replica, one cost."""
+
+    def run_break(self, lock_held=None, **kw):
+        """Break p0's exclusive hold from node 1; ``lock_held`` books
+        the ablation's global directory lock over ``(start, duration)``
+        first. Returns the protocol and the one break."""
+        cluster, proto = make(**kw)
+        if lock_held is not None:
+            proto.directory.lock_model.lock.acquire(*lock_held)
+        p0, p2 = cluster.processors[0], cluster.processors[2]
+        page = 4  # home node 0: the holder's own node, so no page copy
+        assert proto.directory.home(page) == 0
+
+        def w0():
+            proto.store(p0, page, 3, 7.5)  # exclusive
+            yield Compute(2000.0)  # the server's clock runs far ahead
+
+        def w2():
+            yield Compute(100.0)
+            assert proto.load(p2, page, 3) == 7.5  # breaks p0's hold
+            yield Compute(1.0)
+
+        breaks = watch_breaks(proto)
+        run_scripts(cluster, [w0, None, w2])
+        [brk] = breaks
+        assert brk["server"] is p0
+        return proto, brk
+
+    def test_lock_free_word_costs_dir_update(self):
+        proto, brk = self.run_break()
+        us = the_break_word(proto, brk)
+        assert us == proto.costs.dir_update
+        # The word, then the holder's own downgrade (no twin: no other
+        # local writer).
+        assert brk["cost"] == 0.0 + us + proto.costs.mprotect
+
+    def test_locked_word_is_priced_at_the_service_start(self):
+        # Section 3.3.5 ablation: hold the global directory lock over the
+        # break's service start, long before the server's own clock.
+        proto, brk = self.run_break(lock_held=(350.0, 40.0),
+                                    lock_free=False)
+        us = the_break_word(proto, brk)
+        assert 350.0 < brk["at"] < 390.0 < brk["server"].clock
+        # Queued behind the held lock, then the 16 us locked update;
+        # priced at the server's clock (past 390) it would cost 16 us.
+        assert us == 390.0 + proto.costs.dir_update_locked - brk["at"]
+        assert us == pytest.approx(39.719999, abs=1e-9)
+        assert brk["cost"] == 0.0 + us + proto.costs.mprotect
 
 
 class TestTwoWayDiffing:

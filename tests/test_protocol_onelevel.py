@@ -11,13 +11,17 @@ from repro.protocol import invariants, make_protocol
 from repro.sim.process import Compute, ProcessGroup
 from repro.vm.page import Perm
 
+from .test_protocol_2l import the_break_word, watch_breaks
 
-def make(nodes=2, ppn=2, protocol="1LD", pages=8, home_opt=False, **kw):
+
+def make(nodes=2, ppn=2, protocol="1LD", pages=8, home_opt=False,
+         lock_free=True, **kw):
     kw.setdefault("superpage_pages", 2)
     cfg = MachineConfig(nodes=nodes, procs_per_node=ppn, page_bytes=512,
                         shared_bytes=512 * pages, **kw)
     cluster = Cluster(cfg)
-    proto = make_protocol(protocol, cluster, home_opt=home_opt)
+    proto = make_protocol(protocol, cluster, home_opt=home_opt,
+                          lock_free=lock_free)
     return cluster, proto
 
 
@@ -206,6 +210,59 @@ class TestOneLevelAcquireRelease:
 
         run_scripts(cluster, [w0, w1])
         assert proto.directory.entry(page).exclusive_holder() is None
+
+
+class TestBreakBooksOneDirectoryWord:
+    """As under 2L (``tests/test_protocol_2l.py``): the break clears the
+    holder's word through ``BaseProtocol._dir_word`` on the serving
+    processor, at the service start."""
+
+    def run_break(self, lock_held=None, **kw):
+        """Break p0's exclusive hold from the home, p1; ``lock_held``
+        books the ablation's global directory lock over ``(start,
+        duration)`` first. Returns the protocol and the one break."""
+        cluster, proto = make(nodes=2, ppn=1, protocol="1LD", **kw)
+        if lock_held is not None:
+            proto.directory.lock_model.lock.acquire(*lock_held)
+        p0, p1 = cluster.processors[0], cluster.processors[1]
+        page = 2
+
+        def w0():
+            proto.store(p0, page, 0, 1.0)
+            yield Compute(5.0)
+            proto.release_sync(p0)  # -> exclusive
+            yield Compute(50.0)
+
+        def w1():
+            yield Compute(5000.0)  # far ahead of the server's clock
+            assert proto.load(p1, page, 0) == 1.0  # breaks p0's hold
+            yield Compute(1.0)
+
+        breaks = watch_breaks(proto)
+        run_scripts(cluster, [w0, w1])
+        [brk] = breaks
+        assert brk["server"] is p0
+        return proto, brk
+
+    def test_lock_free_word_costs_dir_update(self):
+        proto, brk = self.run_break()
+        us = the_break_word(proto, brk)
+        assert us == proto.costs.dir_update
+        # The flush's page copy, the word, then the holder's downgrade.
+        assert brk["cost"] == proto.config.page_copy_cost() + us \
+            + proto.costs.mprotect
+
+    def test_locked_word_is_priced_at_the_service_start(self):
+        proto, brk = self.run_break(lock_held=(5000.0, 400.0),
+                                    lock_free=False)
+        us = the_break_word(proto, brk)
+        assert brk["server"].clock < 5000.0 < brk["at"] < 5400.0
+        # Queued behind the held lock, then the 16 us locked update;
+        # priced at the server's clock (before 5000) it would cost 16 us.
+        assert us == 5400.0 + proto.costs.dir_update_locked - brk["at"]
+        assert us == pytest.approx(183.094999, abs=1e-9)
+        assert brk["cost"] == proto.config.page_copy_cost() + us \
+            + proto.costs.mprotect
 
 
 class TestHomeNodeOptimization:

@@ -218,8 +218,7 @@ class TestWiring:
         assert ParallelRuntime(app, app.small_params(), SMALL,
                                "2L").trace is None
         rt = ParallelRuntime(app, app.small_params(), TRACED, "2L")
-        sites = [rt.cluster, rt.cluster.mc, rt.protocol,
-                 *rt.cluster.processors]
+        sites = [rt.cluster.mc, rt.protocol, *rt.cluster.processors]
         assert all(site.trace is rt.trace for site in sites)
 
     def test_context_manager_attaches_tracer(self):
