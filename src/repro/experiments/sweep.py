@@ -23,7 +23,8 @@ turns that structure into a first-class object:
   The key hashes the RunSpec together with the package version and a
   digest of every ``src/repro`` source file, so *any* code change
   invalidates every entry; the value is the pickled
-  :class:`CellResult`. Because the simulator is fully deterministic
+  :class:`CellResult`, headed by its SHA-256 so a damaged entry reads
+  as a miss. Because the simulator is fully deterministic
   (asserted by the fast-path and tracing determinism suites), a cache
   hit is bit-exact with a re-execution.
 
@@ -53,7 +54,11 @@ from ..runtime.sequential import run_sequential
 #: Bump when the CellResult layout or the key derivation changes.
 #: 2: CellResult gained the ``scale`` dict (directory occupancy,
 #: barrier cost, MC traffic — the scale experiment family's series).
-CACHE_SCHEMA = "cashmere-sweep-2"
+#: 3: an entry is the SHA-256 of its pickled bytes, then those bytes.
+CACHE_SCHEMA = "cashmere-sweep-3"
+
+#: Length of the SHA-256 digest that heads every cache entry.
+_DIGEST_BYTES = hashlib.sha256().digest_size
 
 #: Default on-disk cache location (relative to the working directory),
 #: unless ``CASHMERE_CACHE_DIR`` says otherwise.
@@ -261,7 +266,10 @@ class ResultCache:
     Layout: ``<root>/<key[:2]>/<key>.pkl`` (two-level fan-out keeps
     directories small). Writes are atomic (temp file + rename), so
     concurrent sweeps sharing a cache directory can only ever observe
-    complete entries.
+    complete entries. An entry starts with the SHA-256 of the pickle
+    that follows it, and :meth:`get` checks it before unpickling: a
+    damaged entry (a flipped bit, a truncated file) is a miss, never a
+    different result or an exception.
     """
 
     def __init__(self, root: str | None = None) -> None:
@@ -274,9 +282,15 @@ class ResultCache:
     def get(self, spec: RunSpec) -> CellResult | None:
         try:
             with open(self.path(cache_key(spec)), "rb") as fh:
-                entry = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ValueError):
+                data = fh.read()
+        except OSError:
+            return None
+        digest, body = data[:_DIGEST_BYTES], data[_DIGEST_BYTES:]
+        if hashlib.sha256(body).digest() != digest:
+            return None
+        try:
+            entry = pickle.loads(body)
+        except Exception:
             return None
         if not isinstance(entry, dict) or entry.get("schema") != CACHE_SCHEMA:
             return None
@@ -286,13 +300,14 @@ class ResultCache:
     def put(self, spec: RunSpec, result: CellResult) -> None:
         path = self.path(cache_key(spec))
         os.makedirs(os.path.dirname(path), exist_ok=True)
+        body = pickle.dumps({"schema": CACHE_SCHEMA, "spec": spec,
+                             "result": result},
+                            protocol=pickle.HIGHEST_PROTOCOL)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
                                    suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                pickle.dump({"schema": CACHE_SCHEMA, "spec": spec,
-                             "result": result}, fh,
-                            protocol=pickle.HIGHEST_PROTOCOL)
+                fh.write(hashlib.sha256(body).digest() + body)
             os.replace(tmp, path)
         except OSError:
             try:

@@ -23,8 +23,9 @@ def make_protocol(name, cluster, *, lock_free=True, home_opt=False):
     """Instantiate a protocol by enum or short string name ("2L", ...).
 
     ``lock_free=False`` selects the Section 3.3.5 global-lock ablation
-    (two-level protocols only). ``home_opt=True`` enables the home-node
-    optimization (one-level protocols only).
+    under all four protocols: every directory word is then priced under
+    one cluster-wide lock (a ``DirectoryLockModel``). ``home_opt=True``
+    enables the home-node optimization (one-level protocols only).
     """
     if isinstance(name, str):
         try:

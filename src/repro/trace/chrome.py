@@ -28,7 +28,7 @@ _MC_TID = 0
 
 def to_chrome_trace(tracer: Tracer) -> dict:
     """The full Chrome ``trace_event`` JSON document, as a dict."""
-    kind, proc, node, t0, dur, obj, payloads = tracer.columns()
+    kind, proc, node, t0, dur, obj, payload = tracer.columns()
     nodes = tracer.meta.get("nodes")
     mc_pid = int(max(node, default=-1) + 1 if nodes is None else nodes)
 
@@ -45,8 +45,8 @@ def to_chrome_trace(tracer: Tracer) -> dict:
         args: dict = {}
         if obj[row] is not None:
             args["obj"] = obj[row]
-        if row in payloads:
-            args.update(payloads[row])
+        if payload[row] is not None:
+            args.update(payload[row])
         rec = {
             "name": str(ev_kind),
             "cat": KIND_FAMILY.get(ev_kind, "other"),

@@ -15,8 +15,14 @@ run and an untraced run of the same program produce identical statistics
 
 Emission builds no record: each field goes to its own column (a list
 for ``kind`` and ``obj``, a typed ``array`` for the processor, node and
-times), and a payload is kept, keyed by row, only when the event has
-one. Reading rebuilds :class:`TraceEvent` records from the columns.
+times), and a payload goes to two more lists, the tuple of its names and
+the tuple of its values (``None`` for an event without one). Every
+``obj`` and both payload tuples pass through one table of interned
+values per tracer, so a trace of N events holds N pointers per column
+and one copy of each distinct value (a traced Gauss run at 32:4 emits
+56,382 events that hold 1,244 distinct page numbers, lock names and
+payloads). Reading rebuilds :class:`TraceEvent` records from the
+columns, each with a fresh payload dict.
 
 The store is bounded (default ~2M events): when full, the *oldest*
 events are dropped, keeping the tail of the execution — the usual region
@@ -42,6 +48,18 @@ DEFAULT_CAPACITY = 2_000_000
 #: generated ``TraceEvent.__new__``.
 _new = tuple.__new__
 
+#: Types whose equal values are interchangeable: two equal exact ints
+#: (or strs) have one type and one ``repr``, so the interning table
+#: keys them by value. Any other value is keyed by its type, ``repr``
+#: and value, because equal values can differ in both (``1 == 1.0 ==
+#: True``, ``0.0 == -0.0``, ``(1,) == (True,)``).
+_PLAIN = frozenset((int, str, type(None)))
+
+
+def _payload(names, values, empty=None):
+    """A fresh payload dict for one row, or ``empty`` if it has none."""
+    return empty if names is None else dict(zip(names, values))
+
 
 class Tracer:
     """Keeps the newest ``capacity`` trace events, one column per field.
@@ -65,13 +83,23 @@ class Tracer:
         self._t0 = array("d")
         self._dur = array("d")
         self._obj: list = []
-        #: Row index -> payload, for the rows whose event carries one.
-        self._payloads: dict[int, dict] = {}
+        #: Per row, the payload's names and its values, as tuples
+        #: (``None`` for both when the event carries no payload).
+        self._names: list = []
+        self._values: list = []
+        #: Key -> the one stored copy of every ``obj``, names tuple and
+        #: values tuple (see ``_PLAIN`` for the keys). Unhashable values
+        #: are stored as given.
+        self._interned: dict = {}
         self._slack = max(capacity // 8, 1)
         #: Value of ``emitted`` at which the columns are next trimmed.
         self._trim_at = capacity + self._slack
 
     # --- emission (called from instrumented code) --------------------------
+    #
+    # ``span`` and ``instant`` are the same code but for ``dur``: each
+    # event costs one Python frame, so neither calls the other or a
+    # helper.
 
     def span(self, kind: str, proc, t0: float, dur: float,
              obj: int | str | None = None, **payload) -> None:
@@ -90,9 +118,33 @@ class Tracer:
         self._kind.append(kind)
         self._t0.append(t0)
         self._dur.append(dur)
+        interned = self._interned
+        if type(obj) in _PLAIN:
+            obj = interned.setdefault(obj, obj)
+        else:
+            try:
+                obj = interned.setdefault((type(obj), repr(obj), obj), obj)
+            except TypeError:
+                pass
         self._obj.append(obj)
         if payload:
-            self._payloads[len(self._kind) - 1] = payload
+            names = tuple(payload)
+            values = tuple(payload.values())
+            self._names.append(interned.setdefault(names, names))
+            for value in values:
+                if type(value) not in _PLAIN:
+                    try:
+                        values = interned.setdefault(
+                            (tuple, repr(values), values), values)
+                    except TypeError:
+                        pass
+                    break
+            else:
+                values = interned.setdefault(values, values)
+            self._values.append(values)
+        else:
+            self._names.append(None)
+            self._values.append(None)
         n = self.emitted = self.emitted + 1
         if n == self._trim_at:
             self._trim()
@@ -109,9 +161,33 @@ class Tracer:
         self._kind.append(kind)
         self._t0.append(t)
         self._dur.append(0.0)
+        interned = self._interned
+        if type(obj) in _PLAIN:
+            obj = interned.setdefault(obj, obj)
+        else:
+            try:
+                obj = interned.setdefault((type(obj), repr(obj), obj), obj)
+            except TypeError:
+                pass
         self._obj.append(obj)
         if payload:
-            self._payloads[len(self._kind) - 1] = payload
+            names = tuple(payload)
+            values = tuple(payload.values())
+            self._names.append(interned.setdefault(names, names))
+            for value in values:
+                if type(value) not in _PLAIN:
+                    try:
+                        values = interned.setdefault(
+                            (tuple, repr(values), values), values)
+                    except TypeError:
+                        pass
+                    break
+            else:
+                values = interned.setdefault(values, values)
+            self._values.append(values)
+        else:
+            self._names.append(None)
+            self._values.append(None)
         n = self.emitted = self.emitted + 1
         if n == self._trim_at:
             self._trim()
@@ -120,34 +196,36 @@ class Tracer:
         """Cut the rows older than the newest ``capacity``."""
         cut = len(self._kind) - self.capacity
         for column in (self._kind, self._proc, self._node, self._t0,
-                       self._dur, self._obj):
+                       self._dur, self._obj, self._names, self._values):
             del column[:cut]
-        self._payloads = {row - cut: payload
-                          for row, payload in self._payloads.items()
-                          if row >= cut}
         self._trim_at = self.emitted + self._slack
 
     # --- inspection --------------------------------------------------------
 
-    def columns(self) -> tuple:
-        """The buffered events as columns, oldest first.
-
-        Returns ``(kind, proc, node, t0, dur, obj, payloads)``: six
-        equal-length sequences and a dict from row index to payload
-        holding only the rows that carry one. The sequences are the
-        tracer's own storage; read them, do not modify them.
-        """
+    def _columns(self) -> tuple:
+        """The tracer's own eight columns, trimmed to ``capacity``."""
         if len(self._kind) > self.capacity:
             self._trim()
         return (self._kind, self._proc, self._node, self._t0, self._dur,
-                self._obj, self._payloads)
+                self._obj, self._names, self._values)
+
+    def columns(self) -> tuple:
+        """The buffered events as columns, oldest first.
+
+        Returns ``(kind, proc, node, t0, dur, obj, payload)``: seven
+        equal-length sequences. ``payload`` holds a fresh dict for each
+        row that carries one and ``None`` for the others; the first six
+        are the tracer's own storage: read them, do not modify them.
+        """
+        *fields, names, values = self._columns()
+        return (*fields, list(map(_payload, names, values)))
 
     def __len__(self) -> int:
         return min(self.emitted, self.capacity)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        kind, proc, node, t0, dur, obj, payloads = self.columns()
-        payload = map(payloads.get, range(len(kind)), repeat(_NO_PAYLOAD))
+        kind, proc, node, t0, dur, obj, names, values = self._columns()
+        payload = map(_payload, names, values, repeat(_NO_PAYLOAD))
         return map(_new, repeat(TraceEvent),
                    zip(kind, proc, node, t0, dur, obj, payload))
 
@@ -165,7 +243,7 @@ class Tracer:
         return [ev for ev in self if ev.kind in want]
 
     def kind_counts(self) -> dict[str, int]:
-        return dict(sorted(Counter(self.columns()[0]).items()))
+        return dict(sorted(Counter(self._columns()[0]).items()))
 
     # --- lifecycle ---------------------------------------------------------
 

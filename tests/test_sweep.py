@@ -14,6 +14,7 @@ The load-bearing properties:
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import pickle
@@ -194,8 +195,9 @@ class TestCache:
         spec = small_spec()
         path = cache.path(cache_key(spec))
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "wb") as fh:
-            pickle.dump({"schema": "other", "result": CellResult()}, fh)
+        body = pickle.dumps({"schema": "other", "result": CellResult()})
+        with open(path, "wb") as fh:  # intact, so only the schema differs
+            fh.write(hashlib.sha256(body).digest() + body)
         assert cache.get(spec) is None
         assert CACHE_SCHEMA != "other"
 
@@ -203,6 +205,39 @@ class TestCache:
         monkeypatch.setenv("CASHMERE_CACHE_DIR", str(tmp_path / "alt"))
         cache = ResultCache()
         assert cache.root == str(tmp_path / "alt")
+
+
+@pytest.fixture(scope="module")
+def sor_entry(tmp_path_factory):
+    """A cache holding one SOR 2x2 result: (cache, spec, result, the
+    entry's path, its bytes)."""
+    cache = ResultCache(root=str(tmp_path_factory.mktemp("cache")))
+    spec = RunSpec.app_run("SOR", "2L", FULL_PLATFORM.with_placement(4, 2))
+    result = run_cells([spec], Sweep(cache=cache))[0]
+    path = cache.path(cache_key(spec))
+    with open(path, "rb") as fh:
+        return cache, spec, result, path, fh.read()
+
+
+class TestCacheIntegrity:
+    """A damaged entry is a miss: never a different result, never an
+    exception out of ``get``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_flipped_or_truncated_entry(self, sor_entry, data):
+        cache, spec, result, path, good = sor_entry
+        if data.draw(st.booleans(), label="truncate"):
+            bad = good[:data.draw(st.integers(0, len(good) - 1),
+                                  label="length")]
+        else:
+            bit = data.draw(st.integers(0, 8 * len(good) - 1), label="bit")
+            bad = bytearray(good)
+            bad[bit // 8] ^= 1 << (bit % 8)
+        with open(path, "wb") as fh:
+            fh.write(bad)
+        got = cache.get(spec)
+        assert got is None or got == result
 
 
 class TestNoCache:

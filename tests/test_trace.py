@@ -131,26 +131,69 @@ class TestTracer:
                     if ev["ph"] != "M"] == [ev.t0 for ev in want]
 
     def test_bytes_per_event(self):
-        # The store keeps a payload only for the events that carry one:
+        def bytes_per_event(emit, n=200_000):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tr = Tracer(capacity=n)
+                p = _FakeProc(3, 1)
+                for i in range(n):
+                    emit(tr, p, i)
+                used = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert len(tr) == n
+            return used / n
+
         # 200k spans, 1 in 8 with a payload, fit in 96 bytes per event
         # (a tuple record per event in a deque takes about 215).
-        n = 200_000
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tr = Tracer(capacity=n)
-            p = _FakeProc(3, 1)
-            for i in range(n):
-                if i % 8:
-                    tr.span("protocol", p, i * 0.5, 0.25)
-                else:
-                    tr.span("page_fetch", p, i * 0.5, 0.25, obj=i % 64,
-                            bytes=512)
-            used = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert len(tr) == n
-        assert used / n <= 96, f"{used / n:.1f} B per event"
+        def sparse(tr, p, i):
+            if i % 8:
+                tr.span("protocol", p, i * 0.5, 0.25)
+            else:
+                tr.span("page_fetch", p, i * 0.5, 0.25, obj=i % 64,
+                        bytes=512)
+
+        used = bytes_per_event(sparse)
+        assert used <= 96, f"{used:.1f} B per event"
+
+        # Like a traced Gauss run: half the events carry a payload drawn
+        # from a few distinct values, and each ``obj`` is a page number
+        # above 256 (a fresh int object per event). The tracer keeps one
+        # copy of each distinct value, so an event costs its columns
+        # only: 72 bytes bounds it (about 58), where a dict per payload
+        # and an int per ``obj`` take about 224.
+        def gauss_like(tr, p, i):
+            if i % 2:
+                tr.span("read_fault", p, i * 0.5, 0.25, obj=300 + i % 500)
+            else:
+                tr.span("page_fetch", p, i * 0.5, 0.25, obj=300 + i % 500,
+                        bytes=512 * (1 + i % 3), home=i % 4)
+
+        used = bytes_per_event(gauss_like)
+        assert used <= 72, f"{used:.1f} B per event"
+
+    def test_values_keep_their_type_across_trims(self):
+        # Equal values of different types (``1 == 1.0 == True``,
+        # ``0.0 == -0.0``) must not be interned as one; an unhashable
+        # value is kept as given. Capacity 8 trims every event past 9.
+        values = [True, 1, 1.0, -0.0, 0.0, "lock 3", [1, 2], 1, -0.0,
+                  (1,), (True,), (-0.0,), None, False, 0]
+        tr = Tracer(capacity=8)
+        for i, v in enumerate(values * 3):
+            if i % 2:
+                tr.instant("user", None, float(i), obj=v, value=v)
+            else:
+                tr.span("user", None, float(i), 1.0, obj=v, value=v, n=i)
+        assert tr.dropped == len(values) * 3 - 8
+        want = (values * 3)[-8:]
+        for tr_ev, v in zip(tr, want):
+            for got in (tr_ev.obj, tr_ev.payload["value"]):
+                assert type(got) is type(v) and repr(got) == repr(v)
+        rows = to_chrome_trace(tr)["traceEvents"]
+        for rec, v in zip((r for r in rows if r["ph"] != "M"), want):
+            assert type(rec["args"]["value"]) is type(v)
+            assert repr(rec["args"]["value"]) == repr(v)
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
