@@ -24,11 +24,10 @@ from .oracle import CoherenceOracle
 class CheckContext:
     """The checker: routes instrumentation hooks to detector and oracle."""
 
-    def __init__(self, cluster, protocol, *,
-                 fail_fast: bool = False) -> None:
+    def __init__(self, cluster, protocol) -> None:
         self.cluster = cluster
         self.protocol = protocol
-        self.detector = RaceDetector(cluster, fail_fast=fail_fast)
+        self.detector = RaceDetector(cluster)
         self.oracle = CoherenceOracle(protocol, self.detector)
         self.finalized = False
 
@@ -97,24 +96,23 @@ class CheckContext:
 
     # --- end of run --------------------------------------------------------
 
-    def finalize(self, *, raise_on_race: bool = True) -> None:
+    def finalize(self) -> None:
         """End-of-run oracle check; raise if the execution raced."""
         if self.finalized:
             return
         self.finalized = True
         self.oracle.check_global("end of run")
-        if raise_on_race and self.detector.race_count:
+        if self.detector.race_count:
             first = self.detector.races[0]
             raise DataRaceError(
                 f"{self.detector.race_count} data race(s) detected; "
                 f"first: {first.describe()}")
 
 
-def attach_checker(cluster, protocol, *,
-                   fail_fast: bool = False) -> CheckContext:
+def attach_checker(cluster, protocol) -> CheckContext:
     """Create a :class:`CheckContext` and install it as the protocol's
     checker. Must run before any shared access or sync event; accesses
     already performed are invisible to the checker."""
-    ctx = CheckContext(cluster, protocol, fail_fast=fail_fast)
+    ctx = CheckContext(cluster, protocol)
     protocol.checker = ctx
     return ctx

@@ -35,7 +35,6 @@ import hashlib
 
 import numpy as np
 
-from ..errors import DataRaceError
 from .events import MemoryEvent, RaceReport
 
 #: Stop accumulating full reports past this many races (the counter
@@ -81,8 +80,7 @@ class _Page:
 class RaceDetector:
     """Happens-before race detection over one simulated execution."""
 
-    def __init__(self, cluster, *, fail_fast: bool = False) -> None:
-        self.fail_fast = fail_fast
+    def __init__(self, cluster) -> None:
         n = cluster.num_procs
         self.nprocs = n
         self.wpp = cluster.config.words_per_page
@@ -158,9 +156,7 @@ class RaceDetector:
 
     # The range hooks run the happens-before test on a page's latest
     # epochs first and per word only if that fails; epoch 0 (nothing
-    # recorded) never fails it. Under ``fail_fast`` an access stops at
-    # its first racing word, as a word-by-word loop would: earlier words
-    # recorded, that one counted. The word hooks take the same steps on
+    # recorded) never fails it. The word hooks take the same steps on
     # numpy scalars, paying for no slices.
 
     def _report(self, proc, first: MemoryEvent,
@@ -172,9 +168,6 @@ class RaceDetector:
             self.races.append(RaceReport(
                 word=second.word, page=second.page, offset=second.offset,
                 first=first, second=second))
-        if self.fail_fast:
-            proc.stats.counters["check_events"] += 1
-            raise DataRaceError(self.races[-1].describe())
 
     def on_read(self, proc, page: int, offset: int) -> MemoryEvent:
         """Trace one word read; flag a write-read race if concurrent."""
@@ -230,20 +223,18 @@ class RaceDetector:
         st = self.pages.get(page)
         if st is None:
             st = self.pages[page] = _Page(self.nprocs, self.wpp)
-        racy, stop = (), hi
+        racy = ()
         if _nonzero(st.wlatest > myc):
             ww = st.wepoch[lo:hi] > myc[st.wproc[lo:hi]]
             if _nonzero(ww):
                 racy = ww.nonzero()[0].tolist()
-                if self.fail_fast:
-                    stop = lo + racy[0]
-        ranks = st.rfirst[pid, lo:stop]
+        ranks = st.rfirst[pid, lo:hi]
         np.maximum(ranks, self._seq, out=ranks)
         self._seq -= 1
-        st.repoch[pid, lo:stop] = epoch
-        st.rtime[pid, lo:stop] = proc.clock
+        st.repoch[pid, lo:hi] = epoch
+        st.rtime[pid, lo:hi] = proc.clock
         st.alatest[pid] = epoch
-        proc.stats.counters["check_events"] += stop - lo
+        proc.stats.counters["check_events"] += hi - lo
         for k in racy:
             self._report(proc, self.last_write(page * self.wpp + lo + k),
                          self._access("read", proc, page, lo + k))
@@ -258,7 +249,7 @@ class RaceDetector:
         st = self.pages.get(page)
         if st is None:
             st = self.pages[page] = _Page(self.nprocs, self.wpp)
-        firsts, stop = [], hi
+        firsts = []
         if _nonzero(st.alatest > myc):
             ww = st.wepoch[lo:hi] > myc[st.wproc[lo:hi]]
             rr = st.repoch[:, lo:hi] > myc[:, None]
@@ -268,16 +259,14 @@ class RaceDetector:
                     if ww[k]:
                         firsts.append(self.last_write(page * self.wpp + o))
                     firsts += self._reads(st, page, o, rr[:, k])
-                if self.fail_fast:
-                    stop = firsts[0].offset
         # This write happens-after (or races with) everything recorded;
         # it becomes the sole history for its words.
-        st.wproc[lo:stop] = pid
-        st.wepoch[lo:stop] = epoch
-        st.wtime[lo:stop] = proc.clock
-        st.reads[:, :, lo:stop] = 0
+        st.wproc[lo:hi] = pid
+        st.wepoch[lo:hi] = epoch
+        st.wtime[lo:hi] = proc.clock
+        st.reads[:, :, lo:hi] = 0
         st.wlatest[pid] = st.alatest[pid] = epoch
-        proc.stats.counters["check_events"] += stop - lo
+        proc.stats.counters["check_events"] += hi - lo
         for first in firsts:
             self._report(proc, first,
                          self._access("write", proc, page, first.offset))

@@ -300,7 +300,7 @@ class _World:
             for lid, lock in self.locks.items())))
         parts.append(bytes(proto._home_settled))
         for page in range(cfg.num_pages):
-            e = proto.directory.entry(page)
+            e = proto.directory.entries[page]
             parts.append((e.home_owner, e.state_tuple()))
             parts.append(proto.master(page).tobytes())
         for rec in proto.owners:

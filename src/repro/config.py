@@ -192,7 +192,8 @@ class MachineConfig:
     page_bytes: int = PAPER_PAGE_BYTES
     #: Total shared segment size in bytes (must be a multiple of page size).
     shared_bytes: int = 4 * 1024 * 1024
-    #: Pages per superpage (Memory Channel mapping-table workaround).
+    #: Pages per superpage: the paper's Memory Channel mapping-table
+    #: workaround, here the granularity of first-touch home relocation.
     superpage_pages: int = 8
     #: Use polling (True, the paper's default) or interrupts for explicit
     #: requests and shootdowns.

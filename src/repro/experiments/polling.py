@@ -6,8 +6,8 @@ provides better performance in almost every case" despite the kernel
 modifications that cut interrupt latency by an order of magnitude
 (§2.3, "Kernel changes": intra-node 980 → 80 µs, inter-node 980 → 445 µs).
 
-This experiment runs applications under both delivery mechanisms (and
-optionally with the unmodified-kernel interrupt latencies) and reports
+This experiment runs applications under both delivery mechanisms, and
+under interrupts with the unmodified-kernel latencies, and reports
 execution times. Polling costs show up as per-loop-iteration checks;
 interrupts as per-request delivery latency.
 """
@@ -32,7 +32,7 @@ class PollingResults:
         rows = []
         for v in variants:
             rows.append((f"exec time (s) {v}",
-                         [self.exec_time_s[a].get(v) for a in apps]))
+                         [self.exec_time_s[a][v] for a in apps]))
         rows.append(("interrupts vs polling (%)",
                      [pct_change(self.exec_time_s[a]["polling"],
                                  self.exec_time_s[a]["interrupts"])
@@ -45,15 +45,14 @@ class PollingResults:
 
 def run_polling_ablation(
         apps: tuple[str, ...] = ("Em3d", "Barnes", "Gauss"),
-        include_slow: bool = True, sweep=None) -> PollingResults:
+        sweep=None) -> PollingResults:
     results = PollingResults()
     configs = {
         "polling": FULL_PLATFORM,
         "interrupts": replace(FULL_PLATFORM, polling=False),
+        "slow-intr": replace(FULL_PLATFORM, polling=False,
+                             fast_interrupts=False),
     }
-    if include_slow:
-        configs["slow-intr"] = replace(FULL_PLATFORM, polling=False,
-                                       fast_interrupts=False)
     specs = [RunSpec.app_run(app_name, "2L", cfg)
              for app_name in apps for cfg in configs.values()]
     cells = iter(run_cells(specs, sweep))

@@ -9,7 +9,8 @@ Models the characteristics the protocols rely on (Section 2.1):
 * 29 MB/s per-link sustained bandwidth, ~60 MB/s aggregate (modeled as
   ``aggregate/link`` concurrent channels at the link rate);
 * total global ordering of writes to the same region;
-* loop-back: a node may observe its own writes returning through the hub.
+* loop-back: a node may observe its own writes returning through the hub
+  (:class:`~repro.sync.MCLock` waits for its own write's return).
 
 All protocol traffic is accounted by category so the harness can
 regenerate Table 3's "Data (Mbytes)" row and break traffic down further.
@@ -50,28 +51,22 @@ class MemoryChannel:
 
     # --- regions -----------------------------------------------------------
 
-    def new_region(self, name: str, size: int, initial: Any = 0,
-                   loopback: bool = False, connections: int = 1,
-                   waitable: bool = True, readable: bool = True) -> MCRegion:
-        """Create a named MC region of ``size`` words.
-
-        ``connections`` is the number of mapping-table entries consumed
-        (one per transmit/receive mapping pair in the real hardware; the
-        superpage layer passes the per-node mapping count). ``waitable``
-        and ``readable`` are :class:`MCRegion`'s: whether anything parks
-        on the region's condition, and whether anything reads its words.
+    def new_region(self, name: str, size: int, waitable: bool = True,
+                   readable: bool = True) -> MCRegion:
+        """Create a named MC region of ``size`` words, mapped on every
+        node: it consumes one mapping-table entry per node (one
+        transmit/receive mapping pair each in the real hardware).
+        ``waitable`` and ``readable`` are :class:`MCRegion`'s: whether
+        anything parks on the region's condition, and whether anything
+        reads its words.
         """
         if name in self._regions:
             raise MemoryChannelError(f"duplicate MC region {name!r}")
-        self.mapping_table.allocate(name, connections)
-        region = MCRegion(self.sim, name, size, initial=initial,
-                          loopback=loopback, waitable=waitable,
+        self.mapping_table.allocate(name, self.config.nodes)
+        region = MCRegion(self.sim, name, size, waitable=waitable,
                           readable=readable)
         self._regions[name] = region
         return region
-
-    def region(self, name: str) -> MCRegion:
-        return self._regions[name]
 
     # --- writes and transfers ----------------------------------------------
 

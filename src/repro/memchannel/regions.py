@@ -84,25 +84,18 @@ class VersionedWord:
 
 
 class MCRegion:
-    """A mapped Memory Channel region of ``size`` words.
+    """A mapped Memory Channel region of ``size`` words, all starting at 0.
 
-    ``loopback`` mirrors the hardware flag: with loop-back enabled a node's
-    own writes return through the hub to its local receive region, letting
-    the writer detect that a write has been globally performed
-    (synchronization objects, Figure 1). Without loop-back, writers must
-    "double" writes to their local copy in software (the global directory).
-    The region model itself is shared — visibility timing is identical for
-    every node — so ``loopback`` only affects how *writers* may read.
+    The region model is shared: visibility timing is identical for every
+    node, writer included.
     """
 
     def __init__(self, sim: Simulator, name: str, size: int,
-                 initial: Any = 0, loopback: bool = False,
                  waitable: bool = True, readable: bool = True) -> None:
         if size < 1:
             raise MemoryChannelError(f"region {name!r} must have >=1 word")
         self.sim = sim
         self.name = name
-        self.loopback = loopback
         self.size = size
         #: Whether anything may park on ``visible``. Only then does a
         #: post schedule a fire: an event that can wake nobody is never
@@ -113,7 +106,7 @@ class MCRegion:
         #: Whether anything reads the words back. A lock's array is only
         #: ever *sized* by the simulator (who holds the lock is decided
         #: by the lock's own queue), so its region keeps no history.
-        self.words = [VersionedWord(initial) for _ in range(size)] \
+        self.words = [VersionedWord() for _ in range(size)] \
             if readable else []
         self.visible = Condition(sim, name=f"mc:{name}")
         self.write_count = 0
@@ -147,8 +140,10 @@ class MappingTable:
 
     The hardware supports 64K connections covering a 128 Mbyte MC address
     space; the paper packs shared pages into *superpages* so large data
-    sets fit. We enforce the connection budget so the superpage machinery
-    is load-bearing rather than decorative.
+    sets fit. Here no shared page allocates a connection: only the
+    synchronization objects' regions (locks, barriers, flags) do, one
+    per node each (:meth:`~repro.memchannel.MemoryChannel.new_region`),
+    and the budget is enforced on those.
     """
 
     def __init__(self, max_connections: int = 65536) -> None:
@@ -159,7 +154,7 @@ class MappingTable:
     def used(self) -> int:
         return self._used
 
-    def allocate(self, name: str, connections: int = 1) -> None:
+    def allocate(self, name: str, connections: int) -> None:
         if connections < 1:
             raise MemoryChannelError("connection count must be positive")
         if self._used + connections > self.max_connections:

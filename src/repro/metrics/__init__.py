@@ -13,7 +13,6 @@ Strictly observational, like tracing and checking: a metered run is
 byte-identical to an unmetered one.
 """
 
-from .collector import (DEFAULT_INTERVAL_US, MetricsCollector,
-                        attach_metrics)
+from .collector import INTERVAL_US, MetricsCollector, attach_metrics
 
-__all__ = ["MetricsCollector", "attach_metrics", "DEFAULT_INTERVAL_US"]
+__all__ = ["MetricsCollector", "attach_metrics", "INTERVAL_US"]

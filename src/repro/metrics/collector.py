@@ -4,7 +4,7 @@ A :class:`MetricsCollector` is attached to a configured execution by
 :func:`attach_metrics` (the parallel runtime does this when
 ``MachineConfig(metrics=True)``). It rides the simulator's
 ``on_advance`` hook, whose horizon is the next sampling boundary: when
-the simulated clock reaches a boundary ``k * interval_us`` the
+the simulated clock reaches a boundary ``k * INTERVAL_US`` the
 collector records
 
 * **gauges** — instantaneous state polled from the live structures:
@@ -38,10 +38,10 @@ from __future__ import annotations
 
 from itertools import repeat
 
-#: Default sampling interval in simulated microseconds. Experiment-scale
-#: runs last ~10^5..10^6 us, giving a few hundred to a few thousand
-#: samples per series.
-DEFAULT_INTERVAL_US = 1000.0
+#: Sampling interval in simulated microseconds. Experiment-scale runs
+#: last ~10^5..10^6 us, giving a few hundred to a few thousand samples
+#: per series.
+INTERVAL_US = 1000.0
 
 #: The protocol counters sampled as per-interval deltas (a stable subset
 #: of :data:`repro.stats.counters.COUNTER_NAMES`: the Table 3 rows plus
@@ -67,10 +67,7 @@ TRACKED_COUNTERS = (
 class MetricsCollector:
     """Sampled time series for one simulated execution."""
 
-    def __init__(self, interval_us: float = DEFAULT_INTERVAL_US) -> None:
-        if interval_us <= 0:
-            raise ValueError("metrics interval must be positive")
-        self.interval_us = float(interval_us)
+    def __init__(self) -> None:
         #: Series name -> parallel (times, values) lists.
         self.series: dict[str, tuple[list[float], list[float]]] = {}
         #: Run metadata, filled by :meth:`finalize`.
@@ -84,7 +81,7 @@ class MetricsCollector:
         #: the casualty of a neighbour's flush (DESIGN.md §9). The rest
         #: were served inline from the processor's maps (hits).
         self.tlb = [0, 0]
-        self._next = self.interval_us
+        self._next = INTERVAL_US
         self._last_t = 0.0
         self._cluster = None
         self._protocol = None
@@ -121,10 +118,9 @@ class MetricsCollector:
         """Simulator hook: sample every boundary the clock reached, and
         return the next one (the simulator's new horizon)."""
         nxt = self._next
-        interval = self.interval_us
         while nxt <= now:
             self._sample(nxt)
-            nxt += interval
+            nxt += INTERVAL_US
         self._next = nxt
         return nxt
 
@@ -218,7 +214,7 @@ class MetricsCollector:
     def to_payload(self) -> dict:
         """Plain-dict form for JSON export."""
         return {
-            "interval_us": self.interval_us,
+            "interval_us": INTERVAL_US,
             "meta": dict(self.meta),
             "series": {name: {"t": list(times), "v": list(values)}
                        for name, (times, values) in self.series.items()},

@@ -334,9 +334,9 @@ class BaseProtocol:
 
     def _relocate_page(self, proc: Processor, page: int, old_home: int,
                        new_home: int) -> None:
-        e = self.directory.entry(page)
+        e = self.directory.entries[page]
         # Break any exclusive holding so the master content is current.
-        holder = e.exclusive_holder()
+        holder = e.excl
         if holder is not None and holder[0] == new_home:
             # The new home already has the newest copy; keep its frame.
             e.home_owner = new_home

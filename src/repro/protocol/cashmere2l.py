@@ -220,7 +220,7 @@ class Cashmere2L(BaseProtocol):
         page_bytes = self.config.page_bytes
 
         def handler(server: Processor, at: float):
-            entry = self.directory.entry(page)
+            entry = self.directory.entries[page]
             holder_pid = entry.excl_of(holder_owner)
             if holder_pid == NO_HOLDER:
                 # Raced with another break request; nothing left to do.

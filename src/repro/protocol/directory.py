@@ -42,12 +42,12 @@ The occupancy gauges (:meth:`GlobalDirectory.occupancy`) are totals the
 entries' mutators keep in line (DESIGN.md §13), so a metrics sample
 costs O(num_owners), not a rescan of every entry.
 
-The protocols mutate entries only through the accessor protocol —
-``set_perm``, ``set_excl``/``clear_excl`` — and read them through
-``perm_of``, ``excl_of``, ``sharers``, ``has_other_sharer``,
-``exclusive_holder`` and ``state_tuple``, except that the flat slow
-path (DESIGN.md §19) reads the ``excl`` and ``home_owner`` fields
-directly. Nothing outside this module indexes directory words.
+The protocols reach a page's entry as ``directory.entries[page]``,
+mutate it only through ``set_perm`` and ``set_excl``/``clear_excl``,
+and read it through ``perm_of``, ``excl_of``, ``sharers``,
+``has_other_sharer``, ``state_tuple`` and the ``excl`` and
+``home_owner`` fields. Nothing outside this module indexes directory
+words.
 """
 
 from __future__ import annotations
@@ -149,10 +149,6 @@ class DirEntry:
         perms = self.perms
         return len(perms) > 1 or (len(perms) == 1 and owner not in perms)
 
-    def exclusive_holder(self) -> tuple[int, int] | None:
-        """(owner, processor) currently holding the page exclusively."""
-        return self.excl
-
     def excl_of(self, owner: int) -> int:
         excl = self.excl
         return excl[1] if excl is not None and excl[0] == owner \
@@ -212,9 +208,6 @@ class GlobalDirectory:
             DirEntry((page // per_super) % num_owners, self.per_owner,
                      self.histogram)
             for page in range(config.num_pages)]
-
-    def entry(self, page: int):
-        return self.entries[page]
 
     def home(self, page: int) -> int:
         return self.entries[page].home_owner

@@ -196,7 +196,7 @@ class OneLevelProtocol(BaseProtocol):
         page_bytes = self.config.page_bytes
 
         def handler(server: Processor, at: float):
-            entry = self.directory.entry(page)
+            entry = self.directory.entries[page]
             if entry.excl_of(holder_owner) == NO_HOLDER:
                 return self.masters[page].copy(), 2.0, page_bytes
             rec = self.owners[holder_owner]

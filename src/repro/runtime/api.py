@@ -2,7 +2,7 @@
 
 Applications allocate named :class:`SharedArray` objects from a
 :class:`SharedSegment`. Arrays are laid out in a single word-addressed
-shared address space split into pages; by default each array starts on a
+shared address space split into pages; each array starts on a
 fresh page (false sharing between *different* arrays is an accident of
 layout, not an algorithm property, and the paper's applications were laid
 out the same way). Within an array, page boundaries fall where they fall
@@ -25,9 +25,6 @@ class SharedArray:
     base: int      # first word index in the shared segment
     length: int    # number of 64-bit words
 
-    def index(self, i: int) -> int:
-        return self.base + i
-
     def block_error(self, lo: int, hi: int) -> SimulationError:
         """The error a block access of words ``[lo, hi)`` raises when
         not ``0 <= lo <= hi <= length``. Block accesses check their
@@ -46,16 +43,15 @@ class SharedSegment:
         self._next = 0
         self.arrays: dict[str, SharedArray] = {}
 
-    def alloc(self, name: str, length: int,
-              page_aligned: bool = True) -> SharedArray:
-        """Allocate ``length`` words, optionally starting on a page boundary."""
+    def alloc(self, name: str, length: int) -> SharedArray:
+        """Allocate ``length`` words, starting on a page boundary."""
         if name in self.arrays:
             raise ConfigError(f"shared array {name!r} already allocated")
         if length <= 0:
             raise ConfigError(f"array {name!r} must have positive length")
         base = self._next
         wpp = self.config.words_per_page
-        if page_aligned and base % wpp:
+        if base % wpp:
             base += wpp - base % wpp
         if base + length > self.total_words:
             raise ConfigError(

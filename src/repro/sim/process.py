@@ -62,20 +62,11 @@ class Sleep:
 
 @dataclass
 class Wait:
-    """Block until ``predicate()`` is truthy after ``conditions`` fire."""
+    """Block until ``predicate()`` is truthy after ``condition`` fires."""
 
-    conditions: Sequence[Condition]
+    condition: Condition
     predicate: Callable[[], Any]
     bucket: str = "comm_wait"
-
-    def __init__(self, conditions: Condition | Sequence[Condition],
-                 predicate: Callable[[], Any],
-                 bucket: str = "comm_wait") -> None:
-        if isinstance(conditions, Condition):
-            conditions = (conditions,)
-        self.conditions = tuple(conditions)
-        self.predicate = predicate
-        self.bucket = bucket
 
 
 class ExecutionContext:
@@ -112,7 +103,7 @@ class SimProcess:
         self.done = False
         self.failed: BaseException | None = None
         self.result: Any = None
-        self._parked_on: tuple[Condition, ...] = ()
+        self._parked_on: Condition | None = None
         self._wait: Wait | None = None
         #: Sim time at which the current Wait began blocking (for trace
         #: spans and deadlock reports).
@@ -132,7 +123,7 @@ class SimProcess:
 
     @property
     def parked(self) -> bool:
-        return bool(self._parked_on)
+        return self._parked_on is not None
 
     # -- stepping ----------------------------------------------------------
 
@@ -193,9 +184,8 @@ class SimProcess:
         if self._wait is not wait:
             self._wait_since = self.ctx.clock
         self._wait = wait
-        self._parked_on = wait.conditions
-        for cond in wait.conditions:
-            cond.park(self.ctx.clock, self._wake_cb)
+        self._parked_on = wait.condition
+        wait.condition.park(self.ctx.clock, self._wake_cb)
 
     def _wake(self, at: float) -> None:
         if self.done or self._wait is None:
@@ -216,23 +206,19 @@ class SimProcess:
             # uses it only to *lower-bound* the wake time, and a wake at
             # ``at <= clock`` charges nothing, so timing is unaffected.)
             return
-        for cond in self._parked_on:
-            cond.unpark(self._wake_cb)
-        self._parked_on = ()
+        self._parked_on.unpark(self._wake_cb)
+        self._parked_on = None
         self._wait = None
         trace = self.ctx.trace
         if trace is not None:
-            conds = ",".join(c.name or "?" for c in wait.conditions)
             trace.span("wait", self.ctx, self._wait_since,
-                       self.ctx.clock - self._wait_since, obj=conds,
-                       bucket=wait.bucket)
+                       self.ctx.clock - self._wait_since,
+                       obj=wait.condition.name or "?", bucket=wait.bucket)
         self._step(value)
 
     def _finish(self, result: Any) -> None:
         self.done = True
         self.result = result
-        if self._registry is not None:
-            self._registry.on_completion(self)
 
 
 #: Blocked processes listed individually in a deadlock report before the
@@ -249,9 +235,8 @@ def _describe_blocked(procs: Sequence["SimProcess"]) -> str:
             lines.append(f"  - {p.name}: not parked "
                          f"(clock {p.ctx.clock:.1f} us)")
             continue
-        conds = ", ".join(c.name or "<unnamed>" for c in wait.conditions)
         lines.append(
-            f"  - {p.name}: waiting on [{conds}] "
+            f"  - {p.name}: waiting on [{wait.condition.name or '<unnamed>'}] "
             f"since t={p._wait_since:.1f} us "
             f"(bucket {wait.bucket}, clock {p.ctx.clock:.1f} us)")
     if len(procs) > _DEADLOCK_DETAIL_LIMIT:
@@ -279,9 +264,6 @@ class ProcessGroup:
         self.processes.append(proc)
         proc.start()
         return proc
-
-    def on_completion(self, proc: SimProcess) -> None:
-        pass
 
     def on_failure(self, proc: SimProcess, exc: BaseException) -> None:
         if self._failure is None:

@@ -83,9 +83,7 @@ class Barrier:
         self.slots = slots
         # Waiters park on a per-episode condition (``_EpisodeState``),
         # never on the arrival array's own: its posts schedule nothing.
-        self.region = cluster.mc.new_region(
-            "barrier", slots, initial=0, loopback=True,
-            connections=cluster.config.nodes, waitable=False)
+        self.region = cluster.mc.new_region("barrier", slots, waitable=False)
         self._node_state = [_NodeBarrierState() for _ in cluster.nodes]
         #: Combining-tree inter-node phase (MachineConfig.barrier="tree").
         self.tree = cluster.config.barrier == "tree"

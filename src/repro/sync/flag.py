@@ -21,9 +21,7 @@ class FlagSet:
         self.cluster = cluster
         self.protocol = protocol
         self.name = name
-        self.region = cluster.mc.new_region(
-            f"flags[{name}]", count, initial=0, loopback=True,
-            connections=cluster.config.nodes)
+        self.region = cluster.mc.new_region(f"flags[{name}]", count)
 
     def set(self, proc: Processor, index: int, value: int = 1) -> None:
         """Release: flush, then publish the flag (non-blocking)."""

@@ -51,8 +51,7 @@ class MCLock:
         # region carries the mapping and the array's size, and a write
         # to it is traffic, a trace instant and nothing on the heap.
         self.region = cluster.mc.new_region(
-            f"lock[{lock_id}]", slots, initial=0, loopback=True,
-            connections=cluster.config.nodes, waitable=False, readable=False)
+            f"lock[{lock_id}]", slots, waitable=False, readable=False)
         # Per-node ll/sc flag (two-level path): node id -> holder proc
         # id, absent while free; and the Condition a node's waiters
         # park on, made by the first one to wait. Both are kept only

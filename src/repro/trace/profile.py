@@ -26,6 +26,13 @@ from ..stats.report import format_table
 from .events import TraceEvent
 from .tracer import Tracer
 
+#: Rows kept in the hot-page table.
+TOP_PAGES = 12
+#: Rows kept in the barrier-episode table.
+TOP_EPISODES = 10
+#: Equal time slices in the Memory Channel timeline.
+MC_SLICES = 10
+
 
 @dataclass
 class _PageStats:
@@ -67,14 +74,10 @@ class _EpisodeStats:
 class ContentionProfile:
     """Aggregated contention view of one traced execution."""
 
-    def __init__(self, tracer: Tracer, *, top_pages: int = 12,
-                 top_episodes: int = 10, bins: int = 10) -> None:
+    def __init__(self, tracer: Tracer) -> None:
         self.meta = dict(tracer.meta)
         self.kind_counts = tracer.kind_counts()
         self.dropped = tracer.dropped
-        self.top_pages = top_pages
-        self.top_episodes = top_episodes
-        self.num_bins = bins
 
         self.pages: dict[int, _PageStats] = defaultdict(_PageStats)
         self.locks: dict[str, _LockStats] = defaultdict(_LockStats)
@@ -143,7 +146,7 @@ class ContentionProfile:
         ranked = sorted(self.pages.items(),
                         key=lambda kv: (kv[1].service_us, kv[1].faults),
                         reverse=True)
-        return ranked[:self.top_pages]
+        return ranked[:TOP_PAGES]
 
     def lock_table(self) -> list[tuple[str, _LockStats]]:
         return sorted(self.locks.items(),
@@ -154,15 +157,14 @@ class ContentionProfile:
         """Episodes ranked by arrival imbalance (most skewed first)."""
         ranked = sorted(self.episodes.items(),
                         key=lambda kv: kv[1].spread_us, reverse=True)
-        return ranked[:self.top_episodes]
+        return ranked[:TOP_EPISODES]
 
     def mc_timeline(self) -> dict[str, list[int]]:
         """Bytes per traffic category per time slice of the run."""
-        bins = self.num_bins
-        width = self.exec_time_us / bins if self.exec_time_us else 1.0
-        out: dict[str, list[int]] = defaultdict(lambda: [0] * bins)
+        width = self.exec_time_us / MC_SLICES if self.exec_time_us else 1.0
+        out: dict[str, list[int]] = defaultdict(lambda: [0] * MC_SLICES)
         for ev in self._mc_events:
-            slot = min(bins - 1, int(ev.t0 / width))
+            slot = min(MC_SLICES - 1, int(ev.t0 / width))
             out[str(ev.obj)][slot] += ev.bytes
         return dict(sorted(out.items(),
                            key=lambda kv: sum(kv[1]), reverse=True))
@@ -242,9 +244,8 @@ class ContentionProfile:
 
     def _format_mc(self) -> str:
         timeline = self.mc_timeline()
-        bins = self.num_bins
-        width = self.exec_time_us / bins if self.exec_time_us else 0.0
-        cols = [f"{i * width / 1e3:.0f}ms" for i in range(bins)]
+        width = self.exec_time_us / MC_SLICES if self.exec_time_us else 0.0
+        cols = [f"{i * width / 1e3:.0f}ms" for i in range(MC_SLICES)]
         rows = [(category, [b // 1024 for b in by_bin])
                 for category, by_bin in timeline.items()]
         return format_table("Memory Channel traffic timeline (KB per slice)",

@@ -81,18 +81,17 @@ def flush_update(page: np.ndarray, twin: np.ndarray,
 
 
 def incoming_diff(fetched: np.ndarray, page: np.ndarray,
-                  twin: np.ndarray, *, check_races: bool = True,
-                  context: str = "") -> Diff:
+                  twin: np.ndarray, *, context: str = "") -> Diff:
     """Apply remote modifications from a fetched master copy (two-way diffing).
 
     Words where ``fetched`` differs from ``twin`` were modified remotely;
-    they are written to both the working ``page`` and the ``twin``. With
-    ``check_races`` the function verifies the data-race-free invariant the
-    protocol relies on: a remotely modified word must not also be locally
-    dirty (page != twin at the same index).
+    they are written to both the working ``page`` and the ``twin``. The
+    function verifies the data-race-free invariant the protocol relies on:
+    a remotely modified word must not also be locally dirty (page != twin
+    at the same index).
     """
     remote = np.nonzero(fetched != twin)[0]
-    if check_races and len(remote):
+    if len(remote):
         locally_dirty = page[remote] != twin[remote]
         if locally_dirty.any():
             bad = remote[np.nonzero(locally_dirty)[0][:4]]

@@ -60,7 +60,7 @@ class DirWord:
 class DenseDirEntry:
     """A directory entry stored as one :class:`DirWord` per owner."""
 
-    __slots__ = ("words", "home_owner", "excl", "excl_known")
+    __slots__ = ("words", "home_owner", "_excl", "excl_known")
 
     def __init__(self, home_owner: int, *, num_owners: int = 0,
                  words: "list[DirWord] | None" = None) -> None:
@@ -72,7 +72,7 @@ class DenseDirEntry:
         # in lockstep with the per-word ``excl_holder`` fields by
         # set_excl/clear_excl; derived lazily from the words on first use
         # (``excl_known``), so entries built with pre-set words agree.
-        self.excl: tuple[int, int] | None = None
+        self._excl: tuple[int, int] | None = None
         self.excl_known = False
 
     def perm_of(self, owner: int) -> Perm:
@@ -87,13 +87,14 @@ class DenseDirEntry:
     def has_other_sharer(self, owner: int) -> bool:
         return any(o != owner for o in self.sharers())
 
-    def exclusive_holder(self) -> tuple[int, int] | None:
+    @property
+    def excl(self) -> tuple[int, int] | None:
         if not self.excl_known:
             self._derive_excl()
-        return self.excl
+        return self._excl
 
     def excl_of(self, owner: int) -> int:
-        holder = self.exclusive_holder()
+        holder = self.excl
         return holder[1] if holder is not None and holder[0] == owner \
             else NO_HOLDER
 
@@ -104,31 +105,31 @@ class DenseDirEntry:
             raise ProtocolError(
                 f"directory corrupt: exclusive holders on owners "
                 f"{[h[0] for h in holders]}")
-        self.excl = holders[0] if holders else None
+        self._excl = holders[0] if holders else None
         self.excl_known = True
 
     def set_excl(self, owner: int, proc: int) -> None:
         if not self.excl_known:
             self._derive_excl()
-        if self.excl is not None and self.excl[0] != owner:
+        if self._excl is not None and self._excl[0] != owner:
             raise ProtocolError(
                 f"directory corrupt: exclusive holders on owners "
-                f"{[self.excl[0], owner]}")
+                f"{[self._excl[0], owner]}")
         self.words[owner].excl_holder = proc
-        self.excl = (owner, proc)
+        self._excl = (owner, proc)
 
     def clear_excl(self, owner: int) -> None:
         if not self.excl_known:
             self._derive_excl()
         self.words[owner].excl_holder = NO_HOLDER
-        if self.excl is not None and self.excl[0] == owner:
-            self.excl = None
+        if self._excl is not None and self._excl[0] == owner:
+            self._excl = None
 
     def state_tuple(self) -> tuple:
         return (tuple(sorted(
             (o, int(w.perm)) for o, w in enumerate(self.words)
             if w.perm > Perm.INVALID)),
-            self.exclusive_holder())
+            self.excl)
 
     def occupancy_into(self, per_owner: list[int]) -> int:
         loosest = Perm.INVALID

@@ -7,7 +7,8 @@ every access of every word builds a :class:`MemoryEvent`; each touched
 word keeps its last write event and a dict of each processor's last
 read event since that write, in first-read order. The two must agree on
 every race report and its order, on ``race_count``, the poisoned set,
-``check_events`` and the raised error (``tests/test_race_detector.py``).
+``check_events`` and the error ``finalize`` raises
+(``tests/test_race_detector.py``).
 
 :class:`PerWordCheckContext` is the checker as it was before the range
 hooks: every word of a range is traced on its own and every read goes
@@ -17,7 +18,6 @@ through the oracle.
 from repro.check import CheckContext, CoherenceOracle, RaceDetector
 from repro.check.detector import MAX_RACE_REPORTS
 from repro.check.events import MemoryEvent, RaceReport
-from repro.errors import DataRaceError
 
 
 class _WordState:
@@ -33,8 +33,8 @@ class _WordState:
 class PerWordDetector(RaceDetector):
     """The detector's clocks and sync hooks over per-word access state."""
 
-    def __init__(self, cluster, *, fail_fast: bool = False) -> None:
-        super().__init__(cluster, fail_fast=fail_fast)
+    def __init__(self, cluster) -> None:
+        super().__init__(cluster)
         self.words: dict[int, _WordState] = {}
 
     def _traced(self, kind, proc, page, offset):
@@ -56,8 +56,6 @@ class PerWordDetector(RaceDetector):
             self.races.append(RaceReport(
                 word=second.word, page=second.page, offset=second.offset,
                 first=first, second=second))
-        if self.fail_fast:
-            raise DataRaceError(self.races[-1].describe())
 
     def _concurrent(self, prior, ev):
         return prior.proc != ev.proc and \
@@ -97,9 +95,9 @@ class PerWordDetector(RaceDetector):
 class PerWordCheckContext(CheckContext):
     """The checker with :class:`PerWordDetector`, one word at a time."""
 
-    def __init__(self, cluster, protocol, *, fail_fast=False):
-        super().__init__(cluster, protocol, fail_fast=fail_fast)
-        self.detector = PerWordDetector(cluster, fail_fast=fail_fast)
+    def __init__(self, cluster, protocol):
+        super().__init__(cluster, protocol)
+        self.detector = PerWordDetector(cluster)
         self.oracle = CoherenceOracle(protocol, self.detector)
 
     def on_load(self, proc, page, offset, value):

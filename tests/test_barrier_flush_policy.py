@@ -136,7 +136,7 @@ class TestLastLocalWriterFlush:
                             cluster.processors[1:]]
         run_scripts(cluster, scripts)
         assert p0.stats.counters["write_notices"] == 0
-        assert proto.directory.entry(page).exclusive_holder() == (0, 0)
+        assert proto.directory.entries[page].excl == (0, 0)
 
 
 class TestBarrierConsistency:

@@ -61,13 +61,13 @@ class TestDirEntry:
         entry = sparse_entry()
         entry.set_perm(1, Perm.WRITE)
         entry.set_excl(1, 5)
-        assert entry.exclusive_holder() == (1, 5)
+        assert entry.excl == (1, 5)
         assert entry.excl_of(1) == 5
         assert entry.excl_of(0) == NO_HOLDER
 
     def test_no_holder(self):
         entry = sparse_entry()
-        assert entry.exclusive_holder() is None
+        assert entry.excl is None
 
     def test_two_holders_is_corruption(self):
         entry = sparse_entry()
@@ -80,15 +80,15 @@ class TestDirEntry:
                               words=[DirWord(Perm.WRITE, 1),
                                      DirWord(Perm.WRITE, 2)])
         with pytest.raises(ProtocolError, match="corrupt"):
-            entry.exclusive_holder()
+            entry.excl
 
     def test_clear_excl_wrong_owner_is_noop(self):
         for entry in entry_pair():
             entry.set_excl(1, 7)
             entry.clear_excl(0)
-            assert entry.exclusive_holder() == (1, 7)
+            assert entry.excl == (1, 7)
             entry.clear_excl(1)
-            assert entry.exclusive_holder() is None
+            assert entry.excl is None
 
 
 class TestGlobalDirectory:
@@ -126,11 +126,11 @@ class TestGlobalDirectory:
     def test_occupancy(self, rescan):
         cfg = small_config()
         d = GlobalDirectory(cfg, 4)
-        d.entry(0).set_perm(1, Perm.READ)
-        d.entry(0).set_perm(2, Perm.READ)
-        d.entry(1).set_perm(3, Perm.WRITE)
-        d.entry(2).set_perm(0, Perm.WRITE)
-        d.entry(2).set_excl(0, 0)
+        d.entries[0].set_perm(1, Perm.READ)
+        d.entries[0].set_perm(2, Perm.READ)
+        d.entries[1].set_perm(3, Perm.WRITE)
+        d.entries[2].set_perm(0, Perm.WRITE)
+        d.entries[2].set_excl(0, 0)
         # The kept totals, or the same answer by walking every entry.
         per_owner, histogram = (rescan_occupancy(d.entries, 4) if rescan
                                 else d.occupancy())
@@ -159,13 +159,12 @@ def test_entry_size_is_flat_in_cluster_size(num_owners):
     d = GlobalDirectory(cfg, num_owners)
     stride = num_owners // sharers
     for i in range(4000):
-        entry = d.entry(i % pages)
+        entry = d.entries[i % pages]
         owner = (i * 7 + i // pages) % sharers * stride
         entry.set_perm(owner, Perm.READ if i & 1 else Perm.WRITE)
         entry.perm_of(owner)
         entry.sharers()
         entry.has_other_sharer(owner)
-        entry.exclusive_holder()
         if i & 7 == 0:
             entry.set_perm(owner, Perm.INVALID)
     assert sum(d.occupancy()[0]) == sum(len(e.perms) for e in d.entries)
@@ -197,7 +196,7 @@ def _observe(entry):
         "perms": [int(entry.perm_of(o)) for o in range(N_OWNERS)],
         "sharers": entry.sharers(),
         "other": [entry.has_other_sharer(o) for o in range(N_OWNERS)],
-        "holder": entry.exclusive_holder(),
+        "holder": entry.excl,
         "excl_of": [entry.excl_of(o) for o in range(N_OWNERS)],
         "state": entry.state_tuple(),
     }
@@ -250,7 +249,7 @@ def test_kept_occupancy_equals_dense_rescan(steps):
     for page, (op, owner, arg) in steps:
         args = (owner, arg) if op != "clear_excl" else (owner,)
         raised = []
-        for entry in (d.entry(page), dense[page]):
+        for entry in (d.entries[page], dense[page]):
             try:
                 getattr(entry, op)(*args)
                 raised.append(False)

@@ -48,7 +48,7 @@ class TestVersionedWord:
 class TestMCRegion:
     def test_post_and_read(self):
         sim = Simulator()
-        region = MCRegion(sim, "r", 4, initial=0)
+        region = MCRegion(sim, "r", 4)
         region.post(2, 9, visible_at=5.0)
         sim.run()
         assert region.read(2, 6.0) == 9

@@ -57,8 +57,8 @@ def test_versioned_word_monotone_reads(times):
 
 class TestSuperpages:
     def test_mapping_table_budget_enforced(self):
-        # With tiny superpages and many locks, the 64K-connection budget is
-        # load-bearing: page regions consume nodes x superpages entries.
+        # No shared page takes a connection; each sync-object region
+        # takes one per node, so enough of them exhaust the 64K budget.
         cfg = MachineConfig(nodes=2, procs_per_node=1, page_bytes=512,
                             shared_bytes=512 * 8, superpage_pages=1)
         from repro.cluster.machine import Cluster

@@ -18,7 +18,7 @@ import pytest
 
 from repro import MachineConfig, run_app
 from repro.apps import make_app
-from repro.metrics import DEFAULT_INTERVAL_US, MetricsCollector
+from repro.metrics import INTERVAL_US, MetricsCollector
 from repro.runtime.program import ParallelRuntime
 
 SMALL = MachineConfig(nodes=2, procs_per_node=2, page_bytes=512)
@@ -175,7 +175,7 @@ class TestCollectorContents:
         # Every boundary except the final partial-interval sample lands
         # on a multiple of the sampling interval.
         for t in times[:-1]:
-            assert t % DEFAULT_INTERVAL_US == 0.0
+            assert t % INTERVAL_US == 0.0
         assert times == sorted(times)
         assert times[-1] == pytest.approx(metered_sor.exec_time_us)
 
@@ -216,15 +216,16 @@ class TestCollectorContents:
     def test_payload_is_json_serializable(self, metered_sor):
         payload = metered_sor.metrics.to_payload()
         doc = json.loads(json.dumps(payload))
-        assert doc["interval_us"] == DEFAULT_INTERVAL_US
+        assert doc["interval_us"] == INTERVAL_US
         assert doc["meta"]["app"] == "SOR"
         assert set(doc["series"]) == set(metered_sor.metrics.series)
 
-    def test_finalize_is_idempotent(self):
-        coll = MetricsCollector()
-        assert coll.interval_us == DEFAULT_INTERVAL_US
-        with pytest.raises(ValueError):
-            MetricsCollector(interval_us=0)
+    def test_finalize_is_idempotent(self, metered_sor):
+        coll = metered_sor.metrics
+        before = coll.to_payload()
+        coll.finalize(metered_sor.exec_time_us * 2)
+        assert coll.to_payload() == before
+        assert MetricsCollector().to_payload()["interval_us"] == 1000.0
 
 
 def test_slow_path_run_records_no_tlb_hits():

@@ -96,8 +96,8 @@ class TestExclusiveMode:
             yield Compute(1.0)
 
         run_scripts(cluster, [w0])
-        entry = proto.directory.entry(4)
-        assert entry.exclusive_holder() == (0, 0)
+        entry = proto.directory.entries[4]
+        assert entry.excl == (0, 0)
         assert p0.stats.counters["excl_transitions"] == 1
         # Exclusive pages have no twin and are not dirty.
         assert 4 not in proto.owners[0].twins
@@ -117,8 +117,8 @@ class TestExclusiveMode:
             assert proto.load(p2, 4, 3) == 7.5
 
         run_scripts(cluster, [w0, None, w2])
-        entry = proto.directory.entry(4)
-        assert entry.exclusive_holder() is None
+        entry = proto.directory.entries[4]
+        assert entry.excl is None
         # The flush reached the home master.
         assert proto.master(4)[3] == 7.5
 

@@ -162,7 +162,7 @@ class TestOneLevelAcquireRelease:
             yield Compute(5000.0)
             proto.acquire_sync(p0)
             # invalidated: no longer in the sharing set
-            assert 0 not in proto.directory.entry(page).sharers()
+            assert 0 not in proto.directory.entries[page].sharers()
             yield Compute(1.0)
 
         def w1():
@@ -187,7 +187,7 @@ class TestOneLevelAcquireRelease:
             yield Compute(1.0)
 
         run_scripts(cluster, [w0])
-        assert proto.directory.entry(page).exclusive_holder() == (0, 0)
+        assert proto.directory.entries[page].excl == (0, 0)
         # Write permission retained: no fault on the next write.
         assert proto.owners[0].rows[page][0] == Perm.WRITE
 
@@ -209,7 +209,7 @@ class TestOneLevelAcquireRelease:
             yield Compute(1.0)
 
         run_scripts(cluster, [w0, w1])
-        assert proto.directory.entry(page).exclusive_holder() is None
+        assert proto.directory.entries[page].excl is None
 
 
 class TestBreakBooksOneDirectoryWord:

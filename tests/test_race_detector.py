@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.apps import make_app
 from repro.apps.base import Application
-from repro.check import CheckContext, attach_checker
+from repro.check import MAX_RACE_REPORTS, CheckContext, attach_checker
 from repro.cluster.machine import Cluster
 from repro.config import MachineConfig
 from repro.errors import CoherenceViolation, DataRaceError
@@ -33,14 +33,13 @@ from .per_word_detector import PerWordCheckContext
 PROTOCOLS = ["2L", "2LS", "1LD", "1L"]
 
 
-def build(protocol="2L", nodes=2, ppn=2, *, fail_fast=False,
-          flags=None, locks=0):
+def build(protocol="2L", nodes=2, ppn=2, *, flags=None, locks=0):
     """A small checked cluster plus the sync objects a test needs."""
     cfg = MachineConfig(nodes=nodes, procs_per_node=ppn, page_bytes=512,
                         shared_bytes=512 * 4, superpage_pages=2)
     cluster = Cluster(cfg)
     proto = make_protocol(protocol, cluster)
-    checker = attach_checker(cluster, proto, fail_fast=fail_fast)
+    checker = attach_checker(cluster, proto)
     barrier = Barrier(cluster, proto)
     lock_objs = [MCLock(cluster, proto, i) for i in range(locks)]
     flag_objs = {name: FlagSet(cluster, proto, name, count)
@@ -150,18 +149,29 @@ def test_race_report_provenance():
     assert "page 2 word 11" in report.describe()
 
 
-def test_fail_fast_raises_at_the_racing_access():
-    cluster, proto, checker, barrier, _, _ = build(fail_fast=True)
+def test_finalize_raises_at_the_first_racing_access():
+    """A racy run completes; ``finalize`` names its first race, and
+    ``race_count`` counts every race past the report cap."""
+    cluster, proto, checker, barrier, _, _ = build(nodes=2, ppn=1)
 
     def make_worker(proc):
         def gen():
-            proto.store(proc, 0, 0, float(proc.global_id))
-            yield Compute(1.0)
+            rank = proc.global_id
+            yield Compute(1.0 + rank)
+            for page in (0, 1):
+                proto.store_range(proc, page, 0, np.full(64, float(rank)))
             yield from barrier.wait(proc)
         return gen()
 
-    with pytest.raises(DataRaceError, match="page 0 word 0"):
-        run(cluster, make_worker)
+    run(cluster, make_worker)
+    assert checker.race_count == 128
+    assert len(checker.races) == MAX_RACE_REPORTS
+    first = checker.races[0]
+    assert (first.page, first.offset, first.second.proc) == (0, 0, 1)
+    with pytest.raises(DataRaceError) as raised:
+        checker.finalize()
+    assert str(raised.value) == \
+        f"128 data race(s) detected; first: {first.describe()}"
 
 
 def test_finalize_raises_on_collected_races():
@@ -420,25 +430,33 @@ def _range_program(*, stale=False):
     return program
 
 
-def _checked_run(cls, protocol, program, *, fail_fast=False):
+def _raised(fn, *args):
+    """The DataRaceError or CoherenceViolation ``fn(*args)`` raises, as
+    text; None if it returns."""
+    try:
+        fn(*args)
+    except (DataRaceError, CoherenceViolation) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def _checked_run(cls, protocol, program):
     """Run ``program`` on a 2x2 cluster (4 pages of 64 words, 2 locks)
-    under checker class ``cls``; return everything the detector reports."""
+    under checker class ``cls``, then finalize the checker; return
+    everything the detector reports."""
     cfg = MachineConfig(nodes=2, procs_per_node=2, page_bytes=512,
                         shared_bytes=512 * 4, superpage_pages=2)
     cluster = Cluster(cfg)
     proto = make_protocol(protocol, cluster)
-    checker = cls(cluster, proto, fail_fast=fail_fast)
+    checker = cls(cluster, proto)
     proto.checker = checker
     barrier = Barrier(cluster, proto)
     locks = [MCLock(cluster, proto, i) for i in range(2)]
-    error = None
-    try:
-        run(cluster, program(cluster, proto, barrier, locks))
-    except (DataRaceError, CoherenceViolation) as exc:
-        error = f"{type(exc).__name__}: {exc}"
+    error = _raised(run, cluster, program(cluster, proto, barrier, locks))
     det = checker.detector
     return {
         "error": error,
+        "finalize": None if error else _raised(checker.finalize),
         "races": [r.describe() for r in det.races],
         "race_count": det.race_count,
         "poisoned": sorted(det.poisoned),
@@ -455,15 +473,9 @@ def test_range_hooks_match_per_word_reference_on_racy_program(protocol):
                  for cls in CONTEXTS)
     assert fast == ref
     assert fast["race_count"] > 0 and fast["error"] is None
-
-
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_range_hooks_fail_fast_at_the_same_word(protocol):
-    fast, ref = (_checked_run(cls, protocol, _range_program(),
-                              fail_fast=True)
-                 for cls in CONTEXTS)
-    assert fast == ref
-    assert fast["error"].startswith("DataRaceError: data race on page")
+    assert fast["finalize"].startswith(
+        f"DataRaceError: {fast['race_count']} data race(s) detected; "
+        f"first: data race on page")
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -570,20 +582,18 @@ _programs = st.lists(st.lists(st.lists(_op, max_size=4),
 
 
 @settings(max_examples=100, deadline=None)
-@given(phases=_programs, protocol=st.sampled_from(PROTOCOLS),
-       fail_fast=st.booleans())
-@example(phases=THREE_READERS, protocol="2L", fail_fast=False)
-@example(phases=MID_RANGE, protocol="1LD", fail_fast=True)
-@example(phases=MID_RANGE, protocol="2L", fail_fast=False)
-@example(phases=READ_THEN_TWO_WRITES, protocol="2LS", fail_fast=False)
-@example(phases=WORD_HOOKS, protocol="2L", fail_fast=False)
+@given(phases=_programs, protocol=st.sampled_from(PROTOCOLS))
+@example(phases=THREE_READERS, protocol="2L")
+@example(phases=MID_RANGE, protocol="1LD")
+@example(phases=MID_RANGE, protocol="2L")
+@example(phases=READ_THEN_TWO_WRITES, protocol="2LS")
+@example(phases=WORD_HOOKS, protocol="2L")
 def test_detector_matches_per_word_reference_on_random_programs(
-        phases, protocol, fail_fast):
+        phases, protocol):
     """Overlapping range and word accesses, locked and unlocked, racy or
     not: the page-array detector reports exactly what the per-word one
-    does, in the same order, and stops at the same word."""
-    fast, ref = (_checked_run(cls, protocol, _scripted(phases),
-                              fail_fast=fail_fast)
+    does, in the same order, and finalizes with the same error."""
+    fast, ref = (_checked_run(cls, protocol, _scripted(phases))
                  for cls in CONTEXTS)
     assert fast == ref
 
@@ -599,15 +609,6 @@ def test_racing_readers_reported_in_first_read_order():
     assert word2 == ["p3", "p1", "p2"]
     assert all("is concurrent with write" in line
                for line in fast["races"])
-
-
-def test_fail_fast_stops_mid_range():
-    fast, ref = (_checked_run(cls, "2L", _scripted(MID_RANGE),
-                              fail_fast=True)
-                 for cls in CONTEXTS)
-    assert fast == ref
-    assert "page 1 word 10 " in fast["error"]
-    assert fast["check_events"][1] == 11
 
 
 def test_digest_ignores_times_and_read_order():

@@ -21,12 +21,6 @@ class TestSharedSegment:
         assert a.base == 0
         assert b.base == 64  # next page boundary (64 words/page)
 
-    def test_unaligned_allocation_packs(self):
-        seg = SharedSegment(CFG)
-        seg.alloc("a", 10, page_aligned=False)
-        b = seg.alloc("b", 10, page_aligned=False)
-        assert b.base == 10
-
     def test_duplicate_name_rejected(self):
         seg = SharedSegment(CFG)
         seg.alloc("a", 1)
@@ -107,8 +101,9 @@ class TestSequentialRunner:
                 segment.alloc("x", 8)
 
             def worker(self, env, params):
+                from repro.sim.engine import Condition, Simulator
                 from repro.sim.process import Wait
-                yield Wait((), lambda: True)
+                yield Wait(Condition(Simulator(), name="c"), lambda: True)
 
             def result_arrays(self, params):
                 return ["x"]

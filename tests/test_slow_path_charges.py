@@ -48,7 +48,7 @@ def _dir_update(proto, proc):
 
 
 def _set_word(proto, proc, owner, page, perm):
-    entry = proto.directory.entry(page)
+    entry = proto.directory.entries[page]
     if entry.perm_of(owner) != perm:
         entry.set_perm(owner, perm)
         _dir_update(proto, proc)
@@ -97,15 +97,15 @@ class _PerCharge1L:
                             t0, proc.clock - t0, obj=page)
 
     def _ref_break_elsewhere(self, proc, st, page):
-        holder = self.directory.entry(page).exclusive_holder()
+        holder = self.directory.entries[page].excl
         if holder is not None and holder[0] != st.owner:
             self._break_exclusive(proc, page, holder)
 
     def _ref_fetch(self, proc, st, page):
         t0 = proc.clock
         proc.charge(self.costs.fetch_overhead, "protocol")
-        entry = self.directory.entry(page)
-        holder = entry.exclusive_holder()
+        entry = self.directory.entries[page]
+        holder = entry.excl
         if holder is not None and holder[0] != st.owner:
             payload = self._break_exclusive(proc, page, holder)
         else:
@@ -171,7 +171,7 @@ class _PerCharge1L:
         st.dirty.clear()
 
     def _ref_flush_one(self, proc, st, page):
-        entry = self.directory.entry(page)
+        entry = self.directory.entries[page]
         home_owner = entry.home_owner
         sharers = [o for o in entry.sharers() if o != st.owner]
         if st.frames.get(page) is not self.masters[page] \
@@ -238,7 +238,7 @@ class _PerCharge2L:
         proc.charge(self.costs.page_fault, "protocol")
         proc.stats.bump("write_faults" if write else "read_faults")
         self.maybe_relocate_home(proc, page)
-        entry = self.directory.entry(page)
+        entry = self.directory.entries[page]
         if write and entry.excl_of(st.owner) != NO_HOLDER:
             self._ref_map(proc, st, page, Perm.WRITE)
         elif not write:
@@ -248,7 +248,7 @@ class _PerCharge2L:
             self._ref_fetch_if_stale(proc, st, page, rec)
             twins = rec.twins
             if (not entry.has_other_sharer(st.owner)
-                    and entry.exclusive_holder() is None
+                    and entry.excl is None
                     and page not in twins and not rec.writers(page)
                     and not self._notices_pending(st.owner, page)):
                 entry.set_excl(st.owner, proc.global_id)
@@ -277,9 +277,9 @@ class _PerCharge2L:
         proc.charge(self.costs.mprotect, "protocol")
 
     def _ref_fetch_if_stale(self, proc, st, page, rec):
-        entry = self.directory.entry(page)
+        entry = self.directory.entries[page]
         home = entry.home_owner
-        holder = entry.exclusive_holder()
+        holder = entry.excl
         if holder is not None and holder[0] == st.owner:
             holder = None
         if home == st.owner:
@@ -370,7 +370,7 @@ class _PerCharge2L:
                     for w, p in enumerate(st.rows[page])):
                 self._ref_downgrade(proc, st, page)
                 continue
-            if self.directory.entry(page).excl_of(st.owner) != NO_HOLDER:
+            if self.directory.entries[page].excl_of(st.owner) != NO_HOLDER:
                 continue
             meta = rec.meta[page]
             if meta.flush_ts > rec.last_release_ts:
@@ -419,7 +419,7 @@ class _PerCharge2L:
                     proc.stats.bump("flush_updates")
                 else:
                     del twins[page]
-        entry = self.directory.entry(page)
+        entry = self.directory.entries[page]
         if self.directory.lock_model is not None:
             proc.charge(self.directory.lock_model.update_cost(proc.clock),
                         "protocol")

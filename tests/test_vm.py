@@ -202,15 +202,6 @@ class TestDiffs:
         with pytest.raises(DataRaceError):
             incoming_diff(fetched, page, twin)
 
-    def test_incoming_diff_race_check_can_be_disabled(self):
-        twin = np.zeros(4)
-        page = twin.copy()
-        page[1] = 1.0
-        fetched = np.zeros(4)
-        fetched[1] = 2.0
-        incoming_diff(fetched, page, twin, check_races=False)
-        assert page[1] == 2.0
-
 
 # --- property-based tests ---------------------------------------------------
 
