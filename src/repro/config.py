@@ -308,15 +308,17 @@ class MachineConfig:
         lo, hi = ((c.diff_out_remote_min, c.diff_out_remote_max)
                   if remote_home else
                   (c.diff_out_local_min, c.diff_out_local_max))
-        frac = min(1.0, dirty_bytes / self.page_bytes)
-        return (lo + (hi - lo) * frac) * self._page_scale
+        page_bytes = self.page_bytes
+        frac = min(1.0, dirty_bytes / page_bytes)
+        return (lo + (hi - lo) * frac) * (page_bytes / PAPER_PAGE_BYTES)
 
     def diff_in_cost(self, changed_bytes: int) -> float:
         """Cost of an incoming diff (updates both twin and working page)."""
         c = self.costs
-        frac = min(1.0, changed_bytes / self.page_bytes)
+        page_bytes = self.page_bytes
+        frac = min(1.0, changed_bytes / page_bytes)
         return (c.diff_in_min + (c.diff_in_max - c.diff_in_min) * frac) \
-            * self._page_scale
+            * (page_bytes / PAPER_PAGE_BYTES)
 
     def interrupt_cost(self, same_node: bool) -> float:
         """Latency of delivering an inter-processor interrupt."""

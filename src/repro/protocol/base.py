@@ -16,16 +16,13 @@ import numpy as np
 from ..cluster.machine import Cluster, Node, Processor
 from ..config import MachineConfig
 from ..sim.engine import SerialResource
-from ..vm.page import Owner, Perm
+from ..vm.page import READ, WRITE, Owner
 from .directory import DirectoryLockModel, GlobalDirectory
 from .messages import RequestEngine
 from .writenotice import NoticeBoard, WriteNotice
 
 #: Wire overhead of a page-fetch reply beyond the page data itself.
 PAGE_HEADER_BYTES = 32
-
-#: Permissions as the plain ints page-table rows hold.
-_INVALID, _READ, _WRITE = int(Perm.INVALID), int(Perm.READ), int(Perm.WRITE)
 
 
 class ProcProtoState:
@@ -147,7 +144,7 @@ class BaseProtocol:
 
     def load(self, proc: Processor, page: int, offset: int) -> float:
         st = self._ps[proc.global_id]
-        if st.rows[page][st.lidx] < _READ:
+        if st.rows[page][st.lidx] < READ:
             self.fault(proc, st, page, False)
         value = st.frames[page][offset]
         if self.checker is not None:
@@ -157,7 +154,7 @@ class BaseProtocol:
     def store(self, proc: Processor, page: int, offset: int,
               value: float) -> None:
         st = self._ps[proc.global_id]
-        if st.rows[page][st.lidx] < _WRITE:
+        if st.rows[page][st.lidx] < WRITE:
             self.fault(proc, st, page, True)
         st.frames[page][offset] = value
         if self.write_through:
@@ -179,7 +176,7 @@ class BaseProtocol:
            boundary: everything above the runtime receives a private copy.
         """
         st = self._ps[proc.global_id]
-        if st.rows[page][st.lidx] < _READ:
+        if st.rows[page][st.lidx] < READ:
             self.fault(proc, st, page, False)
         values = st.frames[page][lo:hi]
         if self.checker is not None:
@@ -189,7 +186,7 @@ class BaseProtocol:
     def store_range(self, proc: Processor, page: int, lo: int,
                     values: np.ndarray) -> None:
         st = self._ps[proc.global_id]
-        if st.rows[page][st.lidx] < _WRITE:
+        if st.rows[page][st.lidx] < WRITE:
             self.fault(proc, st, page, True)
         st.frames[page][lo:lo + len(values)] = values
         if self.write_through:

@@ -24,9 +24,8 @@ import numpy as np
 from ..cluster.machine import Processor
 from ..errors import ProtocolError
 from ..vm.diffs import flush_update, incoming_diff, make_twin
-from ..vm.page import Perm
-from .base import (_INVALID, _READ, _WRITE, PAGE_HEADER_BYTES,
-                   BaseProtocol, ProcProtoState)
+from ..vm.page import INVALID, READ, WRITE
+from .base import PAGE_HEADER_BYTES, BaseProtocol, ProcProtoState
 from .directory import NO_HOLDER, PageMeta
 
 
@@ -159,7 +158,7 @@ class Cashmere2L(BaseProtocol):
                 if self.trace is not None:
                     if twin is not None:
                         self.trace.instant("diff_in", proc, clock, obj=page,
-                                           bytes=int(diff.nbytes))
+                                           bytes=diff.nbytes)
                     self.trace.span("page_fetch", proc, t_fetch,
                                     clock - t_fetch, obj=page,
                                     bytes=self.config.page_bytes, home=home)
@@ -168,7 +167,7 @@ class Cashmere2L(BaseProtocol):
 
             if write and (not entry.has_other_sharer(owner)
                           and entry.excl is None and page not in twins
-                          and _WRITE not in row
+                          and WRITE not in row
                           and not self._notices_pending(owner, page)):
                 # Sole sharer, no local writer, no notice pending: go
                 # exclusive. The word's holder field changes, so the
@@ -187,7 +186,7 @@ class Cashmere2L(BaseProtocol):
         # Map (a loosening: no cached mapping to evict). The node's
         # directory word changes only if its loosest permission was below
         # the one granted.
-        perm = _WRITE if write else _READ
+        perm = WRITE if write else READ
         old_loosest = max(row)
         row[st.lidx] = perm
         if went_exclusive or (old_loosest < perm
@@ -257,8 +256,8 @@ class Cashmere2L(BaseProtocol):
                     cost += self.costs.llsc_lock
             # The holder downgrades its own permissions to catch new
             # writes (which then go through the dirty list).
-            if rec.rows[page][hst.lidx] == _WRITE:
-                rec.set_perm(page, hst.lidx, Perm.READ)
+            if rec.rows[page][hst.lidx] == WRITE:
+                rec.set_perm(page, hst.lidx, READ)
                 cost += self.costs.mprotect
             return frame.copy(), cost, page_bytes + PAGE_HEADER_BYTES
 
@@ -295,7 +294,7 @@ class Cashmere2L(BaseProtocol):
                 page = wn.page
                 metas[page].wn_ts = rec.logical
                 for pn, perm in zip(lists, st.rows[page]):
-                    if perm >= _READ and page not in pn:
+                    if perm >= READ and page not in pn:
                         pn[page] = None
                         queued += 1
             for _ in range(queued):
@@ -307,12 +306,12 @@ class Cashmere2L(BaseProtocol):
         for page in queue:
             meta = metas[page]
             row = rows[page]
-            if meta.update_ts >= meta.wn_ts or row[lidx] == _INVALID:
+            if meta.update_ts >= meta.wn_ts or row[lidx] == INVALID:
                 continue
             # Invalidate this mapping; the node's directory word follows
             # when its loosest permission changes.
             old_loosest = max(row)
-            rec.set_perm(page, lidx, Perm.INVALID)
+            rec.set_perm(page, lidx, INVALID)
             us = self.costs.mprotect
             clock, spent = clock + us, spent + us
             new_loosest = max(row)
@@ -355,7 +354,7 @@ class Cashmere2L(BaseProtocol):
             # (their diff against the shared twin covers ours) — not to a
             # stale write mapping (e.g. ex-exclusive) of an arrived peer.
             if barrier and any(
-                    p >= _WRITE and w != lidx
+                    p >= WRITE and w != lidx
                     and peers[w].arrival_epoch < st.arrival_epoch
                     for w, p in enumerate(row)):
                 pass
@@ -376,7 +375,7 @@ class Cashmere2L(BaseProtocol):
                 rec.logical += 1
                 meta.flush_ts = rec.logical
                 notify = True
-                others = row.count(_WRITE) > (row[lidx] == _WRITE)
+                others = row.count(WRITE) > (row[lidx] == WRITE)
                 if home == owner:
                     pass  # our frame is the master: nothing to flush
                 elif page not in twins:
@@ -387,7 +386,7 @@ class Cashmere2L(BaseProtocol):
                     # invalidation (a flush ``last_release_ts`` cannot see
                     # once this release has ticked): nothing is unflushed.
                     if not self.shootdown:
-                        if _WRITE in row:
+                        if WRITE in row:
                             raise ProtocolError(
                                 f"flush of page {page} on owner {owner} "
                                 f"without twin")
@@ -409,7 +408,7 @@ class Cashmere2L(BaseProtocol):
                     if diff.nbytes:
                         if trace is not None:
                             trace.instant("diff_out", proc, clock, obj=page,
-                                          bytes=int(diff.nbytes))
+                                          bytes=diff.nbytes)
                         send_done, meta.flush_end_real = self.mc.transfer(
                             clock, diff.nbytes, category="diff")
                         if send_done > clock:
@@ -434,8 +433,8 @@ class Cashmere2L(BaseProtocol):
                 if trace is not None:
                     trace.span("page_flush", proc, t0, clock - t0, obj=page)
             # Downgrade so new writes fault into the dirty list again.
-            if row[lidx] == _WRITE:
-                rec.set_perm(page, lidx, Perm.READ)
+            if row[lidx] == WRITE:
+                rec.set_perm(page, lidx, READ)
                 us = self.costs.mprotect
                 clock, spent = clock + us, spent + us
         proc.clock, buckets["protocol"] = clock, spent
@@ -464,7 +463,7 @@ class Cashmere2L(BaseProtocol):
         per_target = (costs.shootdown_polled if self.config.polling
                       else costs.shootdown_interrupt)
         for lw in targets:
-            rec.set_perm(page, lw, Perm.READ)
+            rec.set_perm(page, lw, READ)
             rec.ps[lw].proc.charge(per_target, "protocol")
         proc.charge(per_target * max(1, len(targets)), "protocol")
         proc.stats.bump("shootdowns")
@@ -481,7 +480,7 @@ class Cashmere2L(BaseProtocol):
         if diff.nbytes:
             if self.trace is not None:
                 self.trace.instant("diff_out", proc, proc.clock, obj=page,
-                                   bytes=int(diff.nbytes))
+                                   bytes=diff.nbytes)
             send_done, meta.flush_end_real = self.mc.transfer(
                 proc.clock, diff.nbytes, category="diff")
             if send_done > proc.clock:

@@ -57,20 +57,17 @@ from dataclasses import dataclass
 from ..config import MachineConfig
 from ..errors import ProtocolError
 from ..sim.engine import SerialResource
-from ..vm.page import Perm
+from ..vm.page import INVALID, WRITE
 
 #: Sentinel for "no exclusive holder".
 NO_HOLDER = -1
-
-#: Permissions as plain ints (words may hold either form).
-_INVALID, _WRITE = int(Perm.INVALID), int(Perm.WRITE)
 
 
 class DirEntry:
     """A page's directory entry, sparse form.
 
     Stores only the owners whose loosest permission is READ or better
-    (``perms``: owner -> Perm, never holding INVALID) plus the cached
+    (``perms``: owner -> permission, never INVALID) plus the cached
     ``(owner, processor)`` exclusive holder. Invariants:
 
     * ``perms[o]`` exists iff owner *o*'s directory word would say READ
@@ -92,8 +89,8 @@ class DirEntry:
     def __init__(self, home_owner: int, per_owner: list[int],
                  histogram: list[int]) -> None:
         self.home_owner = home_owner
-        #: owner -> loosest Perm; only owners with perm > INVALID appear.
-        self.perms: dict[int, Perm] = {}
+        #: owner -> loosest permission; only owners above INVALID appear.
+        self.perms: dict[int, int] = {}
         #: Cached (owner, processor) of the current exclusive holder. The
         #: fault path queries the holder on every fault; keeping it as a
         #: single field makes that O(1) and makes a two-holder state
@@ -112,26 +109,26 @@ class DirEntry:
 
     # --- accessor protocol -------------------------------------------------
 
-    def perm_of(self, owner: int) -> Perm:
+    def perm_of(self, owner: int) -> int:
         """``owner``'s loosest permission for the page."""
-        return self.perms.get(owner, Perm.INVALID)
+        return self.perms.get(owner, INVALID)
 
-    def set_perm(self, owner: int, perm: Perm) -> None:
+    def set_perm(self, owner: int, perm: int) -> None:
         """Write ``owner``'s directory word's permission field."""
         perms = self.perms
-        old = perms[owner] if owner in perms else _INVALID
-        if perm > _INVALID:
+        old = perms[owner] if owner in perms else INVALID
+        if perm > INVALID:
             perms[owner] = perm
-            if old == _INVALID:
+            if old == INVALID:
                 self.per_owner[owner] += 1
-        elif old != _INVALID:
+        elif old != INVALID:
             del perms[owner]
             self.per_owner[owner] -= 1
         else:
             return
-        if old == _WRITE:
+        if old == WRITE:
             self.writers -= 1
-        if perm == _WRITE:
+        if perm == WRITE:
             self.writers += 1
         if self.excl is None:
             bucket = 2 if self.writers else 1 if perms else 0
@@ -183,7 +180,7 @@ class DirEntry:
         """Canonical hashable form for state digests (the model checker's
         ``state_key``). Identical for any entry form holding the same
         logical state."""
-        return (tuple(sorted((o, int(p)) for o, p in self.perms.items())),
+        return (tuple(sorted(self.perms.items())),
                 self.excl)
 
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ProtocolError
-from ..vm.page import Perm
+from ..vm.page import READ, WRITE
 
 ALWAYS, QUIESCENT = "always", "quiescent"
-_READ, _WRITE = int(Perm.READ), int(Perm.WRITE)
 
 
 def _master_present(proto) -> str | None:
@@ -61,14 +60,14 @@ def _map_permitted(proto) -> str | None:
         frames, rows, backing = rec.frames, rec.rows, rec.backing
         for p, (rmap, wmap) in enumerate(zip(rec.rmaps, rec.wmaps)):
             for page, frame in rmap.items():
-                if rows[page][p] < _READ or frames.get(page) is not frame \
+                if rows[page][p] < READ or frames.get(page) is not frame \
                         or not (frame.base is backing and frame.ctypes.data
                                 == backing.ctypes.data + page * frame.nbytes
                                 or proto.home_opt
                                 and frame is proto.masters[page]):
                     return f"owner {owner} proc {p}: stale read map of {page}"
             for page, view in wmap.items():
-                if rows[page][p] < _WRITE or view.obj is not frames.get(page):
+                if rows[page][p] < WRITE or view.obj is not frames.get(page):
                     return f"owner {owner} proc {p}: stale write map of {page}"
     return None
 
@@ -76,7 +75,7 @@ def _map_permitted(proto) -> str | None:
 def _writers_counted(proto) -> str | None:
     """A directory entry's ``writers`` total is its number of WRITE words."""
     for page, entry in enumerate(proto.directory.entries):
-        if entry.writers != list(entry.perms.values()).count(_WRITE):
+        if entry.writers != list(entry.perms.values()).count(WRITE):
             return f"page {page}: writers total {entry.writers} is stale"
     return None
 

@@ -35,9 +35,8 @@ import numpy as np
 from ..cluster.machine import Processor
 from ..errors import ProtocolError
 from ..vm.diffs import incoming_diff, make_twin, outgoing_diff, apply_diff
-from ..vm.page import Perm
-from .base import (_INVALID, _READ, _WRITE, PAGE_HEADER_BYTES,
-                   BaseProtocol, ProcProtoState)
+from ..vm.page import INVALID, READ, WRITE
+from .base import PAGE_HEADER_BYTES, BaseProtocol, ProcProtoState
 from .directory import NO_HOLDER
 
 
@@ -81,7 +80,7 @@ class OneLevelProtocol(BaseProtocol):
             rec = self.owners[peer.global_id]
             if rec.frames.get(page) is master:
                 rec.unmap(page)
-                rec.set_perm(page, 0, Perm.INVALID)
+                rec.set_perm(page, 0, INVALID)
 
     # ------------------------------------------------------------- page faults
     # Flat slow path: see BaseProtocol.fault (DESIGN.md §19).
@@ -116,7 +115,7 @@ class OneLevelProtocol(BaseProtocol):
                       and self.cluster.processors[entry.home_owner].node
                       is proc.node)
         fetch = not map_master and (not write or frame is None
-                                    or row[0] == _INVALID)
+                                    or row[0] == INVALID)
         t_fetch = clock
         if fetch:
             us = costs.fetch_overhead
@@ -160,11 +159,11 @@ class OneLevelProtocol(BaseProtocol):
             if self.trace is not None:
                 if twin is not None:
                     self.trace.instant("diff_in", proc, clock, obj=page,
-                                       bytes=int(diff.nbytes))
+                                       bytes=diff.nbytes)
                 self.trace.span("page_fetch", proc, t_fetch, clock - t_fetch,
                                 obj=page, bytes=self.config.page_bytes)
 
-        perm = _WRITE if write else _READ
+        perm = WRITE if write else READ
         if write:
             st.dirty.add(page)
             frame = st.frames[page]
@@ -214,8 +213,8 @@ class OneLevelProtocol(BaseProtocol):
             cost += self._dir_word(server.stats.counters, at)
             server.stats.bump("excl_transitions")
             # Downgrade so future writes are tracked again.
-            if rec.rows[page][0] == _WRITE:
-                rec.set_perm(page, 0, Perm.READ)
+            if rec.rows[page][0] == WRITE:
+                rec.set_perm(page, 0, READ)
                 cost += self.costs.mprotect
             return frame.copy(), cost, page_bytes + PAGE_HEADER_BYTES
 
@@ -241,16 +240,16 @@ class OneLevelProtocol(BaseProtocol):
         # Each noticed page once, in notice order. (The processor's own
         # list is the board: no second level to queue into.)
         for page in dict.fromkeys([wn.page for wn in notices]):
-            if rec.rows[page][0] == _INVALID:
+            if rec.rows[page][0] == INVALID:
                 continue
             if st.frames.get(page) is self.masters[page]:
                 continue  # home-node optimization: master is always fresh
-            rec.set_perm(page, 0, Perm.INVALID)
+            rec.set_perm(page, 0, INVALID)
             us = costs.mprotect
             clock, spent = clock + us, spent + us
             entry = self.directory.entries[page]
-            if entry.perm_of(owner) != _INVALID:
-                entry.set_perm(owner, Perm.INVALID)
+            if entry.perm_of(owner) != INVALID:
+                entry.set_perm(owner, INVALID)
                 us = self._dir_word(proc.stats.counters, clock)
                 clock, spent = clock + us, spent + us
             if page not in rec.twins:
@@ -293,7 +292,7 @@ class OneLevelProtocol(BaseProtocol):
                 clock, spent = clock + us, spent + us
                 if trace is not None:
                     trace.instant("diff_out", proc, clock, obj=page,
-                                  bytes=int(diff.nbytes))
+                                  bytes=diff.nbytes)
                 if not local and diff.nbytes:
                     send_done, _ = self.mc.transfer(clock, diff.nbytes,
                                                     category="diff")
@@ -322,8 +321,8 @@ class OneLevelProtocol(BaseProtocol):
                 counters["excl_transitions"] += 1
                 sharers = None
             # Downgrade so future writes fault (and are tracked) again.
-            if sharers is not None and rec.rows[page][0] == _WRITE:
-                rec.set_perm(page, 0, Perm.READ)
+            if sharers is not None and rec.rows[page][0] == WRITE:
+                rec.set_perm(page, 0, READ)
                 us = costs.mprotect
                 clock, spent = clock + us, spent + us
             if trace is not None:

@@ -17,7 +17,7 @@ in-order delivery.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 #: Shared empty result for collects with nothing pending (the common
@@ -25,9 +25,10 @@ from dataclasses import dataclass
 _EMPTY: list = []
 
 
-@dataclass(frozen=True)
-class WriteNotice:
-    """Notification that ``page`` was modified by ``from_owner``."""
+class WriteNotice(NamedTuple):
+    """Notification that ``page`` was modified by ``from_owner``: an
+    immutable value, a tuple so that building one costs no generated
+    ``__init__`` (DESIGN.md §19)."""
 
     page: int
     from_owner: int

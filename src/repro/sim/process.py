@@ -40,16 +40,18 @@ TIME_BUCKETS = ("user", "protocol", "polling", "comm_wait", "write_double")
 SimGen = Generator[Any, Any, Any]
 
 
-@dataclass(frozen=True)
 class Compute:
-    """A block of application computation (see module docstring)."""
+    """A block of application computation (see module docstring): a
+    slotted class, since a frozen dataclass costs 2.5x as much to build
+    (DESIGN.md §19)."""
 
-    cpu_us: float
-    mem_bytes: float = 0.0
+    __slots__ = ("cpu_us", "mem_bytes")
 
-    def __post_init__(self) -> None:
-        if self.cpu_us < 0 or self.mem_bytes < 0:
+    def __init__(self, cpu_us: float, mem_bytes: float = 0.0) -> None:
+        if cpu_us < 0 or mem_bytes < 0:
             raise SimulationError("negative compute cost")
+        self.cpu_us = cpu_us
+        self.mem_bytes = mem_bytes
 
 
 @dataclass(frozen=True)

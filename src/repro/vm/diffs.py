@@ -30,23 +30,18 @@ from ..errors import DataRaceError
 class Diff:
     """A sparse set of modified words: (indices, values)."""
 
-    __slots__ = ("indices", "values")
+    __slots__ = ("indices", "values", "nbytes")
 
     def __init__(self, indices: np.ndarray, values: np.ndarray) -> None:
         self.indices = indices
         self.values = values
+        #: Wire size: one word of data plus one word of run header per
+        #: word. Diffs are encoded as (offset, value) runs; charging two
+        #: words per modified word is the conservative per-word encoding.
+        self.nbytes = len(indices) * 2 * WORD_BYTES
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    @property
-    def nbytes(self) -> int:
-        """Wire size: one word of data plus one word of run header per word.
-
-        Diffs are encoded as (offset, value) runs; charging two words per
-        modified word is the conservative per-word encoding.
-        """
-        return len(self.indices) * 2 * WORD_BYTES
 
 
 def make_twin(page: np.ndarray) -> np.ndarray:
@@ -56,13 +51,13 @@ def make_twin(page: np.ndarray) -> np.ndarray:
 
 def outgoing_diff(page: np.ndarray, twin: np.ndarray) -> Diff:
     """Local modifications: words where the working page differs from the twin."""
-    changed = np.nonzero(page != twin)[0]
-    return Diff(changed, page[changed].copy())
+    changed = (page != twin).nonzero()[0]
+    return Diff(changed, page[changed])  # fancy indexing copies
 
 
 def apply_diff(target: np.ndarray, diff: Diff) -> None:
     """Write a diff's words into ``target`` (e.g. the home master copy)."""
-    if len(diff):
+    if diff.nbytes:
         target[diff.indices] = diff.values
 
 
@@ -90,16 +85,16 @@ def incoming_diff(fetched: np.ndarray, page: np.ndarray,
     a remotely modified word must not also be locally dirty (page != twin
     at the same index).
     """
-    remote = np.nonzero(fetched != twin)[0]
+    remote = (fetched != twin).nonzero()[0]
     if len(remote):
         locally_dirty = page[remote] != twin[remote]
         if locally_dirty.any():
-            bad = remote[np.nonzero(locally_dirty)[0][:4]]
+            bad = remote[locally_dirty.nonzero()[0][:4]]
             raise DataRaceError(
                 f"incoming diff overlaps local modifications at words "
                 f"{bad.tolist()}{' in ' + context if context else ''}; "
                 f"the application is not data-race-free")
-    diff = Diff(remote, fetched[remote].copy())
+    diff = Diff(remote, fetched[remote])
     apply_diff(page, diff)
     apply_diff(twin, diff)
     return diff

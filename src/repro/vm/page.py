@@ -17,7 +17,6 @@ block access whose pages the owner holds is one slice of that memory.
 
 from __future__ import annotations
 
-import enum
 import mmap
 
 import numpy as np
@@ -25,15 +24,18 @@ import numpy as np
 from ..errors import ProtocolError
 
 
-class Perm(enum.IntEnum):
-    """Page access permissions, loosest-to-strictest ordered."""
+class Perm:
+    """Page access permissions, loosest-to-strictest ordered.
 
-    INVALID = 0
-    READ = 1
-    WRITE = 2  # read-write
+    Plain ints, not an ``IntEnum``: rows and directory entries hold
+    them, so compares and ``max`` run at int speed (DESIGN.md §19). The
+    protocols import the module constants below.
+    """
+
+    INVALID, READ, WRITE = 0, 1, 2  # WRITE is read-write
 
 
-_READ, _WRITE = int(Perm.READ), int(Perm.WRITE)
+INVALID, READ, WRITE = Perm.INVALID, Perm.READ, Perm.WRITE
 
 
 class Owner:
@@ -63,7 +65,7 @@ class Owner:
         if num_pages < 1 or words_per_page < 1 or procs < 1:
             raise ProtocolError("degenerate owner geometry")
         # Rows are plain lists for cheap fast-path access.
-        self.rows: list[list[int]] = [[Perm.INVALID] * procs
+        self.rows: list[list[int]] = [[INVALID] * procs
                                       for _ in range(num_pages)]
         #: Software TLB, one pair of maps per local processor, shared by
         #: reference with that processor's ``WorkerEnv`` closures (which
@@ -90,13 +92,12 @@ class Owner:
         self.meta: list | None = None
         self.doubling: dict[int, tuple[float, bool]] | None = None
 
-    def set_perm(self, page: int, proc: int, perm: Perm) -> None:
+    def set_perm(self, page: int, proc: int, perm: int) -> None:
         row = self.rows[page]
-        value = int(perm)
         old = row[proc]
-        if value != old:
-            row[proc] = value
-            if value < old:
+        if perm != old:
+            row[proc] = perm
+            if perm < old:
                 # Tightening shoots down this processor's cached mapping
                 # of this page, nothing else: any drop kills the write
                 # mapping, a drop below READ the read mapping too.
@@ -107,16 +108,16 @@ class Owner:
                 wmap = self.wmaps[proc]
                 if page in wmap:
                     del wmap[page]
-                if value < _READ:
+                if perm < READ:
                     rmap = self.rmaps[proc]
                     if page in rmap:
                         del rmap[page]
 
     def writers(self, page: int) -> list[int]:
-        return [i for i, p in enumerate(self.rows[page]) if p >= _WRITE]
+        return [i for i, p in enumerate(self.rows[page]) if p >= WRITE]
 
     def mapped(self, page: int) -> list[int]:
-        return [i for i, p in enumerate(self.rows[page]) if p >= _READ]
+        return [i for i, p in enumerate(self.rows[page]) if p >= READ]
 
     def map(self, page: int, contents: np.ndarray | None = None) -> np.ndarray:
         """Map (or return) the page's frame, optionally initializing it.
