@@ -25,8 +25,12 @@ class CheckContext:
     """The checker: routes instrumentation hooks to detector and oracle."""
 
     def __init__(self, cluster, protocol) -> None:
-        self.cluster = cluster
-        self.protocol = protocol
+        #: The protocol, held until :meth:`finalize`: a checker driven by
+        #: hand may be the only holder of its protocol until the
+        #: end-of-run check. After it, only the oracle's weak reference
+        #: is left, so ``protocol.checker`` makes no cycle that outlives
+        #: the run (DESIGN.md §10).
+        self._protocol = protocol
         self.detector = RaceDetector(cluster)
         self.oracle = CoherenceOracle(protocol, self.detector)
         self.finalized = False
@@ -101,7 +105,10 @@ class CheckContext:
         if self.finalized:
             return
         self.finalized = True
-        self.oracle.check_global("end of run")
+        try:
+            self.oracle.check_global("end of run")
+        finally:
+            self._protocol = None
         if self.detector.race_count:
             first = self.detector.races[0]
             raise DataRaceError(

@@ -27,6 +27,8 @@ fact or access where the protocol went wrong.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from ..errors import CoherenceViolation, ProtocolError
@@ -39,7 +41,10 @@ class CoherenceOracle:
     """Golden-image cross-checking for one simulated execution."""
 
     def __init__(self, protocol, detector: RaceDetector) -> None:
-        self.protocol = protocol
+        # Weak: the protocol holds its checker (``protocol.checker``), and
+        # a strong reference back would keep a finished run alive until
+        # a garbage-collector pass (DESIGN.md §10).
+        self._protocol = weakref.ref(protocol)
         self.detector = detector
         cfg = protocol.config
         self.wpp = cfg.words_per_page
@@ -89,7 +94,7 @@ class CoherenceOracle:
         the invariant table, then every authoritative copy against the
         golden image."""
         self.global_checks += 1
-        proto = self.protocol
+        proto = self._protocol()
         try:
             check(proto, quiescent=True)
         except ProtocolError as exc:

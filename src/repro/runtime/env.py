@@ -25,6 +25,8 @@ waits — is a sub-generator the worker must delegate to with
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from ..cluster.machine import Processor
@@ -115,10 +117,17 @@ class WorkerEnv:
         rmap = self._rmap
         wmap = self._wmap
         backing = self._backing
-        slow_get = self.get
-        slow_set = self.set
-        slow_get_block = self.get_block
-        slow_set_block = self.set_block
+        # The closures are stored on this env, so they reach it only
+        # through a weak reference: holding it, or a bound method of it,
+        # would make a cycle that keeps the env, its runtime and the
+        # protocol's memory alive after the run until a garbage-collector
+        # pass (DESIGN.md §10). The general methods come off the class.
+        env = weakref.ref(self)
+        cls = type(self)
+        slow_get = cls.get
+        slow_set = cls.set
+        slow_get_block = cls.get_block
+        slow_set_block = cls.set_block
         if tlb is not None:
             slow_get, slow_set, slow_get_block, slow_set_block = (
                 _counted(fn, tlb, 1)
@@ -131,7 +140,7 @@ class WorkerEnv:
             frame = rmap.get(w >> shift)
             if frame is not None:
                 return frame[w & mask]
-            return slow_get(arr, i)
+            return slow_get(env(), arr, i)
 
         def set_(arr: SharedArray, i: int, value: float) -> None:
             w = arr.base + i
@@ -139,7 +148,7 @@ class WorkerEnv:
             if mv is not None:
                 mv[w & mask] = value
                 return
-            slow_set(arr, i, value)
+            slow_set(env(), arr, i, value)
 
         def get_block(arr: SharedArray, lo: int, hi: int) -> np.ndarray:
             if 0 <= lo < hi <= arr.length:
@@ -159,7 +168,7 @@ class WorkerEnv:
                                 break
                         else:
                             return backing[w0:w1].copy()
-            return slow_get_block(arr, lo, hi)
+            return slow_get_block(env(), arr, lo, hi)
 
         def set_block(arr: SharedArray, lo: int,
                       values: np.ndarray) -> None:
@@ -182,7 +191,7 @@ class WorkerEnv:
                         else:
                             backing[w:end] = values
                             return
-            slow_set_block(arr, lo, values)
+            slow_set_block(env(), arr, lo, values)
 
         if tlb is not None:
             get, set_, get_block, set_block = (

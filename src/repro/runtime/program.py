@@ -139,6 +139,15 @@ class ParallelRuntime:
                 exec_time, app=self.app.name, protocol=self.protocol.name,
                 nodes=self.config.nodes,
                 procs_per_node=self.config.procs_per_node)
+        # The machine's objects refer to each other (cluster, nodes and
+        # processors; simulator and process group), so reference counting
+        # never frees them. Unhook the finalized observers from them:
+        # they stay on this runtime and its result, and go with those.
+        cluster = self.cluster
+        for proc in cluster.processors:
+            proc.trace = None
+        cluster.mc.trace = None
+        cluster.sim.on_advance = None
         return RunResult(self, stats, trace=self.trace, metrics=self.metrics)
 
     # --- result extraction ------------------------------------------------------------
@@ -164,7 +173,12 @@ class ParallelRuntime:
 
 @dataclass
 class RunResult:
-    """Outcome of one parallel execution."""
+    """Outcome of one parallel execution.
+
+    It holds the whole run (through ``runtime``), and no reference cycle
+    does: dropping the result, and any other reference to its runtime,
+    protocol or observers, frees the run at once (DESIGN.md §10).
+    """
 
     runtime: ParallelRuntime
     stats: RunStats

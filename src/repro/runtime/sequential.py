@@ -9,6 +9,8 @@ fault cost. Speedups in Figure 7 are parallel time divided by this time.
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 
 from ..config import MachineConfig
@@ -27,7 +29,14 @@ class SequentialEnv:
         self.nprocs = 1
         self.node_rank = 0
         self.local_rank = 0
-        self.mem = np.zeros(segment.total_words, dtype=np.float64)
+        #: The shared segment's memory: an anonymous mmap, as each
+        #: owner's (``repro.vm.page.Owner.backing``), not ``np.zeros``.
+        #: Freeing a calloc'd block above glibc's mmap threshold raises
+        #: that threshold, and later numpy blocks of that size then stay
+        #: resident on the heap (DESIGN.md §10).
+        words = segment.total_words
+        self.mem = np.frombuffer(mmap.mmap(-1, max(words, 1) * 8),
+                                 dtype=np.float64, count=words)
         self.time_us = 0.0
         self._flags: dict[str, dict[int, int]] = {}
         self._cscale = 1.0  # set from params by run_sequential

@@ -76,7 +76,9 @@ class Owner:
         #: Mapped frames (page -> view), shared with every processor state.
         self.frames: dict[int, np.ndarray] = {}
         #: The owner's memory. Anonymous mmap, not ``np.zeros``: pages no
-        #: frame ever touches stay unbacked (the heap would commit them).
+        #: frame ever touches stay unbacked (the heap would commit them),
+        #: and freeing it leaves glibc's mmap threshold where it was
+        #: (``repro.runtime.sequential.SequentialEnv.mem`` does the same).
         self.backing: np.ndarray = np.frombuffer(
             mmap.mmap(-1, num_pages * words_per_page * 8), dtype=np.float64)
         self.wpp = words_per_page
